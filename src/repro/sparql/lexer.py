@@ -50,6 +50,21 @@ _TOKEN_RE = re.compile(
 )
 
 
+_NUMBER_KINDS = frozenset({"INTEGER", "DECIMAL", "DOUBLE"})
+
+
+def _ends_operand(token: "Token") -> bool:
+    """Whether ``token`` can end an operand, so a following ``+``/``-`` is
+    the binary operator, not the sign of a number (``20+1``, ``?a-1``)."""
+    if token.kind == "PUNCT":
+        return token.value == ")"
+    if token.kind == "KEYWORD":
+        return token.value in ("TRUE", "FALSE")
+    return token.kind in _NUMBER_KINDS or token.kind in (
+        "VAR", "IRIREF", "QNAME", "STRING", "LANGTAG"
+    )
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str
@@ -95,6 +110,16 @@ def tokenize(text: str) -> list[Token]:
                 )
         elif kind == "COLON_LOCAL":
             kind = "QNAME"
+        elif (
+            kind in _NUMBER_KINDS
+            and value[0] in "+-"
+            and tokens
+            and _ends_operand(tokens[-1])
+        ):
+            # The sign belongs to the number only where a number may start.
+            tokens.append(Token("OP", value[0], line))
+            pos += 1
+            continue
         # '<' is ambiguous: IRIREF already matched '<...>'; a lone '<' is OP.
         tokens.append(Token(kind, value, line))
         line += value.count("\n")

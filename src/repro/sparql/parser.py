@@ -394,8 +394,10 @@ class _Parser:
             from ..rdf.terms import BNode
 
             return BNode(token.value[2:])
-        if token.kind in ("STRING", "INTEGER", "DECIMAL", "DOUBLE") or (
-            token.kind == "KEYWORD" and token.value in ("TRUE", "FALSE")
+        if (
+            token.kind in ("STRING", "INTEGER", "DECIMAL", "DOUBLE")
+            or (token.kind == "KEYWORD" and token.value in ("TRUE", "FALSE"))
+            or (token.kind == "OP" and token.value in ("+", "-"))
         ):
             return self._literal()
         raise self._error(f"expected {position} term")
@@ -419,6 +421,16 @@ class _Parser:
 
     def _literal(self) -> Literal:
         token = self._next()
+        if (
+            token.kind == "OP"
+            and token.value in ("+", "-")
+            and self._peek().kind in ("INTEGER", "DECIMAL", "DOUBLE")
+        ):
+            # The lexer splits a sign off a number that follows an operand
+            # (``20+1``); where the grammar wants a term (``?s ex:p -5``,
+            # VALUES data) it is the number's sign after all.
+            number = self._next()
+            token = Token(number.kind, token.value + number.value, number.line)
         if token.kind == "STRING":
             lexical = _unescape_string(token.value[1:-1])
             nxt = self._peek()

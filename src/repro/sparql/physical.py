@@ -51,6 +51,7 @@ from .nodes import (
     Projection,
     TriplePatternNode,
     ValuesPattern,
+    VariableExpr,
 )
 from .optimizer import CardinalityEstimator, choose_bgp_strategy
 from .plan import (
@@ -69,6 +70,7 @@ from .plan import (
     LogicalUnion,
     LogicalValues,
     _canonical_expression,
+    certain_variables,
     possible_variables,
 )
 
@@ -430,8 +432,24 @@ class ValuesOp(PhysicalOperator):
         return f"{len(self.pattern.rows)} rows"
 
 
+def filter_passes(expression: Expression, row: Binding) -> bool:
+    """FILTER row semantics: effectively true, and an error excludes."""
+    try:
+        return ebv(evaluate(expression, row))
+    except ExprError:
+        # repro: swallow(a FILTER error excludes the row, per the
+        # SPARQL spec)
+        return False
+
+
 class FilterOp(PhysicalOperator):
-    """Drops rows whose expression errors or is not effectively true."""
+    """Drops rows whose expression errors or is not effectively true.
+
+    The row path for filters above anything but a single vectorized BGP
+    (OPTIONAL, UNION, cross-component joins, non-id-scan stores); inside a
+    :class:`~repro.sparql.vectorized.VectorizedBGP` filters are masks over
+    id batches instead.
+    """
 
     name = "Filter"
 
@@ -448,13 +466,8 @@ class FilterOp(PhysicalOperator):
 
     def _run(self, binding: Binding) -> Iterator[Binding]:
         for row in self.child.execute(binding):
-            try:
-                if ebv(evaluate(self.expression, row)):
-                    yield row
-            except ExprError:
-                # repro: swallow(a FILTER error excludes the row,
-                # per the SPARQL spec)
-                continue
+            if filter_passes(self.expression, row):
+                yield row
 
     def detail(self) -> str:
         return _canonical_expression(self.expression)
@@ -582,11 +595,11 @@ class SortOp(PhysicalOperator):
             parts = []
             for condition in self.conditions:
                 try:
-                    value = evaluate(condition.expression, row)
+                    sort_key = term_sort_key(
+                        to_term(evaluate(condition.expression, row))
+                    )
                 except ExprError:
-                    parts.append((0,))  # unbound sorts first
-                    continue
-                sort_key = term_sort_key(to_term(value))
+                    sort_key = (0,)  # unbound is lowest: first, or last under DESC
                 parts.append(ReversedKey(sort_key) if condition.descending else sort_key)
             return tuple(parts)
 
@@ -661,7 +674,14 @@ class SliceOp(PhysicalOperator):
 
 
 class AggregateOp(PhysicalOperator):
-    """Blocking: GROUP BY / aggregate projection / HAVING."""
+    """Blocking: GROUP BY / aggregate projection / HAVING over decoded rows.
+
+    The general implementation: any input, any expression. An aggregate
+    directly over one vectorized BGP with plain-variable keys and arguments
+    runs as :class:`~repro.sparql.vectorized.BatchAggregateOp` instead,
+    which inherits :meth:`_aggregate` for data its id-space form cannot
+    hold.
+    """
 
     name = "Aggregate"
 
@@ -681,7 +701,10 @@ class AggregateOp(PhysicalOperator):
         self.having = having
 
     def _run(self, binding: Binding) -> Iterator[Binding]:
-        solutions = list(self.child.execute(binding))
+        return self._aggregate(list(self.child.execute(binding)))
+
+    def _aggregate(self, solutions: list[Binding]) -> Iterator[Binding]:
+        """Group decoded solutions and evaluate every projection per group."""
         groups: dict[tuple, list[Binding]] = {}
         if self.group_by:
             for solution in solutions:
@@ -884,13 +907,7 @@ class _Builder:
             child = self.build(node.input)
             return PruneOp(child, node.variables, self.stats, child.estimated_rows)
         if isinstance(node, LogicalAggregate):
-            child = self.build(node.input)
-            estimate = child.estimated_rows
-            if not node.group_by:
-                estimate = 1.0 if self.estimator else None
-            return AggregateOp(
-                child, node.projections, node.group_by, node.having, self.stats, estimate
-            )
+            return self._build_aggregate(node)
         if isinstance(node, LogicalDistinct):
             child = self.build(node.input)
             return DistinctOp(child, self.stats, child.estimated_rows)
@@ -898,7 +915,7 @@ class _Builder:
             child = self.build(node.input)
             return SortOp(child, node.conditions, self.stats, child.estimated_rows)
         if isinstance(node, LogicalSlice):
-            child = self.build(node.input)
+            child = self._build_topk(node) or self.build(node.input)
             estimate = child.estimated_rows
             if estimate is not None:
                 estimate = max(0.0, estimate - node.offset)
@@ -906,6 +923,91 @@ class _Builder:
                     estimate = min(estimate, float(node.limit))
             return SliceOp(child, node.limit, node.offset, self.stats, estimate)
         raise TypeError(f"unknown logical node: {node!r}")
+
+    # -- batch consumers directly above a vectorized BGP ----------------------
+
+    @staticmethod
+    def _bgp_below(node: LogicalNode) -> LogicalBGP | None:
+        """The BGP a batch consumer would sit on: ``node`` or ``Prune(node)``."""
+        if isinstance(node, LogicalPrune):
+            node = node.input
+        if isinstance(node, LogicalBGP) and node.patterns:
+            return node
+        return None
+
+    def _build_aggregate(self, node: LogicalAggregate) -> PhysicalOperator:
+        """``AggregateOp`` over rows, or ``BatchAggregateOp`` over id batches
+        when the aggregate sits directly on one vectorized BGP component and
+        its shape is covered (``plan_batch_aggregate``)."""
+        child = self.build(node.input)
+        estimate = child.estimated_rows
+        if not node.group_by:
+            estimate = 1.0 if self.estimator else None
+        bgp = self._bgp_below(node.input) if self._vectorize else None
+        if bgp is not None:
+            from .vectorized import (
+                BatchAggregateOp,
+                VectorizedBGP,
+                plan_batch_aggregate,
+            )
+
+            planned = plan_batch_aggregate(
+                node.projections, node.group_by, node.having,
+                certain_variables(bgp),
+            )
+            if planned is not None and isinstance(child, VectorizedBGP):
+                group_vars, specs = planned
+                return BatchAggregateOp(
+                    child, node.projections, node.group_by, group_vars, specs,
+                    self.stats, estimate,
+                )
+        return AggregateOp(
+            child, node.projections, node.group_by, node.having, self.stats, estimate
+        )
+
+    def _build_topk(self, node: LogicalSlice) -> PhysicalOperator | None:
+        """``Slice(Sort(Project(BGP)))`` ordered by one projected variable:
+        the Sort subtree with a ``TopKOp`` choosing candidates in id space
+        below the projection. ``None`` when the shape is anything else."""
+        sort = node.input
+        if not (
+            self._vectorize
+            and node.limit is not None
+            and node.limit + node.offset > 0
+            and isinstance(sort, LogicalSort)
+            and len(sort.conditions) == 1
+            and isinstance(sort.conditions[0].expression, VariableExpr)
+        ):
+            return None
+        project = sort.input
+        if not (
+            isinstance(project, LogicalProject)
+            and not project.select_all
+            and all(p.expression is None for p in project.projections)
+        ):
+            return None
+        variable = sort.conditions[0].expression.variable
+        bgp = self._bgp_below(project.input)
+        if (
+            bgp is None
+            or variable not in certain_variables(bgp)
+            or all(p.variable != variable for p in project.projections)
+        ):
+            return None
+        from .vectorized import TopKOp, VectorizedBGP
+
+        source = self.build(project.input)
+        if isinstance(source, VectorizedBGP):
+            source = TopKOp(
+                source, variable, sort.conditions[0].descending,
+                node.limit + node.offset, self.stats,
+            )
+        projected = ProjectOp(
+            source, project.projections, False, self.stats, source.estimated_rows
+        )
+        return SortOp(
+            projected, sort.conditions, self.stats, projected.estimated_rows
+        )
 
     # -- BGP lowering --------------------------------------------------------
 
@@ -1014,35 +1116,48 @@ class _Builder:
         Each variable-disjoint component becomes one
         :class:`~repro.sparql.vectorized.VectorizedBGP` (strategy chosen
         per component from the statistics snapshot); components still
-        compose with :class:`HashJoin`, and filters spanning components
-        attach above the join that first covers their variables — the same
-        placement discipline as the iterator lowering. ``needed`` is the
-        late-materialization contract from an enclosing projection prune:
-        only those variables (plus what filters read) get decoded.
+        compose with :class:`HashJoin`. A filter confined to one component
+        goes into its operator, which applies it to the id batches; filters
+        spanning components attach as :class:`FilterOp` above the join that
+        first covers their variables. ``needed`` is the late-materialization
+        contract from an enclosing projection prune: only those variables
+        (plus what the spanning filters read) get decoded.
         """
         from .vectorized import VectorizedBGP
 
         components = self._segment(ordered)
         snapshot = self.estimator.snapshot if self.estimator is not None else None
+        component_variables = [
+            set().union(*(pattern.variables() for pattern in component))
+            for component in components
+        ]
+        # Each filter goes to the first component that covers it; the ones
+        # no single component covers stay above the joins.
+        placed: list[list[Expression]] = [[] for _ in components]
+        remaining: list[Expression] = []
         filter_vars: set[Variable] = set()
         for expression in node.filters:
-            filter_vars |= expression_variables(expression)
+            variables = expression_variables(expression)
+            home = next(
+                (
+                    index
+                    for index, covered_here in enumerate(component_variables)
+                    if variables <= covered_here
+                ),
+                None,
+            )
+            if home is None:
+                remaining.append(expression)
+                filter_vars |= variables
+            else:
+                placed[home].append(expression)
 
-        remaining = list(node.filters)
         combined: PhysicalOperator | None = None
         covered: set[Variable] = set()
         decoded_total: set[Variable] = set()
-        for component in components:
-            component_vars: set[Variable] = set()
-            for pattern in component:
-                component_vars |= pattern.variables()
-            local = [
-                expression
-                for expression in remaining
-                if expression_variables(expression) <= component_vars
-            ]
-            remaining = [e for e in remaining if not any(e is l for l in local)]
-
+        for component, component_vars, local in zip(
+            components, component_variables, placed
+        ):
             pattern_estimates = [
                 self.estimator.pattern_cardinality(pattern)
                 if self.estimator is not None
@@ -1114,8 +1229,8 @@ class _Builder:
                 self._filter_estimate(combined.estimated_rows),
             )
         if needed is not None and decoded_total - needed:
-            # Filters forced extra variables to be decoded; restore exact
-            # Prune(BGP) output on top.
+            # Spanning filters forced extra variables to be decoded;
+            # restore exact Prune(BGP) output on top.
             combined = PruneOp(
                 combined, needed, self.stats, combined.estimated_rows
             )
@@ -1215,19 +1330,28 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
     return observations
 
 
+# Batch consumers above a vectorized BGP, as the query log names them.
+_BATCH_CONSUMERS = {"BatchAggregate": "agg", "TopK": "topk"}
+
+
 def execution_strategy(root: PhysicalOperator | None) -> str:
     """Which engine executed a plan: ``iterator``, ``vectorized:<kinds>``
-    (sorted, ``+``-joined when a query mixes BGP strategies), or ``none``
-    for plans without a root (e.g. DESCRIBE without a pattern)."""
+    (sorted, ``+``-joined when a query mixes BGP strategies, then ``+agg``
+    / ``+topk`` when the id batches fed a batch aggregate or top-k
+    selection instead of the row adaptor), or ``none`` for plans without a
+    root (e.g. DESCRIBE without a pattern)."""
     if root is None:
         return "none"
     strategies: set[str] = set()
+    consumers: set[str] = set()
     stack = [root]
     while stack:
         node = stack.pop()
         if node.name == "VectorizedBGP":
             strategies.add(str(getattr(node, "strategy", "binary")))
+        elif node.name in _BATCH_CONSUMERS:
+            consumers.add(_BATCH_CONSUMERS[node.name])
         stack.extend(node.children)
     if strategies:
-        return "vectorized:" + "+".join(sorted(strategies))
+        return "vectorized:" + "+".join(sorted(strategies) + sorted(consumers))
     return "iterator"

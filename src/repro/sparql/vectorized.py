@@ -1,15 +1,14 @@
-"""Vectorized batch execution of BGPs over dictionary-encoded ids.
+"""Vectorized batch execution over dictionary-encoded ids.
 
 The physical layer's second operator family (ROADMAP item 2; "Efficiently
-Charting RDF" is the shape: a specialized index + join strategy over
-encoded ids is what makes scan+join-heavy exploration queries interactive).
-Where the iterator family (:mod:`repro.sparql.physical`) pulls decoded
-solution rows one at a time, the operators here execute a whole basic graph
-pattern as a pipeline of **id batches** — ``(n,)`` int64 numpy columns per
-variable — against any store implementing the
+Charting RDF" is the shape: a chart is a small aggregate over a large scan,
+and it only becomes interactive when it is answered over encoded ids end to
+end). Where the iterator family (:mod:`repro.sparql.physical`) pulls
+decoded solution rows one at a time, the operators here execute a whole
+basic graph pattern as a pipeline of **id batches** — ``(n,)`` int64 numpy
+columns per variable — against any store implementing the
 :class:`~repro.store.base.IdScanSource` capability, and decode terms only
-at batch boundaries, only for the variables the rest of the plan can
-observe (*late materialization*).
+for the rows and variables that leave the engine (*late materialization*).
 
 Three join strategies, chosen per BGP by
 :func:`repro.sparql.optimizer.choose_bgp_strategy` and recorded in EXPLAIN:
@@ -28,42 +27,106 @@ Three join strategies, chosen per BGP by
   variables are eliminated one at a time, each level intersecting the
   sorted candidate runs of every pattern containing that variable.
 
-Crucially, the streaming pull interface is preserved: a
-:class:`VectorizedBGP` *is* a :class:`~repro.sparql.physical
-.PhysicalOperator` whose ``execute`` yields decoded ``Binding`` rows, so
-LIMIT pushdown, budgets, tracing, prefix sampling, and chunked HTTP
-delivery compose unchanged — a ``LIMIT k`` consumer stops pulling and the
-scan stops after a bounded number of batches.
+**Filters are masks, not a row loop.** Each FILTER pushed into the BGP is
+applied inside the batch loop, right after the stage that binds its last
+variable, so later probes and the decode only see surviving rows. The
+shapes that are provably safe in id space — ``?v <op> number`` against the
+dictionary's shared numeric value column, ``?x = / != / IN`` constant
+terms by id, ``&&`` of those — never decode anything (``filter=id[...]``
+in EXPLAIN). Everything else, and any batch whose column holds a value the
+value column cannot stand in for, keeps row semantics through
+:func:`~repro.sparql.physical.filter_passes`, evaluated once per distinct
+combination of the filter's variables (``filter=row[...]``). A mask never
+reorders rows, so streamed prefixes see the same order as before.
+
+**The batch protocol continues above the BGP.** :meth:`VectorizedBGP
+.execute_batches` hands the filtered id batches to the two operators that
+answer chart-shaped queries without materializing rows:
+
+* :class:`BatchAggregateOp` — GROUP BY on id columns (``np.unique``),
+  COUNT by ``bincount``, SUM/AVG/MIN/MAX over the value column, COUNT
+  DISTINCT by unique ``(group, id)`` pairs; only the group-key terms of
+  the output rows are decoded.
+* :class:`TopKOp` — ``ORDER BY ?v [DESC] LIMIT k`` candidates by
+  ``np.partition`` on the value column (ties with the k-th kept); only
+  the candidates are decoded and handed to the ordinary ``SortOp``.
+
+Both fall back to row semantics when the data turns out not to fit (a
+non-numeric value under SUM, an ordering column with strings): the rows
+are decoded once and go through ``AggregateOp`` / ``SortOp`` unchanged.
+
+The streaming pull interface is preserved: a :class:`VectorizedBGP` *is* a
+:class:`~repro.sparql.physical.PhysicalOperator` whose ``execute`` yields
+decoded ``Binding`` rows (the row adaptor over the same batches), so LIMIT
+pushdown, budgets, tracing, prefix sampling, and chunked HTTP delivery
+compose unchanged. Scans and star seeds start with a
+:data:`FIRST_BATCH_SIZE`-row chunk that doubles up to the batch size, so a
+``LIMIT k`` consumer that stops pulling has expanded hundreds of rows, not
+a full batch per pattern; what it cannot bound is the store's own first
+read (one ``match_id_batches`` batch, or a whole constraint run).
 
 ``REPRO_EXEC=iterator|vectorized|auto`` (default ``auto``) selects the
 engine; ``auto`` uses the vectorized family whenever the store supports id
 scans and falls back to iterators otherwise (federation, remote endpoints,
-plain graphs).
+plain graphs). ``iterator`` is the reference the parity suite compares
+against, not a tuning mode.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+import time
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..env import read_str
-from ..rdf.terms import Variable
+from ..rdf.terms import Literal, Term, Variable
 from ..store.base import DEFAULT_BATCH_SIZE, IdScanSource
-from .expr import Binding, ExprError, ebv, evaluate
-from .nodes import Expression, TriplePatternNode
-from .physical import EvalStats, PhysicalOperator
+from ..store.dictionary import VALUE_EXACT_INT, VALUE_FLOAT, TermDictionary
+from .expr import (
+    Binding,
+    ExprError,
+    expression_variables,
+    group_key,
+    numeric,
+    to_term,
+)
+from .nodes import (
+    AggregateExpr,
+    BinaryExpr,
+    Expression,
+    FunctionCall,
+    Projection,
+    TermExpr,
+    TriplePatternNode,
+    VariableExpr,
+)
+from .physical import (
+    AggregateOp,
+    EvalStats,
+    PhysicalOperator,
+    filter_passes,
+)
+from .plan import _canonical_expression
 
 __all__ = [
     "EXEC_ENV",
     "EXEC_MODES",
+    "FIRST_BATCH_SIZE",
+    "BatchAggregateOp",
+    "TopKOp",
     "VectorScan",
     "VectorizedBGP",
+    "plan_batch_aggregate",
     "resolve_exec_mode",
 ]
 
 EXEC_ENV = "REPRO_EXEC"
 EXEC_MODES = ("iterator", "vectorized", "auto")
+
+#: Rows in the first chunk a scan or star seed hands the pipeline; each
+#: following chunk doubles until it reaches the operator's batch size.
+FIRST_BATCH_SIZE = 256
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 # Existence-probe match stubs: one row / zero rows, no free-variable columns.
@@ -105,6 +168,9 @@ class _Resolved(NamedTuple):
     ids: tuple[int | None, int | None, int | None]
     var_slots: tuple[tuple[int, Variable], ...]
     dup_slots: tuple[tuple[int, int], ...]
+
+    def variables(self) -> list[Variable]:
+        return [variable for _, variable in self.var_slots]
 
 
 def _resolve_pattern(
@@ -163,6 +229,222 @@ def _ragged_gather(
     return row_index, match_index
 
 
+def _distinct_keys(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of aligned id columns: ``(keys (k, m), inverse (n,))``.
+
+    The grouping primitive shared by the probe join (one store probe per
+    distinct key), the row-semantics filter (one evaluation per distinct
+    combination) and GROUP BY.
+    """
+    if len(columns) == 1:
+        unique, inverse = np.unique(columns[0], return_inverse=True)
+        return unique[:, None], inverse
+    keys, inverse = np.unique(
+        np.stack(columns, axis=1), axis=0, return_inverse=True
+    )
+    return keys, inverse.reshape(-1)
+
+
+def _compress(batch: _Batch, mask: np.ndarray) -> _Batch:
+    """The rows of ``batch`` where ``mask`` holds, in their original order."""
+    count = int(np.count_nonzero(mask))
+    if count == batch.count:
+        return batch
+    return _Batch(
+        {variable: column[mask] for variable, column in batch.columns.items()},
+        count,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# FILTERs in id space
+# --------------------------------------------------------------------------- #
+
+# A compiled predicate: mask over the batch, or None when this batch holds
+# a value the id-space form cannot decide (row semantics take over).
+_Predicate = Callable[[dict[Variable, np.ndarray], TermDictionary], "np.ndarray | None"]
+
+_COMPARE = {
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "=": np.equal,
+    "!=": np.not_equal,
+}
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+
+
+def _constant_number(term: Term) -> int | float | None:
+    """``term`` as a number; ``None`` when it is not one (``expr.numeric``)."""
+    try:
+        return numeric(term)
+    except ExprError:
+        return None
+
+
+def _comparable(number: int | float) -> bool:
+    """Python compares int to float exactly; float64 only below 2**53."""
+    return not isinstance(number, int) or abs(number) <= VALUE_EXACT_INT
+
+
+def _by_value(variable: Variable, test: Callable[[np.ndarray], np.ndarray]) -> _Predicate:
+    def predicate(columns, dictionary):
+        ids = columns[variable]
+        values, kinds = dictionary.numeric_columns()
+        if not kinds[ids].all():
+            return None  # a non-number in the column: compare() per row
+        return test(values[ids])
+
+    return predicate
+
+
+def _comparison(variable: Variable, operator: str, term: Term) -> _Predicate | None:
+    compare = _COMPARE[operator]
+    number = _constant_number(term)
+    if number is not None:
+        if not _comparable(number):
+            return None
+        return _by_value(variable, lambda values: compare(values, number))
+    if operator not in ("=", "!="):
+        return None  # ordering against a string/IRI: string_value semantics
+    # Equality with a non-numeric constant is term identity, and the
+    # dictionary assigns ids by exactly that identity.
+
+    def predicate(columns, dictionary):
+        ids = columns[variable]
+        term_id = dictionary.lookup(term)
+        if term_id is None:
+            return np.full(len(ids), operator == "!=")
+        return compare(ids, term_id)
+
+    return predicate
+
+
+def _membership(variable: Variable, terms: list[Term]) -> _Predicate | None:
+    numbers = [_constant_number(term) for term in terms]
+    if all(number is None for number in numbers):
+
+        def predicate(columns, dictionary):
+            known = [dictionary.lookup(term) for term in terms]
+            return np.isin(
+                columns[variable], [i for i in known if i is not None]
+            )
+
+        return predicate
+    if all(n is not None and _comparable(n) for n in numbers):
+        return _by_value(variable, lambda values: np.isin(values, numbers))
+    return None  # numbers and terms mixed in one list
+
+
+def _compile_predicate(expression: Expression) -> _Predicate | None:
+    """The id-space form of a FILTER clause, or ``None`` if it has none.
+
+    Only shapes that cannot raise per row qualify: a comparison of a
+    variable with a constant, ``IN`` over constants, and ``&&`` of those.
+    """
+    if not isinstance(expression, BinaryExpr):
+        return None
+    operator, left, right = expression.operator, expression.left, expression.right
+    if operator == "&&":
+        first, second = _compile_predicate(left), _compile_predicate(right)
+        if first is None or second is None:
+            return None
+
+        def both(columns, dictionary):
+            head = first(columns, dictionary)
+            if head is None:
+                return None
+            tail = second(columns, dictionary)
+            return None if tail is None else head & tail
+
+        return both
+    if operator in _COMPARE:
+        if isinstance(left, VariableExpr) and isinstance(right, TermExpr):
+            return _comparison(left.variable, operator, right.term)
+        if isinstance(left, TermExpr) and isinstance(right, VariableExpr):
+            return _comparison(right.variable, _FLIPPED[operator], left.term)
+        return None
+    if (
+        operator == "IN"
+        and isinstance(left, VariableExpr)
+        and isinstance(right, FunctionCall)
+        and right.name == "_LIST"
+        and all(isinstance(arg, TermExpr) for arg in right.args)
+    ):
+        return _membership(left.variable, [arg.term for arg in right.args])
+    return None
+
+
+def _short(expression: Expression) -> str:
+    """Compact rendering for EXPLAIN details: ``?v > 43.2``."""
+    if isinstance(expression, VariableExpr):
+        return f"?{expression.variable}"
+    if isinstance(expression, TermExpr):
+        term = expression.term
+        if isinstance(term, Literal) and _constant_number(term) is not None:
+            return term.lexical
+        return term.n3()
+    if isinstance(expression, BinaryExpr):
+        return (
+            f"{_short(expression.left)} {expression.operator} "
+            f"{_short(expression.right)}"
+        )
+    if isinstance(expression, FunctionCall) and expression.name == "_LIST":
+        return "(" + ", ".join(_short(arg) for arg in expression.args) + ")"
+    return _canonical_expression(expression)
+
+
+class _Filter:
+    """One FILTER clause of a BGP and how it gets evaluated."""
+
+    __slots__ = ("expression", "variables", "predicate", "fell_back")
+
+    def __init__(self, expression: Expression) -> None:
+        self.expression = expression
+        self.variables = frozenset(expression_variables(expression))
+        self.predicate = _compile_predicate(expression)
+        # Set when a batch forced the id-space form back to row semantics.
+        self.fell_back = False
+
+    def describe(self) -> str:
+        in_ids = self.predicate is not None and not self.fell_back
+        return f"{'id' if in_ids else 'row'}[{_short(self.expression)}]"
+
+
+class _FilterStages:
+    """Places each filter right after the stage binding its last variable."""
+
+    def __init__(self, bgp: "VectorizedBGP", binding: Binding) -> None:
+        self.bgp = bgp
+        self.binding = binding
+        self.pending = list(bgp._filters)
+        self.bound: set[Variable] = set(binding)
+
+    def after(
+        self, batches: Iterator[_Batch], variables: Iterable[Variable] | None
+    ) -> Iterator[_Batch]:
+        """``variables`` just got bound; ``None`` = the last stage ran."""
+        if not self.pending:
+            return batches
+        if variables is None:
+            ready, self.pending = self.pending, []
+        else:
+            self.bound.update(variables)
+            ready = [f for f in self.pending if f.variables <= self.bound]
+            self.pending = [f for f in self.pending if not f.variables <= self.bound]
+        if not ready:
+            return batches
+        # Id-space masks first: the row path then runs on survivors only.
+        ready.sort(key=lambda f: f.predicate is None)
+        return self.bgp._apply_filters(batches, ready, self.binding)
+
+
+# --------------------------------------------------------------------------- #
+# The BGP operator
+# --------------------------------------------------------------------------- #
+
+
 class VectorScan(PhysicalOperator):
     """EXPLAIN/span surface for one id-batch pattern scan.
 
@@ -200,12 +482,15 @@ class VectorScan(PhysicalOperator):
 class VectorizedBGP(PhysicalOperator):
     """One BGP component executed as batched columnar operators over ids.
 
-    Pull-streaming from the outside (``execute`` yields decoded ``Binding``
-    rows), columnar on the inside. ``decode_variables`` (when not ``None``)
-    is the late-materialization contract: only those variables are decoded
-    and kept in output rows — the builder passes the projection-pruned set
-    plus whatever the BGP's own filters need, and the output is then
-    exactly what ``Prune(BGP)`` would have produced.
+    Two ways out: :meth:`execute_batches` yields the filtered id batches
+    (the batch protocol :class:`BatchAggregateOp` and :class:`TopKOp`
+    consume), and ``execute`` is the row adaptor over the same batches for
+    every other consumer. ``decode_variables`` (when not ``None``) is the
+    late-materialization contract of the row adaptor: only those variables
+    are decoded and kept in output rows — the builder passes the
+    projection-pruned set, and the output is then exactly what
+    ``Prune(BGP)`` would have produced. Filters never need decoding here:
+    they are applied to the id batches (module docstring).
     """
 
     name = "VectorizedBGP"
@@ -231,7 +516,7 @@ class VectorizedBGP(PhysicalOperator):
         super().__init__(stats, estimate, scans)
         self.source = source
         self.patterns = patterns
-        self.filters = filters
+        self._filters = [_Filter(expression) for expression in filters]
         self.decode_variables = decode_variables
         self.strategy = strategy
         self.center = center
@@ -240,6 +525,8 @@ class VectorizedBGP(PhysicalOperator):
 
     def detail(self) -> str:
         rendered = f"{self.strategy}[{self.reason}]"
+        if self._filters:
+            rendered += " filter=" + ",".join(f.describe() for f in self._filters)
         if self.decode_variables is not None:
             decoded = ",".join(sorted(f"?{v}" for v in self.decode_variables))
             rendered += f" decode={decoded or '∅'}"
@@ -257,30 +544,70 @@ class VectorizedBGP(PhysicalOperator):
         self.stats.scan_rows += rows
         self.stats.intermediate_bindings += rows
 
+    def _growing_chunks(self, arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Re-chunk store output: a small first chunk, doubling to full size.
+
+        A consumer that stops early (LIMIT, a bounded prefix) then pays
+        for the probes of hundreds of rows, not of a whole batch.
+        """
+        size = min(FIRST_BATCH_SIZE, self.batch_size)
+        for array in arrays:
+            start = 0
+            while start < len(array):
+                yield array[start : start + size]
+                start += size
+                size = min(size * 2, self.batch_size)
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
     def _run(self, binding: Binding) -> Iterator[Binding]:
+        return self.rows(self._batches(binding), binding)
+
+    def execute_batches(self, binding: Binding) -> Iterator[_Batch]:
+        """The batch protocol: ``execute``'s solutions, still as id columns.
+
+        Accounts like ``execute`` does (executions, actual rows, inclusive
+        suspension-aware time), per batch instead of per row.
+        """
+        self.executions += 1
+        timed = self.stats.tracer is not None
+        if timed:
+            self.timed = True
+        clock = time.perf_counter_ns
+        started = clock()
+        for batch in self._batches(binding):
+            if timed:
+                self.wall_ns += clock() - started
+            self.actual_rows += batch.count
+            self.stats.record_rows(self.name, batch.count)
+            yield batch
+            started = clock()
+        if timed:
+            self.wall_ns += clock() - started
+
+    def _batches(self, binding: Binding) -> Iterator[_Batch]:
         resolved: list[_Resolved] = []
         for pattern in self.patterns:
             one = _resolve_pattern(pattern, binding, self.source)
             if one is None:  # a bound term missing from the dictionary
-                return
+                return iter(())
             resolved.append(one)
 
+        stages = _FilterStages(self, binding)
         strategy = self.strategy
         if strategy == "wcoj-star" and not self._center_free(resolved):
             # The ambient binding ground the center variable out from under
             # the star plan — the probe pipeline handles it naturally.
             strategy = "binary"
         if strategy == "wcoj-star":
-            batches = self._star_join(resolved)
+            batches = self._star_join(resolved, stages)
         elif strategy == "wcoj-generic":
             batches = self._generic_join(resolved)
         else:
-            batches = self._pipeline(resolved)
-        yield from self._emit(batches, binding)
+            batches = self._pipeline(resolved, stages)
+        return stages.after(batches, None)
 
     def _center_free(self, resolved: list[_Resolved]) -> bool:
         if self.center is None:
@@ -290,12 +617,54 @@ class VectorizedBGP(PhysicalOperator):
             for one in resolved
         )
 
+    # -- filters -------------------------------------------------------------
+
+    def _apply_filters(
+        self, batches: Iterator[_Batch], filters: list[_Filter], binding: Binding
+    ) -> Iterator[_Batch]:
+        """Mask every batch by ``filters``; survivors keep their order."""
+        dictionary = self.source.dictionary
+        for batch in batches:
+            for one in filters:
+                mask = None
+                if one.predicate is not None and one.variables <= batch.columns.keys():
+                    mask = one.predicate(batch.columns, dictionary)
+                    if mask is None:
+                        one.fell_back = True
+                if mask is None:
+                    mask = self._row_mask(one, batch, binding)
+                batch = _compress(batch, mask)
+                if not batch.count:
+                    break
+            if batch.count:
+                yield batch
+
+    def _row_mask(self, one: _Filter, batch: _Batch, binding: Binding) -> np.ndarray:
+        """Row semantics, once per distinct combination of the variables."""
+        present = [v for v in one.variables if v in batch.columns]
+        if not present:  # every variable is ambient-bound (or unbound)
+            return np.full(batch.count, filter_passes(one.expression, binding))
+        keys, inverse = _distinct_keys([batch.columns[v] for v in present])
+        decode = self.source.dictionary.decode_batch
+        decoded = [decode(keys[:, slot]) for slot in range(len(present))]
+        verdicts = np.empty(len(keys), dtype=bool)
+        for index, terms in enumerate(zip(*decoded)):
+            row = dict(binding)
+            row.update(zip(present, terms))
+            verdicts[index] = filter_passes(one.expression, row)
+        return verdicts[inverse]
+
     # -- scan + probe pipeline (binary strategy) ----------------------------
 
-    def _pipeline(self, resolved: list[_Resolved]) -> Iterator[_Batch]:
-        batches = self._scan(0, resolved[0])
+    def _pipeline(
+        self, resolved: list[_Resolved], stages: _FilterStages
+    ) -> Iterator[_Batch]:
+        batches = stages.after(self._scan(0, resolved[0]), resolved[0].variables())
         for index in range(1, len(resolved)):
-            batches = self._probe(batches, index, resolved[index])
+            batches = stages.after(
+                self._probe(batches, index, resolved[index]),
+                resolved[index].variables(),
+            )
         return batches
 
     def _scan(self, scan_index: int, one: _Resolved) -> Iterator[_Batch]:
@@ -303,7 +672,9 @@ class VectorizedBGP(PhysicalOperator):
         scan.executions += 1
         self.stats.store_lookups += 1
         s, p, o = one.ids
-        for raw in self.source.match_id_batches(s, p, o, self.batch_size):
+        for raw in self._growing_chunks(
+            self.source.match_id_batches(s, p, o, self.batch_size)
+        ):
             if one.dup_slots:
                 mask = np.ones(len(raw), dtype=bool)
                 for left, right in one.dup_slots:
@@ -350,16 +721,11 @@ class VectorizedBGP(PhysicalOperator):
     ) -> Iterator[_Batch]:
         """Index-probe join: extend each batch by one pattern's matches."""
         scan: VectorScan = self.children[scan_index]  # type: ignore[assignment]
-        shared = tuple(
-            (position, variable)
-            for position, variable in one.var_slots
-            if variable is not None
-        )
         for batch in batches:
             scan.executions += 1
             shared_here = [
                 (position, variable)
-                for position, variable in shared
+                for position, variable in one.var_slots
                 if variable in batch.columns
             ]
             free = tuple(
@@ -368,17 +734,9 @@ class VectorizedBGP(PhysicalOperator):
                 if variable not in batch.columns
             )
             if shared_here:
-                key_columns = [batch.columns[v] for _, v in shared_here]
-                if len(key_columns) == 1:
-                    unique_keys, inverse = np.unique(
-                        key_columns[0], return_inverse=True
-                    )
-                    key_rows = unique_keys[:, None]
-                else:
-                    stacked = np.stack(key_columns, axis=1)
-                    key_rows, inverse = np.unique(
-                        stacked, axis=0, return_inverse=True
-                    )
+                key_rows, inverse = _distinct_keys(
+                    [batch.columns[v] for _, v in shared_here]
+                )
             else:  # no shared variable: one probe serves the whole batch
                 key_rows = np.empty((1, 0), dtype=np.int64)
                 inverse = np.zeros(batch.count, dtype=np.int64)
@@ -489,7 +847,9 @@ class VectorizedBGP(PhysicalOperator):
             return np.unique(raw[mask][:, target])
         return self.source.distinct_ids(probe[0], probe[1], probe[2], target)
 
-    def _star_join(self, resolved: list[_Resolved]) -> Iterator[_Batch]:
+    def _star_join(
+        self, resolved: list[_Resolved], stages: _FilterStages
+    ) -> Iterator[_Batch]:
         """Intersect constraint-only center runs, then expand survivors.
 
         Only patterns whose variables are *all* the center contribute runs
@@ -514,7 +874,7 @@ class VectorizedBGP(PhysicalOperator):
         if not constrainers:
             # Runtime demotion paths can strip every constraint-only
             # pattern; the probe pipeline is always safe.
-            yield from self._pipeline(resolved)
+            yield from self._pipeline(resolved, stages)
             return
         runs: list[np.ndarray] = []
         for index, one in constrainers:
@@ -533,14 +893,15 @@ class VectorizedBGP(PhysicalOperator):
             return
 
         def seed() -> Iterator[_Batch]:
-            for start in range(0, len(candidates), self.batch_size):
-                chunk = candidates[start : start + self.batch_size]
+            for chunk in self._growing_chunks((candidates,)):
                 yield _Batch({center: chunk}, len(chunk))
 
-        batches: Iterator[_Batch] = seed()
+        batches = stages.after(seed(), (center,))
         for index, one in expanders:
-            batches = self._probe(batches, index, one)
-        return (yield from batches)
+            batches = stages.after(
+                self._probe(batches, index, one), one.variables()
+            )
+        yield from batches
 
     def _generic_join(self, resolved: list[_Resolved]) -> Iterator[_Batch]:
         """Generic-join recursion: eliminate one variable per level."""
@@ -617,41 +978,366 @@ class VectorizedBGP(PhysicalOperator):
 
     # -- decode boundary -----------------------------------------------------
 
-    def _emit(
-        self, batches: Iterator[_Batch], binding: Binding
-    ) -> Iterator[Binding]:
-        """Decode id batches into solution rows (the streaming boundary)."""
-        dictionary = self.source.dictionary
+    def rows(self, batches: Iterable[_Batch], binding: Binding) -> Iterator[Binding]:
+        """Decode id batches into solution rows (the row adaptor)."""
+        decode = self.source.dictionary.decode_batch
         keep = self.decode_variables
+        ambient = (
+            dict(binding)
+            if keep is None
+            else {v: t for v, t in binding.items() if v in keep}
+        )
         for batch in batches:
-            decoded: list[tuple[Variable, list, np.ndarray]] = []
+            names: list[Variable] = []
+            decoded: list[list[Term]] = []
             for variable, column in batch.columns.items():
                 if keep is not None and variable not in keep:
                     continue
                 unique_ids, inverse = np.unique(column, return_inverse=True)
-                terms = dictionary.decode_batch(unique_ids)
-                decoded.append((variable, terms, inverse))
-            for row_no in range(batch.count):
-                row: Binding = dict(binding)
-                for variable, terms, inverse in decoded:
-                    row[variable] = terms[inverse[row_no]]
-                ok = True
-                for expression in self.filters:
-                    try:
-                        if not ebv(evaluate(expression, row)):
-                            ok = False
-                            break
-                    except ExprError:
-                        # repro: swallow(a FILTER error excludes the
-                        # row, per the SPARQL spec)
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if keep is not None:
-                    row = {
-                        variable: term
-                        for variable, term in row.items()
-                        if variable in keep
-                    }
-                yield row
+                terms = decode(unique_ids)
+                names.append(variable)
+                decoded.append([terms[slot] for slot in inverse.tolist()])
+            if not names:
+                for _ in range(batch.count):
+                    yield dict(ambient)
+            elif ambient:
+                for values in zip(*decoded):
+                    row = dict(ambient)
+                    row.update(zip(names, values))
+                    yield row
+            else:
+                for values in zip(*decoded):
+                    yield dict(zip(names, values))
+
+
+# --------------------------------------------------------------------------- #
+# Batch consumers above the BGP
+# --------------------------------------------------------------------------- #
+
+
+def _concat(batches: list[_Batch], variables: Iterable[Variable]) -> _Batch:
+    """One batch holding ``variables`` of every input batch, in order."""
+    count = sum(batch.count for batch in batches)
+    columns = {
+        variable: (
+            np.concatenate([batch.columns[variable] for batch in batches])
+            if batches
+            else _EMPTY_IDS
+        )
+        for variable in variables
+    }
+    return _Batch(columns, count)
+
+
+class _AggSpec(NamedTuple):
+    """One output column of a batch aggregate.
+
+    ``function`` is ``"KEY"`` for a projected group variable (``variable``
+    names it) or an aggregate name, whose ``variable`` is its argument
+    (``None`` = ``COUNT(*)``).
+    """
+
+    alias: Variable
+    function: str
+    variable: Variable | None
+    distinct: bool
+
+
+_BATCH_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+
+
+def plan_batch_aggregate(
+    projections: tuple[Projection, ...],
+    group_by: tuple[Expression, ...],
+    having: Expression | None,
+    variables: frozenset[Variable],
+) -> tuple[tuple[Variable, ...], tuple[_AggSpec, ...]] | None:
+    """Static eligibility of an aggregate for :class:`BatchAggregateOp`.
+
+    ``variables`` are the ones the BGP underneath certainly binds.
+    Covered: plain-variable group keys; projections that are a group
+    variable or a bare COUNT / SUM / AVG / MIN / MAX over a variable
+    (``COUNT(*)`` and ``COUNT(DISTINCT ?x)`` included). HAVING, SAMPLE,
+    GROUP_CONCAT, expression keys or arguments and aggregates nested in
+    arithmetic return ``None``: those stay on ``AggregateOp``.
+    """
+    if having is not None:
+        return None
+    group_vars: list[Variable] = []
+    for expression in group_by:
+        if not isinstance(expression, VariableExpr) or expression.variable not in variables:
+            return None
+        group_vars.append(expression.variable)
+    specs: list[_AggSpec] = []
+    for projection in projections:
+        expression = projection.expression
+        if expression is None:
+            if projection.variable not in group_vars:
+                return None
+            specs.append(_AggSpec(projection.variable, "KEY", projection.variable, False))
+            continue
+        if not isinstance(expression, AggregateExpr):
+            return None
+        if expression.name not in _BATCH_AGGREGATES:
+            return None
+        if expression.distinct and expression.name != "COUNT":
+            return None
+        argument = expression.argument
+        if argument is None:
+            if expression.name != "COUNT":
+                return None
+            specs.append(_AggSpec(projection.variable, "COUNT", None, False))
+            continue
+        if not isinstance(argument, VariableExpr) or argument.variable not in variables:
+            return None
+        specs.append(
+            _AggSpec(
+                projection.variable, expression.name, argument.variable,
+                expression.distinct,
+            )
+        )
+    return tuple(group_vars), tuple(specs)
+
+
+class BatchAggregateOp(AggregateOp):
+    """GROUP BY / aggregates computed on id columns of a single BGP.
+
+    Consumes :meth:`VectorizedBGP.execute_batches`; group keys are
+    ``np.unique`` over id columns, aggregates run over the dictionary's
+    numeric value column, and only the group-key terms of the output rows
+    are ever decoded. When the data does not fit the value column (a
+    non-numeric value under SUM/AVG/MIN/MAX, integers whose sum could
+    leave float64's exact range) the collected columns are decoded once
+    and grouped by the inherited row implementation, so the answer is the
+    same either way and EXPLAIN names the reason.
+    """
+
+    name = "BatchAggregate"
+
+    def __init__(
+        self,
+        child: VectorizedBGP,
+        projections: tuple[Projection, ...],
+        group_by: tuple[Expression, ...],
+        group_vars: tuple[Variable, ...],
+        specs: tuple[_AggSpec, ...],
+        stats: EvalStats,
+        estimate: float | None,
+    ) -> None:
+        super().__init__(child, projections, group_by, None, stats, estimate)
+        self.group_vars = group_vars
+        self.specs = specs
+        needed = list(group_vars)
+        for spec in specs:
+            if spec.variable is not None and spec.variable not in needed:
+                needed.append(spec.variable)
+        self._needed = tuple(needed)
+        self.fallback: str | None = None
+
+    def detail(self) -> str:
+        group = ",".join(f"?{v}" for v in self.group_vars)
+        aggregates = ",".join(
+            spec.function for spec in self.specs if spec.function != "KEY"
+        )
+        rendered = (f"group={group}" if group else "implicit group")
+        rendered += f" aggs={aggregates or '∅'}"
+        if self.fallback is not None:
+            rendered += f" fallback=rows[{self.fallback}]"
+        return rendered
+
+    def _run(self, binding: Binding) -> Iterator[Binding]:
+        child: VectorizedBGP = self.child  # type: ignore[assignment]
+        if any(variable in binding for variable in self._needed):
+            # An ambient-bound variable is substituted into the patterns
+            # and never becomes a column.
+            self.fallback = "ambient binding"
+            return super()._run(binding)
+        collected = _concat(list(child.execute_batches(binding)), self._needed)
+        rows = self._batch_rows(collected, child.source.dictionary)
+        if rows is None:
+            return self._aggregate(list(child.rows((collected,), binding)))
+        return iter(rows)
+
+    def _batch_rows(
+        self, batch: _Batch, dictionary: TermDictionary
+    ) -> list[Binding] | None:
+        total = batch.count
+        if self.group_vars:
+            if not total:
+                return []
+            keys, inverse = _distinct_keys(
+                [batch.columns[v] for v in self.group_vars]
+            )
+        else:  # implicit single group, present even over no rows
+            keys = np.empty((1, 0), dtype=np.int64)
+            inverse = np.zeros(total, dtype=np.int64)
+        groups = len(keys)
+        counts = np.bincount(inverse, minlength=groups)
+
+        key_terms = {
+            variable: dictionary.decode_batch(keys[:, slot])
+            for slot, variable in enumerate(self.group_vars)
+        }
+        outputs: list[tuple[Variable, list]] = []
+        for spec in self.specs:
+            if spec.function == "KEY":
+                values = key_terms[spec.variable]
+            elif spec.function == "COUNT" and not spec.distinct:
+                # BGP variables are bound in every row: COUNT(?x) = COUNT(*)
+                values = [to_term(n) for n in counts.tolist()]
+            elif spec.function == "COUNT":
+                values = self._count_distinct(
+                    batch.columns[spec.variable], inverse, groups
+                )
+            else:
+                values = self._numeric(
+                    spec.function, batch.columns[spec.variable], inverse, counts,
+                    dictionary,
+                )
+            if values is None:
+                return None
+            outputs.append((spec.alias, values))
+
+        # Same group order as AggregateOp, so a LIMIT above sees the same
+        # groups from either implementation.
+        order = sorted(
+            range(groups),
+            key=lambda g: str(
+                tuple(group_key(key_terms[v][g]) for v in self.group_vars)
+            ),
+        )
+        return [
+            {
+                alias: values[g]
+                for alias, values in outputs
+                if values[g] is not None
+            }
+            for g in order
+        ]
+
+    def _count_distinct(
+        self, ids: np.ndarray, inverse: np.ndarray, groups: int
+    ) -> list[Term] | None:
+        span = int(ids.max()) + 1 if len(ids) else 1
+        if groups * span >= 2**62:
+            self.fallback = "(group, id) pairs exceed int64"
+            return None
+        pairs = np.unique(inverse * span + ids)
+        distinct = np.bincount(pairs // span, minlength=groups)
+        return [to_term(n) for n in distinct.tolist()]
+
+    def _numeric(
+        self,
+        function: str,
+        ids: np.ndarray,
+        inverse: np.ndarray,
+        counts: np.ndarray,
+        dictionary: TermDictionary,
+    ) -> list[Term | None] | None:
+        """SUM / AVG / MIN / MAX per group, typed as Python would type them."""
+        groups = len(counts)
+        if not len(ids):  # the implicit group over no rows
+            return [to_term(0) if function == "SUM" else None] * groups
+        values, kinds = dictionary.numeric_columns()
+        kinds = kinds[ids]
+        if not kinds.all():
+            self.fallback = f"{function} over a non-numeric value"
+            return None
+        values = values[ids]
+        is_float = kinds == VALUE_FLOAT
+        if not is_float.all() and np.abs(values).max() * len(ids) >= VALUE_EXACT_INT:
+            self.fallback = f"{function} could leave the exact integer range"
+            return None
+        if function in ("SUM", "AVG"):
+            sums = np.bincount(inverse, weights=values, minlength=groups)
+            if function == "AVG":
+                return [to_term(v) for v in (sums / counts).tolist()]
+            # A group's SUM is xsd:integer exactly when all its members are.
+            any_float = np.bincount(inverse, weights=is_float, minlength=groups) > 0
+            return [
+                to_term(v if f else int(v))
+                for v, f in zip(sums.tolist(), any_float.tolist())
+            ]
+        # MIN / MAX: min()/max() return the *first* extreme member, whose
+        # type (5 vs 5.0) is the answer's datatype — find that member.
+        by_group = np.argsort(inverse, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        ordered = values[by_group]
+        reduce = np.minimum if function == "MIN" else np.maximum
+        extreme = reduce.reduceat(ordered, starts)
+        positions = np.where(
+            ordered == np.repeat(extreme, counts), np.arange(len(ordered)), len(ordered)
+        )
+        first = np.minimum.reduceat(positions, starts)
+        winners = ordered[first].tolist()
+        winner_is_float = is_float[by_group][first].tolist()
+        return [
+            to_term(v if f else int(v)) for v, f in zip(winners, winner_is_float)
+        ]
+
+
+class TopKOp(PhysicalOperator):
+    """Candidate selection for ``ORDER BY ?v [DESC] LIMIT k`` over one BGP.
+
+    Keeps, batch by batch, only the rows whose sort value is among the k
+    best seen so far (every row tied with the k-th stays), decodes those
+    and yields them in scan order; the ``SortOp`` / ``SliceOp`` above then
+    order and cut them exactly as they would the full input. Selection is
+    by the value column, which orders numbers the way ``term_sort_key``
+    does; a column holding anything else is passed through whole.
+    """
+
+    name = "TopK"
+
+    def __init__(
+        self,
+        child: VectorizedBGP,
+        variable: Variable,
+        descending: bool,
+        k: int,
+        stats: EvalStats,
+    ) -> None:
+        estimate = child.estimated_rows
+        if estimate is not None:
+            estimate = min(estimate, float(k))
+        super().__init__(stats, estimate, (child,))
+        self.child = child
+        self.variable = variable
+        self.descending = descending
+        self.k = k
+        self.fallback: str | None = None
+
+    def detail(self) -> str:
+        rendered = f"k={self.k} by ?{self.variable}"
+        if self.descending:
+            rendered += " DESC"
+        if self.fallback is not None:
+            rendered += f" fallback=all rows[{self.fallback}]"
+        return rendered
+
+    def _run(self, binding: Binding) -> Iterator[Binding]:
+        child = self.child
+        if self.variable in binding:  # substituted away: never a column
+            self.fallback = "ambient binding"
+            return child.execute(binding)
+        return child.rows(self._candidates(binding), binding)
+
+    def _candidates(self, binding: Binding) -> Iterator[_Batch]:
+        child = self.child
+        dictionary = child.source.dictionary
+        kept: _Batch | None = None
+        for batch in child.execute_batches(binding):
+            if kept is not None:
+                batch = _concat([kept, batch], batch.columns)
+            if self.fallback is None and batch.count > self.k:
+                ids = batch.columns[self.variable]
+                values, kinds = dictionary.numeric_columns()
+                if kinds[ids].all():
+                    values = -values[ids] if self.descending else values[ids]
+                    kth = np.partition(values, self.k - 1)[self.k - 1]
+                    batch = _compress(batch, values <= kth)
+                else:
+                    self.fallback = "non-numeric sort value"
+            kept = batch
+        if kept is not None:
+            yield kept

@@ -14,11 +14,22 @@ dictionary files are portable and safe to load.
 from __future__ import annotations
 
 import struct
+import threading
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from ..rdf.terms import BNode, IRI, Literal, Term, Triple
 
-__all__ = ["TermDictionary", "encode_term", "decode_term"]
+__all__ = [
+    "TermDictionary",
+    "VALUE_EXACT_INT",
+    "VALUE_FLOAT",
+    "VALUE_INT",
+    "VALUE_OTHER",
+    "encode_term",
+    "decode_term",
+]
 
 _KIND_IRI = 0
 _KIND_BNODE = 1
@@ -89,6 +100,45 @@ def decode_term(data: bytes) -> Term:
 _DECODE_MEMO_LIMIT = 65_536
 
 
+#: Kind codes of the numeric value column (:meth:`TermDictionary
+#: .numeric_columns`). ``VALUE_OTHER`` is zero so "every id of this column
+#: is a plain number" is ``kinds[ids].all()``.
+VALUE_OTHER = 0  # not a number the column can stand in for: row semantics
+VALUE_INT = 1
+VALUE_FLOAT = 2
+
+#: Integers beyond this magnitude are not exact in a float64 slot.
+VALUE_EXACT_INT = 2**53
+
+_NO_VALUES = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8))
+
+
+def _numeric_columns_of(terms: list[Term]) -> tuple[np.ndarray, np.ndarray]:
+    """Value and kind arrays for ``terms`` — what ``expr.numeric`` accepts.
+
+    A term is numeric when it is a literal whose native value is an
+    ``int`` or ``float`` (booleans excluded). NaN and integers float64
+    cannot hold exactly stay ``VALUE_OTHER``: comparisons and MIN/MAX over
+    them are order- or precision-dependent in Python, so columns holding
+    them keep row semantics.
+    """
+    values = np.zeros(len(terms), dtype=np.float64)
+    kinds = np.zeros(len(terms), dtype=np.int8)
+    for offset, term in enumerate(terms):
+        if not isinstance(term, Literal):
+            continue
+        native = term.value
+        kind = type(native)
+        if kind is int:
+            if -VALUE_EXACT_INT <= native <= VALUE_EXACT_INT:
+                values[offset] = native
+                kinds[offset] = VALUE_INT
+        elif kind is float and native == native:
+            values[offset] = native
+            kinds[offset] = VALUE_FLOAT
+    return values, kinds
+
+
 class TermDictionary:
     """Bidirectional term ↔ integer-id mapping.
 
@@ -101,6 +151,12 @@ class TermDictionary:
         # id -> term memo for decode_batch; keyed on plain ints so numpy
         # scalars from id columns are normalized once, not per repeat.
         self._decode_memo: dict[int, Term] = {}
+        # The numeric value column, published copy-on-write: readers take
+        # the (values, kinds) pair with one attribute read and never see a
+        # half-built array; _value_lock only serializes the extension so
+        # concurrent first users do not each pay for the same build.
+        self._value_columns = _NO_VALUES
+        self._value_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -145,6 +201,33 @@ class TermDictionary:
         if len(memo) > _DECODE_MEMO_LIMIT:
             memo.clear()
         return out
+
+    def numeric_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shared value column: ``(values, kinds)`` indexed by term id.
+
+        ``values`` is float64, ``kinds`` int8 (``VALUE_OTHER`` /
+        ``VALUE_INT`` / ``VALUE_FLOAT``); both cover every id assigned
+        before the call, so any id read from a store scan indexes them.
+        Built lazily on first use and extended when the dictionary has
+        grown since — one copy per dictionary, shared by every engine
+        worker and every store over it (~9 bytes per term). The returned
+        arrays are never written again; treat them as read-only.
+        """
+        columns = self._value_columns
+        if len(columns[0]) >= len(self._id_to_term):
+            return columns
+        with self._value_lock:
+            columns = self._value_columns
+            start = len(columns[0])
+            fresh = self._id_to_term[start:]  # snapshot: encode() may append
+            if fresh:
+                values, kinds = _numeric_columns_of(fresh)
+                columns = (
+                    np.concatenate((columns[0], values)),
+                    np.concatenate((columns[1], kinds)),
+                )
+                self._value_columns = columns
+        return columns
 
     def encode_triple(self, triple: Triple) -> tuple[int, int, int]:
         s, p, o = triple

@@ -317,10 +317,14 @@ class MemoryStore:
         """
         if self._stats is None:
             decode = self.dictionary.decode
+            # Index views are snapshotted before iteration, as in
+            # ``_match_ids``: a concurrent add() must not raise "dictionary
+            # changed size during iteration" out of query planning.
+            pos = [(pid, list(by_obj.values())) for pid, by_obj in list(self._pos.items())]
             predicate_cards = {
                 decode(pid): card
-                for pid, by_obj in self._pos.items()
-                if (card := sum(len(subjs) for subjs in by_obj.values()))
+                for pid, subject_sets in pos
+                if (card := sum(len(subjs) for subjs in subject_sets))
             }
             # Exact distinct objects per predicate: the POS index already
             # groups by object, so it's one length per predicate — no
@@ -328,21 +332,21 @@ class MemoryStore:
             # estimates the same figure with HLL).
             predicate_distincts = {
                 decode(pid): distinct
-                for pid, by_obj in self._pos.items()
-                if (distinct := sum(1 for subjs in by_obj.values() if subjs))
+                for pid, subject_sets in pos
+                if (distinct := sum(1 for subjs in subject_sets if subjs))
             }
             self._stats = StatisticsSnapshot(
                 triple_count=self._size,
                 distinct_subjects=sum(
                     1
-                    for by_pred in self._spo.values()
-                    if any(objs for objs in by_pred.values())
+                    for by_pred in list(self._spo.values())
+                    if any(objs for objs in list(by_pred.values()))
                 ),
                 distinct_predicates=len(predicate_cards),
                 distinct_objects=sum(
                     1
-                    for by_subj in self._osp.values()
-                    if any(preds for preds in by_subj.values())
+                    for by_subj in list(self._osp.values())
+                    if any(preds for preds in list(by_subj.values()))
                 ),
                 predicate_cardinalities=MappingProxyType(predicate_cards),
                 predicate_distinct_objects=MappingProxyType(predicate_distincts),

@@ -180,6 +180,64 @@ class TestGraphPatterns:
         assert fil.expression.operator == "IN"
 
 
+class TestSignedNumbers:
+    """ROADMAP item 9: ``20+1`` used to lex as INTEGER(20) INTEGER(+1)."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("20+1", [("INTEGER", "20"), ("OP", "+"), ("INTEGER", "1")]),
+            ("20 +1", [("INTEGER", "20"), ("OP", "+"), ("INTEGER", "1")]),
+            ("20 + 1", [("INTEGER", "20"), ("OP", "+"), ("INTEGER", "1")]),
+            ("?a-1", [("VAR", "?a"), ("OP", "-"), ("INTEGER", "1")]),
+            ("(-1)", [("PUNCT", "("), ("INTEGER", "-1"), ("PUNCT", ")")]),
+            ("1e-3", [("DOUBLE", "1e-3")]),
+            ("2.5-.5", [("DECIMAL", "2.5"), ("OP", "-"), ("DECIMAL", ".5")]),
+            (
+                "FILTER(?v > -5)",
+                [("KEYWORD", "FILTER"), ("PUNCT", "("), ("VAR", "?v"),
+                 ("OP", ">"), ("INTEGER", "-5"), ("PUNCT", ")")],
+            ),
+        ],
+    )
+    def test_sign_joins_a_number_only_where_one_may_start(self, text, expected):
+        assert [(t.kind, t.value) for t in tokenize(text)[:-1]] == expected
+
+    def test_arithmetic_without_spaces_parses(self):
+        q = parse_query("SELECT ?s WHERE { ?s <http://x/p> ?v FILTER(?v < 20+1) }")
+        comparison = q.where.elements[-1].expression
+        assert comparison.operator == "<"
+        assert comparison.right == BinaryExpr(
+            "+", comparison.right.left, comparison.right.right)
+        assert comparison.right.left.term == Literal("20", datatype=str(XSD.integer))
+
+    def test_signed_literals_stay_terms_in_patterns_and_values(self):
+        q = parse_query(
+            "SELECT ?s WHERE { VALUES ?v { 1 -2 } ?s <http://x/p> -5 . ?s <http://x/q> ?v }")
+        values, pattern = q.where.elements[0], q.where.elements[1]
+        assert values.rows == (
+            (Literal("1", datatype=str(XSD.integer)),),
+            (Literal("-2", datatype=str(XSD.integer)),),
+        )
+        assert pattern.object == Literal("-5", datatype=str(XSD.integer))
+
+    def test_filter_arithmetic_evaluates(self):
+        from repro.rdf import Triple
+        from repro.sparql import QueryEngine
+        from repro.store import MemoryStore
+
+        store = MemoryStore(
+            Triple(IRI(f"http://x/e{i}"), IRI("http://x/p"), Literal(i))
+            for i in range(15, 25)
+        )
+        for query in (
+            "SELECT ?v WHERE { ?s <http://x/p> ?v FILTER(?v < 20+1) }",
+            "SELECT ?v WHERE { ?s <http://x/p> ?v FILTER(?v-1 < 20) }",
+        ):
+            result = QueryEngine(store).query(query)
+            assert sorted(row["v"].value for row in result.rows) == list(range(15, 21))
+
+
 class TestOtherForms:
     def test_ask(self):
         q = parse_query("ASK { ?s a foaf:Person }")

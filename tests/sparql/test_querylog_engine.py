@@ -60,6 +60,31 @@ class TestEngineEmission:
         assert leading.estimated is not None and leading.actual >= 0
         assert set(leading.mask) <= {"b", "v"} and len(leading.mask) == 3
 
+    def test_batch_consumers_are_named_and_scans_still_observed(self):
+        engine = QueryEngine(build_store(), exec_mode="vectorized")
+        engine.query(
+            "SELECT ?l (COUNT(?s) AS ?n) (AVG(?v) AS ?mean) WHERE { "
+            "?s <http://example.org/value> ?v . ?s <http://example.org/label> ?l "
+            "FILTER(?v >= 10) } GROUP BY ?l"
+        )
+        record = OBS.querylog.records()[-1]
+        assert record.strategy == "vectorized:binary+agg"
+        # the estimate-vs-actual feed still sees both IdScans below the
+        # batch aggregate, and the counters keep their meaning
+        assert len(record.scans) == 2
+        assert sum(scan.leading for scan in record.scans) == 1
+        assert record.scan_rows == sum(scan.actual for scan in record.scans) > 0
+        assert record.solutions == 110
+
+        engine.query(
+            "SELECT ?s ?v WHERE { ?s <http://example.org/value> ?v } "
+            "ORDER BY DESC(?v) LIMIT 5"
+        )
+        record = OBS.querylog.records()[-1]
+        assert record.strategy == "vectorized:binary+topk"
+        assert len(record.scans) == 1 and record.scans[0].actual == 120
+        assert record.solutions == 5
+
     def test_result_exposes_plan_digest(self):
         engine = QueryEngine(build_store())
         result = engine.query(QUERY)

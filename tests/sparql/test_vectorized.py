@@ -8,6 +8,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql import QueryEngine, choose_bgp_strategy, resolve_exec_mode
 from repro.sparql.parser import parse_query
+from repro.sparql.vectorized import FIRST_BATCH_SIZE
 from repro.store import (
     CrackingTripleStore,
     FederatedStore,
@@ -200,9 +201,9 @@ def test_limit_stops_after_bounded_batches():
         PREFIXES + "SELECT ?s ?o WHERE { ?s ex:numeric0 ?o } LIMIT 5"
     )
     assert len(result.rows) == 5
-    # 5 000 rows match, but LIMIT 5 must pull at most one batch per scan.
+    # 5 000 rows match, but LIMIT 5 must pull only the small first chunk.
     assert engine.stats.scan_batches == 1
-    assert engine.stats.scan_rows <= 4096
+    assert engine.stats.scan_rows == FIRST_BATCH_SIZE
 
 
 def test_streaming_select_first_row_is_cheap():
@@ -218,7 +219,7 @@ def test_streaming_select_first_row_is_cheap():
     # (Per-query stats merge into engine.stats only on exhaustion, so read
     # the operator tree's own counters.)
     per_query = stream.root.stats
-    assert per_query.scan_rows <= 4096
+    assert per_query.scan_rows == FIRST_BATCH_SIZE
     assert per_query.scan_batches == 1
 
 
@@ -292,3 +293,269 @@ def test_cracking_store_end_to_end():
     vectorized_rows = multiset(QueryEngine(cracking, exec_mode="vectorized").query(query))
     assert iterator_rows == vectorized_rows
     assert cracking.sorts_paid > 0
+
+
+# ---------------------------------------------------------------------------
+# Id-space filters, batch aggregates and top-k above the BGP
+# ---------------------------------------------------------------------------
+
+
+def _explain(store_, query, mode="vectorized"):
+    return QueryEngine(store_, exec_mode=mode).explain(PREFIXES + query, analyze=True)
+
+
+def _only(plan, operator):
+    found = plan.find(operator)
+    assert len(found) == 1, plan.render()
+    return found[0]
+
+
+@pytest.fixture(scope="module")
+def one_class():
+    """5 000 entities, all of ex:Class0 (a 5k-member class)."""
+    built = MemoryStore()
+    for triple in typed_entities(5_000, n_classes=1, seed=5):
+        built.add(triple)
+    return built
+
+
+def test_explain_names_the_batch_operators(store):
+    plan = _explain(
+        store,
+        "SELECT ?c (COUNT(?s) AS ?n) (AVG(?v) AS ?mean) WHERE { "
+        "?s ex:category0 ?c . ?s ex:numeric0 ?v . FILTER(?v > 43.2) } GROUP BY ?c",
+    )
+    assert plan.operator == "BatchAggregate"
+    assert plan.detail == "group=?c aggs=COUNT,AVG"
+    assert not plan.find("Aggregate") and not plan.find("Filter")
+    assert "filter=id[?v > 43.2]" in _only(plan, "VectorizedBGP").detail
+
+    plan = _explain(
+        store,
+        "SELECT ?s ?v WHERE { ?s rdf:type ex:Class1 . ?s ex:numeric0 ?v } "
+        "ORDER BY DESC(?v) LIMIT 20",
+    )
+    topk = _only(plan, "TopK")
+    assert topk.detail == "k=20 by ?v DESC"
+    # the Sort above orders only the candidates, not the class
+    assert _only(plan, "Sort").actual_rows == topk.actual_rows < 40
+    assert _only(plan, "VectorizedBGP").actual_rows > topk.actual_rows
+
+
+def test_string_comparison_keeps_row_semantics(store):
+    query = (
+        "SELECT ?s ?l WHERE { ?s rdfs:label ?l . "
+        'FILTER(?l < "Entity 2" && STRSTARTS(?l, "Entity")) }'
+    )
+    plan = _explain(store, query)
+    detail = _only(plan, "VectorizedBGP").detail
+    assert 'filter=row[?l < "Entity 2"],row[STRSTARTS' in detail
+    assert multiset(QueryEngine(store, exec_mode="iterator").query(PREFIXES + query)) \
+        == multiset(QueryEngine(store, exec_mode="vectorized").query(PREFIXES + query))
+
+
+def _mixed_store():
+    mixed = MemoryStore()
+    p, g = IRI(EX + "p"), IRI(EX + "g")
+    for index, value in enumerate([1, 2.5, "abc", 4, "7", 9]):
+        subject = IRI(EX + f"m{index}")
+        mixed.add(Triple(subject, p, Literal(value)))
+        mixed.add(Triple(subject, g, Literal(f"g{index % 2}")))
+    return mixed
+
+
+def test_mixed_kind_column_falls_back_visibly():
+    mixed = _mixed_store()
+    query = "SELECT ?s WHERE { ?s ex:p ?v . FILTER(?v > 2) }"
+    # Planned in id space; the string in the column forces row semantics,
+    # where "abc" > "2" and "7" > "2" compare as strings and pass.
+    assert "filter=id[?v > 2]" in _only(
+        QueryEngine(mixed, exec_mode="vectorized").explain(PREFIXES + query, analyze=False),
+        "VectorizedBGP",
+    ).detail
+    plan = _explain(mixed, query)
+    assert "filter=row[?v > 2]" in _only(plan, "VectorizedBGP").detail
+    assert plan.actual_rows == 5
+    assert plan.actual_rows == _explain(mixed, query, "iterator").actual_rows
+
+
+def test_sum_over_a_non_numeric_value_falls_back_to_rows():
+    mixed = _mixed_store()
+    query = PREFIXES + "SELECT ?g (SUM(?v) AS ?t) (COUNT(?v) AS ?n) WHERE { ?s ex:p ?v . ?s ex:g ?g } GROUP BY ?g"
+    plan = QueryEngine(mixed, exec_mode="vectorized").explain(query)
+    assert plan.operator == "BatchAggregate"
+    assert "fallback=rows[SUM over a non-numeric value]" in plan.detail
+    assert multiset(QueryEngine(mixed, exec_mode="iterator").query(query)) \
+        == multiset(QueryEngine(mixed, exec_mode="vectorized").query(query))
+
+
+def test_top_k_over_a_non_numeric_column_sorts_everything():
+    mixed = _mixed_store()
+    query = PREFIXES + "SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY ?v LIMIT 2"
+    plan = QueryEngine(mixed, exec_mode="vectorized").explain(query)
+    assert "fallback=all rows[non-numeric sort value]" in _only(plan, "TopK").detail
+    assert QueryEngine(mixed, exec_mode="iterator").query(query).rows \
+        == QueryEngine(mixed, exec_mode="vectorized").query(query).rows
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        # HAVING
+        "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s ex:category0 ?c } GROUP BY ?c HAVING(COUNT(?s) > 1)",
+        # SAMPLE / GROUP_CONCAT
+        "SELECT ?c (SAMPLE(?s) AS ?one) WHERE { ?s ex:category0 ?c } GROUP BY ?c",
+        # expression argument, aggregate inside arithmetic
+        "SELECT (SUM(?v * 2) AS ?t) WHERE { ?s ex:numeric0 ?v }",
+        "SELECT ((SUM(?v) / COUNT(?s)) AS ?mean) WHERE { ?s ex:numeric0 ?v }",
+        # partly unbound input: the aggregate is not directly over a BGP
+        "SELECT ?c (AVG(?v) AS ?mean) WHERE { ?s ex:category0 ?c OPTIONAL { ?s ex:numeric0 ?v } } GROUP BY ?c",
+    ],
+)
+def test_uncovered_aggregate_shapes_stay_on_the_row_operator(store, query):
+    plan = _explain(store, query)
+    assert plan.find("Aggregate") and not plan.find("BatchAggregate")
+    assert multiset(QueryEngine(store, exec_mode="iterator").query(PREFIXES + query)) \
+        == multiset(QueryEngine(store, exec_mode="vectorized").query(PREFIXES + query))
+
+
+def test_non_id_scan_source_runs_filter_aggregate_and_sort_as_rows(store):
+    federated = FederatedStore([("main", store)])
+    plan = _explain(
+        federated,
+        "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s ex:category0 ?c . ?s ex:numeric0 ?v . "
+        "FILTER(?v > 43.2) } GROUP BY ?c",
+    )
+    assert plan.operator == "Aggregate" and plan.find("Filter")
+    plan = _explain(
+        federated,
+        "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v } ORDER BY DESC(?v) LIMIT 3",
+    )
+    assert plan.find("Sort") and not plan.find("TopK")
+
+
+def test_integer_sum_stays_integer_and_huge_sums_fall_back():
+    ints = MemoryStore()
+    p = IRI(EX + "p")
+    for index, value in enumerate([3, 4, 2**52, 2**52 + 1]):
+        ints.add(Triple(IRI(EX + f"i{index}"), p, Literal(value)))
+    small = PREFIXES + "SELECT (SUM(?v) AS ?t) (MIN(?v) AS ?lo) WHERE { ?s ex:p ?v . FILTER(?v < 10) }"
+    result = QueryEngine(ints, exec_mode="vectorized").query(small)
+    assert result.rows == [{Variable("t"): Literal(7), Variable("lo"): Literal(3)}]
+    assert "fallback" not in result.plan.detail
+    huge = PREFIXES + "SELECT (SUM(?v) AS ?t) WHERE { ?s ex:p ?v }"
+    result = QueryEngine(ints, exec_mode="vectorized").query(huge)
+    assert "fallback=rows[SUM could leave the exact integer range]" in result.plan.detail
+    assert result.rows == [{Variable("t"): Literal(2**53 + 8)}]
+
+
+def test_aggregate_decodes_only_its_output_rows(monkeypatch):
+    big = MemoryStore()
+    for triple in typed_entities(10_000, seed=11):
+        big.add(triple)
+    decoded: list[int] = []
+    decode_batch = big.dictionary.decode_batch
+    monkeypatch.setattr(
+        big.dictionary, "decode_batch",
+        lambda ids: decoded.append(len(ids)) or decode_batch(ids),
+    )
+    result = QueryEngine(big, exec_mode="vectorized").query(
+        PREFIXES + "SELECT ?c (COUNT(?s) AS ?n) (AVG(?v) AS ?mean) WHERE { "
+        "?s ex:category0 ?c . ?s ex:numeric0 ?v . FILTER(?v > 43.2) } GROUP BY ?c"
+    )
+    assert result.stats.scan_rows >= 10_000
+    assert 0 < len(result.rows) <= 10
+    # one projected group variable: at most one term per output row
+    assert sum(decoded) <= len(result.rows) * len(result.variables)
+
+
+def test_star_limit_expands_hundreds_of_rows_not_the_class(one_class):
+    query = (
+        "SELECT ?s ?l ?v ?c WHERE { ?s rdf:type ex:Class0 . ?s rdfs:label ?l . "
+        "?s ex:numeric0 ?v . ?s ex:category1 ?c . FILTER(?v > 50) } LIMIT 20"
+    )
+    engine = QueryEngine(one_class, exec_mode="vectorized")
+    result = engine.query(PREFIXES + query)
+    assert len(result.rows) == 20
+    assert result.stats.scan_rows < 2_000
+    scans = result.plan.find("IdScan")
+    assert len(scans) == 4 and all(scan.actual_rows < 1_000 for scan in scans)
+
+
+def test_scan_chunks_start_small_and_double(one_class):
+    engine = QueryEngine(one_class, exec_mode="vectorized")
+    stream = engine.stream_select(PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v }")
+    rows = iter(stream.rows)
+    for _ in range(FIRST_BATCH_SIZE):
+        next(rows)
+    assert stream.root.stats.scan_rows == FIRST_BATCH_SIZE
+    next(rows)
+    assert stream.root.stats.scan_rows == 3 * FIRST_BATCH_SIZE
+    assert sum(1 for _ in rows) == 5_000 - FIRST_BATCH_SIZE - 1
+    # after doubling up to the batch size the scan runs in full batches
+    assert stream.root.stats.scan_batches < 10
+
+
+def test_filter_masks_preserve_the_streamed_row_order(one_class):
+    engine = QueryEngine(one_class, exec_mode="vectorized")
+    everything = list(engine.stream_select(
+        PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v }").rows)
+    filtered = list(engine.stream_select(
+        PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v . FILTER(?v > 50) }").rows)
+    v = Variable("v")
+    assert 0 < len(filtered) < len(everything)
+    assert filtered == [row for row in everything if row[v].value > 50]
+
+
+def test_value_column_is_shared_across_concurrent_workers():
+    import sys
+    import threading
+
+    shared = MemoryStore()
+    p, q = IRI(EX + "p"), IRI(EX + "q")
+    for index in range(2_000):
+        shared.add(Triple(IRI(EX + f"n{index}"), p, Literal(index)))
+    expected = sum(range(2_000))
+    query = PREFIXES + "SELECT (SUM(?v) AS ?t) (COUNT(?v) AS ?n) WHERE { ?s ex:p ?v }"
+    sums: list[object] = []
+    errors: list[BaseException] = []
+    start = threading.Barrier(5)
+
+    def worker():
+        try:
+            start.wait(timeout=10)
+            for _ in range(5):
+                row = QueryEngine(shared, exec_mode="vectorized").query(query).rows[0]
+                sums.append((row[Variable("t")].value, row[Variable("n")].value))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def writer():
+        try:
+            start.wait(timeout=10)
+            for index in range(1_000):  # new literals grow the dictionary
+                shared.add(Triple(IRI(EX + f"w{index}"), q, Literal(index + 0.5)))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(4)]
+    threads.append(threading.Thread(target=writer, daemon=True))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert sums == [(expected, 2_000)] * 20
+    # one column for every worker, extended to cover the writer's literals
+    values, kinds = shared.dictionary.numeric_columns()
+    assert shared.dictionary.numeric_columns()[0] is values
+    assert len(values) == len(kinds) == len(shared.dictionary)
+    total = QueryEngine(shared, exec_mode="vectorized").query(
+        PREFIXES + "SELECT (SUM(?v) AS ?t) WHERE { ?s ex:q ?v }").rows[0]
+    assert total[Variable("t")].value == sum(i + 0.5 for i in range(1_000))

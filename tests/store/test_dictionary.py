@@ -136,3 +136,49 @@ def test_dictionary_dump_load_property(terms):
     d.dump(buffer)
     buffer.seek(0)
     assert list(TermDictionary.load(buffer).terms()) == list(d.terms())
+
+
+class TestNumericValueColumn:
+    def test_kinds_follow_the_expression_evaluators_notion_of_a_number(self):
+        from repro.store.dictionary import VALUE_FLOAT, VALUE_INT, VALUE_OTHER
+
+        terms = [
+            Literal(7),
+            Literal(2.5),
+            Literal("12", datatype=str(XSD.decimal)),
+            Literal("007", datatype=str(XSD.integer)),
+            Literal("7"),  # a plain string
+            Literal(True),
+            Literal("abc", datatype=str(XSD.integer)),  # ill-typed
+            Literal("NaN", datatype=str(XSD.double)),
+            Literal(2**53 + 1),  # not exact in float64
+            Literal("INF", datatype=str(XSD.double)),
+            IRI("http://example.org/x"),
+            BNode("b"),
+        ]
+        dictionary = TermDictionary.from_terms(terms)
+        values, kinds = dictionary.numeric_columns()
+        assert kinds.tolist() == [
+            VALUE_INT, VALUE_FLOAT, VALUE_FLOAT, VALUE_INT,
+            VALUE_OTHER, VALUE_OTHER, VALUE_OTHER, VALUE_OTHER, VALUE_OTHER,
+            VALUE_FLOAT, VALUE_OTHER, VALUE_OTHER,
+        ]
+        assert values[:4].tolist() == [7.0, 2.5, 12.0, 7.0]
+        assert values[9] == float("inf")
+
+    def test_built_lazily_once_and_extended_when_the_dictionary_grows(self):
+        dictionary = TermDictionary.from_terms([Literal(1), Literal(2)])
+        first = dictionary.numeric_columns()
+        assert dictionary.numeric_columns() is first  # no rebuild, no copy
+        dictionary.encode(Literal(3.5))
+        values, kinds = dictionary.numeric_columns()
+        assert values.tolist() == [1.0, 2.0, 3.5]
+        assert first[0].tolist() == [1.0, 2.0]  # published arrays never change
+
+    def test_survives_a_dump_load_round_trip(self):
+        dictionary = TermDictionary.from_terms([IRI("http://e/x"), Literal(4)])
+        buffer = io.BytesIO()
+        dictionary.dump(buffer)
+        buffer.seek(0)
+        values, kinds = TermDictionary.load(buffer).numeric_columns()
+        assert values.tolist() == [0.0, 4.0] and kinds.tolist() == [0, 1]
