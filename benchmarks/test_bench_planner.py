@@ -54,6 +54,11 @@ STAR_QUERIES = [
 ]
 
 PLAN_REPEATS = 100
+# The two planners are within 2x of each other now that a live
+# ``MemoryStore.count`` is two binary searches (it was a walk over the
+# nested indexes, ~24x); the fastest of a few rounds keeps one scheduler
+# hiccup from deciding the comparison.
+TIMING_ROUNDS = 5
 
 
 def _store() -> MemoryStore:
@@ -75,11 +80,14 @@ def _bgp_patterns(text):
 
 
 def _time_planner(estimator, pattern_lists):
-    start = time.perf_counter()
-    for _ in range(PLAN_REPEATS):
-        for patterns in pattern_lists:
-            estimator.order(patterns)
-    return time.perf_counter() - start
+    best = float("inf")
+    for _ in range(TIMING_ROUNDS):
+        start = time.perf_counter()
+        for _ in range(PLAN_REPEATS):
+            for patterns in pattern_lists:
+                estimator.order(patterns)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def test_c13_stats_vs_live_count_planning(benchmark):
@@ -127,7 +135,7 @@ def test_c13_stats_vs_live_count_planning(benchmark):
     # answered from the cached statistics, none from the store.
     total_estimates = (
         snapshot_estimator.snapshot_estimates + snapshot_estimator.live_estimates
-    )
+    ) // TIMING_ROUNDS
     assert snapshot_estimator.snapshot_hit_rate == 1.0
     assert live_estimator.snapshot_hit_rate == 0.0
 

@@ -11,7 +11,7 @@ holding more than one line in memory.
 from __future__ import annotations
 
 import re
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .terms import IRI, BNode, Literal, Triple
 
@@ -82,8 +82,44 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
+def _new_iri(text: str) -> IRI:
+    return IRI(_unescape(text))
+
+
+#: Bound on the per-parse IRI memo (see :func:`_interning_iri`); like the
+#: dictionary's decode memo it is dropped wholesale when it fills up.
+_IRI_MEMO_LIMIT = 65_536
+
+
+def _interning_iri() -> Callable[[str], IRI]:
+    """An IRI constructor that builds each distinct text once.
+
+    A data file repeats its predicates, classes and subjects on almost
+    every line. Handing back the same object skips re-validating the text
+    and, because a ``str`` caches its hash, re-hashing it when the store's
+    term dictionary looks the term up.
+    """
+    memo: dict[str, IRI] = {}
+
+    def intern(text: str) -> IRI:
+        term = memo.get(text)
+        if term is None:
+            if len(memo) >= _IRI_MEMO_LIMIT:
+                memo.clear()
+            term = memo[text] = _new_iri(text)
+        return term
+
+    return intern
+
+
 def parse_ntriples_line(line: str, lineno: int | None = None) -> Triple | None:
     """Parse one N-Triples line; ``None`` for blank/comment lines."""
+    return _parse_line(line, lineno, _new_iri)
+
+
+def _parse_line(
+    line: str, lineno: int | None, iri: Callable[[str], IRI]
+) -> Triple | None:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -91,10 +127,10 @@ def parse_ntriples_line(line: str, lineno: int | None = None) -> Triple | None:
     if match is None:
         raise NTriplesError(f"malformed triple: {stripped[:120]!r}", lineno)
     s_iri, s_bnode, pred, o_iri, o_bnode, o_lex, o_dtype, o_lang = match.groups()
-    subject = IRI(_unescape(s_iri)) if s_iri is not None else BNode(s_bnode)
-    predicate = IRI(_unescape(pred))
+    subject = iri(s_iri) if s_iri is not None else BNode(s_bnode)
+    predicate = iri(pred)
     if o_iri is not None:
-        obj: IRI | BNode | Literal = IRI(_unescape(o_iri))
+        obj: IRI | BNode | Literal = iri(o_iri)
     elif o_bnode is not None:
         obj = BNode(o_bnode)
     else:
@@ -113,9 +149,10 @@ def parse_ntriples(source: str | IO[str]) -> Iterator[Triple]:
     # Split on '\n' only: str.splitlines() also breaks on exotic Unicode line
     # separators (\x0b,  , ...), which are legal *inside* literals.
     lines = source.split("\n") if isinstance(source, str) else source
+    iri = _interning_iri()
     for lineno, line in enumerate(lines, start=1):
         try:
-            triple = parse_ntriples_line(line, lineno)
+            triple = _parse_line(line, lineno, iri)
         except NTriplesError:
             raise
         except ValueError as exc:

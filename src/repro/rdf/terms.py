@@ -11,6 +11,7 @@ storage layer (:mod:`repro.store`) and hashed into indexes.
 
 from __future__ import annotations
 
+import re
 import threading
 from typing import NamedTuple, Union
 
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 
+_FORBIDDEN_IN_IRI = re.compile(r'[<>" \n\t]')
+
+
 class IRI(str):
     """An absolute IRI reference (e.g. ``http://example.org/person/1``).
 
@@ -41,7 +45,7 @@ class IRI(str):
     def __new__(cls, value: str) -> "IRI":
         if not value:
             raise ValueError("IRI must be a non-empty string")
-        if any(ch in value for ch in ("<", ">", '"', " ", "\n", "\t")):
+        if _FORBIDDEN_IN_IRI.search(value):
             raise ValueError(f"IRI contains a character forbidden in IRIs: {value!r}")
         return str.__new__(cls, value)
 

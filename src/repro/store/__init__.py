@@ -4,13 +4,17 @@ and adaptive (cracking) indexes.
 Pick the store that matches the scale:
 
 * :class:`~repro.rdf.graph.Graph` — small graphs, maximal convenience.
-* :class:`MemoryStore` — dictionary-encoded indexes, several× smaller.
+* :class:`MemoryStore` — dictionary-encoded; three sorted int64 runs
+  (SPO/POS/OSP, 96 B per triple) in an immutable generation, so every
+  scan, count and join probe is a binary search plus an array slice.
+  ``add`` buffers into a delta that the next read folds in.
 * :class:`PagedTripleStore` — disk-resident with an LRU buffer pool;
   resident memory is O(pool), the survey's Section 4 recommendation.
 * :class:`CrackedColumn` — adaptive numeric index for exploration sessions
   with no preprocessing window (Section 2's dynamic setting).
-* :class:`CrackingTripleStore` — columnar id-triple store whose per-access-
-  path sort orders are built lazily by the workload itself.
+* :class:`CrackingTripleStore` — the same sorted-run core read as adaptive
+  indexing: POS and OSP are sorted by the first query that needs them, and
+  ``sorts_paid`` counts what a session has cost.
 
 Stores that can serve sorted id runs additionally implement the
 :class:`IdScanSource` capability (probe with :func:`as_id_scan_source`),

@@ -17,15 +17,12 @@ column. Two reference strategies are provided for the C8 benchmark:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..obs import OBS
-from ..rdf.graph import TriplePattern
-from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot
-from .dictionary import TermDictionary
+from .memory import MemoryStore
 
 __all__ = ["CrackedColumn", "CrackingTripleStore", "FullSortColumn", "ScanColumn"]
 
@@ -132,224 +129,22 @@ class CrackedColumn:
             raise AssertionError("crack positions not monotone")
 
 
-# Column orders per access path, mirroring the paged store's permutations.
-_STORE_PERMS = {
-    "spo": (0, 1, 2),
-    "pos": (1, 2, 0),
-    "osp": (2, 0, 1),
-}
+class CrackingTripleStore(MemoryStore):
+    """Adaptive indexing at store granularity, on :class:`MemoryStore`'s runs.
 
+    The cracking idea applied to whole access paths (survey §2: the dynamic
+    setting "prevents a preprocessing phase"): the sorted-run core builds
+    the POS and OSP permutations *lazily*, each the first time a query
+    actually touches that path, and :attr:`sorts_paid` counts the full
+    sorts a session has cost so far — a workload that only ever looks up
+    subjects never pays for the other two. SPO is sorted by the first read
+    of any kind because it is also what ``add`` deduplicates against; later
+    writes are merged into the orders already built, not re-sorted.
 
-class CrackingTripleStore:
-    """Adaptive columnar triple store over dictionary-encoded id arrays.
-
-    The cracking idea applied at store granularity (survey §2: the dynamic
-    setting "prevents a preprocessing phase"): triples live in one flat
-    ``(n, 3)`` int64 array, and the sorted orders the three access paths
-    need (SPO, POS, OSP) are built *lazily*, each the first time a query
-    actually touches that path — a workload that only ever scans by
-    predicate never pays for the other two sorts. ``add_all`` appends and
-    invalidates, so load → explore → load cycles re-pay only the orders
-    the next exploration phase uses.
-
-    Implements both the :class:`~repro.store.base.TripleSource` protocol
-    (decoded triples) and the :class:`~repro.store.base.IdScanSource`
-    capability (sorted id runs for the vectorized engine), which makes it
-    the cheapest substrate for scan+join-heavy workloads: every pattern
-    scan is a binary search plus a contiguous slice of an int64 matrix.
+    This class adds nothing to :class:`MemoryStore`; it names the
+    adaptive-indexing reading of the same code for the C8 discussion and
+    keeps the store a distinct entry in the cross-store parity suites.
     """
-
-    def __init__(self, triples: Iterable[Triple] | None = None) -> None:
-        self.dictionary = TermDictionary()
-        self._ids = np.empty((0, 3), dtype=np.int64)
-        self._id_set: set[tuple[int, int, int]] = set()  # O(1) dedup on add
-        self._pending: list[tuple[int, int, int]] = []
-        self._sorted: dict[str, np.ndarray] = {}  # access path -> sorted rows
-        self.sorts_paid = 0  # how many access-path orders were ever built
-        self._stats: StatisticsSnapshot | None = None
-        if triples is not None:
-            self.add_all(triples)
-
-    # -- mutation ----------------------------------------------------------
-
-    def add(self, triple: Triple) -> bool:
-        """Buffer one triple; returns True if the store changed."""
-        ids = self.dictionary.encode_triple(triple)
-        if ids in self._id_set:
-            return False
-        self._id_set.add(ids)
-        self._pending.append(ids)
-        return True
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        return sum(1 for t in triples if self.add(t))
-
-    def _flush(self) -> None:
-        """Fold buffered rows into the id matrix, dropping stale orders."""
-        if not self._pending:
-            return
-        fresh = np.array(self._pending, dtype=np.int64)
-        self._ids = np.concatenate([self._ids, fresh]) if len(self._ids) else fresh
-        self._pending.clear()
-        self._sorted.clear()
-        self._stats = None
-
-    # -- sorted-order management -------------------------------------------
-
-    def _sorted_rows(self, perm_name: str) -> np.ndarray:
-        """The id matrix sorted by the access path's key order (cached)."""
-        self._flush()
-        rows = self._sorted.get(perm_name)
-        if rows is None:
-            c0, c1, c2 = _STORE_PERMS[perm_name]
-            # np.lexsort sorts by the *last* key first.
-            order = np.lexsort((self._ids[:, c2], self._ids[:, c1], self._ids[:, c0]))
-            rows = np.ascontiguousarray(self._ids[order])
-            self._sorted[perm_name] = rows
-            self.sorts_paid += 1
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "store.crack.path_sorts", permutation=perm_name
-                ).inc()
-        return rows
-
-    def _plan(self, s: int | None, p: int | None, o: int | None) -> tuple[str, tuple[int, ...]]:
-        if s is not None:
-            if p is not None:
-                return "spo", (s, p) + ((o,) if o is not None else ())
-            if o is not None:
-                return "osp", (o, s)
-            return "spo", (s,)
-        if p is not None:
-            return "pos", (p,) + ((o,) if o is not None else ())
-        if o is not None:
-            return "osp", (o,)
-        return "spo", ()
-
-    def _prefix_slice(
-        self, perm_name: str, prefix: tuple[int, ...]
-    ) -> tuple[np.ndarray, int, int]:
-        """Rows sorted by ``perm_name`` plus the [lo, hi) range matching ``prefix``."""
-        rows = self._sorted_rows(perm_name)
-        columns = _STORE_PERMS[perm_name]
-        lo, hi = 0, len(rows)
-        for depth, bound in enumerate(prefix):
-            column = rows[lo:hi, columns[depth]]
-            lo, hi = (
-                lo + int(np.searchsorted(column, bound, side="left")),
-                lo + int(np.searchsorted(column, bound, side="right")),
-            )
-            if lo >= hi:
-                break
-        return rows, lo, hi
-
-    # -- IdScanSource capability -------------------------------------------
-
-    def match_id_batches(
-        self,
-        s: int | None,
-        p: int | None,
-        o: int | None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator[np.ndarray]:
-        self._flush()
-        if not len(self._ids):
-            return
-        perm_name, prefix = self._plan(s, p, o)
-        rows, lo, hi = self._prefix_slice(perm_name, prefix)
-        for start in range(lo, hi, batch_size):
-            yield rows[start : min(start + batch_size, hi)]
-
-    def distinct_ids(
-        self, s: int | None, p: int | None, o: int | None, position: int
-    ) -> np.ndarray:
-        self._flush()
-        if not len(self._ids):
-            return np.empty(0, dtype=np.int64)
-        perm_name, prefix = self._plan(s, p, o)
-        rows, lo, hi = self._prefix_slice(perm_name, prefix)
-        if lo >= hi:
-            return np.empty(0, dtype=np.int64)
-        column = rows[lo:hi, position]
-        # If `position` is the next key component after the bound prefix the
-        # slice is already sorted; np.unique sorts anyway, cheaply for runs.
-        return np.unique(column)
-
-    # -- TripleSource protocol ---------------------------------------------
-
-    def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
-        ids: list[int | None] = []
-        for term in pattern:
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.lookup(term)
-                if term_id is None:
-                    return
-                ids.append(term_id)
-        decode = self.dictionary.decode_triple
-        for batch in self.match_id_batches(ids[0], ids[1], ids[2]):
-            for s_id, p_id, o_id in batch.tolist():
-                yield decode((s_id, p_id, o_id))
-
-    def count(self, pattern: TriplePattern = (None, None, None)) -> int:
-        self._flush()
-        if pattern == (None, None, None):
-            return len(self._ids)
-        ids = []
-        for term in pattern:
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.lookup(term)
-                if term_id is None:
-                    return 0
-                ids.append(term_id)
-        # Every bound combination maps to a permutation where the bound ids
-        # form a contiguous prefix, so counting is two binary searches.
-        perm_name, prefix = self._plan(ids[0], ids[1], ids[2])
-        _, lo, hi = self._prefix_slice(perm_name, prefix)
-        return hi - lo
-
-    def __len__(self) -> int:
-        self._flush()
-        return len(self._ids)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
-
-    # -- statistics ---------------------------------------------------------
-
-    def statistics(self) -> StatisticsSnapshot:
-        """Snapshot computed with three vectorized unique passes."""
-        self._flush()
-        if self._stats is None:
-            if not len(self._ids):
-                self._stats = StatisticsSnapshot(0, 0, 0, 0, {})
-            else:
-                predicates, counts = np.unique(self._ids[:, 1], return_counts=True)
-                # distinct objects per predicate: unique (p, o) pairs, then
-                # a per-predicate count over the deduplicated pairs
-                pairs = np.unique(self._ids[:, 1:3], axis=0)
-                pair_preds, pair_counts = np.unique(
-                    pairs[:, 0], return_counts=True
-                )
-                decode = self.dictionary.decode
-                self._stats = StatisticsSnapshot(
-                    triple_count=len(self._ids),
-                    distinct_subjects=int(len(np.unique(self._ids[:, 0]))),
-                    distinct_predicates=int(len(predicates)),
-                    distinct_objects=int(len(np.unique(self._ids[:, 2]))),
-                    predicate_cardinalities={
-                        decode(int(pid)): int(card)
-                        for pid, card in zip(predicates, counts)
-                    },
-                    predicate_distinct_objects={
-                        decode(int(pid)): int(card)
-                        for pid, card in zip(pair_preds, pair_counts)
-                    },
-                )
-        return self._stats
 
 
 class FullSortColumn:

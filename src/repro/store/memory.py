@@ -1,19 +1,29 @@
-"""Dictionary-encoded in-memory triple store.
+"""Dictionary-encoded in-memory triple store on sorted id runs.
 
 A step up from :class:`repro.rdf.graph.Graph`: terms are interned once in a
-:class:`~repro.store.dictionary.TermDictionary` and the three access-path
-indexes hold integer ids only. This makes large graphs several times
-smaller and pattern matching allocation-free until decode time, which is
-what the survey's "limited resources (e.g., laptops)" requirement
-(Section 2) asks of an exploration substrate.
+:class:`~repro.store.dictionary.TermDictionary` and the store itself is
+three sorted int64 permutations of the id triples (SPO, POS, OSP), 96 bytes
+per triple. Every pattern's bound ids are the key prefix of one of them, so
+a scan, a count, a membership test and a join probe are all a binary search
+plus a slice of an array the vectorized engine consumes as is — what the
+survey's "limited resources (e.g., laptops)" requirement (Section 2) asks of
+an exploration substrate.
+
+The sorted arrays live in an immutable *generation*. ``add`` only appends to
+a small delta; the first read after a write folds the delta into a new
+generation (sort the delta, merge it into each sorted base by position) and
+publishes it with one attribute store. A reader takes the generation once
+per call and never locks, so a scan that has started is unaffected by later
+writes. Cost: O(delta log delta + n) for a read that follows a write,
+nothing otherwise — which is why there is no bulk-load call to remember.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, Iterator
-
+import threading
+from itertools import chain
 from types import MappingProxyType
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,17 +35,140 @@ from .dictionary import TermDictionary
 __all__ = ["MemoryStore"]
 
 _IdTriple = tuple[int, int, int]
+_IdPattern = tuple[int | None, int | None, int | None]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+_EMPTY_IDS.flags.writeable = False
+
+#: Key order (positions 0=s, 1=p, 2=o) of the SPO, POS and OSP runs; run
+#: ``i`` leads with position ``i``. The bound positions of any pattern are
+#: a prefix of exactly one of these cyclic orders.
+_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+#: A run's first two key columns are searched as one int64,
+#: ``first << 32 | second``, so ids must stay below 2^31.
+_ID_LIMIT = 1 << 31
+_LOW_BITS = (1 << 32) - 1
 
 
-def _sorted_ids(ids) -> np.ndarray:
-    """A sorted int64 array from any iterable of ids (snapshots its input)."""
-    array = np.fromiter(ids, dtype=np.int64) if not isinstance(ids, np.ndarray) else ids
-    if array.size == 0:
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Indices at which a sorted column starts a new value."""
+    if not len(column):
         return _EMPTY_IDS
-    array.sort()
-    return array
+    return np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+
+
+def _serving_run(bound: tuple[bool, bool, bool]) -> tuple[int, int]:
+    """Which run has these bound positions as its key prefix, and how
+    many key columns that prefix covers."""
+    lead = next((i for i in range(3) if bound[i] and not bound[i - 1]), 0)
+    return lead, sum(bound)
+
+
+#: ``_serving_run`` for every pattern shape, indexed by the bit mask
+#: ``s bound + 2 * p bound + 4 * o bound`` (it is on every read's path).
+_PLANS = tuple(
+    _serving_run((bool(mask & 1), bool(mask & 2), bool(mask & 4)))
+    for mask in range(8)
+)
+
+
+class _Run:
+    """Every triple in one sort order; never modified once built.
+
+    ``cols`` is a C-contiguous ``(3, n)`` array whose rows are the s, p and
+    o columns, so each column is contiguous and ``cols[:, lo:hi].T`` is an
+    ``(m, 3)`` batch without a copy. ``keys`` is the composite of the two
+    leading key columns. Both are read-only: they are handed to consumers.
+    """
+
+    __slots__ = ("order", "cols", "keys")
+
+    def __init__(self, order: tuple[int, int, int], cols: np.ndarray) -> None:
+        self.order = order
+        self.cols = cols
+        self.keys = (cols[order[0]] << 32) | cols[order[1]]
+        cols.flags.writeable = False
+        self.keys.flags.writeable = False
+
+    @classmethod
+    def sorted(cls, order: tuple[int, int, int], cols: np.ndarray) -> "_Run":
+        """A run from unordered ``(3, n)`` columns: the one full sort."""
+        first, second, third = order
+        by = np.lexsort((cols[third], (cols[first] << 32) | cols[second]))
+        return cls(order, np.take(cols, by, axis=1))
+
+    def span(self, depth: int, ids: _IdPattern) -> tuple[int, int]:
+        """The ``[lo, hi)`` rows matching ``ids`` on the first ``depth``
+        key columns."""
+        keys = self.keys
+        if depth == 0:
+            return 0, len(keys)
+        first, second, third = self.order
+        if depth == 1:
+            head = ids[first] << 32
+            return (
+                int(keys.searchsorted(head)),
+                int(keys.searchsorted(head | _LOW_BITS, "right")),
+            )
+        key = (ids[first] << 32) | ids[second]
+        lo, hi = int(keys.searchsorted(key)), int(keys.searchsorted(key, "right"))
+        if depth == 3 and lo < hi:
+            tail = self.cols[third, lo:hi]
+            hi = lo + int(tail.searchsorted(ids[third], "right"))
+            lo += int(tail.searchsorted(ids[third]))
+        return lo, hi
+
+    def spans(self, first, second) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`span` of many two-column prefixes at once (either side
+        may be an id array)."""
+        wanted = (first << 32) | second
+        return self.keys.searchsorted(wanted), self.keys.searchsorted(wanted, "right")
+
+    def merged(self, rows: np.ndarray) -> "_Run":
+        """This run plus ``rows`` (``(3, k)``, none already present).
+
+        Only the new rows are sorted; each is then placed by binary search
+        and the base is copied once around them, never re-sorted.
+        """
+        first, second, third = self.order
+        rows = np.take(
+            rows, np.lexsort((rows[third], rows[second], rows[first])), axis=1
+        )
+        lo, hi = self.spans(rows[first], rows[second])
+        column, wanted, last = self.cols[third], rows[third], len(self.keys) - 1
+        # Binary search on the third key inside every span at once.
+        while (unresolved := lo < hi).any():
+            middle = np.minimum((lo + hi) >> 1, last)
+            below = unresolved & (column[middle] < wanted)
+            lo = np.where(below, middle + 1, lo)
+            hi = np.where(unresolved & ~below, middle, hi)
+        return _Run(self.order, np.insert(self.cols, lo, rows, axis=1))
+
+    def without(self, ids: _IdPattern) -> "_Run":
+        """This run minus the rows matching the id pattern (order kept)."""
+        keep = np.zeros(len(self.keys), dtype=bool)
+        for position, bound in enumerate(ids):
+            if bound is not None:
+                keep |= self.cols[position] != bound
+        return _Run(self.order, np.compress(keep, self.cols, axis=1))
+
+
+class _Generation:
+    """One version of the store's contents, shared by every reader.
+
+    ``runs[0]`` (SPO) always exists; POS and OSP are sorted the first time
+    an access path needs them, and the statistics snapshot the first time
+    the planner asks. Both fill-ins are idempotent, so nothing a reader
+    sees ever changes.
+    """
+
+    __slots__ = ("runs", "size", "stats")
+
+    def __init__(self, runs: list[_Run | None]) -> None:
+        self.runs = runs
+        self.size = len(runs[0].keys)
+        self.stats: StatisticsSnapshot | None = None
 
 
 class MemoryStore:
@@ -43,11 +176,20 @@ class MemoryStore:
 
     def __init__(self, triples: Iterable[Triple] | None = None) -> None:
         self.dictionary = TermDictionary()
-        self._spo: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
-        self._pos: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
-        self._osp: dict[int, dict[int, set[int]]] = defaultdict(lambda: defaultdict(set))
+        #: Full sorts of one permutation paid so far. Folding writes into a
+        #: non-empty store merges by position and does not count.
+        self.sorts_paid = 0
+        self._lock = threading.Lock()
+        self._delta: set[_IdTriple] = set()  # guarded-by: _lock
+        # Published copy-on-write: replaced whole (under _lock), never
+        # modified, so readers use whichever generation they picked up.
+        self._generation = _Generation(
+            [_Run(_ORDERS[0], np.empty((3, 0), dtype=np.int64)), None, None]
+        )
+        # Written under _lock, read without it: the number of triples, and
+        # whether _delta holds writes the published generation lacks.
         self._size = 0
-        self._stats: StatisticsSnapshot | None = None
+        self._dirty = False
         if triples is not None:
             self.add_all(triples)
 
@@ -55,15 +197,20 @@ class MemoryStore:
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns True if the store changed."""
-        s, p, o = self.dictionary.encode_triple(triple)
-        objects = self._spo[s][p]
-        if o in objects:
-            return False
-        objects.add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
-        self._size += 1
-        self._stats = None
+        ids = self.dictionary.encode_triple(triple)
+        if (ids[0] | ids[1] | ids[2]) >= _ID_LIMIT:
+            raise OverflowError(f"term id beyond 2^31 - 1 in {ids}")
+        with self._lock:
+            if ids in self._delta:
+                return False
+            base = self._generation
+            if base.size:
+                lo, hi = base.runs[0].span(3, ids)
+                if lo < hi:
+                    return False
+            self._delta.add(ids)
+            self._size += 1
+            self._dirty = True
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -72,21 +219,71 @@ class MemoryStore:
 
     def remove(self, pattern: TriplePattern) -> int:
         """Remove all triples matching ``pattern``; returns removal count."""
-        victims = list(self._match_ids(*self._encode_pattern(pattern)))
-        for s, p, o in victims:
-            self._spo[s][p].discard(o)
-            self._pos[p][o].discard(s)
-            self._osp[o][s].discard(p)
-        self._size -= len(victims)
-        if victims:
-            self._stats = None
-        return len(victims)
+        encoded = self._encode_pattern(pattern)
+        if encoded is None:
+            return 0
+        with self._lock:
+            self._fold_locked()
+            base = self._generation
+            survivors = base.runs[0].without(encoded)
+            removed = base.size - len(survivors.keys)
+            if removed:
+                self._generation = _Generation(
+                    [survivors]
+                    + [run and run.without(encoded) for run in base.runs[1:]]
+                )
+                self._size -= removed
+        return removed
 
-    # -- pattern matching ---------------------------------------------------
+    def _fold_locked(self) -> None:
+        """Publish a generation that includes the pending writes."""
+        if self._delta:
+            rows = np.fromiter(
+                chain.from_iterable(self._delta),
+                dtype=np.int64,
+                count=3 * len(self._delta),
+            ).reshape(-1, 3).T
+            base = self._generation
+            if base.size:
+                runs = [run and run.merged(rows) for run in base.runs]
+            else:
+                runs = [_Run.sorted(_ORDERS[0], rows), None, None]
+                self.sorts_paid += 1
+            self._generation = _Generation(runs)
+            self._delta = set()
+        self._dirty = False
 
-    def _encode_pattern(
-        self, pattern: TriplePattern
-    ) -> tuple[int | None, int | None, int | None] | None:
+    # -- reading -------------------------------------------------------------
+
+    def _current(self) -> _Generation:
+        """The generation to read, with every earlier write folded in."""
+        if self._dirty:
+            with self._lock:
+                self._fold_locked()
+        return self._generation
+
+    def _run(self, generation: _Generation, lead: int) -> _Run:
+        """The run leading with position ``lead``, sorted on first use."""
+        run = generation.runs[lead]
+        if run is None:
+            with self._lock:  # concurrent first readers pay for one sort
+                run = generation.runs[lead]
+                if run is None:
+                    run = _Run.sorted(_ORDERS[lead], generation.runs[0].cols)
+                    generation.runs[lead] = run
+                    self.sorts_paid += 1
+        return run
+
+    def _span(self, ids: _IdPattern) -> tuple[_Run, int, int]:
+        """The run serving the id pattern and its matching row range."""
+        lead, depth = _PLANS[
+            (ids[0] is not None) + 2 * (ids[1] is not None) + 4 * (ids[2] is not None)
+        ]
+        run = self._run(self._current(), lead)
+        lo, hi = run.span(depth, ids)
+        return run, lo, hi
+
+    def _encode_pattern(self, pattern: TriplePattern) -> _IdPattern | None:
         """Translate a term pattern into an id pattern.
 
         Returns ``None`` when a bound term is not in the dictionary — the
@@ -103,52 +300,6 @@ class MemoryStore:
                 ids.append(term_id)
         return ids[0], ids[1], ids[2]
 
-    def _match_ids(
-        self, s: int | None, p: int | None, o: int | None
-    ) -> Iterator[_IdTriple]:
-        # Every iterated index view is snapshotted with tuple()/list() before
-        # iteration — on every path, not just the selective ones — so a
-        # concurrent add() while a server response streams never raises
-        # "dictionary changed size during iteration". Triples added
-        # mid-iteration may or may not appear, which was already true.
-        if s is not None:
-            by_pred = self._spo.get(s)
-            if not by_pred:
-                return
-            preds = (p,) if p is not None else tuple(by_pred)
-            for pred in preds:
-                objects = by_pred.get(pred)
-                if not objects:
-                    continue
-                if o is not None:
-                    if o in objects:
-                        yield (s, pred, o)
-                else:
-                    for obj in tuple(objects):
-                        yield (s, pred, obj)
-            return
-        if p is not None:
-            by_obj = self._pos.get(p)
-            if not by_obj:
-                return
-            objs = (o,) if o is not None else tuple(by_obj)
-            for obj in objs:
-                for subj in tuple(by_obj.get(obj, ())):
-                    yield (subj, p, obj)
-            return
-        if o is not None:
-            by_subj = self._osp.get(o)
-            if not by_subj:
-                return
-            for subj, preds in list(by_subj.items()):
-                for pred in tuple(preds):
-                    yield (subj, pred, o)
-            return
-        for subj, by_pred in list(self._spo.items()):
-            for pred, objects in list(by_pred.items()):
-                for obj in tuple(objects):
-                    yield (subj, pred, obj)
-
     # -- IdScanSource capability (vectorized execution substrate) ------------
 
     def match_id_batches(
@@ -158,67 +309,41 @@ class MemoryStore:
         o: int | None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator[np.ndarray]:
-        """Matching id triples as streamed ``(n, 3)`` int64 batches."""
-        buffer: list[_IdTriple] = []
-        for ids in self._match_ids(s, p, o):
-            buffer.append(ids)
-            if len(buffer) >= batch_size:
-                yield np.array(buffer, dtype=np.int64)
-                buffer = []
-        if buffer:
-            yield np.array(buffer, dtype=np.int64)
+        """Matching id triples as ``(n, 3)`` int64 batches, in run order.
+
+        Batches are read-only views of the generation current at the first
+        ``next()``; writes made while the scan streams do not reach it.
+        """
+        run, lo, hi = self._span((s, p, o))
+        rows = run.cols.T
+        for start in range(lo, hi, batch_size):
+            yield rows[start : min(start + batch_size, hi)]
 
     def distinct_ids(
         self, s: int | None, p: int | None, o: int | None, position: int
     ) -> np.ndarray:
         """Sorted unique ids at ``position`` over matches of the id pattern.
 
-        The shapes worst-case-optimal joins intersect — subjects of a
-        ``(?, p, o)`` or ``(?, p, ?)`` pattern, objects of ``(s, p, ?)`` —
-        are answered straight from the nested indexes; anything else falls
-        back to a full match and a unique pass.
+        When ``position`` is the key column right after the bound prefix —
+        subjects of ``(?, ?, o)``, objects of ``(s, p, ?)`` or ``(?, p, ?)``,
+        the shapes worst-case-optimal joins intersect — the answer is the
+        run's own slice; other shapes pay one ``np.unique`` over the span.
         """
-        if position == 0 and s is None:
-            if p is not None:
-                by_obj = self._pos.get(p)
-                if not by_obj:
-                    return _EMPTY_IDS
-                if o is not None:
-                    return _sorted_ids(by_obj.get(o, ()))
-                seen: set[int] = set()
-                for subjects in list(by_obj.values()):
-                    seen.update(subjects)
-                return _sorted_ids(seen)
-            if o is not None:
-                return _sorted_ids(self._osp.get(o, ()))
-        elif position == 2 and o is None:
-            if s is not None:
-                by_pred = self._spo.get(s)
-                if not by_pred:
-                    return _EMPTY_IDS
-                if p is not None:
-                    return _sorted_ids(by_pred.get(p, ()))
-                seen = set()
-                for objects in list(by_pred.values()):
-                    seen.update(objects)
-                return _sorted_ids(seen)
-            if p is not None:
-                return _sorted_ids(self._pos.get(p, ()))
-        elif position == 1 and p is None:
-            if s is not None and o is not None:
-                return _sorted_ids(self._osp.get(o, {}).get(s, ()))
-            if s is not None:
-                return _sorted_ids(self._spo.get(s, ()))
-            if o is not None:
-                by_subj = self._osp.get(o)
-                if not by_subj:
-                    return _EMPTY_IDS
-                seen = set()
-                for preds in list(by_subj.values()):
-                    seen.update(preds)
-                return _sorted_ids(seen)
-        matched = {ids[position] for ids in self._match_ids(s, p, o)}
-        return _sorted_ids(matched)
+        ids = (s, p, o)
+        if s is None and p is None and o is None:
+            run, depth = self._run(self._current(), position), 0
+            lo, hi = 0, len(run.keys)
+        else:
+            run, lo, hi = self._span(ids)
+            depth = 3 - ids.count(None)
+        column = run.cols[position, lo:hi]
+        if ids[position] is not None:
+            return column[:1]
+        if run.order[depth] != position:
+            return np.unique(column)
+        if depth == 2:  # triples are unique: the last key never repeats
+            return column
+        return column[_run_starts(column)]
 
     def probe_ids(
         self,
@@ -229,73 +354,59 @@ class MemoryStore:
         keys: np.ndarray,
         value_position: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched point probes straight off the nested dict indexes.
+        """Batched point probes: two binary searches for all keys at once.
 
         For each ``keys[i]`` substituted at ``key_position`` of the id
-        pattern, collect the distinct ids at ``value_position`` of its
-        matches. Returns ``(counts, values)``: ``counts[i]`` matches for
-        ``keys[i]`` and ``values`` their concatenation in key order. Only
-        the index-friendly shapes (predicate bound, key and value at the
-        endpoints) are served; anything else raises :class:`LookupError`
-        and callers fall back to per-key :meth:`distinct_ids` probes. This
-        amortizes per-probe overhead when a join expands thousands of keys.
+        pattern, collect the ids at ``value_position`` of its matches.
+        Returns ``(counts, values)``: ``counts[i]`` matches for ``keys[i]``
+        and ``values`` their concatenation in key order. Served when the
+        third position is bound (so key and bound id are a two-column
+        prefix and the values are distinct); anything else raises
+        :class:`LookupError` and callers fall back to per-key
+        :meth:`distinct_ids` probes.
         """
-        counts = np.empty(len(keys), dtype=np.int64)
-        gathered: list[int] = []
-        if key_position == 0 and p is not None and o is None and value_position == 2:
-            spo = self._spo
-            for index, key in enumerate(keys.tolist()):
-                by_pred = spo.get(key)
-                objects = by_pred.get(p) if by_pred else None
-                if objects:
-                    counts[index] = len(objects)
-                    gathered.extend(objects)
-                else:
-                    counts[index] = 0
-        elif key_position == 2 and p is not None and s is None and value_position == 0:
-            by_obj = self._pos.get(p)
-            for index, key in enumerate(keys.tolist()):
-                subjects = by_obj.get(key) if by_obj else None
-                if subjects:
-                    counts[index] = len(subjects)
-                    gathered.extend(subjects)
-                else:
-                    counts[index] = 0
-        else:
-            raise LookupError("unsupported probe shape for nested indexes")
-        values = np.fromiter(gathered, dtype=np.int64, count=len(gathered))
-        return counts, values
+        ids = (s, p, o)
+        fixed = 3 - key_position - value_position
+        if (
+            key_position == value_position
+            or ids[fixed] is None
+            or ids[key_position] is not None
+            or ids[value_position] is not None
+        ):
+            raise LookupError("unsupported probe shape for sorted runs")
+        lead = (value_position + 1) % 3
+        run = self._run(self._current(), lead)
+        keys = np.asarray(keys, dtype=np.int64)
+        first, second = (ids[fixed], keys) if lead == fixed else (keys, ids[fixed])
+        lo, hi = run.spans(first, second)
+        counts = hi - lo
+        # Ragged gather: row lo[i] + j for every j < counts[i], in key order.
+        skipped = np.cumsum(counts) - counts
+        rows = np.repeat(lo - skipped, counts) + np.arange(int(counts.sum()))
+        return counts, run.cols[value_position][rows]
+
+    # -- TripleSource protocol -----------------------------------------------
 
     def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
         """Yield matching triples, decoding ids lazily."""
         encoded = self._encode_pattern(pattern)
         if encoded is None:
             return
-        decode = self.dictionary.decode_triple
-        for ids in self._match_ids(*encoded):
-            yield decode(ids)
+        yield from map(self.dictionary.decode_triple, self._match_ids(encoded))
+
+    def _match_ids(self, ids: _IdPattern) -> Iterator[_IdTriple]:
+        for batch in self.match_id_batches(*ids):
+            yield from zip(*batch.T.tolist())
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
         encoded = self._encode_pattern(pattern)
         if encoded is None:
             return 0
-        s, p, o = encoded
-        if s is None and p is None and o is None:
-            return self._size
-        if s is not None and p is None and o is None:
-            return sum(len(objs) for objs in self._spo.get(s, {}).values())
-        if p is not None and s is None and o is None:
-            return sum(len(subjs) for subjs in self._pos.get(p, {}).values())
-        if o is not None and s is None and p is None:
-            return sum(len(preds) for preds in self._osp.get(o, {}).values())
-        return sum(1 for _ in self._match_ids(s, p, o))
+        _, lo, hi = self._span(encoded)
+        return hi - lo
 
     def __contains__(self, triple: Triple) -> bool:
-        encoded = self._encode_pattern((triple[0], triple[1], triple[2]))
-        if encoded is None:
-            return False
-        s, p, o = encoded
-        return o in self._spo.get(s, {}).get(p, set())
+        return self.count(triple) > 0
 
     def __len__(self) -> int:
         return self._size
@@ -303,56 +414,43 @@ class MemoryStore:
     def __iter__(self) -> Iterator[Triple]:
         return self.triples()
 
+    def id_triples(self) -> Iterator[_IdTriple]:
+        """Raw id triples (for bulk exports to the paged store)."""
+        return self._match_ids((None, None, None))
+
     # -- statistics (used by the SPARQL optimizer) ---------------------------
 
     def predicate_cardinality(self, predicate_id: int) -> int:
         """Number of triples with the given predicate id."""
-        return sum(len(subjs) for subjs in self._pos.get(predicate_id, {}).values())
+        _, lo, hi = self._span((None, predicate_id, None))
+        return hi - lo
 
     def statistics(self) -> StatisticsSnapshot:
-        """Cached :class:`StatisticsSnapshot`; recomputed after mutations.
+        """Exact :class:`StatisticsSnapshot` of the current generation.
 
-        Computed straight from the id indexes (empty index entries left
-        behind by :meth:`remove` are skipped), decoded once per predicate.
+        Read off run boundaries and cached on the generation it describes,
+        so a snapshot can never outlive the contents it was computed from.
         """
-        if self._stats is None:
+        generation = self._current()
+        if generation.stats is None:
+            spo, pos, osp = (self._run(generation, lead) for lead in range(3))
             decode = self.dictionary.decode
-            # Index views are snapshotted before iteration, as in
-            # ``_match_ids``: a concurrent add() must not raise "dictionary
-            # changed size during iteration" out of query planning.
-            pos = [(pid, list(by_obj.values())) for pid, by_obj in list(self._pos.items())]
-            predicate_cards = {
-                decode(pid): card
-                for pid, subject_sets in pos
-                if (card := sum(len(subjs) for subjs in subject_sets))
-            }
-            # Exact distinct objects per predicate: the POS index already
-            # groups by object, so it's one length per predicate — no
-            # sketch needed (the scan fallback in ``compute_statistics``
-            # estimates the same figure with HLL).
-            predicate_distincts = {
-                decode(pid): distinct
-                for pid, subject_sets in pos
-                if (distinct := sum(1 for subjs in subject_sets if subjs))
-            }
-            self._stats = StatisticsSnapshot(
-                triple_count=self._size,
-                distinct_subjects=sum(
-                    1
-                    for by_pred in list(self._spo.values())
-                    if any(objs for objs in list(by_pred.values()))
+            predicates, cards = np.unique(pos.cols[1], return_counts=True)
+            # One POS key per distinct (p, o): counting them per predicate
+            # gives exact distinct objects, aligned with ``predicates``.
+            pairs = pos.keys[_run_starts(pos.keys)] >> 32
+            distincts = np.unique(pairs, return_counts=True)[1]
+            terms = [decode(pid) for pid in predicates.tolist()]
+            generation.stats = StatisticsSnapshot(
+                triple_count=generation.size,
+                distinct_subjects=len(_run_starts(spo.cols[0])),
+                distinct_predicates=len(terms),
+                distinct_objects=len(_run_starts(osp.cols[2])),
+                predicate_cardinalities=MappingProxyType(
+                    dict(zip(terms, cards.tolist()))
                 ),
-                distinct_predicates=len(predicate_cards),
-                distinct_objects=sum(
-                    1
-                    for by_subj in list(self._osp.values())
-                    if any(preds for preds in list(by_subj.values()))
+                predicate_distinct_objects=MappingProxyType(
+                    dict(zip(terms, distincts.tolist()))
                 ),
-                predicate_cardinalities=MappingProxyType(predicate_cards),
-                predicate_distinct_objects=MappingProxyType(predicate_distincts),
             )
-        return self._stats
-
-    def id_triples(self) -> Iterator[_IdTriple]:
-        """Raw id triples (for bulk exports to the paged store)."""
-        return self._match_ids(None, None, None)
+        return generation.stats

@@ -69,6 +69,59 @@ class TestParseLine:
             list(parse_ntriples("<http://x.org/s> <http://x.org/p> <http://x.org/o>"))
 
 
+class TestIriInterning:
+    """``parse_ntriples`` builds each distinct IRI text once per call."""
+
+    DOC = (
+        "<http://x.org/s> <http://x.org/p> <http://x.org/o> .\n"
+        "<http://x.org/o> <http://x.org/p> <http://x.org/s> .\n"
+        '<http://x.org/s> <http://x.org/p> "http://x.org/o" .\n'
+    )
+
+    def test_repeated_iris_are_one_object(self):
+        first, second, third = parse_ntriples(self.DOC)
+        assert first.subject is second.object is third.subject
+        assert first.predicate is second.predicate
+        assert type(third.object) is Literal  # same text, not an IRI
+
+    def test_same_triples_as_line_by_line(self):
+        from repro.rdf.ntriples import parse_ntriples_line
+
+        lines = self.DOC.splitlines()
+        assert list(parse_ntriples(self.DOC)) == [
+            parse_ntriples_line(line) for line in lines
+        ]
+
+    def test_full_memo_is_dropped_not_grown(self, monkeypatch):
+        from repro.rdf import ntriples
+
+        monkeypatch.setattr(ntriples, "_IRI_MEMO_LIMIT", 4)
+        doc = "".join(
+            f"<http://x.org/s{i % 7}> <http://x.org/p> <http://x.org/o{i}> .\n"
+            for i in range(40)
+        )
+        parsed = list(parse_ntriples(doc))
+        assert [t.subject for t in parsed] == [
+            IRI(f"http://x.org/s{i % 7}") for i in range(40)
+        ]
+        assert [t.object for t in parsed] == [
+            IRI(f"http://x.org/o{i}") for i in range(40)
+        ]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "<> <http://x.org/p> <http://x.org/o> .",
+            "<http://x.org/a\\u0020b> <http://x.org/p> <http://x.org/o> .",
+            "<http://x.org/s> <http://x.org/p> <http://x.org/\\u003Co> .",
+        ],
+    )
+    def test_bad_iri_after_unescape_reports_the_line(self, bad):
+        doc = "<http://x.org/s> <http://x.org/p> <http://x.org/o> .\n" + bad
+        with pytest.raises(NTriplesError, match="line 2"):
+            list(parse_ntriples(doc))
+
+
 class TestSerialize:
     def test_round_trip_document(self):
         triples = [

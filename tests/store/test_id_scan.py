@@ -139,6 +139,24 @@ class TestSnapshotConsistency:
             pass  # must complete without RuntimeError
 
 
+    def test_started_scan_is_unaffected_by_later_writes(self):
+        """Stricter than "does not raise": the scan reads one generation."""
+        memory = MemoryStore(_triples())
+        predicate = memory.dictionary.lookup(RDF_TYPE)
+        for pattern in [(None, None, None), (None, predicate, None)]:
+            expected = np.concatenate(list(memory.match_id_batches(*pattern, 16)))
+            iterator = memory.match_id_batches(*pattern, 16)
+            yielded = [next(iterator)]
+            assert memory.add(Triple(IRI(EX + "late"), RDF_TYPE, IRI(EX + "ClassW")))
+            assert memory.remove((IRI(EX + "entity1"), None, None)) > 0
+            yielded.extend(iterator)
+            assert np.array_equal(np.concatenate(yielded), expected)
+            after = np.concatenate(list(memory.match_id_batches(*pattern, 16)))
+            assert not np.array_equal(after, expected)  # new scans do see them
+            memory.remove((IRI(EX + "late"), None, None))
+            memory.add_all(_triples())  # as it was, for the next pattern
+
+
 class TestCrackingTripleStore:
     def test_dedup_and_len(self):
         triple = Triple(IRI(EX + "a"), RDF_TYPE, IRI(EX + "C"))

@@ -1,6 +1,10 @@
 """Unit tests for the dictionary-encoded MemoryStore."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, IRI, Literal, RDF, Triple
 from repro.store import MemoryStore, TripleSource
@@ -111,3 +115,226 @@ class TestStatistics:
 
     def test_id_triples_count(self, store):
         assert len(list(store.id_triples())) == 5
+
+
+# ---------------------------------------------------------------------------
+# Model-based checks: every read surface against a plain Python set
+# ---------------------------------------------------------------------------
+
+SUBJECTS = [ex(f"s{i}") for i in range(4)]
+PREDICATES = [ex(f"p{i}") for i in range(3)]
+# Objects reuse two subject IRIs, so one id shows up in several positions.
+OBJECTS = [ex("s0"), ex("s1"), Literal(0), Literal(1)]
+UNIVERSE = (SUBJECTS, PREDICATES, OBJECTS)
+SHAPES = list(itertools.product((False, True), repeat=3))  # bound positions
+
+_triples = st.builds(
+    Triple, st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES),
+    st.sampled_from(OBJECTS),
+)
+_patterns = st.tuples(
+    *(st.one_of(st.none(), st.sampled_from(terms)) for terms in UNIVERSE)
+)
+# (operation, argument, check every read surface afterwards?) — unchecked
+# steps let writes pile up in the delta before the next read folds them.
+_steps = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("add"), _triples),
+            st.tuples(st.just("remove"), _patterns),
+        ),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+def _matching(model, pattern):
+    return {
+        t for t in model
+        if all(want is None or want == got for want, got in zip(pattern, t))
+    }
+
+
+def _check_pattern(store, model, pattern):
+    expected = _matching(model, pattern)
+    found = list(store.triples(pattern))
+    assert len(found) == len(expected) and set(found) == expected
+    assert store.count(pattern) == len(expected)
+
+    lookup = store.dictionary.lookup
+    ids = tuple(None if term is None else lookup(term) for term in pattern)
+    if any(term is not None and i is None for term, i in zip(pattern, ids)):
+        return  # a term the dictionary never saw: no id-level question to ask
+    expected_ids = {tuple(lookup(term) for term in t) for t in expected}
+    for batch_size in (1, 7, 4096):
+        batches = list(store.match_id_batches(*ids, batch_size))
+        for batch in batches:
+            assert batch.dtype == np.int64 and batch.shape[1] == 3
+            assert 0 < len(batch) <= batch_size
+            assert not batch.flags.writeable
+        assert all(len(batch) == batch_size for batch in batches[:-1])
+        rows = [tuple(row) for batch in batches for row in batch.tolist()]
+        assert len(rows) == len(expected_ids) and set(rows) == expected_ids
+    for position in range(3):
+        run = store.distinct_ids(*ids, position)
+        assert run.dtype == np.int64
+        assert run.tolist() == sorted({row[position] for row in expected_ids})
+
+
+def _check_probes(store, model, anchor):
+    """Every (key, value) position pair, the third position bound to the
+    anchor's id or — for the shapes that must be refused — left open."""
+    lookup = store.dictionary.lookup
+    anchor_ids = tuple(lookup(term) for term in anchor)
+    id_model = {tuple(lookup(term) for term in t) for t in model}
+    absent = len(store.dictionary) + 5
+    for key_position, value_position in itertools.permutations(range(3), 2):
+        fixed = 3 - key_position - value_position
+        pattern = [None, None, None]
+        pattern[fixed] = anchor_ids[fixed]
+        present = sorted({row[key_position] for row in id_model})
+        keys = np.array(present[::-1] + [absent] + present[:1], dtype=np.int64)
+        counts, values = store.probe_ids(
+            *pattern, key_position, keys, value_position
+        )
+        assert counts.dtype == values.dtype == np.int64
+        assert len(counts) == len(keys) and counts.sum() == len(values)
+        offset = 0
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            wanted = sorted(
+                row[value_position] for row in id_model
+                if row[key_position] == key and row[fixed] == pattern[fixed]
+            )
+            assert sorted(values[offset : offset + count].tolist()) == wanted
+            offset += count
+        # Refused: nothing bound beside the key, the key position bound
+        # too, or key and value at the same position.
+        bound_key = list(pattern)
+        bound_key[key_position] = anchor_ids[key_position]
+        for refused, value_at in (
+            ([None, None, None], value_position),
+            (bound_key, value_position),
+            (pattern, key_position),
+        ):
+            with pytest.raises(LookupError):
+                store.probe_ids(*refused, key_position, keys, value_at)
+
+
+def _check_everything(store, model):
+    assert len(store) == len(model)
+    assert all(t in store for t in model)
+    decode = store.dictionary.decode_triple
+    id_triples = list(store.id_triples())
+    assert len(id_triples) == len(model)
+    assert {decode(ids) for ids in id_triples} == model
+
+    # Each shape twice: bound to a stored triple, and to a corner of the
+    # universe that may or may not be stored.
+    anchors = [(SUBJECTS[-1], PREDICATES[-1], OBJECTS[-1])]
+    if model:
+        anchors.append(min(model, key=repr))
+    for anchor in anchors:
+        assert (Triple(*anchor) in store) == (Triple(*anchor) in model)
+        for shape in SHAPES:
+            _check_pattern(
+                store, model,
+                tuple(term if bound else None for term, bound in zip(anchor, shape)),
+            )
+    _check_pattern(store, model, (ex("never-added"), None, None))
+    if model:
+        _check_probes(store, model, anchors[-1])
+
+    snapshot = store.statistics()
+    assert snapshot.triple_count == len(model)
+    assert snapshot.distinct_subjects == len({t.subject for t in model})
+    assert snapshot.distinct_predicates == len({t.predicate for t in model})
+    assert snapshot.distinct_objects == len({t.object for t in model})
+    cards, distincts = {}, {}
+    for t in model:
+        cards[t.predicate] = cards.get(t.predicate, 0) + 1
+        distincts.setdefault(t.predicate, set()).add(t.object)
+    assert dict(snapshot.predicate_cardinalities) == cards
+    assert dict(snapshot.predicate_distinct_objects) == {
+        predicate: len(objects) for predicate, objects in distincts.items()
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(_steps)
+def test_store_agrees_with_a_set_model(steps):
+    store, model = MemoryStore(), set()
+    for (operation, argument), check in steps:
+        if operation == "add":
+            assert store.add(argument) == (argument not in model)
+            model.add(argument)
+        else:
+            doomed = _matching(model, argument)
+            assert store.remove(argument) == len(doomed)
+            model -= doomed
+        assert len(store) == len(model)
+        if check:
+            _check_everything(store, model)
+    _check_everything(store, model)
+
+
+def _numbered(count: int, start: int = 0) -> list[Triple]:
+    return [
+        Triple(ex(f"n{i % 997}"), ex(f"q{i % 7}"), Literal(i))
+        for i in range(start, start + count)
+    ]
+
+
+class TestGenerations:
+    def test_batches_held_by_a_reader_never_change(self):
+        store = MemoryStore(_numbered(60))
+        held = list(store.match_id_batches(None, None, None, 7))
+        before = [batch.copy() for batch in held]
+        store.add_all(_numbered(30, start=60))
+        assert store.remove((None, ex("q3"), None)) > 0
+        assert store.count() == len(store) < 90  # a read: the writes are folded
+        for batch, copy in zip(held, before):
+            assert np.array_equal(batch, copy)
+            assert not batch.flags.writeable
+            with pytest.raises(ValueError):
+                batch[0, 0] = 0
+        subject, predicate, _ = held[0][0].tolist()
+        with pytest.raises(ValueError):  # a run slice, not a copy
+            store.distinct_ids(subject, predicate, None, 2)[0] = 0
+
+    def test_read_after_writes_merges_without_resorting_the_base(self, monkeypatch):
+        base, fresh = _numbered(2_000), _numbered(25, start=2_000)
+        store = MemoryStore(base)
+        store.statistics()  # touches SPO, POS and OSP
+        assert store.sorts_paid == 3
+        sorted_sizes = []
+        lexsort = np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            sorted_sizes.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        store.add_all(fresh)
+        _check_everything(store, set(base + fresh))
+        assert store.sorts_paid == 3
+        assert sorted_sizes and max(sorted_sizes) == len(fresh)
+
+    def test_loaded_store_is_compact(self):
+        store = MemoryStore(_numbered(50_000))
+        store.statistics()
+        assert not store._delta and not store._dirty
+        runs = store._generation.runs
+        assert all(run is not None for run in runs)
+        index_bytes = sum(run.cols.nbytes + run.keys.nbytes for run in runs)
+        assert index_bytes <= 128 * len(store)
+
+    def test_ids_that_do_not_fit_the_composite_key_are_refused(self, monkeypatch):
+        store = MemoryStore(_numbered(5))
+        monkeypatch.setattr(
+            store.dictionary, "encode_triple", lambda triple: (0, 2**31, 1)
+        )
+        with pytest.raises(OverflowError):
+            store.add(_numbered(1, start=5)[0])
+        assert len(store) == store.count() == 5
+

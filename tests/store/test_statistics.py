@@ -2,6 +2,8 @@
 
 import os
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -111,6 +113,60 @@ class TestInvalidation:
     def test_snapshot_object_is_cached_between_queries(self):
         store = MemoryStore(small_triples())
         assert store.statistics() is store.statistics()
+
+    def test_concurrent_add_never_leaves_a_stale_snapshot(self):
+        """A snapshot built while add() runs must not outlive the add.
+
+        The snapshot used to be stored in a store-level slot that add()
+        reset: a build that had started before the reset stored its stale
+        result after it, and the planner trusted it until the next write.
+        """
+        store = MemoryStore(small_triples())
+        fresh = [
+            Triple(EX[f"s{i % 50}"], EX[f"p{i % 5}"], Literal(i)) for i in range(1500)
+        ]
+        done = threading.Event()
+        problems: list[BaseException] = []
+
+        def write():
+            try:
+                for triple in fresh:
+                    store.add(triple)
+            except BaseException as exc:  # surfaced by the assert below
+                problems.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    snapshot = store.statistics()
+                    assert snapshot.triple_count == sum(
+                        snapshot.predicate_cardinalities.values()
+                    )
+            except BaseException as exc:
+                problems.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write, daemon=True)] + [
+                threading.Thread(target=read, daemon=True) for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not problems
+        snapshot = store.statistics()
+        assert snapshot.triple_count == len(store) == len(fresh) + 5
+        recount: dict = {}
+        for triple in store.triples():
+            recount[triple.predicate] = recount.get(triple.predicate, 0) + 1
+        assert dict(snapshot.predicate_cardinalities) == recount
 
 
 class TestPagedPersistence:
