@@ -93,10 +93,19 @@ def _guard_check_ns() -> float:
     return max(0.0, (guarded_s - bare_s) / n * 1e9)
 
 
+def _executed_canary(engine: QueryEngine):
+    """The operator tree of one complete canary run (the streaming API
+    hands the root out; the engine keeps none)."""
+    stream = engine.stream_select(CANARY)
+    for _ in stream.rows:
+        pass
+    return stream.root
+
+
 def _operator_executions(engine: QueryEngine) -> int:
-    """Guard evaluations of the last query: one per operator execute()."""
+    """Guard evaluations of a canary run: one per operator execute()."""
     total = 0
-    stack = [engine._last_root]
+    stack = [_executed_canary(engine)]
     while stack:
         op = stack.pop()
         total += op.executions
@@ -114,7 +123,7 @@ def test_c14_telemetry_overhead(benchmark):
     try:
         disabled_s = _median_seconds(lambda: engine.query(CANARY), REPEATS)
         # One guard per operator execute() plus the engine's OBS.enabled
-        # check; counted off the operator tree of the run just timed.
+        # check; counted off the operator tree of one more such run.
         guard_evals = _operator_executions(engine) + 1
 
         OBS.configure(enabled=True, sample_rate=1.0)
@@ -309,8 +318,8 @@ def test_c14_querylog_overhead(benchmark):
         # Direct emit cost with everything already in hand; the engine's
         # extra per-query work beyond this (digest, scan walk) is what the
         # enabled ratio prices.
-        stats = engine.query(CANARY).stats
-        scans = scan_observations(engine._last_root)
+        root = _executed_canary(engine)
+        stats, scans = root.stats, scan_observations(root)
         emit_ns = _roundtrip_ns(
             lambda: log.emit(
                 digest="bench-digest", form="SELECT",
@@ -396,7 +405,6 @@ def test_c15_analysis_full_run(benchmark):
         else {}
     results.update({
         "analysis_full_run_ms": round(elapsed_ms, 1),
-        "analysis_files_scanned": result.files_scanned,
         "analysis_per_file_ms": round(per_file_ms, 3),
     })
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")

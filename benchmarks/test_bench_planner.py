@@ -8,9 +8,10 @@ force the planner back to live ``store.count`` probes per pattern. This
 experiment measures the planning-time gap and checks that both planners
 pick the same join order.
 
-C14: the same star workload executed end to end under both operator
-families (``REPRO_EXEC=iterator`` vs ``vectorized``). The vectorized
-engine answers scan+join-heavy stars from dictionary-id batches with a
+C14: the same star workload executed end to end by both operator
+families — the id-batch operators the store gets by itself, and the row
+operators it gets behind a double that cannot serve id scans. The batch
+operators answer scan+join-heavy stars from dictionary-id batches with a
 worst-case-optimal center intersection and must hold a >=5x speedup over
 row-at-a-time iteration.
 
@@ -52,6 +53,32 @@ STAR_QUERIES = [
         ?a rdfs:label ?label .
     }""",
 ]
+
+
+class BareStore:
+    """``store`` stripped to ``triples`` / ``count`` / ``__len__``: no
+    statistics protocol (live-count planning) and no id scans."""
+
+    def __init__(self, store):
+        self._store = store
+
+    def triples(self, pattern=(None, None, None)):
+        return self._store.triples(pattern)
+
+    def count(self, pattern=(None, None, None)):
+        return self._store.count(pattern)
+
+    def __len__(self):
+        return len(self._store)
+
+
+class RowsOnly(BareStore):
+    """``BareStore`` plus the statistics snapshot: the plans ``store``
+    itself gets, executed by the row operators."""
+
+    def statistics(self):
+        return self._store.statistics()
+
 
 PLAN_REPEATS = 100
 # The two planners are within 2x of each other now that a live
@@ -101,21 +128,11 @@ def test_c13_stats_vs_live_count_planning(benchmark):
     # snapshot and one forced onto live counts (store stripped of the
     # statistics protocol). Answers must match and the snapshot plans must
     # not blow up intermediate results (within 2x of exact-count plans).
-    class BareStore:
-        def triples(self, pattern=(None, None, None)):
-            return store.triples(pattern)
-
-        def count(self, pattern=(None, None, None)):
-            return store.count(pattern)
-
-        def __len__(self):
-            return len(store)
-
-    # Pin both engines to the iterator family: BareStore can't serve id
-    # scans, so letting `store` auto-select vectorized execution would skew
-    # the intermediate-binding accounting and hide the plan-quality signal.
-    stats_engine = QueryEngine(store, exec_mode="iterator")
-    live_engine = QueryEngine(BareStore(), exec_mode="iterator")
+    # Both engines on the row operators: BareStore can't serve id scans,
+    # so letting `store` run on id batches would skew the
+    # intermediate-binding accounting and hide the plan-quality signal.
+    stats_engine = QueryEngine(RowsOnly(store))
+    live_engine = QueryEngine(BareStore(store))
     for text in STAR_QUERIES:
         stats_rows = {tuple(sorted((str(k), v.n3()) for k, v in row.items()))
                       for row in stats_engine.query(text).rows}
@@ -193,8 +210,8 @@ def _multiset(result):
 def test_c14_vectorized_vs_iterator_ablation(benchmark):
     """Execution-engine ablation on the star workload (merges into C13's file)."""
     store = _store()
-    iterator_engine = QueryEngine(store, exec_mode="iterator")
-    vectorized_engine = QueryEngine(store, exec_mode="vectorized")
+    iterator_engine = QueryEngine(RowsOnly(store))
+    vectorized_engine = QueryEngine(store)
 
     # Parity first: an ablation between engines that disagree is meaningless.
     for text in STAR_QUERIES:

@@ -1,10 +1,9 @@
-"""Experiment S1: serving-layer latency, throughput, and load shedding.
+"""Experiment S1: load shedding and recovery of the serving layer.
 
-Three phases against a live loopback :class:`repro.server.app.ReproServer`:
+Two phases against a live loopback :class:`repro.server.app.ReproServer`
+(latency and throughput of served requests are measured by the
+``browse`` / ``revisit`` workloads of ``benchmarks/e2e``, not here):
 
-* **latency/throughput** — a closed-loop client pool (1, 4, 16 clients)
-  issues point SELECTs; per-request latency gives p50/p95/p99 and the
-  wall-clock gives throughput;
 * **forced overload** — an artificial per-query delay blows the p95
   budget; eligible aggregate queries must shed to the approximate tier
   (``X-Repro-Approximate``) for at least 30% of answers while the server
@@ -18,9 +17,6 @@ run.
 """
 
 import json
-import statistics
-import threading
-import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -35,9 +31,7 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_server.json"
 
 QUICK = read_flag("REPRO_BENCH_QUICK")
 ENTITIES = 300 if QUICK else 1_500
-REQUESTS_PER_CLIENT = 8 if QUICK else 40
 OVERLOAD_AGGREGATES = 10 if QUICK else 30
-CLIENT_LEVELS = (1, 4, 16)
 
 POINT_QUERY = (
     "SELECT ?s ?v WHERE { ?s <http://example.org/data/numeric0> ?v } LIMIT 5"
@@ -63,44 +57,6 @@ def _fetch(url: str) -> tuple[int, dict]:
         return error.code, dict(error.headers)
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-    return ordered[index]
-
-
-def _closed_loop(base: str, clients: int, per_client: int) -> dict:
-    latencies: list[float] = []
-    statuses: list[int] = []
-    lock = threading.Lock()
-    url = _url(base, POINT_QUERY)
-
-    def client() -> None:
-        for _ in range(per_client):
-            start = time.perf_counter()
-            status, _headers = _fetch(url)
-            elapsed = time.perf_counter() - start
-            with lock:
-                latencies.append(elapsed)
-                statuses.append(status)
-
-    threads = [threading.Thread(target=client) for _ in range(clients)]
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - wall_start
-    total = clients * per_client
-    assert all(status == 200 for status in statuses)
-    return {
-        "throughput_qps": round(total / wall, 2),
-        "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-        "p95_ms": round(_percentile(latencies, 0.95) * 1e3, 3),
-        "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
-    }
-
-
 def test_s1_serving_layer(benchmark):
     store = MemoryStore(typed_entities(
         ENTITIES, n_classes=4, numeric_properties=1,
@@ -112,24 +68,15 @@ def test_s1_serving_layer(benchmark):
         approx_max_rows=100,
     )
     results: dict[str, object] = {
-        "experiment": "S1 serving layer: latency, throughput, load shedding",
+        "experiment": "S1 serving layer: load shedding and recovery",
         "entities": ENTITIES,
-        "repeats": REQUESTS_PER_CLIENT,
+        "repeats": OVERLOAD_AGGREGATES,
         "quick_mode": QUICK,
     }
     with ReproServer(store, config) as server:
         base = server.base_url
 
-        # Phase 1 — exact-tier latency and throughput across client counts.
-        for clients in CLIENT_LEVELS:
-            level = _closed_loop(base, clients, REQUESTS_PER_CLIENT)
-            for key, value in level.items():
-                results[f"c{clients}_{key}"] = value
-            print(f"\nS1 c{clients}: {level['throughput_qps']:8.1f} q/s  "
-                  f"p50 {level['p50_ms']:.2f} ms  p95 {level['p95_ms']:.2f} "
-                  f"ms  p99 {level['p99_ms']:.2f} ms")
-
-        # Phase 2 — forced overload: the budget is blown, aggregates shed.
+        # Phase 1 — forced overload: the budget is blown, aggregates shed.
         server.config.debug_delay_ms = 30.0
         select_url = _url(base, POINT_QUERY)
         for _ in range(8):  # heat the p95 window past the budget
@@ -157,7 +104,7 @@ def test_s1_serving_layer(benchmark):
         assert errors == 0
         assert shed_ratio >= 0.30
 
-        # Phase 3 — recovery: load subsides, answers return to exact.
+        # Phase 2 — recovery: load subsides, answers return to exact.
         server.config.debug_delay_ms = 0.0
         for _ in range(config.shed_window + 8):
             _fetch(select_url)

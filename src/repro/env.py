@@ -45,10 +45,9 @@ class EnvVar:
     """Declaration of one environment variable."""
 
     name: str
-    kind: str  # "flag" | "string" | "path" | "choice"
+    kind: str  # "flag" | "string" | "path" | "int"
     default: str
     doc: str
-    choices: tuple[str, ...] = ()
 
 
 REGISTRY: tuple[EnvVar, ...] = (
@@ -56,13 +55,6 @@ REGISTRY: tuple[EnvVar, ...] = (
         "REPRO_TRACE", "flag", "0",
         "Enable the span tracer at process start; spans land in "
         "`OBS.tracer.recorder` and exporters (`repro.obs`).",
-    ),
-    EnvVar(
-        "REPRO_EXEC", "choice", "auto",
-        "Execution engine for BGPs: streaming `iterator`, batched "
-        "`vectorized` over dictionary ids, or statistics-driven `auto` "
-        "(`repro.sparql.vectorized.resolve_exec_mode`).",
-        choices=("iterator", "vectorized", "auto"),
     ),
     EnvVar(
         "REPRO_QUERYLOG", "flag", "0",
@@ -157,11 +149,8 @@ def markdown_table() -> str:
         "| --- | --- | --- | --- |",
     ]
     for var in REGISTRY:
-        kind = var.kind
-        if var.choices:
-            kind = f"choice: {' / '.join(f'`{c}`' for c in var.choices)}"
         default = f"`{var.default}`" if var.default else "*(unset)*"
-        rows.append(f"| `{var.name}` | {kind} | {default} | {var.doc} |")
+        rows.append(f"| `{var.name}` | {var.kind} | {default} | {var.doc} |")
     return "\n".join(rows) + "\n"
 
 

@@ -33,7 +33,7 @@ from .optimizer import (
 )
 from .parser import parse_query
 from .plan import optimize_plan, plan_digest, query_digest
-from .vectorized import VectorizedBGP, resolve_exec_mode
+from .vectorized import VectorizedBGP
 from .results import (
     SelectResult,
     ask_to_sparql_json,
@@ -69,7 +69,6 @@ __all__ = [
     "plan_digest",
     "query",
     "query_digest",
-    "resolve_exec_mode",
     "term_from_json",
     "term_to_json",
     "to_csv",

@@ -93,11 +93,10 @@ class QueryEngine:
     called on it; each :class:`SelectResult` additionally carries the
     per-query counters of the run that produced it.
 
-    ``exec_mode`` picks the BGP operator family: ``"iterator"``,
-    ``"vectorized"``, or ``"auto"`` (vectorized when the store implements
-    :class:`~repro.store.base.IdScanSource`, iterator otherwise). ``None``
-    defers to the ``REPRO_EXEC`` environment variable, read per query so
-    tests can flip engines without rebuilding the engine.
+    BGPs run on id batches when the store serves id scans
+    (:func:`~repro.store.base.as_id_scan_source`) and on the row operators
+    otherwise; there is no mode to set. To cross-check an answer by hand,
+    compare with ``QueryEngine(store, optimize=False)``.
 
     ``corrections`` optionally rescales the planner's uniformity-based
     cardinality guesses with a :class:`CorrectionTable` learned from the
@@ -108,7 +107,6 @@ class QueryEngine:
     store: TripleSource
     optimize: bool = True
     stats: EvalStats = field(default_factory=EvalStats)
-    exec_mode: str | None = None
     corrections: CorrectionTable | None = None
 
     # ------------------------------------------------------------------ #
@@ -133,10 +131,6 @@ class QueryEngine:
         """
         parsed = parse_query(text) if isinstance(text, str) else text
         per_query = EvalStats()
-        # _build_root refreshes this per dispatch; cleared up front so a
-        # plan-less form (DESCRIBE without WHERE) cannot report the
-        # previous query's operator tree.
-        self._last_root = None
         log = OBS.querylog
         logging = log.enabled
         started = time.perf_counter_ns() if logging else 0
@@ -144,13 +138,13 @@ class QueryEngine:
             digest = query_digest(parsed, optimize=self.optimize)
         trace_id = None
         if not OBS.enabled:
-            result = self._dispatch(parsed, per_query)
+            result, root = self._dispatch(parsed, per_query)
         else:
             per_query.tracer = OBS.tracer
             with OBS.tracer.span(
                 "sparql.query", form=type(parsed).__name__
             ) as span:
-                result = self._dispatch(parsed, per_query)
+                result, root = self._dispatch(parsed, per_query)
                 span.set_attribute("store_lookups", per_query.store_lookups)
                 span.set_attribute("solutions", per_query.solutions)
                 if per_query.scan_batches:
@@ -158,13 +152,11 @@ class QueryEngine:
                     # attributes double as the engine marker on the span.
                     span.set_attribute("scan_batches", per_query.scan_batches)
                     span.set_attribute("scan_rows", per_query.scan_rows)
-                root = self._last_root
                 if root is not None:
                     span.add_child(operator_span(root))
             trace_id = getattr(span, "trace_id", None)
         self.stats.merge(per_query)
         if logging:
-            root = self._last_root
             log.emit(
                 digest=digest,
                 form=_form_name(parsed),
@@ -178,7 +170,11 @@ class QueryEngine:
             result.plan_digest = digest
         return result
 
-    def _dispatch(self, parsed: Query, per_query: EvalStats):
+    def _dispatch(
+        self, parsed: Query, per_query: EvalStats
+    ) -> tuple[object, PhysicalOperator | None]:
+        """``(result, executed operator tree)``; the tree is ``None`` for a
+        DESCRIBE that needed no pattern evaluation."""
         if isinstance(parsed, SelectQuery):
             return self._eval_select(parsed, per_query)
         if isinstance(parsed, AskQuery):
@@ -327,24 +323,21 @@ class QueryEngine:
         logical = self._logical(parsed)
         if logical is None:
             return None
-        root = build_plan(
+        return build_plan(
             logical,
             self.store,
             per_query,
             self._estimator(),
             optimize=self.optimize,
-            exec_mode=self.exec_mode,
         )
-        # Remembered so the tracing wrapper in :meth:`query` can attach the
-        # executed operator tree's spans after dispatch returns.
-        self._last_root = root
-        return root
 
     # ------------------------------------------------------------------ #
     # Query forms
     # ------------------------------------------------------------------ #
 
-    def _eval_select(self, q: SelectQuery, per_query: EvalStats) -> SelectResult:
+    def _eval_select(
+        self, q: SelectQuery, per_query: EvalStats
+    ) -> tuple[SelectResult, PhysicalOperator]:
         root = self._build_root(q, per_query)
         rows = list(root.execute({}))
         if q.select_all:
@@ -352,15 +345,20 @@ class QueryEngine:
         else:
             variables = [p.variable for p in q.projections]
         per_query.solutions += len(rows)
-        return SelectResult(variables, rows, stats=per_query, plan=root.explain())
+        result = SelectResult(variables, rows, stats=per_query, plan=root.explain())
+        return result, root
 
-    def _eval_ask(self, q: AskQuery, per_query: EvalStats) -> bool:
+    def _eval_ask(
+        self, q: AskQuery, per_query: EvalStats
+    ) -> tuple[bool, PhysicalOperator]:
         root = self._build_root(q, per_query)
         for _ in root.execute({}):
-            return True
-        return False
+            return True, root
+        return False, root
 
-    def _eval_construct(self, q: ConstructQuery, per_query: EvalStats) -> Graph:
+    def _eval_construct(
+        self, q: ConstructQuery, per_query: EvalStats
+    ) -> tuple[Graph, PhysicalOperator]:
         root = self._build_root(q, per_query)
         graph = Graph()
         for binding in root.execute({}):
@@ -368,11 +366,14 @@ class QueryEngine:
                 triple = instantiate(template, binding)
                 if triple is not None:
                     graph.add(triple)
-        return graph
+        return graph, root
 
-    def _eval_describe(self, q: DescribeQuery, per_query: EvalStats) -> Graph:
+    def _eval_describe(
+        self, q: DescribeQuery, per_query: EvalStats
+    ) -> tuple[Graph, PhysicalOperator | None]:
         graph = Graph()
         resources: set[Term] = set()
+        root: PhysicalOperator | None = None
         bindings: list | None = None
         for resource in q.resources:
             if isinstance(resource, Variable):
@@ -392,7 +393,7 @@ class QueryEngine:
                     graph.add(triple)
             for triple in self.store.triples((None, None, resource)):
                 graph.add(triple)
-        return graph
+        return graph, root
 
 
 def _form_name(parsed: Query) -> str:

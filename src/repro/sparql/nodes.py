@@ -7,8 +7,8 @@ actually issue: SELECT / ASK / CONSTRUCT / DESCRIBE over basic graph
 patterns with FILTER, OPTIONAL, UNION, BIND, grouping with the standard
 aggregates, DISTINCT, ORDER BY, and LIMIT/OFFSET.
 
-Nodes are plain frozen dataclasses; the parser builds them, the algebra
-translator (:mod:`repro.sparql.algebra`) consumes them.
+Nodes are plain frozen dataclasses; the parser builds them, the logical
+plan builder (:func:`repro.sparql.plan.build_pattern_plan`) consumes them.
 """
 
 from __future__ import annotations

@@ -782,7 +782,6 @@ def build_plan(
     stats: EvalStats,
     estimator: CardinalityEstimator | None = None,
     optimize: bool = True,
-    exec_mode: str | None = None,
 ) -> PhysicalOperator:
     """Lower a logical plan into an executable operator tree.
 
@@ -793,16 +792,15 @@ def build_plan(
     with plain nested loops — the baseline the C10 benchmark compares
     against.
 
-    ``exec_mode`` selects the operator family for BGPs: ``"iterator"``
-    forces the streaming iterator operators, ``"vectorized"``/``"auto"``
-    lower BGP components onto :class:`~repro.sparql.vectorized
-    .VectorizedBGP` when the store supports id scans (and fall back to
-    iterators when it doesn't — federation, remote endpoints, plain
-    graphs). ``None`` reads ``REPRO_EXEC`` (default ``auto``). Vectorized
-    lowering additionally requires ``optimize=True``: the unoptimized
-    baseline keeps textual-order iterator semantics.
+    Which operators a BGP lowers onto follows from what the store can do,
+    never from an option: a store that serves id scans
+    (:func:`~repro.store.base.as_id_scan_source`) gets the batch operators
+    of :mod:`repro.sparql.vectorized`; any other source (plain ``Graph``,
+    federation, remote endpoints, test doubles) and the ``optimize=False``
+    baseline get the row operators of this module, which are also the
+    reference the parity suite compares the batch operators with.
     """
-    builder = _Builder(store, stats, estimator, optimize, exec_mode)
+    builder = _Builder(store, stats, estimator, optimize)
     return builder.build(node)
 
 
@@ -813,20 +811,14 @@ class _Builder:
         stats: EvalStats,
         estimator: CardinalityEstimator | None,
         optimize: bool,
-        exec_mode: str | None = None,
     ) -> None:
-        from .vectorized import resolve_exec_mode
-
         self.store = store
         self.stats = stats
         self.estimator = estimator
         self.optimize = optimize
         self._total = estimator.total_triples() if estimator is not None else None
-        mode = resolve_exec_mode(exec_mode)
-        self._id_source = (
-            as_id_scan_source(store) if mode != "iterator" and optimize else None
-        )
-        self._vectorize = self._id_source is not None
+        # Not None = BGPs lower onto id batches.
+        self._id_source = as_id_scan_source(store) if optimize else None
 
     # -- estimate arithmetic (None-propagating) ----------------------------
 
@@ -895,7 +887,7 @@ class _Builder:
                 child, node.projections, node.select_all, self.stats, child.estimated_rows
             )
         if isinstance(node, LogicalPrune):
-            if self._vectorize and isinstance(node.input, LogicalBGP):
+            if self._id_source is not None and isinstance(node.input, LogicalBGP):
                 # Late materialization: push the projection-pruned variable
                 # set into the BGP so only observable ids get decoded. The
                 # lowering returns rows already restricted to the pruned
@@ -943,7 +935,7 @@ class _Builder:
         estimate = child.estimated_rows
         if not node.group_by:
             estimate = 1.0 if self.estimator else None
-        bgp = self._bgp_below(node.input) if self._vectorize else None
+        bgp = self._bgp_below(node.input) if self._id_source is not None else None
         if bgp is not None:
             from .vectorized import (
                 BatchAggregateOp,
@@ -971,7 +963,7 @@ class _Builder:
         below the projection. ``None`` when the shape is anything else."""
         sort = node.input
         if not (
-            self._vectorize
+            self._id_source is not None
             and node.limit is not None
             and node.limit + node.offset > 0
             and isinstance(sort, LogicalSort)
@@ -1011,188 +1003,83 @@ class _Builder:
 
     # -- BGP lowering --------------------------------------------------------
 
-    def _build_bgp(
-        self, node: LogicalBGP, needed: frozenset[Variable] | None = None
+    def _absorb(
+        self,
+        op: PhysicalOperator,
+        pending: list[Expression],
+        covered: set[Variable] | None = None,
     ) -> PhysicalOperator:
-        if not node.patterns:
-            op: PhysicalOperator = Singleton(self.stats, 1.0 if self.estimator else None)
-            for expression in node.filters:
+        """Wrap ``op`` in a :class:`FilterOp` per pending filter whose
+        variables ``covered`` holds (every one when ``None``), in order,
+        and drop those from ``pending``."""
+        still = []
+        for expression in pending:
+            if covered is None or expression_variables(expression) <= covered:
                 op = FilterOp(
                     op, expression, self.stats, self._filter_estimate(op.estimated_rows)
                 )
-            return op
+            else:
+                still.append(expression)
+        pending[:] = still
+        return op
+
+    def _build_bgp(
+        self, node: LogicalBGP, needed: frozenset[Variable] | None = None
+    ) -> PhysicalOperator:
+        """Order, segment, place the filters, lower each component, compose.
+
+        The ordered patterns split into variable-disjoint components that
+        compose with :class:`HashJoin`. Every filter is placed once: in the
+        first component that covers its variables, else as a
+        :class:`FilterOp` above the first join that does, else on top. A
+        component becomes one ``VectorizedBGP`` when the store serves id
+        scans (:meth:`_lower_batches`) and the row-operator chain otherwise
+        (:meth:`_lower_rows`). ``needed`` is the late-materialization
+        contract the id-scan lowering gets from an enclosing projection
+        prune: only those variables, plus what the spanning filters read,
+        are decoded.
+        """
+        if not node.patterns:
+            op: PhysicalOperator = Singleton(self.stats, 1.0 if self.estimator else None)
+            return self._absorb(op, list(node.filters))
 
         if self.optimize and self.estimator is not None:
             ordered = self.estimator.order(node.patterns)
         else:
             ordered = list(node.patterns)
-
-        if self._vectorize:
-            return self._build_vectorized_bgp(node, ordered, needed)
-
-        remaining = list(node.filters)
-
-        def absorb(op: PhysicalOperator, covered: set[Variable]) -> PhysicalOperator:
-            still = []
-            for expression in remaining:
-                if expression_variables(expression) <= covered:
-                    op = FilterOp(
-                        op,
-                        expression,
-                        self.stats,
-                        self._filter_estimate(op.estimated_rows),
-                    )
-                else:
-                    still.append(expression)
-            remaining[:] = still
-            return op
-
-        if self.optimize:
-            components = self._segment(ordered)
-        else:
-            components = [ordered]
-
-        combined: PhysicalOperator | None = None
-        covered: set[Variable] = set()
-        for component in components:
-            component_vars: set[Variable] = set()
-            chain: PhysicalOperator | None = None
-            for pattern in component:
-                estimate = (
-                    self.estimator.pattern_cardinality(pattern)
-                    if self.estimator is not None
-                    else None
-                )
-                scan = IndexScan(self.store, pattern, self.stats, estimate)
-                if chain is None:
-                    chain = scan
-                else:
-                    chain = NestedLoopJoin(
-                        chain,
-                        scan,
-                        self.stats,
-                        self._join_estimate(chain.estimated_rows, estimate, True),
-                    )
-                component_vars |= pattern.variables()
-                # Filters confined to this component apply mid-chain, as
-                # early as their variables are covered.
-                chain = absorb(chain, component_vars)
-            if combined is None:
-                combined = chain
-            else:
-                combined = HashJoin(
-                    combined,
-                    chain,
-                    frozenset(component_vars),
-                    self.stats,
-                    self._join_estimate(
-                        combined.estimated_rows, chain.estimated_rows, False
-                    ),
-                )
-            covered |= component_vars
-            if combined is not None and len(components) > 1:
-                # Cross-component filters attach above the join that first
-                # covers their variables.
-                combined = absorb(combined, covered)
-
-        assert combined is not None
-        for expression in remaining:  # safety net: apply anything left on top
-            combined = FilterOp(
-                combined,
-                expression,
-                self.stats,
-                self._filter_estimate(combined.estimated_rows),
-            )
-        return combined
-
-    def _build_vectorized_bgp(
-        self,
-        node: LogicalBGP,
-        ordered: list[TriplePatternNode],
-        needed: frozenset[Variable] | None,
-    ) -> PhysicalOperator:
-        """Lower BGP components onto the batched id-scan operator family.
-
-        Each variable-disjoint component becomes one
-        :class:`~repro.sparql.vectorized.VectorizedBGP` (strategy chosen
-        per component from the statistics snapshot); components still
-        compose with :class:`HashJoin`. A filter confined to one component
-        goes into its operator, which applies it to the id batches; filters
-        spanning components attach as :class:`FilterOp` above the join that
-        first covers their variables. ``needed`` is the late-materialization
-        contract from an enclosing projection prune: only those variables
-        (plus what the spanning filters read) get decoded.
-        """
-        from .vectorized import VectorizedBGP
-
-        components = self._segment(ordered)
-        snapshot = self.estimator.snapshot if self.estimator is not None else None
+        components = self._segment(ordered) if self.optimize else [ordered]
         component_variables = [
             set().union(*(pattern.variables() for pattern in component))
             for component in components
         ]
-        # Each filter goes to the first component that covers it; the ones
-        # no single component covers stay above the joins.
         placed: list[list[Expression]] = [[] for _ in components]
-        remaining: list[Expression] = []
-        filter_vars: set[Variable] = set()
+        spanning: list[Expression] = []
         for expression in node.filters:
             variables = expression_variables(expression)
             home = next(
                 (
-                    index
-                    for index, covered_here in enumerate(component_variables)
+                    filters
+                    for filters, covered_here in zip(placed, component_variables)
                     if variables <= covered_here
                 ),
-                None,
+                spanning,
             )
-            if home is None:
-                remaining.append(expression)
-                filter_vars |= variables
-            else:
-                placed[home].append(expression)
+            home.append(expression)
+        # Spanning filters read decoded rows: their variables get decoded too.
+        spanning_vars = set().union(*map(expression_variables, spanning))
 
         combined: PhysicalOperator | None = None
         covered: set[Variable] = set()
-        decoded_total: set[Variable] = set()
         for component, component_vars, local in zip(
             components, component_variables, placed
         ):
-            pattern_estimates = [
-                self.estimator.pattern_cardinality(pattern)
-                if self.estimator is not None
-                else None
-                for pattern in component
-            ]
-            estimate: float | None = None
-            for index, pattern_estimate in enumerate(pattern_estimates):
-                if index == 0:
-                    estimate = pattern_estimate
-                else:
-                    estimate = self._join_estimate(estimate, pattern_estimate, True)
-            for _ in local:
-                estimate = self._filter_estimate(estimate)
-
-            if needed is None:
-                keep: frozenset[Variable] | None = None
-                decoded_total |= component_vars
+            if self._id_source is None:
+                op = self._lower_rows(component, local)
             else:
-                keep = frozenset((needed | filter_vars) & component_vars)
-                decoded_total |= keep
-            strategy, center, reason = choose_bgp_strategy(component, snapshot)
-            op: PhysicalOperator = VectorizedBGP(
-                self._id_source,
-                tuple(component),
-                tuple(local),
-                keep,
-                self.stats,
-                estimate,
-                pattern_estimates,
-                strategy,
-                center,
-                reason,
-            )
-
+                keep = None
+                if needed is not None:
+                    keep = frozenset((needed | spanning_vars) & component_vars)
+                op = self._lower_batches(component, local, keep)
             if combined is None:
                 combined = op
             else:
@@ -1206,35 +1093,78 @@ class _Builder:
                     ),
                 )
             covered |= component_vars
-            if len(components) > 1:
-                still = []
-                for expression in remaining:
-                    if expression_variables(expression) <= covered:
-                        combined = FilterOp(
-                            combined,
-                            expression,
-                            self.stats,
-                            self._filter_estimate(combined.estimated_rows),
-                        )
-                    else:
-                        still.append(expression)
-                remaining = still
+            combined = self._absorb(combined, spanning, covered)
 
         assert combined is not None
-        for expression in remaining:  # safety net, as in the iterator path
-            combined = FilterOp(
-                combined,
-                expression,
-                self.stats,
-                self._filter_estimate(combined.estimated_rows),
-            )
-        if needed is not None and decoded_total - needed:
+        combined = self._absorb(combined, spanning)  # covered by no component
+        if needed is not None and (spanning_vars - needed) & covered:
             # Spanning filters forced extra variables to be decoded;
             # restore exact Prune(BGP) output on top.
-            combined = PruneOp(
-                combined, needed, self.stats, combined.estimated_rows
-            )
+            combined = PruneOp(combined, needed, self.stats, combined.estimated_rows)
         return combined
+
+    def _pattern_estimate(self, pattern: TriplePatternNode) -> float | None:
+        if self.estimator is None:
+            return None
+        return self.estimator.pattern_cardinality(pattern)
+
+    def _lower_rows(
+        self, component: list[TriplePatternNode], filters: list[Expression]
+    ) -> PhysicalOperator:
+        """One component as an ``IndexScan`` / ``NestedLoopJoin`` chain, each
+        filter attached as soon as the chain covers its variables."""
+        pending = list(filters)
+        chain: PhysicalOperator | None = None
+        bound: set[Variable] = set()
+        for pattern in component:
+            estimate = self._pattern_estimate(pattern)
+            scan = IndexScan(self.store, pattern, self.stats, estimate)
+            if chain is None:
+                chain = scan
+            else:
+                chain = NestedLoopJoin(
+                    chain,
+                    scan,
+                    self.stats,
+                    self._join_estimate(chain.estimated_rows, estimate, True),
+                )
+            bound |= pattern.variables()
+            chain = self._absorb(chain, pending, bound)
+        assert chain is not None
+        return chain
+
+    def _lower_batches(
+        self,
+        component: list[TriplePatternNode],
+        filters: list[Expression],
+        keep: frozenset[Variable] | None,
+    ) -> PhysicalOperator:
+        """One component as a :class:`~repro.sparql.vectorized.VectorizedBGP`
+        with its join strategy chosen from the statistics snapshot; the
+        filters become masks over its id batches and ``keep`` (when not
+        ``None``) the only variables its row adaptor decodes."""
+        from .vectorized import VectorizedBGP
+
+        pattern_estimates = [self._pattern_estimate(p) for p in component]
+        estimate = pattern_estimates[0]
+        for pattern_estimate in pattern_estimates[1:]:
+            estimate = self._join_estimate(estimate, pattern_estimate, True)
+        for _ in filters:
+            estimate = self._filter_estimate(estimate)
+        snapshot = self.estimator.snapshot if self.estimator is not None else None
+        strategy, center, reason = choose_bgp_strategy(component, snapshot)
+        return VectorizedBGP(
+            self._id_source,
+            tuple(component),
+            tuple(filters),
+            keep,
+            self.stats,
+            estimate,
+            pattern_estimates,
+            strategy,
+            center,
+            reason,
+        )
 
     @staticmethod
     def _segment(ordered: list[TriplePatternNode]) -> list[list[TriplePatternNode]]:

@@ -3,11 +3,13 @@
 First stage of the query pipeline (survey §2/§4: efficiency through real
 query optimization, not tree-walking interpretation)::
 
-    parse → algebra → **logical plan** → cost-based ordering → physical plan
+    parse → **logical plan** → rewrites → cost-based ordering → physical operators
 
-The logical plan is a small relational tree lowered from the SPARQL algebra
-(:mod:`repro.sparql.algebra`) plus the solution modifiers of the query form.
-Rewrites applied here are *cost-independent* (they never consult the store):
+The logical plan is the engine's one intermediate form: a small relational
+tree that :func:`build_pattern_plan` translates straight from the parsed
+group graph pattern (SPARQL 1.1 group semantics), plus the solution
+modifiers of the query form. Rewrites applied here are *cost-independent*
+(they never consult the store):
 
 * **constant folding** — variable-free subexpressions of filters, BINDs and
   projections collapse to literals at plan time;
@@ -35,17 +37,6 @@ import hashlib
 from dataclasses import dataclass
 
 from ..rdf.terms import Literal, Variable
-from .algebra import (
-    BGP,
-    AlgebraNode,
-    Extend,
-    Filter,
-    Join,
-    LeftJoin,
-    Union,
-    Values,
-    translate_group,
-)
 from .expr import (
     ExprError,
     contains_aggregate,
@@ -57,10 +48,14 @@ from .expr import (
 from .nodes import (
     AskQuery,
     BinaryExpr,
+    BindPattern,
     ConstructQuery,
     DescribeQuery,
     Expression,
+    FilterPattern,
     FunctionCall,
+    GroupGraphPattern,
+    OptionalPattern,
     OrderCondition,
     Projection,
     Query,
@@ -68,6 +63,7 @@ from .nodes import (
     TermExpr,
     TriplePatternNode,
     UnaryExpr,
+    UnionPattern,
     ValuesPattern,
     VariableExpr,
 )
@@ -189,31 +185,60 @@ class LogicalSlice(LogicalNode):
 
 
 # --------------------------------------------------------------------------- #
-# Lowering: algebra / query forms → logical plan
+# Translation: parsed group patterns / query forms → logical plan
 # --------------------------------------------------------------------------- #
 
-
-def _lower(node: AlgebraNode) -> LogicalNode:
-    if isinstance(node, BGP):
-        return LogicalBGP(node.patterns)
-    if isinstance(node, Join):
-        return LogicalJoin(_lower(node.left), _lower(node.right))
-    if isinstance(node, LeftJoin):
-        return LogicalLeftJoin(_lower(node.left), _lower(node.right))
-    if isinstance(node, Union):
-        return LogicalUnion(tuple(_lower(b) for b in node.branches))
-    if isinstance(node, Filter):
-        return LogicalFilter(node.expression, _lower(node.input))
-    if isinstance(node, Extend):
-        return LogicalExtend(_lower(node.input), node.variable, node.expression)
-    if isinstance(node, Values):
-        return LogicalValues(node.pattern)
-    raise TypeError(f"unknown algebra node: {node!r}")
+_EMPTY_BGP = LogicalBGP(())
 
 
-def build_pattern_plan(group) -> LogicalNode:
-    """Logical plan for a bare WHERE group (ASK / CONSTRUCT / DESCRIBE)."""
-    return _lower(translate_group(group))
+def build_pattern_plan(group: GroupGraphPattern) -> LogicalNode:
+    """Logical plan for one ``{ ... }`` group (the WHERE of every form).
+
+    SPARQL 1.1 group semantics: adjacent triple patterns merge into one
+    BGP, OPTIONAL left-joins the group built so far, BIND extends it,
+    UNION / VALUES / nested groups join it, and sibling FILTERs scope over
+    the whole group wherever they were written.
+    """
+    current: LogicalNode = _EMPTY_BGP
+    pending: list[TriplePatternNode] = []
+    filters: list[Expression] = []
+
+    def join(node: LogicalNode) -> None:
+        nonlocal current
+        current = node if current == _EMPTY_BGP else LogicalJoin(current, node)
+
+    def flush_triples() -> None:
+        if pending:
+            join(LogicalBGP(tuple(pending)))
+            pending.clear()
+
+    for element in group.elements:
+        if isinstance(element, TriplePatternNode):
+            pending.append(element)
+            continue
+        if isinstance(element, FilterPattern):
+            filters.append(element.expression)
+            continue
+        flush_triples()
+        if isinstance(element, OptionalPattern):
+            current = LogicalLeftJoin(current, build_pattern_plan(element.pattern))
+        elif isinstance(element, BindPattern):
+            current = LogicalExtend(current, element.variable, element.expression)
+        elif isinstance(element, UnionPattern):
+            join(LogicalUnion(
+                tuple(build_pattern_plan(g) for g in element.alternatives)
+            ))
+        elif isinstance(element, ValuesPattern):
+            join(LogicalValues(element))
+        elif isinstance(element, GroupGraphPattern):
+            join(build_pattern_plan(element))
+        else:  # pragma: no cover - parser only emits the kinds above
+            raise TypeError(f"unknown group element: {element!r}")
+
+    flush_triples()
+    for expression in filters:
+        current = LogicalFilter(expression, current)
+    return current
 
 
 def build_select_plan(q: SelectQuery) -> LogicalNode:
@@ -663,7 +688,7 @@ def query_digest(parsed: Query, optimize: bool = True) -> str:
         node = (
             build_pattern_plan(parsed.where)
             if parsed.where is not None
-            else LogicalBGP(())
+            else _EMPTY_BGP
         )
         form = "DESCRIBE"
         extra = ",".join(

@@ -65,11 +65,11 @@ compose unchanged. Scans and star seeds start with a
 a full batch per pattern; what it cannot bound is the store's own first
 read (one ``match_id_batches`` batch, or a whole constraint run).
 
-``REPRO_EXEC=iterator|vectorized|auto`` (default ``auto``) selects the
-engine; ``auto`` uses the vectorized family whenever the store supports id
-scans and falls back to iterators otherwise (federation, remote endpoints,
-plain graphs). ``iterator`` is the reference the parity suite compares
-against, not a tuning mode.
+Nothing here is selected by an option: :func:`repro.sparql.physical
+.build_plan` lowers a BGP onto these operators exactly when the store
+answers :func:`~repro.store.base.as_id_scan_source` (and ``optimize`` is
+on); federation, remote endpoints, plain graphs and test doubles get the
+row operators, which the parity suite uses as the reference.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ..env import read_str
 from ..rdf.terms import Literal, Term, Variable
 from ..store.base import DEFAULT_BATCH_SIZE, IdScanSource
 from ..store.dictionary import VALUE_EXACT_INT, VALUE_FLOAT, TermDictionary
@@ -110,19 +109,13 @@ from .physical import (
 from .plan import _canonical_expression
 
 __all__ = [
-    "EXEC_ENV",
-    "EXEC_MODES",
     "FIRST_BATCH_SIZE",
     "BatchAggregateOp",
     "TopKOp",
     "VectorScan",
     "VectorizedBGP",
     "plan_batch_aggregate",
-    "resolve_exec_mode",
 ]
-
-EXEC_ENV = "REPRO_EXEC"
-EXEC_MODES = ("iterator", "vectorized", "auto")
 
 #: Rows in the first chunk a scan or star seed hands the pipeline; each
 #: following chunk doubles until it reaches the operator's batch size.
@@ -132,21 +125,6 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 # Existence-probe match stubs: one row / zero rows, no free-variable columns.
 _EXISTS = np.empty((1, 0), dtype=np.int64)
 _ABSENT = np.empty((0, 0), dtype=np.int64)
-
-
-def resolve_exec_mode(explicit: str | None = None) -> str:
-    """The execution-engine selector, validated.
-
-    ``explicit`` (an engine constructor argument) wins over the
-    ``REPRO_EXEC`` environment variable; unset means ``auto``.
-    """
-    mode = explicit if explicit is not None else read_str(EXEC_ENV)
-    mode = mode.strip().lower() or "auto"
-    if mode not in EXEC_MODES:
-        raise ValueError(
-            f"{EXEC_ENV} must be one of {EXEC_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 class _Batch(NamedTuple):

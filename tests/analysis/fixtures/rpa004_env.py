@@ -7,7 +7,7 @@ from os import environ
 token = os.environ.get("REPRO_TRACE")
 
 # TRUE POSITIVE: the from-import alias is the same raw access
-fallback = environ.get("REPRO_EXEC")
+fallback = environ.get("REPRO_PROFILE")
 
 # near-miss: os use that never touches the environment
 joined = os.path.join("a", "b")

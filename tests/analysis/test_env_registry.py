@@ -31,10 +31,10 @@ class TestReaders:
         assert read_flag("REPRO_TRACE") is False
 
     def test_str_falls_back_to_declared_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC", raising=False)
-        assert read_str("REPRO_EXEC") == "auto"
-        monkeypatch.setenv("REPRO_EXEC", "  vectorized  ")
-        assert read_str("REPRO_EXEC") == "vectorized"
+        monkeypatch.delenv("REPRO_SKETCH_K", raising=False)
+        assert read_str("REPRO_SKETCH_K") == "128"
+        monkeypatch.setenv("REPRO_SKETCH_K", "  64  ")
+        assert read_str("REPRO_SKETCH_K") == "64"
 
     def test_reads_are_live(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")

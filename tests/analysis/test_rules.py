@@ -61,7 +61,7 @@ class TestEnvRegistry:
         snippets = [f.snippet for f in result.findings]
         assert len(result.findings) == 2
         assert any("os.environ" in s for s in snippets)
-        assert any("environ.get(\"REPRO_EXEC\")" in s for s in snippets)
+        assert any("environ.get(\"REPRO_PROFILE\")" in s for s in snippets)
 
     def test_near_miss(self):
         result = run_rule("RPA004", "rpa004_env.py")

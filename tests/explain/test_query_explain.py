@@ -13,6 +13,7 @@ import pytest
 from repro.sparql import QueryEngine
 from repro.store import MemoryStore
 from repro.workload.rdf_graphs import powerlaw_link_graph, typed_entities, EX
+from tests.helpers import rows_only
 
 PREFIXES = (
     "PREFIX ex: <http://example.org/data/> "
@@ -66,7 +67,7 @@ def store():
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_chart_template_runs_on_the_batch_operators(store, template):
     query, operator, detail = TEMPLATES[template]
-    plan = QueryEngine(store, exec_mode="vectorized").explain(PREFIXES + query)
+    plan = QueryEngine(store).explain(PREFIXES + query)
     rendered = plan.render()
     batch = plan.find(operator)
     assert len(batch) == 1 and batch[0].detail == detail, rendered
@@ -76,9 +77,9 @@ def test_chart_template_runs_on_the_batch_operators(store, template):
     assert "filter=id[?v " in bgp[0].detail and "row[" not in bgp[0].detail, rendered
     assert "fallback" not in rendered
     assert batch[0].actual_rows > 0
-    # and the answer is the iterator reference's
-    reference = QueryEngine(store, exec_mode="iterator").query(PREFIXES + query)
-    answer = QueryEngine(store, exec_mode="vectorized").query(PREFIXES + query)
+    # and the answer is the row operators' (the reference)
+    reference = QueryEngine(rows_only(store)).query(PREFIXES + query)
+    answer = QueryEngine(store).query(PREFIXES + query)
     key = lambda row: sorted((str(v), t.n3()) for v, t in row.items())
     if template == "topk":
         assert [row["v"] for row in answer.rows] == [row["v"] for row in reference.rows]

@@ -10,6 +10,7 @@ from repro.server.approximate import (
 from repro.sparql.eval import QueryEngine
 from repro.sparql.parser import parse_query
 from repro.store.memory import MemoryStore
+from tests.helpers import rows_only
 
 EX = "http://example.org/"
 VALUE = IRI(EX + "value")
@@ -179,7 +180,7 @@ class TestEngineIndependence:
     @pytest.mark.parametrize("mode", ["iterator", "vectorized"])
     def test_bounded_work_both_engines(self, mode):
         store = numeric_store(500)  # 1000 triples
-        engine = QueryEngine(store, exec_mode=mode)
+        engine = QueryEngine(rows_only(store) if mode == "iterator" else store)
         answer = approximate_select(
             engine, "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }",
             max_rows=100,
@@ -196,7 +197,7 @@ class TestEngineIndependence:
 
     def test_vectorized_prefix_sample_stops_scanning(self):
         store = numeric_store(500)
-        engine = QueryEngine(store, exec_mode="vectorized")
+        engine = QueryEngine(store)
         query = (
             "SELECT (AVG(?v) AS ?mean) "
             "WHERE { ?s <http://example.org/value> ?v }"

@@ -1,9 +1,11 @@
-"""Property-based parity: iterator and vectorized engines agree.
+"""Property-based parity: the row and the id-batch operators agree.
 
 For randomized graphs × randomized query shapes (BGPs with shared
 variables, value filters, OPTIONAL blocks, LIMIT), both operator families
-must produce identical solution multisets — the vectorized engine is an
-execution strategy, never a semantics change. Row *order* is not part of
+must produce identical solution multisets — the batch operators are an
+execution strategy, never a semantics change. The reference side runs the
+same store behind ``rows_only``, which cannot serve id scans and so gets
+the row operators. Row *order* is not part of
 SPARQL semantics and differs between engines (id-sorted vs index-iteration
 order), so comparisons are order-insensitive; LIMIT without ORDER BY picks
 an arbitrary subset, so those queries compare cardinalities and containment
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql import QueryEngine
 from repro.store import MemoryStore
+from tests.helpers import rows_only
 
 NS = "http://parity.test/"
 
@@ -103,10 +106,10 @@ def test_engines_agree_on_solution_multisets(triples, query):
     for triple in triples:
         store.add(triple)
     iterator_rows = _multiset(
-        QueryEngine(store, exec_mode="iterator").query(query).rows
+        QueryEngine(rows_only(store)).query(query).rows
     )
     vectorized_rows = _multiset(
-        QueryEngine(store, exec_mode="vectorized").query(query).rows
+        QueryEngine(store).query(query).rows
     )
     assert iterator_rows == vectorized_rows
 
@@ -118,10 +121,10 @@ def test_engines_agree_under_limit(triples, query, limit):
     for triple in triples:
         store.add(triple)
     unlimited = _multiset(
-        QueryEngine(store, exec_mode="iterator").query(query).rows
+        QueryEngine(rows_only(store)).query(query).rows
     )
     limited = _multiset(
-        QueryEngine(store, exec_mode="vectorized")
+        QueryEngine(store)
         .query(f"{query} LIMIT {limit}")
         .rows
     )
@@ -138,10 +141,10 @@ def test_engines_agree_on_distinct(triples, query):
         store.add(triple)
     distinct_query = query.replace("SELECT *", "SELECT DISTINCT *", 1)
     iterator_rows = _multiset(
-        QueryEngine(store, exec_mode="iterator").query(distinct_query).rows
+        QueryEngine(rows_only(store)).query(distinct_query).rows
     )
     vectorized_rows = _multiset(
-        QueryEngine(store, exec_mode="vectorized").query(distinct_query).rows
+        QueryEngine(store).query(distinct_query).rows
     )
     assert iterator_rows == vectorized_rows
 
@@ -277,8 +280,8 @@ def _both_engines(make_store, triples, query):
         store = make_store(triples, directory)
         try:
             return (
-                QueryEngine(store, exec_mode="iterator").query(query).rows,
-                QueryEngine(store, exec_mode="vectorized").query(query).rows,
+                QueryEngine(rows_only(store)).query(query).rows,
+                QueryEngine(store).query(query).rows,
             )
         finally:
             close = getattr(store, "close", None)

@@ -61,7 +61,7 @@ class TestEngineEmission:
         assert set(leading.mask) <= {"b", "v"} and len(leading.mask) == 3
 
     def test_batch_consumers_are_named_and_scans_still_observed(self):
-        engine = QueryEngine(build_store(), exec_mode="vectorized")
+        engine = QueryEngine(build_store())
         engine.query(
             "SELECT ?l (COUNT(?s) AS ?n) (AVG(?v) AS ?mean) WHERE { "
             "?s <http://example.org/value> ?v . ?s <http://example.org/label> ?l "
@@ -114,6 +114,58 @@ class TestEngineEmission:
         record = OBS.querylog.records()[-1]
         span = OBS.tracer.recorder.spans()[-1]
         assert record.trace_id == span.trace_id
+
+
+def test_concurrent_queries_log_their_own_scans():
+    """Two threads share one engine: each record carries the scans of the
+    plan that query ran, not of whichever plan the engine built last."""
+    store = MemoryStore()
+    p0, p1, p2 = (IRI(f"{EX}p{index}") for index in range(3))
+    for index in range(3):
+        subject = IRI(f"{EX}item/{index}")
+        for predicate in (p0, p1, p2):
+            store.add(Triple(subject, predicate, Literal(index)))
+    entered, release = threading.Event(), threading.Event()
+
+    class ParkingStore:
+        """Row-only double whose scan of ``p0`` parks until released."""
+
+        def triples(self, pattern=(None, None, None)):
+            if pattern[1] == p0:
+                entered.set()
+                assert release.wait(timeout=10)
+            return store.triples(pattern)
+
+        def count(self, pattern=(None, None, None)):
+            return store.count(pattern)
+
+        def __len__(self):
+            return len(store)
+
+        def statistics(self):
+            return store.statistics()
+
+    engine = QueryEngine(ParkingStore())
+    parked = f"SELECT ?s WHERE {{ ?s {p0.n3()} ?o }}"
+    other = f"SELECT ?s WHERE {{ ?s {p1.n3()} ?a . ?s {p2.n3()} ?b }}"
+    thread = threading.Thread(target=engine.query, args=(parked,), daemon=True)
+    thread.start()
+    try:
+        assert entered.wait(timeout=10)
+        engine.query(other)
+    finally:
+        release.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+    scans = {
+        record.digest: sorted(scan.predicate for scan in record.scans)
+        for record in OBS.querylog.records()
+    }
+    assert scans == {
+        engine.plan_digest(parked): [p0.n3()],
+        engine.plan_digest(other): [p1.n3(), p2.n3()],
+    }
 
 
 class TestStreamingEmission:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple, Variable
-from repro.sparql import QueryEngine, choose_bgp_strategy, resolve_exec_mode
+from repro.sparql import QueryEngine, choose_bgp_strategy
 from repro.sparql.parser import parse_query
 from repro.sparql.vectorized import FIRST_BATCH_SIZE
 from repro.store import (
@@ -16,6 +16,7 @@ from repro.store import (
     as_id_scan_source,
 )
 from repro.workload.rdf_graphs import typed_entities
+from tests.helpers import rows_only
 
 EX = "http://example.org/data/"
 PREFIXES = (
@@ -41,38 +42,18 @@ def store():
 
 
 # ---------------------------------------------------------------------------
-# Mode resolution
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_exec_mode_defaults_and_explicit(monkeypatch):
-    monkeypatch.delenv("REPRO_EXEC", raising=False)
-    assert resolve_exec_mode() == "auto"
-    assert resolve_exec_mode("iterator") == "iterator"
-    monkeypatch.setenv("REPRO_EXEC", "VECTORIZED")
-    assert resolve_exec_mode() == "vectorized"
-    assert resolve_exec_mode("iterator") == "iterator"  # explicit wins
-
-
-def test_resolve_exec_mode_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC", "turbo")
-    with pytest.raises(ValueError, match="REPRO_EXEC"):
-        resolve_exec_mode()
-
-
-# ---------------------------------------------------------------------------
 # Engine selection and fallback matrix
 # ---------------------------------------------------------------------------
 
 
 def test_auto_uses_vectorized_on_id_scan_stores(store):
-    engine = QueryEngine(store, exec_mode="auto")
+    engine = QueryEngine(store)
     engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
     assert engine.stats.scan_batches > 0
 
 
 def test_iterator_mode_never_batches(store):
-    engine = QueryEngine(store, exec_mode="iterator")
+    engine = QueryEngine(rows_only(store))
     engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
     assert engine.stats.scan_batches == 0
     assert engine.stats.store_lookups > 0
@@ -82,7 +63,7 @@ def test_plain_graph_falls_back_to_iterator():
     graph = Graph()
     graph.add(Triple(IRI(EX + "a"), IRI(EX + "p"), Literal("x")))
     assert as_id_scan_source(graph) is None
-    engine = QueryEngine(graph, exec_mode="vectorized")
+    engine = QueryEngine(graph)
     result = engine.query(f"SELECT ?s WHERE {{ ?s <{EX}p> ?o }}")
     assert len(result.rows) == 1
     assert engine.stats.scan_batches == 0
@@ -91,14 +72,14 @@ def test_plain_graph_falls_back_to_iterator():
 def test_federation_falls_back_to_iterator(store):
     federated = FederatedStore([("main", store)])
     assert as_id_scan_source(federated) is None
-    engine = QueryEngine(federated, exec_mode="vectorized")
+    engine = QueryEngine(federated)
     result = engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
     assert len(result.rows) == 300
     assert engine.stats.scan_batches == 0
 
 
 def test_unoptimized_baseline_keeps_iterator_semantics(store):
-    engine = QueryEngine(store, optimize=False, exec_mode="vectorized")
+    engine = QueryEngine(store, optimize=False)
     engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
     assert engine.stats.scan_batches == 0
 
@@ -162,7 +143,7 @@ def test_chooser_duplicate_pattern_is_not_a_cycle():
 
 
 def test_explain_shows_strategy_and_scans(store):
-    engine = QueryEngine(store, exec_mode="vectorized")
+    engine = QueryEngine(store)
     plan = engine.explain(
         PREFIXES + "SELECT ?e ?v WHERE { ?e rdf:type ex:Class0 . "
         '?e ex:category0 "value0_1" . ?e ex:numeric0 ?v }',
@@ -182,8 +163,8 @@ def test_explain_analyze_matches_between_engines(store):
     query = PREFIXES + (
         "SELECT ?e ?v WHERE { ?e rdf:type ex:Class1 . ?e ex:numeric0 ?v }"
     )
-    analyzed_iterator = QueryEngine(store, exec_mode="iterator").explain(query)
-    analyzed_vectorized = QueryEngine(store, exec_mode="vectorized").explain(query)
+    analyzed_iterator = QueryEngine(rows_only(store)).explain(query)
+    analyzed_vectorized = QueryEngine(store).explain(query)
     assert analyzed_iterator.actual_rows == analyzed_vectorized.actual_rows
 
 
@@ -196,7 +177,7 @@ def test_limit_stops_after_bounded_batches():
     big = MemoryStore()
     for triple in typed_entities(5_000, seed=11):
         big.add(triple)
-    engine = QueryEngine(big, exec_mode="vectorized")
+    engine = QueryEngine(big)
     result = engine.query(
         PREFIXES + "SELECT ?s ?o WHERE { ?s ex:numeric0 ?o } LIMIT 5"
     )
@@ -210,7 +191,7 @@ def test_streaming_select_first_row_is_cheap():
     big = MemoryStore()
     for triple in typed_entities(5_000, seed=11):
         big.add(triple)
-    engine = QueryEngine(big, exec_mode="vectorized")
+    engine = QueryEngine(big)
     stream = engine.stream_select(
         PREFIXES + "SELECT ?s ?o WHERE { ?s ex:numeric0 ?o }"
     )
@@ -236,8 +217,8 @@ def test_repeated_variable_in_one_pattern():
     reflexive.add(Triple(a, p, b))
     reflexive.add(Triple(b, p, b))
     query = f"SELECT ?x WHERE {{ ?x <{EX}linked> ?x }}"
-    iterator_rows = multiset(QueryEngine(reflexive, exec_mode="iterator").query(query))
-    vectorized_rows = multiset(QueryEngine(reflexive, exec_mode="vectorized").query(query))
+    iterator_rows = multiset(QueryEngine(rows_only(reflexive)).query(query))
+    vectorized_rows = multiset(QueryEngine(reflexive).query(query))
     assert iterator_rows == vectorized_rows
     assert sum(vectorized_rows.values()) == 2
 
@@ -247,8 +228,8 @@ def test_filters_and_optional_parity(store):
         "SELECT ?e ?v ?c WHERE { ?e rdf:type ?c . ?e ex:numeric0 ?v . "
         "FILTER(?v > 40) OPTIONAL { ?e ex:category1 ?k } }"
     )
-    iterator_rows = multiset(QueryEngine(store, exec_mode="iterator").query(query))
-    vectorized_rows = multiset(QueryEngine(store, exec_mode="vectorized").query(query))
+    iterator_rows = multiset(QueryEngine(rows_only(store)).query(query))
+    vectorized_rows = multiset(QueryEngine(store).query(query))
     assert iterator_rows == vectorized_rows
     assert sum(iterator_rows.values()) > 0
 
@@ -258,8 +239,8 @@ def test_disjoint_components_parity(store):
     query = PREFIXES + (
         "SELECT ?a ?b WHERE { ?a rdf:type ex:Class1 . ?b rdf:type ex:Class2 }"
     )
-    iterator_rows = multiset(QueryEngine(store, exec_mode="iterator").query(query))
-    vectorized_rows = multiset(QueryEngine(store, exec_mode="vectorized").query(query))
+    iterator_rows = multiset(QueryEngine(rows_only(store)).query(query))
+    vectorized_rows = multiset(QueryEngine(store).query(query))
     assert iterator_rows == vectorized_rows
     assert sum(iterator_rows.values()) > 0
 
@@ -276,8 +257,8 @@ def test_cyclic_triangle_parity():
     query = PREFIXES + (
         "SELECT ?a ?b ?c WHERE { ?a ex:knows ?b . ?b ex:knows ?c . ?c ex:knows ?a }"
     )
-    iterator_rows = multiset(QueryEngine(triangle_store, exec_mode="iterator").query(query))
-    vectorized_rows = multiset(QueryEngine(triangle_store, exec_mode="vectorized").query(query))
+    iterator_rows = multiset(QueryEngine(rows_only(triangle_store)).query(query))
+    vectorized_rows = multiset(QueryEngine(triangle_store).query(query))
     assert iterator_rows == vectorized_rows
     assert sum(vectorized_rows.values()) == 9  # 3 triangles × 3 rotations
 
@@ -289,8 +270,8 @@ def test_cracking_store_end_to_end():
     query = PREFIXES + (
         'SELECT ?e WHERE { ?e rdf:type ex:Class0 . ?e ex:category0 "value0_0" }'
     )
-    iterator_rows = multiset(QueryEngine(cracking, exec_mode="iterator").query(query))
-    vectorized_rows = multiset(QueryEngine(cracking, exec_mode="vectorized").query(query))
+    iterator_rows = multiset(QueryEngine(rows_only(cracking)).query(query))
+    vectorized_rows = multiset(QueryEngine(cracking).query(query))
     assert iterator_rows == vectorized_rows
     assert cracking.sorts_paid > 0
 
@@ -300,8 +281,8 @@ def test_cracking_store_end_to_end():
 # ---------------------------------------------------------------------------
 
 
-def _explain(store_, query, mode="vectorized"):
-    return QueryEngine(store_, exec_mode=mode).explain(PREFIXES + query, analyze=True)
+def _explain(store_, query):
+    return QueryEngine(store_).explain(PREFIXES + query, analyze=True)
 
 
 def _only(plan, operator):
@@ -350,8 +331,8 @@ def test_string_comparison_keeps_row_semantics(store):
     plan = _explain(store, query)
     detail = _only(plan, "VectorizedBGP").detail
     assert 'filter=row[?l < "Entity 2"],row[STRSTARTS' in detail
-    assert multiset(QueryEngine(store, exec_mode="iterator").query(PREFIXES + query)) \
-        == multiset(QueryEngine(store, exec_mode="vectorized").query(PREFIXES + query))
+    assert multiset(QueryEngine(rows_only(store)).query(PREFIXES + query)) \
+        == multiset(QueryEngine(store).query(PREFIXES + query))
 
 
 def _mixed_store():
@@ -370,32 +351,32 @@ def test_mixed_kind_column_falls_back_visibly():
     # Planned in id space; the string in the column forces row semantics,
     # where "abc" > "2" and "7" > "2" compare as strings and pass.
     assert "filter=id[?v > 2]" in _only(
-        QueryEngine(mixed, exec_mode="vectorized").explain(PREFIXES + query, analyze=False),
+        QueryEngine(mixed).explain(PREFIXES + query, analyze=False),
         "VectorizedBGP",
     ).detail
     plan = _explain(mixed, query)
     assert "filter=row[?v > 2]" in _only(plan, "VectorizedBGP").detail
     assert plan.actual_rows == 5
-    assert plan.actual_rows == _explain(mixed, query, "iterator").actual_rows
+    assert plan.actual_rows == _explain(rows_only(mixed), query).actual_rows
 
 
 def test_sum_over_a_non_numeric_value_falls_back_to_rows():
     mixed = _mixed_store()
     query = PREFIXES + "SELECT ?g (SUM(?v) AS ?t) (COUNT(?v) AS ?n) WHERE { ?s ex:p ?v . ?s ex:g ?g } GROUP BY ?g"
-    plan = QueryEngine(mixed, exec_mode="vectorized").explain(query)
+    plan = QueryEngine(mixed).explain(query)
     assert plan.operator == "BatchAggregate"
     assert "fallback=rows[SUM over a non-numeric value]" in plan.detail
-    assert multiset(QueryEngine(mixed, exec_mode="iterator").query(query)) \
-        == multiset(QueryEngine(mixed, exec_mode="vectorized").query(query))
+    assert multiset(QueryEngine(rows_only(mixed)).query(query)) \
+        == multiset(QueryEngine(mixed).query(query))
 
 
 def test_top_k_over_a_non_numeric_column_sorts_everything():
     mixed = _mixed_store()
     query = PREFIXES + "SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY ?v LIMIT 2"
-    plan = QueryEngine(mixed, exec_mode="vectorized").explain(query)
+    plan = QueryEngine(mixed).explain(query)
     assert "fallback=all rows[non-numeric sort value]" in _only(plan, "TopK").detail
-    assert QueryEngine(mixed, exec_mode="iterator").query(query).rows \
-        == QueryEngine(mixed, exec_mode="vectorized").query(query).rows
+    assert QueryEngine(rows_only(mixed)).query(query).rows \
+        == QueryEngine(mixed).query(query).rows
 
 
 @pytest.mark.parametrize(
@@ -415,8 +396,8 @@ def test_top_k_over_a_non_numeric_column_sorts_everything():
 def test_uncovered_aggregate_shapes_stay_on_the_row_operator(store, query):
     plan = _explain(store, query)
     assert plan.find("Aggregate") and not plan.find("BatchAggregate")
-    assert multiset(QueryEngine(store, exec_mode="iterator").query(PREFIXES + query)) \
-        == multiset(QueryEngine(store, exec_mode="vectorized").query(PREFIXES + query))
+    assert multiset(QueryEngine(rows_only(store)).query(PREFIXES + query)) \
+        == multiset(QueryEngine(store).query(PREFIXES + query))
 
 
 def test_non_id_scan_source_runs_filter_aggregate_and_sort_as_rows(store):
@@ -440,11 +421,11 @@ def test_integer_sum_stays_integer_and_huge_sums_fall_back():
     for index, value in enumerate([3, 4, 2**52, 2**52 + 1]):
         ints.add(Triple(IRI(EX + f"i{index}"), p, Literal(value)))
     small = PREFIXES + "SELECT (SUM(?v) AS ?t) (MIN(?v) AS ?lo) WHERE { ?s ex:p ?v . FILTER(?v < 10) }"
-    result = QueryEngine(ints, exec_mode="vectorized").query(small)
+    result = QueryEngine(ints).query(small)
     assert result.rows == [{Variable("t"): Literal(7), Variable("lo"): Literal(3)}]
     assert "fallback" not in result.plan.detail
     huge = PREFIXES + "SELECT (SUM(?v) AS ?t) WHERE { ?s ex:p ?v }"
-    result = QueryEngine(ints, exec_mode="vectorized").query(huge)
+    result = QueryEngine(ints).query(huge)
     assert "fallback=rows[SUM could leave the exact integer range]" in result.plan.detail
     assert result.rows == [{Variable("t"): Literal(2**53 + 8)}]
 
@@ -459,7 +440,7 @@ def test_aggregate_decodes_only_its_output_rows(monkeypatch):
         big.dictionary, "decode_batch",
         lambda ids: decoded.append(len(ids)) or decode_batch(ids),
     )
-    result = QueryEngine(big, exec_mode="vectorized").query(
+    result = QueryEngine(big).query(
         PREFIXES + "SELECT ?c (COUNT(?s) AS ?n) (AVG(?v) AS ?mean) WHERE { "
         "?s ex:category0 ?c . ?s ex:numeric0 ?v . FILTER(?v > 43.2) } GROUP BY ?c"
     )
@@ -474,7 +455,7 @@ def test_star_limit_expands_hundreds_of_rows_not_the_class(one_class):
         "SELECT ?s ?l ?v ?c WHERE { ?s rdf:type ex:Class0 . ?s rdfs:label ?l . "
         "?s ex:numeric0 ?v . ?s ex:category1 ?c . FILTER(?v > 50) } LIMIT 20"
     )
-    engine = QueryEngine(one_class, exec_mode="vectorized")
+    engine = QueryEngine(one_class)
     result = engine.query(PREFIXES + query)
     assert len(result.rows) == 20
     assert result.stats.scan_rows < 2_000
@@ -483,7 +464,7 @@ def test_star_limit_expands_hundreds_of_rows_not_the_class(one_class):
 
 
 def test_scan_chunks_start_small_and_double(one_class):
-    engine = QueryEngine(one_class, exec_mode="vectorized")
+    engine = QueryEngine(one_class)
     stream = engine.stream_select(PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v }")
     rows = iter(stream.rows)
     for _ in range(FIRST_BATCH_SIZE):
@@ -497,7 +478,7 @@ def test_scan_chunks_start_small_and_double(one_class):
 
 
 def test_filter_masks_preserve_the_streamed_row_order(one_class):
-    engine = QueryEngine(one_class, exec_mode="vectorized")
+    engine = QueryEngine(one_class)
     everything = list(engine.stream_select(
         PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v }").rows)
     filtered = list(engine.stream_select(
@@ -525,7 +506,7 @@ def test_value_column_is_shared_across_concurrent_workers():
         try:
             start.wait(timeout=10)
             for _ in range(5):
-                row = QueryEngine(shared, exec_mode="vectorized").query(query).rows[0]
+                row = QueryEngine(shared).query(query).rows[0]
                 sums.append((row[Variable("t")].value, row[Variable("n")].value))
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
@@ -556,6 +537,6 @@ def test_value_column_is_shared_across_concurrent_workers():
     values, kinds = shared.dictionary.numeric_columns()
     assert shared.dictionary.numeric_columns()[0] is values
     assert len(values) == len(kinds) == len(shared.dictionary)
-    total = QueryEngine(shared, exec_mode="vectorized").query(
+    total = QueryEngine(shared).query(
         PREFIXES + "SELECT (SUM(?v) AS ?t) WHERE { ?s ex:q ?v }").rows[0]
     assert total[Variable("t")].value == sum(i + 0.5 for i in range(1_000))
