@@ -84,13 +84,14 @@ from ..sparql.parser import parse_query
 from ..sparql.results import (
     SelectResult,
     ask_to_sparql_json,
-    iter_csv,
-    iter_sparql_json,
-    iter_tsv,
+    csv_document,
+    decode_block,
+    json_document,
     term_to_json,
     to_csv,
     to_sparql_json,
     to_tsv,
+    tsv_document,
 )
 from ..store.base import StoreStatistics, TripleSource, compute_statistics
 from .admission import FairAdmissionQueue
@@ -105,6 +106,7 @@ from .sketch import (
 from .http import (
     HttpError,
     HttpRequest,
+    StreamAborted,
     read_request,
     write_chunked,
     write_response,
@@ -118,6 +120,13 @@ CSV_TYPE = "text/csv"
 TSV_TYPE = "text/tab-separated-values"
 NTRIPLES_TYPE = "application/n-triples"
 TABLE_TYPE = "text/plain"
+
+# The formats a SELECT streams in: content type and document generator.
+_STREAMED = {
+    "json": (JSON_TYPE, json_document),
+    "csv": (CSV_TYPE, csv_document),
+    "tsv": (TSV_TYPE, tsv_document),
+}
 
 
 @dataclass
@@ -143,7 +152,6 @@ class ServerConfig:
     # engine
     cache_capacity: int = 128
     # delivery
-    chunk_rows: int = 64
     read_timeout_s: float = 10.0
     # test/CI hook: artificial per-query latency to force overload;
     # scoped to one tenant when debug_delay_tenant is set (so tests can
@@ -568,6 +576,11 @@ class ReproServer:
                 continue
             try:
                 self._handle(pending, engine)
+            except StreamAborted as aborted:
+                # The 200 head is out: a second head would be read as chunk
+                # framing. Close instead; the client sees a truncated body.
+                record_error("server.stream", aborted.__cause__)
+                _close_quietly(pending.wfile)
             except Exception as exc:
                 record_error("server.handle", exc)
                 try:
@@ -696,7 +709,7 @@ class ReproServer:
         OBS.querylog.annotate_serving(tier="exact")
         self._mark_served(EXACT)
         if isinstance(parsed, SelectQuery):
-            self._answer_select_exact(pending, engine, text, parsed, accept)
+            self._answer_select_exact(pending, engine, parsed, accept)
         elif isinstance(parsed, AskQuery):
             self._count_status(200)
             write_response(
@@ -903,7 +916,6 @@ class ReproServer:
         self,
         pending: _Pending,
         engine: CachedQueryEngine,
-        text: str,
         parsed: SelectQuery,
         accept: str,
     ) -> None:
@@ -932,36 +944,40 @@ class ReproServer:
             return
         if parsed.select_all or fmt == "table":
             # SELECT * needs all rows before its header is known, and the
-            # ASCII table pads columns globally: materialize these.
-            result = engine.query(text)
+            # ASCII table pads columns globally: materialize these. (The
+            # probe above was this request's one cache miss.)
+            result = engine.engine.query(parsed, digest=key)
+            cache.put(key, result)
             self._respond_select(pending, result, fmt, headers)
             return
-        # Streaming path: chunked delivery straight off the operator tree,
-        # teeing rows into the worker's result cache for the next hit.
+        # Streaming path: one HTTP chunk per batch off the operator tree,
+        # terms first touched here, by the serializer. The document
+        # generator holds one block back, so a one-block answer is written
+        # whole, and the last block of a longer one with the document's
+        # close, only after the engine has merged its stats and logged the
+        # query: a client that has the response finds both in /stats and
+        # /debug/queries.
         stream = engine.engine.stream_select(parsed, digest=key)
-        collected: list[dict] = []
+        content_type, document = _STREAMED[fmt]
+        kept = []
 
-        def tee():
-            for row in stream.rows:
-                collected.append(row)
-                yield row
-            cache.put(
-                key,
-                SelectResult(stream.variables, collected, plan_digest=key),
-            )
+        def blocks():
+            for batch in stream.batches:
+                kept.append(batch)
+                yield decode_block(
+                    stream.variables, batch.columns, batch.count,
+                    stream.dictionary,
+                )
 
-        if fmt == "csv":
-            content_type, chunks = CSV_TYPE, iter_csv(stream.variables, tee())
-        elif fmt == "tsv":
-            content_type, chunks = TSV_TYPE, iter_tsv(stream.variables, tee())
-        else:
-            content_type, chunks = JSON_TYPE, iter_sparql_json(
-                stream.variables, tee()
-            )
         headers["Content-Type"] = content_type
         self._count_status(200)
         write_chunked(pending.wfile, 200, headers,
-                      _batched(chunks, self.config.chunk_rows))
+                      document(stream.variables, blocks()))
+        # Reached only when the whole answer went out: what the next hit
+        # is served from is the batches themselves, not row dicts.
+        cache.put(key, SelectResult.from_batches(
+            stream.variables, kept, stream.dictionary, plan_digest=key,
+        ))
 
     def _respond_select(
         self,
@@ -1186,18 +1202,6 @@ def _negotiate_select(accept: str) -> str | None:
     return None
 
 
-def _batched(chunks, batch: int):
-    """Coalesce small serializer chunks into network-sized writes."""
-    buffer: list[str] = []
-    for chunk in chunks:
-        buffer.append(chunk)
-        if len(buffer) >= batch:
-            yield "".join(buffer)
-            buffer.clear()
-    if buffer:
-        yield "".join(buffer)
-
-
 def _int_param(request: HttpRequest, name: str, default: int) -> int:
     value = request.query.get(name)
     if value is None:
@@ -1208,7 +1212,8 @@ def _int_param(request: HttpRequest, name: str, default: int) -> int:
         return default
 
 
-def _close_quietly(connection: socket.socket) -> None:
+def _close_quietly(connection) -> None:
+    """Close a socket (or a file made from one), whatever state it is in."""
     try:
         connection.close()
     except OSError:

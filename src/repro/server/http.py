@@ -14,12 +14,14 @@ load shedding, not protocol completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import BinaryIO, Iterable
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 __all__ = [
     "HttpError",
     "HttpRequest",
+    "StreamAborted",
     "read_request",
     "write_response",
     "write_chunked",
@@ -50,6 +52,16 @@ class HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+class StreamAborted(Exception):
+    """A chunked response failed after its head was written.
+
+    The status line is out, so there is no second answer to give: the
+    caller must not write another head, only close the connection — the
+    missing terminal chunk is how the client learns the body is truncated.
+    The failure itself is ``__cause__``.
+    """
 
 
 @dataclass
@@ -172,17 +184,28 @@ def write_chunked(
     The per-chunk flush is what keeps first-row latency flat: the client
     sees the header and the first batch of rows while the operator tree is
     still producing the rest.
+
+    The first chunk is pulled before anything is written, so a source that
+    fails at once propagates its own exception and the caller can still
+    answer with an error status. Any later failure, in the source or on the
+    socket, raises :class:`StreamAborted` from it, with no terminal chunk
+    written.
     """
     out = dict(headers)
     out["Transfer-Encoding"] = "chunked"
     out.setdefault("Connection", "close")
     out.pop("Content-Length", None)
-    wfile.write(_head(status, out))
-    for chunk in chunks:
-        data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
-        if not data:
-            continue
-        wfile.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
+    chunks = iter(chunks)
+    first = next(chunks, b"")
+    try:
+        wfile.write(_head(status, out))
+        for chunk in chain((first,), chunks):
+            data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+            if not data:
+                continue
+            wfile.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
+            wfile.flush()
+        wfile.write(b"0\r\n\r\n")
         wfile.flush()
-    wfile.write(b"0\r\n\r\n")
-    wfile.flush()
+    except Exception as exc:
+        raise StreamAborted(f"chunked response aborted: {exc}") from exc

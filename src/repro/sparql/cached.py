@@ -17,6 +17,7 @@ mirrored into the ``cache.requests`` telemetry counters (:mod:`repro.obs`).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import replace
 
@@ -36,7 +37,9 @@ class CachedQueryEngine:
 
     Only string-form queries are cached (parsed Query objects are assumed
     to be programmatic one-offs). SELECT results are cached as-is — they
-    are immutable by convention; callers must not mutate ``rows``.
+    are immutable by convention; callers must not mutate ``rows``. What
+    the engine answered in id batches is cached as id columns and decoded
+    into rows by the first reader who asks for them.
     """
 
     def __init__(
@@ -97,19 +100,16 @@ def _tag_cached(result):
     Only the root node is tagged (``render`` annotates the whole tree from
     it). The cached result object itself is left untouched — the caller of
     the run that *computed* the entry must keep seeing an untagged plan —
-    so a hit returns a shallow re-wrap sharing rows and stats.
+    so a hit returns a shallow re-wrap sharing the backing (rows, or id
+    columns that stay columns until a reader asks for rows) and stats.
     """
     if not isinstance(result, SelectResult) or result.plan is None:
         return result
     if result.plan.cached:
         return result
-    return SelectResult(
-        result.variables,
-        result.rows,
-        stats=result.stats,
-        plan=replace(result.plan, cached=True),
-        plan_digest=result.plan_digest,
-    )
+    tagged = copy.copy(result)
+    tagged.plan = replace(result.plan, cached=True)
+    return tagged
 
 
 def _cached_form(result) -> str:

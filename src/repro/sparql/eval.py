@@ -36,6 +36,7 @@ from .nodes import (
 from .optimizer import CardinalityEstimator, CorrectionTable
 from .parser import parse_query
 from .physical import (
+    Batch,
     EvalStats,
     ExplainNode,
     PhysicalOperator,
@@ -52,7 +53,7 @@ from .plan import (
     optimize_plan,
     query_digest,
 )
-from .results import SelectResult
+from .results import SelectResult, block_rows, decode_block, row_blocks
 
 __all__ = [
     "EvalStats",
@@ -65,17 +66,30 @@ __all__ = [
 
 @dataclass
 class StreamingSelect:
-    """A lazily-evaluated SELECT: rows are produced on demand.
+    """A lazily-evaluated SELECT: solutions are produced on demand.
 
     ``variables`` is the projection header (empty for ``SELECT *``, whose
     variables are only known once rows exist); ``root`` is the executing
     physical operator tree, exposing the planner's ``estimated_rows`` before
     a single row has been pulled — the serving layer's work estimate.
+
+    ``rows`` and ``batches`` are two views of one evaluation — consume one
+    of them. ``batches`` is the answer as the engine produces it, a
+    :class:`~repro.sparql.physical.Batch` at a time, for consumers that
+    serialize or keep it column-wise (:func:`~repro.sparql.results
+    .decode_block`, :meth:`SelectResult.from_batches`): id columns to decode
+    through ``dictionary`` when the plan delivers id batches, else
+    (``dictionary`` is ``None``) the row operators' output gathered into
+    columns of terms. ``None`` for ``SELECT *``, which has no header to
+    lay columns out by. ``rows`` decodes the same batches into dicts, one
+    batch at a time.
     """
 
     variables: list[Variable]
     rows: "object"  # Iterator[dict[Variable, Term]]
     root: PhysicalOperator
+    batches: "object"  # Iterator[Batch] | None
+    dictionary: "object"  # TermDictionary | None
 
     @property
     def estimated_rows(self) -> float | None:
@@ -209,12 +223,10 @@ class QueryEngine:
                 with OBS.tracer.span(
                     "sparql.explain", form=type(parsed).__name__
                 ) as span:
-                    for _ in root.execute({}):
-                        pass
+                    _drain(root)
                     span.add_child(operator_span(root))
             else:
-                for _ in root.execute({}):
-                    pass
+                _drain(root)
             self.stats.merge(per_query)
         return root.explain()
 
@@ -223,9 +235,10 @@ class QueryEngine:
     ) -> StreamingSelect:
         """Evaluate a SELECT without materializing its rows.
 
-        The returned iterator drives the streaming physical operators
-        directly, so the first row costs first-row work, not full-result
-        work — the property the serving layer's chunked delivery relies on.
+        The returned iterators (:class:`StreamingSelect`: ``rows`` or
+        ``batches``) drive the streaming physical operators directly, so
+        the first row costs first-batch work, not full-result work — the
+        property the serving layer's chunked delivery relies on.
         Per-query stats merge into :attr:`stats` when the iterator is
         exhausted (an abandoned iterator contributes nothing). The query
         log, by contrast, records *every* started stream when it closes —
@@ -255,12 +268,12 @@ class QueryEngine:
         if logging and log.trace_provider is not None:
             trace_id = getattr(log.trace_provider(), "trace_id", None)
 
-        def generate():
+        def generate(solutions, size):
             finished = False
             try:
-                for row in root.execute({}):
-                    per_query.solutions += 1
-                    yield row
+                for item in solutions:
+                    per_query.solutions += size(item)
+                    yield item
                 finished = True
                 self.stats.merge(per_query)
             finally:
@@ -278,7 +291,17 @@ class QueryEngine:
                         complete=finished,
                     )
 
-        return StreamingSelect(variables, generate(), root)
+        dictionary = root.batch_dictionary()
+        if dictionary is not None:
+            batches = generate(root.execute_batches({}), lambda batch: batch.count)
+            rows = _decoded_rows(variables, batches, dictionary)
+        else:
+            rows = generate(root.execute({}), lambda row: 1)
+            batches = None if parsed.select_all else (
+                Batch(dict(zip(variables, columns)), count)
+                for columns, count in row_blocks(variables, rows)
+            )
+        return StreamingSelect(variables, rows, root, batches, dictionary)
 
     def plan_digest(self, text: str | Query) -> str:
         """Stable digest of the optimized logical plan (result-cache key)."""
@@ -339,13 +362,25 @@ class QueryEngine:
         self, q: SelectQuery, per_query: EvalStats
     ) -> tuple[SelectResult, PhysicalOperator]:
         root = self._build_root(q, per_query)
-        rows = list(root.execute({}))
-        if q.select_all:
-            variables = sorted({v for row in rows for v in row}, key=str)
+        dictionary = root.batch_dictionary()
+        if dictionary is not None:
+            # The plan delivers id batches: the answer stays id columns
+            # until a consumer asks for rows or a serializer for text.
+            result = SelectResult.from_batches(
+                [p.variable for p in q.projections],
+                list(root.execute_batches({})),
+                dictionary,
+            )
         else:
-            variables = [p.variable for p in q.projections]
-        per_query.solutions += len(rows)
-        result = SelectResult(variables, rows, stats=per_query, plan=root.explain())
+            rows = list(root.execute({}))
+            if q.select_all:
+                variables = sorted({v for row in rows for v in row}, key=str)
+            else:
+                variables = [p.variable for p in q.projections]
+            result = SelectResult(variables, rows)
+        per_query.solutions += len(result)
+        result.stats = per_query
+        result.plan = root.explain()
         return result, root
 
     def _eval_ask(
@@ -394,6 +429,29 @@ class QueryEngine:
             for triple in self.store.triples((None, None, resource)):
                 graph.add(triple)
         return graph, root
+
+
+def _drain(root: PhysicalOperator) -> None:
+    """Run a plan for its accounting alone, the way a query would."""
+    if root.batch_dictionary() is not None:
+        solutions = root.execute_batches({})
+    else:
+        solutions = root.execute({})
+    for _ in solutions:
+        pass
+
+
+def _decoded_rows(variables: list[Variable], batches, dictionary):
+    """``batches`` as solution rows, decoded one batch at a time."""
+    try:
+        for columns, count in batches:
+            yield from block_rows(
+                variables, decode_block(variables, columns, count, dictionary)
+            )
+    finally:
+        # Closing the rows closes the evaluation (and logs it) now, not
+        # when the last reference to ``batches`` goes away.
+        batches.close()
 
 
 def _form_name(parsed: Query) -> str:

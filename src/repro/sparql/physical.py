@@ -7,6 +7,14 @@ Each operator carries its planner *estimate* and counts the rows it
 *actually* produced; :meth:`PhysicalOperator.explain` exposes both as an
 :class:`ExplainNode` tree, the EXPLAIN/EXPLAIN ANALYZE surface.
 
+Operators that can say so (:meth:`PhysicalOperator.batch_dictionary`) have
+a second way out, ``execute_batches(binding)``: the same solutions as
+:class:`Batch` objects of dictionary ids, never decoded here. A
+:class:`~repro.sparql.vectorized.VectorizedBGP` produces them,
+:class:`ProjectOp` (plain variables) and :class:`SliceOp` pass them on as a
+column pick and an array slice, and the engine hands them to the serializer
+as they are; every other operator consumes and produces rows.
+
 Join strategy:
 
 * :class:`NestedLoopJoin` — correlated: the right side re-executes once per
@@ -26,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ..obs import Span
 from ..rdf.terms import Term, Variable, term_sort_key
@@ -74,7 +82,13 @@ from .plan import (
     possible_variables,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from ..store.dictionary import TermDictionary
+
 __all__ = [
+    "Batch",
     "EvalStats",
     "ExplainNode",
     "PhysicalOperator",
@@ -177,14 +191,24 @@ class ExplainNode:
         return [node for node in self.walk() if node.operator == operator]
 
 
+class Batch(NamedTuple):
+    """One unit of columnar state: aligned ``(count,)`` int64 id columns,
+    one per variable bound in these solutions. (``stream_select`` lays a
+    row plan's answer out the same way, with lists of terms for columns.)"""
+
+    columns: "dict[Variable, np.ndarray]"
+    count: int
+
+
 class PhysicalOperator:
-    """Base class: wraps ``_run`` with actual-row accounting.
+    """Base class: wraps ``_run`` (rows) and ``_batches`` (id batches) with
+    actual-row accounting.
 
     When the owning :class:`EvalStats` carries a tracer, execution also
     accumulates inclusive wall-clock time into ``wall_ns``. Timing is
     suspension-aware: a pull-based operator is only charged for the
-    segments between being resumed and yielding the next row, never for
-    the time its consumer holds the generator suspended.
+    segments between being resumed and yielding the next row or batch,
+    never for the time its consumer holds the generator suspended.
     """
 
     name = "Operator"
@@ -223,6 +247,37 @@ class PhysicalOperator:
         self.wall_ns += clock() - started
 
     def _run(self, binding: Binding) -> Iterator[Binding]:  # pragma: no cover
+        raise NotImplementedError
+
+    def batch_dictionary(self) -> "TermDictionary | None":
+        """The dictionary of the ids :meth:`execute_batches` yields;
+        ``None`` (the default) when this operator only produces rows."""
+        return None
+
+    def execute_batches(self, binding: Binding) -> Iterator[Batch]:
+        """The batch protocol: ``execute``'s solutions, still as id columns.
+
+        Accounts like ``execute`` does (executions, actual rows, inclusive
+        suspension-aware time), per batch instead of per row. Only for
+        operators whose :meth:`batch_dictionary` answers.
+        """
+        self.executions += 1
+        timed = self.stats.tracer is not None
+        if timed:
+            self.timed = True
+        clock = time.perf_counter_ns
+        started = clock()
+        for batch in self._batches(binding):
+            if timed:
+                self.wall_ns += clock() - started
+            self.actual_rows += batch.count
+            self.stats.record_rows(self.name, batch.count)
+            yield batch
+            started = clock()
+        if timed:
+            self.wall_ns += clock() - started
+
+    def _batches(self, binding: Binding) -> Iterator[Batch]:  # pragma: no cover
         raise NotImplementedError
 
     def detail(self) -> str:
@@ -544,6 +599,17 @@ class ProjectOp(PhysicalOperator):
                     projected[projection.variable] = value
             yield projected
 
+    def batch_dictionary(self) -> "TermDictionary | None":
+        if self.select_all or any(p.expression is not None for p in self.projections):
+            return None
+        return self.child.batch_dictionary()
+
+    def _batches(self, binding: Binding) -> Iterator[Batch]:
+        """Plain-variable projection of id batches: a column pick."""
+        wanted = [projection.variable for projection in self.projections]
+        for columns, count in self.child.execute_batches(binding):
+            yield Batch({v: columns[v] for v in wanted if v in columns}, count)
+
     def detail(self) -> str:
         if self.select_all:
             return "*"
@@ -663,6 +729,34 @@ class SliceOp(PhysicalOperator):
             produced += 1
             if self.limit is not None and produced >= self.limit:
                 return
+
+    def batch_dictionary(self) -> "TermDictionary | None":
+        return self.child.batch_dictionary()
+
+    def _batches(self, binding: Binding) -> Iterator[Batch]:
+        """The same window over id batches: an array slice per batch."""
+        if self.limit == 0:
+            return
+        skip = self.offset
+        remaining = self.limit
+        for batch in self.child.execute_batches(binding):
+            if skip >= batch.count:
+                skip -= batch.count
+                continue
+            stop = batch.count
+            if remaining is not None:
+                stop = min(stop, skip + remaining)
+            if skip or stop < batch.count:
+                batch = Batch(
+                    {v: column[skip:stop] for v, column in batch.columns.items()},
+                    stop - skip,
+                )
+            skip = 0
+            yield batch
+            if remaining is not None:
+                remaining -= batch.count
+                if not remaining:
+                    return
 
     def detail(self) -> str:
         parts = []

@@ -14,22 +14,42 @@ negotiates (and a client parses back):
 * SPARQL 1.1 Query Results CSV and TSV (``text/csv``,
   ``text/tab-separated-values``) — :func:`to_csv` / :func:`to_tsv`.
 
-Each format has a streaming variant (``iter_*``) yielding string chunks so
-the serving layer (:mod:`repro.server`) can deliver arbitrarily large
-results with flat first-row latency over chunked transfer encoding.
+**Blocks, not rows.** Between the engine and the socket a SELECT answer is
+a sequence of id batches (:class:`~repro.sparql.physical.Batch`), and this
+module is where their terms are first touched: :func:`decode_block` turns a
+batch into a *block* — ``(columns, count)``, one list of terms per header
+variable (``None`` for a variable no row binds, ``None`` cells where a row
+leaves it unbound) — through ``TermDictionary.decode_batch``, and each
+format has one column-wise encoder that turns a block into text
+(:func:`json_document`, :func:`csv_document`, :func:`tsv_document`). The
+row-taking ``iter_*`` functions are the same encoders behind
+:func:`row_blocks`, which gathers rows into blocks of :data:`BLOCK_ROWS`.
+
+A document generator yields its head together with the first block, then
+one string per block, then the last block together with the tail; a block
+is only encoded, and its piece yielded, once its successor exists. The
+serving layer
+(:mod:`repro.server`) writes one HTTP chunk per piece, so first-row latency
+stays flat on arbitrarily large results and the final piece leaves only
+after the block source — the engine — has finished.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+import numpy as np
 
 from ..rdf.terms import BNode, IRI, Literal, Term, Variable, XSD_STRING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .physical import EvalStats, ExplainNode
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..store.dictionary import TermDictionary
+    from .physical import Batch, EvalStats, ExplainNode
 
 __all__ = [
+    "BLOCK_ROWS",
     "SelectResult",
     "term_to_json",
     "term_from_json",
@@ -42,7 +62,73 @@ __all__ = [
     "iter_sparql_json",
     "iter_csv",
     "iter_tsv",
+    "json_document",
+    "csv_document",
+    "tsv_document",
+    "row_blocks",
+    "decode_block",
+    "block_rows",
 ]
+
+#: Rows :func:`row_blocks` gathers into one block (the id-batch path takes
+#: the engine's batches as they come: 256 rows, doubling).
+BLOCK_ROWS = 256
+
+#: One block of a SELECT answer: a column of terms per header variable.
+Block = tuple["list[list[Term | None] | None]", int]
+
+
+def row_blocks(
+    variables: list[Variable], rows: Iterable[dict[Variable, Term]]
+) -> Iterator[Block]:
+    """Solution rows as blocks of up to :data:`BLOCK_ROWS` rows."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, BLOCK_ROWS)):
+        yield [[row.get(v) for row in chunk] for v in variables], len(chunk)
+
+
+def decode_block(
+    variables: list[Variable],
+    columns: "dict[Variable, np.ndarray | list[Term | None]]",
+    count: int,
+    dictionary: "TermDictionary | None",
+) -> Block:
+    """The block of one batch: each header variable's id column decoded.
+
+    ``dictionary=None`` means the columns already hold terms (a row plan's
+    answer kept column-wise).
+    """
+    if dictionary is None:
+        return [columns.get(v) for v in variables], count
+    decode = dictionary.decode_batch
+    return [decode(columns[v]) if v in columns else None for v in variables], count
+
+
+def block_rows(variables: list[Variable], block: Block) -> list[dict[Variable, Term]]:
+    """A block as solution rows (unbound variables omitted)."""
+    columns, count = block
+    names = [v for v, column in zip(variables, columns) if column is not None]
+    if not names:
+        return [{} for _ in range(count)]
+    return [
+        {v: term for v, term in zip(names, cells) if term is not None}
+        for cells in zip(*(column for column in columns if column is not None))
+    ]
+
+
+class _Columns:
+    """A result held column-wise: one column per bound variable (int64 ids
+    to decode through ``dictionary``, or lists of terms when it is
+    ``None``), plus the rows once somebody asked for them. Shared between
+    a result and its re-wraps, so the rows are built at most once."""
+
+    __slots__ = ("columns", "count", "dictionary", "rows")
+
+    def __init__(self, columns, count, dictionary) -> None:
+        self.columns = columns
+        self.count = count
+        self.dictionary = dictionary
+        self.rows: list[dict[Variable, Term]] | None = None
 
 
 class SelectResult:
@@ -54,6 +140,13 @@ class SelectResult:
     digest of the optimized logical plan — the result-cache key the
     engine computed anyway, carried here so the serving layer and the
     query log never re-derive it from query text.
+
+    A result is backed by its rows, or — :meth:`from_batches`, what the
+    engine builds when the plan delivers id batches — by id columns and
+    the dictionary they decode through. ``rows`` of a columnar result are
+    decoded on first access and kept; ``len``, :meth:`blocks` and with it
+    every serializer work from the columns and leave them as they are, so
+    a cached page costs three int64 columns until somebody asks for dicts.
     """
 
     def __init__(
@@ -65,19 +158,77 @@ class SelectResult:
         plan_digest: str | None = None,
     ) -> None:
         self.variables: list[Variable] = list(variables)
-        self.rows: list[dict[Variable, Term]] = rows
+        self._rows: list[dict[Variable, Term]] | None = rows
+        self._columns: _Columns | None = None
         self.stats = stats
         self.plan = plan
         self.plan_digest = plan_digest
 
+    @classmethod
+    def from_batches(
+        cls,
+        variables: list[Variable],
+        batches: "list[Batch]",
+        dictionary: "TermDictionary | None",
+        stats: "EvalStats | None" = None,
+        plan: "ExplainNode | None" = None,
+        plan_digest: str | None = None,
+    ) -> "SelectResult":
+        """The answer made of ``batches``, kept column-wise.
+
+        Every batch of one plan carries the same variables, so each becomes
+        one concatenated (and thereby compact: batches are views into store
+        arrays) column. ``dictionary=None``: the columns are term lists.
+        """
+        result = cls(variables, None, stats, plan, plan_digest)  # type: ignore[arg-type]
+        columns = {}
+        for variable in batches[0].columns if batches else ():
+            parts = [batch.columns[variable] for batch in batches]
+            columns[variable] = (
+                list(chain.from_iterable(parts))
+                if dictionary is None
+                else np.concatenate(parts)
+            )
+        result._columns = _Columns(
+            columns, sum(batch.count for batch in batches), dictionary
+        )
+        return result
+
+    @property
+    def rows(self) -> list[dict[Variable, Term]]:
+        held = self._columns
+        if held is None:
+            return self._rows
+        if held.rows is None:
+            held.rows = [
+                row
+                for block in self.blocks()
+                for row in block_rows(self.variables, block)
+            ]
+        return held.rows
+
+    def blocks(self) -> Iterator[Block]:
+        """The answer as serializer blocks, without building row dicts
+        that do not exist yet."""
+        held = self._columns
+        if held is None or held.rows is not None:
+            return row_blocks(self.variables, self.rows)
+        if not held.count:
+            return iter(())
+        return iter((
+            decode_block(self.variables, held.columns, held.count, held.dictionary),
+        ))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._columns is not None:
+            return self._columns.count
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[dict[Variable, Term]]:
         return iter(self.rows)
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return len(self) > 0
 
     def __getitem__(self, index: int) -> dict[Variable, Term]:
         return self.rows[index]
@@ -115,11 +266,13 @@ class SelectResult:
     def to_table(self, max_rows: int | None = 20) -> str:
         """ASCII table rendering (the classic endpoint result view)."""
         headers = [f"?{v}" for v in self.variables]
-        body_rows = self.rows if max_rows is None else self.rows[:max_rows]
-        cells = [
-            [_render(row.get(v)) for v in self.variables]
-            for row in body_rows
-        ]
+        cells: list[tuple[str, ...]] = []
+        for columns, count in self.blocks():
+            if max_rows is not None and len(cells) >= max_rows:
+                break
+            cells.extend(_cells(columns, count, _render))
+        if max_rows is not None:
+            del cells[max_rows:]
         widths = [
             max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
             for i in range(len(headers))
@@ -128,12 +281,12 @@ class SelectResult:
         lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)), sep]
         for row in cells:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if max_rows is not None and len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
+        if max_rows is not None and len(self) > max_rows:
+            lines.append(f"... ({len(self) - max_rows} more rows)")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SelectResult {len(self.rows)} rows x {len(self.variables)} vars>"
+        return f"<SelectResult {len(self)} rows x {len(self.variables)} vars>"
 
 
 def _render(term: Term | None) -> str:
@@ -142,6 +295,21 @@ def _render(term: Term | None) -> str:
     if isinstance(term, Literal):
         return term.lexical
     return str(term)
+
+
+def _cells(
+    columns: "list[list[Term | None] | None]",
+    count: int,
+    field: Callable[[Term | None], str],
+) -> Iterable[tuple[str, ...]]:
+    """A block row by row, every term rendered by ``field`` (which maps
+    ``None``, an unbound cell, to the empty string)."""
+    if not columns:
+        return [()] * count
+    return zip(*(
+        [""] * count if column is None else [field(term) for term in column]
+        for column in columns
+    ))
 
 
 # --------------------------------------------------------------------------- #
@@ -197,34 +365,103 @@ def binding_to_json(
     return record
 
 
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps escapes with
+
+
+def _json_term(term: Term) -> str:
+    """``json.dumps(term_to_json(term))``, without the dict in between."""
+    if isinstance(term, Literal):
+        text = '{"type": "literal", "value": ' + _escape(term.lexical)
+        if term.lang is not None:
+            return text + ', "xml:lang": ' + _escape(term.lang) + "}"
+        if term.datatype and term.datatype != XSD_STRING:
+            return text + ', "datatype": ' + _escape(term.datatype) + "}"
+        return text + "}"
+    if isinstance(term, IRI):
+        return '{"type": "uri", "value": ' + _escape(term) + "}"
+    if isinstance(term, BNode):
+        return '{"type": "bnode", "value": ' + _escape(term) + "}"
+    raise TypeError(f"not an RDF term: {term!r}")
+
+
+def _document(
+    head: str,
+    blocks: Iterable[Block],
+    encode: "Callable[[list[list[Term | None] | None], int], str]",
+    separator: str = "",
+    tail: str = "",
+) -> Iterator[str]:
+    """``head + first block``, the blocks between (each behind
+    ``separator``), ``last block + tail``. A block is encoded and its piece
+    yielded once its successor exists, the last one therefore only after
+    the source of the blocks is exhausted."""
+    prefix = head
+    held = None
+    for block in blocks:
+        if not block[1]:
+            continue
+        if held is not None:
+            yield prefix + encode(*held)
+            prefix = separator
+        held = block
+    yield prefix + ("" if held is None else encode(*held)) + tail
+
+
+def json_document(
+    variables: list[Variable],
+    blocks: Iterable[Block],
+    extra: dict[str, object] | None = None,
+) -> Iterator[str]:
+    """A results-JSON document piece by piece, one per block.
+
+    Byte for byte what ``json.dumps`` makes of :func:`binding_to_json` row
+    by row, built per column instead: one ``"name": {term}`` fragment per
+    bound cell, joined per row, joined per block.
+
+    ``extra`` lands as an ``x-repro`` top-level member (the endpoint uses it
+    for approximation metadata); the W3C grammar permits extension members.
+    """
+    names = [str(v) for v in variables]
+    head = '{"head": ' + json.dumps({"vars": names})
+    if extra:
+        head += ', "x-repro": ' + json.dumps(extra, sort_keys=True)
+    # A variable listed twice is still one member of a binding object.
+    keys = [
+        None if name in names[:index] else _escape(name) + ": "
+        for index, name in enumerate(names)
+    ]
+
+    def encode(columns: "list[list[Term | None] | None]", count: int) -> str:
+        fragments = [
+            [None if term is None else key + _json_term(term) for term in column]
+            for key, column in zip(keys, columns)
+            if key is not None and column is not None
+        ]
+        if not fragments:
+            return ", ".join(["{}"] * count)
+        return ", ".join(
+            ["{" + ", ".join(filter(None, row)) + "}" for row in zip(*fragments)]
+        )
+
+    return _document(
+        head + ', "results": {"bindings": [', blocks, encode, ", ", "]}}"
+    )
+
+
 def iter_sparql_json(
     variables: list[Variable],
     rows: Iterable[dict[Variable, Term]],
     extra: dict[str, object] | None = None,
 ) -> Iterator[str]:
-    """Stream a results-JSON document chunk by chunk.
-
-    ``extra`` lands as an ``x-repro`` top-level member (the endpoint uses it
-    for approximation metadata); the W3C grammar permits extension members.
-    """
-    head = {"vars": [str(v) for v in variables]}
-    prefix = '{"head": ' + json.dumps(head)
-    if extra:
-        prefix += ', "x-repro": ' + json.dumps(extra, sort_keys=True)
-    yield prefix + ', "results": {"bindings": ['
-    first = True
-    for row in rows:
-        chunk = json.dumps(binding_to_json(variables, row))
-        yield chunk if first else ", " + chunk
-        first = False
-    yield "]}}"
+    """:func:`json_document` over solution rows."""
+    return json_document(variables, row_blocks(variables, rows), extra)
 
 
 def to_sparql_json(
     result: SelectResult, extra: dict[str, object] | None = None
 ) -> str:
     """The whole :class:`SelectResult` as a results-JSON document."""
-    return "".join(iter_sparql_json(result.variables, result.rows, extra))
+    return "".join(json_document(result.variables, result.blocks(), extra))
 
 
 def ask_to_sparql_json(value: bool) -> str:
@@ -268,31 +505,58 @@ def _csv_field(term: Term | None) -> str:
     return text
 
 
+def _tsv_field(term: Term | None) -> str:
+    return "" if term is None else term.n3()
+
+
+def _delimited_document(
+    header: str,
+    blocks: Iterable[Block],
+    field: Callable[[Term | None], str],
+    delimiter: str,
+    newline: str,
+) -> Iterator[str]:
+    """The shared shape of CSV and TSV: a header line, then one line per
+    row, rendered column by column."""
+    def encode(columns: "list[list[Term | None] | None]", count: int) -> str:
+        return "".join(
+            delimiter.join(cells) + newline for cells in _cells(columns, count, field)
+        )
+
+    return _document(header + newline, blocks, encode)
+
+
+def csv_document(variables: list[Variable], blocks: Iterable[Block]) -> Iterator[str]:
+    """The W3C CSV serialization (CRLF line endings, plain values), one
+    piece per block."""
+    header = ",".join(str(v) for v in variables)
+    return _delimited_document(header, blocks, _csv_field, ",", "\r\n")
+
+
 def iter_csv(
     variables: list[Variable], rows: Iterable[dict[Variable, Term]]
 ) -> Iterator[str]:
-    """Stream the W3C CSV serialization (CRLF line endings, plain values)."""
-    yield ",".join(str(v) for v in variables) + "\r\n"
-    for row in rows:
-        yield ",".join(_csv_field(row.get(v)) for v in variables) + "\r\n"
+    """:func:`csv_document` over solution rows."""
+    return csv_document(variables, row_blocks(variables, rows))
 
 
 def to_csv(result: SelectResult) -> str:
-    return "".join(iter_csv(result.variables, result.rows))
+    return "".join(csv_document(result.variables, result.blocks()))
+
+
+def tsv_document(variables: list[Variable], blocks: Iterable[Block]) -> Iterator[str]:
+    """The W3C TSV serialization (terms in Turtle/N-Triples syntax), one
+    piece per block."""
+    header = "\t".join(f"?{v}" for v in variables)
+    return _delimited_document(header, blocks, _tsv_field, "\t", "\n")
 
 
 def iter_tsv(
     variables: list[Variable], rows: Iterable[dict[Variable, Term]]
 ) -> Iterator[str]:
-    """Stream the W3C TSV serialization (terms in Turtle/N-Triples syntax)."""
-    yield "\t".join(f"?{v}" for v in variables) + "\n"
-    for row in rows:
-        fields = []
-        for variable in variables:
-            term = row.get(variable)
-            fields.append("" if term is None else term.n3())
-        yield "\t".join(fields) + "\n"
+    """:func:`tsv_document` over solution rows."""
+    return tsv_document(variables, row_blocks(variables, rows))
 
 
 def to_tsv(result: SelectResult) -> str:
-    return "".join(iter_tsv(result.variables, result.rows))
+    return "".join(tsv_document(result.variables, result.blocks()))

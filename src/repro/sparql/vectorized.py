@@ -39,9 +39,15 @@ value column cannot stand in for, keeps row semantics through
 combination of the filter's variables (``filter=row[...]``). A mask never
 reorders rows, so streamed prefixes see the same order as before.
 
-**The batch protocol continues above the BGP.** :meth:`VectorizedBGP
-.execute_batches` hands the filtered id batches to the two operators that
-answer chart-shaped queries without materializing rows:
+**The batch protocol continues above the BGP, to the wire.**
+``execute_batches`` (:class:`~repro.sparql.physical.PhysicalOperator`)
+hands the filtered id batches on undecoded. A plain-variable ``ProjectOp``
+and a ``SliceOp`` pass them through (column pick, array slice), so a
+listing — ``Project[→Slice]→VectorizedBGP``, every SELECT a user pages
+through — leaves the engine as id columns and its terms are first touched
+by the serializer (:mod:`repro.sparql.results`), once per delivered cell.
+Two operators answer chart-shaped queries from the same batches without
+materializing rows:
 
 * :class:`BatchAggregateOp` — GROUP BY on id columns (``np.unique``),
   COUNT by ``bincount``, SUM/AVG/MIN/MAX over the value column, COUNT
@@ -57,9 +63,10 @@ are decoded once and go through ``AggregateOp`` / ``SortOp`` unchanged.
 
 The streaming pull interface is preserved: a :class:`VectorizedBGP` *is* a
 :class:`~repro.sparql.physical.PhysicalOperator` whose ``execute`` yields
-decoded ``Binding`` rows (the row adaptor over the same batches), so LIMIT
-pushdown, budgets, tracing, prefix sampling, and chunked HTTP delivery
-compose unchanged. Scans and star seeds start with a
+decoded ``Binding`` rows (the row adaptor over the same batches) for the
+row operators above it — ``Distinct``, ``Sort``, joins, ``Extend``,
+expression projections — so LIMIT pushdown, budgets, tracing and prefix
+sampling compose unchanged. Scans and star seeds start with a
 :data:`FIRST_BATCH_SIZE`-row chunk that doubles up to the batch size, so a
 ``LIMIT k`` consumer that stops pulling has expanded hundreds of rows, not
 a full batch per pattern; what it cannot bound is the store's own first
@@ -74,7 +81,6 @@ row operators, which the parity suite uses as the reference.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -102,6 +108,7 @@ from .nodes import (
 )
 from .physical import (
     AggregateOp,
+    Batch,
     EvalStats,
     PhysicalOperator,
     filter_passes,
@@ -125,13 +132,6 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 # Existence-probe match stubs: one row / zero rows, no free-variable columns.
 _EXISTS = np.empty((1, 0), dtype=np.int64)
 _ABSENT = np.empty((0, 0), dtype=np.int64)
-
-
-class _Batch(NamedTuple):
-    """One unit of columnar intermediate state: aligned id columns."""
-
-    columns: dict[Variable, np.ndarray]
-    count: int
 
 
 class _Resolved(NamedTuple):
@@ -223,12 +223,12 @@ def _distinct_keys(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return keys, inverse.reshape(-1)
 
 
-def _compress(batch: _Batch, mask: np.ndarray) -> _Batch:
+def _compress(batch: Batch, mask: np.ndarray) -> Batch:
     """The rows of ``batch`` where ``mask`` holds, in their original order."""
     count = int(np.count_nonzero(mask))
     if count == batch.count:
         return batch
-    return _Batch(
+    return Batch(
         {variable: column[mask] for variable, column in batch.columns.items()},
         count,
     )
@@ -400,8 +400,8 @@ class _FilterStages:
         self.bound: set[Variable] = set(binding)
 
     def after(
-        self, batches: Iterator[_Batch], variables: Iterable[Variable] | None
-    ) -> Iterator[_Batch]:
+        self, batches: Iterator[Batch], variables: Iterable[Variable] | None
+    ) -> Iterator[Batch]:
         """``variables`` just got bound; ``None`` = the last stage ran."""
         if not self.pending:
             return batches
@@ -460,10 +460,11 @@ class VectorScan(PhysicalOperator):
 class VectorizedBGP(PhysicalOperator):
     """One BGP component executed as batched columnar operators over ids.
 
-    Two ways out: :meth:`execute_batches` yields the filtered id batches
-    (the batch protocol :class:`BatchAggregateOp` and :class:`TopKOp`
-    consume), and ``execute`` is the row adaptor over the same batches for
-    every other consumer. ``decode_variables`` (when not ``None``) is the
+    Two ways out: ``execute_batches`` yields the filtered id batches (the
+    batch protocol ``ProjectOp`` / ``SliceOp`` continue and
+    :class:`BatchAggregateOp` / :class:`TopKOp` consume), and ``execute``
+    is the row adaptor over the same batches for every other consumer.
+    ``decode_variables`` (when not ``None``) is the
     late-materialization contract of the row adaptor: only those variables
     are decoded and kept in output rows — the builder passes the
     projection-pruned set, and the output is then exactly what
@@ -543,29 +544,10 @@ class VectorizedBGP(PhysicalOperator):
     def _run(self, binding: Binding) -> Iterator[Binding]:
         return self.rows(self._batches(binding), binding)
 
-    def execute_batches(self, binding: Binding) -> Iterator[_Batch]:
-        """The batch protocol: ``execute``'s solutions, still as id columns.
+    def batch_dictionary(self) -> TermDictionary:
+        return self.source.dictionary
 
-        Accounts like ``execute`` does (executions, actual rows, inclusive
-        suspension-aware time), per batch instead of per row.
-        """
-        self.executions += 1
-        timed = self.stats.tracer is not None
-        if timed:
-            self.timed = True
-        clock = time.perf_counter_ns
-        started = clock()
-        for batch in self._batches(binding):
-            if timed:
-                self.wall_ns += clock() - started
-            self.actual_rows += batch.count
-            self.stats.record_rows(self.name, batch.count)
-            yield batch
-            started = clock()
-        if timed:
-            self.wall_ns += clock() - started
-
-    def _batches(self, binding: Binding) -> Iterator[_Batch]:
+    def _batches(self, binding: Binding) -> Iterator[Batch]:
         resolved: list[_Resolved] = []
         for pattern in self.patterns:
             one = _resolve_pattern(pattern, binding, self.source)
@@ -598,8 +580,8 @@ class VectorizedBGP(PhysicalOperator):
     # -- filters -------------------------------------------------------------
 
     def _apply_filters(
-        self, batches: Iterator[_Batch], filters: list[_Filter], binding: Binding
-    ) -> Iterator[_Batch]:
+        self, batches: Iterator[Batch], filters: list[_Filter], binding: Binding
+    ) -> Iterator[Batch]:
         """Mask every batch by ``filters``; survivors keep their order."""
         dictionary = self.source.dictionary
         for batch in batches:
@@ -617,7 +599,7 @@ class VectorizedBGP(PhysicalOperator):
             if batch.count:
                 yield batch
 
-    def _row_mask(self, one: _Filter, batch: _Batch, binding: Binding) -> np.ndarray:
+    def _row_mask(self, one: _Filter, batch: Batch, binding: Binding) -> np.ndarray:
         """Row semantics, once per distinct combination of the variables."""
         present = [v for v in one.variables if v in batch.columns]
         if not present:  # every variable is ambient-bound (or unbound)
@@ -636,7 +618,7 @@ class VectorizedBGP(PhysicalOperator):
 
     def _pipeline(
         self, resolved: list[_Resolved], stages: _FilterStages
-    ) -> Iterator[_Batch]:
+    ) -> Iterator[Batch]:
         batches = stages.after(self._scan(0, resolved[0]), resolved[0].variables())
         for index in range(1, len(resolved)):
             batches = stages.after(
@@ -645,7 +627,7 @@ class VectorizedBGP(PhysicalOperator):
             )
         return batches
 
-    def _scan(self, scan_index: int, one: _Resolved) -> Iterator[_Batch]:
+    def _scan(self, scan_index: int, one: _Resolved) -> Iterator[Batch]:
         scan: VectorScan = self.children[scan_index]  # type: ignore[assignment]
         scan.executions += 1
         self.stats.store_lookups += 1
@@ -664,7 +646,7 @@ class VectorizedBGP(PhysicalOperator):
             columns = {
                 variable: raw[:, position] for position, variable in one.var_slots
             }
-            yield _Batch(columns, len(raw))
+            yield Batch(columns, len(raw))
 
     def _probe_matches(
         self,
@@ -695,8 +677,8 @@ class VectorizedBGP(PhysicalOperator):
         return raw[:, [position for position, _ in free]]
 
     def _probe(
-        self, batches: Iterator[_Batch], scan_index: int, one: _Resolved
-    ) -> Iterator[_Batch]:
+        self, batches: Iterator[Batch], scan_index: int, one: _Resolved
+    ) -> Iterator[Batch]:
         """Index-probe join: extend each batch by one pattern's matches."""
         scan: VectorScan = self.children[scan_index]  # type: ignore[assignment]
         for batch in batches:
@@ -750,7 +732,7 @@ class VectorizedBGP(PhysicalOperator):
                         for variable, column in batch.columns.items()
                     }
                     columns[free[0][1]] = values[match_index]
-                    yield _Batch(columns, total)
+                    yield Batch(columns, total)
                     continue
 
             match_lists: list[np.ndarray] = []
@@ -786,7 +768,7 @@ class VectorizedBGP(PhysicalOperator):
                 )
                 for slot, (_, variable) in enumerate(free):
                     columns[variable] = concatenated[match_index, slot]
-            yield _Batch(columns, total)
+            yield Batch(columns, total)
 
     # -- worst-case-optimal joins -------------------------------------------
 
@@ -827,7 +809,7 @@ class VectorizedBGP(PhysicalOperator):
 
     def _star_join(
         self, resolved: list[_Resolved], stages: _FilterStages
-    ) -> Iterator[_Batch]:
+    ) -> Iterator[Batch]:
         """Intersect constraint-only center runs, then expand survivors.
 
         Only patterns whose variables are *all* the center contribute runs
@@ -870,9 +852,9 @@ class VectorizedBGP(PhysicalOperator):
         if not len(candidates):
             return
 
-        def seed() -> Iterator[_Batch]:
+        def seed() -> Iterator[Batch]:
             for chunk in self._growing_chunks((candidates,)):
-                yield _Batch({center: chunk}, len(chunk))
+                yield Batch({center: chunk}, len(chunk))
 
         batches = stages.after(seed(), (center,))
         for index, one in expanders:
@@ -881,7 +863,7 @@ class VectorizedBGP(PhysicalOperator):
             )
         yield from batches
 
-    def _generic_join(self, resolved: list[_Resolved]) -> Iterator[_Batch]:
+    def _generic_join(self, resolved: list[_Resolved]) -> Iterator[Batch]:
         """Generic-join recursion: eliminate one variable per level."""
         frequency: dict[Variable, int] = {}
         for one in resolved:
@@ -892,14 +874,14 @@ class VectorizedBGP(PhysicalOperator):
             for index, one in enumerate(resolved):
                 if not len(self._probe_matches(list(one.ids), (), one.dup_slots)):
                     return
-            yield _Batch({}, 1)
+            yield Batch({}, 1)
             return
 
         buffers: dict[Variable, list[int]] = {variable: [] for variable in order}
         buffered = 0
 
-        def flush() -> _Batch:
-            batch = _Batch(
+        def flush() -> Batch:
+            batch = Batch(
                 {
                     variable: np.array(values, dtype=np.int64)
                     for variable, values in buffers.items()
@@ -910,7 +892,7 @@ class VectorizedBGP(PhysicalOperator):
                 values.clear()
             return batch
 
-        def descend(depth: int, bound: dict[Variable, int]) -> Iterator[_Batch]:
+        def descend(depth: int, bound: dict[Variable, int]) -> Iterator[Batch]:
             nonlocal buffered
             variable = order[depth]
             runs = sorted(
@@ -956,7 +938,7 @@ class VectorizedBGP(PhysicalOperator):
 
     # -- decode boundary -----------------------------------------------------
 
-    def rows(self, batches: Iterable[_Batch], binding: Binding) -> Iterator[Binding]:
+    def rows(self, batches: Iterable[Batch], binding: Binding) -> Iterator[Binding]:
         """Decode id batches into solution rows (the row adaptor)."""
         decode = self.source.dictionary.decode_batch
         keep = self.decode_variables
@@ -993,7 +975,7 @@ class VectorizedBGP(PhysicalOperator):
 # --------------------------------------------------------------------------- #
 
 
-def _concat(batches: list[_Batch], variables: Iterable[Variable]) -> _Batch:
+def _concat(batches: list[Batch], variables: Iterable[Variable]) -> Batch:
     """One batch holding ``variables`` of every input batch, in order."""
     count = sum(batch.count for batch in batches)
     columns = {
@@ -1004,7 +986,7 @@ def _concat(batches: list[_Batch], variables: Iterable[Variable]) -> _Batch:
         )
         for variable in variables
     }
-    return _Batch(columns, count)
+    return Batch(columns, count)
 
 
 class _AggSpec(NamedTuple):
@@ -1137,7 +1119,7 @@ class BatchAggregateOp(AggregateOp):
         return iter(rows)
 
     def _batch_rows(
-        self, batch: _Batch, dictionary: TermDictionary
+        self, batch: Batch, dictionary: TermDictionary
     ) -> list[Binding] | None:
         total = batch.count
         if self.group_vars:
@@ -1300,10 +1282,10 @@ class TopKOp(PhysicalOperator):
             return child.execute(binding)
         return child.rows(self._candidates(binding), binding)
 
-    def _candidates(self, binding: Binding) -> Iterator[_Batch]:
+    def _candidates(self, binding: Binding) -> Iterator[Batch]:
         child = self.child
         dictionary = child.source.dictionary
-        kept: _Batch | None = None
+        kept: Batch | None = None
         for batch in child.execute_batches(binding):
             if kept is not None:
                 batch = _concat([kept, batch], batch.columns)

@@ -93,13 +93,6 @@ def decode_term(data: bytes) -> Term:
     raise ValueError(f"unknown term kind byte: {kind}")
 
 
-#: Bound on the per-dictionary decode memo (see :meth:`TermDictionary
-#: .decode_batch`). Late materialization decodes the same hot ids (types,
-#: predicates, popular objects) over and over within a query; 64k entries
-#: cover any realistic working set while keeping worst-case memory small.
-_DECODE_MEMO_LIMIT = 65_536
-
-
 #: Kind codes of the numeric value column (:meth:`TermDictionary
 #: .numeric_columns`). ``VALUE_OTHER`` is zero so "every id of this column
 #: is a plain number" is ``kinds[ids].all()``.
@@ -148,9 +141,6 @@ class TermDictionary:
     def __init__(self) -> None:
         self._term_to_id: dict[Term, int] = {}
         self._id_to_term: list[Term] = []
-        # id -> term memo for decode_batch; keyed on plain ints so numpy
-        # scalars from id columns are normalized once, not per repeat.
-        self._decode_memo: dict[int, Term] = {}
         # The numeric value column, published copy-on-write: readers take
         # the (values, kinds) pair with one attribute read and never see a
         # half-built array; _value_lock only serializes the extension so
@@ -181,26 +171,14 @@ class TermDictionary:
     def decode_batch(self, term_ids) -> list[Term]:
         """Decode a sequence of ids (e.g. a numpy column) to terms.
 
-        The hot path of late materialization: id columns repeat the same
-        values heavily (types, predicates, shared objects), so decoded
-        terms are memoized in a bounded per-dictionary map. The memo is
-        dropped wholesale when it outgrows its bound — ids are stable, so
-        there is no invalidation to get wrong, only a cold restart.
+        The one decode entry point of late materialization. Repeated ids
+        come back as the same term object: the reverse direction is a
+        list, and indexing it is cheaper than any memo in front of it.
         """
-        memo = self._decode_memo
         table = self._id_to_term
-        out: list[Term] = []
-        append = out.append
-        for term_id in term_ids:
-            key = int(term_id)
-            term = memo.get(key)
-            if term is None:
-                term = table[key]
-                memo[key] = term
-            append(term)
-        if len(memo) > _DECODE_MEMO_LIMIT:
-            memo.clear()
-        return out
+        if isinstance(term_ids, np.ndarray):
+            term_ids = term_ids.tolist()  # plain ints index a list fastest
+        return [table[term_id] for term_id in term_ids]
 
     def numeric_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The shared value column: ``(values, kinds)`` indexed by term id.

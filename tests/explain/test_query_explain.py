@@ -91,3 +91,62 @@ def test_chart_template_runs_on_the_batch_operators(store, template):
             assert got["mean"].value == pytest.approx(want["mean"].value, rel=1e-9)
     else:
         assert sorted(map(key, answer.rows)) == sorted(map(key, reference.rows))
+
+
+# ---------------------------------------------------------------------------
+# Listings (issue 19): Project / Slice continue the id batches, and EXPLAIN
+# ANALYZE accounts them per batch to the same totals the row forms counted.
+# ---------------------------------------------------------------------------
+
+LISTING_PREFIXES = PREFIXES + "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> "
+PAGE = (
+    "SELECT ?s ?l ?v WHERE { ?s rdf:type ex:Class0 . ?s rdfs:label ?l . "
+    "?s ex:numeric1 ?v . FILTER(?v > 95.125) }"
+)
+# template -> (query, Project actual=, Slice actual=) as EXPLAIN ANALYZE
+# printed them before the change (Slice None: the plan has none)
+LISTINGS = {
+    "point": ("SELECT ?p ?o WHERE { ex:entity17 ?p ?o }", 8, None),
+    "twohop": (
+        "SELECT ?m ?l WHERE { ex:entity17 ex:linksTo ?n . ?n ex:linksTo ?m . "
+        "?m rdfs:label ?l }", 4, None,
+    ),
+    "star": (
+        "SELECT ?s ?l ?v ?c WHERE { ?s rdf:type ex:Class1 . ?s rdfs:label ?l . "
+        "?s ex:numeric0 ?v . ?s ex:category1 ?c . FILTER(?v > 45.5) } LIMIT 20",
+        20, 20,
+    ),
+    "page": (PAGE + " LIMIT 50", 50, 50),
+    "page_offset": (PAGE + " OFFSET 30 LIMIT 50", 50, 50),
+}
+
+
+@pytest.mark.parametrize("template", sorted(LISTINGS))
+def test_listing_explain_analyze_counts_what_the_row_forms_counted(store, template):
+    query, project_rows, slice_rows = LISTINGS[template]
+    engine = QueryEngine(store)
+    plan = engine.explain(LISTING_PREFIXES + query)
+    rendered = plan.render()
+    assert plan.operator == "Project" and plan.actual_rows == project_rows, rendered
+    slices = plan.find("Slice")
+    assert [node.actual_rows for node in slices] == (
+        [] if slice_rows is None else [slice_rows]), rendered
+    assert all(node.wall_ms is not None for node in plan.walk() if node.operator != "IdScan")
+    # the plan a query carries is that same run: id batches, counted per batch
+    result = engine.query(LISTING_PREFIXES + query)
+    assert result.plan.actual_rows == len(result) == project_rows
+    assert engine.stats.operator_rows["Project"] == 2 * project_rows
+
+
+def test_listing_plan_is_the_one_it_was(store):
+    # explain(analyze=False) of the page template, as rendered before the change
+    plan = QueryEngine(store).explain(LISTING_PREFIXES + PAGE + " LIMIT 50", analyze=False)
+    assert plan.render() == (
+        "Project ?s, ?l, ?v  (est=0.0 actual=-)\n"
+        "  Slice limit=50  (est=0.0 actual=-)\n"
+        "    VectorizedBGP binary[acyclic] filter=id[?v > 95.125]  (est=0.0 actual=-)\n"
+        "      IdScan ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+        "<http://example.org/data/Class0>  (est=1.0 actual=-)\n"
+        "      IdScan ?s <http://example.org/data/numeric1> ?v  (est=600.0 actual=-)\n"
+        "      IdScan ?s <http://www.w3.org/2000/01/rdf-schema#label> ?l  (est=600.0 actual=-)"
+    )

@@ -1,4 +1,9 @@
-"""Store doubles shared by the test suite."""
+"""Store doubles and reference serializers shared by the test suite."""
+
+import json
+
+from repro.rdf.terms import BNode, Literal
+from repro.sparql.results import binding_to_json
 
 
 class _RowsOnly:
@@ -28,3 +33,44 @@ def rows_only(store):
     the reference the batch operators are compared with.
     """
     return _RowsOnly(store)
+
+
+# The SELECT serializers as they were before results.py encoded column-wise:
+# one ``json.dumps`` / one joined line per row. Kept as the reference the
+# block encoders (and the served bytes) are compared with.
+
+
+def legacy_json(variables, rows, extra=None) -> str:
+    prefix = '{"head": ' + json.dumps({"vars": [str(v) for v in variables]})
+    if extra:
+        prefix += ', "x-repro": ' + json.dumps(extra, sort_keys=True)
+    bindings = ", ".join(json.dumps(binding_to_json(variables, row)) for row in rows)
+    return prefix + ', "results": {"bindings": [' + bindings + "]}}"
+
+
+def legacy_csv(variables, rows) -> str:
+    def field(term) -> str:
+        if term is None:
+            return ""
+        if isinstance(term, Literal):
+            text = term.lexical
+        elif isinstance(term, BNode):
+            text = f"_:{term}"
+        else:
+            text = str(term)
+        if any(ch in text for ch in ',"\n\r'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(str(v) for v in variables)]
+    lines += [",".join(field(row.get(v)) for v in variables) for row in rows]
+    return "".join(line + "\r\n" for line in lines)
+
+
+def legacy_tsv(variables, rows) -> str:
+    lines = ["\t".join(f"?{v}" for v in variables)]
+    lines += [
+        "\t".join("" if row.get(v) is None else row[v].n3() for v in variables)
+        for row in rows
+    ]
+    return "".join(line + "\n" for line in lines)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.server.http import (
     HttpError,
+    StreamAborted,
     read_request,
     write_chunked,
     write_response,
@@ -86,3 +87,36 @@ class TestWriteResponse:
         body = raw.split(b"\r\n\r\n", 1)[1]
         # hex-size framing, empty chunks skipped, terminal 0-chunk present
         assert body == b"2\r\nab\r\n3\r\ncde\r\n1\r\nf\r\n0\r\n\r\n"
+
+    def test_chunked_source_failing_at_once_writes_nothing(self):
+        def chunks():
+            raise KeyError("no first chunk")
+            yield "never"
+
+        out = io.BytesIO()
+        with pytest.raises(KeyError):
+            write_chunked(out, 200, {}, chunks())
+        assert out.getvalue() == b""  # the caller can still answer 500
+        write_chunked(out, 200, {}, [])  # no chunk at all is still a response
+        assert out.getvalue().endswith(b"\r\n\r\n0\r\n\r\n")
+
+    def test_chunked_failure_after_the_head_aborts_without_a_terminator(self):
+        def chunks():
+            yield "ab"
+            raise KeyError("mid-stream")
+
+        out = io.BytesIO()
+        with pytest.raises(StreamAborted) as excinfo:
+            write_chunked(out, 200, {}, chunks())
+        assert isinstance(excinfo.value.__cause__, KeyError)
+        raw = out.getvalue()
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert raw.endswith(b"\r\n\r\n2\r\nab\r\n")  # head, one chunk, no 0-chunk
+
+        class Gone(io.BytesIO):
+            def flush(self):
+                raise BrokenPipeError("client went away")
+
+        with pytest.raises(StreamAborted) as excinfo:
+            write_chunked(Gone(), 200, {}, ["ab"])
+        assert isinstance(excinfo.value.__cause__, BrokenPipeError)

@@ -148,3 +148,157 @@ class TestCsvTsv:
         text = to_csv(sample_result())
         assert "<http://example.org/alice>" not in text
         assert "http://example.org/alice" in text
+
+
+# ---------------------------------------------------------------------------
+# The column-wise encoders behind every format (issue 19)
+# ---------------------------------------------------------------------------
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from repro.rdf.terms import XSD_INTEGER
+from repro.sparql import results
+from repro.sparql.results import (
+    BLOCK_ROWS,
+    _json_term,
+    csv_document,
+    iter_csv,
+    iter_tsv,
+    json_document,
+    row_blocks,
+)
+from tests.helpers import legacy_csv, legacy_json, legacy_tsv
+
+_IRI_TEXT = st.text(
+    st.characters(blacklist_characters='<>" \n\t', blacklist_categories=("Cs",)),
+    min_size=1,
+)
+_TERMS = st.one_of(
+    _IRI_TEXT.map(lambda text: IRI("http://example.org/" + text)),
+    _IRI_TEXT.map(BNode),
+    st.builds(
+        Literal,
+        st.text(),
+        datatype=st.sampled_from(
+            [None, XSD_STRING, XSD_INTEGER, "http://example.org/dt#é"]
+        ),
+    ),
+    st.builds(Literal, st.text(), lang=st.sampled_from(["en", "fr-CA"])),
+    st.integers().map(Literal),
+    st.floats().map(Literal),
+    st.booleans().map(Literal),
+)
+
+
+@given(term=_TERMS)
+def test_json_fragment_is_what_json_dumps_makes_of_the_term(term):
+    fragment = _json_term(term)
+    assert json.loads(fragment) == term_to_json(term)
+    assert fragment == json.dumps(term_to_json(term))
+
+
+_ROWS = st.lists(
+    st.dictionaries(st.sampled_from([S, NAME, AGE]), _TERMS, max_size=3),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_ROWS, duplicate=st.booleans())
+def test_row_forms_keep_their_bytes(rows, duplicate):
+    variables = [S, NAME, AGE] + ([NAME] if duplicate else [])
+    assert "".join(iter_sparql_json(variables, rows)) == legacy_json(variables, rows)
+    assert "".join(iter_csv(variables, rows)) == legacy_csv(variables, rows)
+    assert "".join(iter_tsv(variables, rows)) == legacy_tsv(variables, rows)
+
+
+def test_documents_are_one_piece_per_block_with_head_and_tail_attached():
+    rows = [
+        {S: IRI(f"http://example.org/{i}")} | ({AGE: Literal(i)} if i % 3 else {})
+        for i in range(2 * BLOCK_ROWS + 5)
+    ]
+    variables = [S, NAME, AGE]
+    pieces = list(iter_sparql_json(variables, iter(rows), extra={"k": 1}))
+    assert len(pieces) == 3
+    assert pieces[0].startswith('{"head": ') and pieces[-1].endswith("]}}")
+    assert "".join(pieces) == legacy_json(variables, rows, extra={"k": 1})
+    assert len(list(iter_csv(variables, rows))) == 3
+    # no rows at all: head and tail are one piece
+    assert list(iter_sparql_json(variables, [])) == [legacy_json(variables, [])]
+    assert list(iter_csv([S], [])) == ["s\r\n"]
+    # no variables at all (SELECT * over no bindings): one empty object a row
+    assert "".join(iter_sparql_json([], [{}, {}])) == legacy_json([], [{}, {}])
+    assert "".join(iter_csv([], [{}, {}])) == "\r\n\r\n\r\n"
+
+
+def test_a_piece_is_only_yielded_once_its_successor_exists():
+    pulled = []
+
+    def blocks():
+        for block in row_blocks([S], [{S: BNode("a")}] * (BLOCK_ROWS + 1)):
+            pulled.append(block[1])
+            yield block
+
+    with mock.patch.object(results, "_json_term", wraps=_json_term) as encoded:
+        pieces = json_document([S], blocks())
+        next(pieces)
+        # the first piece waited for block two, which is not encoded yet
+        assert pulled == [BLOCK_ROWS, 1] and encoded.call_count == BLOCK_ROWS
+        assert next(pieces).endswith("]}}")
+    assert next(pieces, None) is None
+    lines = csv_document([S], blocks())
+    next(lines)
+    assert pulled == [BLOCK_ROWS, 1, BLOCK_ROWS, 1]
+
+
+def test_columnar_result_decodes_rows_once_and_serializes_without_them():
+    from repro.sparql.physical import Batch
+    from repro.store.dictionary import TermDictionary
+    import numpy as np
+
+    dictionary = TermDictionary()
+    ids = [dictionary.encode(t) for t in (IRI("http://example.org/a"), Literal(1), Literal("x"))]
+    batches = [
+        Batch({S: np.array([ids[0], ids[0]]), AGE: np.array([ids[1], ids[2]])}, 2),
+        Batch({S: np.array([ids[0]]), AGE: np.array([ids[1]])}, 1),
+    ]
+    result = SelectResult.from_batches([S, NAME, AGE], batches, dictionary)
+    assert len(result) == 3 and bool(result)
+    rows = [
+        {S: IRI("http://example.org/a"), AGE: Literal(1)},
+        {S: IRI("http://example.org/a"), AGE: Literal("x")},
+        {S: IRI("http://example.org/a"), AGE: Literal(1)},
+    ]
+    by_rows = SelectResult([S, NAME, AGE], rows)
+    assert to_sparql_json(result) == to_sparql_json(by_rows)
+    assert to_csv(result) == to_csv(by_rows)
+    assert to_tsv(result) == to_tsv(by_rows)
+    assert result.to_table() == by_rows.to_table()
+    assert result.to_table(max_rows=2) == by_rows.to_table(max_rows=2)
+    assert result._columns.rows is None
+    assert result.rows == rows and result.rows is result.rows
+    assert result.column("age") == [Literal(1), Literal("x"), Literal(1)]
+    empty = SelectResult.from_batches([S], [], dictionary)
+    assert len(empty) == 0 and not empty and empty.rows == []
+    assert to_sparql_json(empty) == to_sparql_json(SelectResult([S], []))
+
+
+def test_a_cache_hit_shares_the_columnar_backing():
+    from repro.rdf.terms import Triple
+    from repro.sparql.cached import CachedQueryEngine
+    from repro.store.memory import MemoryStore
+
+    store = MemoryStore(
+        Triple(IRI(f"http://example.org/{i}"), IRI("http://example.org/p"), Literal(i))
+        for i in range(5)
+    )
+    engine = CachedQueryEngine(store)
+    query = "SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }"
+    computed, hit = engine.query(query), engine.query(query)
+    assert hit.plan.cached and not computed.plan.cached
+    assert computed._columns is hit._columns and hit._columns.rows is None
+    rows = hit.rows  # decoded for the hit...
+    assert len(rows) == 5 and computed.rows is rows  # ...and for every re-wrap
+    assert engine.query(query).rows is rows

@@ -450,6 +450,38 @@ def test_aggregate_decodes_only_its_output_rows(monkeypatch):
     assert sum(decoded) <= len(result.rows) * len(result.variables)
 
 
+def test_listing_decodes_its_delivered_cells_and_nothing_else(one_class, monkeypatch):
+    from repro.sparql.results import to_sparql_json
+
+    decoded: list[int] = []
+    decode_batch = one_class.dictionary.decode_batch
+    monkeypatch.setattr(
+        one_class.dictionary, "decode_batch",
+        lambda ids: decoded.append(len(ids)) or decode_batch(ids),
+    )
+    engine = QueryEngine(one_class)
+    result = engine.query(
+        PREFIXES + "SELECT ?s ?v WHERE { ?s rdfs:label ?l . ?s ex:numeric0 ?v . "
+        "FILTER(?v > 40) } LIMIT 700"
+    )
+    # Project -> Slice -> VectorizedBGP ran on id batches: the window cut the
+    # last batch before anything was decoded, and nothing is decoded yet
+    assert [node.operator for node in result.plan.walk()][:3] == [
+        "Project", "Slice", "VectorizedBGP"]
+    assert len(result) == 700 and result.stats.solutions == 700
+    assert result.plan.find("VectorizedBGP")[0].actual_rows > 700
+    assert decoded == []
+    assert len(result.rows) == 700
+    assert sum(decoded) == 700 * 2  # rows x projected variables; never ?l
+    to_sparql_json(result)
+    assert sum(decoded) == 700 * 2  # rows exist now: serializers use them
+    decoded.clear()
+    stream = engine.stream_select(
+        PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v } LIMIT 5")
+    assert len(list(stream.rows)) == 5
+    assert sum(decoded) == 5 * 2 and stream.root.stats.scan_batches == 1
+
+
 def test_star_limit_expands_hundreds_of_rows_not_the_class(one_class):
     query = (
         "SELECT ?s ?l ?v ?c WHERE { ?s rdf:type ex:Class0 . ?s rdfs:label ?l . "

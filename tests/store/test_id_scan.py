@@ -210,14 +210,14 @@ class TestDecodeBatch:
         batch = dictionary.decode_batch(ids)
         assert batch == [dictionary.decode(i) for i in ids]
 
-    def test_memo_serves_repeats(self):
+    def test_repeats_decode_to_the_same_object(self):
         memory = MemoryStore(_triples())
         dictionary = memory.dictionary
         ids = [1, 2, 1, 2, 1]
         first = dictionary.decode_batch(ids)
         second = dictionary.decode_batch(ids)
         assert first == second
-        assert first[0] is second[0]  # memoized object identity
+        assert first[0] is second[0] is first[2]  # the dictionary's own term
 
     def test_accepts_numpy_ids(self):
         memory = MemoryStore(_triples())
