@@ -29,7 +29,7 @@ __all__ = [
     "ProgressiveSketchAggregator",
     "StreamingMoments",
     "z_score",
-    "binomial_halfwidth",
+    "t_score",
 ]
 
 # two-sided normal quantiles for common confidence levels
@@ -49,28 +49,21 @@ def z_score(confidence: float) -> float:
         raise ValueError(f"confidence must be one of {sorted(_Z)}") from None
 
 
-def binomial_halfwidth(
-    successes: int, trials: int, scale: float = 1.0, confidence: float = 0.95
-) -> float:
-    """CLT halfwidth for a scaled binomial proportion.
-
-    A COUNT estimated from a prefix sample is ``(successes / trials) *
-    population``; its interval is the halfwidth on the proportion scaled
-    by the same ``scale`` (the population, for counts). The width uses
-    the Agresti–Coull adjusted proportion ``(s + z²/2) / (n + z²)`` —
-    the plain Wald width degenerates to zero at ``p ∈ {0, 1}``, which
-    would declare certainty exactly where a skewed sample prefix is
-    least trustworthy. With no trials the interval is unbounded, by
-    construction.
-    """
-    if trials <= 0:
-        return float("inf")
+def t_score(confidence: float, dof: int) -> float:
+    """Two-sided Student-t quantile for ``dof`` degrees of freedom: what an
+    interval around a mean of few values must use in place of
+    :func:`z_score`. Cornish–Fisher expansion in ``1 / dof`` around the
+    normal quantile, within 1 % of the tables from three degrees of
+    freedom up (and short of them below: 4.2 for 4.3 at two)."""
     z = z_score(confidence)
-    adjusted_n = trials + z * z
-    adjusted_p = (successes + z * z / 2.0) / adjusted_n
-    return z * math.sqrt(
-        adjusted_p * (1.0 - adjusted_p) / adjusted_n
-    ) * scale
+    if dof < 1:
+        return float("inf")
+    return (
+        z
+        + (z**3 + z) / (4 * dof)
+        + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * dof**2)
+        + (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / (384 * dof**3)
+    )
 
 
 @dataclass(frozen=True)
@@ -111,12 +104,12 @@ class ProgressiveEstimate:
 class StreamingMoments:
     """Welford mean/variance over a stream, with CLT confidence intervals.
 
-    The estimator behind both :class:`ProgressiveAggregator` (which knows
-    its population exactly) and the serving layer's load-shedding tier
-    (which only has the planner's *estimate* of the population): feed
-    values one at a time, then ask :meth:`estimate` for the running mean
-    with a finite-population-corrected interval against any population
-    size.
+    The accumulator behind :class:`ProgressiveAggregator` and, one per
+    group, the serving layer's grouped-moments sketch (which computes its
+    own intervals from the sampling frame): feed values one at a time, or
+    :meth:`merge` whole accumulators, then ask :meth:`estimate` for the
+    running mean with a finite-population-corrected interval against any
+    population size.
     """
 
     __slots__ = ("confidence", "z", "n", "_mean", "_m2")

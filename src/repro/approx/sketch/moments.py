@@ -74,6 +74,24 @@ class GroupedMomentsSketch:
             self._groups[key] = moments
         moments.add(value)
 
+    def add_groups(self, keys, counts, means, m2s) -> None:
+        """Absorb whole groups at once: ``counts[i]`` observations of
+        ``keys[i]`` with mean ``means[i]`` and summed squared deviations
+        ``m2s[i]`` — what a ``bincount`` over a batch of columns gives,
+        in place of one :meth:`add_group` per row. A merge, so the budget
+        is re-applied as :meth:`merge` does it: the largest groups stay
+        tracked, whatever order the rows arrived in."""
+        for key, n, mean, m2 in zip(keys, counts, means, m2s):
+            if not n:
+                continue
+            mine = self._groups.get(key)
+            if mine is None:
+                mine = self._groups[key] = StreamingMoments(self.confidence)
+            mine.merge(StreamingMoments.from_tuple((n, mean, m2), self.confidence))
+            self.n += n
+        if len(self._groups) > self.max_groups:
+            self._spill_to_budget()
+
     def merge(self, other: "GroupedMomentsSketch") -> None:
         if not isinstance(other, GroupedMomentsSketch):
             raise ValueError(
@@ -92,9 +110,10 @@ class GroupedMomentsSketch:
             self._spill_to_budget()
 
     def _spill_to_budget(self) -> None:
-        """Fold the smallest groups into ``other`` until back in budget."""
+        """Fold the smallest groups into ``other`` until back in budget
+        (ties by key: the outcome must not depend on arrival order)."""
         ranked = sorted(
-            self._groups, key=lambda key: self._groups[key].n, reverse=True
+            self._groups, key=lambda key: (-self._groups[key].n, key)
         )
         for key in ranked[self.max_groups:]:
             spilled = self._groups.pop(key)

@@ -181,10 +181,10 @@ class WorkloadReport:
             })
             row["queries"] += 1
             row["cache_hits"] += int(record.cache_hit)
-            # answers served from the sketch tier (bounded-work mergeable
-            # sketches), per tenant: how often each tenant's traffic rode
-            # the degraded-mode contract
-            row["approximate"] += int(record.strategy == "sketched")
+            # answers computed from a sample (the shed tier's one record
+            # per answer names it in its strategy), per tenant: how often
+            # each tenant's traffic rode the degraded-mode contract
+            row["approximate"] += int(record.strategy.endswith("+sample"))
             row["latency_ms"] += record.latency_ms
             row["store_lookups"] += record.store_lookups
             row["scan_rows"] += record.scan_rows

@@ -16,9 +16,10 @@ Pieces (all stdlib — ``socket`` + ``threading``, no web framework):
 * :mod:`repro.server.shedding` — :class:`LoadShedder`, the tier controller
   watching a sliding window of interactive latencies against the
   ``interactive`` budget (:mod:`repro.obs.budget`), with hysteresis;
-* :mod:`repro.server.approximate` — bounded-work approximate evaluation of
-  eligible aggregate queries (the shed tier's answer path), error bounds
-  via :class:`repro.approx.progressive.StreamingMoments`;
+* :mod:`repro.server.sketch` — the shed tier's answer path: aggregates
+  answered from a uniform sample of the pattern's first stage through
+  mergeable sketches, with error bounds that hold
+  (:mod:`repro.server.approximate` keeps the ungrouped entry points);
 * :mod:`repro.server.app` — :class:`ReproServer`: acceptor + worker pool,
   routing, content negotiation, chunked streaming of SELECT results;
 * :mod:`repro.server.remote` — :class:`RemoteEndpointSource`, a

@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: the `interactive` class budget)")
     parser.add_argument("--shed-min-observations", type=int, default=8)
     parser.add_argument("--approx-max-rows", type=int, default=2000,
-                        help="row budget for approximate aggregate answers")
+                        help="first-stage rows a shed-tier aggregate is "
+                             "answered from (drawn uniformly; a quarter of "
+                             "it in the aggressive tier)")
     parser.add_argument("--debug-delay-ms", type=float, default=0.0,
                         help="artificial per-query delay (overload testing)")
     parser.add_argument("--debug-delay-tenant", default=None,

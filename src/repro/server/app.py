@@ -39,12 +39,16 @@ trace id and records the caller's span id as its ``parent_span_id``, so
 one federated query over several servers exports as a single stitched
 span tree.
 
-Degradation order under load: first the shed tiers reroute eligible
-aggregate queries through bounded-work approximation
-(:mod:`repro.server.approximate`) with an ``X-Repro-Approximate`` header
-and error-bound metadata; only when the admission queue itself is full
-does the server answer 503 + ``Retry-After``. It never buffers without
-bound and it never silently drops a request.
+Degradation order under load: first the shed tiers answer the aggregates
+they can (:func:`repro.server.sketch.aggregate_shape`) from a uniform
+sample of the pattern's first stage — ``approx_max_rows`` rows of it, a
+quarter of that in the aggressive tier — with an ``X-Repro-Approximate``
+header and error-bound metadata (:mod:`repro.server.sketch`, the one
+approximate path); a first stage that fits the budget is read whole and
+answered exactly, and so is ``COUNT(DISTINCT)`` wherever ids can be
+scanned. Only when the admission queue itself is full does the server
+answer 503 + ``Retry-After``. It never buffers without bound and it never
+silently drops a request.
 
 Every admitted request runs as an :meth:`repro.obs.Observability.
 interaction`, so the latency-budget accountant and the flight recorder
@@ -93,13 +97,17 @@ from ..sparql.results import (
     to_tsv,
     tsv_document,
 )
-from ..store.base import StoreStatistics, TripleSource, compute_statistics
+from ..store.base import (
+    StoreStatistics,
+    TripleSource,
+    as_id_scan_source,
+    compute_statistics,
+)
 from .admission import FairAdmissionQueue
-from .approximate import approximate_select, eligible_aggregate
 from .sketch import (
+    aggregate_shape,
     build_sketch_bundle,
     bundle_to_answer,
-    eligible_sketch,
     federated_sketch_bundle,
     iter_sketch_passes,
 )
@@ -144,7 +152,7 @@ class ServerConfig:
     shed_min_observations: int = 8
     shed_recover_fraction: float = 0.8
     shed_aggressive_factor: float = 3.0
-    approx_max_rows: int = 2_000
+    approx_max_rows: int = 2_000  # first-stage rows a shed answer draws
     approx_confidence: float = 0.95
     # per-tenant SLOs (error-budget burn feeding the shedder)
     slo_objective: float = 0.99
@@ -184,6 +192,8 @@ class ReproServer:
 
     def __init__(self, store: TripleSource, config: ServerConfig | None = None) -> None:
         self.store = store
+        # Whether there are positions to sample (see _handle_sparql).
+        self._serves_id_scans = as_id_scan_source(store) is not None
         self.config = config or ServerConfig()
         self.admission: FairAdmissionQueue[_Pending] = FairAdmissionQueue(
             self.config.queue_capacity
@@ -677,7 +687,8 @@ class ReproServer:
             # scoping it to one tenant makes that tenant the SLO offender.
             time.sleep(self.config.debug_delay_ms / 1e3)
 
-        if isinstance(parsed, SelectQuery) and eligible_sketch(parsed):
+        shape = aggregate_shape(parsed)
+        if shape is not None:
             # Wire mode: a federation coordinator asks for the serialized
             # sketch bundle instead of result rows (cheap bounded work, so
             # it is served regardless of the shed tier).
@@ -687,19 +698,21 @@ class ReproServer:
                 self._answer_sketch_wire(pending, engine, request, parsed)
                 return
             # Progressive mode: chunked NDJSON of tightening estimates,
-            # one line per merged sketch pass (explicit client opt-in).
+            # one line per pass over a growing sample (client opt-in).
             if request.header("x-repro-progressive"):
                 act.set_attribute("tier", "progressive")
                 OBS.querylog.annotate_serving(tier="progressive")
                 self._answer_sketch_progressive(pending, engine, parsed)
                 return
-        if isinstance(parsed, SelectQuery) and (
-            eligible_aggregate(parsed) or eligible_sketch(parsed)
-        ):
             tier = self.shedder.decide(
                 burn_rate=self.slo.burn_rate(pending.tenant),
                 peak_burn=self.slo.peak_burn_rate(),
             )
+            if shape == "distinct" and self._serves_id_scans:
+                # A sample's distinct count cannot be extrapolated, and
+                # over id batches the exact aggregate costs less than
+                # draining the stream into an HLL: nothing to shed.
+                tier = EXACT
             act.set_attribute("tier", TIER_NAMES[tier])
             OBS.querylog.annotate_serving(tier=TIER_NAMES[tier])
             self._answer_aggregate(pending, engine, text, parsed, tier,
@@ -754,15 +767,10 @@ class ReproServer:
         max_rows = self.config.approx_max_rows
         if tier >= AGGRESSIVE:
             max_rows = max(1, max_rows // 4)
-        if eligible_aggregate(parsed):
-            answer = approximate_select(
-                engine.engine, parsed, max_rows=max_rows,
-                confidence=self.config.approx_confidence,
-            )
-        else:
-            answer = self._sketched_answer(engine, text, parsed, max_rows)
+        answer = self._shed_answer(engine, text, parsed, max_rows)
         if not answer.approximate:
-            # Small stream: the work budget covered it; answer is exact.
+            # The whole first stage fit the budget: that one pass read
+            # everything, and the answer is exact.
             self._mark_served(EXACT)
             self._respond_select(pending, answer.result, fmt,
                                  {"X-Repro-Tier": "exact"})
@@ -783,43 +791,46 @@ class ReproServer:
         self._respond_select(pending, answer.result, fmt, headers,
                              extra=metadata)
 
-    def _sketched_answer(
+    def _shed_answer(
         self,
         engine: CachedQueryEngine,
         text: str,
         parsed: SelectQuery,
         max_rows: int,
     ):
-        """GROUP BY / DISTINCT under overload: sketch locally, or merge
-        per-source bundles when the store is a federation."""
+        """The bounded-work answer: a bundle filled from a sample of this
+        store, or merged from the members' bundles when the store is a
+        federation. One query-log record either way, under the digest of
+        the query the client sent: the sampled stream's own (strategy
+        ``…+sample``), or the one written here for a federation, whose
+        members ran the streams."""
         started = time.perf_counter_ns()
         confidence = self.config.approx_confidence
         bundle = federated_sketch_bundle(
             self.store, text, parsed, max_rows=max_rows,
             confidence=confidence,
         )
-        method = "sketch-federated"
         if bundle is None:
             bundle = build_sketch_bundle(
                 engine.engine, parsed, max_rows=max_rows,
                 confidence=confidence,
             )
-            method = "sketch"
-        self._note_sketch_bundle(bundle)
-        answer = bundle_to_answer(bundle, method=method)
-        if answer.approximate:
-            # The serving-level record: the engine's own stream record
-            # (complete=false, abandoned prefix) stays; this one is what
-            # the workload analyzer counts as approximate-tier usage.
+            answer = bundle_to_answer(bundle)
+        else:
+            answer = bundle_to_answer(bundle, method="sketch-federated")
             log = OBS.querylog
             if log.enabled:
                 log.emit(
                     digest=engine.engine.plan_digest(parsed),
                     form="SELECT",
-                    strategy="sketched",
+                    strategy=(
+                        "federated+sample" if answer.approximate
+                        else "federated"
+                    ),
                     latency_ms=(time.perf_counter_ns() - started) / 1e6,
                     solutions=len(answer.result),
                 )
+        self._note_sketch_bundle(bundle)
         return answer
 
     def _note_sketch_bundle(self, bundle) -> None:

@@ -1,169 +1,31 @@
-"""Bounded-work approximate evaluation of aggregate queries.
+"""Ungrouped COUNT/SUM/AVG in the shed tier: entry points kept by name.
 
-The shed tier's answer path (survey §2: "approximate answers are computed
-incrementally over progressively larger samples" — BlinkDB [2],
-sampleAction [46]): instead of draining the full operator stream to
-aggregate exactly, consume at most ``max_rows`` solutions, maintain
-streaming moments (:class:`repro.approx.progressive.StreamingMoments`),
-and scale up by the planner's cardinality estimate for the pattern —
-yielding an answer whose cost is a *sample-size* amount of work with an
-explicit confidence interval.
+There is one approximate path, :mod:`repro.server.sketch`: an ungrouped
+aggregate is a ``GROUP BY`` with a single group, filled by the same
+consumer from the same uniform sample of the pattern's first stage and
+rendered by the same code. What stays here is what callers import from
+this module: the answer type, the shape test for ungrouped aggregates, and
+the one-call form.
 
-Two honesty notes, carried into the response metadata:
-
-* the consumed prefix of the operator stream is treated as an
-  exchangeable sample (the same assumption
-  :class:`~repro.approx.progressive.ProgressiveAggregator` makes about its
-  shuffled prefixes; store iteration order is index order, so skew in that
-  order widens real error beyond the reported interval);
-* ``COUNT`` scale-up rests on the planner's estimate of the pattern's
-  cardinality, whose own error is not probabilistic — its bound is the
-  coarse ``|estimate − seen|`` interval, not a CLT interval.
-
-When the stream is exhausted under the row budget nothing was saved and
-nothing needs approximating: the query is answered exactly (the
-graceful-recovery property — cheap queries stay exact even in shed mode).
+A query whose first stage fits the row budget was read in full by that one
+pass and is answered exactly from it (the graceful-recovery property —
+cheap queries stay exact even in shed mode).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..approx.progressive import StreamingMoments, binomial_halfwidth
-from ..rdf.terms import Literal, Variable
 from ..sparql.eval import QueryEngine
-from ..sparql.nodes import AggregateExpr, Query, SelectQuery, VariableExpr
+from ..sparql.nodes import Query, SelectQuery
 from ..sparql.parser import parse_query
-from ..sparql.results import SelectResult
+from .sketch import ApproximateAnswer, aggregate_shape, sketched_select
 
 __all__ = ["ApproximateAnswer", "approximate_select", "eligible_aggregate"]
 
-_SUPPORTED = ("COUNT", "SUM", "AVG")
-
-
-@dataclass(frozen=True)
-class ApproximateAnswer:
-    """An aggregate answer plus the metadata that makes it honest."""
-
-    result: SelectResult
-    approximate: bool
-    rows_consumed: int
-    estimated_total: int
-    confidence: float
-    bounds: dict[str, float]  # projection variable -> CI halfwidth
-    method: str
-    extra: dict[str, object] | None = None  # method-specific annotations
-
-    def metadata(self) -> dict[str, object]:
-        """The ``x-repro`` body member / ``X-Repro-*`` header payload."""
-        payload: dict[str, object] = {
-            "approximate": self.approximate,
-            "method": self.method,
-            "rows_consumed": self.rows_consumed,
-            "estimated_total": self.estimated_total,
-            "confidence": self.confidence,
-            "bounds": {
-                name: (round(value, 6) if value != float("inf") else "inf")
-                for name, value in self.bounds.items()
-            },
-        }
-        if self.extra:
-            payload.update(self.extra)
-        return payload
-
 
 def eligible_aggregate(query: Query) -> bool:
-    """Can the shed tier answer this query approximately?
-
-    Eligible: an ungrouped SELECT whose every projection is a plain
-    ``COUNT``/``SUM``/``AVG`` aggregate over a variable (or ``COUNT(*)``).
-    Everything else — grouped aggregates, DISTINCT, ORDER BY, slices,
-    non-aggregate projections — is answered exactly regardless of tier.
-    """
-    if not isinstance(query, SelectQuery):
-        return False
-    if query.group_by or query.having is not None or query.order_by:
-        return False
-    if query.distinct or query.limit is not None or query.offset:
-        return False
-    if not query.projections:
-        return False
-    for projection in query.projections:
-        expression = projection.expression
-        if not isinstance(expression, AggregateExpr):
-            return False
-        if expression.distinct or expression.name not in _SUPPORTED:
-            return False
-        if expression.name == "COUNT":
-            if expression.argument is not None and not isinstance(
-                expression.argument, VariableExpr
-            ):
-                return False
-        elif not isinstance(expression.argument, VariableExpr):
-            return False
-    return True
-
-
-class _AggState:
-    """Streaming state for one projected aggregate."""
-
-    __slots__ = ("kind", "variable", "alias", "moments", "bound_rows")
-
-    def __init__(self, expression: AggregateExpr, alias: Variable,
-                 confidence: float) -> None:
-        self.kind = expression.name
-        self.variable = (
-            expression.argument.variable
-            if isinstance(expression.argument, VariableExpr)
-            else None
-        )
-        self.alias = alias
-        self.moments = StreamingMoments(confidence)
-        self.bound_rows = 0  # rows where the argument variable is bound
-
-    def consume(self, row: dict) -> None:
-        if self.variable is None:  # COUNT(*)
-            return
-        term = row.get(self.variable)
-        if term is None:
-            return
-        self.bound_rows += 1
-        if self.kind in ("SUM", "AVG") and isinstance(term, Literal):
-            value = term.value
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.moments.add(float(value))
-
-    def estimate(
-        self, rows_seen: int, estimated_total: int
-    ) -> tuple[Literal, float]:
-        """(value, CI halfwidth) scaled to the estimated population."""
-        if self.kind == "COUNT" and self.variable is None:
-            return (
-                Literal(int(estimated_total)),
-                float(abs(estimated_total - rows_seen)),
-            )
-        if self.kind == "COUNT":
-            if not rows_seen:
-                return Literal(0), 0.0
-            estimate = self.bound_rows / rows_seen * estimated_total
-            halfwidth = binomial_halfwidth(
-                self.bound_rows, rows_seen, estimated_total,
-                self.moments.confidence,
-            )
-            return Literal(int(round(estimate))), halfwidth
-        # SUM / AVG over the numeric values observed so far; the numeric
-        # population is the total scaled by the observed numeric fraction.
-        n = self.moments.n
-        numeric_total = (
-            int(round(estimated_total * n / rows_seen)) if rows_seen else 0
-        )
-        snapshot = self.moments.estimate(numeric_total)
-        if self.kind == "AVG":
-            return Literal(float(snapshot.mean)), snapshot.ci_halfwidth
-        return (
-            Literal(float(snapshot.sum_estimate)),
-            snapshot.sum_ci_halfwidth,
-        )
+    """An ungrouped SELECT whose every projection is a plain
+    ``COUNT``/``SUM``/``AVG`` over a variable (or ``COUNT(*)``)."""
+    return aggregate_shape(query) == "ungrouped"
 
 
 def approximate_select(
@@ -172,73 +34,11 @@ def approximate_select(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> ApproximateAnswer:
-    """Answer an eligible aggregate SELECT with at most ``max_rows`` of work.
+    """Answer an ungrouped aggregate from ``max_rows`` first-stage rows.
 
-    Raises :class:`ValueError` for ineligible queries — the caller
-    (:mod:`repro.server.app`) checks :func:`eligible_aggregate` first and
-    routes everything else to the exact engine.
+    Raises :class:`ValueError` for any other query.
     """
     parsed = parse_query(query) if isinstance(query, str) else query
     if not eligible_aggregate(parsed):
         raise ValueError("query is not an eligible aggregate")
-    if max_rows < 1:
-        raise ValueError("max_rows must be positive")
-
-    # Stream the *pattern* solutions (SELECT * over the same WHERE) so the
-    # aggregates see raw bindings, not the aggregate operator's output.
-    pattern_query = SelectQuery(
-        projections=(), where=parsed.where, prefixes=parsed.prefixes
-    )
-    stream = engine.stream_select(pattern_query)
-    states = [
-        _AggState(projection.expression, projection.variable, confidence)
-        for projection in parsed.projections
-    ]
-
-    rows_seen = 0
-    exhausted = False
-    iterator = iter(stream.rows)
-    while rows_seen < max_rows:
-        try:
-            row = next(iterator)
-        except StopIteration:
-            exhausted = True
-            break
-        rows_seen += 1
-        for state in states:
-            state.consume(row)
-
-    if exhausted:
-        # The full stream fit inside the work budget: answer exactly.
-        result = engine.query(parsed)
-        return ApproximateAnswer(
-            result=result,
-            approximate=False,
-            rows_consumed=rows_seen,
-            estimated_total=rows_seen,
-            confidence=confidence,
-            bounds={str(p.variable): 0.0 for p in parsed.projections},
-            method="exact",
-        )
-
-    planner_estimate = stream.estimated_rows
-    estimated_total = max(
-        rows_seen,
-        int(round(planner_estimate)) if planner_estimate is not None else 0,
-    )
-    variables = [projection.variable for projection in parsed.projections]
-    row: dict[Variable, Literal] = {}
-    bounds: dict[str, float] = {}
-    for state in states:
-        value, halfwidth = state.estimate(rows_seen, estimated_total)
-        row[state.alias] = value
-        bounds[str(state.alias)] = halfwidth
-    return ApproximateAnswer(
-        result=SelectResult(variables, [row]),
-        approximate=True,
-        rows_consumed=rows_seen,
-        estimated_total=estimated_total,
-        confidence=confidence,
-        bounds=bounds,
-        method="prefix-sample",
-    )
+    return sketched_select(engine, parsed, max_rows, confidence)

@@ -1,41 +1,64 @@
-"""Sketch-backed approximate answers for GROUP BY / DISTINCT aggregates.
+"""The shed tier's approximate answers: sketches over a uniform sample.
 
-:mod:`repro.server.approximate` covers *ungrouped* COUNT/SUM/AVG with a
-prefix sample. This module extends the shed tier to the two shapes it
-explicitly bails on, using the mergeable sketches of
-:mod:`repro.approx.sketch` (Hillview's model, PAPERS.md):
+One path answers every aggregate the shed tier takes
+(:func:`aggregate_shape`): ungrouped or ``GROUP BY`` COUNT/SUM/AVG, and
+ungrouped ``COUNT(DISTINCT ?x)`` — survey §2's "approximate answers
+computed incrementally over progressively larger samples", drawn the way
+Hillview (PAPERS.md) draws them: positions of columnar runs, merged
+sketches, never a prefix. DESIGN.md, *Load shedding*, has the derivation.
 
-* ``GROUP BY`` COUNT/SUM/AVG — operator output streams into one
-  :class:`~repro.approx.sketch.GroupedMomentsSketch` per aggregate under
-  the same bounded row budget; per-group answers scale up by the
-  planner's cardinality estimate with binomial/CLT intervals.
-* ungrouped ``COUNT(DISTINCT ?x)`` — the stream drains fully through an
-  HLL. Unlike counts, a sample's distinct count cannot be honestly
-  extrapolated, so the saving here is *memory and data-structure* work
-  (4 KiB registers and no exact dedup set), not rows; the declared bound
-  is the HLL standard error, which holds regardless of stream length.
+**The frame.** The pattern is streamed with exactly its group and argument
+variables projected (``Project→VectorizedBGP``: id batches), its BGP asked
+(:meth:`~repro.sparql.vectorized.VectorizedBGP.sample_first_stage`) to
+start from ``m = max_rows`` of its ``N`` first-stage rows, drawn uniformly
+by a generator seeded from the plan digest — one query, one answer. Every
+solution descends from one first-stage row, so COUNT and SUM scale by
+``N / m`` and AVG is their ratio; ``N`` is read off the store, never
+estimated. ``rows_consumed`` / ``estimated_total`` are ``m`` / ``N``. With
+``N <= m`` nothing is drawn and the answer is exact from that one pass;
+plans with no first stage over a store that serves id scans (cyclic BGPs,
+OPTIONAL, UNION) are drained and exact too. Bounds (:func:`_halfwidth`)
+allow for one first-stage row leading to several solutions (``fanout``).
 
-``GROUP BY`` over a ``DISTINCT`` aggregate stays ineligible: per-group
-HLLs under a group budget would make the "other"-bucket semantics of a
-spilled group undefined (you cannot un-merge a distinct set).
+**One consumer** (:func:`iter_sketch_passes`) fills every
+:class:`SketchBundle` — served answer, ``X-Repro-Sketch`` wire, federation
+member, progressive pass: ``np.unique`` groups the id columns, ``bincount``
+over the dictionary's value column gives per-group n / mean / M2, a group
+key is decoded and JSON-encoded once per distinct group, and the moments
+merge into one :class:`~repro.approx.sketch.GroupedMomentsSketch` per
+aggregate (ungrouped: one group). ``COUNT(DISTINCT)`` cannot be
+extrapolated from a sample: it drains the stream into an HLL, fed once per
+distinct id — the route of the wire, federation and progressive modes; a
+server over a store that serves id scans answers it exactly instead.
 
-The unit of composition is a :class:`SketchBundle` — the per-projection
-sketches plus the sampling frame (rows consumed, estimated total,
-exhausted flag). A bundle serializes to JSON for the federation wire
-(``X-Repro-Sketch: 1`` on ``/sparql``), merges with bundles from other
-sources, and renders into the same :class:`ApproximateAnswer` the rest of
-the serving layer already speaks. Merged counts are upper bounds when
-sources overlap — the same caveat :meth:`FederatedStore.statistics`
-documents — while HLL distinct merges deduplicate correctly by
-construction.
+**What remains a prefix.** A store that only yields rows (a federation
+queried as one source, a remote endpoint, a plain graph) has no positions
+to draw from: the same consumer takes the first ``max_rows`` rows of the
+row plan, scales by the planner's estimate, and says so (``method`` is
+``sketch-prefix``); those bounds hold only if iteration order is unrelated
+to the data.
+
+A bundle serializes to JSON for the federation wire, merges with other
+sources' bundles (frames add: members sampled at different rates are
+pooled, an open item; counts over overlapping sources are upper bounds, as
+:meth:`FederatedStore.statistics` documents, while HLLs deduplicate) and
+renders into an :class:`ApproximateAnswer`. ``GROUP BY`` over a
+``DISTINCT`` aggregate is not taken: per-group HLLs under a group budget
+would leave the ``other`` bucket of a spilled group undefined.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Iterator
 
-from ..approx.progressive import binomial_halfwidth
-from ..obs import OBS
+import numpy as np
+
+from ..approx.progressive import StreamingMoments, t_score, z_score
 from ..approx.sketch import (
     GroupedMomentsSketch,
     HllSketch,
@@ -44,14 +67,26 @@ from ..approx.sketch import (
     deserialize_sketch,
     serialize_sketch,
 )
-from ..rdf.terms import Literal, Variable
+from ..obs import OBS
+from ..rdf.terms import Literal, Term, Variable
 from ..sparql.eval import QueryEngine
-from ..sparql.nodes import AggregateExpr, Query, SelectQuery, VariableExpr
+from ..sparql.nodes import (
+    AggregateExpr,
+    Projection,
+    Query,
+    SelectQuery,
+    VariableExpr,
+)
 from ..sparql.parser import parse_query
-from ..sparql.results import SelectResult, term_from_json, term_to_json
-from .approximate import ApproximateAnswer
+from ..sparql.physical import Batch, ExplainNode
+from ..sparql.results import SelectResult, row_blocks, term_from_json, term_to_json
+from ..sparql.vectorized import VectorizedBGP, _concat, _distinct_keys
+from ..store.base import as_id_scan_source
+from ..store.dictionary import VALUE_OTHER, TermDictionary
 
 __all__ = [
+    "ApproximateAnswer",
+    "aggregate_shape",
     "eligible_sketch",
     "SketchBundle",
     "build_sketch_bundle",
@@ -64,61 +99,94 @@ __all__ = [
 ]
 
 BUNDLE_VERSION = 1
-_GROUPED = ("COUNT", "SUM", "AVG")
+_AGGREGATES = ("COUNT", "SUM", "AVG")
+# Projected when a query reads no variable at all (``COUNT(*)`` alone), so
+# the pattern is not streamed as ``SELECT *``; not a SPARQL variable name.
+_NO_COLUMN = Variable("no column")
+
+
+@dataclass(frozen=True)
+class ApproximateAnswer:
+    """An aggregate answer plus the metadata that makes it honest."""
+
+    result: SelectResult
+    approximate: bool
+    rows_consumed: int  # first-stage rows the answer was computed from
+    estimated_total: int  # first-stage rows there are
+    confidence: float
+    bounds: dict[str, float]  # projection variable -> CI halfwidth
+    method: str
+    extra: dict[str, object] | None = None  # method-specific annotations
+
+    def metadata(self) -> dict[str, object]:
+        """The ``x-repro`` body member / ``X-Repro-*`` header payload."""
+        payload: dict[str, object] = {
+            "approximate": self.approximate,
+            "method": self.method,
+            "rows_consumed": self.rows_consumed,
+            "estimated_total": self.estimated_total,
+            "confidence": self.confidence,
+            "bounds": {
+                name: (round(value, 6) if value != float("inf") else "inf")
+                for name, value in self.bounds.items()
+            },
+        }
+        if self.extra:
+            payload.update(self.extra)
+        return payload
+
+
+def aggregate_shape(query: Query) -> str | None:
+    """How the shed tier would answer ``query``, or ``None`` if it cannot.
+
+    ``"ungrouped"`` / ``"grouped"``: every projection is a GROUP BY
+    variable or a plain ``COUNT``/``SUM``/``AVG`` over a variable (or
+    ``COUNT(*)``), the group keys being plain variables. ``"distinct"``:
+    ungrouped, every projection ``COUNT(DISTINCT ?var)``. Solution
+    modifiers (HAVING, ORDER BY, LIMIT/OFFSET, SELECT DISTINCT), MIN/MAX
+    and expression arguments are always answered exactly.
+    """
+    if not isinstance(query, SelectQuery):
+        return None
+    if query.having is not None or query.order_by:
+        return None
+    if query.distinct or query.limit is not None or query.offset:
+        return None
+    if not all(isinstance(e, VariableExpr) for e in query.group_by):
+        return None
+    group_vars = {e.variable for e in query.group_by}
+    aggregates = distincts = 0
+    for projection in query.projections:
+        expression = projection.expression
+        if expression is None or isinstance(expression, VariableExpr):
+            key = projection.variable if expression is None else expression.variable
+            if key not in group_vars:
+                return None
+            continue
+        if not isinstance(expression, AggregateExpr):
+            return None
+        if expression.name not in _AGGREGATES:
+            return None
+        if expression.distinct and expression.name != "COUNT":
+            return None
+        if expression.argument is None:
+            if expression.name != "COUNT" or expression.distinct:
+                return None
+        elif not isinstance(expression.argument, VariableExpr):
+            return None
+        aggregates += 1
+        distincts += expression.distinct
+    if not aggregates:
+        return None
+    if distincts:
+        ungrouped = distincts == aggregates and not query.group_by
+        return "distinct" if ungrouped else None
+    return "grouped" if query.group_by else "ungrouped"
 
 
 def eligible_sketch(query: Query) -> bool:
-    """Can the sketch path answer this query approximately?
-
-    Eligible: a grouped SELECT whose GROUP BY keys are plain variables
-    and whose projections are group keys plus non-DISTINCT
-    ``COUNT``/``SUM``/``AVG`` aggregates, or an ungrouped SELECT whose
-    every projection is ``COUNT(DISTINCT ?var)``. Solution modifiers
-    (HAVING, ORDER BY, LIMIT/OFFSET, SELECT DISTINCT) stay exact.
-    """
-    if not isinstance(query, SelectQuery):
-        return False
-    if query.having is not None or query.order_by:
-        return False
-    if query.distinct or query.limit is not None or query.offset:
-        return False
-    if not query.projections:
-        return False
-    if query.group_by:
-        if not all(isinstance(e, VariableExpr) for e in query.group_by):
-            return False
-        group_vars = {e.variable for e in query.group_by}
-        saw_aggregate = False
-        for projection in query.projections:
-            expression = projection.expression
-            if expression is None:
-                if projection.variable not in group_vars:
-                    return False
-                continue
-            if isinstance(expression, VariableExpr):
-                if expression.variable not in group_vars:
-                    return False
-                continue
-            if not isinstance(expression, AggregateExpr):
-                return False
-            if expression.distinct or expression.name not in _GROUPED:
-                return False
-            if expression.argument is None:
-                if expression.name != "COUNT":
-                    return False
-            elif not isinstance(expression.argument, VariableExpr):
-                return False
-            saw_aggregate = True
-        return saw_aggregate
-    for projection in query.projections:
-        expression = projection.expression
-        if not isinstance(expression, AggregateExpr):
-            return False
-        if expression.name != "COUNT" or not expression.distinct:
-            return False
-        if not isinstance(expression.argument, VariableExpr):
-            return False
-    return True
+    """A grouped COUNT/SUM/AVG, or an ungrouped ``COUNT(DISTINCT)``."""
+    return aggregate_shape(query) in ("grouped", "distinct")
 
 
 # --------------------------------------------------------------------------- #
@@ -126,14 +194,11 @@ def eligible_sketch(query: Query) -> bool:
 # --------------------------------------------------------------------------- #
 
 
-def _group_key(row: dict, group_vars: tuple[Variable, ...]) -> str:
-    """Canonical string key for one row's group: the W3C JSON encodings
-    of the key terms, in GROUP BY order, as compact sorted JSON — stable
-    across processes so federation members agree on group identity."""
-    parts = [
-        term_to_json(row[var]) if row.get(var) is not None else None
-        for var in group_vars
-    ]
+def _group_key(terms) -> str:
+    """Canonical string key of one group: the W3C JSON encodings of its
+    key terms, in GROUP BY order, as compact sorted JSON — stable across
+    processes so federation members agree on group identity."""
+    parts = [None if term is None else term_to_json(term) for term in terms]
     return json.dumps(parts, separators=(",", ":"), sort_keys=True)
 
 
@@ -206,7 +271,13 @@ class _Spec:
 
 
 class SketchBundle:
-    """The mergeable unit one source contributes to a sketched answer."""
+    """The mergeable unit one source contributes to a sketched answer.
+
+    ``rows_consumed`` of ``estimated_total`` first-stage rows were read
+    (all of them when ``exhausted``); ``fanout`` is the most solutions one
+    of them led to. ``method`` and ``plan`` describe how this process
+    filled the bundle and do not travel on the wire.
+    """
 
     def __init__(
         self,
@@ -216,6 +287,7 @@ class SketchBundle:
         estimated_total: int,
         exhausted: bool,
         confidence: float,
+        fanout: int = 1,
     ) -> None:
         self.group_vars = group_vars
         self.specs = specs
@@ -223,6 +295,9 @@ class SketchBundle:
         self.estimated_total = estimated_total
         self.exhausted = exhausted
         self.confidence = confidence
+        self.fanout = fanout
+        self.method = "sketch"
+        self.plan: ExplainNode | None = None
 
     @property
     def agg_specs(self) -> list[_Spec]:
@@ -252,12 +327,13 @@ class SketchBundle:
         self.rows_consumed += other.rows_consumed
         self.estimated_total += other.estimated_total
         self.exhausted = self.exhausted and other.exhausted
+        self.fanout = max(self.fanout, other.fanout)
 
     def sketch_bytes(self) -> int:
         return sum(spec.sketch.size_bytes() for spec in self.agg_specs)
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "v": BUNDLE_VERSION,
             "group_vars": [str(var) for var in self.group_vars],
             "rows_consumed": self.rows_consumed,
@@ -266,6 +342,9 @@ class SketchBundle:
             "confidence": self.confidence,
             "specs": [spec.to_dict() for spec in self.specs],
         }
+        if self.fanout > 1:  # absent = 1: what every reader assumes
+            payload["fanout"] = self.fanout
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SketchBundle":
@@ -281,11 +360,12 @@ class SketchBundle:
             estimated_total=int(payload["estimated_total"]),
             exhausted=bool(payload["exhausted"]),
             confidence=float(payload.get("confidence", 0.95)),
+            fanout=int(payload.get("fanout", 1)),
         )
 
 
 # --------------------------------------------------------------------------- #
-# Building a bundle from one engine's operator stream
+# Filling a bundle from one engine's stream
 # --------------------------------------------------------------------------- #
 
 
@@ -322,25 +402,187 @@ def _make_specs(
     return group_vars, specs
 
 
-def _feed(row: dict, key: str | None, specs: list[_Spec]) -> None:
-    for spec in specs:
-        if spec.role != "agg":
-            continue
+def _terms(dictionary, ids: np.ndarray) -> list[Term | None]:
+    """``ids`` decoded; a negative id is an unbound cell."""
+    if (ids >= 0).all():
+        return dictionary.decode_batch(ids)
+    return [dictionary.decode(i) if i >= 0 else None for i in ids.tolist()]
+
+
+def _fold(bundle: SketchBundle, batches: list[Batch], dictionary) -> None:
+    """Merge the solutions in ``batches`` (id columns; a negative id is an
+    unbound cell) into the bundle's sketches. Terms are decoded once per
+    distinct group and, under DISTINCT, once per distinct id."""
+    columns, count = (
+        batches[0] if len(batches) == 1
+        else _concat(batches, batches[0].columns)
+    )
+
+    def column(variable: Variable) -> np.ndarray:
+        ids = columns.get(variable)
+        return np.full(count, -1) if ids is None else ids
+
+    group_vars = bundle.group_vars
+    if group_vars:
+        keys, inverse = _distinct_keys([column(v) for v in group_vars])
+        parts = [_terms(dictionary, keys[:, at]) for at in range(len(group_vars))]
+        names = [_group_key(terms) for terms in zip(*parts)]
+    else:
+        inverse = np.zeros(count, dtype=np.int64)
+        names = [_group_key(())]
+    groups = len(names)
+    for spec in bundle.agg_specs:
+        member = inverse  # the group of each row the aggregate takes
+        if spec.arg is not None:
+            ids = column(spec.arg)
+            bound = ids >= 0
+            if not bound.all():
+                ids, member = ids[bound], member[bound]
         if spec.distinct:
-            term = row.get(spec.arg)
-            if term is not None:
+            for term in dictionary.decode_batch(np.unique(ids)):
                 spec.sketch.add(_term_key(term))
         elif spec.kind == "COUNT":
-            if spec.arg is None or row.get(spec.arg) is not None:
-                spec.sketch.add_group(key, 1.0)
+            counts = np.bincount(member, minlength=groups)
+            spec.sketch.add_groups(names, counts.tolist(), repeat(1.0), repeat(0.0))
         else:  # SUM / AVG: numeric literals only, like the exact engine
-            term = row.get(spec.arg)
-            if isinstance(term, Literal):
-                value = term.value
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    spec.sketch.add_group(key, float(value))
+            values, kinds = dictionary.numeric_columns()
+            numeric = kinds[ids] != VALUE_OTHER
+            if not numeric.all():
+                ids, member = ids[numeric], member[numeric]
+            values = values[ids]
+            counts = np.bincount(member, minlength=groups)
+            means = np.bincount(member, weights=values, minlength=groups)
+            means /= np.maximum(counts, 1)
+            m2s = np.bincount(
+                member, weights=(values - means[member]) ** 2, minlength=groups
+            )
+            spec.sketch.add_groups(
+                names, counts.tolist(), means.tolist(), m2s.tolist()
+            )
+
+
+def _id_batches(rows, variables, size: int, dictionary) -> Iterator[Batch]:
+    """A row plan's solutions as id batches of ``size`` rows: the terms
+    get their ids from ``dictionary`` (one of their own, not a store's),
+    an unbound cell gets -1."""
+    encode = dictionary.encode
+    for block, count in row_blocks(variables, rows, size):
+        yield Batch({
+            variable: np.fromiter(
+                (-1 if term is None else encode(term) for term in cells),
+                np.int64, count,
+            )
+            for variable, cells in zip(variables, block)
+        }, count)
+
+
+def iter_sketch_passes(
+    engine: QueryEngine,
+    query: str | SelectQuery,
+    max_rows: int = 2_000,
+    confidence: float = 0.95,
+    passes: int = 4,
+) -> Iterator[SketchBundle]:
+    """Fill a bundle from ``engine``, yielding it as it tightens.
+
+    The one consumer behind every approximate answer (module docstring).
+    ``max_rows`` is the number of first-stage rows drawn; they arrive in
+    random order in ``passes`` equal chunks, each prefix a uniform sample,
+    and a bundle is yielded after each chunk: its own frame, the sketches
+    shared with the passes before it. :func:`build_sketch_bundle` is the
+    one-pass case. A stream that cannot be bounded (a DISTINCT
+    projection, a plan with no first stage over an id-scan store) is
+    drained and yielded once, exhausted. Over a store that only yields
+    rows the chunks are successive prefixes of the row plan.
+
+    The plan digest of ``query`` seeds the draw and names the stream's
+    query-log record (not the digest of the pattern query streamed for
+    it). Every pass also lands on the progress-event stream
+    (``approx.sketch.pass``).
+    """
+    parsed = parse_query(query) if isinstance(query, str) else query
+    if aggregate_shape(parsed) is None:
+        raise ValueError("not an aggregate the shed tier answers")
+    if max_rows < 1 or passes < 1:
+        raise ValueError("max_rows and passes must be positive")
+    group_vars, specs = _make_specs(parsed, confidence)
+    bundle = SketchBundle(group_vars, specs, 0, 0, False, confidence)
+    needed = list(dict.fromkeys(
+        [*group_vars, *(s.arg for s in bundle.agg_specs if s.arg is not None)]
+    ))
+    digest = engine.plan_digest(parsed)
+    stream = engine.stream_select(
+        SelectQuery(
+            projections=tuple(map(Projection, needed or [_NO_COLUMN])),
+            where=parsed.where,
+            prefixes=parsed.prefixes,
+        ),
+        digest=digest,
+    )
+    drain = any(spec.distinct for spec in specs)
+    dictionary, source = stream.dictionary, stream.batches
+    stage = stream.root.children[0] if dictionary is not None else None
+    if drain or not (
+        isinstance(stage, VectorizedBGP)
+        and stage.sample_first_stage(max_rows, int(digest[:16], 16), passes)
+    ):
+        stage = None
+    batches, cap = source, None
+    if dictionary is None:
+        # A row plan: nothing to draw positions from. A store that serves
+        # id scans is drained; any other is cut at a prefix, and says so.
+        if not drain and as_id_scan_source(engine.store) is None:
+            cap = max_rows
+            bundle.method = "sketch-prefix"
+        dictionary, source = TermDictionary(), stream.rows
+        batches = _id_batches(
+            islice(source, cap), needed, max(1, max_rows // passes), dictionary
+        )
+    stepwise = passes > 1 and (stage is not None or cap is not None)
+    pending: list[Batch] = []
+    seen = 0
+    emitter = OBS.progress
+
+    def frame(ended: bool) -> tuple[int, int, bool]:
+        if pending:
+            _fold(bundle, pending, dictionary)
+            pending.clear()
+        if stage is not None:
+            consumed, total = stage.sampled or (0, 0)
+            bundle.fanout = stage.fanout
+            exhausted = ended and consumed == total
+        else:
+            consumed = total = seen
+            exhausted = ended and (cap is None or seen < cap)
+            if not exhausted:  # the row-plan prefix: all there is to go by
+                total = max(seen, int(round(stream.estimated_rows or 0)))
+        bundle.rows_consumed, bundle.estimated_total = consumed, total
+        bundle.exhausted = exhausted
+        return consumed, total, exhausted
+
+    def passed() -> SketchBundle:
+        bundle.plan = stream.root.explain()
+        if emitter.has_subscribers:
+            emitter.emit(
+                "approx.sketch.pass",
+                completed=bundle.rows_consumed,
+                total=bundle.estimated_total,
+                exhausted=bundle.exhausted,
+            )
+        return copy.copy(bundle)  # its own frame, the sketches shared
+
+    last = None
+    try:
+        for batch in batches:
+            pending.append(batch)
+            seen += batch.count
+            if stepwise:
+                last = frame(ended=False)
+                yield passed()
+        if frame(ended=True) != last:
+            yield passed()
+    finally:
+        source.close()  # an abandoned evaluation is logged now, not at GC
 
 
 def build_sketch_bundle(
@@ -349,66 +591,10 @@ def build_sketch_bundle(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> SketchBundle:
-    """Stream one engine's pattern solutions into a fresh bundle.
-
-    Grouped aggregates stop at ``max_rows`` (the bounded-work budget);
-    a DISTINCT projection anywhere lifts the row cap, because a distinct
-    count only carries an honest bound over the *whole* stream — the
-    bounded resource is then the sketch memory, not the row count.
-
-    The grouped scale-up inherits the prefix-exchangeability assumption
-    of :mod:`repro.server.approximate`: store iteration order stands in
-    for a uniform sample. When the scan order *correlates with the group
-    key* (an object-grouped index behind ``GROUP BY`` on that object)
-    the prefix over-represents early groups and real error exceeds the
-    declared interval — the same caveat, sharper consequences. The
-    Agresti–Coull-adjusted halfwidths at least never report certainty
-    from a one-group prefix.
-    """
-    parsed = parse_query(query) if isinstance(query, str) else query
-    if not eligible_sketch(parsed):
-        raise ValueError("query is not sketch-eligible")
-    if max_rows < 1:
-        raise ValueError("max_rows must be positive")
-    group_vars, specs = _make_specs(parsed, confidence)
-    distinct_mode = any(spec.distinct for spec in specs)
-
-    pattern_query = SelectQuery(
-        projections=(), where=parsed.where, prefixes=parsed.prefixes
-    )
-    stream = engine.stream_select(pattern_query)
-    rows_seen = 0
-    exhausted = False
-    iterator = iter(stream.rows)
-    while True:
-        if not distinct_mode and rows_seen >= max_rows:
-            break
-        try:
-            row = next(iterator)
-        except StopIteration:
-            exhausted = True
-            break
-        rows_seen += 1
-        key = _group_key(row, group_vars) if group_vars else None
-        _feed(row, key, specs)
-
-    if exhausted:
-        estimated_total = rows_seen
-    else:
-        planner_estimate = stream.estimated_rows
-        estimated_total = max(
-            rows_seen,
-            int(round(planner_estimate))
-            if planner_estimate is not None else 0,
-        )
-    return SketchBundle(
-        group_vars=group_vars,
-        specs=specs,
-        rows_consumed=rows_seen,
-        estimated_total=estimated_total,
-        exhausted=exhausted,
-        confidence=confidence,
-    )
+    """One engine's bundle for ``query`` from ``max_rows`` first-stage
+    rows: :func:`iter_sketch_passes` in a single pass."""
+    (bundle,) = iter_sketch_passes(engine, query, max_rows, confidence, passes=1)
+    return bundle
 
 
 def merge_bundles(bundles: list[SketchBundle]) -> SketchBundle:
@@ -425,6 +611,46 @@ def merge_bundles(bundles: list[SketchBundle]) -> SketchBundle:
 # --------------------------------------------------------------------------- #
 
 
+def _halfwidth(
+    kind: str, moments: StreamingMoments, bundle: SketchBundle
+) -> float:
+    """Confidence halfwidth of one group's estimate under the bundle's
+    frame: ``m`` of ``N`` first-stage rows drawn without replacement, each
+    leading to at most ``k`` solutions.
+
+    COUNT and SUM are ``N`` times the mean contribution ``y`` of a
+    first-stage row to the group. With ``k`` solutions moving as one,
+    ``E[y²] <= k² (q σ² + q μ²)`` where ``q = n / (k m)`` is the share of
+    rows contributing and ``μ, σ²`` the group's value moments (``1, 0``
+    for COUNT); ``q`` enters Agresti–Coull-adjusted, so a group seen a
+    handful of times does not claim a variance near zero. AVG is the ratio
+    estimator: the standard error of the group mean, times ``k``. All
+    carry the finite-population correction ``1 - m / N``.
+    """
+    m, total, k = bundle.rows_consumed, bundle.estimated_total, bundle.fanout
+    if m >= total:
+        return 0.0  # every first-stage row was read
+    correction = 1.0 - m / total
+    n = moments.n
+    mean, quantile = 1.0, z_score(bundle.confidence)
+    if kind != "COUNT":
+        # μ and σ² are estimates from n values: Student's quantile, and
+        # no interval at all from fewer than two.
+        if n < 2:
+            return float("inf")
+        mean, quantile = moments.mean, t_score(bundle.confidence, n - 1)
+    if kind == "AVG":
+        return quantile * math.sqrt(correction * k * moments.variance / n)
+    z = z_score(bundle.confidence)
+    trials = m + z * z
+    q = (n / k + z * z / 2.0) / trials
+    spread = q * moments.variance + q * (1.0 - q) * mean * mean
+    return k * total * quantile * math.sqrt(correction * spread / trials)
+
+
+_EMPTY = StreamingMoments()  # a group an aggregate's sketch does not track
+
+
 def _grouped_rows(
     bundle: SketchBundle,
 ) -> tuple[list[dict], dict[str, float], bool]:
@@ -433,13 +659,14 @@ def _grouped_rows(
     Rows are ordered by descending estimated size of the group (the
     shape a top-groups visualization wants); a group tracked by one
     aggregate's sketch but spilled from another simply leaves that
-    column unbound, mirroring SPARQL's unbound semantics.
+    column unbound, mirroring SPARQL's unbound semantics. Without GROUP
+    BY there is one row whatever was seen, the exact engine's implicit
+    group: ``COUNT`` and ``SUM`` of nothing are 0, ``AVG`` is unbound.
     """
     rows_seen = bundle.rows_consumed
-    total = bundle.estimated_total
-    scale = (total / rows_seen) if rows_seen else 0.0
+    scale = bundle.estimated_total / rows_seen if rows_seen else 0.0
     agg_specs = bundle.agg_specs
-    keys: dict[str, int] = {}
+    keys: dict[str, int] = {} if bundle.group_vars else {_group_key(()): 0}
     for spec in agg_specs:
         for key, n, _total, _mean, _var in spec.sketch.group_stats():
             if key.startswith("__"):
@@ -452,76 +679,73 @@ def _grouped_rows(
     for key in ordered:
         row: dict = dict(_decode_group_key(key, bundle.group_vars))
         for spec in agg_specs:
-            moments = spec.sketch.group(key)
-            if moments is None or moments.n == 0:
-                if spec.kind == "COUNT":
-                    row[spec.alias] = Literal(0)
-                continue
+            moments = spec.sketch.group(key) or _EMPTY
             if spec.kind == "COUNT":
-                estimate = moments.n * scale
-                halfwidth = binomial_halfwidth(
-                    moments.n, rows_seen, total, bundle.confidence
-                )
-                row[spec.alias] = Literal(int(round(estimate)))
-            else:
-                scaled_n = max(moments.n, int(round(moments.n * scale)))
-                snapshot = moments.estimate(scaled_n)
-                if spec.kind == "AVG":
-                    estimate = snapshot.mean
-                    halfwidth = snapshot.ci_halfwidth
-                else:
-                    estimate = snapshot.sum_estimate
-                    halfwidth = snapshot.sum_ci_halfwidth
-                row[spec.alias] = Literal(float(estimate))
+                row[spec.alias] = Literal(int(round(moments.n * scale)))
+            elif moments.n:
+                row[spec.alias] = Literal(float(
+                    moments.mean if spec.kind == "AVG"
+                    else moments.total * scale
+                ))
+            elif bundle.group_vars:
+                continue  # nothing of this group under this aggregate
+            elif spec.kind == "SUM":  # the implicit group over nothing
+                row[spec.alias] = Literal(0)
             alias = str(spec.alias)
-            if halfwidth > bounds[alias]:
-                bounds[alias] = halfwidth
+            bounds[alias] = max(
+                bounds[alias], _halfwidth(spec.kind, moments, bundle)
+            )
         rows.append(row)
     return rows, bounds, spilled
 
 
 def bundle_to_answer(
-    bundle: SketchBundle, method: str = "sketch"
+    bundle: SketchBundle, method: str | None = None
 ) -> ApproximateAnswer:
-    """Render a (possibly merged) bundle as an :class:`ApproximateAnswer`."""
+    """Render a (possibly merged) bundle as an :class:`ApproximateAnswer`.
+
+    ``method`` names how the bundle came to be when the caller knows
+    better than the bundle (``sketch-federated``)."""
+    method = method or bundle.method
     variables = [spec.alias for spec in bundle.specs]
+    frame = dict(
+        rows_consumed=bundle.rows_consumed,
+        estimated_total=bundle.estimated_total,
+        confidence=bundle.confidence,
+    )
+    if any(spec.distinct for spec in bundle.agg_specs):
+        row: dict = {}
+        bounds = {}
+        for spec in bundle.agg_specs:
+            estimate = spec.sketch.estimate()
+            row[spec.alias] = Literal(int(round(estimate.value)))
+            bounds[str(spec.alias)] = round(estimate.absolute_bound(), 6)
+        return ApproximateAnswer(
+            result=SelectResult(variables, [row], plan=bundle.plan),
+            approximate=True,
+            bounds=bounds,
+            method=method,
+            extra={"sketch": "hll"},
+            **frame,
+        )
+    rows, bounds, spilled = _grouped_rows(bundle)
+    approximate = (not bundle.exhausted) or spilled
+    extra: dict[str, object] | None = None
     if bundle.group_vars:
-        rows, bounds, spilled = _grouped_rows(bundle)
-        approximate = (not bundle.exhausted) or spilled
-        extra: dict[str, object] = {"groups": len(rows)}
+        extra = {"groups": len(rows)}
         if spilled:
             other = max(
                 spec.sketch.other_group_estimate()
                 for spec in bundle.agg_specs
             )
             extra["other_groups"] = int(round(other))
-        if not approximate:
-            bounds = {name: 0.0 for name in bounds}
-        return ApproximateAnswer(
-            result=SelectResult(variables, rows),
-            approximate=approximate,
-            rows_consumed=bundle.rows_consumed,
-            estimated_total=bundle.estimated_total,
-            confidence=bundle.confidence,
-            bounds=bounds,
-            method=method if approximate else "exact",
-            extra=extra,
-        )
-    row: dict = {}
-    bounds = {}
-    for spec in bundle.agg_specs:
-        estimate = spec.sketch.estimate()
-        row[spec.alias] = Literal(int(round(estimate.value)))
-        bounds[str(spec.alias)] = round(estimate.absolute_bound(), 6)
     return ApproximateAnswer(
-        result=SelectResult(variables, [row]),
-        approximate=True,
-        rows_consumed=bundle.rows_consumed,
-        estimated_total=bundle.estimated_total,
-        confidence=bundle.confidence,
+        result=SelectResult(variables, rows, plan=bundle.plan),
+        approximate=approximate,
         bounds=bounds,
-        method=method,
-        extra={"sketch": "hll"},
+        method=method if approximate else "exact",
+        extra=extra,
+        **frame,
     )
 
 
@@ -536,9 +760,10 @@ def sketched_select(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> ApproximateAnswer:
-    """One-engine sketched answer (the non-federated serving path)."""
-    bundle = build_sketch_bundle(engine, query, max_rows, confidence)
-    return bundle_to_answer(bundle, method="sketch")
+    """One engine's answer from ``max_rows`` first-stage rows."""
+    return bundle_to_answer(
+        build_sketch_bundle(engine, query, max_rows, confidence)
+    )
 
 
 def federated_sketch_bundle(
@@ -548,7 +773,7 @@ def federated_sketch_bundle(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> SketchBundle | None:
-    """Fan a sketch-eligible aggregate out across federation members.
+    """Fan an aggregate out across federation members.
 
     Members exposing ``sketch_select`` (remote endpoints) answer with a
     serialized bundle over the wire; plain local sources are sketched
@@ -586,91 +811,3 @@ def federated_sketch_select(
     if merged is None:
         return None
     return bundle_to_answer(merged, method="sketch-federated")
-
-
-# --------------------------------------------------------------------------- #
-# Progressive refinement: per-pass sketches merged into a running answer
-# --------------------------------------------------------------------------- #
-
-
-def iter_sketch_passes(
-    engine: QueryEngine,
-    query: str | SelectQuery,
-    max_rows: int = 2_000,
-    confidence: float = 0.95,
-    passes: int = 4,
-):
-    """Yield a tightening :class:`SketchBundle` after each chunk of work.
-
-    Each pass builds *fresh* per-chunk sketches and merges them into the
-    accumulated ones — the same merge the federation coordinator runs, so
-    the progressive path continuously exercises mergeability rather than
-    special-casing incremental update. Grouped bounds tighten as
-    ``rows_consumed`` grows (binomial/CLT halfwidths shrink with the
-    sample); a DISTINCT projection lifts the row budget and the passes
-    chart coverage of the whole stream instead.
-
-    Every pass also lands on the progress-event stream
-    (``approx.sketch.pass``) so a UI can watch without consuming the
-    iterator.
-    """
-    parsed = parse_query(query) if isinstance(query, str) else query
-    if not eligible_sketch(parsed):
-        raise ValueError("query is not sketch-eligible")
-    if max_rows < 1 or passes < 1:
-        raise ValueError("max_rows and passes must be positive")
-    group_vars, accumulated = _make_specs(parsed, confidence)
-    distinct_mode = any(spec.distinct for spec in accumulated)
-    budget = None if distinct_mode else max_rows
-    chunk = max(1, max_rows // passes)
-
-    pattern_query = SelectQuery(
-        projections=(), where=parsed.where, prefixes=parsed.prefixes
-    )
-    stream = engine.stream_select(pattern_query)
-    iterator = iter(stream.rows)
-    rows_seen = 0
-    exhausted = False
-    emitter = OBS.progress
-    while not exhausted and (budget is None or rows_seen < budget):
-        _, fresh = _make_specs(parsed, confidence)
-        consumed = 0
-        while consumed < chunk and (budget is None or rows_seen < budget):
-            try:
-                row = next(iterator)
-            except StopIteration:
-                exhausted = True
-                break
-            rows_seen += 1
-            consumed += 1
-            key = _group_key(row, group_vars) if group_vars else None
-            _feed(row, key, fresh)
-        if consumed == 0 and not exhausted:
-            break  # budget landed exactly on a chunk boundary
-        for acc, new in zip(accumulated, fresh):
-            if acc.role == "agg":
-                acc.sketch.merge(new.sketch)
-        if exhausted:
-            estimated_total = rows_seen
-        else:
-            planner_estimate = stream.estimated_rows
-            estimated_total = max(
-                rows_seen,
-                int(round(planner_estimate))
-                if planner_estimate is not None else 0,
-            )
-        if emitter.has_subscribers:
-            emitter.emit(
-                "approx.sketch.pass",
-                completed=rows_seen,
-                total=estimated_total,
-                exhausted=exhausted,
-            )
-        yield SketchBundle(
-            group_vars=group_vars,
-            specs=accumulated,
-            rows_consumed=rows_seen,
-            estimated_total=estimated_total,
-            exhausted=exhausted,
-            confidence=confidence,
-        )

@@ -1362,7 +1362,8 @@ def execution_strategy(root: PhysicalOperator | None) -> str:
     """Which engine executed a plan: ``iterator``, ``vectorized:<kinds>``
     (sorted, ``+``-joined when a query mixes BGP strategies, then ``+agg``
     / ``+topk`` when the id batches fed a batch aggregate or top-k
-    selection instead of the row adaptor), or ``none`` for plans without a
+    selection instead of the row adaptor, and ``+sample`` when a BGP ran
+    over a sample of its first stage), or ``none`` for plans without a
     root (e.g. DESCRIBE without a pattern)."""
     if root is None:
         return "none"
@@ -1373,6 +1374,9 @@ def execution_strategy(root: PhysicalOperator | None) -> str:
         node = stack.pop()
         if node.name == "VectorizedBGP":
             strategies.add(str(getattr(node, "strategy", "binary")))
+            sampled = getattr(node, "sampled", None)
+            if sampled is not None and sampled[0] < sampled[1]:
+                consumers.add("sample")
         elif node.name in _BATCH_CONSUMERS:
             consumers.add(_BATCH_CONSUMERS[node.name])
         stack.extend(node.children)

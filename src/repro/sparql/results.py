@@ -79,11 +79,13 @@ Block = tuple["list[list[Term | None] | None]", int]
 
 
 def row_blocks(
-    variables: list[Variable], rows: Iterable[dict[Variable, Term]]
+    variables: list[Variable],
+    rows: Iterable[dict[Variable, Term]],
+    size: int = BLOCK_ROWS,
 ) -> Iterator[Block]:
-    """Solution rows as blocks of up to :data:`BLOCK_ROWS` rows."""
+    """Solution rows as blocks of up to ``size`` rows."""
     rows = iter(rows)
-    while chunk := list(islice(rows, BLOCK_ROWS)):
+    while chunk := list(islice(rows, size)):
         yield [[row.get(v) for row in chunk] for v in variables], len(chunk)
 
 

@@ -65,12 +65,21 @@ The streaming pull interface is preserved: a :class:`VectorizedBGP` *is* a
 :class:`~repro.sparql.physical.PhysicalOperator` whose ``execute`` yields
 decoded ``Binding`` rows (the row adaptor over the same batches) for the
 row operators above it — ``Distinct``, ``Sort``, joins, ``Extend``,
-expression projections — so LIMIT pushdown, budgets, tracing and prefix
-sampling compose unchanged. Scans and star seeds start with a
+expression projections — so LIMIT pushdown, budgets and tracing compose
+unchanged. Scans and star seeds start with a
 :data:`FIRST_BATCH_SIZE`-row chunk that doubles up to the batch size, so a
 ``LIMIT k`` consumer that stops pulling has expanded hundreds of rows, not
 a full batch per pattern; what it cannot bound is the store's own first
 read (one ``match_id_batches`` batch, or a whole constraint run).
+
+**The first stage can be a sample.** That same starting point — the scan
+of the first pattern, the intersected centre run of a star — is the one
+place every solution of a BGP descends from, so drawing ``m`` of its ``N``
+rows uniformly (:meth:`VectorizedBGP.sample_first_stage`) keeps each
+solution with probability ``m / N``, with ``N`` read off the store. The
+shed tier (:mod:`repro.server.sketch`) answers aggregates from such a
+stream; nothing else asks, and an execution that was not asked is
+untouched.
 
 Nothing here is selected by an option: :func:`repro.sparql.physical
 .build_plan` lowers a BGP onto these operators exactly when the store
@@ -129,6 +138,10 @@ __all__ = [
 FIRST_BATCH_SIZE = 256
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+#: Column numbering the rows of a first stage that was asked for a sample,
+#: so the rows descending from one of them can be counted (the name is not
+#: a SPARQL variable name, so it collides with nothing).
+_SEED = Variable("first-stage row")
 # Existence-probe match stubs: one row / zero rows, no free-variable columns.
 _EXISTS = np.empty((1, 0), dtype=np.int64)
 _ABSENT = np.empty((0, 0), dtype=np.int64)
@@ -501,9 +514,41 @@ class VectorizedBGP(PhysicalOperator):
         self.center = center
         self.reason = reason
         self.batch_size = batch_size
+        # A sample request (rows, passes, generator seed) and what came of
+        # it: (first-stage rows handed on so far, first-stage population)
+        # and the most solutions any one of those rows led to.
+        self._sample: tuple[int, int, int] | None = None
+        self.sampled: tuple[int, int] | None = None
+        self.fanout = 1
+
+    def sample_first_stage(self, rows: int, seed: int, passes: int = 1) -> bool:
+        """Ask the next execution to start from a uniform sample.
+
+        The stage a BGP starts from — the scan of its first pattern, or the
+        intersected centre run of a star — hands on at most ``rows`` of its
+        ``N`` rows, drawn uniformly without replacement by a generator
+        seeded with ``seed``, in random order and in ``passes`` equal
+        chunks: every prefix of the output is itself a uniform sample.
+        Every solution descends from exactly one first-stage row, so it is
+        kept with probability ``rows / N``. ``N`` is read off the store (a
+        span's length, the length of the intersection); :attr:`sampled`
+        reports ``(rows handed on, N)`` as execution proceeds and
+        :attr:`fanout` the most solutions one first-stage row led to. With
+        ``N <= rows`` and one pass nothing is drawn: the execution is the
+        unsampled one, row for row.
+
+        Returns ``False``, changing nothing, for the generic join, which
+        has no stage that every solution descends from.
+        """
+        if self.strategy == "wcoj-generic":
+            return False
+        self._sample = (rows, passes, seed)
+        return True
 
     def detail(self) -> str:
         rendered = f"{self.strategy}[{self.reason}]"
+        if self.sampled is not None and self.sampled[0] < self.sampled[1]:
+            rendered += " sample=%d/%d" % self.sampled
         if self._filters:
             rendered += " filter=" + ",".join(f.describe() for f in self._filters)
         if self.decode_variables is not None:
@@ -537,6 +582,49 @@ class VectorizedBGP(PhysicalOperator):
                 start += size
                 size = min(size * 2, self.batch_size)
 
+    def _first_stage(self, arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Chunks of the rows this BGP starts from (``arrays``, in run
+        order): all of them, or the sample :meth:`sample_first_stage`
+        describes."""
+        if self._sample is None:
+            return self._growing_chunks(arrays)
+        return self._drawn(list(arrays))
+
+    def _drawn(self, arrays: list[np.ndarray]) -> Iterator[np.ndarray]:
+        rows, passes, seed = self._sample
+        population = sum(len(array) for array in arrays)
+        take = min(rows, population)
+        if take == population and (passes == 1 or not take):
+            chunks = self._growing_chunks(arrays)
+        else:
+            picks = np.random.default_rng(seed).choice(population, take, replace=False)
+            if len(arrays) == 1:
+                chosen = arrays[0][picks]
+            else:  # gather from each store batch what was drawn from it
+                chosen = np.empty((take, *arrays[0].shape[1:]), dtype=np.int64)
+                start = 0
+                for array in arrays:
+                    here = (picks >= start) & (picks < start + len(array))
+                    chosen[here] = array[picks[here] - start]
+                    start += len(array)
+            size = -(-take // passes)
+            chunks = (chosen[at : at + size] for at in range(0, take, size))
+        handed = 0
+        self.sampled = (0, population)
+        for chunk in chunks:
+            handed += len(chunk)
+            self.sampled = (handed, population)
+            yield chunk
+
+    def _solutions_per_row(self, batches: Iterator[Batch]) -> Iterator[Batch]:
+        """Drop the first-stage row numbers, keeping their highest count.
+        (A first-stage chunk stays one batch all the way up, so the
+        solutions of one row never straddle two.)"""
+        for batch in batches:
+            columns = dict(batch.columns)
+            self.fanout = max(self.fanout, int(np.bincount(columns.pop(_SEED)).max()))
+            yield Batch(columns, batch.count)
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -567,7 +655,10 @@ class VectorizedBGP(PhysicalOperator):
             batches = self._generic_join(resolved)
         else:
             batches = self._pipeline(resolved, stages)
-        return stages.after(batches, None)
+        batches = stages.after(batches, None)
+        if self._sample is not None:
+            batches = self._solutions_per_row(batches)
+        return batches
 
     def _center_free(self, resolved: list[_Resolved]) -> bool:
         if self.center is None:
@@ -632,7 +723,7 @@ class VectorizedBGP(PhysicalOperator):
         scan.executions += 1
         self.stats.store_lookups += 1
         s, p, o = one.ids
-        for raw in self._growing_chunks(
+        for raw in self._first_stage(
             self.source.match_id_batches(s, p, o, self.batch_size)
         ):
             if one.dup_slots:
@@ -646,6 +737,8 @@ class VectorizedBGP(PhysicalOperator):
             columns = {
                 variable: raw[:, position] for position, variable in one.var_slots
             }
+            if self._sample is not None:
+                columns[_SEED] = np.arange(len(raw))
             yield Batch(columns, len(raw))
 
     def _probe_matches(
@@ -853,8 +946,11 @@ class VectorizedBGP(PhysicalOperator):
             return
 
         def seed() -> Iterator[Batch]:
-            for chunk in self._growing_chunks((candidates,)):
-                yield Batch({center: chunk}, len(chunk))
+            for chunk in self._first_stage((candidates,)):
+                columns = {center: chunk}
+                if self._sample is not None:
+                    columns[_SEED] = np.arange(len(chunk))
+                yield Batch(columns, len(chunk))
 
         batches = stages.after(seed(), (center,))
         for index, one in expanders:

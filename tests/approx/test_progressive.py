@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.approx import ProgressiveAggregator
+from repro.approx.progressive import t_score, z_score
 from repro.workload import numeric_values
 
 
@@ -107,6 +108,20 @@ def test_progressive_converges_to_truth_property(data, chunk, seed):
     assert final.mean == pytest.approx(float(np.mean(data)), rel=1e-9, abs=1e-6)
     if len(data) > 1:
         assert final.ci_halfwidth == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("confidence, dof, table", [
+    (0.95, 3, 3.182), (0.95, 5, 2.571), (0.95, 10, 2.228), (0.95, 30, 2.042),
+    (0.99, 5, 4.032), (0.99, 30, 2.750), (0.90, 4, 2.132),
+])
+def test_t_score_follows_the_tables(confidence, dof, table):
+    assert t_score(confidence, dof) == pytest.approx(table, rel=0.01)
+    assert t_score(confidence, dof) > z_score(confidence)
+
+
+def test_t_score_limits():
+    assert t_score(0.95, 10_000) == pytest.approx(z_score(0.95), rel=1e-3)
+    assert t_score(0.95, 0) == float("inf")  # one value: no interval
 
 
 class TestProgressiveSketchAggregator:

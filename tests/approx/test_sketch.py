@@ -173,6 +173,46 @@ class TestGroupedMoments:
         assert total_n == 400
         assert sketch.other_group_estimate() > 0
 
+    def test_whole_groups_add_up_to_the_per_row_feed(self):
+        """``add_groups`` takes a batch's per-group n / mean / M2; in two
+        batches it ends where one ``add_group`` per row does."""
+        rng = random.Random(5)
+        rows = [(f"g{rng.randrange(5)}", float(rng.randrange(50)))
+                for _ in range(600)]
+        per_row = GroupedMomentsSketch(max_groups=16)
+        for key, value in rows:
+            per_row.add_group(key, value)
+        bulk = GroupedMomentsSketch(max_groups=16)
+        for batch in (rows[:250], rows[250:]):
+            values: dict = {}
+            for key, value in batch:
+                values.setdefault(key, []).append(value)
+            means = {k: sum(v) / len(v) for k, v in values.items()}
+            bulk.add_groups(
+                list(values),
+                [len(v) for v in values.values()],
+                [means[k] for k in values],
+                [sum((x - means[k]) ** 2 for x in v) for k, v in values.items()],
+            )
+        assert bulk.n == per_row.n == 600
+        for key, n, total, mean, variance in per_row.group_stats():
+            moments = bulk.group(key)
+            assert moments.n == n and moments.total == pytest.approx(total)
+            assert moments.variance == pytest.approx(variance)
+
+    def test_budget_keeps_the_largest_groups_whatever_the_order(self):
+        sizes = {"a": 5, "b": 40, "c": 40, "d": 7, "e": 90}
+        outcomes = []
+        for order in (sorted(sizes), sorted(sizes, reverse=True)):
+            sketch = GroupedMomentsSketch(max_groups=2)
+            sketch.add_groups(
+                order, [sizes[k] for k in order], [1.0] * 5, [0.0] * 5
+            )
+            outcomes.append(sketch.to_dict())
+            assert sketch.group_keys() == ["b", "e"]  # the tie goes by key
+            assert sketch.spilled and sketch.n == 182
+        assert outcomes[0] == outcomes[1]
+
     def test_merge_unions_groups(self):
         left = GroupedMomentsSketch(max_groups=32)
         right = GroupedMomentsSketch(max_groups=32)

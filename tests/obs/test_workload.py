@@ -64,13 +64,18 @@ class TestAggregations:
         assert list(tenants)[0] == "a"  # sorted by total latency
 
     def test_by_tenant_counts_sketched_answers(self):
+        # One record per shed answer, grouped or not, its strategy naming
+        # the sample; an exact answer from the same operators is not one.
         report = analyze([
-            record(0, tenant="a", strategy="sketched"),
-            record(1, tenant="a", strategy="iterator"),
-            record(2, tenant="b", strategy="cached"),
+            record(0, tenant="a", strategy="vectorized:binary+sample"),
+            record(1, tenant="a", strategy="vectorized:wcoj-star+sample"),
+            record(2, tenant="a", strategy="federated+sample"),
+            record(3, tenant="a", strategy="vectorized:binary+agg"),
+            record(4, tenant="b", strategy="cached"),
         ])
         tenants = report.by_tenant()
-        assert tenants["a"]["approximate"] == 1
+        assert tenants["a"]["queries"] == 4
+        assert tenants["a"]["approximate"] == 3
         assert tenants["b"]["approximate"] == 0
 
     def test_slow_digests_ranked_by_total_latency(self):

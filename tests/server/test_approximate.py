@@ -18,9 +18,9 @@ LABEL = IRI(EX + "label")
 
 
 def numeric_store(n: int = 500) -> MemoryStore:
-    # Distinct, order-scrambled values: the store's POS index iterates
-    # objects in first-insertion order, so values correlated with the
-    # insertion index would make every prefix a maximally biased sample.
+    # Distinct, order-scrambled values, so the row-plan prefix (rows_only)
+    # is not a maximally biased one; the id path draws positions and does
+    # not care (tests/server/test_sample_bounds.py orders data against it).
     store = MemoryStore()
     for index in range(n):
         subject = IRI(f"{EX}item/{index}")
@@ -94,14 +94,16 @@ class TestApproximation:
             max_rows=100,
         )
         assert answer.approximate
-        assert answer.method == "prefix-sample"
-        assert answer.rows_consumed == 100  # the work bound held
+        assert answer.method == "sketch"
+        # The frame: 100 of the scan's 1000 positions were drawn.
+        assert answer.rows_consumed == 100
+        assert answer.estimated_total == 1000
         (row,) = answer.result.rows
         (value,) = row.values()
-        # COUNT scale-up comes from the planner's estimate; for a full
-        # wildcard scan the estimate is the store size itself.
+        # Every drawn row is a solution, so scaling by N / m gives N: the
+        # span's length, read off the store, not a planner estimate.
         assert value.value == 1000
-        assert answer.estimated_total == 1000
+        assert "sample=100/1000" in answer.result.plan.render()
 
     def test_avg_interval_covers_truth(self):
         store = numeric_store(500)
@@ -118,8 +120,8 @@ class TestApproximation:
         estimate = next(iter(row.values())).value
         halfwidth = answer.bounds["mean"]
         assert halfwidth > 0
-        # The store's values are order-scrambled, so the prefix is nearly
-        # unbiased; a 5x-widened interval must cover the exact mean.
+        # 150 of 500 positions, drawn uniformly: a 5x-widened interval must
+        # cover the exact mean.
         assert abs(estimate - truth) <= 5 * halfwidth
 
     def test_sum_scales_with_population(self):
@@ -140,26 +142,31 @@ class TestApproximation:
         assert estimate == pytest.approx(exact_total, rel=0.5)
 
     def test_count_variable_binomial_scale_up(self):
-        # Half the subjects carry ?v: COUNT(?v) must scale by the observed
-        # bound fraction, not the raw row count.
+        # Half the subjects carry ?v. OPTIONAL is not one BGP, so there is
+        # no first stage to draw from: over a store that serves id scans the
+        # stream is drained and the count exact; over a row store the
+        # prefix stays, and COUNT(?v) scales by the bound fraction seen,
+        # not the raw row count.
         store = MemoryStore()
         for index in range(300):
             subject = IRI(f"{EX}item/{index}")
             store.add(Triple(subject, LABEL, Literal(f"item {index}")))
             if index % 2 == 0:
                 store.add(Triple(subject, VALUE, Literal(1.0)))
-        engine = QueryEngine(store)
-        query = (
+        parsed = parse_query(
             "SELECT (COUNT(?v) AS ?n) WHERE { "
             "?s <http://example.org/label> ?label . "
             "OPTIONAL { ?s <http://example.org/value> ?v } }"
         )
-        parsed = parse_query(query)
-        if not eligible_aggregate(parsed):
-            pytest.skip("OPTIONAL not supported by this parser")
-        answer = approximate_select(engine, parsed, max_rows=60)
-        if not answer.approximate:
-            pytest.skip("stream fit inside the budget")
+        assert eligible_aggregate(parsed)
+        exact = approximate_select(QueryEngine(store), parsed, max_rows=60)
+        assert not exact.approximate
+        assert next(iter(exact.result.rows[0].values())).value == 150
+        answer = approximate_select(
+            QueryEngine(rows_only(store)), parsed, max_rows=60
+        )
+        assert answer.approximate and answer.method == "sketch-prefix"
+        assert answer.rows_consumed == 60
         (row,) = answer.result.rows
         estimate = next(iter(row.values())).value
         assert 0 < estimate < answer.estimated_total
@@ -174,8 +181,9 @@ class TestApproximation:
 
 
 class TestEngineIndependence:
-    """The approximate tier rides the streaming interface, so it must
-    behave identically over the vectorized engine — bounded work included."""
+    """One consumer takes id batches and a row plan's term lists: the work
+    bound and the frame hold over both (a sample of positions on the id
+    path, a prefix that says so on the row path)."""
 
     @pytest.mark.parametrize("mode", ["iterator", "vectorized"])
     def test_bounded_work_both_engines(self, mode):
@@ -187,13 +195,17 @@ class TestEngineIndependence:
         )
         assert answer.approximate
         assert answer.rows_consumed == 100
+        assert answer.method == (
+            "sketch" if mode == "vectorized" else "sketch-prefix"
+        )
         (row,) = answer.result.rows
         (value,) = row.values()
         assert value.value == 1000
         if mode == "vectorized":
-            # Prefix sampling abandoned the stream early: at most one scan
-            # batch was pulled for 100 rows of a 1000-row result.
-            assert engine.stats.scan_batches <= 1
+            # The drawn rows went up the pipeline as one batch, and only
+            # they were accounted as scanned.
+            assert engine.stats.scan_batches == 1
+            assert engine.stats.scan_rows == 100
 
     def test_vectorized_prefix_sample_stops_scanning(self):
         store = numeric_store(500)
@@ -204,7 +216,5 @@ class TestEngineIndependence:
         )
         answer = approximate_select(engine, query, max_rows=50)
         assert answer.approximate
-        root_stats = answer.result.stats if hasattr(answer.result, "stats") else None
-        # Work bound: the 500-row scan must not have been exhausted.
-        if root_stats is not None and root_stats.scan_rows:
-            assert root_stats.scan_rows < 500
+        # Work bound: 50 of the scan's 500 rows went up the pipeline.
+        assert engine.stats.scan_rows == 50

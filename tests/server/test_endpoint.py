@@ -286,7 +286,7 @@ class TestLoadShedding:
             assert bounds["mean"] > 0
             body = json.loads(response.read())
             assert body["x-repro"]["approximate"] is True
-            assert body["x-repro"]["method"] == "prefix-sample"
+            assert body["x-repro"]["method"] == "sketch"
             (binding,) = body["results"]["bindings"]
             estimate = float(binding["mean"]["value"])
             # ±5 halfwidths covers the exact mean of the scrambled values

@@ -1,6 +1,7 @@
-"""The sketch tier over live HTTP: shed GROUP BY / DISTINCT answers with
-error-bound headers, the ``X-Repro-Sketch`` wire mode, progressive
-NDJSON refinement, and ``/statistics`` distinct-object counts."""
+"""The shed tier over live HTTP: sampled GROUP BY answers with error-bound
+headers, COUNT(DISTINCT) exact where ids can be scanned and from the HLL
+over a federation, the ``X-Repro-Sketch`` wire mode, progressive NDJSON
+refinement, and ``/statistics`` distinct-object counts."""
 
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 
 from repro.rdf.terms import IRI, Triple
 from repro.server.app import ReproServer, ServerConfig
+from repro.store.federated import FederatedStore
 from repro.store.memory import MemoryStore
 
 EX = "http://example.org/"
@@ -20,8 +22,7 @@ SEL = "SELECT ?s WHERE { ?s ?p ?c } LIMIT 2"
 
 
 def interleaved_store(n: int = 3_000, groups: int = 6, seed: int = 45):
-    """Randomized group assignment: a full-scan prefix mixes all groups,
-    which is the exchangeability the scale-up's intervals assume."""
+    """One type triple per item, the group drawn at random."""
     rng = random.Random(seed)
     store = MemoryStore()
     truth: dict = {}
@@ -52,15 +53,35 @@ def force_overload(server) -> None:
         fetch(sparql_url(server.base_url, SEL)).read()
 
 
+SHEDDING = dict(
+    workers=2, shed_budget_ms=5.0, shed_min_observations=4,
+    shed_window=32, debug_delay_ms=20.0, approx_max_rows=2_400,
+)
+
+
 @pytest.fixture()
 def shedding_server():
-    config = ServerConfig(
-        workers=2, shed_budget_ms=5.0, shed_min_observations=4,
-        shed_window=32, debug_delay_ms=20.0, approx_max_rows=2_400,
-    )
     store, truth = interleaved_store()
-    with ReproServer(store, config) as server:
+    with ReproServer(store, ServerConfig(**SHEDDING)) as server:
         yield server, truth
+
+
+@pytest.fixture()
+def federated_server():
+    """The same data as two in-process members of a federation: a store
+    with no id scans to offer, answered by merging the members' bundles."""
+    store, truth = interleaved_store()
+    members = MemoryStore(), MemoryStore()
+    for index, triple in enumerate(store.triples((None, None, None))):
+        members[index % 2].add(triple)
+    federation = FederatedStore([("a", members[0]), ("b", members[1])])
+    with ReproServer(federation, ServerConfig(**SHEDDING)) as server:
+        yield server, truth
+
+
+def query_log(server) -> list[dict]:
+    body = fetch(f"{server.base_url}/debug/queries").read().decode("utf-8")
+    return [json.loads(line) for line in body.splitlines() if line.strip()]
 
 
 class TestShedGroupBy:
@@ -89,17 +110,40 @@ class TestShedGroupBy:
             estimate = float(binding["n"]["value"])
             assert abs(estimate - truth[group]) <= 5 * bounds["n"]
 
-    def test_distinct_count_served_from_hll(self, shedding_server):
-        server, truth = shedding_server
+    def test_distinct_count_served_from_hll(self, federated_server):
+        # Over a federation the members' HLLs merge duplicate-proof, which
+        # no exact per-member count could: there the sketch still serves.
+        server, truth = federated_server
         force_overload(server)
         response = fetch(sparql_url(server.base_url, DISTINCT))
         assert response.headers["X-Repro-Approximate"] == "1"
         body = json.loads(response.read())
-        assert body["x-repro"]["method"] == "sketch"
+        assert body["x-repro"]["method"] == "sketch-federated"
         assert body["x-repro"]["sketch"] == "hll"
         estimate = float(body["results"]["bindings"][0]["n"]["value"])
         bound = json.loads(response.headers["X-Repro-Error-Bound"])["n"]
         assert abs(estimate - len(truth)) <= max(1.0, bound)
+
+    def test_distinct_count_is_exact_where_ids_can_be_scanned(
+        self, shedding_server
+    ):
+        # A sample's distinct count cannot be extrapolated and the exact
+        # aggregate over id batches costs less than the HLL drain, so an
+        # overloaded server has nothing to shed here.
+        server, truth = shedding_server
+        force_overload(server)
+        grouped = fetch(sparql_url(server.base_url, GROUPED))
+        assert grouped.headers["X-Repro-Approximate"] == "1"  # overloaded
+        grouped.read()
+        response = fetch(sparql_url(server.base_url, DISTINCT))
+        assert response.headers["X-Repro-Tier"] == "exact"
+        assert "X-Repro-Approximate" not in dict(response.headers)
+        body = json.loads(response.read())
+        assert "x-repro" not in body
+        assert body["results"]["bindings"][0]["n"]["value"] == str(len(truth))
+        (record,) = [r for r in query_log(server)
+                     if r["strategy"].endswith("+agg")]
+        assert record["tier"] == "exact"
 
 
 class TestSketchWireMode:
@@ -184,10 +228,26 @@ class TestObservability:
         assert "server_sketch_answers" in metrics
         assert 'family="grouped_moments"' in metrics
         assert "server_sketch_bytes" in metrics
-        records = [
-            json.loads(line)
-            for line in fetch(f"{server.base_url}/debug/queries")
-            .read().decode("utf-8").splitlines()
-            if line.strip()
-        ]
-        assert "sketched" in {record.get("strategy") for record in records}
+        # One record per shed answer: the sampled stream's own, complete,
+        # under the digest of the query the client sent.
+        from repro.sparql.eval import QueryEngine
+
+        digest = QueryEngine(server.store).plan_digest(GROUPED)
+        (record,) = [r for r in query_log(server) if r["digest"] == digest]
+        assert record["strategy"] == "vectorized:binary+sample"
+        assert record.get("complete", True)
+        assert record["tier"] in ("sampled", "aggressive")
+        assert 0 < record["scan_rows"] < 3_000
+
+    def test_federated_answer_logs_one_record_on_the_coordinator(
+        self, federated_server
+    ):
+        # The members ran the streams (in process here, so their records
+        # land in this log too); the coordinator's own record is the one
+        # that stands for the answer.
+        server, _truth = federated_server
+        force_overload(server)
+        fetch(sparql_url(server.base_url, GROUPED)).read()
+        strategies = [r["strategy"] for r in query_log(server)]
+        assert strategies.count("federated+sample") == 1
+        assert "sketched" not in strategies
