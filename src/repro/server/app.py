@@ -45,10 +45,10 @@ sample of the pattern's first stage — ``approx_max_rows`` rows of it, a
 quarter of that in the aggressive tier — with an ``X-Repro-Approximate``
 header and error-bound metadata (:mod:`repro.server.sketch`, the one
 approximate path); a first stage that fits the budget is read whole and
-answered exactly, and so is ``COUNT(DISTINCT)`` wherever ids can be
-scanned. Only when the admission queue itself is full does the server
-answer 503 + ``Retry-After``. It never buffers without bound and it never
-silently drops a request.
+answered exactly, and so is ``COUNT(DISTINCT)`` unless the store is a
+federation, whose members' HLLs merge. Only when the admission queue
+itself is full does the server answer 503 + ``Retry-After``. It never
+buffers without bound and it never silently drops a request.
 
 Every admitted request runs as an :meth:`repro.obs.Observability.
 interaction`, so the latency-budget accountant and the flight recorder
@@ -97,12 +97,7 @@ from ..sparql.results import (
     to_tsv,
     tsv_document,
 )
-from ..store.base import (
-    StoreStatistics,
-    TripleSource,
-    as_id_scan_source,
-    compute_statistics,
-)
+from ..store.base import StoreStatistics, TripleSource, compute_statistics
 from .admission import FairAdmissionQueue
 from .sketch import (
     aggregate_shape,
@@ -192,8 +187,6 @@ class ReproServer:
 
     def __init__(self, store: TripleSource, config: ServerConfig | None = None) -> None:
         self.store = store
-        # Whether there are positions to sample (see _handle_sparql).
-        self._serves_id_scans = as_id_scan_source(store) is not None
         self.config = config or ServerConfig()
         self.admission: FairAdmissionQueue[_Pending] = FairAdmissionQueue(
             self.config.queue_capacity
@@ -708,10 +701,11 @@ class ReproServer:
                 burn_rate=self.slo.burn_rate(pending.tenant),
                 peak_burn=self.slo.peak_burn_rate(),
             )
-            if shape == "distinct" and self._serves_id_scans:
+            if shape == "distinct" and not hasattr(self.store, "members"):
                 # A sample's distinct count cannot be extrapolated, and
                 # over id batches the exact aggregate costs less than
-                # draining the stream into an HLL: nothing to shed.
+                # draining the stream into an HLL: nothing to shed. (A
+                # federation's members each answer with an HLL to merge.)
                 tier = EXACT
             act.set_attribute("tier", TIER_NAMES[tier])
             OBS.querylog.annotate_serving(tier=TIER_NAMES[tier])

@@ -13,11 +13,13 @@ variables projected (``Project→VectorizedBGP``: id batches), its BGP asked
 start from ``m = max_rows`` of its ``N`` first-stage rows, drawn uniformly
 by a generator seeded from the plan digest — one query, one answer. Every
 solution descends from one first-stage row, so COUNT and SUM scale by
-``N / m`` and AVG is their ratio; ``N`` is read off the store, never
-estimated. ``rows_consumed`` / ``estimated_total`` are ``m`` / ``N``. With
-``N <= m`` nothing is drawn and the answer is exact from that one pass;
-plans with no first stage over a store that serves id scans (cyclic BGPs,
-OPTIONAL, UNION) are drained and exact too. Bounds (:func:`_halfwidth`)
+``N / m`` and AVG is their ratio; ``N`` is read off the source, never
+estimated — on every store: one that only yields triples is scanned
+through :func:`~repro.store.base.as_id_scan_source`'s encoding adaptor,
+and the draw is over the positions of that scan. ``rows_consumed`` /
+``estimated_total`` are ``m`` / ``N``. With ``N <= m`` nothing is drawn
+and the answer is exact from that one pass; plans with no first stage
+(OPTIONAL, UNION) are drained and exact too. Bounds (:func:`_halfwidth`)
 allow for one first-stage row leading to several solutions (``fanout``).
 
 **One consumer** (:func:`iter_sketch_passes`) fills every
@@ -29,14 +31,7 @@ merge into one :class:`~repro.approx.sketch.GroupedMomentsSketch` per
 aggregate (ungrouped: one group). ``COUNT(DISTINCT)`` cannot be
 extrapolated from a sample: it drains the stream into an HLL, fed once per
 distinct id — the route of the wire, federation and progressive modes; a
-server over a store that serves id scans answers it exactly instead.
-
-**What remains a prefix.** A store that only yields rows (a federation
-queried as one source, a remote endpoint, a plain graph) has no positions
-to draw from: the same consumer takes the first ``max_rows`` rows of the
-row plan, scales by the planner's estimate, and says so (``method`` is
-``sketch-prefix``); those bounds hold only if iteration order is unrelated
-to the data.
+server whose store is not a federation answers it exactly instead.
 
 A bundle serializes to JSON for the federation wire, merges with other
 sources' bundles (frames add: members sampled at different rates are
@@ -53,7 +48,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -81,7 +76,6 @@ from ..sparql.parser import parse_query
 from ..sparql.physical import Batch, ExplainNode
 from ..sparql.results import SelectResult, row_blocks, term_from_json, term_to_json
 from ..sparql.vectorized import VectorizedBGP, _concat, _distinct_keys
-from ..store.base import as_id_scan_source
 from ..store.dictionary import VALUE_OTHER, TermDictionary
 
 __all__ = [
@@ -275,8 +269,8 @@ class SketchBundle:
 
     ``rows_consumed`` of ``estimated_total`` first-stage rows were read
     (all of them when ``exhausted``); ``fanout`` is the most solutions one
-    of them led to. ``method`` and ``plan`` describe how this process
-    filled the bundle and do not travel on the wire.
+    of them led to. ``plan`` is the EXPLAIN tree of the stream this
+    process filled the bundle from and does not travel on the wire.
     """
 
     def __init__(
@@ -296,7 +290,6 @@ class SketchBundle:
         self.exhausted = exhausted
         self.confidence = confidence
         self.fanout = fanout
-        self.method = "sketch"
         self.plan: ExplainNode | None = None
 
     @property
@@ -491,9 +484,8 @@ def iter_sketch_passes(
     and a bundle is yielded after each chunk: its own frame, the sketches
     shared with the passes before it. :func:`build_sketch_bundle` is the
     one-pass case. A stream that cannot be bounded (a DISTINCT
-    projection, a plan with no first stage over an id-scan store) is
-    drained and yielded once, exhausted. Over a store that only yields
-    rows the chunks are successive prefixes of the row plan.
+    projection, a plan with no first stage) is drained and yielded once,
+    exhausted.
 
     The plan digest of ``query`` seeds the draw and names the stream's
     query-log record (not the digest of the pattern query streamed for
@@ -519,26 +511,18 @@ def iter_sketch_passes(
         ),
         digest=digest,
     )
-    drain = any(spec.distinct for spec in specs)
     dictionary, source = stream.dictionary, stream.batches
     stage = stream.root.children[0] if dictionary is not None else None
-    if drain or not (
-        isinstance(stage, VectorizedBGP)
-        and stage.sample_first_stage(max_rows, int(digest[:16], 16), passes)
-    ):
+    if isinstance(stage, VectorizedBGP) and not any(s.distinct for s in specs):
+        stage.sample_first_stage(max_rows, int(digest[:16], 16), passes)
+    else:
         stage = None
-    batches, cap = source, None
+    batches = source
     if dictionary is None:
-        # A row plan: nothing to draw positions from. A store that serves
-        # id scans is drained; any other is cut at a prefix, and says so.
-        if not drain and as_id_scan_source(engine.store) is None:
-            cap = max_rows
-            bundle.method = "sketch-prefix"
+        # A row plan (OPTIONAL, UNION, ...): no first stage to draw from.
         dictionary, source = TermDictionary(), stream.rows
-        batches = _id_batches(
-            islice(source, cap), needed, max(1, max_rows // passes), dictionary
-        )
-    stepwise = passes > 1 and (stage is not None or cap is not None)
+        batches = _id_batches(source, needed, max_rows, dictionary)
+    stepwise = passes > 1 and stage is not None
     pending: list[Batch] = []
     seen = 0
     emitter = OBS.progress
@@ -552,10 +536,7 @@ def iter_sketch_passes(
             bundle.fanout = stage.fanout
             exhausted = ended and consumed == total
         else:
-            consumed = total = seen
-            exhausted = ended and (cap is None or seen < cap)
-            if not exhausted:  # the row-plan prefix: all there is to go by
-                total = max(seen, int(round(stream.estimated_rows or 0)))
+            consumed, total, exhausted = seen, seen, ended
         bundle.rows_consumed, bundle.estimated_total = consumed, total
         bundle.exhausted = exhausted
         return consumed, total, exhausted
@@ -700,13 +681,10 @@ def _grouped_rows(
 
 
 def bundle_to_answer(
-    bundle: SketchBundle, method: str | None = None
+    bundle: SketchBundle, method: str = "sketch"
 ) -> ApproximateAnswer:
-    """Render a (possibly merged) bundle as an :class:`ApproximateAnswer`.
-
-    ``method`` names how the bundle came to be when the caller knows
-    better than the bundle (``sketch-federated``)."""
-    method = method or bundle.method
+    """Render a (possibly merged) bundle as an :class:`ApproximateAnswer`;
+    ``method`` names how the bundle came to be (``sketch-federated``)."""
     variables = [spec.alias for spec in bundle.specs]
     frame = dict(
         rows_consumed=bundle.rows_consumed,

@@ -27,7 +27,6 @@ from .nodes import (
 )
 from .optimizer import (
     CardinalityEstimator,
-    choose_bgp_strategy,
     estimate_cardinality,
     order_patterns,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SparqlSyntaxError",
     "VectorizedBGP",
     "ask_to_sparql_json",
-    "choose_bgp_strategy",
     "estimate_cardinality",
     "optimize_plan",
     "order_patterns",

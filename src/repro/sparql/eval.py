@@ -70,8 +70,7 @@ class StreamingSelect:
 
     ``variables`` is the projection header (empty for ``SELECT *``, whose
     variables are only known once rows exist); ``root`` is the executing
-    physical operator tree, exposing the planner's ``estimated_rows`` before
-    a single row has been pulled — the serving layer's work estimate.
+    physical operator tree.
 
     ``rows`` and ``batches`` are two views of one evaluation — consume one
     of them. ``batches`` is the answer as the engine produces it, a
@@ -91,26 +90,24 @@ class StreamingSelect:
     batches: "object"  # Iterator[Batch] | None
     dictionary: "object"  # TermDictionary | None
 
-    @property
-    def estimated_rows(self) -> float | None:
-        return self.root.estimated_rows
-
 
 @dataclass
 class QueryEngine:
     """Evaluates parsed queries against a triple source.
 
-    ``optimize=False`` disables every plan rewrite and evaluates BGPs in
-    textual order — the baseline the C10 benchmark compares against.
+    ``optimize=False`` disables every plan rewrite and evaluates each BGP
+    in textual order as one component — the baseline the C10 benchmark
+    compares against; the operators are the same.
 
     ``stats`` accumulates across queries until :meth:`EvalStats.reset` is
     called on it; each :class:`SelectResult` additionally carries the
     per-query counters of the run that produced it.
 
-    BGPs run on id batches when the store serves id scans
-    (:func:`~repro.store.base.as_id_scan_source`) and on the row operators
-    otherwise; there is no mode to set. To cross-check an answer by hand,
-    compare with ``QueryEngine(store, optimize=False)``.
+    Every BGP runs on id batches, whatever the store: its own runs and
+    dictionary when it has them, else an encoding adaptor over its
+    ``triples()`` (:func:`~repro.store.base.as_id_scan_source`); there is
+    no mode to set. The tests cross-check answers against the naive
+    evaluator in ``tests/sparql/reference.py``.
 
     ``corrections`` optionally rescales the planner's uniformity-based
     cardinality guesses with a :class:`CorrectionTable` learned from the
@@ -162,8 +159,6 @@ class QueryEngine:
                 span.set_attribute("store_lookups", per_query.store_lookups)
                 span.set_attribute("solutions", per_query.solutions)
                 if per_query.scan_batches:
-                    # Only the vectorized engine pulls id batches, so these
-                    # attributes double as the engine marker on the span.
                     span.set_attribute("scan_batches", per_query.scan_batches)
                     span.set_attribute("scan_rows", per_query.scan_rows)
                 if root is not None:

@@ -46,7 +46,6 @@ __all__ = [
     "string_value",
     "to_term",
     "try_evaluate",
-    "unify",
     "values_equal",
 ]
 
@@ -209,23 +208,6 @@ def resolve(term, binding: Binding):
     if isinstance(term, Variable):
         return binding.get(term, term)
     return term
-
-
-def unify(lookup: tuple, triple: Triple, binding: Binding) -> Binding | None:
-    """Bind the variables of ``lookup`` against a concrete triple."""
-    result = binding
-    copied = False
-    for pattern_term, value in zip(lookup, triple):
-        if isinstance(pattern_term, Variable):
-            bound = result.get(pattern_term)
-            if bound is None:
-                if not copied:
-                    result = dict(result)
-                    copied = True
-                result[pattern_term] = value
-            elif bound != value:
-                return None
-    return result if copied else dict(result)
 
 
 def instantiate(template: TriplePatternNode, binding: Binding) -> Triple | None:

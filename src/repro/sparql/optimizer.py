@@ -26,7 +26,6 @@ from .nodes import TriplePatternNode
 __all__ = [
     "CardinalityEstimator",
     "CorrectionTable",
-    "choose_bgp_strategy",
     "estimate_cardinality",
     "order_patterns",
 ]
@@ -208,9 +207,13 @@ class CardinalityEstimator:
                     1.0, predicate_total / max(stats.distinct_subjects, 1)
                 )
             else:
-                estimate = max(
-                    1.0, predicate_total / max(stats.distinct_objects, 1)
+                # Objects under *this* predicate; the global count only
+                # when the snapshot does not carry the per-predicate one.
+                distinct = (
+                    stats.predicate_distinct_object_count(p)
+                    or stats.distinct_objects
                 )
+                estimate = max(1.0, predicate_total / max(distinct, 1))
             return self._corrected(estimate, p.n3(), s, p, o)
         if s is not None and o is not None:
             denominator = max(stats.distinct_subjects * stats.distinct_objects, 1)
@@ -265,82 +268,3 @@ def order_patterns(
 def _pattern_key(pattern: TriplePatternNode) -> str:
     """Deterministic tie-break so plans are stable across runs."""
     return f"{pattern.subject}|{pattern.predicate}|{pattern.object}"
-
-
-def _has_cycle(var_sets: list[set[Variable]]) -> bool:
-    """Does the variable co-occurrence graph contain a cycle?
-
-    Union-find over variables; an edge whose endpoints are already in the
-    same component closes a cycle (triangles and larger cyclic BGPs).
-    Parallel edges from duplicate patterns are deduplicated first — a
-    repeated pattern is not a cycle.
-    """
-    edges: set[tuple[Variable, Variable]] = set()
-    for variables in var_sets:
-        ordered = sorted(variables)
-        for left, right in zip(ordered, ordered[1:]):
-            edges.add((left, right))
-    parent: dict[Variable, Variable] = {}
-
-    def find(node: Variable) -> Variable:
-        root = node
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[node] != root:  # path compression
-            parent[node], node = root, parent[node]
-        return root
-
-    for left, right in sorted(edges):
-        root_left, root_right = find(left), find(right)
-        if root_left == root_right:
-            return True
-        parent[root_left] = root_right
-    return False
-
-
-def choose_bgp_strategy(
-    patterns: Iterable[TriplePatternNode],
-    snapshot: StatisticsSnapshot | None = None,
-) -> tuple[str, Variable | None, str]:
-    """Pick the vectorized join strategy for one BGP component.
-
-    Returns ``(strategy, center, reason)`` where strategy is one of
-    ``"binary"`` (batched index-probe pipeline), ``"wcoj-star"`` (leapfrog
-    intersection around a shared center variable) or ``"wcoj-generic"``
-    (generic-join recursion for cyclic shapes). The reason string is
-    surfaced verbatim in EXPLAIN so plan decisions stay inspectable.
-
-    The star rule: a variable shared by *every* pattern, with at least two
-    patterns fully constrained apart from it (those become pure sorted-run
-    constraints, so intersection bounds the intermediate result by the
-    smallest run — the worst-case-optimal property). When statistics are
-    available the smallest constraining predicate's selectivity is recorded
-    in the reason, the shape signal EXPLAIN readers care about.
-    """
-    patterns = list(patterns)
-    if len(patterns) <= 1:
-        return "binary", None, "single-pattern" if patterns else "empty"
-    var_sets = [p.variables() for p in patterns]
-    if all(var_sets):
-        shared = set.intersection(*var_sets)
-        if shared and len(patterns) >= 3:
-            center = min(shared)
-            constraining = sum(
-                1 for variables in var_sets if variables == {center}
-            )
-            if constraining >= 2:
-                reason = f"star center=?{center} constraints={constraining}"
-                if snapshot is not None and snapshot.triple_count:
-                    cards = [
-                        snapshot.predicate_count(p.predicate)
-                        for p, variables in zip(patterns, var_sets)
-                        if variables == {center}
-                        and not isinstance(p.predicate, Variable)
-                    ]
-                    if cards:
-                        selectivity = min(cards) / snapshot.triple_count
-                        reason += f" sel={selectivity:.3f}"
-                return "wcoj-star", center, reason
-    if _has_cycle(var_sets):
-        return "wcoj-generic", None, "cyclic"
-    return "binary", None, "acyclic"

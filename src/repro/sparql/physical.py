@@ -7,15 +7,19 @@ Each operator carries its planner *estimate* and counts the rows it
 *actually* produced; :meth:`PhysicalOperator.explain` exposes both as an
 :class:`ExplainNode` tree, the EXPLAIN/EXPLAIN ANALYZE surface.
 
+Every leaf that touches the store is a
+:class:`~repro.sparql.vectorized.VectorizedBGP`: one connected component
+of a basic graph pattern, joined and filtered on id batches inside that
+operator, whatever the store (:func:`~repro.store.base.as_id_scan_source`).
 Operators that can say so (:meth:`PhysicalOperator.batch_dictionary`) have
 a second way out, ``execute_batches(binding)``: the same solutions as
-:class:`Batch` objects of dictionary ids, never decoded here. A
-:class:`~repro.sparql.vectorized.VectorizedBGP` produces them,
-:class:`ProjectOp` (plain variables) and :class:`SliceOp` pass them on as a
-column pick and an array slice, and the engine hands them to the serializer
-as they are; every other operator consumes and produces rows.
+:class:`Batch` objects of dictionary ids, never decoded here. The BGP
+produces them, :class:`ProjectOp` (plain variables) and :class:`SliceOp`
+pass them on as a column pick and an array slice, and the engine hands them
+to the serializer as they are; every other operator consumes and produces
+rows.
 
-Join strategy:
+Joins between subplans:
 
 * :class:`NestedLoopJoin` — correlated: the right side re-executes once per
   left row with that row as the ambient binding, so every shared variable
@@ -48,10 +52,8 @@ from .expr import (
     evaluate,
     expression_variables,
     group_key,
-    resolve,
     to_term,
     try_evaluate,
-    unify,
 )
 from .nodes import (
     Expression,
@@ -61,7 +63,7 @@ from .nodes import (
     ValuesPattern,
     VariableExpr,
 )
-from .optimizer import CardinalityEstimator, choose_bgp_strategy
+from .optimizer import CardinalityEstimator
 from .plan import (
     LogicalAggregate,
     LogicalBGP,
@@ -120,9 +122,8 @@ class EvalStats:
     store_lookups: int = 0
     intermediate_bindings: int = 0
     solutions: int = 0
-    # Vectorized-engine counters: id batches pulled from stores and id rows
-    # they carried. Zero on pure iterator runs, so they also identify which
-    # engine actually executed a query.
+    # Id batches the BGP stages produced (scans and probes) and the id
+    # rows they carried; zero only for a plan that never touched the store.
     scan_batches: int = 0
     scan_rows: int = 0
     operator_rows: dict[str, int] = field(default_factory=dict)
@@ -303,41 +304,6 @@ class Singleton(PhysicalOperator):
         yield dict(binding)
 
 
-class IndexScan(PhysicalOperator):
-    """One triple-pattern lookup against the store, unified into bindings."""
-
-    name = "IndexScan"
-
-    def __init__(
-        self,
-        store: TripleSource,
-        pattern: TriplePatternNode,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate)
-        self.store = store
-        self.pattern = pattern
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        lookup = tuple(
-            resolve(term, binding)
-            for term in (self.pattern.subject, self.pattern.predicate, self.pattern.object)
-        )
-        store_pattern = tuple(None if isinstance(t, Variable) else t for t in lookup)
-        self.stats.store_lookups += 1
-        for triple in self.store.triples(store_pattern):
-            extended = unify(lookup, triple, binding)
-            if extended is not None:
-                self.stats.intermediate_bindings += 1
-                yield extended
-
-    def detail(self) -> str:
-        return " ".join(
-            t.n3() for t in (self.pattern.subject, self.pattern.predicate, self.pattern.object)
-        )
-
-
 class NestedLoopJoin(PhysicalOperator):
     """Correlated join: right side re-executes under each left row."""
 
@@ -500,8 +466,8 @@ def filter_passes(expression: Expression, row: Binding) -> bool:
 class FilterOp(PhysicalOperator):
     """Drops rows whose expression errors or is not effectively true.
 
-    The row path for filters above anything but a single vectorized BGP
-    (OPTIONAL, UNION, cross-component joins, non-id-scan stores); inside a
+    The row path for filters above anything but a single BGP component
+    (OPTIONAL, UNION, cross-component joins); inside a
     :class:`~repro.sparql.vectorized.VectorizedBGP` filters are masks over
     id batches instead.
     """
@@ -882,17 +848,10 @@ def build_plan(
     ``estimator`` drives both greedy BGP ordering and the per-operator
     ``estimated_rows`` annotations; pass ``None`` to skip estimation
     entirely (no store access, no estimates in EXPLAIN).
-    ``optimize=False`` keeps BGP patterns in textual order and joins them
-    with plain nested loops — the baseline the C10 benchmark compares
-    against.
-
-    Which operators a BGP lowers onto follows from what the store can do,
-    never from an option: a store that serves id scans
-    (:func:`~repro.store.base.as_id_scan_source`) gets the batch operators
-    of :mod:`repro.sparql.vectorized`; any other source (plain ``Graph``,
-    federation, remote endpoints, test doubles) and the ``optimize=False``
-    baseline get the row operators of this module, which are also the
-    reference the parity suite compares the batch operators with.
+    ``optimize=False`` keeps each BGP's patterns in textual order as one
+    component — the baseline the C10 benchmark compares against. Either
+    way a BGP lowers onto :class:`~repro.sparql.vectorized.VectorizedBGP`
+    over :func:`~repro.store.base.as_id_scan_source` of the store.
     """
     builder = _Builder(store, stats, estimator, optimize)
     return builder.build(node)
@@ -906,13 +865,11 @@ class _Builder:
         estimator: CardinalityEstimator | None,
         optimize: bool,
     ) -> None:
-        self.store = store
+        self.source = as_id_scan_source(store)
         self.stats = stats
         self.estimator = estimator
         self.optimize = optimize
         self._total = estimator.total_triples() if estimator is not None else None
-        # Not None = BGPs lower onto id batches.
-        self._id_source = as_id_scan_source(store) if optimize else None
 
     # -- estimate arithmetic (None-propagating) ----------------------------
 
@@ -981,7 +938,7 @@ class _Builder:
                 child, node.projections, node.select_all, self.stats, child.estimated_rows
             )
         if isinstance(node, LogicalPrune):
-            if self._id_source is not None and isinstance(node.input, LogicalBGP):
+            if isinstance(node.input, LogicalBGP):
                 # Late materialization: push the projection-pruned variable
                 # set into the BGP so only observable ids get decoded. The
                 # lowering returns rows already restricted to the pruned
@@ -1029,7 +986,7 @@ class _Builder:
         estimate = child.estimated_rows
         if not node.group_by:
             estimate = 1.0 if self.estimator else None
-        bgp = self._bgp_below(node.input) if self._id_source is not None else None
+        bgp = self._bgp_below(node.input)
         if bgp is not None:
             from .vectorized import (
                 BatchAggregateOp,
@@ -1057,8 +1014,7 @@ class _Builder:
         below the projection. ``None`` when the shape is anything else."""
         sort = node.input
         if not (
-            self._id_source is not None
-            and node.limit is not None
+            node.limit is not None
             and node.limit + node.offset > 0
             and isinstance(sort, LogicalSort)
             and len(sort.conditions) == 1
@@ -1126,12 +1082,10 @@ class _Builder:
         compose with :class:`HashJoin`. Every filter is placed once: in the
         first component that covers its variables, else as a
         :class:`FilterOp` above the first join that does, else on top. A
-        component becomes one ``VectorizedBGP`` when the store serves id
-        scans (:meth:`_lower_batches`) and the row-operator chain otherwise
-        (:meth:`_lower_rows`). ``needed`` is the late-materialization
-        contract the id-scan lowering gets from an enclosing projection
-        prune: only those variables, plus what the spanning filters read,
-        are decoded.
+        component becomes one ``VectorizedBGP`` (:meth:`_lower_batches`).
+        ``needed`` is the late-materialization contract it gets from an
+        enclosing projection prune: only those variables, plus what the
+        spanning filters read, are decoded.
         """
         if not node.patterns:
             op: PhysicalOperator = Singleton(self.stats, 1.0 if self.estimator else None)
@@ -1167,13 +1121,10 @@ class _Builder:
         for component, component_vars, local in zip(
             components, component_variables, placed
         ):
-            if self._id_source is None:
-                op = self._lower_rows(component, local)
-            else:
-                keep = None
-                if needed is not None:
-                    keep = frozenset((needed | spanning_vars) & component_vars)
-                op = self._lower_batches(component, local, keep)
+            keep = None
+            if needed is not None:
+                keep = frozenset((needed | spanning_vars) & component_vars)
+            op = self._lower_batches(component, local, keep)
             if combined is None:
                 combined = op
             else:
@@ -1202,41 +1153,15 @@ class _Builder:
             return None
         return self.estimator.pattern_cardinality(pattern)
 
-    def _lower_rows(
-        self, component: list[TriplePatternNode], filters: list[Expression]
-    ) -> PhysicalOperator:
-        """One component as an ``IndexScan`` / ``NestedLoopJoin`` chain, each
-        filter attached as soon as the chain covers its variables."""
-        pending = list(filters)
-        chain: PhysicalOperator | None = None
-        bound: set[Variable] = set()
-        for pattern in component:
-            estimate = self._pattern_estimate(pattern)
-            scan = IndexScan(self.store, pattern, self.stats, estimate)
-            if chain is None:
-                chain = scan
-            else:
-                chain = NestedLoopJoin(
-                    chain,
-                    scan,
-                    self.stats,
-                    self._join_estimate(chain.estimated_rows, estimate, True),
-                )
-            bound |= pattern.variables()
-            chain = self._absorb(chain, pending, bound)
-        assert chain is not None
-        return chain
-
     def _lower_batches(
         self,
         component: list[TriplePatternNode],
         filters: list[Expression],
         keep: frozenset[Variable] | None,
     ) -> PhysicalOperator:
-        """One component as a :class:`~repro.sparql.vectorized.VectorizedBGP`
-        with its join strategy chosen from the statistics snapshot; the
-        filters become masks over its id batches and ``keep`` (when not
-        ``None``) the only variables its row adaptor decodes."""
+        """One component as a :class:`~repro.sparql.vectorized.VectorizedBGP`;
+        the filters become masks over its id batches and ``keep`` (when
+        not ``None``) the only variables its row adaptor decodes."""
         from .vectorized import VectorizedBGP
 
         pattern_estimates = [self._pattern_estimate(p) for p in component]
@@ -1245,19 +1170,14 @@ class _Builder:
             estimate = self._join_estimate(estimate, pattern_estimate, True)
         for _ in filters:
             estimate = self._filter_estimate(estimate)
-        snapshot = self.estimator.snapshot if self.estimator is not None else None
-        strategy, center, reason = choose_bgp_strategy(component, snapshot)
         return VectorizedBGP(
-            self._id_source,
+            self.source,
             tuple(component),
             tuple(filters),
             keep,
             self.stats,
             estimate,
             pattern_estimates,
-            strategy,
-            center,
-            reason,
         )
 
     @staticmethod
@@ -1297,18 +1217,16 @@ def _pattern_predicate(pattern: TriplePatternNode) -> str | None:
 def scan_observations(root: PhysicalOperator | None) -> list[dict]:
     """Estimated-vs-actual cardinality per pattern scan of an executed plan.
 
-    Walks the operator tree for scan-shaped nodes (iterator ``IndexScan``
-    and vectorized ``IdScan`` — matched by name so this module need not
-    import the vectorized family) and reports each one's planner estimate
-    against the rows it actually produced, in the dict shape
-    :class:`repro.obs.querylog.ScanObservation` parses.
+    Walks the operator tree for ``IdScan`` nodes (matched by name so this
+    module need not import :mod:`repro.sparql.vectorized`) and reports each
+    one's planner estimate against the rows it actually produced, in the
+    dict shape :class:`repro.obs.querylog.ScanObservation` parses.
 
     ``leading`` marks scans that executed exactly once against an empty
-    ambient binding — the left-most scan of a join chain (or the first
-    child of a once-executed vectorized BGP). Only those are directly
-    comparable to the planner's unconditioned estimate; inner scans run
-    conditioned on outer rows, where estimate and actual measure different
-    quantities.
+    ambient binding — the first child of a once-executed BGP. Only those
+    are directly comparable to the planner's unconditioned estimate; inner
+    scans run conditioned on outer rows, where estimate and actual measure
+    different quantities.
     """
     observations: list[dict] = []
     if root is None:
@@ -1317,9 +1235,7 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
     def visit(node: PhysicalOperator, leading: bool) -> None:
         name = node.name
         pattern = getattr(node, "pattern", None)
-        if isinstance(pattern, TriplePatternNode) and name in (
-            "IndexScan", "IdScan"
-        ):
+        if isinstance(pattern, TriplePatternNode) and name == "IdScan":
             if not node.executions:
                 return  # never pulled (e.g. short-circuited LIMIT)
             observations.append({
@@ -1354,32 +1270,33 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
     return observations
 
 
-# Batch consumers above a vectorized BGP, as the query log names them.
+# Batch consumers above a BGP, as the query log names them.
 _BATCH_CONSUMERS = {"BatchAggregate": "agg", "TopK": "topk"}
 
 
 def execution_strategy(root: PhysicalOperator | None) -> str:
-    """Which engine executed a plan: ``iterator``, ``vectorized:<kinds>``
-    (sorted, ``+``-joined when a query mixes BGP strategies, then ``+agg``
-    / ``+topk`` when the id batches fed a batch aggregate or top-k
-    selection instead of the row adaptor, and ``+sample`` when a BGP ran
-    over a sample of its first stage), or ``none`` for plans without a
-    root (e.g. DESCRIBE without a pattern)."""
+    """How a plan executed, as the query log has always spelled it:
+    ``vectorized:binary`` for a plan with a BGP (the scan-and-probe
+    pipeline), then ``+agg`` / ``+topk`` when the id batches fed a batch
+    aggregate or top-k selection instead of the row adaptor and
+    ``+sample`` when a BGP ran over a sample of its first stage;
+    ``iterator`` for a plan that has no BGP (``VALUES`` alone, an empty
+    group), ``none`` for no plan at all (DESCRIBE without a pattern)."""
     if root is None:
         return "none"
-    strategies: set[str] = set()
+    has_bgp = False
     consumers: set[str] = set()
     stack = [root]
     while stack:
         node = stack.pop()
         if node.name == "VectorizedBGP":
-            strategies.add(str(getattr(node, "strategy", "binary")))
+            has_bgp = True
             sampled = getattr(node, "sampled", None)
             if sampled is not None and sampled[0] < sampled[1]:
                 consumers.add("sample")
         elif node.name in _BATCH_CONSUMERS:
             consumers.add(_BATCH_CONSUMERS[node.name])
         stack.extend(node.children)
-    if strategies:
-        return "vectorized:" + "+".join(sorted(strategies) + sorted(consumers))
+    if has_bgp:
+        return "+".join(["vectorized:binary", *sorted(consumers)])
     return "iterator"

@@ -1,31 +1,28 @@
-"""Vectorized batch execution over dictionary-encoded ids.
+"""Batch execution over dictionary-encoded ids: the one BGP executor.
 
-The physical layer's second operator family (ROADMAP item 2; "Efficiently
-Charting RDF" is the shape: a chart is a small aggregate over a large scan,
-and it only becomes interactive when it is answered over encoded ids end to
-end). Where the iterator family (:mod:`repro.sparql.physical`) pulls
-decoded solution rows one at a time, the operators here execute a whole
-basic graph pattern as a pipeline of **id batches** — ``(n,)`` int64 numpy
-columns per variable — against any store implementing the
-:class:`~repro.store.base.IdScanSource` capability, and decode terms only
-for the rows and variables that leave the engine (*late materialization*).
+("Efficiently Charting RDF" is the shape: a chart is a small aggregate over
+a large scan, and it only becomes interactive when it is answered over
+encoded ids end to end.) A whole basic graph pattern executes as a pipeline
+of **id batches** — ``(n,)`` int64 numpy columns per variable — against an
+:class:`~repro.store.base.IdScanSource`, and terms are decoded only for the
+rows and variables that leave the engine (*late materialization*). Every
+source is one: :func:`~repro.store.base.as_id_scan_source` hands back the
+store itself (memory, cracking, paged) or an encoding adaptor over its
+``triples()`` (federation, remote endpoints, plain graphs, test doubles),
+so there is nothing to choose between and no option that chooses.
 
-Three join strategies, chosen per BGP by
-:func:`repro.sparql.optimizer.choose_bgp_strategy` and recorded in EXPLAIN:
-
-* ``binary`` — a batched index-probe pipeline in optimizer order: each
-  batch groups rows by the shared variables' ids (``np.unique``), probes
-  the store once per distinct key, and expands matches with a ragged
-  gather. Chains and acyclic shapes.
-* ``wcoj-star`` — leapfrog-style worst-case-optimal join for star BGPs:
-  every pattern contributes its *sorted* run of center-variable candidates
-  (``distinct_ids``), the runs are intersected smallest-first
-  (``np.intersect1d`` over sorted unique arrays — the leapfrog), and only
-  the surviving candidates are expanded. Intermediate results never exceed
-  the smallest constraint run.
-* ``wcoj-generic`` — generic-join recursion for cyclic BGPs (triangles):
-  variables are eliminated one at a time, each level intersecting the
-  sorted candidate runs of every pattern containing that variable.
+**One join: scan, then probe, in optimizer order.** The first pattern is
+scanned; each further pattern extends every batch by an index probe. A
+batch's rows are grouped by the ids of the variables the pattern shares
+with it (``np.unique``), the source is probed once per distinct key, and
+the matches are expanded with a ragged gather. Two shapes skip the per-key
+round trips: one shared and one free variable against a source that offers
+``probe_ids`` (the star-expansion shape: two binary searches for all keys
+at once), and a pattern whose only variable is already bound — a pure
+constraint, ``?s rdf:type ex:C`` after ``?s`` is known — which is one
+``distinct_ids`` run and a membership mask over the batch, in row order.
+Stars, chains and cycles all run this way; what the optimizer's order
+decides is which constraint is scanned and which become masks.
 
 **Filters are masks, not a row loop.** Each FILTER pushed into the BGP is
 applied inside the batch loop, right after the stage that binds its last
@@ -66,36 +63,31 @@ The streaming pull interface is preserved: a :class:`VectorizedBGP` *is* a
 decoded ``Binding`` rows (the row adaptor over the same batches) for the
 row operators above it — ``Distinct``, ``Sort``, joins, ``Extend``,
 expression projections — so LIMIT pushdown, budgets and tracing compose
-unchanged. Scans and star seeds start with a
-:data:`FIRST_BATCH_SIZE`-row chunk that doubles up to the batch size, so a
-``LIMIT k`` consumer that stops pulling has expanded hundreds of rows, not
-a full batch per pattern; what it cannot bound is the store's own first
-read (one ``match_id_batches`` batch, or a whole constraint run).
+unchanged. The scan starts with a
+:data:`~repro.store.base.FIRST_BATCH_SIZE`-row chunk that doubles up to
+the batch size, so a ``LIMIT k`` consumer that stops pulling has expanded
+hundreds of rows, not a full batch per pattern; what it cannot bound is
+the source's own first read (one ``match_id_batches`` batch, or a whole
+constraint run).
 
 **The first stage can be a sample.** That same starting point — the scan
-of the first pattern, the intersected centre run of a star — is the one
-place every solution of a BGP descends from, so drawing ``m`` of its ``N``
-rows uniformly (:meth:`VectorizedBGP.sample_first_stage`) keeps each
-solution with probability ``m / N``, with ``N`` read off the store. The
-shed tier (:mod:`repro.server.sketch`) answers aggregates from such a
-stream; nothing else asks, and an execution that was not asked is
-untouched.
-
-Nothing here is selected by an option: :func:`repro.sparql.physical
-.build_plan` lowers a BGP onto these operators exactly when the store
-answers :func:`~repro.store.base.as_id_scan_source` (and ``optimize`` is
-on); federation, remote endpoints, plain graphs and test doubles get the
-row operators, which the parity suite uses as the reference.
+of the first pattern — is the one place every solution of a BGP descends
+from, so drawing ``m`` of its ``N`` rows uniformly
+(:meth:`VectorizedBGP.sample_first_stage`) keeps each solution with
+probability ``m / N``, with ``N`` read off the source. The shed tier
+(:mod:`repro.server.sketch`) answers aggregates from such a stream;
+nothing else asks, and an execution that was not asked is untouched.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..rdf.terms import Literal, Term, Variable
-from ..store.base import DEFAULT_BATCH_SIZE, IdScanSource
+from ..store.base import DEFAULT_BATCH_SIZE, FIRST_BATCH_SIZE, IdScanSource
 from ..store.dictionary import VALUE_EXACT_INT, VALUE_FLOAT, TermDictionary
 from .expr import (
     Binding,
@@ -132,10 +124,6 @@ __all__ = [
     "VectorizedBGP",
     "plan_batch_aggregate",
 ]
-
-#: Rows in the first chunk a scan or star seed hands the pipeline; each
-#: following chunk doubles until it reaches the operator's batch size.
-FIRST_BATCH_SIZE = 256
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 #: Column numbering the rows of a first stage that was asked for a sample,
@@ -245,6 +233,15 @@ def _compress(batch: Batch, mask: np.ndarray) -> Batch:
         {variable: column[mask] for variable, column in batch.columns.items()},
         count,
     )
+
+
+def _in_run(ids: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """Which of ``ids`` occur in ``run`` (sorted, unique): a binary search
+    each, where ``np.isin`` would sort both sides first."""
+    if not len(run):
+        return np.zeros(len(ids), dtype=bool)
+    slots = np.minimum(np.searchsorted(run, ids), len(run) - 1)
+    return run[slots] == ids
 
 
 # --------------------------------------------------------------------------- #
@@ -440,9 +437,9 @@ class VectorScan(PhysicalOperator):
     """EXPLAIN/span surface for one id-batch pattern scan.
 
     Never executed directly: the owning :class:`VectorizedBGP` drives the
-    store and accounts rows/batches into this node so EXPLAIN ANALYZE and
-    the operator span tree keep one entry per pattern, same as the
-    iterator family's ``IndexScan``.
+    source and accounts rows, batches and (when timed) its stage's own
+    time into this node, so EXPLAIN ANALYZE and the operator span tree
+    keep one entry per pattern.
     """
 
     name = "IdScan"
@@ -496,9 +493,6 @@ class VectorizedBGP(PhysicalOperator):
         stats: EvalStats,
         estimate: float | None,
         pattern_estimates: Iterable[float | None],
-        strategy: str,
-        center: Variable | None,
-        reason: str,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         scans = tuple(
@@ -510,10 +504,9 @@ class VectorizedBGP(PhysicalOperator):
         self.patterns = patterns
         self._filters = [_Filter(expression) for expression in filters]
         self.decode_variables = decode_variables
-        self.strategy = strategy
-        self.center = center
-        self.reason = reason
         self.batch_size = batch_size
+        # Time charged to the scan nodes so far (see _timed).
+        self._charged = 0
         # A sample request (rows, passes, generator seed) and what came of
         # it: (first-stage rows handed on so far, first-stage population)
         # and the most solutions any one of those rows led to.
@@ -521,40 +514,33 @@ class VectorizedBGP(PhysicalOperator):
         self.sampled: tuple[int, int] | None = None
         self.fanout = 1
 
-    def sample_first_stage(self, rows: int, seed: int, passes: int = 1) -> bool:
+    def sample_first_stage(self, rows: int, seed: int, passes: int = 1) -> None:
         """Ask the next execution to start from a uniform sample.
 
-        The stage a BGP starts from — the scan of its first pattern, or the
-        intersected centre run of a star — hands on at most ``rows`` of its
-        ``N`` rows, drawn uniformly without replacement by a generator
-        seeded with ``seed``, in random order and in ``passes`` equal
-        chunks: every prefix of the output is itself a uniform sample.
-        Every solution descends from exactly one first-stage row, so it is
-        kept with probability ``rows / N``. ``N`` is read off the store (a
-        span's length, the length of the intersection); :attr:`sampled`
+        The stage a BGP starts from — the scan of its first pattern — hands
+        on at most ``rows`` of its ``N`` rows, drawn uniformly without
+        replacement by a generator seeded with ``seed``, in random order
+        and in ``passes`` equal chunks: every prefix of the output is
+        itself a uniform sample. Every solution descends from exactly one
+        first-stage row, so it is kept with probability ``rows / N``. ``N``
+        is read off the source (the length of the scan); :attr:`sampled`
         reports ``(rows handed on, N)`` as execution proceeds and
         :attr:`fanout` the most solutions one first-stage row led to. With
         ``N <= rows`` and one pass nothing is drawn: the execution is the
         unsampled one, row for row.
-
-        Returns ``False``, changing nothing, for the generic join, which
-        has no stage that every solution descends from.
         """
-        if self.strategy == "wcoj-generic":
-            return False
         self._sample = (rows, passes, seed)
-        return True
 
     def detail(self) -> str:
-        rendered = f"{self.strategy}[{self.reason}]"
+        parts = []
         if self.sampled is not None and self.sampled[0] < self.sampled[1]:
-            rendered += " sample=%d/%d" % self.sampled
+            parts.append("sample=%d/%d" % self.sampled)
         if self._filters:
-            rendered += " filter=" + ",".join(f.describe() for f in self._filters)
+            parts.append("filter=" + ",".join(f.describe() for f in self._filters))
         if self.decode_variables is not None:
             decoded = ",".join(sorted(f"?{v}" for v in self.decode_variables))
-            rendered += f" decode={decoded or '∅'}"
-        return rendered
+            parts.append(f"decode={decoded or '∅'}")
+        return " ".join(parts)
 
     # ------------------------------------------------------------------ #
     # Accounting
@@ -568,8 +554,34 @@ class VectorizedBGP(PhysicalOperator):
         self.stats.scan_rows += rows
         self.stats.intermediate_bindings += rows
 
+    def _timed(self, scan: VectorScan, batches: Iterator[Batch]) -> Iterator[Batch]:
+        """``batches``, one stage's output, with the stage's own time
+        charged to ``scan`` when the run is timed: what producing them
+        took (suspension-aware, like every operator's ``wall_ns``) less
+        what the stages it pulls from charged meanwhile."""
+        if self.stats.tracer is None:
+            return batches
+        scan.timed = True
+        clock = time.perf_counter_ns
+
+        def charged() -> Iterator[Batch]:
+            started, before = clock(), self._charged
+
+            def settle() -> None:
+                own = clock() - started - (self._charged - before)
+                scan.wall_ns += own
+                self._charged += own
+
+            for batch in batches:
+                settle()
+                yield batch
+                started, before = clock(), self._charged
+            settle()
+
+        return charged()
+
     def _growing_chunks(self, arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """Re-chunk store output: a small first chunk, doubling to full size.
+        """Re-chunk source output: a small first chunk, doubling to full size.
 
         A consumer that stops early (LIMIT, a bounded prefix) then pays
         for the probes of hundreds of rows, not of a whole batch.
@@ -644,29 +656,17 @@ class VectorizedBGP(PhysicalOperator):
             resolved.append(one)
 
         stages = _FilterStages(self, binding)
-        strategy = self.strategy
-        if strategy == "wcoj-star" and not self._center_free(resolved):
-            # The ambient binding ground the center variable out from under
-            # the star plan — the probe pipeline handles it naturally.
-            strategy = "binary"
-        if strategy == "wcoj-star":
-            batches = self._star_join(resolved, stages)
-        elif strategy == "wcoj-generic":
-            batches = self._generic_join(resolved)
-        else:
-            batches = self._pipeline(resolved, stages)
+        batches: Iterator[Batch] | None = None
+        for scan, one in zip(self.children, resolved):
+            stage = (
+                self._scan(scan, one) if batches is None
+                else self._probe(batches, scan, one)
+            )
+            batches = stages.after(self._timed(scan, stage), one.variables())
         batches = stages.after(batches, None)
         if self._sample is not None:
             batches = self._solutions_per_row(batches)
         return batches
-
-    def _center_free(self, resolved: list[_Resolved]) -> bool:
-        if self.center is None:
-            return False
-        return all(
-            any(variable == self.center for _, variable in one.var_slots)
-            for one in resolved
-        )
 
     # -- filters -------------------------------------------------------------
 
@@ -705,21 +705,10 @@ class VectorizedBGP(PhysicalOperator):
             verdicts[index] = filter_passes(one.expression, row)
         return verdicts[inverse]
 
-    # -- scan + probe pipeline (binary strategy) ----------------------------
+    # -- scan + probe pipeline ----------------------------------------------
 
-    def _pipeline(
-        self, resolved: list[_Resolved], stages: _FilterStages
-    ) -> Iterator[Batch]:
-        batches = stages.after(self._scan(0, resolved[0]), resolved[0].variables())
-        for index in range(1, len(resolved)):
-            batches = stages.after(
-                self._probe(batches, index, resolved[index]),
-                resolved[index].variables(),
-            )
-        return batches
-
-    def _scan(self, scan_index: int, one: _Resolved) -> Iterator[Batch]:
-        scan: VectorScan = self.children[scan_index]  # type: ignore[assignment]
+    def _scan(self, scan: VectorScan, one: _Resolved) -> Iterator[Batch]:
+        """The first stage: every match of the first pattern."""
         scan.executions += 1
         self.stats.store_lookups += 1
         s, p, o = one.ids
@@ -770,10 +759,10 @@ class VectorizedBGP(PhysicalOperator):
         return raw[:, [position for position, _ in free]]
 
     def _probe(
-        self, batches: Iterator[Batch], scan_index: int, one: _Resolved
+        self, batches: Iterator[Batch], scan: VectorScan, one: _Resolved
     ) -> Iterator[Batch]:
         """Index-probe join: extend each batch by one pattern's matches."""
-        scan: VectorScan = self.children[scan_index]  # type: ignore[assignment]
+        run: np.ndarray | None = None  # the existence probe's run, read once
         for batch in batches:
             scan.executions += 1
             shared_here = [
@@ -786,6 +775,21 @@ class VectorizedBGP(PhysicalOperator):
                 for position, variable in one.var_slots
                 if variable not in batch.columns
             )
+            # Existence probe: the pattern's only variable is already
+            # bound, so it adds no column and only keeps or drops rows —
+            # one sorted run of the ids it admits, one membership mask over
+            # the batch (row order kept), instead of a probe per key.
+            if len(shared_here) == 1 and not free and not one.dup_slots:
+                position, variable = shared_here[0]
+                if run is None:
+                    self.stats.store_lookups += 1
+                    run = self.source.distinct_ids(*one.ids, position)
+                batch = _compress(batch, _in_run(batch.columns[variable], run))
+                self._account_scan(scan, batch.count)
+                if batch.count:
+                    yield batch
+                continue
+
             if shared_here:
                 key_rows, inverse = _distinct_keys(
                     [batch.columns[v] for _, v in shared_here]
@@ -862,175 +866,6 @@ class VectorizedBGP(PhysicalOperator):
                 for slot, (_, variable) in enumerate(free):
                     columns[variable] = concatenated[match_index, slot]
             yield Batch(columns, total)
-
-    # -- worst-case-optimal joins -------------------------------------------
-
-    def _pattern_run(
-        self, one: _Resolved, variable: Variable, bound: dict[Variable, int]
-    ) -> np.ndarray:
-        """Sorted candidate run for ``variable`` from one pattern.
-
-        The leapfrog primitive: distinct ids at the variable's position
-        given every already-eliminated variable substituted; variables not
-        yet eliminated act as wildcards.
-        """
-        probe = list(one.ids)
-        target = -1
-        for position, slot_variable in one.var_slots:
-            if slot_variable == variable:
-                target = position
-            elif slot_variable in bound:
-                probe[position] = bound[slot_variable]
-        if target < 0:  # pattern doesn't constrain this variable
-            return _EMPTY_IDS
-        self.stats.store_lookups += 1
-        if one.dup_slots:
-            rows = [
-                raw
-                for raw in self.source.match_id_batches(
-                    probe[0], probe[1], probe[2], self.batch_size
-                )
-            ]
-            if not rows:
-                return _EMPTY_IDS
-            raw = np.concatenate(rows) if len(rows) > 1 else rows[0]
-            mask = np.ones(len(raw), dtype=bool)
-            for left, right in one.dup_slots:
-                mask &= raw[:, left] == raw[:, right]
-            return np.unique(raw[mask][:, target])
-        return self.source.distinct_ids(probe[0], probe[1], probe[2], target)
-
-    def _star_join(
-        self, resolved: list[_Resolved], stages: _FilterStages
-    ) -> Iterator[Batch]:
-        """Intersect constraint-only center runs, then expand survivors.
-
-        Only patterns whose variables are *all* the center contribute runs
-        to the intersection: their entire selectivity lives in the run, and
-        they never need expanding.  Patterns with extra free variables are
-        enforced during expansion anyway (``_probe`` drops candidates with
-        zero matches), so including their whole-predicate runs here would
-        pay a full distinct-subjects materialization for no extra pruning.
-        """
-        center = self.center
-        assert center is not None
-        constrainers = [
-            (index, one)
-            for index, one in enumerate(resolved)
-            if all(variable == center for _, variable in one.var_slots)
-        ]
-        expanders = [
-            (index, one)
-            for index, one in enumerate(resolved)
-            if any(variable != center for _, variable in one.var_slots)
-        ]
-        if not constrainers:
-            # Runtime demotion paths can strip every constraint-only
-            # pattern; the probe pipeline is always safe.
-            yield from self._pipeline(resolved, stages)
-            return
-        runs: list[np.ndarray] = []
-        for index, one in constrainers:
-            run = self._pattern_run(one, center, {})
-            scan: VectorScan = self.children[index]  # type: ignore[assignment]
-            scan.executions += 1
-            self._account_scan(scan, len(run))
-            runs.append(run)
-        runs.sort(key=len)
-        candidates = runs[0]
-        for run in runs[1:]:
-            if not len(candidates):
-                return
-            candidates = np.intersect1d(candidates, run, assume_unique=True)
-        if not len(candidates):
-            return
-
-        def seed() -> Iterator[Batch]:
-            for chunk in self._first_stage((candidates,)):
-                columns = {center: chunk}
-                if self._sample is not None:
-                    columns[_SEED] = np.arange(len(chunk))
-                yield Batch(columns, len(chunk))
-
-        batches = stages.after(seed(), (center,))
-        for index, one in expanders:
-            batches = stages.after(
-                self._probe(batches, index, one), one.variables()
-            )
-        yield from batches
-
-    def _generic_join(self, resolved: list[_Resolved]) -> Iterator[Batch]:
-        """Generic-join recursion: eliminate one variable per level."""
-        frequency: dict[Variable, int] = {}
-        for one in resolved:
-            for _, variable in one.var_slots:
-                frequency[variable] = frequency.get(variable, 0) + 1
-        order = sorted(frequency, key=lambda v: (-frequency[v], str(v)))
-        if not order:  # fully ground BGP: every pattern is an existence test
-            for index, one in enumerate(resolved):
-                if not len(self._probe_matches(list(one.ids), (), one.dup_slots)):
-                    return
-            yield Batch({}, 1)
-            return
-
-        buffers: dict[Variable, list[int]] = {variable: [] for variable in order}
-        buffered = 0
-
-        def flush() -> Batch:
-            batch = Batch(
-                {
-                    variable: np.array(values, dtype=np.int64)
-                    for variable, values in buffers.items()
-                },
-                buffered,
-            )
-            for values in buffers.values():
-                values.clear()
-            return batch
-
-        def descend(depth: int, bound: dict[Variable, int]) -> Iterator[Batch]:
-            nonlocal buffered
-            variable = order[depth]
-            runs = sorted(
-                (
-                    self._pattern_run(one, variable, bound)
-                    for one in resolved
-                    if any(v == variable for _, v in one.var_slots)
-                ),
-                key=len,
-            )
-            candidates = runs[0]
-            for run in runs[1:]:
-                if not len(candidates):
-                    return
-                candidates = np.intersect1d(candidates, run, assume_unique=True)
-            if depth + 1 == len(order):
-                for value in candidates.tolist():
-                    for inner, values in buffers.items():
-                        values.append(bound[inner] if inner in bound else value)
-                    buffered += 1
-                    if buffered >= self.batch_size:
-                        batch = flush()
-                        buffered = 0
-                        yield batch
-                return
-            for value in candidates.tolist():
-                bound[variable] = value
-                yield from descend(depth + 1, bound)
-            bound.pop(variable, None)
-
-        yield from descend(0, {})
-        if buffered:
-            batch = flush()
-            buffered = 0
-            self._account_generic(batch.count)
-            yield batch
-
-    def _account_generic(self, rows: int) -> None:
-        # Generic-join rows don't belong to a single scan; account them on
-        # the first child so EXPLAIN still shows produced work.
-        if self.children:
-            self._account_scan(self.children[0], rows)  # type: ignore[arg-type]
 
     # -- decode boundary -----------------------------------------------------
 

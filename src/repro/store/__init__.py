@@ -16,11 +16,11 @@ Pick the store that matches the scale:
   indexing: POS and OSP are sorted by the first query that needs them, and
   ``sorts_paid`` counts what a session has cost.
 
-Stores that can serve sorted id runs additionally implement the
-:class:`IdScanSource` capability (probe with :func:`as_id_scan_source`),
-which the vectorized SPARQL engine (:mod:`repro.sparql.vectorized`) lowers
-BGPs onto; federation and remote-endpoint views deliberately don't, and
-execution falls back to the streaming iterator operators there.
+Stores that can serve sorted id runs implement the :class:`IdScanSource`
+capability themselves; :func:`as_id_scan_source` gives every other source
+(federation, remote endpoints, plain graphs) the same surface through an
+encoding adaptor, so the SPARQL engine (:mod:`repro.sparql.vectorized`)
+runs every BGP on id batches.
 """
 
 from .base import (

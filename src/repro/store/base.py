@@ -11,16 +11,15 @@ matter of choosing the store, not rewriting the exploration stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Iterator, Mapping, Protocol, runtime_checkable
+
+import numpy as np
 
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Predicate, Triple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    import numpy as np
-
-    from .dictionary import TermDictionary
+from .dictionary import TermDictionary
 
 __all__ = [
     "TripleSource",
@@ -30,12 +29,18 @@ __all__ = [
     "as_id_scan_source",
     "compute_statistics",
     "DEFAULT_BATCH_SIZE",
+    "FIRST_BATCH_SIZE",
 ]
 
 #: Default number of id triples per scan batch. Sized so one batch of three
 #: int64 columns stays comfortably inside L2 while amortizing per-batch
 #: Python overhead across thousands of rows.
 DEFAULT_BATCH_SIZE = 4096
+
+#: Rows in the first chunk a scan hands its consumer; each following chunk
+#: doubles until it reaches the batch size, so a consumer that stops early
+#: (ASK, LIMIT) has paid for hundreds of rows, not for a batch.
+FIRST_BATCH_SIZE = 256
 
 
 @runtime_checkable
@@ -55,22 +60,24 @@ class TripleSource(Protocol):
 
 @runtime_checkable
 class IdScanSource(Protocol):
-    """Stores that can answer pattern queries over dictionary-encoded ids.
+    """Sources that answer pattern queries over dictionary-encoded ids.
 
-    This is the capability the vectorized execution engine
-    (:mod:`repro.sparql.vectorized`) probes for: instead of pulling decoded
-    :class:`~repro.rdf.terms.Triple` objects one at a time, it pulls
-    ``(n, 3)`` int64 numpy arrays of id triples and decodes only at batch
-    boundaries. Sources that cannot expose id runs (federation views,
-    remote endpoints) simply don't implement it and execution falls back to
-    the streaming iterator path — use :func:`as_id_scan_source` to probe.
+    This is what the BGP executor (:mod:`repro.sparql.vectorized`) runs
+    on: instead of pulling decoded :class:`~repro.rdf.terms.Triple`
+    objects one at a time, it pulls ``(n, 3)`` int64 numpy arrays of id
+    triples and decodes only what leaves the engine. Memory, cracking and
+    paged stores implement it over their own runs and dictionary; every
+    other :class:`TripleSource` is given it by :func:`as_id_scan_source`.
+    A source may additionally offer ``probe_ids`` (see
+    :meth:`MemoryStore.probe_ids <repro.store.memory.MemoryStore.probe_ids>`),
+    which the executor uses when it finds it.
 
     ``id_pattern`` follows ``TriplePattern`` shape with ids: ``None`` is a
     wildcard, an ``int`` is a bound dictionary id.
     """
 
     @property
-    def dictionary(self) -> "TermDictionary": ...
+    def dictionary(self) -> TermDictionary: ...
 
     def match_id_batches(
         self,
@@ -78,7 +85,7 @@ class IdScanSource(Protocol):
         p: int | None,
         o: int | None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator["np.ndarray"]:
+    ) -> Iterator[np.ndarray]:
         """Yield matching id triples as ``(n, 3)`` int64 arrays.
 
         Batches stream: producing the first batch must not require
@@ -89,23 +96,73 @@ class IdScanSource(Protocol):
 
     def distinct_ids(
         self, s: int | None, p: int | None, o: int | None, position: int
-    ) -> "np.ndarray":
+    ) -> np.ndarray:
         """Sorted unique ids at ``position`` (0=s, 1=p, 2=o) over matches.
 
-        This is the sorted-run primitive leapfrog-style worst-case-optimal
-        joins intersect; implementations should serve the common shapes
+        The sorted-run primitive: what a probe with one free variable
+        expands to, and the run an existence probe tests a whole batch of
+        keys against. Implementations should serve the common shapes
         (bound predicate and/or one bound endpoint) from their indexes.
         """
         ...
 
 
-def as_id_scan_source(store: object) -> "IdScanSource | None":
-    """Capability probe: the store itself if it can serve id scans.
+class _ScratchDictionary(TermDictionary):
+    """The id space of one :class:`_EncodedSource`. A term it has not met
+    may still be in the source, so asking about one assigns its id."""
 
-    Checks for the full method surface plus a term dictionary rather than
-    relying on ``isinstance`` protocol checks alone, so wrapper stores
-    (federation, remote endpoints, test doubles) fall back cleanly by
-    simply not exposing the attributes.
+    lookup = TermDictionary.encode
+
+
+class _EncodedSource:
+    """:class:`IdScanSource` over a source that only yields triples.
+
+    Ids come from a scratch dictionary filled as triples stream through,
+    so they mean something only to the plan this adaptor was made for (a
+    federation's members keep private dictionaries; a remote endpoint has
+    none to share). A scan decodes its bound ids, asks ``triples()`` and
+    encodes what comes back in chunks that start at
+    :data:`FIRST_BATCH_SIZE` rows and double: nothing is read ahead of the
+    consumer beyond the current chunk.
+    """
+
+    def __init__(self, store: TripleSource) -> None:
+        self._store = store
+        self.dictionary = _ScratchDictionary()
+
+    def match_id_batches(
+        self,
+        s: int | None,
+        p: int | None,
+        o: int | None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> Iterator[np.ndarray]:
+        decode, encode = self.dictionary.decode, self.dictionary.encode
+        triples = iter(self._store.triples(
+            tuple(None if i is None else decode(i) for i in (s, p, o))
+        ))
+        size = min(FIRST_BATCH_SIZE, batch_size)
+        while True:
+            ids = [encode(term) for triple in islice(triples, size) for term in triple]
+            if not ids:
+                return
+            yield np.array(ids, dtype=np.int64).reshape(-1, 3)
+            size = min(size * 2, batch_size)
+
+    def distinct_ids(
+        self, s: int | None, p: int | None, o: int | None, position: int
+    ) -> np.ndarray:
+        columns = [batch[:, position] for batch in self.match_id_batches(s, p, o)]
+        if not columns:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(columns))
+
+
+def as_id_scan_source(store: object) -> IdScanSource:
+    """``store`` as an :class:`IdScanSource`: itself when it has the full
+    method surface and a term dictionary (memory, cracking, paged), else
+    behind a fresh encoding adaptor (federation, remote endpoints, plain
+    graphs, test doubles). Always answers, so every BGP runs on id batches.
     """
     if (
         hasattr(store, "match_id_batches")
@@ -113,7 +170,7 @@ def as_id_scan_source(store: object) -> "IdScanSource | None":
         and getattr(store, "dictionary", None) is not None
     ):
         return store  # type: ignore[return-value]
-    return None
+    return _EncodedSource(store)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

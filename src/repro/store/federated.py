@@ -8,12 +8,12 @@ queries fan out to every member, results are deduplicated, and per-source
 statistics record where answers came from (the provenance panel such tools
 show).
 
-A federation view deliberately does **not** implement the
-:class:`~repro.store.base.IdScanSource` capability: members keep private
-term dictionaries, so there is no shared id space to scan over. The
-``as_id_scan_source`` probe therefore returns ``None`` here and the SPARQL
-engine executes over the decoded-term iterator path — the fallback leg of
-the vectorized engine's capability matrix (same for
+Members keep private term dictionaries, so a federation has no id space
+of its own to scan. The SPARQL engine reads it like any other source that
+only yields triples: through the encoding adaptor of
+:func:`~repro.store.base.as_id_scan_source`, whose scratch dictionary
+assigns ids to the deduplicated triples as they stream out of
+:meth:`FederatedStore.triples` (same for
 :class:`~repro.server.remote.RemoteEndpointSource`).
 """
 

@@ -9,6 +9,7 @@ from repro.hierarchy.incremental import IncrementalHETree
 from repro.obs import OBS, trace_query
 from repro.rdf import Graph, parse_turtle
 from repro.sparql import CachedQueryEngine, QueryEngine
+from repro.store import MemoryStore
 from repro.store.cracking import CrackedColumn
 
 DATA = """
@@ -35,13 +36,21 @@ class TestExplainTiming:
         # Timing is the point of EXPLAIN ANALYZE: it works with global
         # tracing off (the default in this suite).
         assert not OBS.enabled
-        plan = QueryEngine(store).explain(QUERY, analyze=True)
-        for node in plan.walk():
-            assert node.wall_ms is not None
-            assert node.wall_ms >= 0.0
-        # Inclusive timing: the root covers its children.
-        assert plan.wall_ms >= max(c.wall_ms for c in plan.children)
-        assert "time=" in plan.render()
+        # A store with its own id runs and one behind the encoding adaptor.
+        for served in (MemoryStore(store.triples()), store):
+            plan = QueryEngine(served).explain(QUERY, analyze=True)
+            for node in plan.walk():
+                assert node.wall_ms is not None
+                assert node.wall_ms >= 0.0
+            # Inclusive timing: the root covers its children.
+            assert plan.wall_ms >= max(c.wall_ms for c in plan.children)
+            assert "time=" in plan.render()
+            # A BGP's scans are stages of one pipeline: each is charged its
+            # own time, so together they fit inside the BGP's.
+            (bgp,) = plan.find("VectorizedBGP")
+            scans = bgp.find("IdScan")
+            assert len(scans) == 2 and all(s.wall_ms > 0.0 for s in scans)
+            assert sum(s.wall_ms for s in scans) <= bgp.wall_ms
 
     def test_explain_without_analyze_has_no_timing(self, store):
         plan = QueryEngine(store).explain(QUERY, analyze=False)
@@ -63,7 +72,7 @@ class TestQuerySpans:
         assert root.name == "sparql.query"
         assert root.attributes["form"] == "SelectQuery"
         operator_names = {s.name for s in root.walk() if s.name.startswith("op.")}
-        assert "op.IndexScan" in operator_names
+        assert {"op.VectorizedBGP", "op.IdScan"} <= operator_names
         for span in root.walk():
             if span.name.startswith("op."):
                 assert span.finished

@@ -18,8 +18,7 @@ LABEL = IRI(EX + "label")
 
 
 def numeric_store(n: int = 500) -> MemoryStore:
-    # Distinct, order-scrambled values, so the row-plan prefix (rows_only)
-    # is not a maximally biased one; the id path draws positions and does
+    # Distinct, order-scrambled values; the draw is over positions and does
     # not care (tests/server/test_sample_bounds.py orders data against it).
     store = MemoryStore()
     for index in range(n):
@@ -143,10 +142,9 @@ class TestApproximation:
 
     def test_count_variable_binomial_scale_up(self):
         # Half the subjects carry ?v. OPTIONAL is not one BGP, so there is
-        # no first stage to draw from: over a store that serves id scans the
-        # stream is drained and the count exact; over a row store the
-        # prefix stays, and COUNT(?v) scales by the bound fraction seen,
-        # not the raw row count.
+        # no first stage to draw from: the stream is drained and the count
+        # exact, over a native store and behind the adaptor alike — COUNT(?v)
+        # counts the bound cells, not the rows.
         store = MemoryStore()
         for index in range(300):
             subject = IRI(f"{EX}item/{index}")
@@ -159,17 +157,11 @@ class TestApproximation:
             "OPTIONAL { ?s <http://example.org/value> ?v } }"
         )
         assert eligible_aggregate(parsed)
-        exact = approximate_select(QueryEngine(store), parsed, max_rows=60)
-        assert not exact.approximate
-        assert next(iter(exact.result.rows[0].values())).value == 150
-        answer = approximate_select(
-            QueryEngine(rows_only(store)), parsed, max_rows=60
-        )
-        assert answer.approximate and answer.method == "sketch-prefix"
-        assert answer.rows_consumed == 60
-        (row,) = answer.result.rows
-        estimate = next(iter(row.values())).value
-        assert 0 < estimate < answer.estimated_total
+        for served in (store, rows_only(store)):
+            exact = approximate_select(QueryEngine(served), parsed, max_rows=60)
+            assert not exact.approximate and exact.method == "exact"
+            assert exact.rows_consumed == exact.estimated_total == 300
+            assert next(iter(exact.result.rows[0].values())).value == 150
 
     def test_max_rows_must_be_positive(self):
         engine = QueryEngine(numeric_store(10))
@@ -181,9 +173,9 @@ class TestApproximation:
 
 
 class TestEngineIndependence:
-    """One consumer takes id batches and a row plan's term lists: the work
-    bound and the frame hold over both (a sample of positions on the id
-    path, a prefix that says so on the row path)."""
+    """The work bound and the frame hold whatever serves the scan: a
+    store's own runs, or the encoding adaptor over ``triples()`` (the
+    ``iterator`` case) — a sample of positions either way."""
 
     @pytest.mark.parametrize("mode", ["iterator", "vectorized"])
     def test_bounded_work_both_engines(self, mode):
@@ -195,17 +187,15 @@ class TestEngineIndependence:
         )
         assert answer.approximate
         assert answer.rows_consumed == 100
-        assert answer.method == (
-            "sketch" if mode == "vectorized" else "sketch-prefix"
-        )
+        assert answer.estimated_total == 1000
+        assert answer.method == "sketch"
         (row,) = answer.result.rows
         (value,) = row.values()
         assert value.value == 1000
-        if mode == "vectorized":
-            # The drawn rows went up the pipeline as one batch, and only
-            # they were accounted as scanned.
-            assert engine.stats.scan_batches == 1
-            assert engine.stats.scan_rows == 100
+        # The drawn rows went up the pipeline as one batch, and only they
+        # were accounted as scanned.
+        assert engine.stats.scan_batches == 1
+        assert engine.stats.scan_rows == 100
 
     def test_vectorized_prefix_sample_stops_scanning(self):
         store = numeric_store(500)

@@ -33,18 +33,20 @@ SKEWED_QUERY = (
 
 
 def skewed_store(n: int = 2_000, rare: int = 10) -> MemoryStore:
-    """Skew the snapshot blind spot: every entity points at ONE hot object
-    through ``inCluster`` (actual matches = n, uniformity estimate ~1,
-    because the store also holds ~n distinct objects), while ``taggedWith``
-    matches only ``rare`` entities under a comparable estimate."""
+    """Skew the snapshot blind spot — skew *inside* one predicate, which
+    its per-predicate distinct-object count cannot see: through
+    ``inCluster`` every entity points at a cluster of its own and at ONE
+    hot object (actual matches of the hot object = n, uniformity estimate
+    2n / (n + 1) ~ 2), while ``taggedWith`` spreads ``5 * rare`` entities
+    evenly over five tags (estimate = actual = ``rare``)."""
     store = MemoryStore()
     for index in range(n):
         entity = IRI(f"{EX}entity/{index}")
         store.add(Triple(entity, HOT_PRED, HOT))
-        # one distinct object per entity keeps distinct_objects ~ n
-        store.add(Triple(entity, RARE_PRED, IRI(f"{EX}tag/t{index}")))
-        if index < rare:
-            store.add(Triple(entity, RARE_PRED, RARE))
+        store.add(Triple(entity, HOT_PRED, IRI(f"{EX}cluster/c{index}")))
+        if index < 5 * rare:
+            tag = RARE if index % 5 == 0 else IRI(f"{EX}tag/t{index % 5}")
+            store.add(Triple(entity, RARE_PRED, tag))
     return store
 
 
@@ -54,7 +56,7 @@ def scan_order(engine: QueryEngine, query: str) -> list[str]:
     return [
         node.detail
         for node in plan.walk()
-        if node.operator in ("IndexScan", "IdScan")
+        if node.operator == "IdScan"
     ]
 
 

@@ -1,15 +1,16 @@
-"""Property-based parity: the row and the id-batch operators agree.
+"""Property-based parity: the engine agrees with the naive evaluator.
 
 For randomized graphs × randomized query shapes (BGPs with shared
-variables, value filters, OPTIONAL blocks, LIMIT), both operator families
-must produce identical solution multisets — the batch operators are an
-execution strategy, never a semantics change. The reference side runs the
-same store behind ``rows_only``, which cannot serve id scans and so gets
-the row operators. Row *order* is not part of
-SPARQL semantics and differs between engines (id-sorted vs index-iteration
-order), so comparisons are order-insensitive; LIMIT without ORDER BY picks
-an arbitrary subset, so those queries compare cardinalities and containment
-in the unlimited result instead.
+variables, value filters, OPTIONAL blocks, LIMIT), the engine must produce
+the solution multiset of ``tests/sparql/reference.py`` — id batches are an
+execution strategy, never a semantics change — over a store's own runs and
+over the same store behind ``rows_only`` (the encoding adaptor). Row
+*order* is not part of SPARQL semantics and differs between sources
+(id-sorted vs index-iteration order), so comparisons are
+order-insensitive; LIMIT without ORDER BY picks an arbitrary subset, so
+those queries compare cardinalities and containment in the unlimited
+result instead. ``tests/sparql/test_reference_parity.py`` is the wider
+generator over every store kind.
 """
 
 from collections import Counter
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql import QueryEngine
 from repro.store import MemoryStore
-from tests.helpers import rows_only
+from tests.helpers import assert_same_rows, rows_only
+from tests.sparql.reference import reference_answer
 
 NS = "http://parity.test/"
 
@@ -102,27 +104,17 @@ def _multiset(rows) -> Counter:
 @settings(max_examples=120, deadline=None)
 @given(triples=_graphs, query=_queries())
 def test_engines_agree_on_solution_multisets(triples, query):
-    store = MemoryStore()
-    for triple in triples:
-        store.add(triple)
-    iterator_rows = _multiset(
-        QueryEngine(rows_only(store)).query(query).rows
-    )
-    vectorized_rows = _multiset(
-        QueryEngine(store).query(query).rows
-    )
-    assert iterator_rows == vectorized_rows
+    store = MemoryStore(triples)
+    expected = _multiset(reference_answer(query, triples))
+    assert _multiset(QueryEngine(store).query(query).rows) == expected
+    assert _multiset(QueryEngine(rows_only(store)).query(query).rows) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(triples=_graphs, query=_queries(), limit=st.integers(1, 10))
 def test_engines_agree_under_limit(triples, query, limit):
-    store = MemoryStore()
-    for triple in triples:
-        store.add(triple)
-    unlimited = _multiset(
-        QueryEngine(rows_only(store)).query(query).rows
-    )
+    store = MemoryStore(triples)
+    unlimited = _multiset(reference_answer(query, triples))
     limited = _multiset(
         QueryEngine(store)
         .query(f"{query} LIMIT {limit}")
@@ -136,17 +128,13 @@ def test_engines_agree_under_limit(triples, query, limit):
 @settings(max_examples=40, deadline=None)
 @given(triples=_graphs, query=_queries())
 def test_engines_agree_on_distinct(triples, query):
-    store = MemoryStore()
-    for triple in triples:
-        store.add(triple)
+    store = MemoryStore(triples)
     distinct_query = query.replace("SELECT *", "SELECT DISTINCT *", 1)
-    iterator_rows = _multiset(
+    expected = _multiset(reference_answer(distinct_query, triples))
+    assert _multiset(QueryEngine(store).query(distinct_query).rows) == expected
+    assert _multiset(
         QueryEngine(rows_only(store)).query(distinct_query).rows
-    )
-    vectorized_rows = _multiset(
-        QueryEngine(store).query(distinct_query).rows
-    )
-    assert iterator_rows == vectorized_rows
+    ) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +195,22 @@ def test_listings_through_id_batches_are_the_row_forms_sequence(triples, listing
         assert windowed == _rows_through_the_row_forms(store, query + window)
     stop = None if limit is None else offset + limit
     assert windowed == unlimited[offset:stop]
-    # and both engines agree on what the rows are
-    assert _multiset(unlimited) == _multiset(
-        QueryEngine(rows_only(store)).query(query).rows
-    )
+    # and the naive evaluator agrees on what the rows are
+    assert _multiset(unlimited) == _multiset(reference_answer(query, triples))
 
 
 # ---------------------------------------------------------------------------
 # Chart-shaped queries: id-space FILTER → batch GROUP BY / aggregates / top-k
 # ---------------------------------------------------------------------------
 #
-# The batch operators above the vectorized BGP answer from id columns and
-# the dictionary's numeric value column; the iterator engine is the
-# reference. Per example the numeric predicate is all-int, all-double,
+# The batch operators above the BGP answer from id columns and the
+# dictionary's numeric value column; the naive evaluator is the reference,
+# over the store's own runs and, through ``rows_only``, over the scratch
+# dictionary of the encoding adaptor. Per example the numeric predicate is all-int, all-double,
 # mixed int+double or mixed numeric+string (the last must fall back to row
 # semantics batch by batch), and one pattern variant binds the value
 # through OPTIONAL (partly unbound: must stay on the row operators).
 
-import math
 import tempfile
 
 import pytest
@@ -340,52 +326,22 @@ _STORES = pytest.mark.parametrize(
 
 
 def _both_engines(make_store, triples, query):
+    """``(reference rows, engine rows)``; the engine's rows are also what it
+    answers over the same store behind the encoding adaptor."""
     with tempfile.TemporaryDirectory() as directory:
         store = make_store(triples, directory)
         try:
-            return (
-                QueryEngine(rows_only(store)).query(query).rows,
-                QueryEngine(store).query(query).rows,
-            )
+            rows = QueryEngine(store).query(query).rows
+            adapted = QueryEngine(rows_only(store)).query(query).rows
         finally:
             close = getattr(store, "close", None)
             if close is not None:
                 close()
-
-
-def _typed_rows(rows) -> list[tuple]:
-    """Rows in a canonical order, each term as (variable, datatype-or-kind,
-    value): doubles stay floats so they can be compared with a tolerance."""
-    typed = []
-    for row in rows:
-        cells = []
-        for variable, term in sorted(row.items(), key=lambda item: str(item[0])):
-            if isinstance(term, Literal) and isinstance(term.value, float):
-                cells.append((str(variable), term.datatype, term.value))
-            elif isinstance(term, Literal):
-                cells.append((str(variable), term.datatype, term.lexical))
-            else:
-                cells.append((str(variable), type(term).__name__, str(term)))
-        typed.append(tuple(cells))
-    return sorted(
-        typed,
-        key=lambda cells: [
-            (v, k, f"{x:.6e}" if isinstance(x, float) else x) for v, k, x in cells
-        ],
-    )
-
-
-def _assert_same_rows(reference, batch):
-    reference, batch = _typed_rows(reference), _typed_rows(batch)
-    assert len(reference) == len(batch)
-    for expected, actual in zip(reference, batch):
-        assert len(expected) == len(actual)
-        for (var_e, kind_e, value_e), (var_a, kind_a, value_a) in zip(expected, actual):
-            assert (var_e, kind_e) == (var_a, kind_a)  # datatypes identical
-            if isinstance(value_e, float):
-                assert math.isclose(value_e, value_a, rel_tol=1e-9, abs_tol=1e-12)
-            else:
-                assert value_e == value_a
+    if " ORDER BY " in query:  # ties aside, one sequence of sort values
+        assert [row.get("v") for row in adapted] == [row.get("v") for row in rows]
+    else:
+        assert_same_rows(rows, adapted)
+    return reference_answer(query, triples), rows
 
 
 @_STORES
@@ -393,7 +349,7 @@ def _assert_same_rows(reference, batch):
 @given(triples=_chart_graphs(), query=_aggregate_queries())
 def test_batch_aggregates_match_the_iterator_reference(make_store, triples, query):
     reference, batch = _both_engines(make_store, triples, query)
-    _assert_same_rows(reference, batch)
+    assert_same_rows(reference, batch)
 
 
 @_STORES

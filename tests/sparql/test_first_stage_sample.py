@@ -9,6 +9,7 @@ from repro.sparql import QueryEngine
 from repro.sparql.physical import execution_strategy
 from repro.sparql.vectorized import VectorizedBGP
 from repro.store import MemoryStore
+from tests.helpers import rows_only
 
 EX = "http://example.org/"
 SPAN = 10_000
@@ -52,7 +53,7 @@ def run(store, query, rows=None, seed=0, passes=1):
     bgp = stream.root.children[0]
     assert isinstance(bgp, VectorizedBGP)
     if rows is not None:
-        assert bgp.sample_first_stage(rows, seed, passes)
+        bgp.sample_first_stage(rows, seed, passes)
     return bgp, stream.root, list(stream.batches)
 
 
@@ -108,9 +109,35 @@ def test_positions_are_uniform_over_the_span(store):
     assert ((bins - expected) ** 2 / expected).sum() < 43.8
 
 
+def test_positions_are_uniform_over_an_adapted_scan():
+    """Behind the encoding adaptor the scan arrives in chunks that double,
+    and the draw is over all of their positions: chi-square over 100 seeds
+    x 100 draws in 10 equal bins of a 2,000-row scan (critical value for 9
+    degrees of freedom at p = 0.001: 27.9)."""
+    span = 2_000
+    graph = rows_only(MemoryStore(
+        Triple(IRI(f"{EX}s{index}"), IRI(EX + "p"), Literal(index))
+        for index in range(span)
+    ))
+    bins = np.zeros(10)
+    for seed in range(100):
+        stream = QueryEngine(graph).stream_select(f"SELECT ?s ?v WHERE {{ ?s <{EX}p> ?v }}")
+        bgp = stream.root.children[0]
+        bgp.sample_first_stage(100, seed)
+        values = [row[Variable("v")].value for row in stream.rows]
+        assert bgp.sampled == (100, span) and len(set(values)) == 100
+        for value in values:
+            bins[value * 10 // span] += 1
+    expected = 100 * 100 / 10
+    assert ((bins - expected) ** 2 / expected).sum() < 27.9
+
+
 def test_star_draws_from_the_intersected_centres(store):
+    """A star starts from its smallest constraint run — here the flagged
+    subjects, every one of them a ``C``, so the run is the intersection —
+    and the other constraint is a mask that drops none of the draw."""
     bgp, _root, batches = run(store, STAR, rows=100, seed=3)
-    assert bgp.strategy == "wcoj-star"
+    assert "flag" in bgp.children[0].detail()
     assert bgp.sampled == (100, CENTRES)
     assert len(set(column(batches, "s").tolist())) == 100
     # Both links of a drawn centre come along: what a variance over the
@@ -131,10 +158,15 @@ def test_passes_cut_the_draw_into_equal_chunks(store):
     assert centres != sorted(centres)
 
 
-def test_the_generic_join_has_no_stage_to_draw_from(store):
-    stream = QueryEngine(store).stream_select(TRIANGLE)
-    bgp = stream.root.children[0]
-    assert bgp.strategy == "wcoj-generic"
-    assert not bgp.sample_first_stage(10, 0)
-    list(stream.batches)
-    assert bgp.sampled is None
+def test_a_cyclic_bgp_draws_from_its_first_scan(store):
+    """A triangle runs on the same pipeline, so it has a first stage like
+    any other BGP: every solution descends from one ``linksTo`` edge."""
+    edges = 2 * SPAN // 4
+    bgp, root, batches = run(store, TRIANGLE, rows=10, seed=0)
+    assert bgp.sampled == (10, edges)
+    assert bgp.children[0].actual_rows == 10
+    assert execution_strategy(root) == "vectorized:binary+sample"
+    # s, s+1, s+2 with only every fourth linking out: no triangle closes
+    assert not batches
+    everything = run(store, TRIANGLE, rows=edges, seed=0)
+    assert everything[0].sampled == (edges, edges) and not everything[2]

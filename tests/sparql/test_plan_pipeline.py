@@ -3,9 +3,12 @@ operators, EXPLAIN, statistics-only planning, digests, and EvalStats.
 
 The centerpiece is the plan-equivalence suite: for a corpus of queries over
 the :mod:`repro.workload.rdf_graphs` generators, the optimized pipeline,
-the unoptimized pipeline, and every store backend must produce identical
-row multisets.
+the unoptimized pipeline, and every store backend must produce the row
+multiset of the naive evaluator (``tests/sparql/reference.py``).
 """
+
+import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -22,8 +25,10 @@ from repro.sparql import (
 )
 from repro.sparql.nodes import TriplePatternNode
 from repro.store import MemoryStore, PagedTripleStore
+from repro.store.base import FIRST_BATCH_SIZE
 from repro.workload.rdf_graphs import lod_dataset, social_graph, typed_entities
 from tests.helpers import rows_only
+from tests.sparql.reference import reference_answer
 
 FOAF = "http://xmlns.com/foaf/0.1/"
 
@@ -91,11 +96,16 @@ EQUIVALENCE_CASES = [
 ]
 
 
-def row_multiset(result):
+def row_multiset(rows):
     return sorted(
         tuple(sorted((str(var), term.n3()) for var, term in row.items()))
-        for row in result.rows
+        for row in rows
     )
+
+
+# ORDER BY reads the projected row, which does not bind ?p: every row ties,
+# and which five the window keeps is the store's scan order, not semantics.
+_ARBITRARY_WINDOW = "ORDER BY ?p LIMIT 5"
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +124,7 @@ class TestPlanEquivalence:
     def test_identical_rows_across_stores_and_pipelines(self, name, text, paged_corpus):
         triples = CORPUS_TRIPLES[name]
         full = PREFIXES + text
-        baseline = QueryEngine(Graph(triples), optimize=False).query(full)
+        baseline = reference_answer(full, triples)
         stores = [Graph(triples), MemoryStore(triples), paged_corpus[name]]
         if isinstance(baseline, bool):  # ASK
             for store in stores:
@@ -122,12 +132,20 @@ class TestPlanEquivalence:
                     assert QueryEngine(store, optimize=optimize).query(full) == baseline
             return
         expected = row_multiset(baseline)
+        arbitrary = text.endswith(_ARBITRARY_WINDOW)
+        if arbitrary:  # any five solutions of the query without its window
+            everything = Counter(row_multiset(reference_answer(
+                full[: -len(_ARBITRARY_WINDOW)], triples
+            )))
         for store in stores:
             for optimize in (True, False):
-                result = QueryEngine(store, optimize=optimize).query(full)
-                assert row_multiset(result) == expected, (
-                    f"{name} store={type(store).__name__} optimize={optimize}"
-                )
+                rows = row_multiset(QueryEngine(store, optimize=optimize).query(full).rows)
+                where = f"{name} store={type(store).__name__} optimize={optimize}"
+                if arbitrary:
+                    assert len(rows) == len(expected), where
+                    assert not Counter(rows) - everything, where
+                else:
+                    assert rows == expected, where
 
 
 # --------------------------------------------------------------------------- #
@@ -181,6 +199,28 @@ class TestEstimateCardinality:
         assert estimator.pattern_cardinality(knows) == 1.0
         absent = TriplePatternNode(Variable("s"), foaf.mbox, Variable("o"))
         assert estimator.pattern_cardinality(absent) == 0.0
+
+
+    def test_bound_object_is_priced_by_its_own_predicates_objects(self):
+        """``(?, p, o)`` = the predicate's triples over *its* distinct
+        objects. The store holds thousands of distinct objects (labels,
+        numbers) and rdf:type six of them: dividing by the global count
+        priced every class and every category value at 1.0 row."""
+        store = MemoryStore(typed_entities(
+            3_000, n_classes=6, numeric_properties=2, categorical_properties=2, seed=7))
+        estimator = CardinalityEstimator.for_store(store)
+        assert store.statistics().distinct_objects > 3_000
+        for text in ("?s rdf:type ex:Class1", '?s ex:category0 "value0_1"'):
+            pattern = parse_query(
+                _DIGEST_PREFIXES + f"SELECT * WHERE {{ {text} }}"
+            ).where.elements[0]
+            actual = store.count((None, pattern.predicate, pattern.object))
+            estimate = estimator.pattern_cardinality(pattern)
+            assert actual / 2 <= estimate <= 2 * actual, (text, estimate, actual)
+        # a snapshot without the per-predicate figure: the global count
+        bare = CardinalityEstimator(snapshot=dataclasses.replace(
+            store.statistics(), predicate_distinct_objects={}))
+        assert bare.pattern_cardinality(pattern) == 1.0
 
 
 class TestStatisticsOnlyPlanning:
@@ -249,21 +289,23 @@ _DIGEST_PREFIXES = (
     "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#> "
 )
 
-# EXPLAIN of the row operators for the two-component query of
-# ``test_both_lowerings_share_the_plan_above_the_components``, rendered by
-# the commit before the two BGP builders were merged.
-_ROW_RENDER_AT_PARENT = """\
-Project ?a, ?b  (est=0.0 actual=-)
-  Prune ?a, ?b  (est=0.0 actual=-)
-    Filter (?v < ?w)  (est=0.0 actual=-)
-      HashJoin  (est=0.0 actual=-)
-        Filter (?v > "60"^^<http://www.w3.org/2001/XMLSchema#integer>)  (est=0.1 actual=-)
-          NestedLoopJoin  (est=0.2 actual=-)
-            IndexScan ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class0>  (est=1.0 actual=-)
-            IndexScan ?a <http://example.org/data/numeric0> ?v  (est=60.0 actual=-)
-        NestedLoopJoin  (est=0.2 actual=-)
-          IndexScan ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class1>  (est=1.0 actual=-)
-          IndexScan ?b <http://example.org/data/numeric0> ?w  (est=60.0 actual=-)"""
+# EXPLAIN of the two-component query of
+# ``test_both_lowerings_share_the_plan_above_the_components``. Above the
+# components it is the tree the commit before the two BGP builders were
+# merged rendered for the row operators; the estimates are the ones the
+# per-predicate distinct-object count gives (60 typed entities over 3
+# classes: 20 a class, where the global count said 1.0).
+_RENDER = """\
+Project ?a, ?b  (est=1.2 actual=-)
+  Prune ?a, ?b  (est=1.2 actual=-)
+    Filter (?v < ?w)  (est=1.2 actual=-)
+      HashJoin  (est=3.7 actual=-)
+        VectorizedBGP filter=id[?v > 60] decode=?a,?v  (est=1.1 actual=-)
+          IdScan ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class0>  (est=20.0 actual=-)
+          IdScan ?a <http://example.org/data/numeric0> ?v  (est=60.0 actual=-)
+        VectorizedBGP decode=?b,?w  (est=3.3 actual=-)
+          IdScan ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class1>  (est=20.0 actual=-)
+          IdScan ?b <http://example.org/data/numeric0> ?w  (est=60.0 actual=-)"""
 
 # (query, digest): the ten template shapes of benchmarks/e2e plus one query
 # per group construct. The digests were computed by the commit that still
@@ -365,8 +407,8 @@ class TestExplain:
         assert operators[0] == "Slice"
         assert "Sort" in operators
         assert "Project" in operators
-        assert "IndexScan" in operators
-        scans = node.find("IndexScan")
+        assert "IdScan" in operators
+        scans = node.find("IdScan")
         assert all(scan.estimated_rows is not None for scan in scans)
         executed = [n for n in node.walk() if n.actual_rows is not None]
         assert executed, "analyze must fill actual row counts"
@@ -378,7 +420,7 @@ class TestExplain:
             PREFIXES + "SELECT ?e WHERE { ?e a ex:Class0 }", analyze=False
         )
         assert all(n.actual_rows is None for n in node.walk())
-        assert node.find("IndexScan")[0].estimated_rows > 0
+        assert node.find("IdScan")[0].estimated_rows > 0
 
     def test_filter_pushdown_places_filter_below_join(self):
         engine = self._engine()
@@ -387,11 +429,11 @@ class TestExplain:
             "FILTER(?v > 0) . ?e ex:category0 ?c }",
             analyze=False,
         )
-        # The filter must sit inside the BGP (below the top join), not at
-        # the plan root.
-        assert node.operator != "Filter"
-        filters = node.find("Filter")
-        assert filters, "pushed filter should still exist in the tree"
+        # The filter must sit inside the BGP (a mask over its batches), not
+        # at the plan root.
+        assert not node.find("Filter")
+        (bgp,) = node.find("VectorizedBGP")
+        assert "filter=id[?v > 0]" in bgp.detail
 
     def test_disjoint_components_use_hash_join(self):
         engine = self._engine()
@@ -404,7 +446,7 @@ class TestExplain:
     def test_both_lowerings_share_the_plan_above_the_components(self):
         """Two disjoint components, a local and a spanning filter, under a
         projection: the store's own plan and the plan over ``rows_only``
-        differ only inside the components."""
+        (the same store behind the encoding adaptor) are one plan."""
         store = MemoryStore(typed_entities(60, n_classes=3, seed=12))
         text = _DIGEST_PREFIXES + (
             "SELECT ?a ?b WHERE { ?a rdf:type ex:Class0 . ?a ex:numeric0 ?v . "
@@ -420,12 +462,10 @@ class TestExplain:
 
         batches = QueryEngine(store).explain(text, analyze=False)
         rows = QueryEngine(rows_only(store)).explain(text, analyze=False)
-        assert list(above_components(batches)) == list(above_components(rows))
         assert [operator for _, operator, _ in above_components(rows)] == [
             "Project", "Prune", "Filter", "HashJoin",
         ]
-        assert rows.render() == _ROW_RENDER_AT_PARENT
-        assert len(batches.find("VectorizedBGP")) == 2
+        assert rows.render() == batches.render() == _RENDER
 
     def test_limit_pushdown_slices_below_projection(self):
         engine = self._engine()
@@ -448,7 +488,7 @@ class TestExplain:
         text = engine.explain(
             PREFIXES + "SELECT ?e WHERE { ?e a ex:Class0 }"
         ).render()
-        assert "IndexScan" in text
+        assert "IdScan" in text
         assert "est=" in text and "actual=" in text
 
     def test_constant_true_filter_is_folded_away(self):
@@ -490,7 +530,7 @@ class TestEvalStats:
         assert first.stats.solutions == 2
         assert second.stats.solutions == 2
         assert first.stats.store_lookups == second.stats.store_lookups
-        assert first.stats.operator_rows["IndexScan"] == 2
+        assert first.stats.operator_rows["IdScan"] == 2
 
     def test_reset_zeroes_in_place(self):
         stats = EvalStats()
@@ -580,6 +620,17 @@ class TestPlanDigest:
 # --------------------------------------------------------------------------- #
 
 
+class _CountingGraph(Graph):
+    """Counts the triples consumers actually pull out of ``triples()``."""
+
+    pulled = 0
+
+    def triples(self, pattern=(None, None, None)):
+        for triple in super().triples(pattern):
+            self.pulled += 1
+            yield triple
+
+
 class TestOrchestration:
     def test_construct_respects_limit_and_offset(self):
         g = small_graph()
@@ -590,14 +641,21 @@ class TestOrchestration:
         assert len(built) == 1
 
     def test_ask_stops_at_first_solution(self):
-        g = Graph(social_graph(40, seed=2))
+        g = _CountingGraph(social_graph(1_500, seed=2))
         engine = QueryEngine(g)
         assert engine.query(PREFIXES + "ASK { ?p a foaf:Person }") is True
-        # Streaming: one lookup, one binding — not the whole class extension.
-        assert engine.stats.intermediate_bindings == 1
+        # Streaming: one lookup and the first chunk the adaptor encodes —
+        # not the 1 500 members of the class.
+        assert engine.stats.store_lookups == 1
+        assert 1 <= g.pulled <= FIRST_BATCH_SIZE
 
     def test_limit_streams_instead_of_materializing(self):
-        g = Graph(social_graph(60, seed=2))
+        g = _CountingGraph(social_graph(1_500, seed=2))
         engine = QueryEngine(g)
-        engine.query(PREFIXES + "SELECT ?p WHERE { ?p a foaf:Person } LIMIT 3")
-        assert engine.stats.intermediate_bindings <= 4
+        result = engine.query(
+            PREFIXES + "SELECT ?p ?n WHERE { ?p a foaf:Person . ?p foaf:name ?n } LIMIT 5"
+        )
+        assert len(result.rows) == 5
+        # One chunk of the class, and one name lookup per member of it.
+        assert g.pulled <= 2 * FIRST_BATCH_SIZE
+        assert engine.stats.intermediate_bindings <= 2 * FIRST_BATCH_SIZE

@@ -1,4 +1,5 @@
-"""Vectorized engine: strategy selection, streaming bounds, fallbacks."""
+"""The BGP executor: one pipeline on every source, streaming bounds,
+row-semantics fallbacks above it."""
 
 from collections import Counter
 
@@ -6,8 +7,7 @@ import pytest
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple, Variable
-from repro.sparql import QueryEngine, choose_bgp_strategy
-from repro.sparql.parser import parse_query
+from repro.sparql import QueryEngine
 from repro.sparql.vectorized import FIRST_BATCH_SIZE
 from repro.store import (
     CrackingTripleStore,
@@ -16,7 +16,8 @@ from repro.store import (
     as_id_scan_source,
 )
 from repro.workload.rdf_graphs import typed_entities
-from tests.helpers import rows_only
+from tests.helpers import e2e_triples, rows_only
+from tests.sparql.reference import reference_answer
 
 EX = "http://example.org/data/"
 PREFIXES = (
@@ -27,10 +28,15 @@ PREFIXES = (
 
 
 def multiset(result):
+    rows = result if isinstance(result, list) else result.rows
     return Counter(
-        tuple(sorted((str(v), str(t)) for v, t in row.items()))
-        for row in result.rows
+        tuple(sorted((str(v), str(t)) for v, t in row.items())) for row in rows
     )
+
+
+def reference(store_, query):
+    """The naive evaluator's answer over the store's triples."""
+    return multiset(reference_answer(query, store_.triples()))
 
 
 @pytest.fixture(scope="module")
@@ -42,130 +48,113 @@ def store():
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and fallback matrix
+# One executor on every source
 # ---------------------------------------------------------------------------
+
+NUMERIC0 = PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }"
+
+
+def _leaves(plan):
+    return {node.operator for node in plan.walk() if not node.children}
 
 
 def test_auto_uses_vectorized_on_id_scan_stores(store):
     engine = QueryEngine(store)
-    engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
+    engine.query(NUMERIC0)
     assert engine.stats.scan_batches > 0
 
 
-def test_iterator_mode_never_batches(store):
+def test_rows_only_double_runs_on_id_batches(store):
     engine = QueryEngine(rows_only(store))
-    engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
-    assert engine.stats.scan_batches == 0
-    assert engine.stats.store_lookups > 0
+    assert as_id_scan_source(engine.store) is not engine.store
+    result = engine.query(NUMERIC0)
+    assert len(result.rows) == 300
+    assert engine.stats.scan_batches > 0 and engine.stats.store_lookups > 0
+    assert _leaves(result.plan) == {"IdScan"}
 
 
 def test_plain_graph_falls_back_to_iterator():
+    """A plain graph has no id runs: the adaptor falls back to its
+    ``triples()`` iterator, and the BGP runs on id batches all the same."""
     graph = Graph()
     graph.add(Triple(IRI(EX + "a"), IRI(EX + "p"), Literal("x")))
-    assert as_id_scan_source(graph) is None
+    assert as_id_scan_source(graph) is not graph
     engine = QueryEngine(graph)
     result = engine.query(f"SELECT ?s WHERE {{ ?s <{EX}p> ?o }}")
     assert len(result.rows) == 1
-    assert engine.stats.scan_batches == 0
+    assert engine.stats.scan_batches > 0
+    assert _leaves(result.plan) == {"IdScan"}
 
 
 def test_federation_falls_back_to_iterator(store):
+    """Members keep private dictionaries: the adaptor reads the federation
+    through its deduplicating ``triples()`` iterator, onto id batches."""
     federated = FederatedStore([("main", store)])
-    assert as_id_scan_source(federated) is None
+    assert as_id_scan_source(federated) is not federated
     engine = QueryEngine(federated)
-    result = engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
+    result = engine.query(NUMERIC0)
     assert len(result.rows) == 300
-    assert engine.stats.scan_batches == 0
+    assert engine.stats.scan_batches > 0
+    assert _leaves(result.plan) == {"IdScan"}
 
 
 def test_unoptimized_baseline_keeps_iterator_semantics(store):
+    """``optimize=False``: no rewrites, textual order, one component — the
+    same pull-based operator, the same answer."""
+    query = PREFIXES + (
+        "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v . ?s rdf:type ex:Class1 . "
+        "FILTER(?v > 40) }"
+    )
     engine = QueryEngine(store, optimize=False)
-    engine.query(PREFIXES + "SELECT ?s WHERE { ?s ex:numeric0 ?o }")
-    assert engine.stats.scan_batches == 0
-
-
-# ---------------------------------------------------------------------------
-# Strategy chooser
-# ---------------------------------------------------------------------------
-
-
-def _patterns(query_text):
-    from repro.sparql.nodes import TriplePatternNode
-
-    parsed = parse_query(PREFIXES + query_text)
-    return [
-        element
-        for element in parsed.where.elements
-        if isinstance(element, TriplePatternNode)
-    ]
-
-
-def test_chooser_star():
-    patterns = _patterns(
-        "SELECT ?e WHERE { ?e rdf:type ex:Class0 . "
-        '?e ex:category0 "value0_1" . ?e ex:numeric0 ?v }'
-    )
-    strategy, center, reason = choose_bgp_strategy(patterns)
-    assert strategy == "wcoj-star"
-    assert center == Variable("e")
-    assert "star" in reason and "constraints=2" in reason
-
-
-def test_chooser_cyclic():
-    patterns = _patterns(
-        "SELECT ?a WHERE { ?a ex:knows ?b . ?b ex:knows ?c . ?c ex:knows ?a }"
-    )
-    strategy, center, reason = choose_bgp_strategy(patterns)
-    assert strategy == "wcoj-generic"
-    assert center is None
-    assert reason == "cyclic"
-
-
-def test_chooser_chain_and_single():
-    chain = _patterns(
-        "SELECT ?a WHERE { ?a ex:knows ?b . ?b ex:knows ?c . ?c ex:knows ?d }"
-    )
-    assert choose_bgp_strategy(chain)[0] == "binary"
-    single = _patterns("SELECT ?s WHERE { ?s ex:numeric0 ?o }")
-    assert choose_bgp_strategy(single) == ("binary", None, "single-pattern")
-
-
-def test_chooser_duplicate_pattern_is_not_a_cycle():
-    patterns = _patterns(
-        "SELECT ?a WHERE { ?a ex:knows ?b . ?a ex:knows ?b }"
-    )
-    assert choose_bgp_strategy(patterns)[0] == "binary"
+    result = engine.query(query)
+    assert engine.stats.scan_batches > 0
+    assert _leaves(result.plan) == {"IdScan"}
+    scans = result.plan.find("IdScan")
+    assert [scan.detail.split()[1] for scan in scans] == [
+        f"<{EX}numeric0>", "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"]
+    assert result.plan.find("Filter")  # not pushed into the BGP
+    assert multiset(result) == multiset(QueryEngine(store).query(query))
 
 
 # ---------------------------------------------------------------------------
 # EXPLAIN integration
 # ---------------------------------------------------------------------------
 
+STAR = PREFIXES + (
+    "SELECT ?e ?v WHERE { ?e rdf:type ex:Class0 . "
+    '?e ex:category0 "value0_1" . ?e ex:numeric0 ?v }'
+)
+
 
 def test_explain_shows_strategy_and_scans(store):
+    """There is one strategy, so EXPLAIN names none; what it shows is the
+    order: the cheapest constraint is scanned, the other one only masks."""
     engine = QueryEngine(store)
-    plan = engine.explain(
-        PREFIXES + "SELECT ?e ?v WHERE { ?e rdf:type ex:Class0 . "
-        '?e ex:category0 "value0_1" . ?e ex:numeric0 ?v }',
-        analyze=True,
-    )
+    plan = engine.explain(STAR, analyze=True)
     found = plan.find("VectorizedBGP")
     assert len(found) == 1
     bgp = found[0]
-    assert "wcoj-star" in bgp.detail
+    assert bgp.detail == ""  # every variable is projected, nothing to say
     assert bgp.actual_rows is not None
     scans = [node for node in bgp.children if node.operator == "IdScan"]
     assert len(scans) == 3
     assert all("batches" in scan.detail for scan in scans)
+    # 300 / 4 classes < 300 / 3 category values: the class is scanned
+    assert [scan.estimated_rows for scan in scans] == [75.0, 100.0, 300.0]
+    assert "Class0" in scans[0].detail and '"value0_1"' in scans[1].detail
+    # scan, one run for the mask, one batched probe for the values
+    assert engine.stats.store_lookups == 3
+    assert multiset(engine.query(STAR)) == reference(store, STAR)
 
 
 def test_explain_analyze_matches_between_engines(store):
     query = PREFIXES + (
         "SELECT ?e ?v WHERE { ?e rdf:type ex:Class1 . ?e ex:numeric0 ?v }"
     )
-    analyzed_iterator = QueryEngine(rows_only(store)).explain(query)
-    analyzed_vectorized = QueryEngine(store).explain(query)
-    assert analyzed_iterator.actual_rows == analyzed_vectorized.actual_rows
+    analyzed_adapted = QueryEngine(rows_only(store)).explain(query)
+    analyzed_native = QueryEngine(store).explain(query)
+    assert analyzed_adapted.actual_rows == analyzed_native.actual_rows
+    assert analyzed_native.actual_rows == sum(reference(store, query).values())
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +206,10 @@ def test_repeated_variable_in_one_pattern():
     reflexive.add(Triple(a, p, b))
     reflexive.add(Triple(b, p, b))
     query = f"SELECT ?x WHERE {{ ?x <{EX}linked> ?x }}"
-    iterator_rows = multiset(QueryEngine(rows_only(reflexive)).query(query))
-    vectorized_rows = multiset(QueryEngine(reflexive).query(query))
-    assert iterator_rows == vectorized_rows
-    assert sum(vectorized_rows.values()) == 2
+    native_rows = multiset(QueryEngine(reflexive).query(query))
+    assert native_rows == reference(reflexive, query)
+    assert native_rows == multiset(QueryEngine(rows_only(reflexive)).query(query))
+    assert sum(native_rows.values()) == 2
 
 
 def test_filters_and_optional_parity(store):
@@ -228,10 +217,10 @@ def test_filters_and_optional_parity(store):
         "SELECT ?e ?v ?c WHERE { ?e rdf:type ?c . ?e ex:numeric0 ?v . "
         "FILTER(?v > 40) OPTIONAL { ?e ex:category1 ?k } }"
     )
-    iterator_rows = multiset(QueryEngine(rows_only(store)).query(query))
-    vectorized_rows = multiset(QueryEngine(store).query(query))
-    assert iterator_rows == vectorized_rows
-    assert sum(iterator_rows.values()) > 0
+    expected = reference(store, query)
+    assert multiset(QueryEngine(store).query(query)) == expected
+    assert multiset(QueryEngine(rows_only(store)).query(query)) == expected
+    assert sum(expected.values()) > 0
 
 
 def test_disjoint_components_parity(store):
@@ -239,10 +228,10 @@ def test_disjoint_components_parity(store):
     query = PREFIXES + (
         "SELECT ?a ?b WHERE { ?a rdf:type ex:Class1 . ?b rdf:type ex:Class2 }"
     )
-    iterator_rows = multiset(QueryEngine(rows_only(store)).query(query))
-    vectorized_rows = multiset(QueryEngine(store).query(query))
-    assert iterator_rows == vectorized_rows
-    assert sum(iterator_rows.values()) > 0
+    expected = reference(store, query)
+    assert multiset(QueryEngine(store).query(query)) == expected
+    assert multiset(QueryEngine(rows_only(store)).query(query)) == expected
+    assert sum(expected.values()) > 0
 
 
 def test_cyclic_triangle_parity():
@@ -263,6 +252,26 @@ def test_cyclic_triangle_parity():
     assert sum(vectorized_rows.values()) == 9  # 3 triangles × 3 rotations
 
 
+def test_triangle_work_is_the_paths_it_extends_not_the_product():
+    """The directed triangle over a 3,000-entity dataset shaped like the
+    served benchmark's (it has none: links point at earlier entities).
+    The pipeline scans the edges, extends each to its two-hop paths and
+    closes each distinct ``(?c, ?a)`` pair with one existence probe — the
+    counters say so exactly, and nothing grows with edges squared."""
+    linked = MemoryStore(e2e_triples(3_000))
+    edges = linked.count((None, IRI(EX + "linksTo"), None))
+    paths = len(QueryEngine(linked).query(
+        PREFIXES + "SELECT ?a ?c WHERE { ?a ex:linksTo ?b . ?b ex:linksTo ?c }"))
+    engine = QueryEngine(linked)
+    result = engine.query(PREFIXES + (
+        "SELECT ?a ?b ?c WHERE { ?a ex:linksTo ?b . ?b ex:linksTo ?c . ?c ex:linksTo ?a }"
+    ))
+    assert len(result) == 0 and edges < paths < 3 * edges
+    assert result.stats.scan_rows == edges + paths
+    # the scan, one batched probe per batch of edges, one probe per pair
+    assert paths / 2 < result.stats.store_lookups <= 1 + result.stats.scan_batches + paths
+
+
 def test_cracking_store_end_to_end():
     cracking = CrackingTripleStore()
     for triple in typed_entities(200, seed=23):
@@ -270,9 +279,7 @@ def test_cracking_store_end_to_end():
     query = PREFIXES + (
         'SELECT ?e WHERE { ?e rdf:type ex:Class0 . ?e ex:category0 "value0_0" }'
     )
-    iterator_rows = multiset(QueryEngine(rows_only(cracking)).query(query))
-    vectorized_rows = multiset(QueryEngine(cracking).query(query))
-    assert iterator_rows == vectorized_rows
+    assert multiset(QueryEngine(cracking).query(query)) == reference(cracking, query)
     assert cracking.sorts_paid > 0
 
 
@@ -331,7 +338,7 @@ def test_string_comparison_keeps_row_semantics(store):
     plan = _explain(store, query)
     detail = _only(plan, "VectorizedBGP").detail
     assert 'filter=row[?l < "Entity 2"],row[STRSTARTS' in detail
-    assert multiset(QueryEngine(rows_only(store)).query(PREFIXES + query)) \
+    assert reference(store, PREFIXES + query) \
         == multiset(QueryEngine(store).query(PREFIXES + query))
 
 
@@ -358,6 +365,7 @@ def test_mixed_kind_column_falls_back_visibly():
     assert "filter=row[?v > 2]" in _only(plan, "VectorizedBGP").detail
     assert plan.actual_rows == 5
     assert plan.actual_rows == _explain(rows_only(mixed), query).actual_rows
+    assert plan.actual_rows == sum(reference(mixed, PREFIXES + query).values())
 
 
 def test_sum_over_a_non_numeric_value_falls_back_to_rows():
@@ -366,8 +374,7 @@ def test_sum_over_a_non_numeric_value_falls_back_to_rows():
     plan = QueryEngine(mixed).explain(query)
     assert plan.operator == "BatchAggregate"
     assert "fallback=rows[SUM over a non-numeric value]" in plan.detail
-    assert multiset(QueryEngine(rows_only(mixed)).query(query)) \
-        == multiset(QueryEngine(mixed).query(query))
+    assert reference(mixed, query) == multiset(QueryEngine(mixed).query(query))
 
 
 def test_top_k_over_a_non_numeric_column_sorts_everything():
@@ -375,8 +382,8 @@ def test_top_k_over_a_non_numeric_column_sorts_everything():
     query = PREFIXES + "SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY ?v LIMIT 2"
     plan = QueryEngine(mixed).explain(query)
     assert "fallback=all rows[non-numeric sort value]" in _only(plan, "TopK").detail
-    assert QueryEngine(rows_only(mixed)).query(query).rows \
-        == QueryEngine(mixed).query(query).rows
+    assert [row[Variable("v")] for row in reference_answer(query, mixed.triples())] \
+        == [row[Variable("v")] for row in QueryEngine(mixed).query(query).rows]
 
 
 @pytest.mark.parametrize(
@@ -396,23 +403,28 @@ def test_top_k_over_a_non_numeric_column_sorts_everything():
 def test_uncovered_aggregate_shapes_stay_on_the_row_operator(store, query):
     plan = _explain(store, query)
     assert plan.find("Aggregate") and not plan.find("BatchAggregate")
-    assert multiset(QueryEngine(rows_only(store)).query(PREFIXES + query)) \
+    assert reference(store, PREFIXES + query) \
         == multiset(QueryEngine(store).query(PREFIXES + query))
 
 
-def test_non_id_scan_source_runs_filter_aggregate_and_sort_as_rows(store):
+def test_adapted_source_runs_filter_aggregate_and_top_k_on_id_batches(store):
+    """Behind the encoding adaptor a federation gets the same operators a
+    native store gets, over the scratch dictionary's value column."""
     federated = FederatedStore([("main", store)])
-    plan = _explain(
-        federated,
+    grouped = (
         "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s ex:category0 ?c . ?s ex:numeric0 ?v . "
-        "FILTER(?v > 43.2) } GROUP BY ?c",
+        "FILTER(?v > 43.2) } GROUP BY ?c"
     )
-    assert plan.operator == "Aggregate" and plan.find("Filter")
-    plan = _explain(
-        federated,
-        "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v } ORDER BY DESC(?v) LIMIT 3",
-    )
-    assert plan.find("Sort") and not plan.find("TopK")
+    plan = _explain(federated, grouped)
+    assert plan.operator == "BatchAggregate" and not plan.find("Filter")
+    assert "filter=id[?v > 43.2]" in _only(plan, "VectorizedBGP").detail
+    assert multiset(QueryEngine(federated).query(PREFIXES + grouped)) \
+        == reference(store, PREFIXES + grouped)
+    top = "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v } ORDER BY DESC(?v) LIMIT 3"
+    plan = _explain(federated, top)
+    assert _only(plan, "TopK").detail == "k=3 by ?v DESC"
+    assert QueryEngine(federated).query(PREFIXES + top).rows \
+        == reference_answer(PREFIXES + top, store.triples())
 
 
 def test_integer_sum_stays_integer_and_huge_sums_fall_back():

@@ -108,11 +108,51 @@ class TestCapabilityProbe:
         assert as_id_scan_source(store) is store
 
     def test_graph_probes_negative(self):
-        assert as_id_scan_source(Graph()) is None
+        """No id runs of its own: the probe answers with an adaptor."""
+        graph = Graph(_triples())
+        assert as_id_scan_source(graph) is not graph
+        _assert_adaptor_contract(graph)
 
     def test_federation_probes_negative(self):
-        federated = FederatedStore([("one", MemoryStore(_triples()))])
-        assert as_id_scan_source(federated) is None
+        triples = _triples()
+        federated = FederatedStore([
+            ("one", MemoryStore(triples[:300])), ("two", Graph(triples[200:])),
+        ])
+        assert as_id_scan_source(federated) is not federated
+        _assert_adaptor_contract(federated)
+
+
+def _assert_adaptor_contract(source):
+    """The encoding adaptor over ``source`` answers what the native store
+    over the same triples answers, once both are decoded — for all eight
+    bound-position masks, and for a constant it has not met."""
+    native = MemoryStore(_triples())
+    anchor = Triple(IRI(EX + "entity3"), RDF_TYPE, None)
+    anchor = next(iter(native.triples(anchor)))
+    absent = Triple(IRI(EX + "nobody"), IRI(EX + "nothing"), Literal("never"))
+    for mask in range(8):
+        for terms in (anchor, absent):
+            pattern = [term if mask >> at & 1 else None for at, term in enumerate(terms)]
+            adapted = as_id_scan_source(source)  # a fresh scratch dictionary
+            ids = [None if t is None else adapted.dictionary.lookup(t) for t in pattern]
+            known = [None if t is None else native.dictionary.lookup(t) for t in pattern]
+            batches = list(adapted.match_id_batches(*ids, batch_size=64))
+            assert all(b.dtype == np.int64 and b.shape[1:] == (3,) for b in batches)
+            assert all(0 < len(b) <= 64 for b in batches)
+            decoded = [
+                adapted.dictionary.decode_triple(row)
+                for batch in batches for row in batch.tolist()
+            ]
+            expected = set(native.triples(tuple(pattern)))
+            assert len(decoded) == len(expected) and set(decoded) == expected
+            for position in range(3):
+                run = adapted.distinct_ids(*ids, position)
+                assert run.tolist() == sorted(set(run.tolist()))
+                assert set(adapted.dictionary.decode_batch(run)) == {
+                    triple[position] for triple in expected
+                }
+                if terms is anchor:
+                    assert len(run) == len(native.distinct_ids(*known, position))
 
 
 class TestSnapshotConsistency:
