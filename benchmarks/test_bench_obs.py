@@ -336,7 +336,7 @@ def test_c14_querylog_overhead(benchmark):
         records = log.records()
         assert len(records) == log.capacity
         # to_dict() forces every aggregation (tenants, digests, drift,
-        # corrections, regressions); analyze() alone is lazy.
+        # regressions); analyze() alone is lazy.
         analyze_s = _median_seconds(lambda: analyze(records).to_dict(), 5)
         report = analyze(records)
         assert report.slow_digests()

@@ -1,12 +1,14 @@
-"""Experiments C13 + C14: planning cost and what native id runs buy.
+"""Experiments C13 + C14: what counting costs the planner and buys the
+plans, and what native id runs buy.
 
 C13: the plan pipeline costs BGP join orders with a
-:class:`CardinalityEstimator`. Stores that publish a
-:class:`StatisticsSnapshot` answer every estimate from a cached summary
-(triple count, distinct S/P/O, per-predicate histogram); stores that don't
-force the planner back to live ``store.count`` probes per pattern. This
-experiment measures the planning-time gap and checks that both planners
-pick the same join order.
+:class:`CardinalityEstimator`. A store on sorted runs is asked for each
+pattern's exact count (two binary searches); a source that cannot count
+locally is planned from its :class:`StatisticsSnapshot` (triple count,
+distinct S/P/O, per-predicate histogram, uniformity assumptions). This
+experiment runs both planners over the same store: what exact counts cost
+per plan (at most 2x the snapshot) and what they buy in plan quality (no
+more intermediate bindings than the snapshot's plans).
 
 C14: the same star workload executed end to end by the one BGP executor
 over two sources — the store's own sorted runs, and the same store behind
@@ -57,8 +59,9 @@ STAR_QUERIES = [
 
 
 class BareStore:
-    """``store`` stripped to ``triples`` / ``count`` / ``__len__``: no
-    statistics protocol (live-count planning) and no id runs."""
+    """``store`` stripped to ``triples`` / ``count`` / ``__len__``: no id
+    runs, and planned by ``count()`` — the exact counts, so the plans
+    ``store`` itself gets, read through the encoding adaptor."""
 
     def __init__(self, store):
         self._store = store
@@ -74,18 +77,17 @@ class BareStore:
 
 
 class RowsOnly(BareStore):
-    """``BareStore`` plus the statistics snapshot: the plans ``store``
-    itself gets, read through the encoding adaptor."""
+    """``BareStore`` plus the statistics snapshot, which is then what it is
+    planned from (a federation member, a remote endpoint)."""
 
     def statistics(self):
         return self._store.statistics()
 
 
 PLAN_REPEATS = 100
-# The two planners are within 2x of each other now that a live
-# ``MemoryStore.count`` is two binary searches (it was a walk over the
-# nested indexes, ~24x); the fastest of a few rounds keeps one scheduler
-# hiccup from deciding the comparison.
+# The two planners are within 2x of each other (a count is two binary
+# searches); the fastest of a few rounds keeps one scheduler hiccup from
+# deciding the comparison.
 TIMING_ROUNDS = 5
 
 
@@ -107,6 +109,15 @@ def _bgp_patterns(text):
     ]
 
 
+def _multiset(result):
+    from collections import Counter
+
+    return Counter(
+        tuple(sorted((str(v), t.n3()) for v, t in row.items()))
+        for row in result.rows
+    )
+
+
 def _time_planner(estimator, pattern_lists):
     best = float("inf")
     for _ in range(TIMING_ROUNDS):
@@ -118,55 +129,43 @@ def _time_planner(estimator, pattern_lists):
     return best
 
 
-def test_c13_stats_vs_live_count_planning(benchmark):
+def test_c13_exact_count_vs_snapshot_planning(benchmark):
     store = _store()
     pattern_lists = [_bgp_patterns(q) for q in STAR_QUERIES]
 
+    exact_estimator = CardinalityEstimator.for_store(store)
+    assert exact_estimator.snapshot is None  # the store counts
     snapshot_estimator = CardinalityEstimator(snapshot=store.statistics())
-    live_estimator = CardinalityEstimator(store=store)
 
-    # Plan *quality*: run the workload through an engine planning from the
-    # snapshot and one forced onto live counts (store stripped of the
-    # statistics protocol). Answers must match and the snapshot plans must
-    # not blow up intermediate results (within 2x of exact-count plans).
-    # Both engines behind the encoding adaptor (BareStore has no id runs of
-    # its own), so the intermediate-binding accounting compares plans only.
-    stats_engine = QueryEngine(RowsOnly(store))
-    live_engine = QueryEngine(BareStore(store))
+    # Plan *quality*: run the workload through an engine planning from
+    # exact counts and one planning from the snapshot. Answers must match
+    # and the counted plans must produce no more intermediate bindings.
+    # Both engines behind the encoding adaptor, so the accounting compares
+    # plans only.
+    exact_engine = QueryEngine(BareStore(store))
+    snapshot_engine = QueryEngine(RowsOnly(store))
     for text in STAR_QUERIES:
-        stats_rows = {tuple(sorted((str(k), v.n3()) for k, v in row.items()))
-                      for row in stats_engine.query(text).rows}
-        live_rows = {tuple(sorted((str(k), v.n3()) for k, v in row.items()))
-                     for row in live_engine.query(text).rows}
-        assert stats_rows == live_rows
-    quality_ratio = stats_engine.stats.intermediate_bindings / max(
-        live_engine.stats.intermediate_bindings, 1
+        assert _multiset(exact_engine.query(text)) == _multiset(
+            snapshot_engine.query(text)
+        )
+    quality_ratio = exact_engine.stats.intermediate_bindings / max(
+        snapshot_engine.stats.intermediate_bindings, 1
     )
-    assert quality_ratio < 2.0
+    assert quality_ratio <= 1.0
 
-    stats_seconds = _time_planner(snapshot_estimator, pattern_lists)
-    live_seconds = _time_planner(live_estimator, pattern_lists)
+    exact_seconds = _time_planner(exact_estimator, pattern_lists)
+    snapshot_seconds = _time_planner(snapshot_estimator, pattern_lists)
     plans = PLAN_REPEATS * len(pattern_lists)
+    cost_ratio = exact_seconds / max(snapshot_seconds, 1e-9)
 
-    # Cache effectiveness: every estimate of the snapshot planner should be
-    # answered from the cached statistics, none from the store.
-    total_estimates = (
-        snapshot_estimator.snapshot_estimates + snapshot_estimator.live_estimates
-    ) // TIMING_ROUNDS
-    assert snapshot_estimator.snapshot_hit_rate == 1.0
-    assert live_estimator.snapshot_hit_rate == 0.0
-
-    print("\n\nC13: planning cost, statistics snapshot vs live counts "
+    print("\n\nC13: planning, exact counts vs statistics snapshot "
           f"({len(store)} triples, {plans} plans)")
     print(f"{'planner':>12} | {'total':>9} | {'per plan':>10}")
-    print(f"{'snapshot':>12} | {stats_seconds:>8.3f}s | {stats_seconds / plans * 1e6:>8.1f}us")
-    print(f"{'live count':>12} | {live_seconds:>8.3f}s | {live_seconds / plans * 1e6:>8.1f}us")
-    speedup = live_seconds / max(stats_seconds, 1e-9)
-    print(f"  planning speedup from statistics: {speedup:.1f}x")
-    print(f"  intermediate-binding ratio (snapshot/live plans): {quality_ratio:.2f}")
-    print(f"  snapshot hit rate: {snapshot_estimator.snapshot_hit_rate:.0%} "
-          f"over {total_estimates} estimates")
-    assert stats_seconds < live_seconds
+    print(f"{'exact count':>12} | {exact_seconds:>8.3f}s | {exact_seconds / plans * 1e6:>8.1f}us")
+    print(f"{'snapshot':>12} | {snapshot_seconds:>8.3f}s | {snapshot_seconds / plans * 1e6:>8.1f}us")
+    print(f"  planning cost ratio (exact/snapshot): {cost_ratio:.2f}")
+    print(f"  intermediate-binding ratio (exact/snapshot plans): {quality_ratio:.2f}")
+    assert cost_ratio <= 2.0
 
     # End-to-end: EXPLAIN (plan only, no execution) through the engine.
     engine = QueryEngine(store)
@@ -176,41 +175,29 @@ def test_c13_stats_vs_live_count_planning(benchmark):
     explain_seconds = time.perf_counter() - start
 
     RESULTS_PATH.write_text(json.dumps({
-        "experiment": "C13+C14 planning cost and native runs vs encoding adaptor",
+        "experiment": "C13+C14 exact-count planning and native runs vs encoding adaptor",
         "triples": len(store),
         "plans_per_planner": plans,
-        "snapshot_planning_seconds": round(stats_seconds, 6),
-        "live_count_planning_seconds": round(live_seconds, 6),
-        "planning_speedup": round(speedup, 2),
+        "exact_count_planning_seconds": round(exact_seconds, 6),
+        "snapshot_planning_seconds": round(snapshot_seconds, 6),
+        "exact_vs_snapshot_planning_ratio": round(cost_ratio, 2),
         "explain_no_analyze_seconds_per_query": round(
             explain_seconds / PLAN_REPEATS, 6
         ),
-        "intermediate_binding_ratio_snapshot_vs_live": round(quality_ratio, 3),
-        "estimates_per_planner": total_estimates,
-        "snapshot_estimator_hit_rate": round(snapshot_estimator.snapshot_hit_rate, 3),
-        "live_estimator_hit_rate": round(live_estimator.snapshot_hit_rate, 3),
+        "exact_vs_snapshot_intermediate_binding_ratio": round(quality_ratio, 3),
     }, indent=2) + "\n")
     print(f"  results written to {RESULTS_PATH.name}")
 
-    benchmark(lambda: snapshot_estimator.order(pattern_lists[0]))
+    benchmark(lambda: exact_estimator.order(pattern_lists[0]))
 
 
 EXEC_REPEATS = 5
 
 
-def _multiset(result):
-    from collections import Counter
-
-    return Counter(
-        tuple(sorted((str(v), t.n3()) for v, t in row.items()))
-        for row in result.rows
-    )
-
-
 def test_c14_native_runs_vs_encoding_adaptor(benchmark):
     """Source ablation on the star workload (merges into C13's file)."""
     store = _store()
-    adaptor_engine = QueryEngine(RowsOnly(store))
+    adaptor_engine = QueryEngine(BareStore(store))
     vectorized_engine = QueryEngine(store)
 
     # Parity first: an ablation between sources that disagree is meaningless.

@@ -71,9 +71,11 @@ class ScanObservation:
     S/P/O slot, ``b`` for a constant, ``v`` for a variable (``"vbb"`` =
     variable subject, bound predicate, bound object) — the key the planner
     estimated under. ``leading`` marks scans that executed exactly once
-    against an empty ambient binding, so their actual row count is directly
-    comparable to the planner's unconditioned estimate; only those feed the
-    drift-correction table.
+    against an empty ambient binding and ran to exhaustion over every row
+    (no ``LIMIT`` stopped them, no shed tier sampled them), so their actual
+    row count is directly comparable to the planner's unconditioned
+    estimate; only those feed the drift report. On a store the planner
+    counts, ``estimated`` is the pattern's exact cardinality.
     """
 
     predicate: str | None

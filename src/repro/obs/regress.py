@@ -61,7 +61,7 @@ __all__ = [
 
 PARAM_KEYS = frozenset({
     "experiment", "entities", "repeats", "triples", "quick_mode",
-    "plans_per_planner", "estimates_per_planner", "seed",
+    "plans_per_planner", "seed",
 })
 
 _TIMING_SUFFIXES = ("_ms", "_ns", "_us", "_s", "_seconds")

@@ -14,11 +14,12 @@ and answers the questions a single trace cannot:
   *leading* scans only (the ones whose actual row count is directly
   comparable to the planner's unconditioned estimate);
 * **plan regressions** — digests whose recent latency shifted against
-  their own earlier history (same plan, slower now);
-* **learned corrections** (``--corrections``) — the drift condensed into
-  the ``{"<predicate>|<mask>": factor}`` mapping
-  :meth:`repro.sparql.optimizer.CorrectionTable.from_factors` consumes,
-  closing the loop from observed misestimates back into join order.
+  their own earlier history (same plan, slower now).
+
+A store on sorted runs is planned from exact counts, so its leading scans
+read 1.0; what the drift table shows is how far the uniformity guesses are
+off on the sources planned from a statistics snapshot (paged, federated,
+remote) — the planner's q-error feed.
 
 The analyzer is intentionally dependency-free and offline: it only parses
 JSONL, so it runs over logs scraped from a live server, captured in CI, or
@@ -39,15 +40,13 @@ from .querylog import QueryRecord
 __all__ = [
     "WorkloadReport",
     "analyze",
-    "build_corrections",
     "drift_observations",
     "load_records",
     "main",
 ]
 
-# A drift factor is only worth learning when it is (a) measured often
-# enough and (b) actually wrong by a margin no estimator noise explains.
-DEFAULT_MIN_OBSERVATIONS = 3
+# A drift median is marked as a misestimate when it is off by a margin
+# no estimator noise explains, in either direction.
 DEFAULT_SIGNIFICANCE = 1.5
 
 # A digest is flagged as regressed when the median latency of its later
@@ -127,30 +126,6 @@ def drift_observations(
     return ratios
 
 
-def build_corrections(
-    records: Iterable[QueryRecord],
-    min_observations: int = DEFAULT_MIN_OBSERVATIONS,
-    significance: float = DEFAULT_SIGNIFICANCE,
-) -> dict[str, float]:
-    """Condense observed drift into correction factors.
-
-    The factor for a ``(predicate, mask)`` key is the *median* observed
-    actual/estimated ratio — robust against the occasional outlier run —
-    kept only when backed by at least ``min_observations`` leading-scan
-    observations and deviating from 1.0 by the ``significance`` margin in
-    either direction. The result is the JSON mapping
-    :meth:`~repro.sparql.optimizer.CorrectionTable.from_factors` loads.
-    """
-    factors: dict[str, float] = {}
-    for key, ratios in sorted(drift_observations(records).items()):
-        if len(ratios) < min_observations:
-            continue
-        factor = statistics.median(ratios)
-        if factor >= significance or factor <= 1.0 / significance:
-            factors[key] = round(factor, 4)
-    return factors
-
-
 class WorkloadReport:
     """The analyzer's result: attribution, slow plans, drift, regressions."""
 
@@ -158,13 +133,11 @@ class WorkloadReport:
         self,
         records: list[QueryRecord],
         top: int = 10,
-        min_observations: int = DEFAULT_MIN_OBSERVATIONS,
         significance: float = DEFAULT_SIGNIFICANCE,
         regression_threshold: float = DEFAULT_REGRESSION_THRESHOLD,
     ) -> None:
         self.records = records
         self.top = top
-        self.min_observations = min_observations
         self.significance = significance
         self.regression_threshold = regression_threshold
 
@@ -257,11 +230,6 @@ class WorkloadReport:
             for digest, values in sorted(ratios.items())
         }
 
-    def corrections(self) -> dict[str, float]:
-        return build_corrections(
-            self.records, self.min_observations, self.significance
-        )
-
     def regressions(self) -> list[dict[str, object]]:
         """Digests whose recent latency shifted vs their own history.
 
@@ -306,7 +274,6 @@ class WorkloadReport:
             "slow_digests": self.slow_digests(),
             "drift": self.drift(),
             "digest_drift": self.digest_drift(),
-            "corrections": self.corrections(),
             "regressions": self.regressions(),
         }
 
@@ -350,12 +317,6 @@ class WorkloadReport:
                     f"  {key}: median={row['median']} p95={row['p95']} "
                     f"n={row['observations']}{marker}"
                 )
-        corrections = self.corrections()
-        if corrections:
-            lines.append("\nlearned corrections (feed CorrectionTable"
-                         ".from_factors)")
-            for key, factor in corrections.items():
-                lines.append(f"  {key}: x{factor}")
         regressions = self.regressions()
         if regressions:
             lines.append("\nplan regressions (same digest, slower now)")
@@ -371,14 +332,12 @@ class WorkloadReport:
 def analyze(
     records: list[QueryRecord],
     top: int = 10,
-    min_observations: int = DEFAULT_MIN_OBSERVATIONS,
     significance: float = DEFAULT_SIGNIFICANCE,
     regression_threshold: float = DEFAULT_REGRESSION_THRESHOLD,
 ) -> WorkloadReport:
     return WorkloadReport(
         records,
         top=top,
-        min_observations=min_observations,
         significance=significance,
         regression_threshold=regression_threshold,
     )
@@ -396,19 +355,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full report as JSON")
-    parser.add_argument("--corrections", action="store_true",
-                        help="emit only the learned correction factors "
-                             "(JSON, CorrectionTable.from_factors shape)")
     parser.add_argument("--top", type=int, default=10,
                         help="slow-digest rows to keep (default 10)")
     parser.add_argument("--tenant", default=None,
                         help="restrict the report to one tenant")
     parser.add_argument("--since", type=float, default=None,
                         help="drop records before this UNIX timestamp")
-    parser.add_argument("--min-obs", type=int,
-                        default=DEFAULT_MIN_OBSERVATIONS,
-                        help="leading-scan observations required before a "
-                             "correction is learned (default 3)")
     parser.add_argument("--threshold", type=float,
                         default=DEFAULT_REGRESSION_THRESHOLD,
                         help="late/early latency ratio flagged as a "
@@ -424,12 +376,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = analyze(
         records,
         top=options.top,
-        min_observations=options.min_obs,
         regression_threshold=options.threshold,
     )
-    if options.corrections:
-        print(json.dumps(report.corrections(), indent=2, sort_keys=True))
-    elif options.as_json:
+    if options.as_json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render())

@@ -124,6 +124,14 @@ TSV_TYPE = "text/tab-separated-values"
 NTRIPLES_TYPE = "application/n-triples"
 TABLE_TYPE = "text/plain"
 
+# What no deployment has needed to change: the socket read timeout, the
+# tenant of a request that names none, and the Retry-After of a 503. (The
+# shed tiers' hysteresis and the confidence of approximate answers are the
+# defaults of ``LoadShedder`` and :mod:`repro.server.sketch`.)
+READ_TIMEOUT_S = 10.0
+DEFAULT_TENANT = "public"
+RETRY_AFTER_S = "1"
+
 # The formats a SELECT streams in: content type and document generator.
 _STREAMED = {
     "json": (JSON_TYPE, json_document),
@@ -140,28 +148,21 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral (tests); the CLI defaults to 8890
     workers: int = 4
     queue_capacity: int = 32
-    retry_after_s: int = 1
     # shedding
     shed_budget_ms: float | None = None  # None = the `interactive` budget
     shed_window: int = 64
     shed_min_observations: int = 8
-    shed_recover_fraction: float = 0.8
-    shed_aggressive_factor: float = 3.0
     approx_max_rows: int = 2_000  # first-stage rows a shed answer draws
-    approx_confidence: float = 0.95
     # per-tenant SLOs (error-budget burn feeding the shedder)
     slo_objective: float = 0.99
     slo_window_s: float = 30.0
     # engine
     cache_capacity: int = 128
-    # delivery
-    read_timeout_s: float = 10.0
     # test/CI hook: artificial per-query latency to force overload;
     # scoped to one tenant when debug_delay_tenant is set (so tests can
     # make exactly one tenant burn its error budget)
     debug_delay_ms: float = 0.0
     debug_delay_tenant: str | None = None
-    default_tenant: str = "public"
 
 
 @dataclass
@@ -195,8 +196,6 @@ class ReproServer:
             budget_ms=self.config.shed_budget_ms,
             window=self.config.shed_window,
             min_observations=self.config.shed_min_observations,
-            aggressive_factor=self.config.shed_aggressive_factor,
-            recover_fraction=self.config.shed_recover_fraction,
         )
         self.slo = SloTracker(
             objective=self.config.slo_objective,
@@ -314,7 +313,7 @@ class ReproServer:
                 _close_quietly(connection)
 
     def _accept_one(self, connection: socket.socket) -> None:
-        connection.settimeout(self.config.read_timeout_s)
+        connection.settimeout(READ_TIMEOUT_S)
         rfile = connection.makefile("rb")
         wfile = connection.makefile("wb")
         try:
@@ -349,7 +348,7 @@ class ReproServer:
         tenant = (
             request.header("x-repro-tenant")
             or request.query.get("tenant")
-            or self.config.default_tenant
+            or DEFAULT_TENANT
         )
         pending = _Pending(connection, wfile, request, tenant)
         if not self.admission.offer(tenant, pending):
@@ -363,7 +362,7 @@ class ReproServer:
                 wfile, 503,
                 {
                     "Content-Type": "application/json",
-                    "Retry-After": str(self.config.retry_after_s),
+                    "Retry-After": RETRY_AFTER_S,
                 },
                 b'{"error": "server overloaded, retry later"}',
             )
@@ -799,15 +798,12 @@ class ReproServer:
         ``…+sample``), or the one written here for a federation, whose
         members ran the streams."""
         started = time.perf_counter_ns()
-        confidence = self.config.approx_confidence
         bundle = federated_sketch_bundle(
-            self.store, text, parsed, max_rows=max_rows,
-            confidence=confidence,
+            self.store, text, parsed, max_rows=max_rows
         )
         if bundle is None:
             bundle = build_sketch_bundle(
-                engine.engine, parsed, max_rows=max_rows,
-                confidence=confidence,
+                engine.engine, parsed, max_rows=max_rows
             )
             answer = bundle_to_answer(bundle)
         else:
@@ -859,8 +855,7 @@ class ReproServer:
                 # default rather than failing the federated call)
                 pass
         bundle = build_sketch_bundle(
-            engine.engine, parsed, max_rows=max(1, max_rows),
-            confidence=self.config.approx_confidence,
+            engine.engine, parsed, max_rows=max(1, max_rows)
         )
         self._note_sketch_bundle(bundle)
         self._count_status(200)
@@ -879,9 +874,7 @@ class ReproServer:
     ) -> None:
         """Stream tightening estimates as NDJSON, one line per pass."""
         passes = iter_sketch_passes(
-            engine.engine, parsed,
-            max_rows=self.config.approx_max_rows,
-            confidence=self.config.approx_confidence,
+            engine.engine, parsed, max_rows=self.config.approx_max_rows
         )
 
         def lines():

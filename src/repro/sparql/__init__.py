@@ -25,11 +25,7 @@ from .nodes import (
     Query,
     SelectQuery,
 )
-from .optimizer import (
-    CardinalityEstimator,
-    estimate_cardinality,
-    order_patterns,
-)
+from .optimizer import CardinalityEstimator, estimate_cardinality
 from .parser import parse_query
 from .plan import optimize_plan, plan_digest, query_digest
 from .vectorized import VectorizedBGP
@@ -61,7 +57,6 @@ __all__ = [
     "ask_to_sparql_json",
     "estimate_cardinality",
     "optimize_plan",
-    "order_patterns",
     "parse_query",
     "parse_sparql_json",
     "plan_digest",

@@ -5,9 +5,10 @@ facet deselection, or dashboard refresh repeats earlier work.
 :class:`CachedQueryEngine` wraps :class:`~repro.sparql.eval.QueryEngine`
 with a bounded :class:`~repro.cache.result_cache.ResultCache` keyed on the
 digest of the *optimized logical plan*, with explicit invalidation for when
-the store changes. Plan-keying means syntactically different but
-plan-equivalent queries (whitespace, prefix renaming, reordered constant
-filters) share one cache entry.
+the store changes (the cached results are all there is to invalidate: the
+planner keeps nothing between queries). Eviction is LRU. Plan-keying means
+syntactically different but plan-equivalent queries (whitespace, prefix
+renaming, reordered constant filters) share one cache entry.
 
 A hit returns the cached rows under a *tagged* EXPLAIN tree: the plan's
 ``cached`` flag is set so its actual cardinalities are recognizably from
@@ -26,7 +27,6 @@ from ..obs import OBS
 from ..rdf.graph import Graph
 from ..store.base import TripleSource
 from .eval import QueryEngine
-from .optimizer import CorrectionTable
 from .results import SelectResult
 
 __all__ = ["CachedQueryEngine"]
@@ -42,18 +42,9 @@ class CachedQueryEngine:
     into rows by the first reader who asks for them.
     """
 
-    def __init__(
-        self,
-        store: TripleSource,
-        capacity: int = 128,
-        policy: str = "lru",
-        optimize: bool = True,
-        corrections: CorrectionTable | None = None,
-    ) -> None:
-        self.engine = QueryEngine(
-            store, optimize=optimize, corrections=corrections
-        )
-        self.cache = ResultCache(capacity, policy=policy, name="sparql.result")
+    def __init__(self, store: TripleSource, capacity: int = 128) -> None:
+        self.engine = QueryEngine(store)
+        self.cache = ResultCache(capacity, name="sparql.result")
 
     def query(self, text: str):
         if not isinstance(text, str):

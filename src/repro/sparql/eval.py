@@ -4,16 +4,18 @@ Evaluation is a three-stage pipeline (survey §2/§4: efficient evaluation is
 a precondition for interactive exploration)::
 
     parse → logical plan (:mod:`repro.sparql.plan`, cost-independent
-    rewrites) → cost-based ordering (:mod:`repro.sparql.optimizer`,
-    statistics-backed) → streaming physical operators
-    (:mod:`repro.sparql.physical`)
+    rewrites) → cost-based ordering (:mod:`repro.sparql.optimizer`, on
+    exact pattern counts where the store counts by binary search) →
+    streaming physical operators (:mod:`repro.sparql.physical`)
 
 :class:`QueryEngine` only dispatches on the query form, builds the operator
 tree, and shapes results; all value semantics live in
-:mod:`repro.sparql.expr` and all execution in the operators. Stores that
-publish a :class:`~repro.store.base.StatisticsSnapshot` are planned without
-a single index access; :meth:`QueryEngine.explain` exposes the chosen plan
-with estimated and actual cardinalities per operator.
+:mod:`repro.sparql.expr` and all execution in the operators. A store on
+sorted runs is planned from its own counts, so a pattern's ``est=`` in
+:meth:`QueryEngine.explain` is its true cardinality; any other store that
+publishes a :class:`~repro.store.base.StatisticsSnapshot` is planned from
+that, without a store call. EXPLAIN shows the chosen plan with estimated
+and actual cardinalities per operator.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .nodes import (
     Query,
     SelectQuery,
 )
-from .optimizer import CardinalityEstimator, CorrectionTable
+from .optimizer import CardinalityEstimator
 from .parser import parse_query
 from .physical import (
     Batch,
@@ -108,17 +110,11 @@ class QueryEngine:
     ``triples()`` (:func:`~repro.store.base.as_id_scan_source`); there is
     no mode to set. The tests cross-check answers against the naive
     evaluator in ``tests/sparql/reference.py``.
-
-    ``corrections`` optionally rescales the planner's uniformity-based
-    cardinality guesses with a :class:`CorrectionTable` learned from the
-    query log's estimate-drift observations (``repro.obs.workload``), so
-    repeated misestimates on skewed data feed back into join order.
     """
 
     store: TripleSource
     optimize: bool = True
     stats: EvalStats = field(default_factory=EvalStats)
-    corrections: CorrectionTable | None = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -201,7 +197,8 @@ class QueryEngine:
         every node reports its actual row count and inclusive wall-clock
         time (``time=…ms``, sourced from the operator span timers) next to
         the planner's estimate; with ``analyze=False`` only estimates are
-        filled in and the store is not touched.
+        filled in: nothing is scanned, and a store that counts by binary
+        search is asked one count per constant-bound pattern.
         """
         parsed = parse_query(text) if isinstance(text, str) else text
         per_query = EvalStats()
@@ -312,9 +309,7 @@ class QueryEngine:
         # nothing — zero store access beyond execution itself.
         if not self.optimize:
             return None
-        return CardinalityEstimator.for_store(
-            self.store, corrections=self.corrections
-        )
+        return CardinalityEstimator.for_store(self.store)
 
     def _logical(self, parsed: Query) -> LogicalNode | None:
         if isinstance(parsed, SelectQuery):

@@ -1223,10 +1223,12 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
     dict shape :class:`repro.obs.querylog.ScanObservation` parses.
 
     ``leading`` marks scans that executed exactly once against an empty
-    ambient binding — the first child of a once-executed BGP. Only those
-    are directly comparable to the planner's unconditioned estimate; inner
-    scans run conditioned on outer rows, where estimate and actual measure
-    different quantities.
+    ambient binding — the first child of a once-executed BGP — and handed
+    on every row they matched. Only those are directly comparable to the
+    planner's unconditioned estimate; inner scans run conditioned on outer
+    rows, a first stage a ``LIMIT`` stopped early or the shed tier sampled
+    counts the rows somebody asked for, and in both cases estimate and
+    actual measure different quantities.
     """
     observations: list[dict] = []
     if root is None:
@@ -1244,7 +1246,7 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
                 "est": node.estimated_rows,
                 "actual": node.actual_rows,
                 "executions": node.executions,
-                "leading": leading and node.executions <= 1,
+                "leading": leading and node.executions <= 1 and node.exhausted,
             })
             return
         children = node.children
@@ -1252,8 +1254,9 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
             return
         if name == "VectorizedBGP":
             # Children are the component's scans in join order; only the
-            # first runs unconditioned, and only when the BGP itself did.
-            first = leading and node.executions <= 1
+            # first runs unconditioned, and only when the BGP itself did —
+            # over all of its first stage, not a sample of it.
+            first = leading and node.executions <= 1 and not _sampled(node)
             for index, child in enumerate(children):
                 visit(child, first and index == 0)
         elif name in ("NestedLoopJoin", "LeftJoin"):
@@ -1268,6 +1271,13 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
 
     visit(root, True)
     return observations
+
+
+def _sampled(bgp: PhysicalOperator) -> bool:
+    """Did this ``VectorizedBGP`` hand on fewer first-stage rows than the
+    stage holds (``sample_first_stage`` drew ``m`` of ``N``)?"""
+    sampled = getattr(bgp, "sampled", None)
+    return sampled is not None and sampled[0] < sampled[1]
 
 
 # Batch consumers above a BGP, as the query log names them.
@@ -1291,8 +1301,7 @@ def execution_strategy(root: PhysicalOperator | None) -> str:
         node = stack.pop()
         if node.name == "VectorizedBGP":
             has_bgp = True
-            sampled = getattr(node, "sampled", None)
-            if sampled is not None and sampled[0] < sampled[1]:
+            if _sampled(node):
                 consumers.add("sample")
         elif node.name in _BATCH_CONSUMERS:
             consumers.add(_BATCH_CONSUMERS[node.name])

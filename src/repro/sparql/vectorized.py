@@ -453,6 +453,10 @@ class VectorScan(PhysicalOperator):
         super().__init__(stats, estimate)
         self.pattern = pattern
         self.batches = 0
+        # As a BGP's first stage: did the consumer pull it to its end? (A
+        # LIMIT that stops it early leaves a row count that says nothing
+        # about the estimate.)
+        self.exhausted = False
 
     def detail(self) -> str:
         rendered = " ".join(
@@ -493,7 +497,6 @@ class VectorizedBGP(PhysicalOperator):
         stats: EvalStats,
         estimate: float | None,
         pattern_estimates: Iterable[float | None],
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         scans = tuple(
             VectorScan(pattern, stats, pattern_estimate)
@@ -504,7 +507,6 @@ class VectorizedBGP(PhysicalOperator):
         self.patterns = patterns
         self._filters = [_Filter(expression) for expression in filters]
         self.decode_variables = decode_variables
-        self.batch_size = batch_size
         # Time charged to the scan nodes so far (see _timed).
         self._charged = 0
         # A sample request (rows, passes, generator seed) and what came of
@@ -586,13 +588,13 @@ class VectorizedBGP(PhysicalOperator):
         A consumer that stops early (LIMIT, a bounded prefix) then pays
         for the probes of hundreds of rows, not of a whole batch.
         """
-        size = min(FIRST_BATCH_SIZE, self.batch_size)
+        size = FIRST_BATCH_SIZE
         for array in arrays:
             start = 0
             while start < len(array):
                 yield array[start : start + size]
                 start += size
-                size = min(size * 2, self.batch_size)
+                size = min(size * 2, DEFAULT_BATCH_SIZE)
 
     def _first_stage(self, arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """Chunks of the rows this BGP starts from (``arrays``, in run
@@ -712,9 +714,7 @@ class VectorizedBGP(PhysicalOperator):
         scan.executions += 1
         self.stats.store_lookups += 1
         s, p, o = one.ids
-        for raw in self._first_stage(
-            self.source.match_id_batches(s, p, o, self.batch_size)
-        ):
+        for raw in self._first_stage(self.source.match_id_batches(s, p, o)):
             if one.dup_slots:
                 mask = np.ones(len(raw), dtype=bool)
                 for left, right in one.dup_slots:
@@ -729,6 +729,7 @@ class VectorizedBGP(PhysicalOperator):
             if self._sample is not None:
                 columns[_SEED] = np.arange(len(raw))
             yield Batch(columns, len(raw))
+        scan.exhausted = True
 
     def _probe_matches(
         self,
@@ -747,7 +748,7 @@ class VectorizedBGP(PhysicalOperator):
         if len(free) == 1 and not dup_slots:
             run = self.source.distinct_ids(s, p, o, free[0][0])
             return run[:, None]
-        rows = [raw for raw in self.source.match_id_batches(s, p, o, self.batch_size)]
+        rows = list(self.source.match_id_batches(s, p, o))
         if not rows:
             return np.empty((0, len(free)), dtype=np.int64)
         raw = np.concatenate(rows) if len(rows) > 1 else rows[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterator, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -70,7 +70,11 @@ class IdScanSource(Protocol):
     other :class:`TripleSource` is given it by :func:`as_id_scan_source`.
     A source may additionally offer ``probe_ids`` (see
     :meth:`MemoryStore.probe_ids <repro.store.memory.MemoryStore.probe_ids>`),
-    which the executor uses when it finds it.
+    which the executor uses when it finds it, and ``count_ids(s, p, o)``,
+    the exact match count of an id pattern, when it can answer without
+    scanning (:meth:`MemoryStore.count_ids
+    <repro.store.memory.MemoryStore.count_ids>`): the planner then counts
+    patterns instead of estimating them from a :class:`StatisticsSnapshot`.
 
     ``id_pattern`` follows ``TriplePattern`` shape with ids: ``None`` is a
     wildcard, an ``int`` is a bound dictionary id.
@@ -105,6 +109,15 @@ class IdScanSource(Protocol):
         (bound predicate and/or one bound endpoint) from their indexes.
         """
         ...
+
+
+def distinct_ids_of(batches: Iterable[np.ndarray], position: int) -> np.ndarray:
+    """:meth:`IdScanSource.distinct_ids` for a source with no run to read
+    it off: the sorted unique ids in column ``position`` of a scan."""
+    columns = [batch[:, position] for batch in batches]
+    if not columns:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(columns))
 
 
 class _ScratchDictionary(TermDictionary):
@@ -152,10 +165,7 @@ class _EncodedSource:
     def distinct_ids(
         self, s: int | None, p: int | None, o: int | None, position: int
     ) -> np.ndarray:
-        columns = [batch[:, position] for batch in self.match_id_batches(s, p, o)]
-        if not columns:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(columns))
+        return distinct_ids_of(self.match_id_batches(s, p, o), position)
 
 
 def as_id_scan_source(store: object) -> IdScanSource:

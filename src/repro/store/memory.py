@@ -159,7 +159,7 @@ class _Generation:
 
     ``runs[0]`` (SPO) always exists; POS and OSP are sorted the first time
     an access path needs them, and the statistics snapshot the first time
-    the planner asks. Both fill-ins are idempotent, so nothing a reader
+    someone asks for it. Both fill-ins are idempotent, so nothing a reader
     sees ever changes.
     """
 
@@ -319,6 +319,15 @@ class MemoryStore:
         for start in range(lo, hi, batch_size):
             yield rows[start : min(start + batch_size, hi)]
 
+    def count_ids(self, s: int | None, p: int | None, o: int | None) -> int:
+        """Exact number of matches of the id pattern: the length of its
+        span, two binary searches. Offering this method is how a source
+        says a count costs it no scan; the SPARQL planner then prices
+        triple patterns by counting instead of from a statistics snapshot.
+        """
+        _, lo, hi = self._span((s, p, o))
+        return hi - lo
+
     def distinct_ids(
         self, s: int | None, p: int | None, o: int | None, position: int
     ) -> np.ndarray:
@@ -400,10 +409,7 @@ class MemoryStore:
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
         encoded = self._encode_pattern(pattern)
-        if encoded is None:
-            return 0
-        _, lo, hi = self._span(encoded)
-        return hi - lo
+        return 0 if encoded is None else self.count_ids(*encoded)
 
     def __contains__(self, triple: Triple) -> bool:
         return self.count(triple) > 0
@@ -418,12 +424,7 @@ class MemoryStore:
         """Raw id triples (for bulk exports to the paged store)."""
         return self._match_ids((None, None, None))
 
-    # -- statistics (used by the SPARQL optimizer) ---------------------------
-
-    def predicate_cardinality(self, predicate_id: int) -> int:
-        """Number of triples with the given predicate id."""
-        _, lo, hi = self._span((None, predicate_id, None))
-        return hi - lo
+    # -- statistics (served by ``/statistics``; merged by a federation) -----
 
     def statistics(self) -> StatisticsSnapshot:
         """Exact :class:`StatisticsSnapshot` of the current generation.

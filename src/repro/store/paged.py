@@ -32,7 +32,12 @@ import numpy as np
 from ..obs import OBS
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot, compute_statistics
+from .base import (
+    DEFAULT_BATCH_SIZE,
+    StatisticsSnapshot,
+    compute_statistics,
+    distinct_ids_of,
+)
 from .dictionary import TermDictionary
 
 __all__ = ["PagedTripleStore", "LRUBufferPool", "BufferPoolStats"]
@@ -56,6 +61,13 @@ _UNPERMUTE = {
     "pos": lambda a, b, c: (c, a, b),
     "osp": lambda a, b, c: (b, c, a),
 }
+
+
+def _chunks(arrays: list[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The rows of ``arrays``, in order, ``size`` at a time."""
+    merged = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    for start in range(0, len(merged), size):
+        yield merged[start : start + size]
 
 
 @dataclass
@@ -320,44 +332,12 @@ class PagedTripleStore:
             ).inc()
         return page
 
-    def _page_keys(self, perm_name: str, page_no: int) -> Iterator[tuple[int, int, int]]:
-        page = self._read_page(perm_name, page_no)
-        for offset in range(0, len(page), _TRIPLE.size):
-            record = page[offset : offset + _TRIPLE.size]
-            if len(record) < _TRIPLE.size:
-                break
-            key = _TRIPLE.unpack(record)
-            if key[0] == _MAX_ID:  # page padding
-                break
-            yield key
-
-    def _scan_prefix(
-        self, perm_name: str, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield all permuted keys whose leading components equal ``prefix``."""
-        perm = self._perms[perm_name]
-        if perm.page_count == 0:
-            return
-        low = prefix + (-1,) * (3 - len(prefix))
-        high = prefix + (_MAX_ID + 1,) * (3 - len(prefix))
-        start_page = max(0, bisect_right(perm.fences, low) - 1)
-        for page_no in range(start_page, perm.page_count):
-            if perm.fences[page_no] > high:
-                break
-            for key in self._page_keys(perm_name, page_no):
-                if key < low:
-                    continue
-                if key > high:
-                    return
-                yield key
-
     def _page_key_array(self, perm_name: str, page_no: int) -> np.ndarray:
         """One page decoded wholesale into an ``(n, 3)`` uint32 key array.
 
         The binary page layout (packed ``<III`` records, ``0xff`` padding)
         is exactly a little-endian uint32 matrix, so the decode is a single
-        ``frombuffer`` + reshape instead of a per-record ``struct.unpack``
-        loop — the vectorized engine's page-scan fast path.
+        ``frombuffer`` + reshape, not a ``struct.unpack`` per record.
         """
         page = self._read_page(perm_name, page_no)
         words = np.frombuffer(page, dtype="<u4")
@@ -378,9 +358,11 @@ class PagedTripleStore:
     ) -> Iterator[np.ndarray]:
         """Matching id triples as streamed ``(n, 3)`` int64 batches.
 
-        Routes through the same fence index as :meth:`triples` but decodes
-        whole pages vectorized; pages coalesce up to ``batch_size`` rows
-        (an upper bound — consumers size LIMIT work off it).
+        The fence index routes the bound prefix to its page run and whole
+        pages are decoded at once. Pages coalesce while one more still fits
+        in ``batch_size`` rows (an upper bound — consumers size LIMIT work
+        off it); asked for one page's worth, each page's matches are handed
+        on before the next page is read.
         """
         perm_name, prefix = self._plan(s, p, o)
         perm = self._perms[perm_name]
@@ -407,30 +389,17 @@ class PagedTripleStore:
             triples = np.stack(unpermute(a, b, c), axis=1).astype(np.int64)
             pending.append(triples)
             pending_rows += len(triples)
-            while pending_rows >= batch_size:
-                merged = (
-                    np.concatenate(pending) if len(pending) > 1 else pending[0]
-                )
-                yield merged[:batch_size]
-                remainder = merged[batch_size:]
-                pending = [remainder] if len(remainder) else []
-                pending_rows = len(remainder)
+            if pending_rows + self.triples_per_page > batch_size:
+                yield from _chunks(pending, batch_size)
+                pending, pending_rows = [], 0
         if pending:
-            yield np.concatenate(pending) if len(pending) > 1 else pending[0]
+            yield from _chunks(pending, batch_size)
 
     def distinct_ids(
         self, s: int | None, p: int | None, o: int | None, position: int
     ) -> np.ndarray:
-        """Sorted unique ids at ``position`` over matches.
-
-        When the chosen permutation sorts ``position`` directly after the
-        bound prefix the scan already yields it sorted; ``np.unique``
-        handles the general case either way.
-        """
-        batches = [batch[:, position] for batch in self.match_id_batches(s, p, o)]
-        if not batches:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(batches) if len(batches) > 1 else batches[0])
+        """Sorted unique ids at ``position`` over matches."""
+        return distinct_ids_of(self.match_id_batches(s, p, o), position)
 
     # ------------------------------------------------------------------ #
     # TripleSource protocol
@@ -464,11 +433,11 @@ class PagedTripleStore:
                 if term_id is None:
                     return
                 ids.append(term_id)
-        perm_name, prefix = self._plan(*ids)
-        unpermute = _UNPERMUTE[perm_name]
+        # One page's worth of rows at a time: a consumer that stops early
+        # has read the pages its triples came from and no other.
         decode = self.dictionary.decode_triple
-        for key in self._scan_prefix(perm_name, prefix):
-            yield decode(unpermute(*key))
+        for batch in self.match_id_batches(*ids, self.triples_per_page):
+            yield from map(decode, zip(*batch.T.tolist()))
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
         if pattern == (None, None, None):

@@ -141,15 +141,16 @@ def test_listing_explain_analyze_counts_what_the_row_forms_counted(store, templa
 def test_listing_plan_is_the_one_it_was(store):
     # explain(analyze=False) of the page template: the tree and the join
     # order it had before id batches reached the wire, less the strategy
-    # token there is nothing left to choose, and with the class priced by
-    # the distinct objects of rdf:type (600 / 6) instead of at 1.0
+    # token there is nothing left to choose, and with the class priced at
+    # its count (Zipf-sized classes: 261 of the 600 entities are Class0,
+    # where the snapshot's 600 / 6 said 100)
     plan = QueryEngine(store).explain(LISTING_PREFIXES + PAGE + " LIMIT 50", analyze=False)
     assert plan.render() == (
-        "Project ?s, ?l, ?v  (est=0.5 actual=-)\n"
-        "  Slice limit=50  (est=0.5 actual=-)\n"
-        "    VectorizedBGP filter=id[?v > 95.125]  (est=0.5 actual=-)\n"
+        "Project ?s, ?l, ?v  (est=1.4 actual=-)\n"
+        "  Slice limit=50  (est=1.4 actual=-)\n"
+        "    VectorizedBGP filter=id[?v > 95.125]  (est=1.4 actual=-)\n"
         "      IdScan ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
-        "<http://example.org/data/Class0>  (est=100.0 actual=-)\n"
+        "<http://example.org/data/Class0>  (est=261.0 actual=-)\n"
         "      IdScan ?s <http://example.org/data/numeric1> ?v  (est=600.0 actual=-)\n"
         "      IdScan ?s <http://www.w3.org/2000/01/rdf-schema#label> ?l  (est=600.0 actual=-)"
     )

@@ -1,4 +1,4 @@
-"""The workload analyzer: aggregation, drift, corrections, regressions, CLI."""
+"""The workload analyzer: aggregation, drift, regressions, CLI."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.obs.querylog import QueryRecord, ScanObservation
 from repro.obs.workload import (
     WorkloadReport,
     analyze,
-    build_corrections,
     load_records,
     main,
 )
@@ -120,20 +119,30 @@ class TestDrift:
         ])
         assert report.drift() == {}
 
-    def test_build_corrections_thresholds(self):
+    @staticmethod
+    def marked(report):
+        """The drift keys the text report flags as misestimated."""
+        return [
+            line.split(":")[0].strip()
+            for line in report.render().splitlines()
+            if line.endswith("<-- misestimated")
+        ]
+
+    def test_misestimate_marker_follows_significance(self):
         drifted = [record(i, scans=[leading_scan(1.0, 50)]) for i in range(3)]
         accurate = [
             record(10 + i, scans=[leading_scan(10.0, 11, predicate="<q>")])
             for i in range(3)
         ]
-        sparse = [record(20, scans=[leading_scan(1.0, 50, predicate="<r>")])]
-        factors = build_corrections(drifted + accurate + sparse)
-        assert factors == {"<p>|vbb": 50.0}  # drifted: yes; others: no
+        report = analyze(drifted + accurate)
+        assert self.marked(report) == ["<p>|vbb"]  # drifted: yes; 1.1x: no
+        assert self.marked(analyze(drifted + accurate, significance=100.0)) == []
 
-    def test_corrections_learn_overestimates_too(self):
+    def test_misestimate_marker_flags_overestimates_too(self):
         over = [record(i, scans=[leading_scan(100.0, 2)]) for i in range(3)]
-        factors = build_corrections(over)
-        assert factors["<p>|vbb"] == pytest.approx(0.02)
+        report = analyze(over)
+        assert report.drift()["<p>|vbb"]["median"] == pytest.approx(0.02)
+        assert self.marked(report) == ["<p>|vbb"]
 
 
 class TestRegressions:
@@ -175,9 +184,10 @@ class TestReportOutput:
         assert payload["trace_ids"] == ["ab" * 8]
         assert set(payload) >= {
             "by_tenant", "slow_digests", "drift", "digest_drift",
-            "corrections", "regressions",
+            "regressions",
         }
-        assert payload["corrections"] == {"<p>|vbb": 80.0}
+        assert "corrections" not in payload
+        assert payload["drift"]["<p>|vbb"]["median"] == 80.0
         assert payload["digest_drift"]["d1"]["observations"] == 2
         json.dumps(payload)  # must be serializable as-is
 
@@ -187,7 +197,6 @@ class TestReportOutput:
         assert "slowest plan digests" in text
         assert "estimate drift" in text
         assert "misestimated" in text
-        assert "learned corrections" in text
 
 
 class TestCli:
@@ -212,14 +221,6 @@ class TestCli:
         assert main(["--json", "--tenant", "b", "--since", "150",
                      str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["records"] == 1
-
-    def test_corrections_output(self, tmp_path, capsys):
-        self.write_log(
-            tmp_path,
-            [record(i, scans=[leading_scan(1.0, 60)]) for i in range(3)],
-        )
-        assert main(["--corrections", str(tmp_path)]) == 0
-        assert json.loads(capsys.readouterr().out) == {"<p>|vbb": 60.0}
 
     def test_empty_log_exits_nonzero(self, tmp_path, capsys):
         assert main(["--json", str(tmp_path)]) == 1

@@ -191,7 +191,7 @@ class TestEstimateCardinality:
     def test_snapshot_estimator_uses_predicate_histogram(self):
         g = small_graph()
         estimator = CardinalityEstimator.for_store(g)
-        assert estimator.uses_statistics
+        assert estimator.snapshot is not None
         from repro.rdf.namespace import Namespace
 
         foaf = Namespace(FOAF)
@@ -202,19 +202,22 @@ class TestEstimateCardinality:
 
 
     def test_bound_object_is_priced_by_its_own_predicates_objects(self):
-        """``(?, p, o)`` = the predicate's triples over *its* distinct
-        objects. The store holds thousands of distinct objects (labels,
-        numbers) and rdf:type six of them: dividing by the global count
-        priced every class and every category value at 1.0 row."""
+        """``(?, p, o)`` from a snapshot = the predicate's triples over
+        *its* distinct objects. The store holds thousands of distinct
+        objects (labels, numbers) and rdf:type six of them: dividing by the
+        global count priced every class and every category value at 1.0
+        row. The store itself does not estimate: it counts."""
         store = MemoryStore(typed_entities(
             3_000, n_classes=6, numeric_properties=2, categorical_properties=2, seed=7))
-        estimator = CardinalityEstimator.for_store(store)
+        counted = CardinalityEstimator.for_store(store)
+        estimator = CardinalityEstimator(snapshot=store.statistics())
         assert store.statistics().distinct_objects > 3_000
         for text in ("?s rdf:type ex:Class1", '?s ex:category0 "value0_1"'):
             pattern = parse_query(
                 _DIGEST_PREFIXES + f"SELECT * WHERE {{ {text} }}"
             ).where.elements[0]
             actual = store.count((None, pattern.predicate, pattern.object))
+            assert counted.pattern_cardinality(pattern) == actual
             estimate = estimator.pattern_cardinality(pattern)
             assert actual / 2 <= estimate <= 2 * actual, (text, estimate, actual)
         # a snapshot without the per-predicate figure: the global count
@@ -292,9 +295,23 @@ _DIGEST_PREFIXES = (
 # EXPLAIN of the two-component query of
 # ``test_both_lowerings_share_the_plan_above_the_components``. Above the
 # components it is the tree the commit before the two BGP builders were
-# merged rendered for the row operators; the estimates are the ones the
-# per-predicate distinct-object count gives (60 typed entities over 3
-# classes: 20 a class, where the global count said 1.0).
+# merged rendered for the row operators. ``_RENDER`` is the plan of a source
+# that publishes a snapshot: the estimates are the ones the per-predicate
+# distinct-object count gives (60 typed entities over 3 classes: 20 a
+# class). ``_RENDER_COUNTED`` is the plan of the store itself, which counts:
+# Class1 has 22 members and Class0 24, so the smaller one leads.
+_RENDER_COUNTED = """\
+Project ?a, ?b  (est=1.6 actual=-)
+  Prune ?a, ?b  (est=1.6 actual=-)
+    Filter (?v < ?w)  (est=1.6 actual=-)
+      HashJoin  (est=4.9 actual=-)
+        VectorizedBGP decode=?b,?w  (est=3.7 actual=-)
+          IdScan ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class1>  (est=22.0 actual=-)
+          IdScan ?b <http://example.org/data/numeric0> ?w  (est=60.0 actual=-)
+        VectorizedBGP filter=id[?v > 60] decode=?a,?v  (est=1.3 actual=-)
+          IdScan ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class0>  (est=24.0 actual=-)
+          IdScan ?a <http://example.org/data/numeric0> ?v  (est=60.0 actual=-)"""
+
 _RENDER = """\
 Project ?a, ?b  (est=1.2 actual=-)
   Prune ?a, ?b  (est=1.2 actual=-)
@@ -446,7 +463,10 @@ class TestExplain:
     def test_both_lowerings_share_the_plan_above_the_components(self):
         """Two disjoint components, a local and a spanning filter, under a
         projection: the store's own plan and the plan over ``rows_only``
-        (the same store behind the encoding adaptor) are one plan."""
+        (the same store behind the encoding adaptor) are one tree above the
+        components. Below it they are priced differently — the store counts
+        its patterns, the double publishes a snapshot — and here the counts
+        put the other component first."""
         store = MemoryStore(typed_entities(60, n_classes=3, seed=12))
         text = _DIGEST_PREFIXES + (
             "SELECT ?a ?b WHERE { ?a rdf:type ex:Class0 . ?a ex:numeric0 ?v . "
@@ -463,9 +483,10 @@ class TestExplain:
         batches = QueryEngine(store).explain(text, analyze=False)
         rows = QueryEngine(rows_only(store)).explain(text, analyze=False)
         assert [operator for _, operator, _ in above_components(rows)] == [
-            "Project", "Prune", "Filter", "HashJoin",
-        ]
-        assert rows.render() == batches.render() == _RENDER
+            operator for _, operator, _ in above_components(batches)
+        ] == ["Project", "Prune", "Filter", "HashJoin"]
+        assert rows.render() == _RENDER
+        assert batches.render() == _RENDER_COUNTED
 
     def test_limit_pushdown_slices_below_projection(self):
         engine = self._engine()

@@ -139,9 +139,11 @@ def test_explain_shows_strategy_and_scans(store):
     scans = [node for node in bgp.children if node.operator == "IdScan"]
     assert len(scans) == 3
     assert all("batches" in scan.detail for scan in scans)
-    # 300 / 4 classes < 300 / 3 category values: the class is scanned
-    assert [scan.estimated_rows for scan in scans] == [75.0, 100.0, 300.0]
-    assert "Class0" in scans[0].detail and '"value0_1"' in scans[1].detail
+    # 94 entities with the value < 151 members of the class (counted: the
+    # snapshot's 300 / 3 and 300 / 4 had it the other way): the value is
+    # scanned
+    assert [scan.estimated_rows for scan in scans] == [94.0, 151.0, 300.0]
+    assert '"value0_1"' in scans[0].detail and "Class0" in scans[1].detail
     # scan, one run for the mask, one batched probe for the values
     assert engine.stats.store_lookups == 3
     assert multiset(engine.query(STAR)) == reference(store, STAR)

@@ -111,7 +111,7 @@ class TestEquivalenceWithGraph:
 class TestStatistics:
     def test_predicate_cardinality(self, store):
         pid = store.dictionary.lookup(ex("age"))
-        assert store.predicate_cardinality(pid) == 2
+        assert store.count_ids(None, pid, None) == 2
 
     def test_id_triples_count(self, store):
         assert len(list(store.id_triples())) == 5
