@@ -61,7 +61,7 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..explore.facets import FacetedBrowser
 from ..obs import (
@@ -76,14 +76,10 @@ from ..obs.export import render_prometheus, spans_to_jsonl
 from ..obs.metrics import BoundedLabelSet
 from ..rdf.ntriples import serialize_ntriples
 from ..rdf.terms import IRI
-from ..sparql.cached import CachedQueryEngine
+from ..cache.result_cache import ResultCache
+from ..sparql.eval import QueryEngine
 from ..sparql.lexer import SparqlSyntaxError
-from ..sparql.nodes import (
-    AskQuery,
-    ConstructQuery,
-    DescribeQuery,
-    SelectQuery,
-)
+from ..sparql.nodes import AskQuery, DescribeQuery, Query, SelectQuery
 from ..sparql.parser import parse_query
 from ..sparql.results import (
     SelectResult,
@@ -132,6 +128,11 @@ READ_TIMEOUT_S = 10.0
 DEFAULT_TENANT = "public"
 RETRY_AFTER_S = "1"
 
+# What the answer cache may weigh (id columns at 8 B a cell, encoded
+# bodies, query texts): no more on 2,000-row pages (48 KB of columns + 440
+# KB of JSON) than four private 128-entry caches of columns weighed.
+CACHE_BYTES = 16 * 1024 * 1024
+
 # The formats a SELECT streams in: content type and document generator.
 _STREAMED = {
     "json": (JSON_TYPE, json_document),
@@ -156,7 +157,7 @@ class ServerConfig:
     # per-tenant SLOs (error-budget burn feeding the shedder)
     slo_objective: float = 0.99
     slo_window_s: float = 30.0
-    # engine
+    # entries of the one answer cache all workers share
     cache_capacity: int = 128
     # test/CI hook: artificial per-query latency to force overload;
     # scoped to one tenant when debug_delay_tenant is set (so tests can
@@ -176,14 +177,30 @@ class _Pending:
     accepted_at: float = field(default_factory=time.monotonic)
 
 
+@dataclass
+class _Answer:
+    """One entry of the answer cache: what a plan evaluated to, and its
+    ``(content type, body)`` per negotiated SELECT format, each encoded
+    from ``result`` when first asked for. An ASK, CONSTRUCT or DESCRIBE
+    has no ``result`` and its one body under ``None``."""
+
+    form: str
+    solutions: int
+    result: SelectResult | None
+    bodies: dict[str | None, tuple[str, bytes]]
+
+
 class ReproServer:
     """A concurrent SPARQL endpoint over any :class:`TripleSource`.
 
     ``start()`` binds and spawns the acceptor plus worker threads;
     ``stop()`` shuts everything down. Usable as a context manager. Each
-    worker owns its own :class:`CachedQueryEngine` over the shared store
-    (stores are read-safe under concurrent readers; the result caches are
-    per-worker so no cross-thread locking sits on the query path).
+    worker owns a plain :class:`QueryEngine` over the shared store (stores
+    are read-safe under concurrent readers); all of them share one cache
+    of exact non-aggregate answers, probed before the query is parsed:
+    request text → plan digest → :class:`_Answer`, valid for one
+    ``store.version`` (a store that offers none is taken never to change),
+    at most ``cache_capacity`` entries weighing ``CACHE_BYTES``.
     """
 
     def __init__(self, store: TripleSource, config: ServerConfig | None = None) -> None:
@@ -219,7 +236,14 @@ class ReproServer:
         self._service = "repro-server"
         # One engine per worker; registered here so /stats and /metrics
         # can aggregate their execution counters across the pool.
-        self._engines: list[CachedQueryEngine] = []
+        self._engines: list[QueryEngine] = []  # guarded-by: _lock
+        capacity = self.config.cache_capacity
+        self._cache = ResultCache(capacity, name="server.answers",
+                                  max_bytes=CACHE_BYTES)
+        # Query text → plan digest. A text's digest never changes, so an
+        # entry here that outlives its answer costs one parse, no more.
+        self._digests = ResultCache(capacity, name="server.texts",
+                                    max_bytes=CACHE_BYTES // 16)
         # A serving process always records its workload: the query log is
         # the accounting substrate /debug/queries and the workload
         # analyzer read. (Library use stays opt-in via REPRO_QUERYLOG.)
@@ -449,6 +473,10 @@ class ReproServer:
         )
         for name, value in self._engine_counters().items():
             metrics.gauge(f"engine.{name}", service=service).set(float(value))
+        for name, value in self._cache_counters().items():
+            metrics.gauge(f"server.cache.{name}", service=service).set(
+                float(value)
+            )
 
     def _engine_counters(self) -> dict[str, int]:
         """Execution counters summed across the worker pool's engines —
@@ -459,10 +487,14 @@ class ReproServer:
         with self._lock:
             engines = list(self._engines)
         for engine in engines:
-            stats = engine.engine.stats
             for name in totals:
-                totals[name] += getattr(stats, name)
+                totals[name] += getattr(engine.stats, name)
         return totals
+
+    def _cache_counters(self) -> dict[str, int]:
+        return {"entries": len(self._cache),
+                "bytes": self._cache.bytes + self._digests.bytes,
+                **asdict(self._cache.stats)}
 
     def _probe_metrics(self, request: HttpRequest):
         self._refresh_metrics()
@@ -567,9 +599,7 @@ class ReproServer:
     # ------------------------------------------------------------------ #
 
     def _worker_loop(self) -> None:
-        engine = CachedQueryEngine(
-            self.store, capacity=self.config.cache_capacity
-        )
+        engine = QueryEngine(self.store)
         with self._lock:
             self._engines.append(engine)
         while not self._stop.is_set():
@@ -601,7 +631,7 @@ class ReproServer:
         "/statistics": ("server.statistics", NAVIGATION),
     }
 
-    def _handle(self, pending: _Pending, engine: CachedQueryEngine) -> None:
+    def _handle(self, pending: _Pending, engine: QueryEngine) -> None:
         request = pending.request
         route = request.path.rstrip("/") or "/"
         named = self._ROUTE_CLASSES.get(route)
@@ -649,7 +679,7 @@ class ReproServer:
     # ------------------------------------------------------------------ #
 
     def _handle_sparql(
-        self, pending: _Pending, engine: CachedQueryEngine, act
+        self, pending: _Pending, engine: QueryEngine, act
     ) -> None:
         request = pending.request
         if request.method not in ("GET", "POST"):
@@ -664,11 +694,18 @@ class ReproServer:
             self._respond_error(pending.wfile, 400,
                                 "missing `query` parameter")
             return
-        try:
-            parsed = parse_query(text)
-        except (SparqlSyntaxError, ValueError) as error:
-            self._respond_error(pending.wfile, 400, f"parse error: {error}")
-            return
+        # The probe in front of the parser: a text answered before names
+        # its plan's digest. (Aggregates never are, nor is anything else
+        # the sketch-wire and progressive headers apply to.)
+        digest = self._digests.get(text)
+        parsed = None
+        if digest is None:
+            try:
+                parsed = parse_query(text)
+            except (SparqlSyntaxError, ValueError) as error:
+                self._respond_error(pending.wfile, 400,
+                                    f"parse error: {error}")
+                return
 
         accept = request.header("accept", JSON_TYPE)
         if self.config.debug_delay_ms > 0 and (
@@ -679,7 +716,7 @@ class ReproServer:
             # scoping it to one tenant makes that tenant the SLO offender.
             time.sleep(self.config.debug_delay_ms / 1e3)
 
-        shape = aggregate_shape(parsed)
+        shape = None if parsed is None else aggregate_shape(parsed)
         if shape is not None:
             # Wire mode: a federation coordinator asks for the serialized
             # sketch bundle instead of result rows (cheap bounded work, so
@@ -714,30 +751,111 @@ class ReproServer:
         act.set_attribute("tier", "exact")
         OBS.querylog.annotate_serving(tier="exact")
         self._mark_served(EXACT)
-        if isinstance(parsed, SelectQuery):
-            self._answer_select_exact(pending, engine, parsed, accept)
-        elif isinstance(parsed, AskQuery):
-            self._count_status(200)
-            write_response(
-                pending.wfile, 200,
-                {"Content-Type": JSON_TYPE, "X-Repro-Tier": "exact"},
-                ask_to_sparql_json(engine.query(parsed)).encode("utf-8"),
+        if digest is None:
+            digest = engine.plan_digest(parsed)
+        self._answer_exact(pending, engine, parsed, digest, accept,
+                           {"X-Repro-Tier": "exact"}, text)
+
+    def _answer_exact(self, pending: _Pending, engine: QueryEngine,
+                      parsed: Query | None, digest: str, accept: str,
+                      headers: dict[str, str], text: str | None = None) -> None:
+        """Write the exact answer of the plan ``digest``: the cache's entry
+        of this store version, else what ``parsed`` evaluates to, which
+        becomes the entry. ``text``, the request's query, is kept as a
+        name for it; ``parsed`` is ``None`` when the text named the digest."""
+        version = getattr(self.store, "version", None)
+        started = time.perf_counter_ns()
+        answer = self._cache.get(digest, stamp=version)
+        hit, grown = answer is not None, False
+        if parsed is None and not hit:
+            parsed = parse_query(text)  # the entry has left; the text stayed
+        elif text is not None and parsed is not None:
+            self._digests.put(text, digest, len(text))
+        select = (answer.result is not None if hit
+                  else isinstance(parsed, SelectQuery))
+        fmt = _negotiate_select(accept) if select else None
+        if select and fmt is None:
+            self._respond_error(pending.wfile, 406,
+                                f"cannot serve Accept: {accept}")
+            return
+        if not hit and fmt in _STREAMED and not parsed.select_all:
+            self._stream_select(pending, engine, parsed, digest, version, fmt,
+                                headers)
+            return
+        if hit:
+            headers["X-Repro-Cache"] = "hit"
+            # No engine ran: the workload record is written here, with the
+            # requester's tenant, class and trace.
+            OBS.querylog.emit_cache_hit(
+                digest=digest, form=answer.form, solutions=answer.solutions,
+                latency_ms=(time.perf_counter_ns() - started) / 1e6,
             )
-        elif isinstance(parsed, (ConstructQuery, DescribeQuery)):
-            graph = engine.query(parsed)
-            self._count_status(200)
-            write_response(
-                pending.wfile, 200,
-                {"Content-Type": NTRIPLES_TYPE, "X-Repro-Tier": "exact"},
-                serialize_ntriples(graph.triples(), sort=True).encode("utf-8"),
+        else:
+            # ASK and the graph forms have one body; SELECT * needs all rows
+            # before its header is known and the ASCII table pads columns
+            # globally: materialize these.
+            answer = _evaluate(engine, parsed, digest)
+        body = answer.bodies.get(fmt)
+        if body is None:  # this format's first request
+            body = _encode_select(answer.result, fmt)
+            grown = answer.bodies.setdefault(fmt, body) is body
+        if grown or not hit:
+            self._keep(digest, version, answer)
+        self._send(pending, headers, body)
+
+    def _keep(self, digest: str, version: object, answer: _Answer) -> None:
+        """Put ``answer`` in the cache (again), at what it weighs now. Done
+        before its last byte is written: whoever has the response and asks
+        again finds the entry."""
+        weight = sum(len(body) for _, body in list(answer.bodies.values()))
+        if answer.result is not None:
+            weight += 8 * len(answer.result) * len(answer.result.variables)
+        self._cache.put(digest, answer, weight, stamp=version)
+
+    def _stream_select(self, pending: _Pending, engine: QueryEngine,
+                       parsed: SelectQuery, digest: str, version: object,
+                       fmt: str, headers: dict[str, str]) -> None:
+        """One HTTP chunk per batch off the operator tree, terms first
+        touched here, by the serializer. The document generator holds one
+        block back, so a one-block answer is written whole, and the last
+        block of a longer one with the document's close, only after the
+        engine has merged its stats and logged the query: a client that
+        has the response finds both in /stats and /debug/queries."""
+        stream = engine.stream_select(parsed, digest=digest)
+        content_type, document = _STREAMED[fmt]
+        kept, written = [], []
+
+        def blocks():
+            for batch in stream.batches:
+                kept.append(batch)
+                yield decode_block(
+                    stream.variables, batch.columns, batch.count,
+                    stream.dictionary,
+                )
+
+        def chunks():
+            for chunk in document(stream.variables, blocks()):
+                written.append(chunk.encode("utf-8"))
+                yield written[-1]
+            # The whole answer went out and only the terminal chunk is
+            # left: the next hit is served these bytes, and any other
+            # format from the batches.
+            result = SelectResult.from_batches(
+                stream.variables, kept, stream.dictionary, plan_digest=digest,
             )
-        else:  # pragma: no cover - parser produces only the four forms
-            self._respond_error(pending.wfile, 400, "unsupported query form")
+            self._keep(digest, version, _Answer(
+                "SELECT", len(result), result,
+                {fmt: (content_type, b"".join(written))},
+            ))
+
+        headers["Content-Type"] = content_type
+        self._count_status(200)
+        write_chunked(pending.wfile, 200, headers, chunks())
 
     def _answer_aggregate(
         self,
         pending: _Pending,
-        engine: CachedQueryEngine,
+        engine: QueryEngine,
         text: str,
         parsed: SelectQuery,
         tier: int,
@@ -754,8 +872,8 @@ class ReproServer:
         if tier == EXACT:
             self._mark_served(EXACT)
             result = engine.query(parsed)
-            self._respond_select(pending, result, fmt,
-                                 {"X-Repro-Tier": "exact"})
+            self._send(pending, {"X-Repro-Tier": "exact"},
+                       _encode_select(result, fmt))
             return
         max_rows = self.config.approx_max_rows
         if tier >= AGGRESSIVE:
@@ -765,8 +883,8 @@ class ReproServer:
             # The whole first stage fit the budget: that one pass read
             # everything, and the answer is exact.
             self._mark_served(EXACT)
-            self._respond_select(pending, answer.result, fmt,
-                                 {"X-Repro-Tier": "exact"})
+            self._send(pending, {"X-Repro-Tier": "exact"},
+                       _encode_select(answer.result, fmt))
             return
         with self._lock:
             self._aggregate_approximate += 1
@@ -781,12 +899,12 @@ class ReproServer:
             "X-Repro-Rows-Consumed": str(answer.rows_consumed),
             "X-Repro-Estimated-Total": str(answer.estimated_total),
         }
-        self._respond_select(pending, answer.result, fmt, headers,
-                             extra=metadata)
+        self._send(pending, headers,
+                   _encode_select(answer.result, fmt, metadata))
 
     def _shed_answer(
         self,
-        engine: CachedQueryEngine,
+        engine: QueryEngine,
         text: str,
         parsed: SelectQuery,
         max_rows: int,
@@ -803,7 +921,7 @@ class ReproServer:
         )
         if bundle is None:
             bundle = build_sketch_bundle(
-                engine.engine, parsed, max_rows=max_rows
+                engine, parsed, max_rows=max_rows
             )
             answer = bundle_to_answer(bundle)
         else:
@@ -811,7 +929,7 @@ class ReproServer:
             log = OBS.querylog
             if log.enabled:
                 log.emit(
-                    digest=engine.engine.plan_digest(parsed),
+                    digest=engine.plan_digest(parsed),
                     form="SELECT",
                     strategy=(
                         "federated+sample" if answer.approximate
@@ -840,7 +958,7 @@ class ReproServer:
     def _answer_sketch_wire(
         self,
         pending: _Pending,
-        engine: CachedQueryEngine,
+        engine: QueryEngine,
         request: HttpRequest,
         parsed: SelectQuery,
     ) -> None:
@@ -855,7 +973,7 @@ class ReproServer:
                 # default rather than failing the federated call)
                 pass
         bundle = build_sketch_bundle(
-            engine.engine, parsed, max_rows=max(1, max_rows)
+            engine, parsed, max_rows=max(1, max_rows)
         )
         self._note_sketch_bundle(bundle)
         self._count_status(200)
@@ -869,12 +987,12 @@ class ReproServer:
     def _answer_sketch_progressive(
         self,
         pending: _Pending,
-        engine: CachedQueryEngine,
+        engine: QueryEngine,
         parsed: SelectQuery,
     ) -> None:
         """Stream tightening estimates as NDJSON, one line per pass."""
         passes = iter_sketch_passes(
-            engine.engine, parsed, max_rows=self.config.approx_max_rows
+            engine, parsed, max_rows=self.config.approx_max_rows
         )
 
         def lines():
@@ -910,104 +1028,22 @@ class ReproServer:
         self._count_status(200)
         write_chunked(pending.wfile, 200, headers, lines())
 
-    def _answer_select_exact(
-        self,
-        pending: _Pending,
-        engine: CachedQueryEngine,
-        parsed: SelectQuery,
-        accept: str,
-    ) -> None:
-        fmt = _negotiate_select(accept)
-        if fmt is None:
-            self._respond_error(pending.wfile, 406,
-                                f"cannot serve Accept: {accept}")
-            return
-        headers = {"X-Repro-Tier": "exact"}
-        started = time.perf_counter_ns()
-        cache = engine.cache
-        key = engine.engine.plan_digest(parsed)
-        cached = cache.get(key)
-        if isinstance(cached, SelectResult):
-            headers["X-Repro-Cache"] = "hit"
-            # This hit bypasses CachedQueryEngine.query, so it logs its own
-            # workload record (cache_hit=true, zeroed scan counters).
-            log = OBS.querylog
-            if log.enabled:
-                log.emit_cache_hit(
-                    digest=key, form="SELECT",
-                    latency_ms=(time.perf_counter_ns() - started) / 1e6,
-                    solutions=len(cached),
-                )
-            self._respond_select(pending, cached, fmt, headers)
-            return
-        if parsed.select_all or fmt == "table":
-            # SELECT * needs all rows before its header is known, and the
-            # ASCII table pads columns globally: materialize these. (The
-            # probe above was this request's one cache miss.)
-            result = engine.engine.query(parsed, digest=key)
-            cache.put(key, result)
-            self._respond_select(pending, result, fmt, headers)
-            return
-        # Streaming path: one HTTP chunk per batch off the operator tree,
-        # terms first touched here, by the serializer. The document
-        # generator holds one block back, so a one-block answer is written
-        # whole, and the last block of a longer one with the document's
-        # close, only after the engine has merged its stats and logged the
-        # query: a client that has the response finds both in /stats and
-        # /debug/queries.
-        stream = engine.engine.stream_select(parsed, digest=key)
-        content_type, document = _STREAMED[fmt]
-        kept = []
-
-        def blocks():
-            for batch in stream.batches:
-                kept.append(batch)
-                yield decode_block(
-                    stream.variables, batch.columns, batch.count,
-                    stream.dictionary,
-                )
-
-        headers["Content-Type"] = content_type
+    def _send(self, pending: _Pending, headers: dict[str, str],
+              body: tuple[str, bytes]) -> None:
+        headers["Content-Type"] = body[0]
         self._count_status(200)
-        write_chunked(pending.wfile, 200, headers,
-                      document(stream.variables, blocks()))
-        # Reached only when the whole answer went out: what the next hit
-        # is served from is the batches themselves, not row dicts.
-        cache.put(key, SelectResult.from_batches(
-            stream.variables, kept, stream.dictionary, plan_digest=key,
-        ))
-
-    def _respond_select(
-        self,
-        pending: _Pending,
-        result: SelectResult,
-        fmt: str,
-        headers: dict[str, str],
-        extra: dict[str, object] | None = None,
-    ) -> None:
-        if fmt == "csv":
-            body, content_type = to_csv(result), CSV_TYPE
-        elif fmt == "tsv":
-            body, content_type = to_tsv(result), TSV_TYPE
-        elif fmt == "table":
-            body, content_type = result.to_table(max_rows=None), TABLE_TYPE
-        else:
-            body, content_type = to_sparql_json(result, extra=extra), JSON_TYPE
-        out = dict(headers)
-        out["Content-Type"] = content_type
-        self._count_status(200)
-        write_response(pending.wfile, 200, out, body.encode("utf-8"))
+        write_response(pending.wfile, 200, headers, body[1])
 
     # ------------------------------------------------------------------ #
     # Explore surface
     # ------------------------------------------------------------------ #
 
     def _handle_facets(self, pending: _Pending,
-                       engine: CachedQueryEngine) -> None:
+                       engine: QueryEngine) -> None:
         request = pending.request
         max_values = _int_param(request, "max_values", 25)
         min_count = _int_param(request, "min_count", 1)
-        browser = FacetedBrowser(self.store, engine=engine.engine)
+        browser = FacetedBrowser(self.store, engine=engine)
         facets = browser.facets(max_values=max_values, min_count=min_count)
         payload = [
             {
@@ -1032,7 +1068,7 @@ class ReproServer:
         )
 
     def _handle_describe(self, pending: _Pending,
-                         engine: CachedQueryEngine) -> None:
+                         engine: QueryEngine) -> None:
         resource = pending.request.param("resource")
         if not resource:
             self._respond_error(pending.wfile, 400,
@@ -1043,12 +1079,10 @@ class ReproServer:
         except ValueError as error:
             self._respond_error(pending.wfile, 400, str(error))
             return
-        graph = engine.query(DescribeQuery(resources=(iri,)))
-        self._count_status(200)
-        write_response(
-            pending.wfile, 200, {"Content-Type": NTRIPLES_TYPE},
-            serialize_ntriples(graph.triples(), sort=True).encode("utf-8"),
-        )
+        # The same plan, and so the same cache entry, as `DESCRIBE <iri>`.
+        query = DescribeQuery(resources=(iri,))
+        self._answer_exact(pending, engine, query, engine.plan_digest(query),
+                           "", {})
 
     def _handle_statistics(self, pending: _Pending) -> None:
         if isinstance(self.store, StoreStatistics):
@@ -1070,6 +1104,7 @@ class ReproServer:
                 for predicate, count
                 in snapshot.predicate_distinct_objects.items()
             },
+            "store_version": getattr(self.store, "version", None),
         }
         self._count_status(200)
         write_response(
@@ -1163,6 +1198,8 @@ class ReproServer:
                 str(status): count for status, count in by_status.items()
             },
             "engine": self._engine_counters(),
+            "cache": self._cache_counters(),
+            "store_version": getattr(self.store, "version", None),
             "querylog": {
                 "depth": len(OBS.querylog),
                 "recorded_total": OBS.querylog.recorded_total,
@@ -1176,6 +1213,34 @@ class ReproServer:
 # --------------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------------- #
+
+
+def _evaluate(engine: QueryEngine, parsed: Query, digest: str) -> _Answer:
+    """``parsed`` evaluated whole, as a cache entry."""
+    result = engine.query(parsed, digest=digest)
+    if isinstance(parsed, SelectQuery):
+        return _Answer("SELECT", len(result), result, {})
+    if isinstance(parsed, AskQuery):
+        body = ask_to_sparql_json(result).encode("utf-8")
+        return _Answer("ASK", int(result), None, {None: (JSON_TYPE, body)})
+    form = "DESCRIBE" if isinstance(parsed, DescribeQuery) else "CONSTRUCT"
+    body = serialize_ntriples(result.triples(), sort=True).encode("utf-8")
+    return _Answer(form, len(result), None, {None: (NTRIPLES_TYPE, body)})
+
+
+def _encode_select(
+    result: SelectResult, fmt: str, extra: dict[str, object] | None = None
+) -> tuple[str, bytes]:
+    """``(content type, body)`` of a SELECT answer in a negotiated format."""
+    if fmt == "csv":
+        body, content_type = to_csv(result), CSV_TYPE
+    elif fmt == "tsv":
+        body, content_type = to_tsv(result), TSV_TYPE
+    elif fmt == "table":
+        body, content_type = result.to_table(max_rows=None), TABLE_TYPE
+    else:
+        body, content_type = to_sparql_json(result, extra=extra), JSON_TYPE
+    return content_type, body.encode("utf-8")
 
 
 def _negotiate_select(accept: str) -> str | None:

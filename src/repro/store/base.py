@@ -45,7 +45,13 @@ FIRST_BATCH_SIZE = 256
 
 @runtime_checkable
 class TripleSource(Protocol):
-    """Anything that can answer triple-pattern queries."""
+    """Anything that can answer triple-pattern queries.
+
+    A source may offer ``version``, a hashable that differs after every
+    write (memory, cracking; a federation reports its members'): whoever
+    keeps answers stamps them with it. Without one (or with ``None``) a
+    source is taken never to change.
+    """
 
     def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
         """Yield every triple matching ``pattern`` (``None`` = wildcard)."""

@@ -132,6 +132,12 @@ class FederatedStore:
         out to each member and merges the returned sketch bundles."""
         return list(self._sources)
 
+    @property
+    def version(self) -> tuple | None:
+        """The members' versions, or ``None`` when one of them has none."""
+        versions = tuple(getattr(s, "version", None) for _, s in self._sources)
+        return None if None in versions else versions
+
     def add_source(self, name: str, source: TripleSource) -> None:
         """Attach another endpoint at runtime (the 'enhancement' step)."""
         if name in self.stats:

@@ -190,6 +190,10 @@ class MemoryStore:
         # whether _delta holds writes the published generation lacks.
         self._size = 0
         self._dirty = False
+        #: Writes that changed the contents so far (bumped last: whoever
+        #: reads it reads them). What is read after taking ``version`` is
+        #: current for as long as it stays the same.
+        self.version = 0
         if triples is not None:
             self.add_all(triples)
 
@@ -211,6 +215,7 @@ class MemoryStore:
             self._delta.add(ids)
             self._size += 1
             self._dirty = True
+            self.version += 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -233,6 +238,7 @@ class MemoryStore:
                     + [run and run.without(encoded) for run in base.runs[1:]]
                 )
                 self._size -= removed
+                self.version += 1
         return removed
 
     def _fold_locked(self) -> None:

@@ -83,6 +83,88 @@ class TestResultCache:
         assert cache.stats.hit_rate == 0.5
 
 
+class TestWeightsStampsAndThreads:
+    def test_byte_budget_evicts_in_lru_order(self):
+        cache = ResultCache(10, max_bytes=100)
+        for key in "abc":
+            cache.put(key, key, weight=30)
+        cache.get("a")  # b is now the least recently used
+        cache.put("d", "d", weight=30)
+        assert [key in cache for key in "abcd"] == [True, False, True, True]
+        assert (cache.bytes, cache.stats.evictions) == (90, 1)
+        cache.put("e", "e", weight=80)  # needs c, a and d gone
+        assert len(cache) == 1 and "e" in cache and cache.bytes == 80
+        assert cache.stats.evictions == 4
+
+    def test_heavier_than_the_budget_is_not_kept(self):
+        cache = ResultCache(4, max_bytes=100)
+        cache.put("small", 1, weight=10)
+        cache.put("huge", 2, weight=101)
+        assert "huge" not in cache and "small" in cache
+        assert (cache.bytes, cache.stats.evictions) == (10, 0)
+
+    def test_replacing_reweighs(self):
+        cache = ResultCache(4, max_bytes=100)
+        cache.put("a", 1, weight=10)
+        cache.put("b", 2, weight=10)
+        cache.put("a", 1, weight=95)  # the same entry, heavier: b has to go
+        assert cache.bytes == 95 and "b" not in cache and cache.get("a") == 1
+        cache.clear()
+        assert cache.bytes == 0 and len(cache) == 0
+
+    def test_entry_count_still_bounds_a_weighted_cache(self):
+        cache = ResultCache(2, max_bytes=1000)
+        for key in range(5):
+            cache.put(key, key, weight=1)
+        assert len(cache) == 2 and cache.bytes == 2
+
+    def test_stale_stamp_retires_on_sight(self):
+        cache = ResultCache(4)
+        cache.put("k", "old", weight=5, stamp=1)
+        assert cache.get("k", stamp=1) == "old"
+        assert cache.get("k", "gone", stamp=2) == "gone"
+        assert "k" not in cache and cache.bytes == 0
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.retired, stats.evictions) == (1, 1, 1, 0)
+        assert cache.get_or_compute("k", lambda: "new", stamp=2) == "new"
+        assert cache.get_or_compute("k", lambda: "newer", stamp=2) == "new"
+        assert cache.get_or_compute("k", lambda: "newer", stamp=3) == "newer"
+        assert cache.stats.retired == 2
+
+    def test_threads_sharing_one_cache_keep_its_books(self):
+        import sys
+        import threading
+
+        cache = ResultCache(8, max_bytes=64)
+        rounds, errors = 2000, []
+
+        def work(seed: int) -> None:
+            try:
+                for step in range(rounds):
+                    key = (seed * 7 + step) % 24
+                    if cache.get(key, stamp=step % 2) is None:
+                        cache.put(key, key, weight=key % 5 + 1, stamp=step % 2)
+                    cache.get_or_compute(("c", key % 3), lambda: key)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        # every get was counted once, and the byte total is the entries' own
+        assert cache.stats.requests == 8 * rounds * 2
+        assert len(cache) <= 8 and cache.bytes <= 64
+        assert cache.bytes == sum(slot.weight for slot in cache._data.values())
+
+
 class TestTilePrefetcher:
     def loader(self, tile):
         return f"tile{tile}"

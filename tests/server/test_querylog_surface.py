@@ -98,14 +98,14 @@ class TestDebugQueries:
         assert err.value.code == 400
 
     def test_cache_hit_recorded_with_zeroed_counters(self):
-        # One worker -> one result cache, so the second request must hit.
+        # The workers share one answer cache: the second request must hit.
         prior = OBS.enabled
         OBS.reset()
         with ReproServer(
-            build_store(), ServerConfig(workers=1)
+            build_store(), ServerConfig(workers=4)
         ) as single:
             url = sparql_url(single.base_url, SELECT)
-            fetch(url)
+            fetch(url).read()  # the entry is there once the last byte is
             first = debug_records(single.base_url)
             response = fetch(url)
             assert response.headers.get("X-Repro-Cache") == "hit"

@@ -112,7 +112,8 @@ def store():
 def server(store):
     patch = pytest.MonkeyPatch()
     patch.setattr(vectorized, "FIRST_BATCH_SIZE", 4)
-    # One worker: one result cache, so a repeated request must hit.
+    # One worker, so the batch-size patch and the scan order are one
+    # thread's; the answer cache is shared whatever the pool size.
     with ReproServer(store, ServerConfig(workers=1)) as instance:
         yield instance
     patch.undo()
@@ -133,8 +134,13 @@ def get(server, query: str, accept: str = JSON_TYPE):
 
 
 def cache_of(server):
-    (engine,) = server._engines
-    return engine.cache
+    return server._cache
+
+
+def entry_of(server, query):
+    """The shared cache's entry for ``query``'s plan (counts as a probe)."""
+    digest = QueryEngine(server.store).plan_digest(PREFIXES + query)
+    return cache_of(server).get(digest, stamp=server.store.version)
 
 
 FORMATS = {
@@ -204,15 +210,22 @@ def test_cache_entry_stays_columnar_in_every_format(server):
     query = "SELECT ?s ?l WHERE { ?s rdfs:label ?l } LIMIT 40"
     response, _ = get(server, query)
     assert response.getheader("X-Repro-Cache") is None
-    (engine,) = server._engines
-    entry = engine.cache.get(engine.engine.plan_digest(PREFIXES + query))
+    answer = entry_of(server, query)
+    entry = answer.result
     assert isinstance(entry, SelectResult) and len(entry) == 40
+    assert set(answer.bodies) == {"json"}  # the bytes that were streamed
     bodies = {}
     for accept in (JSON_TYPE, CSV_TYPE, TSV_TYPE, "text/plain"):
         response, bodies[accept] = get(server, query, accept)
         assert response.status == 200
         assert response.getheader("X-Repro-Cache") == "hit"
     assert bodies["text/plain"].decode("utf-8") == entry.to_table(max_rows=None)
+    # one entry, each format encoded once and served from it after that
+    assert entry_of(server, query) is answer
+    assert {fmt: body for fmt, (_, body) in answer.bodies.items()} == {
+        "json": bodies[JSON_TYPE], "csv": bodies[CSV_TYPE],
+        "tsv": bodies[TSV_TYPE], "table": bodies["text/plain"],
+    }
     # served four ways and rendered once more here: still two id columns
     assert entry._columns.rows is None
     assert {str(v): c.dtype.kind for v, c in entry._columns.columns.items()} == {
@@ -325,8 +338,8 @@ def test_failure_after_the_head_truncates_the_stream(failing):
     response, body = get(server, LISTING)
     assert response.status == 200 and response.getheader("X-Repro-Cache") is None
     assert len(json.loads(body)["results"]["bindings"]) == 300
-    (engine,) = server._engines
-    digest = engine.engine.plan_digest(PREFIXES + LISTING)
+    digest = QueryEngine(server.store).plan_digest(PREFIXES + LISTING)
+    assert server._digests.get(PREFIXES + LISTING) == digest
     records = OBS.querylog.records(
         digest=digest, service=f"repro-server:{server.port}"
     )
