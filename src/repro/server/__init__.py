@@ -20,8 +20,14 @@ Pieces (all stdlib — ``socket`` + ``threading``, no web framework):
   answered from a uniform sample of the pattern's first stage through
   mergeable sketches, with error bounds that hold
   (:mod:`repro.server.approximate` keeps the ungrouped entry points);
-* :mod:`repro.server.app` — :class:`ReproServer`: acceptor + worker pool,
-  routing, content negotiation, chunked streaming of SELECT results;
+* :mod:`repro.server.app` — :class:`ReproServer`: the route table, the
+  stages a request flows through (read → queue → parse → execute →
+  encode → write), the worker pool, content negotiation, chunked
+  streaming of SELECT results, and one accounting record per request;
+* :mod:`repro.server.reader` — the read stage: one ``selectors`` loop
+  over the listening socket and every connection still being read;
+* :mod:`repro.server.probes`, :mod:`repro.server.explore` — the probe
+  routes and the JSON exploration routes, as plain functions;
 * :mod:`repro.server.remote` — :class:`RemoteEndpointSource`, a
   :class:`~repro.store.base.TripleSource` client over the same protocol,
   federating real network endpoints through

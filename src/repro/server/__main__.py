@@ -22,7 +22,7 @@ import time
 from ..rdf.ntriples import parse_ntriples
 from ..store.memory import MemoryStore
 from ..workload.rdf_graphs import typed_entities
-from .app import ReproServer, ServerConfig
+from .app import ROUTES, ReproServer, ServerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,9 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     server.start()
     print(f"serving {len(store)} triples [{origin}] at {server.base_url}",
           flush=True)
-    print("endpoints: /sparql /facets /describe /statistics /health /stats "
-          "/metrics /debug/flight /debug/trace",
-          flush=True)
+    print("endpoints:", *ROUTES, flush=True)
     try:
         while True:
             time.sleep(1.0)

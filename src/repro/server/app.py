@@ -1,82 +1,47 @@
-"""The SPARQL 1.1 Protocol endpoint: acceptor, worker pool, routing.
+"""The SPARQL 1.1 Protocol endpoint: a route table and a list of stages.
 
-:class:`ReproServer` exposes the query/explore stack over HTTP:
+A request is one :class:`RequestContext` flowing through stages, each of
+which stamps the monotonic time it ended: **read** (one ``selectors`` loop
+owns the listening socket and every connection still being read; probes,
+unknown paths and wrong methods are answered right there), **queue** (the
+:class:`FairAdmissionQueue`), **parse** / **execute** / **encode** (the
+route's handler, on a worker), and **write** — or **stream** for a chunked
+answer. The stamps taken before a response head goes out travel in it as a
+``Server-Timing`` header; after the last byte :meth:`ReproServer._finish`
+writes the request's one accounting record. ``ROUTES`` is everything the
+server answers; DESIGN.md, *Serving*, has the read stage's deadline and
+bound and where the shed and SLO clocks start.
 
-* ``GET/POST /sparql`` — SPARQL Protocol operation (``query`` parameter,
-  urlencoded form, or an ``application/sparql-query`` body). SELECT
-  results stream as chunked W3C JSON / CSV / TSV (content-negotiated);
-  ASK answers the results-JSON boolean document; CONSTRUCT / DESCRIBE
-  answer N-Triples.
-* ``GET /facets`` — the faceted-browsing summary of the served dataset.
-* ``GET /describe`` — DESCRIBE one resource (the browser's detail view).
-* ``GET /statistics`` — the store's :class:`StatisticsSnapshot` as JSON
-  (what :class:`~repro.server.remote.RemoteEndpointSource` reads so a
-  federating client can *plan* against this endpoint without scanning it).
-* ``GET /health``, ``GET /stats`` — liveness and serving counters; these
-  bypass the admission queue so probes survive overload.
-* ``GET /metrics`` — every process metric: Prometheus text exposition by
-  default, the JSON registry snapshot for ``Accept: application/json``.
-  Admission depth, shed tier, per-tenant inflight counts, and per-tenant
-  SLO burn rates are refreshed into gauges on each scrape.
-* ``GET /debug/flight`` — the flight recorder over HTTP: a JSON index of
-  captured dumps, or one dump's JSONL via ``?seq=N`` / ``?seq=latest``.
-* ``GET /debug/trace`` — this server's finished root spans as JSONL
-  (filtered to this instance's ``service`` label), ready for
-  :func:`repro.obs.export.stitch_jsonl` on the client side.
-* ``GET /debug/queries`` — the structured query log as JSONL, newest
-  window of executed queries with plan digest, strategy, tenant, tier,
-  cache outcome, trace id, latency, and resource counters; filterable
-  with ``?tenant=`` / ``?digest=`` / ``?since=<unix-ts>`` / ``?limit=``
-  (``?all=1`` lifts the this-service filter when several servers share
-  one process).
-
-The observability routes bypass admission exactly like ``/health`` — an
-overloaded server must stay diagnosable *while* overloaded.
-
-Requests carrying ``X-Repro-Trace`` / ``X-Repro-Span`` headers continue
-the caller's trace: the request interaction's span adopts the remote
-trace id and records the caller's span id as its ``parent_span_id``, so
-one federated query over several servers exports as a single stitched
-span tree.
-
-Degradation order under load: first the shed tiers answer the aggregates
-they can (:func:`repro.server.sketch.aggregate_shape`) from a uniform
-sample of the pattern's first stage — ``approx_max_rows`` rows of it, a
-quarter of that in the aggressive tier — with an ``X-Repro-Approximate``
-header and error-bound metadata (:mod:`repro.server.sketch`, the one
-approximate path); a first stage that fits the budget is read whole and
-answered exactly, and so is ``COUNT(DISTINCT)`` unless the store is a
-federation, whose members' HLLs merge. Only when the admission queue
-itself is full does the server answer 503 + ``Retry-After``. It never
-buffers without bound and it never silently drops a request.
-
-Every admitted request runs as an :meth:`repro.obs.Observability.
-interaction`, so the latency-budget accountant and the flight recorder
-cover the serving layer exactly as they cover the local explore surface.
+Degradation order under load: the shed tiers answer the aggregates they
+can from a uniform sample (:mod:`repro.server.sketch`, the one approximate
+path); only a full admission queue is answered 503 + ``Retry-After``. It
+never buffers without bound and it never silently drops a request.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
-from ..explore.facets import FacetedBrowser
+from ..cache.result_cache import ResultCache
 from ..obs import (
     INTERACTIVE,
     NAVIGATION,
     OBS,
+    TIME_MS_BUCKETS,
     SloTracker,
     TraceContext,
     record_error,
 )
-from ..obs.export import render_prometheus, spans_to_jsonl
 from ..obs.metrics import BoundedLabelSet
 from ..rdf.ntriples import serialize_ntriples
 from ..rdf.terms import IRI
-from ..cache.result_cache import ResultCache
 from ..sparql.eval import QueryEngine
 from ..sparql.lexer import SparqlSyntaxError
 from ..sparql.nodes import AskQuery, DescribeQuery, Query, SelectQuery
@@ -87,22 +52,16 @@ from ..sparql.results import (
     csv_document,
     decode_block,
     json_document,
-    term_to_json,
     to_csv,
     to_sparql_json,
     to_tsv,
     tsv_document,
 )
-from ..store.base import StoreStatistics, TripleSource, compute_statistics
+from ..store.base import TripleSource
+from . import explore, probes
 from .admission import FairAdmissionQueue
-from .sketch import (
-    aggregate_shape,
-    build_sketch_bundle,
-    bundle_to_answer,
-    federated_sketch_bundle,
-    iter_sketch_passes,
-)
 from .http import (
+    STATUS_REASONS,
     HttpError,
     HttpRequest,
     StreamAborted,
@@ -110,9 +69,18 @@ from .http import (
     write_chunked,
     write_response,
 )
+from .probes import int_param, json_reply
+from .reader import READ_TIMEOUT_S, TICK_S, read_loop
 from .shedding import AGGRESSIVE, EXACT, TIER_NAMES, LoadShedder
+from .sketch import (
+    aggregate_shape,
+    build_sketch_bundle,
+    note_bundle,
+    progressive_lines,
+    shed_answer,
+)
 
-__all__ = ["ServerConfig", "ReproServer"]
+__all__ = ["ServerConfig", "ReproServer", "RequestContext", "ROUTES"]
 
 JSON_TYPE = "application/sparql-results+json"
 CSV_TYPE = "text/csv"
@@ -120,13 +88,14 @@ TSV_TYPE = "text/tab-separated-values"
 NTRIPLES_TYPE = "application/n-triples"
 TABLE_TYPE = "text/plain"
 
-# What no deployment has needed to change: the socket read timeout, the
-# tenant of a request that names none, and the Retry-After of a 503. (The
-# shed tiers' hysteresis and the confidence of approximate answers are the
-# defaults of ``LoadShedder`` and :mod:`repro.server.sketch`.)
-READ_TIMEOUT_S = 10.0
+# What no deployment has needed to change: the tenant of a request that
+# names none, and the Retry-After of a 503 (the read deadline is the read
+# stage's; the shed tiers' hysteresis and the confidence of approximate
+# answers are the defaults of ``LoadShedder`` and :mod:`repro.server.sketch`).
 DEFAULT_TENANT = "public"
-RETRY_AFTER_S = "1"
+RETRY_AFTER = {"Retry-After": "1"}
+OVERLOADED = "server overloaded, retry later"
+LISTEN_BACKLOG = 128
 
 # What the answer cache may weigh (id columns at 8 B a cell, encoded
 # bodies, query texts): no more on 2,000-row pages (48 KB of columns + 440
@@ -139,6 +108,9 @@ _STREAMED = {
     "csv": (CSV_TYPE, csv_document),
     "tsv": (TSV_TYPE, tsv_document),
 }
+STAGES = ("read", "queue", "parse", "execute", "encode", "write", "stream")
+_ENGINE_COUNTERS = ("store_lookups", "intermediate_bindings", "solutions",
+                    "scan_batches", "scan_rows")
 
 
 @dataclass
@@ -166,15 +138,45 @@ class ServerConfig:
     debug_delay_tenant: str | None = None
 
 
-@dataclass
-class _Pending:
-    """One admitted request waiting for a worker."""
+class Route(NamedTuple):
+    """``handler(server, ctx)`` either writes its response or returns it
+    as ``(status, content type, body)``. A route with an interaction is
+    admitted and runs on a worker; a probe (none) runs in the read stage."""
+
+    handler: Callable
+    name: str | None = None  # the interaction; None for a probe
+    interaction_class: str | None = None
+    methods: tuple[str, ...] | None = None  # None = any
+
+
+@dataclass(eq=False, slots=True)
+class RequestContext:
+    """One request on its way through the stages.
+
+    The read stage fixes the connection, request, route, folded tenant
+    and trace context; ``stamps`` gains ``(stage, ms)`` as each stage
+    ends, the first one timed from the accept; the worker sets ``engine``
+    and ``act`` (the interaction); ``status`` and ``headers`` are the
+    response head as written — what :meth:`ReproServer._finish` accounts.
+    """
 
     connection: socket.socket
-    wfile: object
-    request: HttpRequest
-    tenant: str
-    accepted_at: float = field(default_factory=time.monotonic)
+    started: float  # monotonic: the accept, then the last stage's end
+    request: HttpRequest | None = None
+    route: Route | None = None
+    tenant: str = DEFAULT_TENANT
+    trace: TraceContext | None = None
+    stamps: list[tuple[str, float]] = field(default_factory=list)
+    engine: QueryEngine | None = None
+    act: object = None
+    aggregate: bool = False  # answered by the aggregate path
+    status: int | None = None
+    headers: dict[str, str] = field(default_factory=dict)
+
+    def stamp(self, stage: str) -> None:
+        now = time.monotonic()
+        self.stamps.append((stage, (now - self.started) * 1e3))
+        self.started = now
 
 
 @dataclass
@@ -193,65 +195,55 @@ class _Answer:
 class ReproServer:
     """A concurrent SPARQL endpoint over any :class:`TripleSource`.
 
-    ``start()`` binds and spawns the acceptor plus worker threads;
-    ``stop()`` shuts everything down. Usable as a context manager. Each
-    worker owns a plain :class:`QueryEngine` over the shared store (stores
-    are read-safe under concurrent readers); all of them share one cache
-    of exact non-aggregate answers, probed before the query is parsed:
-    request text → plan digest → :class:`_Answer`, valid for one
+    ``start()`` binds and spawns the read loop plus worker threads;
+    ``stop()`` shuts everything down. Usable as a context manager. One
+    request per connection: every response says ``Connection: close``.
+    Each worker owns a plain :class:`QueryEngine` over the shared store
+    (stores are read-safe under concurrent readers); all of them share one
+    cache of exact non-aggregate answers, probed before the query is
+    parsed: request text → plan digest → :class:`_Answer`, valid for one
     ``store.version`` (a store that offers none is taken never to change),
     at most ``cache_capacity`` entries weighing ``CACHE_BYTES``.
     """
 
     def __init__(self, store: TripleSource, config: ServerConfig | None = None) -> None:
         self.store = store
-        self.config = config or ServerConfig()
-        self.admission: FairAdmissionQueue[_Pending] = FairAdmissionQueue(
-            self.config.queue_capacity
-        )
+        self.config = config = config or ServerConfig()
+        self.admission: FairAdmissionQueue[RequestContext] = \
+            FairAdmissionQueue(config.queue_capacity)
         self.shedder = LoadShedder(
-            budget_ms=self.config.shed_budget_ms,
-            window=self.config.shed_window,
-            min_observations=self.config.shed_min_observations,
+            budget_ms=config.shed_budget_ms, window=config.shed_window,
+            min_observations=config.shed_min_observations,
         )
-        self.slo = SloTracker(
-            objective=self.config.slo_objective,
-            window_s=self.config.slo_window_s,
-            budgets=OBS.budgets,
-        )
+        self.slo = SloTracker(objective=config.slo_objective,
+                              window_s=config.slo_window_s, budgets=OBS.budgets)
         self._sock: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._lock = threading.Lock()
-        self._served_by_tier: dict[int, int] = {}  # guarded-by: _lock
+        self._served_by_tier: Counter[str] = Counter()  # guarded-by: _lock
         self._aggregate_served = 0  # guarded-by: _lock
         self._aggregate_approximate = 0  # guarded-by: _lock
-        self._responses_by_status: dict[int, int] \
-            = {}  # guarded-by: _lock
-        self._inflight: dict[str, int] = {}  # guarded-by: _lock
-        # tenant names come off the wire: cap the label cardinality so an
-        # adversarial client cannot mint unbounded metric time series
+        self._responses_by_status: Counter[int] \
+            = Counter()  # guarded-by: _lock
+        self._inflight: Counter[str] = Counter()  # guarded-by: _lock
+        # Tenant names come off the wire: folded once, in the read stage,
+        # so no per-tenant map or metric label grows past 32 (+ `other`).
         self._tenant_labels = BoundedLabelSet(32)
         self.port: int | None = None
-        self._service = "repro-server"
-        # One engine per worker; registered here so /stats and /metrics
-        # can aggregate their execution counters across the pool.
+        self.service = "repro-server"
+        # One engine per worker, registered for /stats and /metrics.
         self._engines: list[QueryEngine] = []  # guarded-by: _lock
-        capacity = self.config.cache_capacity
-        self._cache = ResultCache(capacity, name="server.answers",
+        self._cache = ResultCache(config.cache_capacity, name="server.answers",
                                   max_bytes=CACHE_BYTES)
         # Query text → plan digest. A text's digest never changes, so an
         # entry here that outlives its answer costs one parse, no more.
-        self._digests = ResultCache(capacity, name="server.texts",
+        self._digests = ResultCache(config.cache_capacity, name="server.texts",
                                     max_bytes=CACHE_BYTES // 16)
         # A serving process always records its workload: the query log is
         # the accounting substrate /debug/queries and the workload
         # analyzer read. (Library use stays opt-in via REPRO_QUERYLOG.)
         OBS.querylog.enabled = True
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
 
     def start(self) -> "ReproServer":
         if self._sock is not None:
@@ -259,53 +251,52 @@ class ReproServer:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self.config.host, self.config.port))
-        sock.listen(128)
+        sock.listen(LISTEN_BACKLOG)
+        sock.setblocking(False)
         self._sock = sock
         self.port = sock.getsockname()[1]
         # The service label distinguishes this instance's spans when
         # several servers share one process (tests) or one trace (federation).
-        self._service = f"repro-server:{self.port}"
-        acceptor = threading.Thread(
-            target=self._accept_loop, name="repro-accept", daemon=True
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
-        for index in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"repro-worker-{index}",
-                daemon=True,
-            )
-            worker.start()
-            self._threads.append(worker)
+        self.service = service = f"repro-server:{self.port}"
+        metrics = OBS.metrics
+        self._responses = {
+            status: metrics.counter("server.responses", service=service,
+                                    status=status)
+            for status in STATUS_REASONS
+        }
+        self._stage_ms = {
+            stage: metrics.histogram("server.stage_ms", TIME_MS_BUCKETS,
+                                     service=service, stage=stage)
+            for stage in STAGES
+        }
+        # Past this many connections being read, a new one gets the 503 of
+        # a full queue: four queues' worth, never fewer than the backlog.
+        bound = max(LISTEN_BACKLOG, 4 * self.config.queue_capacity)
+        self._threads = [threading.Thread(
+            target=read_loop, args=(sock, self._stop, bound, self._dispatch),
+            name="repro-read", daemon=True,
+        )] + [
+            threading.Thread(target=self._worker_loop,
+                             name=f"repro-worker-{index}", daemon=True)
+            for index in range(self.config.workers)
+        ]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def stop(self) -> None:
         self._stop.set()
         self.admission.close()
-        sock = self._sock
-        if sock is not None:
-            self._sock = None
-            try:
-                # shutdown (not just close) wakes a blocked accept()
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                # repro: swallow(teardown race: the socket may already
-                # be closed by the acceptor exiting)
-                pass
-            try:
-                sock.close()
-            except OSError:
-                # repro: swallow(idempotent close during stop())
-                pass
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
+        if self._sock is not None:  # the read loop closed it, unless stuck
+            _close_quietly(self._sock)
+            self._sock = None
         # Drain anything still queued with an explicit 503.
-        while True:
-            pending = self.admission.take(timeout=0)
-            if pending is None:
-                break
-            self._reject(pending.wfile, pending.connection)
+        while (ctx := self.admission.take(timeout=0)) is not None:
+            self._error(ctx, 503, OVERLOADED, RETRY_AFTER)
+            self._finish(ctx)
 
     def __enter__(self) -> "ReproServer":
         return self.start()
@@ -319,381 +310,143 @@ class ReproServer:
             raise RuntimeError("server not started")
         return f"http://{self.config.host}:{self.port}"
 
-    # ------------------------------------------------------------------ #
-    # Acceptor
-    # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        sock = self._sock
-        while not self._stop.is_set():
-            try:
-                connection, _address = sock.accept()
-            except OSError:
-                return  # listening socket closed by stop()
-            try:
-                self._accept_one(connection)
-            except Exception as exc:  # keep accepting no matter what
-                record_error("server.accept", exc)
-                _close_quietly(connection)
-
-    def _accept_one(self, connection: socket.socket) -> None:
-        connection.settimeout(READ_TIMEOUT_S)
-        rfile = connection.makefile("rb")
-        wfile = connection.makefile("wb")
+    def _dispatch(self, connection: socket.socket, accepted_at: float,
+                  data: bytes | None) -> None:
+        """Route one read request: answer it here, or offer it to
+        admission for a worker to answer. ``data`` is ``None`` for a
+        connection the read stage had no room for."""
+        connection.settimeout(READ_TIMEOUT_S)  # writes block, bounded
+        ctx = RequestContext(connection, accepted_at)
+        ctx.stamp("read")
+        if data is None:
+            self._error(ctx, 503, OVERLOADED, RETRY_AFTER)
+            return self._finish(ctx)
         try:
-            request = read_request(rfile)
+            request = ctx.request = read_request(io.BytesIO(data))
         except HttpError as error:
-            self._respond_error(wfile, error.status, error.message)
-            _close_quietly(connection)
-            return
-        except OSError:
-            _close_quietly(connection)
-            return
-        finally:
-            rfile.close()
-        if request is None:
-            _close_quietly(connection)
-            return
-        # Probes and observability routes bypass admission so operators
-        # can see an overloaded server's state while it is overloaded.
-        probe = self._probe_routes().get(request.path.rstrip("/") or "/")
-        if probe is not None:
+            self._error(ctx, error.status, error.message)
+            return self._finish(ctx)
+        route = ctx.route = ROUTES.get(request.path.rstrip("/") or "/")
+        if route is None:
+            self._error(ctx, 404, f"no such resource: {request.path}")
+        elif route.methods and request.method not in route.methods:
+            self._error(ctx, 405, f"use {' or '.join(route.methods)}",
+                        {"Allow": ", ".join(route.methods)})
+        elif route.name is None:  # a probe
             try:
-                status, headers, body = probe(request)
+                self._reply(ctx, *route.handler(self, ctx))
             except Exception as exc:
                 record_error("server.probe", exc)
-                status = 500
-                headers = {"Content-Type": "application/json"}
-                body = json.dumps({"error": str(exc)}).encode("utf-8")
-            self._count_status(status)
-            write_response(wfile, status, headers, body)
-            _close_quietly(connection)
-            return
-        tenant = (
-            request.header("x-repro-tenant")
-            or request.query.get("tenant")
-            or DEFAULT_TENANT
-        )
-        pending = _Pending(connection, wfile, request, tenant)
-        if not self.admission.offer(tenant, pending):
-            self._reject(wfile, connection)
-
-    def _reject(self, wfile, connection: socket.socket) -> None:
-        """Explicit backpressure: 503 + Retry-After, never a hidden buffer."""
-        self._count_status(503)
-        try:
-            write_response(
-                wfile, 503,
-                {
-                    "Content-Type": "application/json",
-                    "Retry-After": RETRY_AFTER_S,
-                },
-                b'{"error": "server overloaded, retry later"}',
-            )
-        except OSError:
-            # repro: swallow(the rejected client already hung up;
-            # there is nobody left to tell)
-            pass
-        _close_quietly(connection)
-
-    # ------------------------------------------------------------------ #
-    # Probes / observability surface (admission-free)
-    # ------------------------------------------------------------------ #
-
-    def _probe_routes(self):
-        return {
-            "/health": self._probe_health,
-            "/stats": self._probe_stats,
-            "/metrics": self._probe_metrics,
-            "/debug/flight": self._probe_flight,
-            "/debug/trace": self._probe_trace,
-            "/debug/queries": self._probe_queries,
-        }
-
-    def _serving_snapshot(self) -> dict[str, object]:
-        """The shared serving-state view: /health, /stats, and the
-        /metrics gauge refresh all read this one code path."""
-        admission = self.admission.snapshot()
-        shed = self.shedder.snapshot()
-        with self._lock:
-            inflight = dict(sorted(self._inflight.items()))
-        return {
-            "shed_tier": shed.tier,
-            "shed_tier_name": shed.tier_name,
-            "queue_depth": admission.depth,
-            "per_tenant_depth": admission.per_tenant_depth,
-            "inflight": inflight,
-        }
-
-    def _probe_health(self, request: HttpRequest):
-        payload = {"status": "ok", "service": self._service,
-                   **self._serving_snapshot()}
-        return 200, {"Content-Type": "application/json"}, json.dumps(
-            payload, sort_keys=True
-        ).encode("utf-8")
-
-    def _probe_stats(self, request: HttpRequest):
-        return 200, {"Content-Type": "application/json"}, json.dumps(
-            self.stats(), sort_keys=True
-        ).encode("utf-8")
-
-    def _refresh_metrics(self) -> None:
-        """Push current serving state into the process metrics registry.
-
-        Gauges are scrape-time snapshots (Prometheus semantics): each
-        /metrics hit refreshes admission depth, shed tier, per-tenant
-        inflight, and per-tenant SLO burn rate before rendering.
-        """
-        snapshot = self._serving_snapshot()
-        metrics = OBS.metrics
-        service = self._service
-        metrics.gauge("server.admission.depth", service=service).set(
-            float(snapshot["queue_depth"])
-        )
-        metrics.gauge("server.shed.tier", service=service).set(
-            float(snapshot["shed_tier"])
-        )
-        for tenant, count in snapshot["inflight"].items():
-            metrics.gauge(
-                "server.inflight", service=service,
-                tenant=self._tenant_labels.fold(tenant),
-            ).set(float(count))
-        for tenant, state in self.slo.snapshot().items():
-            metrics.gauge(
-                "server.slo.burn_rate", service=service,
-                tenant=self._tenant_labels.fold(tenant),
-            ).set(state.burn_rate)
-        log = OBS.querylog
-        metrics.gauge("querylog.depth", service=service).set(float(len(log)))
-        metrics.gauge("querylog.dropped", service=service).set(
-            float(log.dropped)
-        )
-        metrics.gauge("querylog.mirror_errors", service=service).set(
-            float(log.mirror_errors)
-        )
-        for name, value in self._engine_counters().items():
-            metrics.gauge(f"engine.{name}", service=service).set(float(value))
-        for name, value in self._cache_counters().items():
-            metrics.gauge(f"server.cache.{name}", service=service).set(
-                float(value)
-            )
-
-    def _engine_counters(self) -> dict[str, int]:
-        """Execution counters summed across the worker pool's engines —
-        the vectorized ``scan_batches``/``scan_rows`` included, which
-        until now existed on spans only."""
-        totals = {"store_lookups": 0, "intermediate_bindings": 0,
-                  "solutions": 0, "scan_batches": 0, "scan_rows": 0}
-        with self._lock:
-            engines = list(self._engines)
-        for engine in engines:
-            for name in totals:
-                totals[name] += getattr(engine.stats, name)
-        return totals
-
-    def _cache_counters(self) -> dict[str, int]:
-        return {"entries": len(self._cache),
-                "bytes": self._cache.bytes + self._digests.bytes,
-                **asdict(self._cache.stats)}
-
-    def _probe_metrics(self, request: HttpRequest):
-        self._refresh_metrics()
-        accept = request.header("accept", "")
-        if "application/json" in accept.lower():
-            body = json.dumps(
-                OBS.metrics.snapshot(), sort_keys=True
-            ).encode("utf-8")
-            return 200, {"Content-Type": "application/json"}, body
-        body = render_prometheus(OBS.metrics).encode("utf-8")
-        content_type = "text/plain; version=0.0.4; charset=utf-8"
-        return 200, {"Content-Type": content_type}, body
-
-    def _probe_flight(self, request: HttpRequest):
-        dumps = OBS.flight.dumps()
-        seq = request.query.get("seq")
-        if seq is None:
-            index = {
-                "recorded_total": OBS.flight.recorded_total,
-                "dump_count": OBS.flight.dump_count,
-                "dumps": [
-                    {
-                        "sequence": dump.sequence,
-                        "reason": dump.reason,
-                        "entries": len(dump.entries),
-                        "has_profile": dump.profile_folded is not None,
-                    }
-                    for dump in dumps
-                ],
-            }
-            return 200, {"Content-Type": "application/json"}, json.dumps(
-                index, sort_keys=True
-            ).encode("utf-8")
-        if seq == "latest":
-            chosen = dumps[-1] if dumps else None
+                self._error(ctx, 500, str(exc))
         else:
-            try:
-                wanted = int(seq)
-            except ValueError:
-                return 400, {"Content-Type": "application/json"}, \
-                    b'{"error": "seq must be an integer or `latest`"}'
-            chosen = next(
-                (dump for dump in dumps if dump.sequence == wanted), None
+            ctx.tenant = self._tenant_labels.fold(
+                request.header("x-repro-tenant")
+                or request.query.get("tenant") or DEFAULT_TENANT
             )
-        if chosen is None:
-            return 404, {"Content-Type": "application/json"}, \
-                b'{"error": "no such flight dump"}'
-        return 200, {"Content-Type": "application/x-ndjson"}, \
-            chosen.to_jsonl().encode("utf-8")
-
-    def _probe_queries(self, request: HttpRequest):
-        """The query log as JSONL: what this server actually executed.
-
-        Admission-free like the other debug routes — workload questions
-        matter most when the server is overloaded. Filtered to this
-        instance's records by default (several servers can share one
-        process in tests); ``?all=1`` lifts that.
-        """
-        query = request.query
-        since = None
-        if query.get("since") is not None:
-            try:
-                since = float(query["since"])
-            except ValueError:
-                return 400, {"Content-Type": "application/json"}, \
-                    b'{"error": "since must be a UNIX timestamp"}'
-        limit = _int_param(request, "limit", 200)
-        service = None if query.get("all") else self._service
-        records = OBS.querylog.records(
-            tenant=query.get("tenant"),
-            digest=query.get("digest"),
-            since=since,
-            service=service,
-        )
-        if limit > 0:
-            records = records[-limit:]
-        body = "\n".join(
-            json.dumps(record.to_dict(), sort_keys=True)
-            for record in records
-        )
-        if body:
-            body += "\n"
-        return 200, {"Content-Type": "application/x-ndjson"}, \
-            body.encode("utf-8")
-
-    def _probe_trace(self, request: HttpRequest):
-        """This server's finished root spans as JSONL, stitch-ready.
-
-        Filtered by the ``service`` attribute: when several servers share
-        one process (in-process federation tests) each still exports only
-        its own spans, as separate processes would.
-        """
-        spans = [
-            span for span in OBS.tracer.recorder.spans()
-            if span.attributes.get("service") == self._service
-        ]
-        body = spans_to_jsonl(spans).encode("utf-8")
-        return 200, {"Content-Type": "application/x-ndjson"}, body
-
-    # ------------------------------------------------------------------ #
-    # Workers
-    # ------------------------------------------------------------------ #
+            ctx.trace = TraceContext.from_headers(request.headers)
+            if self.admission.offer(ctx.tenant, ctx):
+                return None
+            self._error(ctx, 503, OVERLOADED, RETRY_AFTER)
+        return self._finish(ctx)
 
     def _worker_loop(self) -> None:
         engine = QueryEngine(self.store)
         with self._lock:
             self._engines.append(engine)
         while not self._stop.is_set():
-            pending = self.admission.take(timeout=0.2)
-            if pending is None:
+            ctx = self.admission.take(timeout=TICK_S)
+            if ctx is None:
                 continue
+            ctx.stamp("queue")
+            ctx.engine, route, tenant = engine, ctx.route, ctx.tenant
+            with self._lock:
+                self._inflight[tenant] += 1
             try:
-                self._handle(pending, engine)
+                with OBS.querylog.serving(
+                    tenant=tenant, interaction_class=route.interaction_class,
+                    service=self.service,
+                ), OBS.interaction(
+                    route.name, route.interaction_class, remote_parent=ctx.trace,
+                    tenant=tenant, service=self.service,
+                ) as ctx.act:
+                    reply = route.handler(self, ctx)
+                    if reply is not None:
+                        self._reply(ctx, *reply)
             except StreamAborted as aborted:
                 # The 200 head is out: a second head would be read as chunk
                 # framing. Close instead; the client sees a truncated body.
                 record_error("server.stream", aborted.__cause__)
-                _close_quietly(pending.wfile)
             except Exception as exc:
                 record_error("server.handle", exc)
-                try:
-                    self._respond_error(pending.wfile, 500, str(exc))
-                except OSError:
-                    # repro: swallow(client gone mid-error-response;
-                    # the handler failure was counted above)
-                    pass
+                self._error(ctx, 500, str(exc))
             finally:
-                _close_quietly(pending.connection)
+                self._finish(ctx)
 
-    _ROUTE_CLASSES = {
-        "/sparql": ("server.sparql", INTERACTIVE),
-        "/facets": ("server.facets", INTERACTIVE),
-        "/describe": ("server.describe", NAVIGATION),
-        "/statistics": ("server.statistics", NAVIGATION),
-    }
-
-    def _handle(self, pending: _Pending, engine: QueryEngine) -> None:
-        request = pending.request
-        route = request.path.rstrip("/") or "/"
-        named = self._ROUTE_CLASSES.get(route)
-        if named is None:
-            self._respond_error(pending.wfile, 404,
-                                f"no such resource: {request.path}")
-            return
-        name, interaction_class = named
-        tenant = pending.tenant
-        # A caller-supplied trace context makes this request's span a
-        # continuation of the remote trace (malformed headers parse to
-        # None and start a fresh local trace instead).
-        remote = TraceContext.from_headers(request.headers)
-        self._inflight_delta(tenant, +1)
+    def _write(self, ctx: RequestContext, status: int, body) -> None:
+        """Write the head ``ctx.headers`` plus ``body``: bytes, or an
+        iterable of chunks for a chunked stream."""
+        ctx.status = status
+        ctx.headers["Server-Timing"] = ", ".join(
+            f"{stage};dur={ms:.3f}" for stage, ms in ctx.stamps
+        )
+        if not isinstance(body, bytes):
+            ctx.headers["Transfer-Encoding"] = "chunked"
+            return write_chunked(_Out(ctx.connection), status, ctx.headers,
+                                 body)
         try:
-            # Every query-log record emitted while handling this request
-            # (engine calls included) carries the serving attribution; the
-            # shed tier is annotated later, once decided.
-            with OBS.querylog.serving(
-                tenant=tenant, interaction_class=interaction_class,
-                service=self._service,
-            ), OBS.interaction(
-                name, interaction_class, remote_parent=remote,
-                tenant=tenant, service=self._service,
-            ) as act:
-                if route == "/sparql":
-                    self._handle_sparql(pending, engine, act)
-                elif route == "/facets":
-                    self._handle_facets(pending, engine)
-                elif route == "/describe":
-                    self._handle_describe(pending, engine)
-                else:
-                    self._handle_statistics(pending)
-        finally:
-            # The user's clock starts at accept time: queue wait counts,
-            # for the shedder and the tenant's SLO alike.
-            total_ms = (time.monotonic() - pending.accepted_at) * 1e3
-            self.slo.observe(tenant, interaction_class, total_ms)
-            if route == "/sparql":
+            write_response(_Out(ctx.connection), status, ctx.headers, body)
+        except OSError:
+            # repro: swallow(the client hung up; _finish still counts
+            # the status it was answered)
+            pass
+
+    def _reply(self, ctx: RequestContext, status: int, content_type: str,
+               body, stage: str = "execute") -> None:
+        """Write a response whose body is at hand, ``stage`` (what made
+        it) ending now."""
+        ctx.stamp(stage)
+        ctx.headers["Content-Type"] = content_type
+        self._write(ctx, status, body)
+
+    def _error(self, ctx: RequestContext, status: int, message: str,
+               headers: dict[str, str] | None = None) -> None:
+        ctx.headers = {"Content-Type": "application/json", **(headers or {})}
+        self._write(ctx, status, json.dumps({"error": message}).encode("utf-8"))
+
+    def _finish(self, ctx: RequestContext) -> None:
+        """Account one request after its last byte — exactly once, however
+        it was answered: counters, SLO, shedder, stage histograms."""
+        headers = ctx.headers
+        ctx.stamp("stream" if "Transfer-Encoding" in headers else "write")
+        _close_quietly(ctx.connection)
+        tier = headers.get("X-Repro-Tier")
+        with self._lock:
+            self._responses_by_status[ctx.status] += 1
+            if ctx.status == 200 and tier in TIER_NAMES.values():
+                self._served_by_tier[tier] += 1
+            if ctx.aggregate:
+                self._aggregate_served += 1
+                self._aggregate_approximate += "X-Repro-Approximate" in headers
+            if ctx.act is not None:
+                self._inflight[ctx.tenant] -= 1
+        self._responses[ctx.status].inc()
+        if ctx.act is not None:  # a worker ran it: the clock started at read
+            total_ms = sum(ms for _, ms in ctx.stamps[1:])
+            self.slo.observe(ctx.tenant, ctx.route.interaction_class, total_ms)
+            if ctx.route.name == "server.sparql":
                 self.shedder.observe(total_ms)
-            self._inflight_delta(tenant, -1)
+        for stage, ms in ctx.stamps:
+            self._stage_ms[stage].record(ms)
 
-    # ------------------------------------------------------------------ #
-    # /sparql
-    # ------------------------------------------------------------------ #
-
-    def _handle_sparql(
-        self, pending: _Pending, engine: QueryEngine, act
-    ) -> None:
-        request = pending.request
-        if request.method not in ("GET", "POST"):
-            self._respond_error(pending.wfile, 405, "use GET or POST")
-            return
+    def _handle_sparql(self, ctx: RequestContext):
+        request = ctx.request
         text = request.param("query")
         if text is None and "application/sparql-query" in request.header(
             "content-type"
         ):
             text = request.body.decode("utf-8", "replace")
         if not text:
-            self._respond_error(pending.wfile, 400,
-                                "missing `query` parameter")
-            return
+            return self._error(ctx, 400, "missing `query` parameter")
         # The probe in front of the parser: a text answered before names
         # its plan's digest. (Aggregates never are, nor is anything else
         # the sketch-wire and progressive headers apply to.)
@@ -703,62 +456,59 @@ class ReproServer:
             try:
                 parsed = parse_query(text)
             except (SparqlSyntaxError, ValueError) as error:
-                self._respond_error(pending.wfile, 400,
-                                    f"parse error: {error}")
-                return
-
-        accept = request.header("accept", JSON_TYPE)
+                return self._error(ctx, 400, f"parse error: {error}")
+        ctx.stamp("parse")
         if self.config.debug_delay_ms > 0 and (
-            self.config.debug_delay_tenant is None
-            or pending.tenant == self.config.debug_delay_tenant
+            self.config.debug_delay_tenant in (None, ctx.tenant)
         ):
             # Test/CI hook standing in for a genuinely slow backing store;
             # scoping it to one tenant makes that tenant the SLO offender.
             time.sleep(self.config.debug_delay_ms / 1e3)
 
         shape = None if parsed is None else aggregate_shape(parsed)
-        if shape is not None:
-            # Wire mode: a federation coordinator asks for the serialized
-            # sketch bundle instead of result rows (cheap bounded work, so
-            # it is served regardless of the shed tier).
-            if request.header("x-repro-sketch"):
-                act.set_attribute("tier", "sketch-wire")
-                OBS.querylog.annotate_serving(tier="sketch-wire")
-                self._answer_sketch_wire(pending, engine, request, parsed)
-                return
-            # Progressive mode: chunked NDJSON of tightening estimates,
-            # one line per pass over a growing sample (client opt-in).
-            if request.header("x-repro-progressive"):
-                act.set_attribute("tier", "progressive")
-                OBS.querylog.annotate_serving(tier="progressive")
-                self._answer_sketch_progressive(pending, engine, parsed)
-                return
-            tier = self.shedder.decide(
-                burn_rate=self.slo.burn_rate(pending.tenant),
-                peak_burn=self.slo.peak_burn_rate(),
+        if shape is None:
+            _decide(ctx, "exact")
+            ctx.headers["X-Repro-Tier"] = "exact"
+            return self._answer_exact(
+                ctx, parsed, digest or ctx.engine.plan_digest(parsed), text
             )
-            if shape == "distinct" and not hasattr(self.store, "members"):
-                # A sample's distinct count cannot be extrapolated, and
-                # over id batches the exact aggregate costs less than
-                # draining the stream into an HLL: nothing to shed. (A
-                # federation's members each answer with an HLL to merge.)
-                tier = EXACT
-            act.set_attribute("tier", TIER_NAMES[tier])
-            OBS.querylog.annotate_serving(tier=TIER_NAMES[tier])
-            self._answer_aggregate(pending, engine, text, parsed, tier,
-                                   accept)
-            return
-        act.set_attribute("tier", "exact")
-        OBS.querylog.annotate_serving(tier="exact")
-        self._mark_served(EXACT)
-        if digest is None:
-            digest = engine.plan_digest(parsed)
-        self._answer_exact(pending, engine, parsed, digest, accept,
-                           {"X-Repro-Tier": "exact"}, text)
+        # Wire mode: a federation coordinator asks for the serialized
+        # sketch bundle instead of result rows (cheap bounded work, so it
+        # is served regardless of the shed tier; a malformed ``max_rows``
+        # keeps the configured default).
+        if request.header("x-repro-sketch"):
+            _decide(ctx, "sketch-wire")
+            max_rows = int_param(request, "max_rows",
+                                 self.config.approx_max_rows)
+            bundle = build_sketch_bundle(ctx.engine, parsed,
+                                         max_rows=max(1, max_rows))
+            note_bundle(bundle, self.service)
+            ctx.headers["X-Repro-Sketch"] = "1"
+            return json_reply(bundle.to_dict())
+        # Progressive mode: chunked NDJSON of tightening estimates, one
+        # line per pass over a growing sample (client opt-in).
+        if request.header("x-repro-progressive"):
+            _decide(ctx, "progressive")
+            ctx.headers.update({"X-Repro-Tier": "progressive",
+                                "X-Repro-Approximate": "1"})
+            return 200, "application/x-ndjson", progressive_lines(
+                ctx.engine, parsed, self.config.approx_max_rows, self.service
+            )
+        tier = self.shedder.decide(
+            burn_rate=self.slo.burn_rate(ctx.tenant),
+            peak_burn=self.slo.peak_burn_rate(),
+        )
+        if shape == "distinct" and not hasattr(self.store, "members"):
+            # A sample's distinct count cannot be extrapolated, and over id
+            # batches the exact aggregate costs less than draining the
+            # stream into an HLL: nothing to shed. (A federation's members
+            # each answer with an HLL to merge.)
+            tier = EXACT
+        _decide(ctx, TIER_NAMES[tier])
+        return self._answer_aggregate(ctx, text, parsed, tier)
 
-    def _answer_exact(self, pending: _Pending, engine: QueryEngine,
-                      parsed: Query | None, digest: str, accept: str,
-                      headers: dict[str, str], text: str | None = None) -> None:
+    def _answer_exact(self, ctx: RequestContext, parsed: Query | None,
+                      digest: str, text: str | None = None) -> None:
         """Write the exact answer of the plan ``digest``: the cache's entry
         of this store version, else what ``parsed`` evaluates to, which
         becomes the entry. ``text``, the request's query, is kept as a
@@ -773,17 +523,14 @@ class ReproServer:
             self._digests.put(text, digest, len(text))
         select = (answer.result is not None if hit
                   else isinstance(parsed, SelectQuery))
+        accept = ctx.request.header("accept", JSON_TYPE)
         fmt = _negotiate_select(accept) if select else None
         if select and fmt is None:
-            self._respond_error(pending.wfile, 406,
-                                f"cannot serve Accept: {accept}")
-            return
+            return self._error(ctx, 406, f"cannot serve Accept: {accept}")
         if not hit and fmt in _STREAMED and not parsed.select_all:
-            self._stream_select(pending, engine, parsed, digest, version, fmt,
-                                headers)
-            return
+            return self._stream_select(ctx, parsed, digest, version, fmt)
         if hit:
-            headers["X-Repro-Cache"] = "hit"
+            ctx.headers["X-Repro-Cache"] = "hit"
             # No engine ran: the workload record is written here, with the
             # requester's tenant, class and trace.
             OBS.querylog.emit_cache_hit(
@@ -794,14 +541,15 @@ class ReproServer:
             # ASK and the graph forms have one body; SELECT * needs all rows
             # before its header is known and the ASCII table pads columns
             # globally: materialize these.
-            answer = _evaluate(engine, parsed, digest)
+            answer = _evaluate(ctx.engine, parsed, digest)
+        ctx.stamp("execute")
         body = answer.bodies.get(fmt)
         if body is None:  # this format's first request
             body = _encode_select(answer.result, fmt)
             grown = answer.bodies.setdefault(fmt, body) is body
         if grown or not hit:
             self._keep(digest, version, answer)
-        self._send(pending, headers, body)
+        return self._reply(ctx, 200, *body, stage="encode")
 
     def _keep(self, digest: str, version: object, answer: _Answer) -> None:
         """Put ``answer`` in the cache (again), at what it weighs now. Done
@@ -812,26 +560,23 @@ class ReproServer:
             weight += 8 * len(answer.result) * len(answer.result.variables)
         self._cache.put(digest, answer, weight, stamp=version)
 
-    def _stream_select(self, pending: _Pending, engine: QueryEngine,
-                       parsed: SelectQuery, digest: str, version: object,
-                       fmt: str, headers: dict[str, str]) -> None:
+    def _stream_select(self, ctx: RequestContext, parsed: SelectQuery,
+                       digest: str, version: object, fmt: str) -> None:
         """One HTTP chunk per batch off the operator tree, terms first
         touched here, by the serializer. The document generator holds one
         block back, so a one-block answer is written whole, and the last
         block of a longer one with the document's close, only after the
         engine has merged its stats and logged the query: a client that
         has the response finds both in /stats and /debug/queries."""
-        stream = engine.stream_select(parsed, digest=digest)
+        stream = ctx.engine.stream_select(parsed, digest=digest)
         content_type, document = _STREAMED[fmt]
         kept, written = [], []
 
         def blocks():
             for batch in stream.batches:
                 kept.append(batch)
-                yield decode_block(
-                    stream.variables, batch.columns, batch.count,
-                    stream.dictionary,
-                )
+                yield decode_block(stream.variables, batch.columns,
+                                   batch.count, stream.dictionary)
 
         def chunks():
             for chunk in document(stream.variables, blocks()):
@@ -848,371 +593,120 @@ class ReproServer:
                 {fmt: (content_type, b"".join(written))},
             ))
 
-        headers["Content-Type"] = content_type
-        self._count_status(200)
-        write_chunked(pending.wfile, 200, headers, chunks())
+        ctx.headers["Content-Type"] = content_type
+        self._write(ctx, 200, chunks())
 
-    def _answer_aggregate(
-        self,
-        pending: _Pending,
-        engine: QueryEngine,
-        text: str,
-        parsed: SelectQuery,
-        tier: int,
-        accept: str,
-    ) -> None:
+    def _answer_aggregate(self, ctx: RequestContext, text: str,
+                          parsed: SelectQuery, tier: int) -> None:
         """Aggregate queries: the tier decides exact vs bounded-work."""
+        accept = ctx.request.header("accept", JSON_TYPE)
         fmt = _negotiate_select(accept)
         if fmt is None:
-            self._respond_error(pending.wfile, 406,
-                                f"cannot serve Accept: {accept}")
-            return
-        with self._lock:
-            self._aggregate_served += 1
+            return self._error(ctx, 406, f"cannot serve Accept: {accept}")
+        ctx.aggregate, metadata = True, None
         if tier == EXACT:
-            self._mark_served(EXACT)
-            result = engine.query(parsed)
-            self._send(pending, {"X-Repro-Tier": "exact"},
-                       _encode_select(result, fmt))
-            return
-        max_rows = self.config.approx_max_rows
-        if tier >= AGGRESSIVE:
-            max_rows = max(1, max_rows // 4)
-        answer = self._shed_answer(engine, text, parsed, max_rows)
-        if not answer.approximate:
-            # The whole first stage fit the budget: that one pass read
-            # everything, and the answer is exact.
-            self._mark_served(EXACT)
-            self._send(pending, {"X-Repro-Tier": "exact"},
-                       _encode_select(answer.result, fmt))
-            return
-        with self._lock:
-            self._aggregate_approximate += 1
-        self._mark_served(tier)
-        metadata = answer.metadata()
-        headers = {
-            "X-Repro-Tier": TIER_NAMES[tier],
-            "X-Repro-Approximate": "1",
-            "X-Repro-Error-Bound": json.dumps(metadata["bounds"],
-                                              sort_keys=True),
-            "X-Repro-Confidence": str(answer.confidence),
-            "X-Repro-Rows-Consumed": str(answer.rows_consumed),
-            "X-Repro-Estimated-Total": str(answer.estimated_total),
-        }
-        self._send(pending, headers,
-                   _encode_select(answer.result, fmt, metadata))
-
-    def _shed_answer(
-        self,
-        engine: QueryEngine,
-        text: str,
-        parsed: SelectQuery,
-        max_rows: int,
-    ):
-        """The bounded-work answer: a bundle filled from a sample of this
-        store, or merged from the members' bundles when the store is a
-        federation. One query-log record either way, under the digest of
-        the query the client sent: the sampled stream's own (strategy
-        ``…+sample``), or the one written here for a federation, whose
-        members ran the streams."""
-        started = time.perf_counter_ns()
-        bundle = federated_sketch_bundle(
-            self.store, text, parsed, max_rows=max_rows
-        )
-        if bundle is None:
-            bundle = build_sketch_bundle(
-                engine, parsed, max_rows=max_rows
-            )
-            answer = bundle_to_answer(bundle)
+            result = ctx.engine.query(parsed)
         else:
-            answer = bundle_to_answer(bundle, method="sketch-federated")
-            log = OBS.querylog
-            if log.enabled:
-                log.emit(
-                    digest=engine.plan_digest(parsed),
-                    form="SELECT",
-                    strategy=(
-                        "federated+sample" if answer.approximate
-                        else "federated"
-                    ),
-                    latency_ms=(time.perf_counter_ns() - started) / 1e6,
-                    solutions=len(answer.result),
-                )
-        self._note_sketch_bundle(bundle)
-        return answer
+            max_rows = self.config.approx_max_rows
+            if tier >= AGGRESSIVE:
+                max_rows = max(1, max_rows // 4)
+            answer = shed_answer(self.store, ctx.engine, text, parsed,
+                                 max_rows, self.service)
+            # A first stage that fit the budget was read whole: exact.
+            result = answer.result
+            if answer.approximate:
+                metadata = answer.metadata()
+                ctx.headers.update({
+                    "X-Repro-Tier": TIER_NAMES[tier],
+                    "X-Repro-Approximate": "1",
+                    "X-Repro-Error-Bound": json.dumps(metadata["bounds"],
+                                                      sort_keys=True),
+                    "X-Repro-Confidence": str(answer.confidence),
+                    "X-Repro-Rows-Consumed": str(answer.rows_consumed),
+                    "X-Repro-Estimated-Total": str(answer.estimated_total),
+                })
+        ctx.stamp("execute")
+        ctx.headers.setdefault("X-Repro-Tier", "exact")
+        self._reply(ctx, 200, *_encode_select(result, fmt, metadata),
+                    stage="encode")
 
-    def _note_sketch_bundle(self, bundle) -> None:
-        """Per-family sketch activity: counters + memory gauges for
-        /metrics (served from the coordinator level, never per-row)."""
-        metrics = OBS.metrics
-        service = self._service
-        for spec in bundle.agg_specs:
-            family = spec.sketch.kind
-            metrics.counter(
-                "server.sketch.answers", service=service, family=family
-            ).inc()
-            metrics.gauge(
-                "server.sketch.bytes", service=service, family=family
-            ).set(float(spec.sketch.size_bytes()))
-
-    def _answer_sketch_wire(
-        self,
-        pending: _Pending,
-        engine: QueryEngine,
-        request: HttpRequest,
-        parsed: SelectQuery,
-    ) -> None:
-        """Answer with the serialized sketch bundle (federation wire)."""
-        max_rows = self.config.approx_max_rows
-        raw = request.param("max_rows")
-        if raw is not None:
-            try:
-                max_rows = int(raw)
-            except ValueError:
-                # repro: swallow(malformed max_rows keeps the configured
-                # default rather than failing the federated call)
-                pass
-        bundle = build_sketch_bundle(
-            engine, parsed, max_rows=max(1, max_rows)
-        )
-        self._note_sketch_bundle(bundle)
-        self._count_status(200)
-        write_response(
-            pending.wfile, 200,
-            {"Content-Type": "application/json",
-             "X-Repro-Sketch": "1"},
-            json.dumps(bundle.to_dict(), sort_keys=True).encode("utf-8"),
-        )
-
-    def _answer_sketch_progressive(
-        self,
-        pending: _Pending,
-        engine: QueryEngine,
-        parsed: SelectQuery,
-    ) -> None:
-        """Stream tightening estimates as NDJSON, one line per pass."""
-        passes = iter_sketch_passes(
-            engine, parsed, max_rows=self.config.approx_max_rows
-        )
-
-        def lines():
-            final_bundle = None
-            for index, bundle in enumerate(passes):
-                final_bundle = bundle
-                answer = bundle_to_answer(bundle)
-                bindings = [
-                    {
-                        str(var): term_to_json(row[var])
-                        for var in answer.result.variables
-                        if row.get(var) is not None
-                    }
-                    for row in answer.result.rows
-                ]
-                yield json.dumps(
-                    {
-                        "pass": index + 1,
-                        "final": bundle.exhausted,
-                        "metadata": answer.metadata(),
-                        "bindings": bindings,
-                    },
-                    sort_keys=True,
-                ) + "\n"
-            if final_bundle is not None:
-                self._note_sketch_bundle(final_bundle)
-
-        headers = {
-            "Content-Type": "application/x-ndjson",
-            "X-Repro-Tier": "progressive",
-            "X-Repro-Approximate": "1",
-        }
-        self._count_status(200)
-        write_chunked(pending.wfile, 200, headers, lines())
-
-    def _send(self, pending: _Pending, headers: dict[str, str],
-              body: tuple[str, bytes]) -> None:
-        headers["Content-Type"] = body[0]
-        self._count_status(200)
-        write_response(pending.wfile, 200, headers, body[1])
-
-    # ------------------------------------------------------------------ #
-    # Explore surface
-    # ------------------------------------------------------------------ #
-
-    def _handle_facets(self, pending: _Pending,
-                       engine: QueryEngine) -> None:
-        request = pending.request
-        max_values = _int_param(request, "max_values", 25)
-        min_count = _int_param(request, "min_count", 1)
-        browser = FacetedBrowser(self.store, engine=engine)
-        facets = browser.facets(max_values=max_values, min_count=min_count)
-        payload = [
-            {
-                "predicate": str(facet.predicate),
-                "cardinality": facet.cardinality,
-                "values": [
-                    {
-                        "term": term_to_json(value.value),
-                        "label": value.label,
-                        "count": value.count,
-                    }
-                    for value in facet.values
-                ],
-            }
-            for facet in facets
-        ]
-        self._count_status(200)
-        write_response(
-            pending.wfile, 200, {"Content-Type": "application/json"},
-            json.dumps({"focus": len(browser), "facets": payload},
-                       sort_keys=True).encode("utf-8"),
-        )
-
-    def _handle_describe(self, pending: _Pending,
-                         engine: QueryEngine) -> None:
-        resource = pending.request.param("resource")
+    def _handle_describe(self, ctx: RequestContext) -> None:
+        resource = ctx.request.param("resource")
         if not resource:
-            self._respond_error(pending.wfile, 400,
-                                "missing `resource` parameter")
-            return
+            return self._error(ctx, 400, "missing `resource` parameter")
         try:
             iri = IRI(resource)
         except ValueError as error:
-            self._respond_error(pending.wfile, 400, str(error))
-            return
+            return self._error(ctx, 400, str(error))
         # The same plan, and so the same cache entry, as `DESCRIBE <iri>`.
         query = DescribeQuery(resources=(iri,))
-        self._answer_exact(pending, engine, query, engine.plan_digest(query),
-                           "", {})
-
-    def _handle_statistics(self, pending: _Pending) -> None:
-        if isinstance(self.store, StoreStatistics):
-            snapshot = self.store.statistics()
-        else:
-            snapshot = compute_statistics(self.store)
-        payload = {
-            "triple_count": snapshot.triple_count,
-            "distinct_subjects": snapshot.distinct_subjects,
-            "distinct_predicates": snapshot.distinct_predicates,
-            "distinct_objects": snapshot.distinct_objects,
-            "predicate_cardinalities": {
-                str(predicate): count
-                for predicate, count
-                in snapshot.predicate_cardinalities.items()
-            },
-            "predicate_distinct_objects": {
-                str(predicate): count
-                for predicate, count
-                in snapshot.predicate_distinct_objects.items()
-            },
-            "store_version": getattr(self.store, "version", None),
-        }
-        self._count_status(200)
-        write_response(
-            pending.wfile, 200, {"Content-Type": "application/json"},
-            json.dumps(payload, sort_keys=True).encode("utf-8"),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Accounting
-    # ------------------------------------------------------------------ #
-
-    def _mark_served(self, tier: int) -> None:
-        with self._lock:
-            self._served_by_tier[tier] = self._served_by_tier.get(tier, 0) + 1
-
-    def _inflight_delta(self, tenant: str, delta: int) -> None:
-        with self._lock:
-            value = self._inflight.get(tenant, 0) + delta
-            if value <= 0:
-                self._inflight.pop(tenant, None)
-            else:
-                self._inflight[tenant] = value
-
-    def _count_status(self, status: int) -> None:
-        with self._lock:
-            self._responses_by_status[status] = (
-                self._responses_by_status.get(status, 0) + 1
-            )
-        OBS.metrics.counter(
-            "server.responses", service=self._service, status=status
-        ).inc()
-
-    def _respond_error(self, wfile, status: int, message: str) -> None:
-        self._count_status(status)
-        try:
-            write_response(
-                wfile, status, {"Content-Type": "application/json"},
-                json.dumps({"error": message}).encode("utf-8"),
-            )
-        except OSError:
-            # repro: swallow(client gone mid-error-response; the
-            # status was already counted in _count_status)
-            pass
+        ctx.stamp("parse")
+        return self._answer_exact(ctx, query, ctx.engine.plan_digest(query))
 
     def stats(self) -> dict[str, object]:
         """The /stats payload: admission, shedding, SLOs, serving counters."""
         admission = self.admission.snapshot()
         shed = self.shedder.snapshot()
-        serving = self._serving_snapshot()
         with self._lock:
-            by_tier = {
-                TIER_NAMES.get(tier, str(tier)): count
-                for tier, count in sorted(self._served_by_tier.items())
-            }
-            aggregate_served = self._aggregate_served
-            aggregate_approximate = self._aggregate_approximate
-            by_status = dict(sorted(self._responses_by_status.items()))
+            by_tier = dict(sorted(self._served_by_tier.items()))
+            served = self._aggregate_served
+            approximate = self._aggregate_approximate
+            by_status = sorted(self._responses_by_status.items())
+            inflight = dict(sorted((+self._inflight).items()))
+            engines = list(self._engines)
+        log = OBS.querylog
         return {
-            "service": self._service,
-            "admission": {
-                "capacity": admission.capacity,
-                "depth": admission.depth,
-                "admitted": admission.admitted,
-                "rejected": admission.rejected,
-                "per_tenant_admitted": admission.per_tenant_admitted,
-                "per_tenant_rejected": admission.per_tenant_rejected,
-                "per_tenant_depth": admission.per_tenant_depth,
-            },
-            "shedding": {
-                "tier": shed.tier,
-                "tier_name": shed.tier_name,
-                "p95_ms": round(shed.p95_ms, 3),
-                "budget_ms": shed.budget_ms,
-                "window_size": shed.window_size,
-                "burn_escalations": shed.burn_escalations,
-                "burn_protections": shed.burn_protections,
-            },
-            "inflight": serving["inflight"],
-            "slo": {
-                tenant: state.to_dict()
-                for tenant, state in self.slo.snapshot().items()
-            },
+            "service": self.service,
+            "admission": asdict(admission),
+            "shedding": {**asdict(shed), "tier_name": shed.tier_name,
+                         "p95_ms": round(shed.p95_ms, 3)},
+            "inflight": inflight,
+            "slo": {tenant: state.to_dict()
+                    for tenant, state in self.slo.snapshot().items()},
             "served_by_tier": by_tier,
-            "aggregate_served": aggregate_served,
-            "aggregate_approximate": aggregate_approximate,
-            "shed_ratio": (
-                aggregate_approximate / aggregate_served
-                if aggregate_served else 0.0
-            ),
-            "responses_by_status": {
-                str(status): count for status, count in by_status.items()
-            },
-            "engine": self._engine_counters(),
-            "cache": self._cache_counters(),
+            "aggregate_served": served,
+            "aggregate_approximate": approximate,
+            "shed_ratio": approximate / served if served else 0.0,
+            "responses_by_status": {str(status): count
+                                    for status, count in by_status},
+            # summed across the worker pool's engines
+            "engine": {name: sum(getattr(engine.stats, name)
+                                 for engine in engines)
+                       for name in _ENGINE_COUNTERS},
+            "cache": {"entries": len(self._cache),
+                      "bytes": self._cache.bytes + self._digests.bytes,
+                      **asdict(self._cache.stats)},
             "store_version": getattr(self.store, "version", None),
             "querylog": {
-                "depth": len(OBS.querylog),
-                "recorded_total": OBS.querylog.recorded_total,
-                "dropped": OBS.querylog.dropped,
-                "mirror_errors": OBS.querylog.mirror_errors,
-                "mirror_path": OBS.querylog.mirror_path,
+                "depth": len(log), "recorded_total": log.recorded_total,
+                "dropped": log.dropped, "mirror_errors": log.mirror_errors,
+                "mirror_path": log.mirror_path,
             },
         }
 
 
-# --------------------------------------------------------------------------- #
-# Helpers
-# --------------------------------------------------------------------------- #
+# Everything the server answers. Probes (no interaction) skip admission.
+ROUTES: dict[str, Route] = {
+    "/sparql": Route(ReproServer._handle_sparql, "server.sparql", INTERACTIVE,
+                     methods=("GET", "POST")),
+    "/facets": Route(explore.facets, "server.facets", INTERACTIVE),
+    "/describe": Route(ReproServer._handle_describe, "server.describe",
+                       NAVIGATION),
+    "/statistics": Route(explore.statistics, "server.statistics", NAVIGATION),
+    "/health": Route(probes.health),
+    "/stats": Route(probes.stats),
+    "/metrics": Route(probes.metrics),
+    "/debug/flight": Route(probes.flight),
+    "/debug/trace": Route(probes.trace),
+    "/debug/queries": Route(probes.queries),
+}
+
+
+def _decide(ctx: RequestContext, tier: str) -> None:
+    """Write the request's tier, once: on its span, and on the query-log
+    scope the engine's records inherit."""
+    ctx.act.set_attribute("tier", tier)
+    OBS.querylog.annotate_serving(tier=tier)
 
 
 def _evaluate(engine: QueryEngine, parsed: Query, digest: str) -> _Answer:
@@ -1243,36 +737,41 @@ def _encode_select(
     return content_type, body.encode("utf-8")
 
 
+# In order of preference: a format, and what in an Accept header names it.
+_NEGOTIATED = (
+    ("json", (JSON_TYPE, "application/json")),
+    ("csv", (CSV_TYPE,)),
+    ("tsv", (TSV_TYPE,)),
+    ("table", (TABLE_TYPE,)),
+    ("json", ("*/*", "application/*", "text/*")),
+)
+
+
 def _negotiate_select(accept: str) -> str | None:
-    """Pick the SELECT serialization for an Accept header.
-
-    Returns ``"json" | "csv" | "tsv" | "table"``, or ``None`` when the
-    header names only types this endpoint cannot produce.
-    """
-    if not accept or accept.strip() == "":
+    """The SELECT serialization for an Accept header: ``"json" | "csv" |
+    "tsv" | "table"``, or ``None`` when it names only types this endpoint
+    cannot produce."""
+    lowered = accept.strip().lower()
+    if not lowered:
         return "json"
-    lowered = accept.lower()
-    if JSON_TYPE in lowered or "application/json" in lowered:
-        return "json"
-    if CSV_TYPE in lowered:
-        return "csv"
-    if TSV_TYPE in lowered:
-        return "tsv"
-    if TABLE_TYPE in lowered:
-        return "table"
-    if "*/*" in lowered or "application/*" in lowered or "text/*" in lowered:
-        return "json"
-    return None
+    return next((fmt for fmt, names in _NEGOTIATED
+                 if any(name in lowered for name in names)), None)
 
 
-def _int_param(request: HttpRequest, name: str, default: int) -> int:
-    value = request.query.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        return default
+class _Out:
+    """The file :func:`write_response` / :func:`write_chunked` write to:
+    ``write`` gathers, ``flush`` sends what was gathered in one ``sendall``
+    (so a head and its first chunk leave together)."""
+
+    def __init__(self, connection: socket.socket) -> None:
+        self.connection, self.parts = connection, []
+
+    def write(self, data: bytes) -> None:
+        self.parts.append(data)
+
+    def flush(self) -> None:
+        self.connection.sendall(b"".join(self.parts))
+        self.parts.clear()
 
 
 def _close_quietly(connection) -> None:

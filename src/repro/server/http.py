@@ -13,6 +13,7 @@ load shedding, not protocol completeness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import BinaryIO, Iterable
@@ -23,6 +24,7 @@ __all__ = [
     "HttpRequest",
     "StreamAborted",
     "read_request",
+    "request_complete",
     "write_response",
     "write_chunked",
     "STATUS_REASONS",
@@ -150,6 +152,32 @@ def read_request(rfile: BinaryIO) -> HttpRequest | None:
         headers=headers,
         body=body,
     )
+
+
+# A head may end in bare LFs: read_request accepts them.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+# No head within what read_request allows is any longer than this.
+MAX_HEAD_BYTES = (MAX_HEADER_COUNT + 2) * MAX_REQUEST_LINE
+
+
+def request_complete(data: bytes) -> bool:
+    """Whether ``data`` (the bytes read from a connection so far) holds a
+    whole request — its head through the blank line and ``Content-Length``
+    bytes of body — or enough that :func:`read_request` will refuse it."""
+    end = data.find(b"\r\n\r\n") + 4
+    if end < 4:
+        match = _HEAD_END.search(data)
+        if match is None:
+            return len(data) > MAX_HEAD_BYTES
+        end = match.end()
+    head = data[:end].lower()
+    at = head.find(b"\ncontent-length:")
+    if at < 0:
+        return True
+    length = head[at + 16:head.find(b"\n", at + 1)].strip()
+    # malformed: complete now, for read_request to refuse
+    length = int(length) if length.isdigit() else 0
+    return length > MAX_BODY_BYTES or len(data) >= end + length
 
 
 def _head(status: int, headers: dict[str, str]) -> bytes:

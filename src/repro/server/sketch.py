@@ -47,6 +47,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import time
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
@@ -74,7 +75,13 @@ from ..sparql.nodes import (
 )
 from ..sparql.parser import parse_query
 from ..sparql.physical import Batch, ExplainNode
-from ..sparql.results import SelectResult, row_blocks, term_from_json, term_to_json
+from ..sparql.results import (
+    SelectResult,
+    binding_to_json,
+    row_blocks,
+    term_from_json,
+    term_to_json,
+)
 from ..sparql.vectorized import VectorizedBGP, _concat, _distinct_keys
 from ..store.dictionary import VALUE_OTHER, TermDictionary
 
@@ -90,6 +97,9 @@ __all__ = [
     "federated_sketch_bundle",
     "federated_sketch_select",
     "iter_sketch_passes",
+    "note_bundle",
+    "progressive_lines",
+    "shed_answer",
 ]
 
 BUNDLE_VERSION = 1
@@ -321,9 +331,6 @@ class SketchBundle:
         self.estimated_total += other.estimated_total
         self.exhausted = self.exhausted and other.exhausted
         self.fanout = max(self.fanout, other.fanout)
-
-    def sketch_bytes(self) -> int:
-        return sum(spec.sketch.size_bytes() for spec in self.agg_specs)
 
     def to_dict(self) -> dict:
         payload = {
@@ -789,3 +796,63 @@ def federated_sketch_select(
     if merged is None:
         return None
     return bundle_to_answer(merged, method="sketch-federated")
+
+
+# --------------------------------------------------------------------------- #
+# What a server answers with
+# --------------------------------------------------------------------------- #
+
+
+def note_bundle(bundle: SketchBundle, service: str) -> None:
+    """Per-family sketch activity: counters + memory gauges for /metrics
+    (served from the coordinator level, never per-row)."""
+    for spec in bundle.agg_specs:
+        labels = {"service": service, "family": spec.sketch.kind}
+        OBS.metrics.counter("server.sketch.answers", **labels).inc()
+        OBS.metrics.gauge("server.sketch.bytes", **labels).set(
+            float(spec.sketch.size_bytes())
+        )
+
+
+def shed_answer(store: object, engine: QueryEngine, text: str,
+                parsed: SelectQuery, max_rows: int,
+                service: str) -> ApproximateAnswer:
+    """The shed tier's bounded-work answer: a bundle filled from a sample
+    of this store, or merged from the members' bundles when the store is a
+    federation. One query-log record either way, under the digest of the
+    query the client sent: the sampled stream's own (strategy
+    ``…+sample``), or the one written here for a federation, whose members
+    ran the streams."""
+    started = time.perf_counter_ns()
+    bundle = federated_sketch_bundle(store, text, parsed, max_rows=max_rows)
+    if bundle is None:
+        bundle = build_sketch_bundle(engine, parsed, max_rows=max_rows)
+        answer = bundle_to_answer(bundle)
+    else:
+        answer = bundle_to_answer(bundle, method="sketch-federated")
+        OBS.querylog.emit(
+            digest=engine.plan_digest(parsed), form="SELECT",
+            strategy="federated+sample" if answer.approximate else "federated",
+            latency_ms=(time.perf_counter_ns() - started) / 1e6,
+            solutions=len(answer.result),
+        )
+    note_bundle(bundle, service)
+    return answer
+
+
+def progressive_lines(engine: QueryEngine, parsed: SelectQuery,
+                      max_rows: int, service: str) -> Iterator[str]:
+    """Tightening estimates as NDJSON, one line per pass over a growing
+    sample (the ``X-Repro-Progressive`` mode)."""
+    passes = iter_sketch_passes(engine, parsed, max_rows=max_rows)
+    for index, bundle in enumerate(passes, start=1):
+        answer = bundle_to_answer(bundle)
+        result = answer.result
+        yield json.dumps({
+            "pass": index,
+            "final": bundle.exhausted,
+            "metadata": answer.metadata(),
+            "bindings": [binding_to_json(result.variables, row)
+                         for row in result.rows],
+        }, sort_keys=True) + "\n"
+    note_bundle(bundle, service)  # the last pass: there is always one
