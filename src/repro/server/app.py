@@ -49,8 +49,8 @@ from ..sparql.parser import parse_query
 from ..sparql.results import (
     SelectResult,
     ask_to_sparql_json,
+    batch_block,
     csv_document,
-    decode_block,
     json_document,
     to_csv,
     to_sparql_json,
@@ -562,8 +562,8 @@ class ReproServer:
 
     def _stream_select(self, ctx: RequestContext, parsed: SelectQuery,
                        digest: str, version: object, fmt: str) -> None:
-        """One HTTP chunk per batch off the operator tree, terms first
-        touched here, by the serializer. The document generator holds one
+        """One HTTP chunk per batch off the operator tree, never decoded (the
+        serializer gathers each id's cell). The document generator holds one
         block back, so a one-block answer is written whole, and the last
         block of a longer one with the document's close, only after the
         engine has merged its stats and logged the query: a client that
@@ -575,8 +575,8 @@ class ReproServer:
         def blocks():
             for batch in stream.batches:
                 kept.append(batch)
-                yield decode_block(stream.variables, batch.columns,
-                                   batch.count, stream.dictionary)
+                yield batch_block(stream.variables, batch.columns,
+                                  batch.count, stream.dictionary)
 
         def chunks():
             for chunk in document(stream.variables, blocks()):

@@ -466,7 +466,7 @@ def _id_batches(rows, variables, size: int, dictionary) -> Iterator[Batch]:
     get their ids from ``dictionary`` (one of their own, not a store's),
     an unbound cell gets -1."""
     encode = dictionary.encode
-    for block, count in row_blocks(variables, rows, size):
+    for block, count, _ in row_blocks(variables, rows, size):
         yield Batch({
             variable: np.fromiter(
                 (-1 if term is None else encode(term) for term in cells),

@@ -4,9 +4,9 @@ Exploration sessions re-issue queries constantly — every back-navigation,
 facet deselection, or dashboard refresh repeats earlier work.
 :class:`CachedQueryEngine` wraps :class:`~repro.sparql.eval.QueryEngine`
 with a bounded :class:`~repro.cache.result_cache.ResultCache` keyed on the
-digest of the *optimized logical plan*, with explicit invalidation for when
-the store changes (the cached results are all there is to invalidate: the
-planner keeps nothing between queries). Eviction is LRU. Plan-keying means
+digest of the *optimized logical plan* and stamped with ``store.version``:
+a write is visible to the next identical query (a store without a version
+is taken never to change). Eviction is LRU. Plan-keying means
 syntactically different but plan-equivalent queries (whitespace, prefix
 renaming, reordered constant filters) share one cache entry.
 
@@ -51,27 +51,29 @@ class CachedQueryEngine:
             return self.engine.query(text)
         started = time.perf_counter_ns()
         key = self.engine.plan_digest(text)
-        hit = key in self.cache  # membership check leaves stats untouched
-        result = self.cache.get_or_compute(
-            key, lambda: self.engine.query(text, digest=key)
-        )
-        if hit:
-            result = _tag_cached(result)
-            # A cache-served query must stay visible to the workload
-            # analyzer: log it with cache_hit=true and zeroed scan
-            # counters — no store work happened on its behalf.
-            log = OBS.querylog
-            if log.enabled:
-                log.emit_cache_hit(
-                    digest=key,
-                    form=_cached_form(result),
-                    latency_ms=(time.perf_counter_ns() - started) / 1e6,
-                    solutions=_cached_solutions(result),
-                )
+        # Stamped with the version read before evaluation, so a write retires
+        # the entry; no answer is None, so None is a miss.
+        version = getattr(self.engine.store, "version", None)
+        result = self.cache.get(key, stamp=version)
+        if result is None:
+            result = self.engine.query(text, digest=key)
+            self.cache.put(key, result, stamp=version)
+            return result
+        result = _tag_cached(result)
+        # A cache-served query must stay visible to the workload analyzer:
+        # log it with cache_hit=true and zeroed scan counters.
+        log = OBS.querylog
+        if log.enabled:
+            log.emit_cache_hit(
+                digest=key,
+                form=_cached_form(result),
+                latency_ms=(time.perf_counter_ns() - started) / 1e6,
+                solutions=_cached_solutions(result),
+            )
         return result
 
     def invalidate(self) -> None:
-        """Drop all cached results (call after mutating the store)."""
+        """Drop all cached results (after writing to an unversioned store)."""
         self.cache.clear()
         if OBS.enabled:
             OBS.metrics.counter("cache.invalidations", cache="sparql.result").inc()

@@ -78,8 +78,8 @@ class StreamingSelect:
     of them. ``batches`` is the answer as the engine produces it, a
     :class:`~repro.sparql.physical.Batch` at a time, for consumers that
     serialize or keep it column-wise (:func:`~repro.sparql.results
-    .decode_block`, :meth:`SelectResult.from_batches`): id columns to decode
-    through ``dictionary`` when the plan delivers id batches, else
+    .batch_block`, :meth:`SelectResult.from_batches`): id columns of
+    ``dictionary`` when the plan delivers id batches, else
     (``dictionary`` is ``None``) the row operators' output gathered into
     columns of terms. ``None`` for ``SELECT *``, which has no header to
     lay columns out by. ``rows`` decodes the same batches into dicts, one
@@ -291,7 +291,7 @@ class QueryEngine:
             rows = generate(root.execute({}), lambda row: 1)
             batches = None if parsed.select_all else (
                 Batch(dict(zip(variables, columns)), count)
-                for columns, count in row_blocks(variables, rows)
+                for columns, count, _ in row_blocks(variables, rows)
             )
         return StreamingSelect(variables, rows, root, batches, dictionary)
 

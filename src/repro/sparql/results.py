@@ -15,28 +15,28 @@ negotiates (and a client parses back):
   ``text/tab-separated-values``) — :func:`to_csv` / :func:`to_tsv`.
 
 **Blocks, not rows.** Between the engine and the socket a SELECT answer is
-a sequence of id batches (:class:`~repro.sparql.physical.Batch`), and this
-module is where their terms are first touched: :func:`decode_block` turns a
-batch into a *block* — ``(columns, count)``, one list of terms per header
-variable (``None`` for a variable no row binds, ``None`` cells where a row
-leaves it unbound) — through ``TermDictionary.decode_batch``, and each
-format has one column-wise encoder that turns a block into text
-(:func:`json_document`, :func:`csv_document`, :func:`tsv_document`). The
-row-taking ``iter_*`` functions are the same encoders behind
-:func:`row_blocks`, which gathers rows into blocks of :data:`BLOCK_ROWS`.
+a sequence of id batches (:class:`~repro.sparql.physical.Batch`), never
+decoded: :func:`batch_block` makes a batch a *block* — ``(columns, count,
+dictionary)``, an id column per header variable — and each format's one
+column-wise encoder (:func:`json_document`, :func:`csv_document`,
+:func:`tsv_document`, :meth:`SelectResult.to_table`) makes an id column's
+text with one gather from the dictionary's column of that format's cells
+(``TermDictionary.cells``): a term is encoded once per format, not once per
+response. A block of terms (rows gathered by :func:`row_blocks`) maps the
+same encoder over its terms; row consumers decode (:func:`decode_block`).
 
 A document generator yields its head together with the first block, then
 one string per block, then the last block together with the tail; a block
 is only encoded, and its piece yielded, once its successor exists. The
-serving layer
-(:mod:`repro.server`) writes one HTTP chunk per piece, so first-row latency
-stays flat on arbitrarily large results and the final piece leaves only
-after the block source — the engine — has finished.
+serving layer (:mod:`repro.server`) writes one HTTP chunk per piece, so
+first-row latency stays flat on arbitrarily large results and the final
+piece leaves only after the block source — the engine — has finished.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -60,12 +60,11 @@ __all__ = [
     "to_csv",
     "to_tsv",
     "iter_sparql_json",
-    "iter_csv",
-    "iter_tsv",
     "json_document",
     "csv_document",
     "tsv_document",
     "row_blocks",
+    "batch_block",
     "decode_block",
     "block_rows",
 ]
@@ -74,8 +73,9 @@ __all__ = [
 #: the engine's batches as they come: 256 rows, doubling).
 BLOCK_ROWS = 256
 
-#: One block of a SELECT answer: a column of terms per header variable.
-Block = tuple["list[list[Term | None] | None]", int]
+#: One block of a SELECT answer: a column per header variable (ids of the
+#: dictionary, or terms when it is None), the row count, the dictionary.
+Block = tuple["list[np.ndarray | list[Term | None] | None]", int, "TermDictionary | None"]
 
 
 def row_blocks(
@@ -86,7 +86,17 @@ def row_blocks(
     """Solution rows as blocks of up to ``size`` rows."""
     rows = iter(rows)
     while chunk := list(islice(rows, size)):
-        yield [[row.get(v) for row in chunk] for v in variables], len(chunk)
+        yield [[row.get(v) for row in chunk] for v in variables], len(chunk), None
+
+
+def batch_block(
+    variables: list[Variable],
+    columns: "dict[Variable, np.ndarray | list[Term | None]]",
+    count: int,
+    dictionary: "TermDictionary | None",
+) -> Block:
+    """The block of one batch, its columns in header order, undecoded."""
+    return [columns.get(v) for v in variables], count, dictionary
 
 
 def decode_block(
@@ -101,14 +111,14 @@ def decode_block(
     answer kept column-wise).
     """
     if dictionary is None:
-        return [columns.get(v) for v in variables], count
+        return [columns.get(v) for v in variables], count, None
     decode = dictionary.decode_batch
-    return [decode(columns[v]) if v in columns else None for v in variables], count
+    return [decode(columns[v]) if v in columns else None for v in variables], count, None
 
 
 def block_rows(variables: list[Variable], block: Block) -> list[dict[Variable, Term]]:
-    """A block as solution rows (unbound variables omitted)."""
-    columns, count = block
+    """A block of terms as solution rows (unbound variables omitted)."""
+    columns, count, _ = block
     names = [v for v, column in zip(variables, columns) if column is not None]
     if not names:
         return [{} for _ in range(count)]
@@ -120,9 +130,9 @@ def block_rows(variables: list[Variable], block: Block) -> list[dict[Variable, T
 
 class _Columns:
     """A result held column-wise: one column per bound variable (int64 ids
-    to decode through ``dictionary``, or lists of terms when it is
-    ``None``), plus the rows once somebody asked for them. Shared between
-    a result and its re-wraps, so the rows are built at most once."""
+    of ``dictionary``, or lists of terms when it is ``None``), plus the
+    rows once somebody asked for them. Shared between a result and its
+    re-wraps, so the rows are built at most once."""
 
     __slots__ = ("columns", "count", "dictionary", "rows")
 
@@ -202,23 +212,19 @@ class SelectResult:
         if held is None:
             return self._rows
         if held.rows is None:
-            held.rows = [
-                row
-                for block in self.blocks()
-                for row in block_rows(self.variables, block)
-            ]
+            held.rows = block_rows(self.variables, decode_block(
+                self.variables, held.columns, held.count, held.dictionary
+            ))
         return held.rows
 
     def blocks(self) -> Iterator[Block]:
-        """The answer as serializer blocks, without building row dicts
-        that do not exist yet."""
+        """The answer as serializer blocks: its columns as they are held,
+        without decoding them or building row dicts."""
         held = self._columns
-        if held is None or held.rows is not None:
+        if held is None:
             return row_blocks(self.variables, self.rows)
-        if not held.count:
-            return iter(())
         return iter((
-            decode_block(self.variables, held.columns, held.count, held.dictionary),
+            batch_block(self.variables, held.columns, held.count, held.dictionary),
         ))
 
     def __len__(self) -> int:
@@ -268,17 +274,11 @@ class SelectResult:
     def to_table(self, max_rows: int | None = 20) -> str:
         """ASCII table rendering (the classic endpoint result view)."""
         headers = [f"?{v}" for v in self.variables]
-        cells: list[tuple[str, ...]] = []
-        for columns, count in self.blocks():
-            if max_rows is not None and len(cells) >= max_rows:
-                break
-            cells.extend(_cells(columns, count, _render))
-        if max_rows is not None:
-            del cells[max_rows:]
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
-            for i in range(len(headers))
-        ]
+        cells = list(islice(chain.from_iterable(
+            _rows(*block, _render) for block in self.blocks()
+        ), max_rows))  # no block past the one holding the last row shown
+        widths = [max([len(header), *(len(row[i]) for row in cells)])
+                  for i, header in enumerate(headers)]
         sep = "-+-".join("-" * w for w in widths)
         lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)), sep]
         for row in cells:
@@ -291,25 +291,33 @@ class SelectResult:
         return f"<SelectResult {len(self)} rows x {len(self.variables)} vars>"
 
 
-def _render(term: Term | None) -> str:
-    if term is None:
-        return ""
-    if isinstance(term, Literal):
-        return term.lexical
-    return str(term)
+def _render(term: Term) -> str:
+    return term.lexical if isinstance(term, Literal) else str(term)
 
 
 def _cells(
-    columns: "list[list[Term | None] | None]",
+    column: "np.ndarray | list[Term | None]",
+    dictionary: "TermDictionary | None",
+    encode: Callable[[Term], str],
+) -> list[str]:
+    """One block column in one format: ``encode`` of each term, ``""`` where
+    unbound — an id column's with one gather from the dictionary."""
+    if dictionary is not None:
+        return dictionary.cells(column, encode)
+    return ["" if term is None else encode(term) for term in column]
+
+
+def _rows(
+    columns: "list[np.ndarray | list[Term | None] | None]",
     count: int,
-    field: Callable[[Term | None], str],
+    dictionary: "TermDictionary | None",
+    encode: Callable[[Term], str],
 ) -> Iterable[tuple[str, ...]]:
-    """A block row by row, every term rendered by ``field`` (which maps
-    ``None``, an unbound cell, to the empty string)."""
+    """A block row by row in one format."""
     if not columns:
         return [()] * count
     return zip(*(
-        [""] * count if column is None else [field(term) for term in column]
+        [""] * count if column is None else _cells(column, dictionary, encode)
         for column in columns
     ))
 
@@ -389,7 +397,7 @@ def _json_term(term: Term) -> str:
 def _document(
     head: str,
     blocks: Iterable[Block],
-    encode: "Callable[[list[list[Term | None] | None], int], str]",
+    encode: Callable[..., str],
     separator: str = "",
     tail: str = "",
 ) -> Iterator[str]:
@@ -417,8 +425,8 @@ def json_document(
     """A results-JSON document piece by piece, one per block.
 
     Byte for byte what ``json.dumps`` makes of :func:`binding_to_json` row
-    by row, built per column instead: one ``"name": {term}`` fragment per
-    bound cell, joined per row, joined per block.
+    by row, built per column instead: a block is one join over, per row, an
+    opening brace and each bound member's ``"name": `` key and cell.
 
     ``extra`` lands as an ``x-repro`` top-level member (the endpoint uses it
     for approximation metadata); the W3C grammar permits extension members.
@@ -433,17 +441,24 @@ def json_document(
         for index, name in enumerate(names)
     ]
 
-    def encode(columns: "list[list[Term | None] | None]", count: int) -> str:
-        fragments = [
-            [None if term is None else key + _json_term(term) for term in column]
-            for key, column in zip(keys, columns)
-            if key is not None and column is not None
-        ]
-        if not fragments:
-            return ", ".join(["{}"] * count)
-        return ", ".join(
-            ["{" + ", ".join(filter(None, row)) + "}" for row in zip(*fragments)]
-        )
+    def encode(columns, count: int, dictionary) -> str:
+        members = [(key, column) for key, column in zip(keys, columns)
+                   if key is not None and column is not None]
+        step = 1 + 2 * len(members)
+        parts = ["}, {"] * (step * count)
+        parts[0] = "{"
+        sep = ""  # what precedes a row's next member: one for all rows, or a list
+        for index, (key, column) in enumerate(members):
+            cells = _cells(column, dictionary, _json_term)  # "" where unbound
+            if isinstance(sep, str) and "" not in cells:
+                prefixes, sep = [sep + key] * count, ", "
+            else:  # unbound cells: from here on each row has its own
+                seps = [sep] * count if isinstance(sep, str) else sep
+                prefixes = [s + key if cell else "" for s, cell in zip(seps, cells)]
+                sep = [", " if cell else s for s, cell in zip(seps, cells)]
+            parts[1 + 2 * index::step] = prefixes
+            parts[2 + 2 * index::step] = cells
+        return "".join(parts) + "}"
 
     return _document(
         head + ', "results": {"bindings": [', blocks, encode, ", ", "]}}"
@@ -492,54 +507,29 @@ def parse_sparql_json(text: str) -> SelectResult | bool:
 # --------------------------------------------------------------------------- #
 
 
-def _csv_field(term: Term | None) -> str:
+def _csv_field(term: Term) -> str:
     """CSV value per the W3C mapping: lexical forms only, RFC 4180 quoting."""
-    if term is None:
-        return ""
-    if isinstance(term, Literal):
-        text = term.lexical
-    elif isinstance(term, BNode):
-        text = f"_:{term}"
-    else:
-        text = str(term)
+    text = f"_:{term}" if isinstance(term, BNode) else _render(term)
     if any(ch in text for ch in (",", '"', "\n", "\r")):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _tsv_field(term: Term | None) -> str:
-    return "" if term is None else term.n3()
+def _tsv_field(term: Term) -> str:
+    return term.n3()
 
 
-def _delimited_document(
-    header: str,
-    blocks: Iterable[Block],
-    field: Callable[[Term | None], str],
-    delimiter: str,
-    newline: str,
-) -> Iterator[str]:
-    """The shared shape of CSV and TSV: a header line, then one line per
-    row, rendered column by column."""
-    def encode(columns: "list[list[Term | None] | None]", count: int) -> str:
-        return "".join(
-            delimiter.join(cells) + newline for cells in _cells(columns, count, field)
-        )
-
-    return _document(header + newline, blocks, encode)
+def _lines(encode, delimiter: str, newline: str, columns, count: int, dictionary) -> str:
+    """A block as CSV / TSV: one line per row of ``encode``'s cells."""
+    rows = _rows(columns, count, dictionary, encode)
+    return newline.join(map(delimiter.join, rows)) + newline
 
 
 def csv_document(variables: list[Variable], blocks: Iterable[Block]) -> Iterator[str]:
     """The W3C CSV serialization (CRLF line endings, plain values), one
     piece per block."""
-    header = ",".join(str(v) for v in variables)
-    return _delimited_document(header, blocks, _csv_field, ",", "\r\n")
-
-
-def iter_csv(
-    variables: list[Variable], rows: Iterable[dict[Variable, Term]]
-) -> Iterator[str]:
-    """:func:`csv_document` over solution rows."""
-    return csv_document(variables, row_blocks(variables, rows))
+    header = ",".join(str(v) for v in variables) + "\r\n"
+    return _document(header, blocks, partial(_lines, _csv_field, ",", "\r\n"))
 
 
 def to_csv(result: SelectResult) -> str:
@@ -549,15 +539,8 @@ def to_csv(result: SelectResult) -> str:
 def tsv_document(variables: list[Variable], blocks: Iterable[Block]) -> Iterator[str]:
     """The W3C TSV serialization (terms in Turtle/N-Triples syntax), one
     piece per block."""
-    header = "\t".join(f"?{v}" for v in variables)
-    return _delimited_document(header, blocks, _tsv_field, "\t", "\n")
-
-
-def iter_tsv(
-    variables: list[Variable], rows: Iterable[dict[Variable, Term]]
-) -> Iterator[str]:
-    """:func:`tsv_document` over solution rows."""
-    return tsv_document(variables, row_blocks(variables, rows))
+    header = "\t".join(f"?{v}" for v in variables) + "\n"
+    return _document(header, blocks, partial(_lines, _tsv_field, "\t", "\n"))
 
 
 def to_tsv(result: SelectResult) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -136,6 +136,7 @@ class TermDictionary:
     """Bidirectional term ↔ integer-id mapping.
 
     Ids are dense and start at 0, so the reverse direction is a plain list.
+    An id never changes its term: what is derived from one is kept per id.
     """
 
     def __init__(self) -> None:
@@ -147,6 +148,7 @@ class TermDictionary:
         # concurrent first users do not each pay for the same build.
         self._value_columns = _NO_VALUES
         self._value_lock = threading.Lock()
+        self._cells: dict[Callable[[Term], str], list[str | None]] = {}
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -171,14 +173,33 @@ class TermDictionary:
     def decode_batch(self, term_ids) -> list[Term]:
         """Decode a sequence of ids (e.g. a numpy column) to terms.
 
-        The one decode entry point of late materialization. Repeated ids
-        come back as the same term object: the reverse direction is a
-        list, and indexing it is cheaper than any memo in front of it.
+        What row consumers read (a serializer gathers :meth:`cells`
+        instead). Repeated ids come back as the same term object.
         """
         table = self._id_to_term
         if isinstance(term_ids, np.ndarray):
             term_ids = term_ids.tolist()  # plain ints index a list fastest
         return [table[term_id] for term_id in term_ids]
+
+    def cells(self, term_ids, encode: Callable[[Term], str]) -> list[str]:
+        """``encode(term)`` of each id, gathered from ``encode``'s column: a
+        cell is made the first time its id is gathered, then kept. No lock:
+        the column is extended copy-on-write as the dictionary grows, and
+        two threads making one cell store equal strings."""
+        column = self._cells.get(encode, [])
+        if (missing := len(self._id_to_term) - len(column)) > 0:
+            column = self._cells[encode] = column + [None] * missing
+        if isinstance(term_ids, np.ndarray):
+            term_ids = term_ids.tolist()
+        cells = [column[term_id] for term_id in term_ids]
+        if None in cells:  # ids served in this format for the first time
+            table = self._id_to_term
+            for offset, term_id in enumerate(term_ids):
+                if cells[offset] is None:
+                    if column[term_id] is None:
+                        column[term_id] = encode(table[term_id])
+                    cells[offset] = column[term_id]
+        return cells  # type: ignore[return-value]
 
     def numeric_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The shared value column: ``(values, kinds)`` indexed by term id.
@@ -240,12 +261,5 @@ class TermDictionary:
         for _ in range(count):
             (length,) = struct.unpack("<I", fh.read(4))
             term = decode_term(fh.read(length))
-            dictionary.encode(term)
-        return dictionary
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[Term]) -> "TermDictionary":
-        dictionary = cls()
-        for term in terms:
             dictionary.encode(term)
         return dictionary

@@ -123,7 +123,7 @@ def test_a_textual_hit_runs_no_parser_planner_or_serializer(server, monkeypatch)
             raise AssertionError(f"{name} called on a hit")
         return fail
 
-    for name in ("parse_query", "decode_block", "to_sparql_json",
+    for name in ("parse_query", "batch_block", "to_sparql_json",
                  "serialize_ntriples", "ask_to_sparql_json", "_evaluate"):
         monkeypatch.setattr(app, name, forbidden(name))
     for name in ("plan_digest", "query", "stream_select"):

@@ -177,6 +177,9 @@ def test_every_request_is_accounted_exactly_once(monkeypatch):
         assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
         assert not raw.endswith(b"0\r\n\r\n")
         double.fail_at = None
+        # the client saw the close, which comes before the accounting: wait
+        # for it, or the in-flight wait below could see this request
+        assert wait_for(lambda: not server.stats()["inflight"])
         # 2. a full queue: one request on the worker, one queued, one refused
         background = [
             threading.Thread(target=lambda: timed_get(port, sparql("ASK {}")))

@@ -21,9 +21,10 @@ from repro.sparql import QueryEngine
 from repro.sparql import vectorized
 from repro.sparql.results import (
     SelectResult,
-    iter_csv,
+    csv_document,
     iter_sparql_json,
-    iter_tsv,
+    row_blocks,
+    tsv_document,
 )
 from repro.store.memory import MemoryStore
 from repro.workload.rdf_graphs import EX, powerlaw_link_graph, typed_entities
@@ -145,8 +146,8 @@ def entry_of(server, query):
 
 FORMATS = {
     JSON_TYPE: (iter_sparql_json, legacy_json),
-    CSV_TYPE: (iter_csv, legacy_csv),
-    TSV_TYPE: (iter_tsv, legacy_tsv),
+    CSV_TYPE: (lambda v, rows: csv_document(v, row_blocks(v, rows)), legacy_csv),
+    TSV_TYPE: (lambda v, rows: tsv_document(v, row_blocks(v, rows)), legacy_tsv),
 }
 
 

@@ -164,12 +164,19 @@ from repro.sparql.results import (
     BLOCK_ROWS,
     _json_term,
     csv_document,
-    iter_csv,
-    iter_tsv,
     json_document,
     row_blocks,
+    tsv_document,
 )
 from tests.helpers import legacy_csv, legacy_json, legacy_tsv
+
+
+def iter_csv(variables, rows):
+    return csv_document(variables, row_blocks(variables, rows))
+
+
+def iter_tsv(variables, rows):
+    return tsv_document(variables, row_blocks(variables, rows))
 
 _IRI_TEXT = st.text(
     st.characters(blacklist_characters='<>" \n\t', blacklist_categories=("Cs",)),
@@ -302,3 +309,126 @@ def test_a_cache_hit_shares_the_columnar_backing():
     rows = hit.rows  # decoded for the hit...
     assert len(rows) == 5 and computed.rows is rows  # ...and for every re-wrap
     assert engine.query(query).rows is rows
+
+
+# ---------------------------------------------------------------------------
+# Id columns are encoded by one gather from the dictionary's cell columns
+# ---------------------------------------------------------------------------
+
+import sys
+import threading
+
+import numpy as np
+
+from repro.sparql.physical import Batch
+from repro.store.dictionary import TermDictionary
+
+
+def _id_backed(variables, ids, cuts, dictionary):
+    """``?s ?name`` id pairs as a result of batches cut at ``cuts``."""
+    bounds = [0, *sorted(cut for cut in cuts if cut < len(ids)), len(ids)]
+    return SelectResult.from_batches(variables, [
+        Batch({S: ids[start:stop, 0], NAME: ids[start:stop, 1]}, stop - start)
+        for start, stop in zip(bounds, bounds[1:])
+    ], dictionary)
+
+
+def _served(result, extra=None):
+    return (to_sparql_json(result, extra=extra), to_csv(result), to_tsv(result),
+            result.to_table(max_rows=None), result.to_table(max_rows=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_TERMS, _TERMS), min_size=1, max_size=12),
+    cuts=st.sets(st.integers(1, 11)),
+    duplicate=st.booleans(),
+    extra=st.sampled_from([None, {"approximate": True, "bounds": {"n": 0.5}}]),
+)
+def test_id_backed_and_row_backed_answers_are_the_same_bytes(
+    pairs, cuts, duplicate, extra
+):
+    # ?age is bound by no row; a duplicate header variable is one member
+    variables = [S, NAME, AGE] + ([NAME] if duplicate else [])
+    dictionary = TermDictionary()
+    ids = np.array([[dictionary.encode(term) for term in pair] for pair in pairs])
+    by_rows = SelectResult(variables, [
+        {S: dictionary.decode(s), NAME: dictionary.decode(name)}
+        for s, name in ids.tolist()
+    ])
+    expected = _served(by_rows, extra)
+    assert expected[0] == legacy_json(variables, by_rows.rows, extra=extra)
+    by_ids = _id_backed(variables, ids, cuts, dictionary)
+    assert _served(by_ids, extra) == expected  # cells made
+    assert _served(by_ids, extra) == expected  # cells gathered
+    assert by_ids._columns.rows is None
+
+
+def test_ids_added_after_a_column_exists_get_cells():
+    dictionary = TermDictionary()
+    first = [dictionary.encode(term) for term in (IRI("http://example.org/a"), Literal(1))]
+    assert dictionary.cells(np.array(first), _json_term) == [
+        _json_term(IRI("http://example.org/a")), _json_term(Literal(1))]
+    column = dictionary._cells[_json_term]
+    later = dictionary.encode(Literal("new", lang="en"))
+    assert dictionary.cells(np.array([later, first[1], later]), _json_term) == [
+        _json_term(Literal("new", lang="en")), _json_term(Literal(1)),
+        _json_term(Literal("new", lang="en"))]
+    # extended copy-on-write: whoever holds the old column keeps a valid one
+    assert len(column) == 2 and len(dictionary._cells[_json_term]) == 3
+
+
+def test_eight_threads_gather_overlapping_columns_while_a_writer_adds_terms():
+    dictionary = TermDictionary()
+    terms = [
+        kind(index)
+        for index in range(300)
+        for kind in (
+            lambda i: IRI(f"http://example.org/{i}"),
+            lambda i: Literal(f'label "{i}",\n'),
+            lambda i: Literal(i / 4),
+        )
+    ]
+    ids = np.array([dictionary.encode(term) for term in terms]).reshape(-1, 2)
+    windows = [(index * 40, index * 40 + 200) for index in range(8)]  # overlapping
+    reference = [
+        _served(SelectResult([S, NAME], [
+            {S: dictionary.decode(s), NAME: dictionary.decode(name)}
+            for s, name in ids[start:stop].tolist()
+        ]))
+        for start, stop in windows
+    ]
+    failures: list[str] = []
+    stop = threading.Event()
+
+    def reader(index: int) -> None:
+        start, end = windows[index]
+        for _ in range(25):
+            result = _id_backed([S, NAME], ids[start:end], {50, 120}, dictionary)
+            if _served(result) != reference[index]:
+                failures.append(f"window {index}")
+                return
+
+    def writer() -> None:
+        count = 0
+        while not stop.is_set():
+            dictionary.encode(Literal(f"written {count}"))
+            count += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        growing = threading.Thread(target=writer)
+        growing.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        stop.set()
+        growing.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + [growing])
+    assert not failures, failures
+    assert len(dictionary) > len(terms)  # the columns were extended meanwhile

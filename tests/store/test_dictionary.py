@@ -103,9 +103,12 @@ class TestTermDictionary:
         assert list(loaded.terms()) == terms
         assert loaded.lookup(Literal(7)) == d.lookup(Literal(7))
 
-    def test_from_terms(self):
-        d = TermDictionary.from_terms([Literal("a"), Literal("b"), Literal("a")])
-        assert len(d) == 2
+
+def dictionary_of(terms) -> TermDictionary:
+    dictionary = TermDictionary()
+    for term in terms:
+        dictionary.encode(term)
+    return dictionary
 
 
 # -- property-based codec round-trip ----------------------------------------
@@ -131,7 +134,7 @@ def test_codec_round_trip_property(term):
 
 @given(st.lists(_terms, max_size=30))
 def test_dictionary_dump_load_property(terms):
-    d = TermDictionary.from_terms(terms)
+    d = dictionary_of(terms)
     buffer = io.BytesIO()
     d.dump(buffer)
     buffer.seek(0)
@@ -156,7 +159,7 @@ class TestNumericValueColumn:
             IRI("http://example.org/x"),
             BNode("b"),
         ]
-        dictionary = TermDictionary.from_terms(terms)
+        dictionary = dictionary_of(terms)
         values, kinds = dictionary.numeric_columns()
         assert kinds.tolist() == [
             VALUE_INT, VALUE_FLOAT, VALUE_FLOAT, VALUE_INT,
@@ -167,7 +170,7 @@ class TestNumericValueColumn:
         assert values[9] == float("inf")
 
     def test_built_lazily_once_and_extended_when_the_dictionary_grows(self):
-        dictionary = TermDictionary.from_terms([Literal(1), Literal(2)])
+        dictionary = dictionary_of([Literal(1), Literal(2)])
         first = dictionary.numeric_columns()
         assert dictionary.numeric_columns() is first  # no rebuild, no copy
         dictionary.encode(Literal(3.5))
@@ -176,7 +179,7 @@ class TestNumericValueColumn:
         assert first[0].tolist() == [1.0, 2.0]  # published arrays never change
 
     def test_survives_a_dump_load_round_trip(self):
-        dictionary = TermDictionary.from_terms([IRI("http://e/x"), Literal(4)])
+        dictionary = dictionary_of([IRI("http://e/x"), Literal(4)])
         buffer = io.BytesIO()
         dictionary.dump(buffer)
         buffer.seek(0)
