@@ -83,6 +83,7 @@ from ..sparql.results import (
     term_to_json,
 )
 from ..sparql.vectorized import VectorizedBGP, _concat, _distinct_keys
+from ..store.base import unique_ids
 from ..store.dictionary import VALUE_OTHER, TermDictionary
 
 __all__ = [
@@ -439,7 +440,7 @@ def _fold(bundle: SketchBundle, batches: list[Batch], dictionary) -> None:
             if not bound.all():
                 ids, member = ids[bound], member[bound]
         if spec.distinct:
-            for term in dictionary.decode_batch(np.unique(ids)):
+            for term in dictionary.decode_batch(unique_ids(ids)):
                 spec.sketch.add(_term_key(term))
         elif spec.kind == "COUNT":
             counts = np.bincount(member, minlength=groups)

@@ -12,15 +12,15 @@ store itself (memory, cracking, paged) or an encoding adaptor over its
 so there is nothing to choose between and no option that chooses.
 
 **One join: scan, then probe, in optimizer order.** The first pattern is
-scanned; each further pattern extends every batch by an index probe. A
-batch's rows are grouped by the ids of the variables the pattern shares
-with it (``np.unique``), the source is probed once per distinct key, and
-the matches are expanded with a ragged gather. Two shapes skip the per-key
-round trips: one shared and one free variable against a source that offers
-``probe_ids`` (the star-expansion shape: two binary searches for all keys
-at once), and a pattern whose only variable is already bound — a pure
-constraint, ``?s rdf:type ex:C`` after ``?s`` is known — which is one
-``distinct_ids`` run and a membership mask over the batch, in row order.
+scanned; each further pattern extends every batch by an index probe. The
+star shape, one shared and one free variable against a source that offers
+``probe_ids``, hands over the batch's key column as it is: one binary
+search per row, and the batch is reused whole when every row matched once
+(else rows repeat by their match counts). A pattern whose only variable
+is already bound — a pure constraint, ``?s rdf:type ex:C`` after ``?s`` is
+known — is one ``distinct_ids`` run and a membership mask over the batch.
+Other shapes are probed once per distinct shared key (``np.unique``) and
+expanded by a ragged gather. Rows keep input order on every path.
 Stars, chains and cycles all run this way; what the optimizer's order
 decides is which constraint is scanned and which become masks.
 
@@ -87,7 +87,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ..rdf.terms import Literal, Term, Variable
-from ..store.base import DEFAULT_BATCH_SIZE, FIRST_BATCH_SIZE, IdScanSource
+from ..store.base import DEFAULT_BATCH_SIZE, FIRST_BATCH_SIZE, IdScanSource, unique_ids
 from ..store.dictionary import VALUE_EXACT_INT, VALUE_FLOAT, TermDictionary
 from .expr import (
     Binding,
@@ -791,6 +791,30 @@ class VectorizedBGP(PhysicalOperator):
                     yield batch
                 continue
 
+            # Star expansion: the third position is bound, so ``probe_ids``
+            # answers the key column as it is, one search per row.
+            if (
+                len(shared_here) == 1
+                and len(free) == 1
+                and not one.dup_slots
+                and hasattr(self.source, "probe_ids")
+            ):
+                (key_at, key), ((value_at, variable),) = shared_here[0], free
+                counts, values = self.source.probe_ids(
+                    *one.ids, key_at, batch.columns[key], value_at
+                )
+                self.stats.store_lookups += 1
+                self._account_scan(scan, len(values))
+                if not len(values):
+                    continue
+                columns = dict(batch.columns)
+                if not (counts == 1).all():
+                    rows = np.repeat(np.arange(batch.count), counts)
+                    columns = {v: column[rows] for v, column in columns.items()}
+                columns[variable] = values
+                yield Batch(columns, len(values))
+                continue
+
             if shared_here:
                 key_rows, inverse = _distinct_keys(
                     [batch.columns[v] for _, v in shared_here]
@@ -798,40 +822,6 @@ class VectorizedBGP(PhysicalOperator):
             else:  # no shared variable: one probe serves the whole batch
                 key_rows = np.empty((1, 0), dtype=np.int64)
                 inverse = np.zeros(batch.count, dtype=np.int64)
-
-            # Batched-probe fast path: a single shared key and single free
-            # variable (the star-expansion shape) can be answered in one
-            # store call when the source exposes ``probe_ids``, skipping
-            # the per-key Python round trips below.
-            if (
-                len(shared_here) == 1
-                and len(free) == 1
-                and not one.dup_slots
-                and hasattr(self.source, "probe_ids")
-            ):
-                s, p, o = one.ids
-                try:
-                    counts, values = self.source.probe_ids(
-                        s, p, o, shared_here[0][0], key_rows[:, 0], free[0][0]
-                    )
-                except LookupError:
-                    # repro: swallow(source lacks probe_ids support;
-                    # the generic scan path below handles the probe)
-                    pass
-                else:
-                    self.stats.store_lookups += 1
-                    row_index, match_index = _ragged_gather(counts, inverse)
-                    total = len(row_index)
-                    self._account_scan(scan, total)
-                    if not total:
-                        continue
-                    columns = {
-                        variable: column[row_index]
-                        for variable, column in batch.columns.items()
-                    }
-                    columns[free[0][1]] = values[match_index]
-                    yield Batch(columns, total)
-                    continue
 
             match_lists: list[np.ndarray] = []
             for key in key_rows:
@@ -1114,7 +1104,7 @@ class BatchAggregateOp(AggregateOp):
         if groups * span >= 2**62:
             self.fallback = "(group, id) pairs exceed int64"
             return None
-        pairs = np.unique(inverse * span + ids)
+        pairs = unique_ids(inverse * span + ids)
         distinct = np.bincount(pairs // span, minlength=groups)
         return [to_term(n) for n in distinct.tolist()]
 

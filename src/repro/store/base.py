@@ -117,13 +117,24 @@ class IdScanSource(Protocol):
         ...
 
 
+def run_starts(column: np.ndarray) -> np.ndarray:
+    """Indices at which a sorted column starts a new value."""
+    if not len(column):
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+
+
+def unique_ids(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct ids by one sort (``np.unique`` hashes int64: ~10x slower)."""
+    ordered = np.sort(ids)
+    return ordered[run_starts(ordered)]
+
+
 def distinct_ids_of(batches: Iterable[np.ndarray], position: int) -> np.ndarray:
     """:meth:`IdScanSource.distinct_ids` for a source with no run to read
     it off: the sorted unique ids in column ``position`` of a scan."""
     columns = [batch[:, position] for batch in batches]
-    if not columns:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(columns))
+    return unique_ids(np.concatenate([np.empty(0, dtype=np.int64), *columns]))
 
 
 class _ScratchDictionary(TermDictionary):

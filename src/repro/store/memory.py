@@ -29,7 +29,7 @@ import numpy as np
 
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot
+from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot, run_starts, unique_ids
 from .dictionary import TermDictionary
 
 __all__ = ["MemoryStore"]
@@ -49,13 +49,6 @@ _ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 #: ``first << 32 | second``, so ids must stay below 2^31.
 _ID_LIMIT = 1 << 31
 _LOW_BITS = (1 << 32) - 1
-
-
-def _run_starts(column: np.ndarray) -> np.ndarray:
-    """Indices at which a sorted column starts a new value."""
-    if not len(column):
-        return _EMPTY_IDS
-    return np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
 
 
 def _serving_run(bound: tuple[bool, bool, bool]) -> tuple[int, int]:
@@ -119,12 +112,6 @@ class _Run:
             lo += int(tail.searchsorted(ids[third]))
         return lo, hi
 
-    def spans(self, first, second) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`span` of many two-column prefixes at once (either side
-        may be an id array)."""
-        wanted = (first << 32) | second
-        return self.keys.searchsorted(wanted), self.keys.searchsorted(wanted, "right")
-
     def merged(self, rows: np.ndarray) -> "_Run":
         """This run plus ``rows`` (``(3, k)``, none already present).
 
@@ -135,7 +122,8 @@ class _Run:
         rows = np.take(
             rows, np.lexsort((rows[third], rows[second], rows[first])), axis=1
         )
-        lo, hi = self.spans(rows[first], rows[second])
+        prefix = (rows[first] << 32) | rows[second]
+        lo, hi = self.keys.searchsorted(prefix), self.keys.searchsorted(prefix, "right")
         column, wanted, last = self.cols[third], rows[third], len(self.keys) - 1
         # Binary search on the third key inside every span at once.
         while (unresolved := lo < hi).any():
@@ -342,7 +330,7 @@ class MemoryStore:
         When ``position`` is the key column right after the bound prefix —
         subjects of ``(?, ?, o)``, objects of ``(s, p, ?)`` or ``(?, p, ?)``,
         the shapes worst-case-optimal joins intersect — the answer is the
-        run's own slice; other shapes pay one ``np.unique`` over the span.
+        run's own slice; other shapes pay one sort over the span.
         """
         ids = (s, p, o)
         if s is None and p is None and o is None:
@@ -355,10 +343,10 @@ class MemoryStore:
         if ids[position] is not None:
             return column[:1]
         if run.order[depth] != position:
-            return np.unique(column)
+            return unique_ids(column)
         if depth == 2:  # triples are unique: the last key never repeats
             return column
-        return column[_run_starts(column)]
+        return column[run_starts(column)]
 
     def probe_ids(
         self,
@@ -369,16 +357,15 @@ class MemoryStore:
         keys: np.ndarray,
         value_position: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched point probes: two binary searches for all keys at once.
-
-        For each ``keys[i]`` substituted at ``key_position`` of the id
-        pattern, collect the ids at ``value_position`` of its matches.
-        Returns ``(counts, values)``: ``counts[i]`` matches for ``keys[i]``
-        and ``values`` their concatenation in key order. Served when the
-        third position is bound (so key and bound id are a two-column
-        prefix and the values are distinct); anything else raises
-        :class:`LookupError` and callers fall back to per-key
-        :meth:`distinct_ids` probes.
+        """Batched point probes: one binary search per key (any order,
+        repeats allowed) substituted at ``key_position`` of the id pattern,
+        collecting the ids at ``value_position`` of its matches. Returns
+        ``(counts, values)``: ``counts[i]`` matches for ``keys[i]`` and
+        ``values`` their concatenation in key order, each key's ascending.
+        Served when the third position is bound (so key and bound id are a
+        two-column prefix); anything else raises :class:`LookupError`.
+        When no hit's next row matches too (a single-valued predicate) the
+        hits are the answer; else a second search ends every key's span.
         """
         ids = (s, p, o)
         fixed = 3 - key_position - value_position
@@ -393,8 +380,15 @@ class MemoryStore:
         run = self._run(self._current(), lead)
         keys = np.asarray(keys, dtype=np.int64)
         first, second = (ids[fixed], keys) if lead == fixed else (keys, ids[fixed])
-        lo, hi = run.spans(first, second)
-        counts = hi - lo
+        wanted = (first << 32) | second
+        lo, last = run.keys.searchsorted(wanted), len(run.keys) - 1
+        if last < 0:
+            return np.zeros(len(keys), dtype=np.int64), _EMPTY_IDS
+        found = run.keys.take(lo, mode="clip") == wanted
+        again = (lo < last) & (run.keys.take(lo + 1, mode="clip") == wanted)
+        if not again.any():
+            return found.astype(np.int64), run.cols[value_position][lo[found]]
+        counts = run.keys.searchsorted(wanted, "right") - lo
         # Ragged gather: row lo[i] + j for every j < counts[i], in key order.
         skipped = np.cumsum(counts) - counts
         rows = np.repeat(lo - skipped, counts) + np.arange(int(counts.sum()))
@@ -445,14 +439,14 @@ class MemoryStore:
             predicates, cards = np.unique(pos.cols[1], return_counts=True)
             # One POS key per distinct (p, o): counting them per predicate
             # gives exact distinct objects, aligned with ``predicates``.
-            pairs = pos.keys[_run_starts(pos.keys)] >> 32
+            pairs = pos.keys[run_starts(pos.keys)] >> 32
             distincts = np.unique(pairs, return_counts=True)[1]
             terms = [decode(pid) for pid in predicates.tolist()]
             generation.stats = StatisticsSnapshot(
                 triple_count=generation.size,
-                distinct_subjects=len(_run_starts(spo.cols[0])),
+                distinct_subjects=len(run_starts(spo.cols[0])),
                 distinct_predicates=len(terms),
-                distinct_objects=len(_run_starts(osp.cols[2])),
+                distinct_objects=len(run_starts(osp.cols[2])),
                 predicate_cardinalities=MappingProxyType(
                     dict(zip(terms, cards.tolist()))
                 ),
