@@ -73,12 +73,6 @@ REGISTRY: tuple[EnvVar, ...] = (
         "`flight-<seq>.jsonl` (CI uploads these as artifacts).",
     ),
     EnvVar(
-        "REPRO_PROFILE", "string", "",
-        "Start the sampling profiler with the process: `1` for the "
-        "default 10 ms cadence, a number for a custom interval in ms "
-        "(`repro.obs.profile.profiler_from_env`).",
-    ),
-    EnvVar(
         "REPRO_BENCH_QUICK", "flag", "0",
         "Shrink the benchmark suite to CI smoke size; regress.py widens "
         "its tolerances accordingly (`--quick`).",

@@ -172,7 +172,7 @@ class ExplorationSession:
 
         Each step is budget-accounted under its kind's interaction class,
         so a replay over a workload trace yields a per-class
-        :class:`~repro.obs.BudgetReport` (``OBS.budgets.report()``).
+        :class:`~repro.obs.budget.BudgetReport` (``OBS.budgets.report()``).
         """
         for operation in self.operations:
             with OBS.interaction(

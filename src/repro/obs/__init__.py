@@ -1,16 +1,19 @@
 """repro.obs — unified telemetry: spans, metrics, progress, budgets, flight.
 
 One process-wide :class:`Observability` handle (``OBS``) owns the tracer,
-the metrics registry, the progress emitter, the latency-budget tracker, and
-the flight recorder. Hot call sites across the query/store/cache stack
-guard on a single attribute check::
+the metrics registry, the progress emitter, the latency policy
+(``OBS.budgets``: the class budgets and the one judge of a latency against
+them — budget report, tenant burn rate and shed window), the flight
+recorder, and the query log. Every bounded recent history among them is
+one :class:`~repro.obs.ring.Ring`. Hot call sites across the
+query/store/cache stack guard on a single attribute check::
 
     from repro.obs import OBS
     ...
     if OBS.enabled:
         OBS.metrics.counter("store.paged.page_miss").inc()
 
-Tracing starts disabled; enable it with :func:`configure`, the
+Tracing starts disabled; enable it with ``OBS.configure``, the
 :envvar:`REPRO_TRACE` environment variable, or the :func:`trace_query`
 convenience context manager::
 
@@ -46,33 +49,23 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from ..env import read_flag, read_str
+from ..env import read_flag
 from .budget import (
     BATCH,
-    DEFAULT_BUDGETS_MS,
     INTERACTIVE,
     NAVIGATION,
     PROGRESSIVE,
-    BudgetReport,
-    BudgetTracker,
-    ClassReport,
     LatencyBudget,
+    LatencyPolicy,
 )
 from .export import (
-    StitchedSpan,
-    merge_into_bench,
-    render_prometheus,
     render_span_tree,
-    render_stitched_tree,
     span_to_dicts,
     spans_to_jsonl,
-    stitch_jsonl,
-    stitch_records,
     telemetry_payload,
 )
-from .flight import FlightDump, FlightEntry, FlightRecorder
+from .flight import FlightRecorder
 from .metrics import (
-    DEFAULT_BUCKETS,
     TIME_MS_BUCKETS,
     BoundedLabelSet,
     Counter,
@@ -80,16 +73,8 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profile import PROFILE_ENV, SamplingProfiler, profiler_from_env
 from .progress import ProgressEmitter, ProgressEvent
-from .querylog import (
-    QUERYLOG_DIR_ENV,
-    QUERYLOG_ENV,
-    QueryLog,
-    QueryRecord,
-    ScanObservation,
-)
-from .slo import SloTracker, TenantSlo
+from .querylog import QueryLog
 from .trace import (
     NOOP_SPAN,
     NoopSpan,
@@ -100,36 +85,27 @@ from .trace import (
     traced_iter,
 )
 
+# What callers across the tree import from the package; everything else is
+# imported from its module (``repro.obs.export``, ``repro.obs.flight``, …).
 __all__ = [
     "OBS",
     "Observability",
     "Interaction",
-    "configure",
     "record_error",
     "trace_query",
     "track",
     # trace
     "Span",
-    "NoopSpan",
     "NOOP_SPAN",
     "SpanRecorder",
     "TraceContext",
     "Tracer",
     "traced_iter",
-    # slo
-    "SloTracker",
-    "TenantSlo",
-    # profiler
-    "SamplingProfiler",
-    "profiler_from_env",
-    "PROFILE_ENV",
     # metrics
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "BoundedLabelSet",
-    "DEFAULT_BUCKETS",
     "TIME_MS_BUCKETS",
     # progress
     "ProgressEmitter",
@@ -139,32 +115,15 @@ __all__ = [
     "NAVIGATION",
     "PROGRESSIVE",
     "BATCH",
-    "DEFAULT_BUDGETS_MS",
     "LatencyBudget",
-    "ClassReport",
-    "BudgetReport",
-    "BudgetTracker",
-    # flight recorder
-    "FlightEntry",
-    "FlightDump",
-    "FlightRecorder",
+    "LatencyPolicy",
     # query log
     "QueryLog",
-    "QueryRecord",
-    "ScanObservation",
-    "QUERYLOG_ENV",
-    "QUERYLOG_DIR_ENV",
     # export
     "span_to_dicts",
     "spans_to_jsonl",
     "render_span_tree",
-    "StitchedSpan",
-    "stitch_records",
-    "stitch_jsonl",
-    "render_stitched_tree",
-    "render_prometheus",
     "telemetry_payload",
-    "merge_into_bench",
 ]
 
 _clock = time.perf_counter_ns
@@ -174,9 +133,6 @@ _clock = time.perf_counter_ns
 _ERROR_SITE_CAP = 64
 _ERROR_EXCEPTION_CAP = 16
 
-# Hottest folded stacks attached to each flight dump while profiling.
-_PROFILE_DUMP_STACKS = 40
-
 
 def _env_enabled() -> bool:
     return read_flag("REPRO_TRACE")
@@ -185,7 +141,7 @@ def _env_enabled() -> bool:
 class Interaction:
     """One budget-accounted interaction (context manager).
 
-    Always: times the body, feeds the budget tracker, and records a flight
+    Always: times the body, feeds the latency policy, and records a flight
     entry. When tracing is enabled: additionally opens a span tagged
     ``interaction_class`` under the ambient stack. A budget violation
     triggers a (throttled) flight-recorder dump carrying the offending
@@ -261,7 +217,7 @@ class Observability:
     """
 
     __slots__ = ("enabled", "tracer", "metrics", "progress", "budgets",
-                 "flight", "querylog", "profiler", "_error_sites",
+                 "flight", "querylog", "_error_sites",
                  "_error_exceptions", "_progress_last_ns")
 
     def __init__(self, enabled: bool | None = None) -> None:
@@ -272,30 +228,15 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.progress = ProgressEmitter(error_counter=self._count_error)
         self.flight = FlightRecorder()
-        # The recorder's own failures (disk full, broken profiler) count
+        # The recorder's own failures (a full disk) count
         # into obs.errors through the non-dumping path: see
         # _count_error_quiet for why it must not re-enter the recorder.
         self.flight.error_counter = self._count_error_quiet
         self.querylog = QueryLog()
         # Records emitted without an explicit trace id inherit the ambient
-        # trace; wired here (not in querylog.py) to keep the module free of
-        # a circular trace import.
+        # trace of this handle's tracer.
         self.querylog.trace_provider = self.tracer.current_context
-        self.budgets = BudgetTracker(metrics=self.metrics)
-        self.profiler: SamplingProfiler | None = None
-        self._error_sites = BoundedLabelSet(_ERROR_SITE_CAP)
-        self._error_exceptions = BoundedLabelSet(_ERROR_EXCEPTION_CAP)
-        self._progress_last_ns: dict[str, int] = {}
-        self.progress.tap(self._flight_progress)
-        # REPRO_PROFILE starts the sampling profiler with the process and
-        # attaches its hottest stacks to every flight dump.
-        env_profiler = profiler_from_env(read_str(PROFILE_ENV))
-        if env_profiler is not None:
-            self.profiler = env_profiler
-            self.flight.profile_provider = (
-                lambda: env_profiler.folded(limit=_PROFILE_DUMP_STACKS)
-            )
-            env_profiler.start()
+        self.reset()
 
     # -- error accounting --------------------------------------------------
 
@@ -336,30 +277,6 @@ class Observability:
         return Interaction(self, name, interaction_class, dict(attributes),
                            remote_parent=remote_parent)
 
-    # -- profiler ----------------------------------------------------------
-
-    def start_profiler(
-        self, interval_ms: float = 10.0
-    ) -> SamplingProfiler:
-        """Start (or return) the background sampling profiler.
-
-        Its hottest stacks attach to every flight dump until
-        :meth:`stop_profiler` is called.
-        """
-        if self.profiler is None:
-            self.profiler = SamplingProfiler(interval_ms=interval_ms)
-        profiler = self.profiler
-        self.flight.profile_provider = (
-            lambda: profiler.folded(limit=_PROFILE_DUMP_STACKS)
-        )
-        profiler.start()
-        return profiler
-
-    def stop_profiler(self) -> None:
-        if self.profiler is not None:
-            self.profiler.stop()
-        self.flight.profile_provider = None
-
     # -- progress → flight + cadence budget --------------------------------
 
     def _flight_progress(self, event: ProgressEvent) -> None:
@@ -391,7 +308,7 @@ class Observability:
                 raise ValueError("sample_rate must be in [0, 1]")
             self.tracer.sample_rate = sample_rate
         if max_spans is not None:
-            self.tracer.recorder.max_spans = max_spans
+            self.tracer.recorder = SpanRecorder(max_spans)
         if enabled is not None:
             self.enabled = enabled
             self.tracer.enabled = enabled
@@ -399,37 +316,23 @@ class Observability:
 
     def reset(self) -> None:
         """Clear recorded spans, metrics, progress, budget, and flight
-        state (tests)."""
+        state (tests); what ``__init__`` does not build is built here."""
         self.tracer.reset()
         self.metrics.reset()
         self.progress.reset()
-        # a fresh tracker also restores any budget overrides to the defaults
-        self.budgets = BudgetTracker(metrics=self.metrics)
+        # a fresh policy also restores any budget overrides to the defaults
+        self.budgets = LatencyPolicy(metrics=self.metrics)
         self.flight.reset()
         self.querylog.reset()
         self._error_sites = BoundedLabelSet(_ERROR_SITE_CAP)
         self._error_exceptions = BoundedLabelSet(_ERROR_EXCEPTION_CAP)
-        self._progress_last_ns = {}
+        self._progress_last_ns: dict[str, int] = {}
         # ProgressEmitter.reset dropped all subscribers and taps; re-wire
         # the always-on flight feed.
         self.progress.tap(self._flight_progress)
-        # The profiler (if any) keeps running across resets — it is
-        # process-scoped, not workload-scoped — but starts counting afresh.
-        if self.profiler is not None:
-            self.profiler.reset()
 
 
 OBS = Observability()
-
-
-def configure(
-    enabled: bool | None = None,
-    sample_rate: float | None = None,
-    max_spans: int | None = None,
-) -> Observability:
-    """Configure the global telemetry handle; returns it for chaining."""
-    return OBS.configure(enabled=enabled, sample_rate=sample_rate,
-                         max_spans=max_spans)
 
 
 def record_error(site: str, exc: BaseException) -> None:

@@ -1,4 +1,4 @@
-"""Declarative latency budgets per interaction class.
+"""Latency budgets per interaction class, and the one policy judging by them.
 
 The survey's Section 2 requirements are about *real-time, interactive*
 exploration: every operation — facet selection, node expansion, drill-down,
@@ -18,21 +18,28 @@ Three built-in classes (budgets in milliseconds):
 * ``batch`` (unbudgeted) — index builds and other preparation work that is
   measured but never counts as a violation.
 
-:class:`BudgetTracker` is the always-on accountant: every observation lands
-in a per-class count/total/max, a per-class latency histogram
-(:data:`~repro.obs.metrics.TIME_MS_BUCKETS` resolution), and — when over
-budget — a violation counter plus an ``on_violation`` callback (the flight
-recorder hooks in there). :meth:`BudgetTracker.report` summarizes it all as
-a :class:`BudgetReport` with per-class compliance rates.
+:class:`LatencyPolicy` holds the budgets and is the one judge of a latency
+against them. Its views: the :class:`BudgetReport` (per-class compliance,
+read from the ``obs.interaction_ms`` histograms and the
+``obs.budget.violations`` counters), each tenant's **SLO burn rate** (the
+share of its recent requests over budget, divided by the ``1 -
+SLO_OBJECTIVE`` share allowed: 1.0 spends the error budget as fast as it
+accrues) and the **shed window**, whose p95
+:class:`repro.server.shedding.LoadShedder` holds against its thresholds.
+Both windows keep the last ``WINDOW_S`` seconds, count-bounded; a server
+feeds windows of its own (:meth:`LatencyPolicy.windowed`) one
+:meth:`LatencyPolicy.judge` per finished request.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .metrics import TIME_MS_BUCKETS, MetricsRegistry
+from .metrics import TIME_MS_BUCKETS, Histogram, MetricsRegistry
 
 __all__ = [
     "INTERACTIVE",
@@ -43,7 +50,8 @@ __all__ = [
     "LatencyBudget",
     "ClassReport",
     "BudgetReport",
-    "BudgetTracker",
+    "LatencyPolicy",
+    "TenantSlo",
 ]
 
 INTERACTIVE = "interactive"
@@ -57,6 +65,19 @@ DEFAULT_BUDGETS_MS: dict[str, float | None] = {
     PROGRESSIVE: 1_000.0,
     BATCH: None,
 }
+
+# The in-budget share each tenant's recent requests owe (a 1% error
+# budget), how far back the windows look, and how much each one holds.
+SLO_OBJECTIVE = 0.99
+WINDOW_S = 30.0
+TENANT_SAMPLES = 512
+SHED_WINDOW = 64
+
+LATENCY = "obs.interaction_ms"
+VIOLATIONS = "obs.budget.violations"
+_UNSEEN = Histogram(LATENCY, buckets=TIME_MS_BUCKETS)  # never recorded into
+
+_clock = time.monotonic
 
 ViolationCallback = Callable[[str, str, float, float], None]
 
@@ -88,26 +109,18 @@ class ClassReport:
     @property
     def compliance(self) -> float:
         """Fraction of observations inside budget (1.0 when none seen)."""
-        if self.count == 0:
-            return 1.0
-        return 1.0 - self.violations / self.count
+        return _compliance(self.count, self.violations)
 
     @property
     def mean_ms(self) -> float:
         return self.total_ms / self.count if self.count else 0.0
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "interaction_class": self.interaction_class,
-            "limit_ms": self.limit_ms,
-            "count": self.count,
-            "violations": self.violations,
-            "compliance": round(self.compliance, 6),
-            "mean_ms": round(self.mean_ms, 6),
-            "max_ms": round(self.max_ms, 6),
-            "p50_ms": round(self.p50_ms, 6),
-            "p95_ms": round(self.p95_ms, 6),
-        }
+        record = {**asdict(self), "compliance": self.compliance,
+                  "mean_ms": self.mean_ms}
+        del record["total_ms"]
+        return {key: round(value, 6) if isinstance(value, float) else value
+                for key, value in record.items()}
 
 
 @dataclass(frozen=True)
@@ -126,16 +139,11 @@ class BudgetReport:
 
     @property
     def overall_compliance(self) -> float:
-        total = self.total_interactions
-        if total == 0:
-            return 1.0
-        return 1.0 - self.total_violations / total
+        return _compliance(self.total_interactions, self.total_violations)
 
     def for_class(self, interaction_class: str) -> ClassReport | None:
-        for entry in self.classes:
-            if entry.interaction_class == interaction_class:
-                return entry
-        return None
+        return next((entry for entry in self.classes
+                     if entry.interaction_class == interaction_class), None)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -166,25 +174,33 @@ class BudgetReport:
         return "\n".join(lines)
 
 
-class _ClassStats:
-    __slots__ = ("count", "violations", "total_ms", "max_ms")
+@dataclass(frozen=True)
+class TenantSlo:
+    """One tenant's rolling-window SLO state at one instant."""
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.violations = 0
-        self.total_ms = 0.0
-        self.max_ms = 0.0
+    tenant: str
+    objective: float
+    count: int
+    violations: int
+    burn_rate: float
+    by_class: dict[str, int]
+
+    @property
+    def compliance(self) -> float:
+        return _compliance(self.count, self.violations)
+
+    def to_dict(self) -> dict[str, object]:
+        return {**asdict(self), "compliance": round(self.compliance, 6),
+                "burn_rate": round(self.burn_rate, 6),
+                "by_class": dict(sorted(self.by_class.items()))}
 
 
-class BudgetTracker:
-    """Always-on latency accounting against per-class budgets.
+class LatencyPolicy:
+    """The one judge of a latency against its class budget.
 
-    ``metrics`` receives the per-class latency histogram
-    (``obs.interaction_ms``) and violation counter
-    (``obs.budget.violations``); ``on_violation`` is invoked as
-    ``(interaction_class, operation, duration_ms, limit_ms)`` whenever an
-    observation exceeds its class budget — the flight recorder's dump
-    trigger.
+    ``observe`` accounts an interaction for the report (over budget it
+    also calls ``on_violation(interaction_class, operation, duration_ms,
+    limit_ms)``); ``judge`` feeds a finished request into the windows.
     """
 
     def __init__(
@@ -192,15 +208,31 @@ class BudgetTracker:
         budgets: dict[str, float | None] | None = None,
         metrics: MetricsRegistry | None = None,
         on_violation: ViolationCallback | None = None,
+        shed_window: int = SHED_WINDOW,
     ) -> None:
-        source = DEFAULT_BUDGETS_MS if budgets is None else budgets
-        self._budgets: dict[str, LatencyBudget] = {
-            name: LatencyBudget(name, limit) for name, limit in source.items()
-        }
-        self.metrics = metrics
-        self.on_violation = on_violation
+        if shed_window < 1:
+            raise ValueError("shed_window must be positive")
         self._lock = threading.Lock()
-        self._stats: dict[str, _ClassStats] = {}  # guarded-by: _lock
+        self._budgets: dict[str, LatencyBudget] = {}
+        for name, limit in (DEFAULT_BUDGETS_MS if budgets is None
+                            else budgets).items():
+            self.set_budget(name, limit)
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self.on_violation = on_violation
+        # tenant -> its recent (monotonic s, class, violated) judgements
+        self._tenants = collections.defaultdict(  # guarded-by: _lock
+            lambda: collections.deque(maxlen=TENANT_SAMPLES))
+        self._shed: collections.deque[tuple[float, float]] \
+            = collections.deque(maxlen=shed_window)  # guarded-by: _lock
+
+    def windowed(self, shed_window: int = SHED_WINDOW) -> "LatencyPolicy":
+        """A policy with windows of its own (a server's) that judges by
+        this one's budgets — live: ``set_budget`` on either is seen by
+        both — and reports into the same metrics."""
+        policy = LatencyPolicy({}, self.metrics, self.on_violation,
+                               shed_window)
+        policy._budgets = self._budgets
+        return policy
 
     # -- configuration -----------------------------------------------------
 
@@ -215,18 +247,15 @@ class BudgetTracker:
 
     def budget(self, interaction_class: str) -> LatencyBudget:
         """The class's budget; unknown classes are unbudgeted."""
-        found = self._budgets.get(interaction_class)
-        if found is None:
-            return LatencyBudget(interaction_class, None)
-        return found
+        return (self._budgets.get(interaction_class)
+                or LatencyBudget(interaction_class, None))
 
-    @property
-    def classes(self) -> list[str]:
-        with self._lock:
-            known = set(self._budgets) | set(self._stats)
-        return sorted(known)
+    def _by_class(self, name: str) -> dict[str, object]:
+        """The metrics called ``name``, keyed by their interaction class."""
+        return {dict(metric.labels)["interaction_class"]: metric
+                for metric in self.metrics if metric.name == name}
 
-    # -- accounting --------------------------------------------------------
+    # -- the budget report -------------------------------------------------
 
     def observe(
         self, interaction_class: str, duration_ms: float, operation: str = ""
@@ -234,72 +263,109 @@ class BudgetTracker:
         """Account one interaction; returns True when it blew its budget."""
         budget = self.budget(interaction_class)
         violated = budget.violated_by(duration_ms)
-        with self._lock:
-            stats = self._stats.get(interaction_class)
-            if stats is None:
-                stats = self._stats[interaction_class] = _ClassStats()
-            stats.count += 1
-            stats.total_ms += duration_ms
-            if duration_ms > stats.max_ms:
-                stats.max_ms = duration_ms
-            if violated:
-                stats.violations += 1
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "obs.interaction_ms",
-                buckets=TIME_MS_BUCKETS,
-                interaction_class=interaction_class,
-            ).record(duration_ms)
-            if violated:
-                self.metrics.counter(
-                    "obs.budget.violations", interaction_class=interaction_class
-                ).inc()
-        if violated and self.on_violation is not None:
-            self.on_violation(
-                interaction_class, operation, duration_ms, budget.limit_ms or 0.0
-            )
+        self.metrics.histogram(
+            LATENCY, TIME_MS_BUCKETS, interaction_class=interaction_class
+        ).record(duration_ms)
+        if violated:
+            self.metrics.counter(
+                VIOLATIONS, interaction_class=interaction_class
+            ).inc()
+            if self.on_violation is not None:
+                self.on_violation(interaction_class, operation, duration_ms,
+                                  budget.limit_ms or 0.0)
         return violated
-
-    # -- reporting ---------------------------------------------------------
 
     def report(self) -> BudgetReport:
         """Compliance snapshot across every class observed or budgeted."""
+        histograms = self._by_class(LATENCY)
+        violations = self._by_class(VIOLATIONS)
         entries: list[ClassReport] = []
-        with self._lock:
-            names = sorted(set(self._budgets) | set(self._stats))
-            snapshot = {
-                name: (
-                    stats.count, stats.violations, stats.total_ms, stats.max_ms
-                )
-                for name, stats in self._stats.items()
-            }
-        for name in names:
-            count, violations, total_ms, max_ms = snapshot.get(
-                name, (0, 0, 0.0, 0.0)
-            )
-            p50 = p95 = 0.0
-            if self.metrics is not None and count:
-                histogram = self.metrics.histogram(
-                    "obs.interaction_ms",
-                    buckets=TIME_MS_BUCKETS,
-                    interaction_class=name,
-                )
-                p50 = histogram.percentile(0.50)
-                p95 = histogram.percentile(0.95)
-            entries.append(
-                ClassReport(
-                    interaction_class=name,
-                    limit_ms=self.budget(name).limit_ms,
-                    count=count,
-                    violations=violations,
-                    total_ms=total_ms,
-                    max_ms=max_ms,
-                    p50_ms=p50,
-                    p95_ms=p95,
-                )
-            )
+        for name in sorted(set(self._budgets) | set(histograms)):
+            summary = histograms.get(name, _UNSEEN).summary()
+            entries.append(ClassReport(
+                interaction_class=name,
+                limit_ms=self.budget(name).limit_ms,
+                count=int(summary["count"]),
+                violations=violations[name].value if name in violations
+                else 0,
+                total_ms=summary["sum"],
+                max_ms=summary["max"],
+                p50_ms=summary["p50"],
+                p95_ms=summary["p95"],
+            ))
         return BudgetReport(tuple(entries))
 
-    def reset(self) -> None:
+    # -- the windows -------------------------------------------------------
+
+    def judge(self, tenant: str, interaction_class: str, duration_ms: float,
+              shed: bool = False) -> bool:
+        """Judge one finished request into the windows: the tenant's, and
+        with ``shed`` the shed window. Returns whether it blew its budget
+        (unbudgeted classes never do)."""
+        violated = self.budget(interaction_class).violated_by(duration_ms)
+        now = _clock()
         with self._lock:
-            self._stats.clear()
+            self._tenants[tenant].append((now, interaction_class, violated))
+            if shed:
+                self._shed.append((now, float(duration_ms)))
+        return violated
+
+    def _tenant_locked(self, tenant: str, now: float) -> TenantSlo:
+        window = self._tenants.get(tenant, ())
+        _prune(window, now)
+        violations = sum(1 for _, _, bad in window if bad)
+        by_class = collections.Counter(name for _, name, _ in window)
+        burn = (violations / len(window)) / (1.0 - SLO_OBJECTIVE) \
+            if window else 0.0
+        return TenantSlo(tenant, SLO_OBJECTIVE, len(window), violations,
+                         burn, dict(by_class))
+
+    def burn_rate(self, tenant: str) -> float:
+        """The tenant's current burn rate (0.0 for unseen tenants)."""
+        with self._lock:
+            return self._tenant_locked(tenant, _clock()).burn_rate
+
+    def peak_burn_rate(self) -> float:
+        """The highest burn rate across all tenants (0.0 when empty).
+
+        The shedder uses this to tell *attributable* overload (spare the
+        healthy tenants, degrade the offender) from diffuse overload
+        (no offender — shed everyone).
+        """
+        return max((state.burn_rate for state in self.snapshot().values()),
+                   default=0.0)
+
+    def snapshot(self) -> dict[str, TenantSlo]:
+        """Every tenant's state, keyed by tenant name."""
+        now = _clock()
+        with self._lock:
+            return {name: self._tenant_locked(name, now)
+                    for name in sorted(self._tenants)}
+
+    def shed_p95(self) -> tuple[float, int]:
+        """The shed window's p95 latency (ms) and how many it holds."""
+        with self._lock:
+            _prune(self._shed, _clock())
+            durations = sorted(duration for _, duration in self._shed)
+        n = len(durations)
+        if not n:
+            return 0.0, 0
+        return durations[min(n - 1, max(0, int(0.95 * n + 0.5) - 1))], n
+
+    def reset(self) -> None:
+        """Forget what was observed and judged; the budgets stay."""
+        self.metrics.discard(LATENCY)
+        self.metrics.discard(VIOLATIONS)
+        with self._lock:
+            self._tenants.clear()
+            self._shed.clear()
+
+
+def _compliance(count: int, violations: int) -> float:
+    return 1.0 - violations / count if count else 1.0
+
+
+def _prune(window, now: float) -> None:
+    """Drop a window's entries older than ``WINDOW_S``."""
+    while window and now - window[0][0] > WINDOW_S:
+        window.popleft()

@@ -3,7 +3,7 @@
 Tracing (:mod:`repro.obs.trace`) answers "where did the time go?" — but only
 when it was switched on *before* the slow interaction happened. The flight
 recorder closes that gap: a bounded ring buffer records every interaction,
-progress event, and error as it happens (one lock-guarded slot write each),
+progress event, and error as it happens (one lock-guarded append each),
 and when something goes wrong — a latency budget is violated, or the
 ``obs.errors`` counter fires — the recent history is *dumped* automatically:
 a JSONL transcript plus the offending span tree, diagnosable after the fact
@@ -23,10 +23,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..env import read_str
 from .export import render_span_tree, span_to_dicts
+from .ring import Ring
 from .trace import Span
 
 __all__ = ["FlightEntry", "FlightDump", "FlightRecorder"]
@@ -88,14 +89,12 @@ class FlightDump:
     sequence: int
     entries: tuple[FlightEntry, ...]
     offending: FlightEntry | None = None
-    profile_folded: str | None = None
 
     def to_jsonl(self) -> str:
         """Header line, then one JSON object per recorded entry.
 
         The header carries the reason and, for the offending entry, both
-        the flattened span records and the human-readable span tree; when
-        a sampling profiler was running, also its hottest folded stacks.
+        the flattened span records and the human-readable span tree.
         """
         header: dict[str, object] = {
             "flight_dump": self.sequence,
@@ -107,8 +106,6 @@ class FlightDump:
             header["offending"] = self.offending.to_dict()
             header["offending_span_tree"] = span_to_dicts(tree)
             header["offending_span_text"] = render_span_tree(tree)
-        if self.profile_folded:
-            header["profile_folded"] = self.profile_folded
         lines = [json.dumps(header, default=str, sort_keys=True)]
         lines.extend(
             json.dumps(entry.to_dict(include_span=True), default=str,
@@ -119,12 +116,11 @@ class FlightDump:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of telemetry entries with automatic dumping.
+    """Bounded ring of telemetry entries with automatic dumping.
 
-    Recording is O(1): a sequence bump and one slot write under a lock.
-    Under concurrent writers the ring wraps atomically — the retained
-    entries are always the most recent ``capacity`` records by sequence
-    number, with no tearing and no unbounded growth.
+    Entries and kept dumps are each a :class:`~repro.obs.ring.Ring`: the
+    retained entries are always the most recent ``capacity`` records by
+    sequence number, with no tearing and no unbounded growth.
     """
 
     def __init__(
@@ -133,30 +129,16 @@ class FlightRecorder:
         max_dumps: int = 8,
         auto_dump_interval_ms: float = 1_000.0,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if max_dumps < 1:
-            raise ValueError("max_dumps must be positive")
-        self.capacity = capacity
-        self.max_dumps = max_dumps
+        self._entries: Ring[FlightEntry] = Ring(capacity)
+        self._dumps: Ring[FlightDump] = Ring(max_dumps)
         self.auto_dump_interval_ms = auto_dump_interval_ms
-        # When set (a zero-arg callable returning folded-stack text, e.g.
-        # SamplingProfiler.folded), every dump attaches a profile snapshot.
-        self.profile_provider = None
         # Wired by Observability to a *non-dumping* obs.errors bump: the
         # recorder's own failures must be counted without re-entering the
         # recorder (a failing disk would otherwise recurse through dump()).
         self.error_counter: Callable[[str, BaseException], None] | None \
             = None
         self._lock = threading.Lock()
-        self._ring: list[FlightEntry | None] \
-            = [None] * capacity  # guarded-by: _lock
-        self._sequence = 0  # guarded-by: _lock
-        self._dump_lock = threading.Lock()
-        self._dumps: list[FlightDump] = []  # guarded-by: _dump_lock
-        self._dump_sequence = 0  # guarded-by: _dump_lock
-        self._last_auto_dump_ns: int | None \
-            = None  # guarded-by: _dump_lock
+        self._last_auto_dump_ns: int | None = None  # guarded-by: _lock
 
     # -- recording ---------------------------------------------------------
 
@@ -169,39 +151,27 @@ class FlightRecorder:
         violated: bool = False,
         span: Span | None = None,
     ) -> FlightEntry:
-        with self._lock:
-            sequence = self._sequence
-            self._sequence += 1
-            entry = FlightEntry(
-                kind=kind,
-                name=name,
-                sequence=sequence,
-                duration_ms=duration_ms,
-                attributes=attributes or {},
-                violated=violated,
-                span=span,
-            )
-            self._ring[sequence % self.capacity] = entry
-        return entry
+        return self._entries.add(lambda sequence: FlightEntry(
+            kind=kind,
+            name=name,
+            sequence=sequence,
+            duration_ms=duration_ms,
+            attributes=attributes or {},
+            violated=violated,
+            span=span,
+        ))
 
     @property
     def recorded_total(self) -> int:
         """Entries ever recorded (≥ len(entries()) once the ring wraps)."""
-        with self._lock:
-            return self._sequence
+        return self._entries.total
 
     def entries(self) -> list[FlightEntry]:
         """The retained window, oldest first."""
-        with self._lock:
-            kept = [entry for entry in self._ring if entry is not None]
-        return sorted(kept, key=lambda entry: entry.sequence)
-
-    def __iter__(self) -> Iterator[FlightEntry]:
-        return iter(self.entries())
+        return self._entries.items()
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(1 for entry in self._ring if entry is not None)
+        return len(self._entries)
 
     # -- dumping -----------------------------------------------------------
 
@@ -217,47 +187,29 @@ class FlightRecorder:
         throttled to one per ``auto_dump_interval_ms``; explicit calls
         always dump. Returns ``None`` when throttled.
         """
-        now = _clock()
-        with self._dump_lock:
-            if not force and self._last_auto_dump_ns is not None:
-                elapsed_ms = (now - self._last_auto_dump_ns) / 1e6
-                if elapsed_ms < self.auto_dump_interval_ms:
+        if not force:
+            now = _clock()
+            with self._lock:
+                last = self._last_auto_dump_ns
+                if (last is not None
+                        and (now - last) / 1e6 < self.auto_dump_interval_ms):
                     return None
-            if not force:
                 self._last_auto_dump_ns = now
-            profile_folded: str | None = None
-            provider = self.profile_provider
-            if provider is not None:
-                try:
-                    profile_folded = provider() or None
-                except Exception as exc:
-                    # A broken profiler must not take the dump down with
-                    # it — but it must not fail invisibly either.
-                    self._count_error("obs.flight.profile", exc)
-                    profile_folded = None
-            self._dump_sequence += 1
-            dump = FlightDump(
-                reason=reason,
-                sequence=self._dump_sequence,
-                entries=tuple(self.entries()),
-                offending=offending,
-                profile_folded=profile_folded,
-            )
-            self._dumps.append(dump)
-            if len(self._dumps) > self.max_dumps:
-                del self._dumps[: len(self._dumps) - self.max_dumps]
+        entries = tuple(self.entries())
+        dump = self._dumps.add(lambda sequence: FlightDump(
+            reason=reason, sequence=sequence + 1, entries=entries,
+            offending=offending,
+        ))
         self._write_to_disk(dump)
         return dump
 
     def dumps(self) -> list[FlightDump]:
-        with self._dump_lock:
-            return list(self._dumps)
+        return self._dumps.items()
 
     @property
     def dump_count(self) -> int:
         """Dumps ever taken (kept ones are bounded by ``max_dumps``)."""
-        with self._dump_lock:
-            return self._dump_sequence
+        return self._dumps.total
 
     def _write_to_disk(self, dump: FlightDump) -> None:
         directory = read_str(FLIGHT_DIR_ENV)
@@ -272,18 +224,11 @@ class FlightRecorder:
             # The recorder must never take the instrumented code down with
             # it; a full disk loses the file, not the interaction — and
             # the loss shows up on the obs.errors counter.
-            self._count_error("obs.flight.write", exc)
-
-    def _count_error(self, site: str, exc: BaseException) -> None:
-        counter = self.error_counter
-        if counter is not None:
-            counter(site, exc)
+            if self.error_counter is not None:
+                self.error_counter("obs.flight.write", exc)
 
     def reset(self) -> None:
+        self._entries.clear()
+        self._dumps.clear()
         with self._lock:
-            self._ring = [None] * self.capacity
-            self._sequence = 0
-        with self._dump_lock:
-            self._dumps.clear()
-            self._dump_sequence = 0
             self._last_auto_dump_ns = None

@@ -49,10 +49,11 @@ def _label_key(labels: dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """Monotonically increasing count."""
+class _Scalar:
+    """One named value under its own lock; ``kind`` names it in snapshots."""
 
     __slots__ = ("name", "labels", "_lock", "_value")
+    kind = ""
 
     def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
@@ -60,53 +61,43 @@ class Counter:
         self._lock = threading.Lock()
         self._value = 0  # guarded-by: _lock
 
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
+    def inc(self, amount: float = 1) -> None:
         with self._lock:
             self._value += amount
 
     @property
-    def value(self) -> int:
-        # repro: noqa(RPA001) — lock-free read of a GIL-atomic int
+    def value(self) -> float:
+        # repro: noqa(RPA001) — lock-free read of a GIL-atomic number
         return self._value
 
     def snapshot(self) -> dict[str, object]:
-        # repro: noqa(RPA001) — lock-free read of a GIL-atomic int
-        return {"type": "counter", "value": self._value}
+        return {"type": self.kind, "value": self.value}
 
 
-class Gauge:
+class Counter(_Scalar):
+    """Monotonically increasing count."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, amount: int = 1) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        super().inc(amount)
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (pool residency, queue depth)."""
 
-    __slots__ = ("name", "labels", "_lock", "_value")
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0  # guarded-by: _lock
+    __slots__ = ()
+    kind = "gauge"
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        # repro: noqa(RPA001) — lock-free read of a GIL-atomic float
-        return self._value
-
-    def snapshot(self) -> dict[str, object]:
-        # repro: noqa(RPA001) — lock-free read of a GIL-atomic float
-        return {"type": "gauge", "value": self._value}
+        self.inc(-amount)
 
 
 class Histogram:
@@ -319,6 +310,12 @@ class MetricsRegistry:
                 key = name
             out[key] = metric.snapshot()  # type: ignore[attr-defined]
         return out
+
+    def discard(self, name: str) -> None:
+        """Drop every metric called ``name``, whatever its labels."""
+        with self._lock:
+            for key in [key for key in self._metrics if key[0] == name]:
+                del self._metrics[key]
 
     def reset(self) -> None:
         with self._lock:

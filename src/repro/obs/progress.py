@@ -63,16 +63,11 @@ class ProgressEmitter:
 
     def __init__(
         self,
-        history: int = 256,
         error_counter: Callable[[str, BaseException], None] | None = None,
     ) -> None:
-        if history < 0:
-            raise ValueError("history must be >= 0")
         self._lock = threading.Lock()
         self._subscribers: list[Subscriber] = []  # guarded-by: _lock
         self._taps: list[Subscriber] = []  # guarded-by: _lock
-        self._history_size = history
-        self._history: list[ProgressEvent] = []  # guarded-by: _lock
         self._latest: dict[str, ProgressEvent] \
             = {}  # guarded-by: _lock
         self._error_counter = error_counter
@@ -80,20 +75,8 @@ class ProgressEmitter:
     # -- subscription ------------------------------------------------------
 
     def subscribe(self, subscriber: Subscriber) -> Callable[[], None]:
-        """Register; returns an unsubscribe callable."""
-        with self._lock:
-            self._subscribers.append(subscriber)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                try:
-                    self._subscribers.remove(subscriber)
-                except ValueError:
-                    # repro: swallow(unsubscribe is idempotent by
-                    # contract; a second call is a no-op, not an error)
-                    pass
-
-        return unsubscribe
+        """Register; returns an (idempotent) unsubscribe callable."""
+        return self._register(subscriber, tap=False)
 
     def tap(self, subscriber: Subscriber) -> Callable[[], None]:
         """Register an *internal* observer (e.g. the flight recorder).
@@ -103,19 +86,20 @@ class ProgressEmitter:
         fast path: an operator that skips :meth:`emit` when nobody is
         watching stays silent even while taps are installed.
         """
+        return self._register(subscriber, tap=True)
+
+    def _register(self, subscriber: Subscriber,
+                  tap: bool) -> Callable[[], None]:
         with self._lock:
-            self._taps.append(subscriber)
+            listeners = self._taps if tap else self._subscribers
+            listeners.append(subscriber)
 
-        def untap() -> None:
+        def remove() -> None:
             with self._lock:
-                try:
-                    self._taps.remove(subscriber)
-                except ValueError:
-                    # repro: swallow(untap is idempotent by contract;
-                    # a second call is a no-op, not an error)
-                    pass
+                if subscriber in listeners:
+                    listeners.remove(subscriber)
 
-        return untap
+        return remove
 
     @property
     def has_subscribers(self) -> bool:
@@ -134,8 +118,9 @@ class ProgressEmitter:
         """Build and fan out one event; returns it (None if nobody listens).
 
         The no-listener path is the disabled fast path: one truthiness
-        check, no allocation. History and ``latest`` are therefore only
-        maintained while at least one subscriber is registered.
+        check, no allocation. ``latest`` is therefore only maintained while
+        at least one subscriber is registered; the recent events themselves
+        are the flight recorder's ``progress`` entries (its tap).
         """
         # the no-listener fast path is one lock-free truthiness
         # check by design
@@ -149,10 +134,6 @@ class ProgressEmitter:
     def publish(self, event: ProgressEvent) -> None:
         with self._lock:
             subscribers = list(self._subscribers) + list(self._taps)
-            if self._history_size:
-                self._history.append(event)
-                if len(self._history) > self._history_size:
-                    del self._history[: len(self._history) - self._history_size]
             self._latest[event.operation] = event
         for subscriber in subscribers:
             try:
@@ -168,15 +149,8 @@ class ProgressEmitter:
         with self._lock:
             return self._latest.get(operation)
 
-    def history(self, operation: str | None = None) -> list[ProgressEvent]:
-        with self._lock:
-            if operation is None:
-                return list(self._history)
-            return [e for e in self._history if e.operation == operation]
-
     def reset(self) -> None:
         with self._lock:
             self._subscribers.clear()
             self._taps.clear()
-            self._history.clear()
             self._latest.clear()

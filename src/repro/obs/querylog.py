@@ -15,8 +15,8 @@ in-memory ring that is additionally *mirrored* to JSONL when the
 The ring answers live questions (``GET /debug/queries`` on the server, the
 workload analyzer over a running process); the JSONL mirror is the durable
 feed :mod:`repro.obs.workload` analyzes offline and CI uploads as an
-artifact. Recording is O(1) per query: a sequence bump, one slot write,
-and (mirror only) one buffered line append.
+artifact. Recording is O(1) per query: one ring append and (mirror only)
+one buffered line append.
 
 Enablement follows the tracer's precedent — off by default so library hot
 paths pay a single attribute check, switched on by the serving layer, the
@@ -37,10 +37,12 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
 from ..env import read_flag, read_raw, read_str
+from .ring import Ring
+from .trace import ThreadStack
 
 __all__ = [
     "QUERYLOG_DIR_ENV",
@@ -86,14 +88,9 @@ class ScanObservation:
     leading: bool
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "predicate": self.predicate,
-            "mask": self.mask,
-            "est": self.estimated,
-            "actual": self.actual,
-            "executions": self.executions,
-            "leading": self.leading,
-        }
+        record = asdict(self)
+        record["est"] = record.pop("estimated")
+        return record
 
     @classmethod
     def from_dict(cls, record: dict) -> "ScanObservation":
@@ -144,16 +141,12 @@ class QueryRecord:
             "scan_rows": self.scan_rows,
             "solutions": self.solutions,
         }
-        if self.tenant is not None:
-            record["tenant"] = self.tenant
-        if self.interaction_class is not None:
-            record["class"] = self.interaction_class
-        if self.tier is not None:
-            record["tier"] = self.tier
-        if self.service is not None:
-            record["service"] = self.service
-        if self.trace_id is not None:
-            record["trace_id"] = self.trace_id
+        for key, value in (("tenant", self.tenant),
+                           ("class", self.interaction_class),
+                           ("tier", self.tier), ("service", self.service),
+                           ("trace_id", self.trace_id)):
+            if value is not None:
+                record[key] = value
         if not self.complete:
             record["complete"] = False
         if self.scans:
@@ -187,6 +180,7 @@ class QueryRecord:
         )
 
 
+@dataclass(slots=True)
 class _ServingContext:
     """Mutable per-request attribution, stacked thread-locally.
 
@@ -195,37 +189,27 @@ class _ServingContext:
     :meth:`QueryLog.annotate_serving` updates the innermost scope.
     """
 
-    __slots__ = ("tenant", "interaction_class", "tier", "service")
-
-    def __init__(
-        self,
-        tenant: str | None = None,
-        interaction_class: str | None = None,
-        tier: str | None = None,
-        service: str | None = None,
-    ) -> None:
-        self.tenant = tenant
-        self.interaction_class = interaction_class
-        self.tier = tier
-        self.service = service
+    tenant: str | None = None
+    interaction_class: str | None = None
+    tier: str | None = None
+    service: str | None = None
 
 
 class QueryLog:
     """Bounded ring of :class:`QueryRecord` with an optional JSONL mirror.
 
-    The ring retains the most recent ``capacity`` records by sequence
-    number under concurrent writers (same discipline as the flight
-    recorder); everything ever recorded additionally lands in the JSONL
-    mirror when :envvar:`REPRO_QUERYLOG_DIR` is set — the ring bounds
-    memory, the mirror is the durable workload feed. ``dropped`` counts
-    records the ring has overwritten (still present in the mirror).
+    The :class:`~repro.obs.ring.Ring` retains the most recent ``capacity``
+    records by sequence number under concurrent writers; everything ever
+    recorded additionally lands in the JSONL mirror when
+    :envvar:`REPRO_QUERYLOG_DIR` is set — the ring bounds memory, the
+    mirror is the durable workload feed. ``dropped`` counts records the
+    ring has pushed out (still present in the mirror).
     """
 
     def __init__(
         self, capacity: int = 512, enabled: bool | None = None
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        self._ring: Ring[QueryRecord] = Ring(capacity)
         self.capacity = capacity
         self.enabled = _env_enabled() if enabled is None else enabled
         # Wired by the Observability handle: a zero-arg callable returning
@@ -233,13 +217,10 @@ class QueryLog:
         # records emitted without an explicit id.
         self.trace_provider: Callable[[], object] | None = None
         self._lock = threading.Lock()
-        self._ring: list[QueryRecord | None] \
-            = [None] * capacity  # guarded-by: _lock
-        self._sequence = 0  # guarded-by: _lock
         self._mirror_errors = 0  # guarded-by: _lock
         self._mirror_path: str | None = None  # guarded-by: _lock
         self._mirror_handle = None  # guarded-by: _lock
-        self._local = threading.local()
+        self._local = ThreadStack()
 
     # -- serving context ---------------------------------------------------
 
@@ -252,7 +233,7 @@ class QueryLog:
         service: str | None = None,
     ) -> Iterator[_ServingContext]:
         """Attribute every record emitted in this scope (thread-local)."""
-        stack = self._serving_stack()
+        stack = self._local.stack
         context = _ServingContext(tenant, interaction_class, tier, service)
         stack.append(context)
         try:
@@ -263,23 +244,15 @@ class QueryLog:
     def annotate_serving(self, **fields: str | None) -> None:
         """Update the innermost serving scope (e.g. the shed tier, which
         is decided after admission). No-op outside a serving scope."""
-        stack = self._serving_stack()
-        if not stack:
+        context = self.current_serving()
+        if context is None:
             return
-        context = stack[-1]
         for key, value in fields.items():
             setattr(context, key, value)
 
     def current_serving(self) -> _ServingContext | None:
-        stack = self._serving_stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
-
-    def _serving_stack(self) -> list[_ServingContext]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     # -- recording ---------------------------------------------------------
 
@@ -321,29 +294,24 @@ class QueryLog:
             else ScanObservation.from_dict(scan)
             for scan in scans
         )
+        record = self._ring.add(lambda sequence: QueryRecord(
+            sequence=sequence,
+            ts=time.time(),
+            digest=digest,
+            form=form,
+            strategy=strategy,
+            latency_ms=latency_ms,
+            tenant=serving.tenant if serving else None,
+            interaction_class=serving.interaction_class if serving else None,
+            tier=serving.tier if serving else None,
+            service=serving.service if serving else None,
+            cache_hit=cache_hit,
+            complete=complete,
+            trace_id=trace_id,
+            scans=observations,
+            **values,
+        ))
         with self._lock:
-            sequence = self._sequence
-            self._sequence += 1
-            record = QueryRecord(
-                sequence=sequence,
-                ts=time.time(),
-                digest=digest,
-                form=form,
-                strategy=strategy,
-                latency_ms=latency_ms,
-                tenant=serving.tenant if serving else None,
-                interaction_class=(
-                    serving.interaction_class if serving else None
-                ),
-                tier=serving.tier if serving else None,
-                service=serving.service if serving else None,
-                cache_hit=cache_hit,
-                complete=complete,
-                trace_id=trace_id,
-                scans=observations,
-                **values,
-            )
-            self._ring[sequence % self.capacity] = record
             self._mirror_locked(record)
         return record
 
@@ -358,17 +326,9 @@ class QueryLog:
     ) -> QueryRecord | None:
         """A cache-served query: ``cache_hit=true``, zeroed scan counters —
         visible to the workload analyzer instead of vanishing."""
-        return self.emit(
-            digest=digest,
-            form=form,
-            strategy="cached",
-            latency_ms=latency_ms,
-            counters=None,
-            scans=(),
-            trace_id=trace_id,
-            cache_hit=True,
-            solutions=solutions,
-        )
+        return self.emit(digest=digest, form=form, strategy="cached",
+                         latency_ms=latency_ms, trace_id=trace_id,
+                         cache_hit=True, solutions=solutions)
 
     # -- reading -----------------------------------------------------------
 
@@ -381,42 +341,27 @@ class QueryLog:
         service: str | None = None,
     ) -> list[QueryRecord]:
         """The retained window, oldest first, optionally filtered."""
-        with self._lock:
-            kept = [record for record in self._ring if record is not None]
-        kept.sort(key=lambda record: record.sequence)
-        out = []
-        for record in kept:
-            if tenant is not None and record.tenant != tenant:
-                continue
-            if digest is not None and record.digest != digest:
-                continue
-            if since is not None and record.ts < since:
-                continue
-            if since_seq is not None and record.sequence < since_seq:
-                continue
-            if service is not None and record.service != service:
-                continue
-            out.append(record)
-        return out
+        return [
+            record for record in self._ring.items()
+            if tenant in (None, record.tenant)
+            and digest in (None, record.digest)
+            and service in (None, record.service)
+            and (since is None or record.ts >= since)
+            and (since_seq is None or record.sequence >= since_seq)
+        ]
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(1 for record in self._ring if record is not None)
-
-    def __iter__(self) -> Iterator[QueryRecord]:
-        return iter(self.records())
+        return len(self._ring)
 
     @property
     def recorded_total(self) -> int:
         """Records ever emitted (≥ the retained window once wrapped)."""
-        with self._lock:
-            return self._sequence
+        return self._ring.total
 
     @property
     def dropped(self) -> int:
-        """Records the ring overwrote (the JSONL mirror still has them)."""
-        with self._lock:
-            return max(0, self._sequence - self.capacity)
+        """Records the ring pushed out (the JSONL mirror still has them)."""
+        return self._ring.dropped
 
     @property
     def mirror_errors(self) -> int:
@@ -456,23 +401,18 @@ class QueryLog:
         except OSError:
             self._mirror_errors += 1
 
-    def _close_mirror_locked(self) -> None:
-        if self._mirror_handle is not None:
-            try:
-                self._mirror_handle.close()
-            except OSError:
-                # repro: swallow(best-effort teardown; write failures
-                # were already counted into mirror_errors)
-                pass
-            self._mirror_handle = None
-            self._mirror_path = None
-
     def reset(self) -> None:
         """Clear the ring and re-read env enablement (tests)."""
+        self._ring.clear()
         with self._lock:
-            self._ring = [None] * self.capacity
-            self._sequence = 0
+            if self._mirror_handle is not None:
+                try:
+                    self._mirror_handle.close()
+                except OSError:
+                    # repro: swallow(best-effort teardown; write failures
+                    # were already counted into mirror_errors)
+                    pass
+            self._mirror_handle = self._mirror_path = None
             self._mirror_errors = 0
-            self._close_mirror_locked()
         self.enabled = _env_enabled()
-        self._local = threading.local()
+        self._local = ThreadStack()

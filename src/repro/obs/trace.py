@@ -41,6 +41,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
+from .ring import Ring
+
 __all__ = [
     "Span",
     "NoopSpan",
@@ -255,23 +257,11 @@ class NoopSpan:
     span_id = ""
     remote_parent_id = None
 
-    def pause(self) -> None:
-        pass
-
-    def resume(self) -> None:
-        pass
-
-    def end(self) -> None:
-        pass
-
-    def set_attribute(self, key: str, value: object) -> None:
-        pass
-
-    def context(self) -> None:
+    def _nothing(self, *args: object) -> None:
         return None
 
-    def add_child(self, child: object) -> None:
-        pass
+    pause = resume = end = set_attribute = context = add_child = _nothing
+    __exit__ = _nothing
 
     def walk(self) -> Iterator["NoopSpan"]:
         return iter(())
@@ -282,54 +272,27 @@ class NoopSpan:
     def __enter__(self) -> "NoopSpan":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
 
 NOOP_SPAN = NoopSpan()
 
 
-class SpanRecorder:
-    """Thread-safe sink of finished root spans, bounded by ``max_spans``."""
+class SpanRecorder(Ring[Span]):
+    """Thread-safe sink of the newest ``max_spans`` finished root spans;
+    ``dropped`` counts the older ones pushed out."""
 
     def __init__(self, max_spans: int = 10_000) -> None:
-        if max_spans < 1:
-            raise ValueError("max_spans must be positive")
-        self.max_spans = max_spans
-        self._lock = threading.Lock()
-        self._spans: list[Span] = []  # guarded-by: _lock
-        self.dropped = 0  # guarded-by: _lock
+        super().__init__(max_spans)
 
-    def record(self, span: Span) -> None:
-        with self._lock:
-            if len(self._spans) >= self.max_spans:
-                self.dropped += 1
-                return
-            self._spans.append(span)
-
-    def drain(self) -> list[Span]:
-        """Return and remove everything recorded so far."""
-        with self._lock:
-            spans, self._spans = self._spans, []
-            return spans
-
-    def spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._spans)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self.dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+    record = Ring.append
+    spans = Ring.items
 
 
-class _SpanStack(threading.local):
+class ThreadStack(threading.local):
+    """A list per thread: the ambient span stack, the query log's serving
+    scopes."""
+
     def __init__(self) -> None:
-        self.stack: list[Span] = []
+        self.stack: list = []
 
 
 class Tracer:
@@ -346,7 +309,7 @@ class Tracer:
         self.enabled = enabled
         self.sample_rate = sample_rate
         self.recorder = SpanRecorder(max_spans)
-        self._local = _SpanStack()
+        self._local = ThreadStack()
         self._sample_lock = threading.Lock()
         self._sample_error = 0.0  # guarded-by: _sample_lock
 
@@ -444,7 +407,7 @@ class Tracer:
 
     def reset(self) -> None:
         self.recorder.clear()
-        self._local = _SpanStack()
+        self._local = ThreadStack()
         with self._sample_lock:
             self._sample_error = 0.0
 

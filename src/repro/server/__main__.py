@@ -54,11 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--debug-delay-tenant", default=None,
                         help="restrict --debug-delay-ms to one tenant "
                         "(per-tenant SLO/shedding testing)")
-    parser.add_argument("--slo-objective", type=float, default=0.99,
-                        help="per-tenant SLO: target in-budget fraction "
-                        "(default: 0.99)")
-    parser.add_argument("--slo-window-s", type=float, default=30.0,
-                        help="per-tenant SLO rolling window in seconds")
     return parser
 
 
@@ -82,8 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         shed_budget_ms=arguments.shed_budget_ms,
         shed_min_observations=arguments.shed_min_observations,
         approx_max_rows=arguments.approx_max_rows,
-        slo_objective=arguments.slo_objective,
-        slo_window_s=arguments.slo_window_s,
         debug_delay_ms=arguments.debug_delay_ms,
         debug_delay_tenant=arguments.debug_delay_tenant,
     )

@@ -35,7 +35,6 @@ from ..obs import (
     NAVIGATION,
     OBS,
     TIME_MS_BUCKETS,
-    SloTracker,
     TraceContext,
     record_error,
 )
@@ -126,9 +125,6 @@ class ServerConfig:
     shed_window: int = 64
     shed_min_observations: int = 8
     approx_max_rows: int = 2_000  # first-stage rows a shed answer draws
-    # per-tenant SLOs (error-budget burn feeding the shedder)
-    slo_objective: float = 0.99
-    slo_window_s: float = 30.0
     # entries of the one answer cache all workers share
     cache_capacity: int = 128
     # test/CI hook: artificial per-query latency to force overload;
@@ -211,12 +207,13 @@ class ReproServer:
         self.config = config = config or ServerConfig()
         self.admission: FairAdmissionQueue[RequestContext] = \
             FairAdmissionQueue(config.queue_capacity)
+        # Each request judged once, after its last byte, by the process's
+        # class budgets: into this server's tenant and shed windows.
+        self.policy = OBS.budgets.windowed(config.shed_window)
         self.shedder = LoadShedder(
-            budget_ms=config.shed_budget_ms, window=config.shed_window,
+            self.policy, budget_ms=config.shed_budget_ms,
             min_observations=config.shed_min_observations,
         )
-        self.slo = SloTracker(objective=config.slo_objective,
-                              window_s=config.slo_window_s, budgets=OBS.budgets)
         self._sock: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -415,7 +412,7 @@ class ReproServer:
 
     def _finish(self, ctx: RequestContext) -> None:
         """Account one request after its last byte — exactly once, however
-        it was answered: counters, SLO, shedder, stage histograms."""
+        it was answered: counters, the latency policy, stage histograms."""
         headers = ctx.headers
         ctx.stamp("stream" if "Transfer-Encoding" in headers else "write")
         _close_quietly(ctx.connection)
@@ -432,9 +429,8 @@ class ReproServer:
         self._responses[ctx.status].inc()
         if ctx.act is not None:  # a worker ran it: the clock started at read
             total_ms = sum(ms for _, ms in ctx.stamps[1:])
-            self.slo.observe(ctx.tenant, ctx.route.interaction_class, total_ms)
-            if ctx.route.name == "server.sparql":
-                self.shedder.observe(total_ms)
+            self.policy.judge(ctx.tenant, ctx.route.interaction_class,
+                              total_ms, shed=ctx.route.name == "server.sparql")
         for stage, ms in ctx.stamps:
             self._stage_ms[stage].record(ms)
 
@@ -495,8 +491,8 @@ class ReproServer:
                 ctx.engine, parsed, self.config.approx_max_rows, self.service
             )
         tier = self.shedder.decide(
-            burn_rate=self.slo.burn_rate(ctx.tenant),
-            peak_burn=self.slo.peak_burn_rate(),
+            burn_rate=self.policy.burn_rate(ctx.tenant),
+            peak_burn=self.policy.peak_burn_rate(),
         )
         if shape == "distinct" and not hasattr(self.store, "members"):
             # A sample's distinct count cannot be extrapolated, and over id
@@ -662,7 +658,7 @@ class ReproServer:
                          "p95_ms": round(shed.p95_ms, 3)},
             "inflight": inflight,
             "slo": {tenant: state.to_dict()
-                    for tenant, state in self.slo.snapshot().items()},
+                    for tenant, state in self.policy.snapshot().items()},
             "served_by_tier": by_tier,
             "aggregate_served": served,
             "aggregate_approximate": approximate,

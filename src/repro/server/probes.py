@@ -114,7 +114,6 @@ def flight(server, ctx):
                     "sequence": dump.sequence,
                     "reason": dump.reason,
                     "entries": len(dump.entries),
-                    "has_profile": dump.profile_folded is not None,
                 }
                 for dump in dumps
             ],

@@ -15,15 +15,16 @@ request, which tier the server answers from:
 * **AGGRESSIVE** (tier 2) — p95 beyond ``aggressive_factor``× budget: the
   same path with a quarter of the row budget.
 
-Decisions use a sliding window (count- and age-bounded) of recent
-latencies rather than the cumulative budget histogram, so the controller
-*recovers*: once load subsides and fast requests refill the window, the
-tier steps back down. Hysteresis (``recover_fraction``) keeps the boundary
-from flapping: escalation happens at the budget, de-escalation only below
-a fraction of it.
+This module is only the tier rule. The latencies it decides on are the
+shed window of a :class:`repro.obs.budget.LatencyPolicy` (count- and
+age-bounded, fed once per finished request) rather than the cumulative
+budget histogram, so the controller *recovers*: once load subsides and
+fast requests refill the window, the tier steps back down. Hysteresis
+(``recover_fraction``) keeps the boundary from flapping: escalation
+happens at the budget, de-escalation only below a fraction of it.
 
 :meth:`LoadShedder.decide` optionally takes the requesting tenant's SLO
-**burn rate** (:class:`repro.obs.slo.SloTracker`), making shedding
+**burn rate** (from the same policy), making shedding
 tenant-aware: a tenant burning its error budget (burn ≥
 ``burn_shed_threshold``) is escalated one tier *beyond* the global tier,
 while a well-behaved tenant (burn ≤ ``burn_protect_fraction``) riding
@@ -35,11 +36,9 @@ well-behaved tenants ever notice.
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass
 
-from ..obs.budget import DEFAULT_BUDGETS_MS, INTERACTIVE
+from ..obs.budget import DEFAULT_BUDGETS_MS, INTERACTIVE, LatencyPolicy
 
 __all__ = ["EXACT", "SAMPLED", "AGGRESSIVE", "TIER_NAMES", "LoadShedder"]
 
@@ -48,8 +47,6 @@ SAMPLED = 1
 AGGRESSIVE = 2
 
 TIER_NAMES = {EXACT: "exact", SAMPLED: "sampled", AGGRESSIVE: "aggressive"}
-
-_clock = time.monotonic
 
 
 @dataclass(frozen=True)
@@ -69,19 +66,17 @@ class ShedSnapshot:
 
 
 class LoadShedder:
-    """Sliding-window p95 tier controller with hysteresis.
+    """Tier controller with hysteresis over ``policy``'s shed window.
 
-    ``observe`` feeds one finished interactive request's total latency
-    (queue wait included — the user's clock does not stop while queued);
-    ``tier`` recomputes the current tier. Both are O(window) at worst and
-    thread-safe.
+    The window holds finished interactive requests' total latencies (queue
+    wait included — the user's clock does not stop while queued); ``tier``
+    recomputes the current tier from its p95, in O(window), thread-safe.
     """
 
     def __init__(
         self,
+        policy: LatencyPolicy,
         budget_ms: float | None = None,
-        window: int = 64,
-        max_age_s: float = 30.0,
         min_observations: int = 8,
         aggressive_factor: float = 3.0,
         recover_fraction: float = 0.8,
@@ -94,38 +89,19 @@ class LoadShedder:
             raise ValueError("budget_ms must be positive")
         if not 0.0 < recover_fraction <= 1.0:
             raise ValueError("recover_fraction must be in (0, 1]")
+        self.policy = policy
         self.budget_ms = float(budget_ms)
-        self.max_age_s = max_age_s
         self.min_observations = max(1, min_observations)
         self.aggressive_factor = aggressive_factor
         self.recover_fraction = recover_fraction
         self.burn_shed_threshold = burn_shed_threshold
         self.burn_protect_fraction = burn_protect_fraction
         self._lock = threading.Lock()
-        self._window: deque[tuple[float, float]] \
-            = deque(maxlen=window)  # guarded-by: _lock
         self._tier = EXACT  # guarded-by: _lock
         self.shed_decisions = 0
         self.exact_decisions = 0
         self.burn_escalations = 0
         self.burn_protections = 0
-
-    # -- accounting --------------------------------------------------------
-
-    def observe(self, duration_ms: float) -> None:
-        """Record one finished interactive request's latency."""
-        with self._lock:
-            self._window.append((_clock(), float(duration_ms)))
-
-    def _p95_locked(self, now: float) -> tuple[float, int]:
-        while self._window and now - self._window[0][0] > self.max_age_s:
-            self._window.popleft()
-        n = len(self._window)
-        if not n:
-            return 0.0, 0
-        durations = sorted(duration for _, duration in self._window)
-        index = min(n - 1, max(0, int(0.95 * n + 0.5) - 1))
-        return durations[index], n
 
     # -- decisions ---------------------------------------------------------
 
@@ -137,8 +113,8 @@ class LoadShedder:
         ``recover_fraction`` × the *lower* tier's threshold — the
         hysteresis band that prevents tier flapping at the boundary.
         """
+        p95, n = self.policy.shed_p95()
         with self._lock:
-            p95, n = self._p95_locked(_clock())
             if n < self.min_observations:
                 # Too little signal to justify degrading answers.
                 self._tier = EXACT
@@ -168,7 +144,7 @@ class LoadShedder:
         """``tier()`` plus decision accounting (the per-request entry point).
 
         With ``burn_rate`` (the requesting tenant's SLO burn from
-        :class:`repro.obs.slo.SloTracker`), the global tier is adjusted
+        :meth:`LatencyPolicy.burn_rate`), the global tier is adjusted
         per tenant: an offender burning its error budget (burn ≥
         ``burn_shed_threshold``) answers one tier higher than the global
         tier, while a clearly healthy tenant (burn ≤
@@ -202,8 +178,8 @@ class LoadShedder:
         return tier
 
     def snapshot(self) -> ShedSnapshot:
+        p95, n = self.policy.shed_p95()
         with self._lock:
-            p95, n = self._p95_locked(_clock())
             return ShedSnapshot(
                 tier=self._tier, p95_ms=p95,
                 budget_ms=self.budget_ms, window_size=n,

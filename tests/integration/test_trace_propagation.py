@@ -213,8 +213,8 @@ class TestSloShedsTheOffender:
             # interactive budget by construction.
             for _ in range(6):
                 fetch(url, headers={"X-Repro-Tenant": "noisy"})
-            assert server.slo.burn_rate("noisy") >= 1.0
-            assert server.slo.burn_rate("quiet") == 0.0
+            assert server.policy.burn_rate("noisy") >= 1.0
+            assert server.policy.burn_rate("quiet") == 0.0
 
             _, noisy_headers = fetch(
                 url, headers={"X-Repro-Tenant": "noisy"})

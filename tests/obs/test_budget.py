@@ -1,4 +1,4 @@
-"""Latency budgets: tracker accounting, reports, and the interaction API."""
+"""Latency budgets: policy accounting, reports, and the interaction API."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.obs import (
     NAVIGATION,
     OBS,
     PROGRESSIVE,
-    BudgetTracker,
     LatencyBudget,
+    LatencyPolicy,
     MetricsRegistry,
     track,
 )
@@ -28,19 +28,19 @@ class TestLatencyBudget:
 
 class TestBudgetTracker:
     def test_defaults_cover_the_four_classes(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         assert tracker.budget(INTERACTIVE).limit_ms == 100.0
         assert tracker.budget(NAVIGATION).limit_ms == 300.0
         assert tracker.budget(PROGRESSIVE).limit_ms == 1_000.0
         assert tracker.budget(BATCH).limit_ms is None
 
     def test_unknown_class_is_unbudgeted(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         assert tracker.budget("custom").limit_ms is None
         assert not tracker.observe("custom", 1e6)
 
     def test_observe_accounts_and_flags(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         assert not tracker.observe(INTERACTIVE, 50.0)
         assert tracker.observe(INTERACTIVE, 150.0)
         entry = tracker.report().for_class(INTERACTIVE)
@@ -51,7 +51,7 @@ class TestBudgetTracker:
         assert entry.mean_ms == 100.0
 
     def test_set_budget_overrides_and_validates(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         tracker.set_budget(INTERACTIVE, 10.0)
         assert tracker.observe(INTERACTIVE, 11.0)
         tracker.set_budget(INTERACTIVE, None)
@@ -62,7 +62,7 @@ class TestBudgetTracker:
     def test_violation_callback_and_metrics(self):
         metrics = MetricsRegistry()
         seen = []
-        tracker = BudgetTracker(
+        tracker = LatencyPolicy(
             metrics=metrics,
             on_violation=lambda *args: seen.append(args),
         )
@@ -78,7 +78,7 @@ class TestBudgetTracker:
         assert histogram.count == 1
 
     def test_report_compliance_rates(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         for _ in range(9):
             tracker.observe(INTERACTIVE, 10.0)
         tracker.observe(INTERACTIVE, 500.0)
@@ -93,7 +93,7 @@ class TestBudgetTracker:
         assert report.overall_compliance == pytest.approx(1 - 1 / 11)
 
     def test_report_serializes_and_renders(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         tracker.observe(INTERACTIVE, 120.0, operation="slow")
         report = tracker.report()
         payload = report.to_dict()
@@ -106,7 +106,7 @@ class TestBudgetTracker:
         assert "overall:" in text
 
     def test_reset_clears_stats_not_budgets(self):
-        tracker = BudgetTracker()
+        tracker = LatencyPolicy()
         tracker.set_budget(INTERACTIVE, 5.0)
         tracker.observe(INTERACTIVE, 50.0)
         tracker.reset()

@@ -1,7 +1,6 @@
 """Flight recorder: ring semantics, dumps, throttling, disk artifacts."""
 
 import json
-import threading
 
 import pytest
 
@@ -41,35 +40,6 @@ class TestRing:
             FlightRecorder(capacity=0)
         with pytest.raises(ValueError):
             FlightRecorder(max_dumps=0)
-
-    def test_wraparound_under_concurrent_writers(self):
-        """Parallel writers: unique sequences, no tearing, bounded window."""
-        recorder = FlightRecorder(capacity=64)
-        writers, per_writer = 8, 500
-
-        def write(worker: int) -> None:
-            for i in range(per_writer):
-                recorder.record("note", f"w{worker}", attributes={"i": i})
-
-        threads = [
-            threading.Thread(target=write, args=(w,)) for w in range(writers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        total = writers * per_writer
-        assert recorder.recorded_total == total
-        kept = recorder.entries()
-        assert len(kept) == 64
-        sequences = [e.sequence for e in kept]
-        # exactly the latest `capacity` sequence numbers, each exactly once
-        assert sequences == list(range(total - 64, total))
-        # no torn entries: every slot holds a consistent record
-        for entry in kept:
-            assert entry.kind == "note"
-            assert entry.name.startswith("w")
 
 
 class TestDumps:
@@ -174,12 +144,6 @@ class TestDumps:
         OBS.flight.dump("disk-broken")
         assert _obs_error_count("obs.flight.write") == 1
         assert OBS.flight.dump_count == 1  # no recursive second dump
-
-    def test_broken_profile_provider_bumps_obs_errors(self):
-        OBS.flight.profile_provider = lambda: 1 / 0
-        dump = OBS.flight.dump("profile-broken")
-        assert dump is not None and dump.profile_folded is None
-        assert _obs_error_count("obs.flight.profile") == 1
 
     def test_reset(self):
         recorder = FlightRecorder()

@@ -1,4 +1,4 @@
-"""Progress events: fan-out, history, and subscriber failure isolation."""
+"""Progress events: fan-out, the flight tap, and subscriber failure isolation."""
 
 from repro.obs import OBS, ProgressEmitter, ProgressEvent
 
@@ -17,7 +17,6 @@ class TestEmitter:
     def test_no_subscribers_is_a_no_op(self):
         emitter = ProgressEmitter()
         assert emitter.emit("op", completed=1, total=2) is None
-        assert emitter.history() == []
         assert emitter.latest("op") is None
 
     def test_fan_out_and_latest(self):
@@ -32,14 +31,6 @@ class TestEmitter:
         unsubscribe()
         unsubscribe()  # idempotent
         assert emitter.emit("op", completed=3, total=3) is None
-
-    def test_history_is_bounded(self):
-        emitter = ProgressEmitter(history=4)
-        emitter.subscribe(lambda e: None)
-        for i in range(10):
-            emitter.emit("op", completed=i)
-        history = emitter.history("op")
-        assert [e.completed for e in history] == [6, 7, 8, 9]
 
     def test_subscriber_exception_is_counted_not_raised(self):
         errors: list[tuple[str, BaseException]] = []

@@ -187,9 +187,9 @@ class TestRecordContent:
 
 
 class TestConcurrency:
-    def test_wraparound_and_mirror_under_concurrent_writers(
-        self, monkeypatch, tmp_path
-    ):
+    def test_mirror_under_concurrent_writers(self, monkeypatch, tmp_path):
+        """The ring's own wraparound is tests/obs/test_ring.py's; here: the
+        mirror keeps every record the ring drops, one line each."""
         monkeypatch.setenv(QUERYLOG_DIR_ENV, str(tmp_path))
         log = QueryLog(capacity=8, enabled=True)
         writers, per_writer = 4, 50
@@ -209,13 +209,7 @@ class TestConcurrency:
             thread.join()
 
         total = writers * per_writer
-        assert log.recorded_total == total
         assert log.dropped == total - 8
-        retained = log.records()
-        assert len(retained) == 8
-        # the ring keeps exactly the 8 highest sequence numbers
-        assert [r.sequence for r in retained] == list(range(total - 8, total))
-
         # the mirror has every record, each line valid JSON, no interleaving
         mirror = log.mirror_path
         assert mirror is not None

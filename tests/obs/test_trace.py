@@ -145,6 +145,8 @@ class TestRecorder:
             recorder.record(span)
         assert len(recorder) == 2
         assert recorder.dropped == 3
+        # the newest are kept: a long-running process keeps showing new roots
+        assert [span.name for span in recorder.spans()] == ["s3", "s4"]
 
     def test_drain_empties(self):
         recorder = SpanRecorder()
