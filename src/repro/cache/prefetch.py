@@ -46,7 +46,7 @@ class TilePrefetcher:
         if momentum_depth < 0:
             raise ValueError("momentum_depth must be >= 0")
         self.loader = loader
-        self.cache = ResultCache(cache_capacity, policy="lru", name="tile.prefetch")
+        self.cache = ResultCache(cache_capacity, name="tile.prefetch")
         self.momentum_depth = momentum_depth
         self.neighborhood = neighborhood
         self._previous_request: set[Tile] | None = None

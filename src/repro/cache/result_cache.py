@@ -1,4 +1,4 @@
-"""Result caching with LRU / LFU policies.
+"""Result caching, least recently used out first.
 
 Survey Section 4: "also caching and prefetching techniques may be
 exploited; e.g., [128, 76, 70, 16, 33, 83, 39]". :class:`ResultCache` is
@@ -47,10 +47,10 @@ class _Slot:
 
 
 class ResultCache:
-    """Bounded keyed cache; eviction policy ``"lru"`` or ``"lfu"``.
+    """Bounded keyed cache; the least recently used entry leaves first.
 
     Bounded by ``capacity`` entries and, with ``max_bytes``, by the sum
-    of the weights callers declare: entries leave in policy order until
+    of the weights callers declare: entries leave in LRU order until
     both hold, and a value heavier than the budget is not kept. A lookup
     under another ``stamp`` (the version of what an entry was computed
     from) than the entry's drops it and misses. Thread-safe: one lock
@@ -62,20 +62,16 @@ class ResultCache:
     ``cache=<name>``, alongside the always-on local :class:`CacheStats`.
     """
 
-    def __init__(self, capacity: int, policy: str = "lru",
-                 name: str = "result", max_bytes: int | None = None) -> None:
+    def __init__(self, capacity: int, name: str = "result",
+                 max_bytes: int | None = None) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
-        if policy not in ("lru", "lfu"):
-            raise ValueError("policy must be 'lru' or 'lfu'")
         self.capacity = capacity
-        self.policy = policy
         self.name = name
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._data: OrderedDict[Hashable, _Slot] \
             = OrderedDict()  # guarded-by: _lock
-        self._frequency: dict[Hashable, int] = {}  # guarded-by: _lock
         self.bytes = 0  # guarded-by: _lock
         self.stats = CacheStats()  # guarded-by: _lock
 
@@ -95,7 +91,7 @@ class ResultCache:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-                self._touch_locked(key)
+                self._data.move_to_end(key)
         self._record("misses" if slot is None else "hits")
         return default if slot is None else slot.value
 
@@ -108,7 +104,6 @@ class ResultCache:
                 self.bytes += weight
                 evicted = self._make_room_locked()
                 self._data[key] = _Slot(value, weight, stamp)
-                self._touch_locked(key)
         self._record("evictions", evicted)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], V],
@@ -120,15 +115,10 @@ class ResultCache:
             self.put(key, value, stamp=stamp)
         return value  # type: ignore[return-value]
 
-    def _touch_locked(self, key: Hashable) -> None:
-        self._data.move_to_end(key)
-        self._frequency[key] = self._frequency.get(key, 0) + 1
-
     def _drop_locked(self, key: Hashable) -> None:
         slot = self._data.pop(key, None)
         if slot is not None:
             self.bytes -= slot.weight
-            self._frequency.pop(key, None)
 
     def _make_room_locked(self) -> int:
         """Evict until one more entry fits (``bytes`` already counts it)."""
@@ -137,11 +127,7 @@ class ResultCache:
             len(self._data) >= self.capacity
             or (self.max_bytes is not None and self.bytes > self.max_bytes)
         ):
-            if self.policy == "lru":
-                victim = next(iter(self._data))
-            else:  # lfu: least frequent, ties broken by recency (oldest first)
-                victim = min(self._data, key=self._frequency.__getitem__)
-            self._drop_locked(victim)
+            self._drop_locked(next(iter(self._data)))
             evicted += 1
         self.stats.evictions += evicted
         return evicted
@@ -157,5 +143,4 @@ class ResultCache:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            self._frequency.clear()
             self.bytes = 0

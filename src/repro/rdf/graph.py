@@ -50,6 +50,7 @@ class Graph:
         )
         self._size = 0
         self._stats = None  # cached StatisticsSnapshot, dropped on mutation
+        self.version = 0  # effective writes so far: what answer caches stamp
         self.namespace_manager = namespace_manager or default_namespace_manager()
         if triples is not None:
             for triple in triples:
@@ -71,6 +72,7 @@ class Graph:
         self._osp[o][s].add(p)
         self._size += 1
         self._stats = None
+        self.version += 1
         return True
 
     def add_all(self, triples: Iterable[Triple | tuple]) -> int:
@@ -99,6 +101,7 @@ class Graph:
         self._size -= len(victims)
         if victims:
             self._stats = None
+            self.version += 1
         return len(victims)
 
     # ------------------------------------------------------------------ #

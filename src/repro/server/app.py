@@ -12,10 +12,12 @@ writes the request's one accounting record. ``ROUTES`` is everything the
 server answers; DESIGN.md, *Serving*, has the read stage's deadline and
 bound and where the shed and SLO clocks start.
 
-Degradation order under load: the shed tiers answer the aggregates they
-can from a uniform sample (:mod:`repro.server.sketch`, the one approximate
-path); only a full admission queue is answered 503 + ``Retry-After``. It
-never buffers without bound and it never silently drops a request.
+Degradation order under load: an answer kept in the one answer cache
+(:mod:`repro.sparql.cached`, every exact answer) is served whatever the
+tier; the shed tiers answer the other aggregates they can from a uniform
+sample (:mod:`repro.server.sketch`, the one approximate path); only a full
+admission queue is answered 503 + ``Retry-After``. It never buffers
+without bound and it never silently drops a request.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-from ..cache.result_cache import ResultCache
 from ..obs import (
     INTERACTIVE,
     NAVIGATION,
@@ -39,23 +40,21 @@ from ..obs import (
     record_error,
 )
 from ..obs.metrics import BoundedLabelSet
-from ..rdf.ntriples import serialize_ntriples
 from ..rdf.terms import IRI
+from ..sparql.cached import (
+    CSV_TYPE,
+    JSON_TYPE,
+    STREAMED,
+    TABLE_TYPE,
+    TSV_TYPE,
+    Answer,
+    CachedQueryEngine,
+    encode_select,
+)
 from ..sparql.eval import QueryEngine
 from ..sparql.lexer import SparqlSyntaxError
-from ..sparql.nodes import AskQuery, DescribeQuery, Query, SelectQuery
+from ..sparql.nodes import DescribeQuery, Query, SelectQuery
 from ..sparql.parser import parse_query
-from ..sparql.results import (
-    SelectResult,
-    ask_to_sparql_json,
-    batch_block,
-    csv_document,
-    json_document,
-    to_csv,
-    to_sparql_json,
-    to_tsv,
-    tsv_document,
-)
 from ..store.base import TripleSource
 from . import explore, probes
 from .admission import FairAdmissionQueue
@@ -81,12 +80,6 @@ from .sketch import (
 
 __all__ = ["ServerConfig", "ReproServer", "RequestContext", "ROUTES"]
 
-JSON_TYPE = "application/sparql-results+json"
-CSV_TYPE = "text/csv"
-TSV_TYPE = "text/tab-separated-values"
-NTRIPLES_TYPE = "application/n-triples"
-TABLE_TYPE = "text/plain"
-
 # What no deployment has needed to change: the tenant of a request that
 # names none, and the Retry-After of a 503 (the read deadline is the read
 # stage's; the shed tiers' hysteresis and the confidence of approximate
@@ -96,17 +89,6 @@ RETRY_AFTER = {"Retry-After": "1"}
 OVERLOADED = "server overloaded, retry later"
 LISTEN_BACKLOG = 128
 
-# What the answer cache may weigh (id columns at 8 B a cell, encoded
-# bodies, query texts): no more on 2,000-row pages (48 KB of columns + 440
-# KB of JSON) than four private 128-entry caches of columns weighed.
-CACHE_BYTES = 16 * 1024 * 1024
-
-# The formats a SELECT streams in: content type and document generator.
-_STREAMED = {
-    "json": (JSON_TYPE, json_document),
-    "csv": (CSV_TYPE, csv_document),
-    "tsv": (TSV_TYPE, tsv_document),
-}
 STAGES = ("read", "queue", "parse", "execute", "encode", "write", "stream")
 _ENGINE_COUNTERS = ("store_lookups", "intermediate_bindings", "solutions",
                     "scan_batches", "scan_rows")
@@ -175,19 +157,6 @@ class RequestContext:
         self.started = now
 
 
-@dataclass
-class _Answer:
-    """One entry of the answer cache: what a plan evaluated to, and its
-    ``(content type, body)`` per negotiated SELECT format, each encoded
-    from ``result`` when first asked for. An ASK, CONSTRUCT or DESCRIBE
-    has no ``result`` and its one body under ``None``."""
-
-    form: str
-    solutions: int
-    result: SelectResult | None
-    bodies: dict[str | None, tuple[str, bytes]]
-
-
 class ReproServer:
     """A concurrent SPARQL endpoint over any :class:`TripleSource`.
 
@@ -195,11 +164,11 @@ class ReproServer:
     ``stop()`` shuts everything down. Usable as a context manager. One
     request per connection: every response says ``Connection: close``.
     Each worker owns a plain :class:`QueryEngine` over the shared store
-    (stores are read-safe under concurrent readers); all of them share one
-    cache of exact non-aggregate answers, probed before the query is
-    parsed: request text → plan digest → :class:`_Answer`, valid for one
-    ``store.version`` (a store that offers none is taken never to change),
-    at most ``cache_capacity`` entries weighing ``CACHE_BYTES``.
+    (stores are read-safe under concurrent readers); all of them share
+    ``answers``, the one cache of exact answers
+    (:class:`~repro.sparql.cached.CachedQueryEngine`, at most
+    ``cache_capacity`` entries), which decides what is kept and when it
+    may be served.
     """
 
     def __init__(self, store: TripleSource, config: ServerConfig | None = None) -> None:
@@ -231,12 +200,7 @@ class ReproServer:
         self.service = "repro-server"
         # One engine per worker, registered for /stats and /metrics.
         self._engines: list[QueryEngine] = []  # guarded-by: _lock
-        self._cache = ResultCache(config.cache_capacity, name="server.answers",
-                                  max_bytes=CACHE_BYTES)
-        # Query text → plan digest. A text's digest never changes, so an
-        # entry here that outlives its answer costs one parse, no more.
-        self._digests = ResultCache(config.cache_capacity, name="server.texts",
-                                    max_bytes=CACHE_BYTES // 16)
+        self.answers = CachedQueryEngine(store, config.cache_capacity)
         # A serving process always records its workload: the query log is
         # the accounting substrate /debug/queries and the workload
         # analyzer read. (Library use stays opt-in via REPRO_QUERYLOG.)
@@ -443,16 +407,21 @@ class ReproServer:
             text = request.body.decode("utf-8", "replace")
         if not text:
             return self._error(ctx, 400, "missing `query` parameter")
-        # The probe in front of the parser: a text answered before names
-        # its plan's digest. (Aggregates never are, nor is anything else
-        # the sketch-wire and progressive headers apply to.)
-        digest = self._digests.get(text)
-        parsed = None
-        if digest is None:
-            try:
-                parsed = parse_query(text)
-            except (SparqlSyntaxError, ValueError) as error:
-                return self._error(ctx, 400, f"parse error: {error}")
+        # Sketch-wire and progressive requests answer an aggregate from a
+        # sample and neither read nor fill the answer cache. Anything else
+        # asks it first: a text answered before names its plan's digest,
+        # and a hit runs no parser.
+        modes = (request.header("x-repro-sketch")
+                 or request.header("x-repro-progressive"))
+        parsed = digest = answer = None
+        try:
+            parsed = parse_query(text) if modes else None
+            if not (modes and aggregate_shape(parsed)):
+                _decide(ctx, "exact")  # a hit's tier; a shed tier overwrites it
+                parsed, digest, answer = self.answers.probe(text, ctx.engine,
+                                                            parsed)
+        except (SparqlSyntaxError, ValueError) as error:
+            return self._error(ctx, 400, f"parse error: {error}")
         ctx.stamp("parse")
         if self.config.debug_delay_ms > 0 and (
             self.config.debug_delay_tenant in (None, ctx.tenant)
@@ -460,19 +429,12 @@ class ReproServer:
             # Test/CI hook standing in for a genuinely slow backing store;
             # scoping it to one tenant makes that tenant the SLO offender.
             time.sleep(self.config.debug_delay_ms / 1e3)
-
-        shape = None if parsed is None else aggregate_shape(parsed)
-        if shape is None:
-            _decide(ctx, "exact")
-            ctx.headers["X-Repro-Tier"] = "exact"
-            return self._answer_exact(
-                ctx, parsed, digest or ctx.engine.plan_digest(parsed), text
-            )
+        shape = None if answer is not None else aggregate_shape(parsed)
         # Wire mode: a federation coordinator asks for the serialized
         # sketch bundle instead of result rows (cheap bounded work, so it
         # is served regardless of the shed tier; a malformed ``max_rows``
         # keeps the configured default).
-        if request.header("x-repro-sketch"):
+        if shape is not None and request.header("x-repro-sketch"):
             _decide(ctx, "sketch-wire")
             max_rows = int_param(request, "max_rows",
                                  self.config.approx_max_rows)
@@ -483,147 +445,91 @@ class ReproServer:
             return json_reply(bundle.to_dict())
         # Progressive mode: chunked NDJSON of tightening estimates, one
         # line per pass over a growing sample (client opt-in).
-        if request.header("x-repro-progressive"):
+        if shape is not None and request.header("x-repro-progressive"):
             _decide(ctx, "progressive")
             ctx.headers.update({"X-Repro-Tier": "progressive",
                                 "X-Repro-Approximate": "1"})
             return 200, "application/x-ndjson", progressive_lines(
                 ctx.engine, parsed, self.config.approx_max_rows, self.service
             )
-        tier = self.shedder.decide(
-            burn_rate=self.policy.burn_rate(ctx.tenant),
-            peak_burn=self.policy.peak_burn_rate(),
-        )
-        if shape == "distinct" and not hasattr(self.store, "members"):
-            # A sample's distinct count cannot be extrapolated, and over id
-            # batches the exact aggregate costs less than draining the
-            # stream into an HLL: nothing to shed. (A federation's members
-            # each answer with an HLL to merge.)
-            tier = EXACT
-        _decide(ctx, TIER_NAMES[tier])
-        return self._answer_aggregate(ctx, text, parsed, tier)
-
-    def _answer_exact(self, ctx: RequestContext, parsed: Query | None,
-                      digest: str, text: str | None = None) -> None:
-        """Write the exact answer of the plan ``digest``: the cache's entry
-        of this store version, else what ``parsed`` evaluates to, which
-        becomes the entry. ``text``, the request's query, is kept as a
-        name for it; ``parsed`` is ``None`` when the text named the digest."""
-        version = getattr(self.store, "version", None)
-        started = time.perf_counter_ns()
-        answer = self._cache.get(digest, stamp=version)
-        hit, grown = answer is not None, False
-        if parsed is None and not hit:
-            parsed = parse_query(text)  # the entry has left; the text stayed
-        elif text is not None and parsed is not None:
-            self._digests.put(text, digest, len(text))
-        select = (answer.result is not None if hit
+        select = (answer.result is not None if answer is not None
                   else isinstance(parsed, SelectQuery))
-        accept = ctx.request.header("accept", JSON_TYPE)
+        accept = request.header("accept", JSON_TYPE)
         fmt = _negotiate_select(accept) if select else None
         if select and fmt is None:
             return self._error(ctx, 406, f"cannot serve Accept: {accept}")
-        if not hit and fmt in _STREAMED and not parsed.select_all:
-            return self._stream_select(ctx, parsed, digest, version, fmt)
+        # A kept answer is exact whatever the tier, so it is served before
+        # anything is sampled: only an aggregate's miss meets the shedder.
+        tier = EXACT
+        if answer is not None:
+            ctx.aggregate = answer.aggregate
+        elif shape is not None:
+            ctx.aggregate = True
+            tier = self.shedder.decide(
+                burn_rate=self.policy.burn_rate(ctx.tenant),
+                peak_burn=self.policy.peak_burn_rate(),
+            )
+            if shape == "distinct" and not hasattr(self.store, "members"):
+                # A sample's distinct count cannot be extrapolated, and over
+                # id batches the exact aggregate costs less than draining the
+                # stream into an HLL: nothing to shed. (A federation's
+                # members each answer with an HLL to merge.)
+                tier = EXACT
+        if tier != EXACT:
+            _decide(ctx, TIER_NAMES[tier])
+            return self._answer_shed(ctx, text, parsed, digest, fmt, tier)
+        ctx.headers["X-Repro-Tier"] = "exact"
+        return self._answer_exact(ctx, parsed, digest, answer, fmt, text)
+
+    def _answer_exact(self, ctx: RequestContext, parsed: Query | None,
+                      digest: str, answer: Answer | None,
+                      fmt: str | None = None, text: str | None = None) -> None:
+        """Write the exact answer of the plan ``digest``: ``answer``, its
+        kept entry, else what ``parsed`` evaluates to, which the cache
+        keeps (``text`` a name for it)."""
+        hit = answer is not None
         if hit:
             ctx.headers["X-Repro-Cache"] = "hit"
-            # No engine ran: the workload record is written here, with the
-            # requester's tenant, class and trace.
-            OBS.querylog.emit_cache_hit(
-                digest=digest, form=answer.form, solutions=answer.solutions,
-                latency_ms=(time.perf_counter_ns() - started) / 1e6,
+        elif fmt in STREAMED and not parsed.select_all and not ctx.aggregate:
+            ctx.headers["Content-Type"], chunks = self.answers.stream(
+                ctx.engine, parsed, digest, fmt, text
             )
+            return self._write(ctx, 200, chunks)
         else:
             # ASK and the graph forms have one body; SELECT * needs all rows
-            # before its header is known and the ASCII table pads columns
-            # globally: materialize these.
-            answer = _evaluate(ctx.engine, parsed, digest)
+            # before its header is known, the ASCII table pads columns
+            # globally, and an aggregate's few rows go out in one piece:
+            # materialize these.
+            answer = self.answers.evaluate(ctx.engine, parsed, digest,
+                                           ctx.aggregate)[1]
         ctx.stamp("execute")
-        body = answer.bodies.get(fmt)
-        if body is None:  # this format's first request
-            body = _encode_select(answer.result, fmt)
-            grown = answer.bodies.setdefault(fmt, body) is body
-        if grown or not hit:
-            self._keep(digest, version, answer)
+        body = self.answers.body(digest, answer, fmt, hit, text)
         return self._reply(ctx, 200, *body, stage="encode")
 
-    def _keep(self, digest: str, version: object, answer: _Answer) -> None:
-        """Put ``answer`` in the cache (again), at what it weighs now. Done
-        before its last byte is written: whoever has the response and asks
-        again finds the entry."""
-        weight = sum(len(body) for _, body in list(answer.bodies.values()))
-        if answer.result is not None:
-            weight += 8 * len(answer.result) * len(answer.result.variables)
-        self._cache.put(digest, answer, weight, stamp=version)
-
-    def _stream_select(self, ctx: RequestContext, parsed: SelectQuery,
-                       digest: str, version: object, fmt: str) -> None:
-        """One HTTP chunk per batch off the operator tree, never decoded (the
-        serializer gathers each id's cell). The document generator holds one
-        block back, so a one-block answer is written whole, and the last
-        block of a longer one with the document's close, only after the
-        engine has merged its stats and logged the query: a client that
-        has the response finds both in /stats and /debug/queries."""
-        stream = ctx.engine.stream_select(parsed, digest=digest)
-        content_type, document = _STREAMED[fmt]
-        kept, written = [], []
-
-        def blocks():
-            for batch in stream.batches:
-                kept.append(batch)
-                yield batch_block(stream.variables, batch.columns,
-                                  batch.count, stream.dictionary)
-
-        def chunks():
-            for chunk in document(stream.variables, blocks()):
-                written.append(chunk.encode("utf-8"))
-                yield written[-1]
-            # The whole answer went out and only the terminal chunk is
-            # left: the next hit is served these bytes, and any other
-            # format from the batches.
-            result = SelectResult.from_batches(
-                stream.variables, kept, stream.dictionary, plan_digest=digest,
-            )
-            self._keep(digest, version, _Answer(
-                "SELECT", len(result), result,
-                {fmt: (content_type, b"".join(written))},
-            ))
-
-        ctx.headers["Content-Type"] = content_type
-        self._write(ctx, 200, chunks())
-
-    def _answer_aggregate(self, ctx: RequestContext, text: str,
-                          parsed: SelectQuery, tier: int) -> None:
-        """Aggregate queries: the tier decides exact vs bounded-work."""
-        accept = ctx.request.header("accept", JSON_TYPE)
-        fmt = _negotiate_select(accept)
-        if fmt is None:
-            return self._error(ctx, 406, f"cannot serve Accept: {accept}")
-        ctx.aggregate, metadata = True, None
-        if tier == EXACT:
-            result = ctx.engine.query(parsed)
-        else:
-            max_rows = self.config.approx_max_rows
-            if tier >= AGGRESSIVE:
-                max_rows = max(1, max_rows // 4)
-            answer = shed_answer(self.store, ctx.engine, text, parsed,
-                                 max_rows, self.service)
-            # A first stage that fit the budget was read whole: exact.
-            result = answer.result
-            if answer.approximate:
-                metadata = answer.metadata()
-                ctx.headers.update({
-                    "X-Repro-Tier": TIER_NAMES[tier],
-                    "X-Repro-Approximate": "1",
-                    "X-Repro-Error-Bound": json.dumps(metadata["bounds"],
-                                                      sort_keys=True),
-                    "X-Repro-Confidence": str(answer.confidence),
-                    "X-Repro-Rows-Consumed": str(answer.rows_consumed),
-                    "X-Repro-Estimated-Total": str(answer.estimated_total),
-                })
+    def _answer_shed(self, ctx: RequestContext, text: str,
+                     parsed: SelectQuery, digest: str, fmt: str,
+                     tier: int) -> None:
+        """A shed tier's bounded-work answer from a sample: never kept."""
+        max_rows = self.config.approx_max_rows
+        if tier >= AGGRESSIVE:
+            max_rows = max(1, max_rows // 4)
+        answer = shed_answer(self.store, ctx.engine, text, parsed, digest,
+                             max_rows, self.service)
+        metadata = None
+        if answer.approximate:  # else the first stage fit: it was read whole
+            metadata = answer.metadata()
+            ctx.headers.update({
+                "X-Repro-Tier": TIER_NAMES[tier],
+                "X-Repro-Approximate": "1",
+                "X-Repro-Error-Bound": json.dumps(metadata["bounds"],
+                                                  sort_keys=True),
+                "X-Repro-Confidence": str(answer.confidence),
+                "X-Repro-Rows-Consumed": str(answer.rows_consumed),
+                "X-Repro-Estimated-Total": str(answer.estimated_total),
+            })
         ctx.stamp("execute")
         ctx.headers.setdefault("X-Repro-Tier", "exact")
-        self._reply(ctx, 200, *_encode_select(result, fmt, metadata),
+        self._reply(ctx, 200, *encode_select(answer.result, fmt, metadata),
                     stage="encode")
 
     def _handle_describe(self, ctx: RequestContext) -> None:
@@ -637,7 +543,8 @@ class ReproServer:
         # The same plan, and so the same cache entry, as `DESCRIBE <iri>`.
         query = DescribeQuery(resources=(iri,))
         ctx.stamp("parse")
-        return self._answer_exact(ctx, query, ctx.engine.plan_digest(query))
+        return self._answer_exact(ctx, *self.answers.probe(None, ctx.engine,
+                                                           query))
 
     def stats(self) -> dict[str, object]:
         """The /stats payload: admission, shedding, SLOs, serving counters."""
@@ -669,9 +576,7 @@ class ReproServer:
             "engine": {name: sum(getattr(engine.stats, name)
                                  for engine in engines)
                        for name in _ENGINE_COUNTERS},
-            "cache": {"entries": len(self._cache),
-                      "bytes": self._cache.bytes + self._digests.bytes,
-                      **asdict(self._cache.stats)},
+            "cache": self.answers.snapshot(),
             "store_version": getattr(self.store, "version", None),
             "querylog": {
                 "depth": len(log), "recorded_total": log.recorded_total,
@@ -699,38 +604,10 @@ ROUTES: dict[str, Route] = {
 
 
 def _decide(ctx: RequestContext, tier: str) -> None:
-    """Write the request's tier, once: on its span, and on the query-log
-    scope the engine's records inherit."""
+    """Write the request's tier on its span and on the query-log scope
+    the engine's records inherit (a shed tier overwrites ``exact``)."""
     ctx.act.set_attribute("tier", tier)
     OBS.querylog.annotate_serving(tier=tier)
-
-
-def _evaluate(engine: QueryEngine, parsed: Query, digest: str) -> _Answer:
-    """``parsed`` evaluated whole, as a cache entry."""
-    result = engine.query(parsed, digest=digest)
-    if isinstance(parsed, SelectQuery):
-        return _Answer("SELECT", len(result), result, {})
-    if isinstance(parsed, AskQuery):
-        body = ask_to_sparql_json(result).encode("utf-8")
-        return _Answer("ASK", int(result), None, {None: (JSON_TYPE, body)})
-    form = "DESCRIBE" if isinstance(parsed, DescribeQuery) else "CONSTRUCT"
-    body = serialize_ntriples(result.triples(), sort=True).encode("utf-8")
-    return _Answer(form, len(result), None, {None: (NTRIPLES_TYPE, body)})
-
-
-def _encode_select(
-    result: SelectResult, fmt: str, extra: dict[str, object] | None = None
-) -> tuple[str, bytes]:
-    """``(content type, body)`` of a SELECT answer in a negotiated format."""
-    if fmt == "csv":
-        body, content_type = to_csv(result), CSV_TYPE
-    elif fmt == "tsv":
-        body, content_type = to_tsv(result), TSV_TYPE
-    elif fmt == "table":
-        body, content_type = result.to_table(max_rows=None), TABLE_TYPE
-    else:
-        body, content_type = to_sparql_json(result, extra=extra), JSON_TYPE
-    return content_type, body.encode("utf-8")
 
 
 # In order of preference: a format, and what in an Accept header names it.

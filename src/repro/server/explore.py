@@ -5,8 +5,9 @@ browser's summary of the served dataset) and ``/statistics`` (the store's
 client can *plan* against this endpoint without scanning it).
 
 Plain functions of the server and the request context, run on a worker;
-each returns ``(status, content type, body)``. (``/describe`` shares the
-answer cache with ``DESCRIBE`` queries and lives beside ``/sparql``.)
+each returns ``(status, content type, body)``. ``/facets`` answers are
+kept in the server's one answer cache (``/describe`` shares it with
+``DESCRIBE`` queries and lives beside ``/sparql``).
 """
 
 from __future__ import annotations
@@ -20,23 +21,30 @@ from .probes import int_param, json_reply
 
 
 def facets(server, ctx):
-    browser = FacetedBrowser(server.store, engine=ctx.engine)
-    found = browser.facets(
-        max_values=int_param(ctx.request, "max_values", 25),
-        min_count=int_param(ctx.request, "min_count", 1),
-    )
-    return json_reply({"focus": len(browser), "facets": [
-        {
-            "predicate": str(facet.predicate),
-            "cardinality": facet.cardinality,
-            "values": [
-                {"term": term_to_json(value.value), "label": value.label,
-                 "count": value.count}
-                for value in facet.values
-            ],
-        }
-        for facet in found
-    ]})
+    max_values = int_param(ctx.request, "max_values", 25)
+    min_count = int_param(ctx.request, "min_count", 1)
+
+    def compute():
+        browser = FacetedBrowser(server.store, engine=ctx.engine)
+        found = browser.facets(max_values=max_values, min_count=min_count)
+        return len(found), json_reply({"focus": len(browser), "facets": [
+            {
+                "predicate": str(facet.predicate),
+                "cardinality": facet.cardinality,
+                "values": [
+                    {"term": term_to_json(value.value), "label": value.label,
+                     "count": value.count}
+                    for value in facet.values
+                ],
+            }
+            for facet in found
+        ]})[1:]
+
+    key = f"/facets?max_values={max_values}&min_count={min_count}"
+    answer, hit = server.answers.remember(key, "FACETS", compute)
+    if hit:
+        ctx.headers["X-Repro-Cache"] = "hit"
+    return (200, *answer.bodies[None])
 
 
 def statistics(server, ctx):

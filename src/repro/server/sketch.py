@@ -483,6 +483,7 @@ def iter_sketch_passes(
     max_rows: int = 2_000,
     confidence: float = 0.95,
     passes: int = 4,
+    digest: str | None = None,
 ) -> Iterator[SketchBundle]:
     """Fill a bundle from ``engine``, yielding it as it tightens.
 
@@ -495,9 +496,9 @@ def iter_sketch_passes(
     projection, a plan with no first stage) is drained and yielded once,
     exhausted.
 
-    The plan digest of ``query`` seeds the draw and names the stream's
-    query-log record (not the digest of the pattern query streamed for
-    it). Every pass also lands on the progress-event stream
+    The plan digest of ``query`` (``digest``, when the caller has it)
+    seeds the draw and names the stream's query-log record (not the digest
+    of the pattern query streamed for it). Every pass also lands on the progress-event stream
     (``approx.sketch.pass``).
     """
     parsed = parse_query(query) if isinstance(query, str) else query
@@ -510,7 +511,7 @@ def iter_sketch_passes(
     needed = list(dict.fromkeys(
         [*group_vars, *(s.arg for s in bundle.agg_specs if s.arg is not None)]
     ))
-    digest = engine.plan_digest(parsed)
+    digest = digest or engine.plan_digest(parsed)
     stream = engine.stream_select(
         SelectQuery(
             projections=tuple(map(Projection, needed or [_NO_COLUMN])),
@@ -579,10 +580,12 @@ def build_sketch_bundle(
     query: str | SelectQuery,
     max_rows: int = 2_000,
     confidence: float = 0.95,
+    digest: str | None = None,
 ) -> SketchBundle:
     """One engine's bundle for ``query`` from ``max_rows`` first-stage
     rows: :func:`iter_sketch_passes` in a single pass."""
-    (bundle,) = iter_sketch_passes(engine, query, max_rows, confidence, passes=1)
+    (bundle,) = iter_sketch_passes(engine, query, max_rows, confidence,
+                                   passes=1, digest=digest)
     return bundle
 
 
@@ -816,23 +819,24 @@ def note_bundle(bundle: SketchBundle, service: str) -> None:
 
 
 def shed_answer(store: object, engine: QueryEngine, text: str,
-                parsed: SelectQuery, max_rows: int,
+                parsed: SelectQuery, digest: str, max_rows: int,
                 service: str) -> ApproximateAnswer:
     """The shed tier's bounded-work answer: a bundle filled from a sample
     of this store, or merged from the members' bundles when the store is a
     federation. One query-log record either way, under the digest of the
-    query the client sent: the sampled stream's own (strategy
+    query the client sent (``digest``): the sampled stream's own (strategy
     ``…+sample``), or the one written here for a federation, whose members
     ran the streams."""
     started = time.perf_counter_ns()
     bundle = federated_sketch_bundle(store, text, parsed, max_rows=max_rows)
     if bundle is None:
-        bundle = build_sketch_bundle(engine, parsed, max_rows=max_rows)
+        bundle = build_sketch_bundle(engine, parsed, max_rows=max_rows,
+                                     digest=digest)
         answer = bundle_to_answer(bundle)
     else:
         answer = bundle_to_answer(bundle, method="sketch-federated")
         OBS.querylog.emit(
-            digest=engine.plan_digest(parsed), form="SELECT",
+            digest=digest, form="SELECT",
             strategy="federated+sample" if answer.approximate else "federated",
             latency_ms=(time.perf_counter_ns() - started) / 1e6,
             solutions=len(answer.result),

@@ -19,22 +19,12 @@ class TestResultCache:
         assert cache.stats.misses == 1
 
     def test_lru_eviction_order(self):
-        cache = ResultCache(2, policy="lru")
+        cache = ResultCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh a
         cache.put("c", 3)
         assert "a" in cache
-        assert "b" not in cache
-
-    def test_lfu_eviction_order(self):
-        cache = ResultCache(2, policy="lfu")
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert "a" in cache  # frequently used survives
         assert "b" not in cache
 
     def test_get_or_compute_caches(self):
@@ -72,8 +62,6 @@ class TestResultCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResultCache(0)
-        with pytest.raises(ValueError):
-            ResultCache(2, policy="random")
 
     def test_hit_rate(self):
         cache = ResultCache(2)

@@ -2,23 +2,28 @@
 
 A repeated request is a hit whichever worker takes it and whatever its
 query form; a write to the store is visible to the next identical request;
-the cache stays inside its entry and byte bounds; and what must never be
-kept (aggregates, approximate answers, errors) is not.
+the cache stays inside its entry and byte bounds; every exact answer,
+aggregates and ``/facets`` included, is kept and served whatever the shed
+tier; and what must never be kept (approximate answers, sketch bundles,
+progressive streams, errors) is not.
 """
 
 import http.client
 import json
 import sys
 import threading
+import time
 import urllib.parse
 
 import pytest
 
 from repro.obs import OBS
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.server import app
 from repro.server.app import ReproServer, ServerConfig
-from repro.sparql import QueryEngine
+from repro.sparql import QueryEngine, cached
+from repro.sparql.cached import CachedQueryEngine
 from repro.store.cracking import CrackingTripleStore
 from repro.store.federated import FederatedStore
 from repro.store.memory import MemoryStore
@@ -36,6 +41,7 @@ DESCRIBE = f"DESCRIBE <{ITEM1}>"
 ASK = f"ASK {{ <{ITEM1}> <{EX}value> ?v }}"
 CONSTRUCT = f"CONSTRUCT {{ ?s <{EX}value> ?v }} WHERE {{ ?s <{EX}value> ?v }} LIMIT 3"
 AGGREGATE = f"SELECT (COUNT(?s) AS ?n) WHERE {{ ?s <{EX}value> ?v }}"
+TOTAL = f"SELECT (SUM(?v) AS ?t) WHERE {{ ?s <{EX}value> ?v }}"
 
 
 def fill(store, n: int = 40):
@@ -73,6 +79,15 @@ def stats(server) -> dict:
 
 def rows(body: bytes) -> int:
     return len(json.loads(body)["results"]["bindings"])
+
+
+def until(condition, timeout: float = 5.0) -> None:
+    """Wait for what a server accounts after a response's last byte (the
+    client may ask again before it has)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
 
 
 @pytest.fixture()
@@ -123,9 +138,12 @@ def test_a_textual_hit_runs_no_parser_planner_or_serializer(server, monkeypatch)
             raise AssertionError(f"{name} called on a hit")
         return fail
 
-    for name in ("parse_query", "batch_block", "to_sparql_json",
-                 "serialize_ntriples", "ask_to_sparql_json", "_evaluate"):
-        monkeypatch.setattr(app, name, forbidden(name))
+    for module in (app, cached):
+        for name in ("parse_query", "batch_block", "to_sparql_json",
+                     "serialize_ntriples", "ask_to_sparql_json"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(CachedQueryEngine, "evaluate", forbidden("evaluate"))
     for name in ("plan_digest", "query", "stream_select"):
         monkeypatch.setattr(QueryEngine, name, forbidden(name))
     for query, body in zip((SELECT, DESCRIBE, ASK), bodies):
@@ -141,7 +159,7 @@ def test_two_texts_of_one_plan_share_an_entry(server):
     assert sparql(server, SELECT_RENAMED)[0].getheader("X-Repro-Cache") == "hit"
     cache = stats(server)["cache"]
     assert (cache["entries"], cache["hits"], cache["misses"]) == (1, 2, 1)
-    assert len(server._digests) == 2  # both texts now skip the parser
+    assert len(server.answers.texts) == 2  # both texts now skip the parser
 
 
 def test_describe_route_shares_the_entry_of_the_describe_query(server):
@@ -189,7 +207,7 @@ def lines(body: bytes) -> int:
     return len(body.decode("utf-8").splitlines())
 
 
-@pytest.mark.parametrize("store_class", [MemoryStore, CrackingTripleStore])
+@pytest.mark.parametrize("store_class", [MemoryStore, CrackingTripleStore, Graph])
 def test_a_write_is_visible_to_the_next_identical_request(store_class):
     store = fill(store_class())
     extra = Triple(IRI(ITEM1), VALUE, Literal(-5))
@@ -319,7 +337,7 @@ def test_entries_leave_in_lru_order_under_the_byte_budget(store, monkeypatch):
         sparql(probe, listing(10))
         one = stats(probe)["cache"]["bytes"]
     # room for three ten-row listings, not four; a forty-row one never fits
-    monkeypatch.setattr(app, "CACHE_BYTES", int(one * 3.5))
+    monkeypatch.setattr(cached, "CACHE_BYTES", int(one * 3.5))
     with ReproServer(store, ServerConfig(workers=2)) as server:
         queries = [listing(10) + f" OFFSET {n}" for n in range(4)]
         for query in queries[:3]:
@@ -351,8 +369,8 @@ def test_distinct_texts_leave_both_maps_bounded(store):
             # the same plan under ever new texts
             sparql(server, SELECT + " " * n)
         assert stats(server)["cache"]["entries"] <= 4
-        assert len(server._cache) <= 4 and len(server._digests) <= 4
-        assert server._digests.bytes <= app.CACHE_BYTES // 16
+        assert len(server.answers.cache) <= 4 and len(server.answers.texts) <= 4
+        assert server.answers.texts.bytes <= cached.CACHE_BYTES // 16
 
 
 # -- never kept ------------------------------------------------------------------
@@ -369,6 +387,7 @@ def test_what_is_never_cached(store):
     )
     with ReproServer(store, config) as server:
         sparql(server, SELECT)  # one observation: the shedder escalates
+        until(lambda: stats(server)["shedding"]["window_size"] >= 1)
         approximate = 0
         for _ in range(3):
             for query, headers in [
@@ -389,7 +408,98 @@ def test_what_is_never_cached(store):
         assert approximate >= 3  # the shed tier did answer
         cache = stats(server)["cache"]
         assert cache["entries"] == 1  # the warm-up SELECT and nothing else
-        assert len(server._digests) == 1
+        assert len(server.answers.texts) == 1
+
+
+# -- the policy: every exact answer is kept, an approximate one never ----------
+
+
+def test_a_repeated_exact_aggregate_is_a_hit(server):
+    first, body = sparql(server, AGGREGATE)
+    assert first.getheader("X-Repro-Cache") is None
+    again, repeated = sparql(server, AGGREGATE)
+    assert again.getheader("X-Repro-Cache") == "hit"
+    assert again.getheader("X-Repro-Tier") == "exact"
+    assert repeated == body
+    assert json.loads(body)["results"]["bindings"][0]["n"]["value"] == "40"
+    # answered from the cache, it still counts as an aggregate served
+    until(lambda: stats(server)["aggregate_served"] == 2)
+
+
+@pytest.fixture()
+def escalated(store):
+    """A server whose shedder has escalated, holding AGGREGATE's exact
+    answer from before it had the observations it needs."""
+    config = ServerConfig(workers=2, shed_budget_ms=1e-6,
+                          shed_min_observations=2, approx_max_rows=8)
+    with ReproServer(store, config) as server:
+        first, body = sparql(server, AGGREGATE)
+        assert first.getheader("X-Repro-Tier") == "exact"
+        sparql(server, SELECT)
+        until(lambda: stats(server)["shedding"]["window_size"] >= 2)
+        yield server, body
+
+
+def test_a_shed_tier_serves_a_kept_exact_answer(escalated):
+    server, body = escalated
+    response, _ = sparql(server, TOTAL)  # the tier does estimate
+    assert response.getheader("X-Repro-Approximate") == "1"
+    response, again = sparql(server, AGGREGATE)
+    assert response.getheader("X-Repro-Cache") == "hit"
+    assert response.getheader("X-Repro-Tier") == "exact"
+    assert response.getheader("X-Repro-Approximate") is None
+    assert again == body
+    until(lambda: (stats(server)["aggregate_served"],
+                   stats(server)["aggregate_approximate"]) == (3, 1))
+
+
+def test_an_approximate_answer_is_never_a_hit(escalated):
+    server, _ = escalated
+    entries = stats(server)["cache"]["entries"]
+    for _ in range(3):
+        response, _ = sparql(server, TOTAL)
+        assert response.getheader("X-Repro-Approximate") == "1"
+        assert response.getheader("X-Repro-Cache") is None
+    assert stats(server)["cache"]["entries"] == entries
+
+
+def test_the_approximate_modes_never_read_the_cache(server):
+    sparql(server, AGGREGATE)
+    assert sparql(server, AGGREGATE)[0].getheader("X-Repro-Cache") == "hit"
+    hits = stats(server)["cache"]["hits"]
+    response, body = sparql(server, AGGREGATE, {"X-Repro-Sketch": "1"})
+    assert response.getheader("X-Repro-Sketch") == "1"
+    assert response.getheader("X-Repro-Cache") is None
+    assert json.loads(body)["specs"]
+    response, body = sparql(server, AGGREGATE, {"X-Repro-Progressive": "1"})
+    assert response.getheader("Content-Type") == "application/x-ndjson"
+    assert response.getheader("X-Repro-Cache") is None
+    assert [json.loads(line)["pass"] for line in body.splitlines()]
+    assert stats(server)["cache"]["hits"] == hits
+
+
+def test_a_retired_aggregate_is_estimated_again(escalated, store):
+    server, _ = escalated
+    store.add(Triple(IRI(ITEM1), VALUE, Literal(-5)))
+    for _ in range(2):  # the text is known; its entry is stale, then gone
+        response, _ = sparql(server, AGGREGATE)
+        assert response.getheader("X-Repro-Approximate") == "1"
+        assert response.getheader("X-Repro-Cache") is None
+    assert stats(server)["cache"]["retired"] == 1
+
+
+def test_facets_are_kept_under_their_two_parameters(server, store):
+    def facets(max_values: int):
+        return get(server, f"/facets?max_values={max_values}")
+
+    first, body = facets(3)
+    assert first.status == 200 and first.getheader("X-Repro-Cache") is None
+    again, repeated = facets(3)
+    assert again.getheader("X-Repro-Cache") == "hit" and repeated == body
+    assert facets(4)[0].getheader("X-Repro-Cache") is None
+    store.add(Triple(IRI(ITEM1), LABEL, Literal("renamed")))
+    assert facets(3)[0].getheader("X-Repro-Cache") is None
+    assert facets(3)[0].getheader("X-Repro-Cache") == "hit"
 
 
 # -- concurrency -----------------------------------------------------------------

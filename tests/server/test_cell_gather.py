@@ -65,6 +65,6 @@ def test_a_streamed_listing_decodes_nothing_and_encodes_a_cell_once(monkeypatch)
         with mock.patch.object(results, "_csv_field",
                                wraps=results._csv_field) as encoded:
             for _ in range(2):
-                server._cache.clear()
+                server.answers.cache.clear()
                 assert get(server, "text/csv").decode() == csv
         assert encoded.call_count == len(distinct)

@@ -135,7 +135,7 @@ def get(server, query: str, accept: str = JSON_TYPE):
 
 
 def cache_of(server):
-    return server._cache
+    return server.answers.cache
 
 
 def entry_of(server, query):
@@ -340,7 +340,7 @@ def test_failure_after_the_head_truncates_the_stream(failing):
     assert response.status == 200 and response.getheader("X-Repro-Cache") is None
     assert len(json.loads(body)["results"]["bindings"]) == 300
     digest = QueryEngine(server.store).plan_digest(PREFIXES + LISTING)
-    assert server._digests.get(PREFIXES + LISTING) == digest
+    assert server.answers.texts.get(PREFIXES + LISTING) == digest
     records = OBS.querylog.records(
         digest=digest, service=f"repro-server:{server.port}"
     )

@@ -3,12 +3,19 @@
 The same scenarios as the server's shared cache (``tests/server/
 test_answer_cache.py``), through :class:`CachedQueryEngine`: after an
 effective write the next identical query is computed afresh and then hit;
-a write that changes nothing retires nothing.
+a write that changes nothing retires nothing; concurrent hits, fills and
+writes only ever see some version's answer; and a cached graph is every
+caller's own.
 """
+
+import sys
+import threading
 
 import pytest
 
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple
+from repro.sparql import QueryEngine
 from repro.sparql.cached import CachedQueryEngine
 from repro.store.cracking import CrackingTripleStore
 from repro.store.memory import MemoryStore
@@ -20,7 +27,7 @@ SELECT = f"SELECT ?v WHERE {{ <{ITEM}> <{VALUE}> ?v }}"
 DESCRIBE = f"DESCRIBE <{ITEM}>"
 
 
-@pytest.mark.parametrize("store_class", [MemoryStore, CrackingTripleStore])
+@pytest.mark.parametrize("store_class", [MemoryStore, CrackingTripleStore, Graph])
 def test_a_write_is_visible_to_the_next_identical_query(store_class):
     store = store_class()
     store.add(Triple(ITEM, VALUE, Literal(1)))
@@ -53,3 +60,87 @@ def test_a_write_is_visible_to_the_next_identical_query(store_class):
     hits = engine.stats.hits
     assert engine.query(SELECT).plan.cached and engine.stats.hits == hits + 1
     assert engine.stats.retired == 5
+
+
+def test_a_cached_graph_is_each_callers_own():
+    store = MemoryStore([Triple(ITEM, VALUE, Literal(1))])
+    engine = CachedQueryEngine(store)
+    construct = f"CONSTRUCT {{ ?s <{VALUE}> ?v }} WHERE {{ ?s <{VALUE}> ?v }}"
+    first = engine.query(construct)
+    first.add(Triple(ITEM, VALUE, Literal(99)))
+    second = engine.query(construct)
+    assert engine.stats.hits == 1
+    assert second is not first
+    assert set(second.triples()) == {Triple(ITEM, VALUE, Literal(1))}
+
+
+def canonical(answer):
+    """An answer as a comparable value, whatever its form."""
+    if isinstance(answer, Graph):
+        return frozenset(answer.triples())
+    return tuple(sorted(
+        tuple(sorted((str(name), str(term)) for name, term in row.items()))
+        for row in answer.rows
+    ))
+
+
+def test_mixed_hits_fills_and_writes_from_eight_threads():
+    store = MemoryStore([Triple(IRI(f"{EX}item/{n}"), VALUE, Literal(n))
+                         for n in range(40)])
+    renamed = f"PREFIX e: <{EX}>   SELECT ?v\nWHERE {{ <{ITEM}>   e:value ?v }}"
+    queries = [SELECT, renamed, DESCRIBE,
+               f"SELECT ?s ?v WHERE {{ ?s <{VALUE}> ?v }} LIMIT 5"]
+    extra = [Triple(ITEM, VALUE, Literal(-n)) for n in range(1, 9)]
+
+    # every version the store goes through, answered by a plain engine
+    valid = [[canonical(QueryEngine(store).query(q)) for q in queries]]
+    for triple in extra:
+        store.add(triple)
+        valid.append([canonical(QueryEngine(store).query(q)) for q in queries])
+    for triple in extra:
+        store.remove(triple)
+    accepted = [{answers[i] for answers in valid} for i in range(len(queries))]
+
+    engine = CachedQueryEngine(store)
+    failures: list[str] = []
+    stop = threading.Event()
+
+    def reader(offset: int) -> None:
+        turn = offset
+        while not stop.is_set():
+            index = turn % len(queries)
+            turn += 1
+            try:
+                answer = canonical(engine.query(queries[index]))
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(f"{type(error).__name__}: {error}")
+                return
+            if answer not in accepted[index]:
+                failures.append(f"{queries[index]!r} -> {answer!r}")
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for triple in extra:  # the writer: eight versions, one at a time
+            store.add(triple)
+            for _ in range(3):
+                engine.query(SELECT)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:3]
+    assert engine.stats.hits > 0 and engine.stats.retired > 0
+    assert len(engine.cache) <= 3  # three plans under four texts
+    # quiescent: the final version's answers, from the cache
+    for index, query in enumerate(queries):
+        engine.query(query)
+        hits = engine.stats.hits
+        assert canonical(engine.query(query)) == valid[-1][index]
+        assert engine.stats.hits == hits + 1
