@@ -126,7 +126,7 @@ def test_c14_telemetry_overhead(benchmark):
         # check; counted off the operator tree of one more such run.
         guard_evals = _operator_executions(engine) + 1
 
-        OBS.configure(enabled=True, sample_rate=1.0)
+        OBS.configure(enabled=True)
         enabled_s = _median_seconds(lambda: engine.query(CANARY), REPEATS)
 
         # Exporters must work against real recorded spans (CI smoke gate).

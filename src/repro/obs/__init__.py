@@ -36,6 +36,11 @@ the fact::
         browser = browser.pivot(predicate)
     print(OBS.budgets.report().render())
 
+:meth:`Observability.account` is that accounting, once per finished
+operation: an :class:`Interaction` calls it on exit, and the server calls
+it for each request it answered, with the request's one total latency —
+the same value its query-log record (:mod:`repro.obs.querylog`) carries.
+
 Error accounting is always on (exceptions are rare, visibility is cheap):
 :func:`record_error` bumps the ``obs.errors`` counter labelled with the
 site and exception type — label cardinality capped, overflow folded into
@@ -141,24 +146,21 @@ def _env_enabled() -> bool:
 class Interaction:
     """One budget-accounted interaction (context manager).
 
-    Always: times the body, feeds the latency policy, and records a flight
-    entry. When tracing is enabled: additionally opens a span tagged
-    ``interaction_class`` under the ambient stack. A budget violation
-    triggers a (throttled) flight-recorder dump carrying the offending
-    span tree.
+    Always: times the body and accounts it (:meth:`Observability.account`).
+    When tracing is enabled: additionally opens a span tagged
+    ``interaction_class`` under the ambient stack, which a violation's
+    flight dump carries.
     """
 
     __slots__ = ("_obs", "name", "interaction_class", "attributes",
-                 "_span", "_start_ns", "remote_parent")
+                 "_span", "_start_ns")
 
     def __init__(self, obs: "Observability", name: str,
-                 interaction_class: str, attributes: dict[str, object],
-                 remote_parent: TraceContext | None = None) -> None:
+                 interaction_class: str, attributes: dict[str, object]) -> None:
         self._obs = obs
         self.name = name
         self.interaction_class = interaction_class
         self.attributes = attributes
-        self.remote_parent = remote_parent
         self._span: Span | NoopSpan = NOOP_SPAN
         self._start_ns = 0
 
@@ -170,9 +172,7 @@ class Interaction:
     def __enter__(self) -> "Interaction":
         self._start_ns = _clock()
         self._span = self._obs.tracer.span(
-            self.name,
-            remote_parent=self.remote_parent,
-            interaction_class=self.interaction_class,
+            self.name, interaction_class=self.interaction_class,
             **self.attributes,
         )
         return self
@@ -180,29 +180,12 @@ class Interaction:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._span.__exit__(exc_type, exc, tb)
         duration_ms = (_clock() - self._start_ns) / 1e6
-        obs = self._obs
         attributes = self.attributes
         attributes["interaction_class"] = self.interaction_class
         if exc_type is not None:
             attributes["error"] = exc_type.__name__
-        violated = obs.budgets.observe(
-            self.interaction_class, duration_ms, operation=self.name
-        )
-        span = self._span
-        entry = obs.flight.record(
-            "interaction",
-            self.name,
-            duration_ms=duration_ms,
-            attributes=attributes,
-            violated=violated,
-            span=span if span is not NOOP_SPAN else None,
-        )
-        if violated:
-            obs.flight.dump(
-                f"budget:{self.interaction_class}:{self.name}",
-                offending=entry,
-                force=False,
-            )
+        self._obs.account(self.name, self.interaction_class, duration_ms,
+                          attributes, self._span)
 
 
 class Observability:
@@ -265,17 +248,32 @@ class Observability:
     # -- interactions ------------------------------------------------------
 
     def interaction(self, name: str, interaction_class: str = INTERACTIVE,
-                    remote_parent: TraceContext | None = None,
                     **attributes: object) -> Interaction:
-        """Open one budget-accounted interaction (see :class:`Interaction`).
+        """Open one budget-accounted interaction (see :class:`Interaction`)."""
+        return Interaction(self, name, interaction_class, dict(attributes))
 
-        ``remote_parent`` continues a trace begun in another process (the
-        server passes the parsed ``X-Repro-Trace``/``X-Repro-Span``
-        headers here), so the interaction's span stitches under the
-        caller's wire-call span in the cross-process tree.
-        """
-        return Interaction(self, name, interaction_class, dict(attributes),
-                           remote_parent=remote_parent)
+    def account(self, name: str, interaction_class: str, duration_ms: float,
+                attributes: dict[str, object],
+                span: Span | NoopSpan | None = None,
+                tenant: str | None = None,
+                policy: LatencyPolicy | None = None,
+                shed: bool = False) -> bool:
+        """Account one finished operation, once: ``policy`` (the process's
+        budgets unless given) judges ``duration_ms`` — histogram, violation
+        count, and with a ``tenant`` its windows (``shed``: the shed window
+        too) — then a flight entry is written, and over budget the flight
+        history is dumped with ``span``. Returns whether it was over."""
+        policy = policy or self.budgets
+        violated = policy.judge(tenant, interaction_class, duration_ms, shed)
+        entry = self.flight.record(
+            "interaction", name, duration_ms=duration_ms,
+            attributes=attributes, violated=violated,
+            span=span if span is not NOOP_SPAN else None,
+        )
+        if violated:
+            self.flight.dump(f"budget:{interaction_class}:{name}",
+                             offending=entry, force=False)
+        return violated
 
     # -- progress → flight + cadence budget --------------------------------
 
@@ -291,22 +289,12 @@ class Observability:
         self._progress_last_ns[event.operation] = event.monotonic_ns
         if previous is not None:
             gap_ms = (event.monotonic_ns - previous) / 1e6
-            self.budgets.observe(
-                PROGRESSIVE, gap_ms, operation=f"progress.{event.operation}"
-            )
+            self.budgets.judge(None, PROGRESSIVE, gap_ms)
 
     # -- configuration -----------------------------------------------------
 
-    def configure(
-        self,
-        enabled: bool | None = None,
-        sample_rate: float | None = None,
-        max_spans: int | None = None,
-    ) -> "Observability":
-        if sample_rate is not None:
-            if not (0.0 <= sample_rate <= 1.0):
-                raise ValueError("sample_rate must be in [0, 1]")
-            self.tracer.sample_rate = sample_rate
+    def configure(self, enabled: bool | None = None,
+                  max_spans: int | None = None) -> "Observability":
         if max_spans is not None:
             self.tracer.recorder = SpanRecorder(max_spans)
         if enabled is not None:

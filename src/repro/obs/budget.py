@@ -19,16 +19,16 @@ Three built-in classes (budgets in milliseconds):
   measured but never counts as a violation.
 
 :class:`LatencyPolicy` holds the budgets and is the one judge of a latency
-against them. Its views: the :class:`BudgetReport` (per-class compliance,
-read from the ``obs.interaction_ms`` histograms and the
-``obs.budget.violations`` counters), each tenant's **SLO burn rate** (the
-share of its recent requests over budget, divided by the ``1 -
-SLO_OBJECTIVE`` share allowed: 1.0 spends the error budget as fast as it
-accrues) and the **shed window**, whose p95
-:class:`repro.server.shedding.LoadShedder` holds against its thresholds.
-Both windows keep the last ``WINDOW_S`` seconds, count-bounded; a server
-feeds windows of its own (:meth:`LatencyPolicy.windowed`) one
-:meth:`LatencyPolicy.judge` per finished request.
+against them: :meth:`LatencyPolicy.judge` takes one finished operation.
+Its views: the :class:`BudgetReport` (per-class compliance, read from the
+``obs.interaction_ms`` histograms and the ``obs.budget.violations``
+counters), each tenant's **SLO burn rate** (the share of its recent
+requests over budget, divided by the ``1 - SLO_OBJECTIVE`` share allowed:
+1.0 spends the error budget as fast as it accrues) and the **shed
+window**, whose p95 :class:`repro.server.shedding.LoadShedder` holds
+against its thresholds. Both windows keep the last ``WINDOW_S`` seconds,
+count-bounded; a server feeds windows of its own
+(:meth:`LatencyPolicy.windowed`) one judgement per finished request.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import collections
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .metrics import TIME_MS_BUCKETS, Histogram, MetricsRegistry
 
@@ -78,8 +77,6 @@ VIOLATIONS = "obs.budget.violations"
 _UNSEEN = Histogram(LATENCY, buckets=TIME_MS_BUCKETS)  # never recorded into
 
 _clock = time.monotonic
-
-ViolationCallback = Callable[[str, str, float, float], None]
 
 
 @dataclass(frozen=True)
@@ -196,18 +193,14 @@ class TenantSlo:
 
 
 class LatencyPolicy:
-    """The one judge of a latency against its class budget.
-
-    ``observe`` accounts an interaction for the report (over budget it
-    also calls ``on_violation(interaction_class, operation, duration_ms,
-    limit_ms)``); ``judge`` feeds a finished request into the windows.
-    """
+    """The one judge of a latency against its class budget: ``judge``
+    accounts a finished operation for the report and, given its tenant,
+    feeds the windows."""
 
     def __init__(
         self,
         budgets: dict[str, float | None] | None = None,
         metrics: MetricsRegistry | None = None,
-        on_violation: ViolationCallback | None = None,
         shed_window: int = SHED_WINDOW,
     ) -> None:
         if shed_window < 1:
@@ -218,7 +211,6 @@ class LatencyPolicy:
                             else budgets).items():
             self.set_budget(name, limit)
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        self.on_violation = on_violation
         # tenant -> its recent (monotonic s, class, violated) judgements
         self._tenants = collections.defaultdict(  # guarded-by: _lock
             lambda: collections.deque(maxlen=TENANT_SAMPLES))
@@ -229,8 +221,7 @@ class LatencyPolicy:
         """A policy with windows of its own (a server's) that judges by
         this one's budgets — live: ``set_budget`` on either is seen by
         both — and reports into the same metrics."""
-        policy = LatencyPolicy({}, self.metrics, self.on_violation,
-                               shed_window)
+        policy = LatencyPolicy({}, self.metrics, shed_window)
         policy._budgets = self._budgets
         return policy
 
@@ -255,14 +246,15 @@ class LatencyPolicy:
         return {dict(metric.labels)["interaction_class"]: metric
                 for metric in self.metrics if metric.name == name}
 
-    # -- the budget report -------------------------------------------------
+    # -- judging -----------------------------------------------------------
 
-    def observe(
-        self, interaction_class: str, duration_ms: float, operation: str = ""
-    ) -> bool:
-        """Account one interaction; returns True when it blew its budget."""
-        budget = self.budget(interaction_class)
-        violated = budget.violated_by(duration_ms)
+    def judge(self, tenant: str | None, interaction_class: str,
+              duration_ms: float, shed: bool = False) -> bool:
+        """Judge one finished operation: into its class's latency histogram
+        (and violation counter, over budget), and with a ``tenant`` into
+        that tenant's window — with ``shed`` into the shed window too.
+        Returns whether it blew its budget (unbudgeted classes never do)."""
+        violated = self.budget(interaction_class).violated_by(duration_ms)
         self.metrics.histogram(
             LATENCY, TIME_MS_BUCKETS, interaction_class=interaction_class
         ).record(duration_ms)
@@ -270,10 +262,16 @@ class LatencyPolicy:
             self.metrics.counter(
                 VIOLATIONS, interaction_class=interaction_class
             ).inc()
-            if self.on_violation is not None:
-                self.on_violation(interaction_class, operation, duration_ms,
-                                  budget.limit_ms or 0.0)
+        if tenant is not None:
+            now = _clock()
+            with self._lock:
+                self._tenants[tenant].append((now, interaction_class,
+                                              violated))
+                if shed:
+                    self._shed.append((now, float(duration_ms)))
         return violated
+
+    # -- the budget report -------------------------------------------------
 
     def report(self) -> BudgetReport:
         """Compliance snapshot across every class observed or budgeted."""
@@ -296,19 +294,6 @@ class LatencyPolicy:
         return BudgetReport(tuple(entries))
 
     # -- the windows -------------------------------------------------------
-
-    def judge(self, tenant: str, interaction_class: str, duration_ms: float,
-              shed: bool = False) -> bool:
-        """Judge one finished request into the windows: the tenant's, and
-        with ``shed`` the shed window. Returns whether it blew its budget
-        (unbudgeted classes never do)."""
-        violated = self.budget(interaction_class).violated_by(duration_ms)
-        now = _clock()
-        with self._lock:
-            self._tenants[tenant].append((now, interaction_class, violated))
-            if shed:
-                self._shed.append((now, float(duration_ms)))
-        return violated
 
     def _tenant_locked(self, tenant: str, now: float) -> TenantSlo:
         window = self._tenants.get(tenant, ())

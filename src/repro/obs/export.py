@@ -6,11 +6,11 @@ Five consumers, five formats:
   parent ids, plus wire ``trace_id``/``span_id``/``parent_span_id``) for
   offline analysis;
 * :func:`render_span_tree` — the human-readable tree the README quickstart
-  shows, durations annotated per node;
+  shows, durations annotated per node and wire hops marked;
 * :func:`stitch_records` / :func:`stitch_jsonl` — merge per-process JSONL
-  exports into one cross-process span tree, linking a remote process's
-  continuation spans under the caller's wire-call span by span id;
-  :func:`render_stitched_tree` renders it with wire hops marked;
+  exports into one cross-process :class:`~repro.obs.trace.Span` tree,
+  linking a remote process's continuation spans under the caller's
+  wire-call span by span id;
 * :func:`render_prometheus` — the metrics registry in Prometheus text
   exposition format (the ``/metrics`` server surface);
 * :func:`merge_into_bench` — folds a metrics/span summary into the
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -33,10 +32,8 @@ __all__ = [
     "span_to_dicts",
     "spans_to_jsonl",
     "render_span_tree",
-    "StitchedSpan",
     "stitch_records",
     "stitch_jsonl",
-    "render_stitched_tree",
     "render_prometheus",
     "telemetry_payload",
     "merge_into_bench",
@@ -97,70 +94,37 @@ def spans_to_jsonl(spans: Iterable[Span], fh: IO[str] | None = None) -> str:
     return text
 
 
-def render_span_tree(span: Span, indent: int = 0) -> str:
-    """Indented text rendering of one span tree with durations."""
+def render_span_tree(span: Span, indent: int = 0,
+                     parent_service: str | None = None) -> str:
+    """Indented text rendering of one span tree with durations.
+
+    Server spans carry ``service=repro-server:<port>``; a child whose
+    service differs from the one its parent has or inherits gets a
+    ``[wire -> service]`` marker, so a stitched federated query reads as
+    one tree with remote time attributed to the endpoint that spent it.
+    Untagged spans inherit their parent's service: operator spans inside
+    one process never read as hops.
+    """
+    attributes = dict(span.attributes)
+    service = attributes.pop("service", None)
+    service = str(service) if service is not None else parent_service
+    hop = ""
+    if parent_service is not None and service != parent_service:
+        hop = f"  [wire -> {service}]"
     attrs = ""
-    if span.attributes:
-        rendered = " ".join(f"{k}={v}" for k, v in span.attributes.items())
+    if attributes:
+        rendered = " ".join(f"{k}={v}" for k, v in attributes.items())
         attrs = f"  [{rendered}]"
     error = f"  !{span.error}" if span.error else ""
-    line = f"{'  ' * indent}{span.name}  {span.duration_ms:.3f}ms{attrs}{error}"
+    line = (f"{'  ' * indent}{span.name}  "
+            f"{span.duration_ms:.3f}ms{hop}{attrs}{error}")
     parts = [line]
-    parts.extend(render_span_tree(child, indent + 1) for child in span.children)
+    parts.extend(render_span_tree(child, indent + 1, service or "local")
+                 for child in span.children)
     return "\n".join(parts)
 
 
-@dataclass
-class StitchedSpan:
-    """One node of a cross-process span tree rebuilt from JSONL records."""
-
-    record: dict
-    children: list["StitchedSpan"] = field(default_factory=list)
-
-    @property
-    def name(self) -> str:
-        return str(self.record.get("name", ""))
-
-    @property
-    def trace_id(self) -> str | None:
-        value = self.record.get("trace_id")
-        return str(value) if value is not None else None
-
-    @property
-    def span_id(self) -> str:
-        return str(self.record.get("span_id", ""))
-
-    @property
-    def duration_ms(self) -> float:
-        return float(self.record.get("duration_ms", 0.0))
-
-    @property
-    def attributes(self) -> dict:
-        found = self.record.get("attributes")
-        return found if isinstance(found, dict) else {}
-
-    @property
-    def service(self) -> str | None:
-        """Which process/server produced this span (``None`` when untagged).
-
-        Server interactions tag their spans ``service=repro-server:<port>``;
-        a change of service between parent and child is a wire hop. An
-        untagged span belongs to whatever service produced its parent —
-        operator spans inside a server are not wire hops.
-        """
-        found = self.attributes.get("service")
-        return str(found) if found is not None else None
-
-    def walk(self) -> Iterable["StitchedSpan"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def find(self, name: str) -> list["StitchedSpan"]:
-        return [node for node in self.walk() if node.name == name]
-
-
-def stitch_records(records: Iterable[dict]) -> list[StitchedSpan]:
+def stitch_records(records: Iterable[dict]) -> list[Span]:
     """Merge span records from any number of processes into linked trees.
 
     Records are linked by ``span_id`` → ``parent_span_id``: within one
@@ -168,31 +132,40 @@ def stitch_records(records: Iterable[dict]) -> list[StitchedSpan]:
     process's continuation span (opened with ``remote_parent``) carries
     the caller's wire-call span id as its ``parent_span_id`` and therefore
     lands *under* that wire-call span — one tree per trace, wire hops
-    included. Duplicate span ids (overlapping exports) keep the first
-    record seen; orphans (parent not exported) become roots. Returns the
-    roots in input order.
+    included. Each node is a finished :class:`Span` keeping the record's
+    ids, timing, error and attributes. Duplicate span ids (overlapping
+    exports) keep the first record seen; orphans (parent not exported)
+    become roots. Returns the roots in input order.
     """
-    nodes: dict[str, StitchedSpan] = {}
-    ordered: list[StitchedSpan] = []
+    nodes: dict[str, Span] = {}
+    parents: list[tuple[Span, object]] = []
     for record in records:
         span_id = str(record.get("span_id", "")) or f"_anon{len(nodes)}"
         if span_id in nodes:
             continue
-        node = StitchedSpan(record)
-        nodes[span_id] = node
-        ordered.append(node)
-    roots: list[StitchedSpan] = []
-    for node in ordered:
-        parent_id = node.record.get("parent_span_id")
+        span = Span.manual(str(record.get("name", "")),
+                           int(record.get("duration_ns", 0)))
+        span.start_ns = int(record.get("start_ns", span.start_ns))
+        span.end_ns = span.start_ns + span.duration_ns
+        attributes = record.get("attributes")
+        span.attributes = dict(attributes) if isinstance(attributes,
+                                                         dict) else {}
+        span.span_id, span.trace_id = span_id, record.get("trace_id")
+        span.error = record.get("error")
+        nodes[span_id] = span
+        parents.append((span, record.get("parent_span_id")))
+    roots: list[Span] = []
+    for span, parent_id in parents:
         parent = nodes.get(str(parent_id)) if parent_id is not None else None
-        if parent is not None and parent is not node:
-            parent.children.append(node)
+        if parent is not None and parent is not span:
+            parent.add_child(span)
         else:
-            roots.append(node)
+            span.remote_parent_id = parent_id
+            roots.append(span)
     return roots
 
 
-def stitch_jsonl(*texts: str) -> list[StitchedSpan]:
+def stitch_jsonl(*texts: str) -> list[Span]:
     """Stitch one or more JSONL exports (one per process) into trees."""
     records = []
     for text in texts:
@@ -201,38 +174,6 @@ def stitch_jsonl(*texts: str) -> list[StitchedSpan]:
             if line:
                 records.append(json.loads(line))
     return stitch_records(records)
-
-
-def render_stitched_tree(node: StitchedSpan, indent: int = 0,
-                         parent_service: str | None = None) -> str:
-    """Indented rendering of a stitched tree; wire hops are annotated.
-
-    A child produced by a different service than its parent gets a
-    ``[wire -> service]`` marker, so a federated query reads as one
-    EXPLAIN-ANALYZE-style tree with remote operator time attributed to
-    the endpoint that spent it. Untagged spans inherit their parent's
-    service: operator spans inside one process never read as hops.
-    """
-    service = node.service
-    if service is None:
-        service = parent_service if parent_service is not None else "local"
-    hop = ""
-    if parent_service is not None and service != parent_service:
-        hop = f"  [wire -> {service}]"
-    attrs = ""
-    shown = {k: v for k, v in node.attributes.items() if k != "service"}
-    if shown:
-        rendered = " ".join(f"{k}={v}" for k, v in shown.items())
-        attrs = f"  [{rendered}]"
-    error = f"  !{node.record['error']}" if node.record.get("error") else ""
-    line = (f"{'  ' * indent}{node.name}  "
-            f"{node.duration_ms:.3f}ms{hop}{attrs}{error}")
-    parts = [line]
-    parts.extend(
-        render_stitched_tree(child, indent + 1, service)
-        for child in node.children
-    )
-    return "\n".join(parts)
 
 
 # --------------------------------------------------------------------------- #

@@ -96,9 +96,6 @@ class Gauge(_Scalar):
         with self._lock:
             self._value = float(value)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """Fixed-bucket histogram with p50/p95/p99 summaries.

@@ -43,10 +43,6 @@ class ProgressEvent:
             return None
         return min(1.0, self.completed / self.total)
 
-    @property
-    def done(self) -> bool:
-        return self.total is not None and self.completed >= self.total
-
     def __str__(self) -> str:
         if self.fraction is None:
             return f"{self.operation}: {self.completed} done"
@@ -68,8 +64,6 @@ class ProgressEmitter:
         self._lock = threading.Lock()
         self._subscribers: list[Subscriber] = []  # guarded-by: _lock
         self._taps: list[Subscriber] = []  # guarded-by: _lock
-        self._latest: dict[str, ProgressEvent] \
-            = {}  # guarded-by: _lock
         self._error_counter = error_counter
 
     # -- subscription ------------------------------------------------------
@@ -118,9 +112,8 @@ class ProgressEmitter:
         """Build and fan out one event; returns it (None if nobody listens).
 
         The no-listener path is the disabled fast path: one truthiness
-        check, no allocation. ``latest`` is therefore only maintained while
-        at least one subscriber is registered; the recent events themselves
-        are the flight recorder's ``progress`` entries (its tap).
+        check, no allocation. The recent events themselves are the flight
+        recorder's ``progress`` entries (its tap).
         """
         # the no-listener fast path is one lock-free truthiness
         # check by design
@@ -134,7 +127,6 @@ class ProgressEmitter:
     def publish(self, event: ProgressEvent) -> None:
         with self._lock:
             subscribers = list(self._subscribers) + list(self._taps)
-            self._latest[event.operation] = event
         for subscriber in subscribers:
             try:
                 subscriber(event)
@@ -142,15 +134,7 @@ class ProgressEmitter:
                 if self._error_counter is not None:
                     self._error_counter(f"progress.{event.operation}", exc)
 
-    # -- observation -------------------------------------------------------
-
-    def latest(self, operation: str) -> ProgressEvent | None:
-        """Most recent event for ``operation`` (polling interface)."""
-        with self._lock:
-            return self._latest.get(operation)
-
     def reset(self) -> None:
         with self._lock:
             self._subscribers.clear()
             self._taps.clear()
-            self._latest.clear()

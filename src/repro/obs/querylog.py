@@ -1,33 +1,39 @@
-"""Structured query log: one durable record per executed query.
+"""Structured query log: one durable record per served request or query.
 
-The survey's interactivity claims are claims about a *workload* — yet until
-now the system could trace a single query (:mod:`repro.obs.trace`) or dump
-the recent past on a violation (:mod:`repro.obs.flight`), but could not
-answer "which plans are slow, which estimates are wrong, what do tenants
-actually run". This module is the missing substrate: every query the
-engines execute emits one :class:`QueryRecord` — plan digest, execution
-strategy, tenant, interaction class, shed tier, cache outcome, trace id,
-latency, the :class:`~repro.sparql.physical.EvalStats` resource counters,
-and per-scan estimated-vs-actual cardinality observations — into a bounded
-in-memory ring that is additionally *mirrored* to JSONL when the
-:envvar:`REPRO_QUERYLOG_DIR` environment variable names a directory.
+The survey's interactivity claims are claims about a *workload* — yet a
+single trace (:mod:`repro.obs.trace`) or the recent past dumped on a
+violation (:mod:`repro.obs.flight`) cannot answer "which plans are slow,
+which estimates are wrong, what do tenants actually run". This module is
+that substrate: a bounded in-memory ring of :class:`QueryRecord` —
+plan digest, execution strategy, tenant, interaction class, shed tier,
+cache outcome, trace id, latency, the
+:class:`~repro.sparql.physical.EvalStats` resource counters and per-scan
+estimated-vs-actual cardinality observations — *mirrored* to JSONL when
+the :envvar:`REPRO_QUERYLOG_DIR` environment variable names a directory.
 
-The ring answers live questions (``GET /debug/queries`` on the server, the
-workload analyzer over a running process); the JSONL mirror is the durable
-feed :mod:`repro.obs.workload` analyzes offline and CI uploads as an
-artifact. Recording is O(1) per query: one ring append and (mirror only)
-one buffered line append.
+**The record is the request.** A server writes one record per request to
+an admitted route, whatever its status, after the last byte
+(``ReproServer._finish``), from the request's own context: route, status,
+the stages it was stamped through, tenant, class, tier, service, the
+shedder's inputs when it was asked, and the client's trace id. The engine
+runs inside that request do not write records of their own: while a
+request is open on a thread (:meth:`QueryLog.collect`), :meth:`emit` adds
+each run's digest, form, strategy, counters, scans, completeness and cache
+outcome into its :class:`Runs` instead. Outside any request — the
+library, with :envvar:`REPRO_QUERYLOG` set — every run appends its own
+record.
+
+The ring answers live questions (``GET /debug/queries`` on the server,
+``?trace=`` for one request); the JSONL mirror is the durable feed
+:mod:`repro.obs.workload` analyzes offline and :mod:`repro.obs.why`
+reads one request's story from. Recording is O(1): one ring append and
+(mirror only) one buffered line append.
 
 Enablement follows the tracer's precedent — off by default so library hot
 paths pay a single attribute check, switched on by the serving layer, the
 :envvar:`REPRO_QUERYLOG` environment variable, or setting
 ``OBS.querylog.enabled`` directly. Setting ``REPRO_QUERYLOG_DIR`` implies
 enablement (a mirror directory without recording would be inert).
-
-Server-side request context (tenant, interaction class, shed tier,
-service) travels to the engine via a thread-local :meth:`QueryLog.serving`
-scope, so the engines stay ignorant of HTTP while their records still
-carry full serving attribution.
 """
 
 from __future__ import annotations
@@ -36,19 +42,18 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable
 
 from ..env import read_flag, read_raw, read_str
 from .ring import Ring
-from .trace import ThreadStack
 
 __all__ = [
     "QUERYLOG_DIR_ENV",
     "QUERYLOG_ENV",
     "QueryLog",
     "QueryRecord",
+    "Runs",
     "ScanObservation",
 ]
 
@@ -106,12 +111,16 @@ class ScanObservation:
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One executed query, as the workload analyzer sees it."""
+    """One served request (or one library query), as the workload analyzer
+    and ``why`` see it. ``route``, ``status`` and ``stages`` are set on a
+    request's record; ``shed`` — the shedder's inputs: shed-window
+    ``p95_ms`` and size ``n``, the tenant's ``burn`` and the ``peak_burn``
+    — when the shedder was asked."""
 
     sequence: int
     ts: float  # wall-clock (time.time) — the `since` filter key
     digest: str | None
-    form: str  # SELECT | ASK | CONSTRUCT | DESCRIBE | GRAPH
+    form: str  # SELECT | ASK | CONSTRUCT | DESCRIBE | GRAPH | FACETS | ""
     strategy: str  # iterator | vectorized:<strategies> | cached | none
     latency_ms: float
     tenant: str | None = None
@@ -126,6 +135,10 @@ class QueryRecord:
     scan_rows: int = 0
     solutions: int = 0
     scans: tuple[ScanObservation, ...] = ()
+    route: str | None = None
+    status: int | None = None
+    stages: tuple[tuple[str, float], ...] = ()
+    shed: dict[str, float] | None = None
 
     def to_dict(self) -> dict[str, object]:
         record: dict[str, object] = {
@@ -144,13 +157,18 @@ class QueryRecord:
         for key, value in (("tenant", self.tenant),
                            ("class", self.interaction_class),
                            ("tier", self.tier), ("service", self.service),
-                           ("trace_id", self.trace_id)):
+                           ("trace_id", self.trace_id),
+                           ("route", self.route), ("status", self.status),
+                           ("shed", self.shed)):
             if value is not None:
                 record[key] = value
         if not self.complete:
             record["complete"] = False
         if self.scans:
             record["scans"] = [scan.to_dict() for scan in self.scans]
+        if self.stages:
+            record["stages"] = [[stage, round(ms, 6)]
+                                for stage, ms in self.stages]
         return record
 
     @classmethod
@@ -177,22 +195,39 @@ class QueryRecord:
                 ScanObservation.from_dict(scan)
                 for scan in record.get("scans", ())
             ),
+            route=record.get("route"),
+            status=record.get("status"),
+            stages=tuple((str(stage), float(ms))
+                         for stage, ms in record.get("stages", ())),
+            shed=record.get("shed"),
         )
 
 
 @dataclass(slots=True)
-class _ServingContext:
-    """Mutable per-request attribution, stacked thread-locally.
+class Runs:
+    """The engine runs of one open request, added up: counters add, scans
+    gather, the last run names the digest, form and strategy (a
+    federation's members run before the coordinator's own record)."""
 
-    The server opens one per admitted request; the shed tier is decided
-    later than admission, so the context is mutable and
-    :meth:`QueryLog.annotate_serving` updates the innermost scope.
-    """
+    digest: str | None = None
+    form: str = ""
+    strategy: str = "none"
+    cache_hit: bool = False
+    complete: bool = True
+    scans: list[ScanObservation] = field(default_factory=list)
+    counters: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_COUNTER_FIELDS, 0))
 
-    tenant: str | None = None
-    interaction_class: str | None = None
-    tier: str | None = None
-    service: str | None = None
+    def fields(self) -> dict[str, object]:
+        """What these runs contribute to a :class:`QueryRecord`."""
+        return {"digest": self.digest, "form": self.form,
+                "strategy": self.strategy, "cache_hit": self.cache_hit,
+                "complete": self.complete, "scans": tuple(self.scans),
+                **self.counters}
+
+
+class _Open(threading.local):
+    runs: Runs | None = None  # the request open on this thread, if any
 
 
 class QueryLog:
@@ -220,41 +255,14 @@ class QueryLog:
         self._mirror_errors = 0  # guarded-by: _lock
         self._mirror_path: str | None = None  # guarded-by: _lock
         self._mirror_handle = None  # guarded-by: _lock
-        self._local = ThreadStack()
-
-    # -- serving context ---------------------------------------------------
-
-    @contextmanager
-    def serving(
-        self,
-        tenant: str | None = None,
-        interaction_class: str | None = None,
-        tier: str | None = None,
-        service: str | None = None,
-    ) -> Iterator[_ServingContext]:
-        """Attribute every record emitted in this scope (thread-local)."""
-        stack = self._local.stack
-        context = _ServingContext(tenant, interaction_class, tier, service)
-        stack.append(context)
-        try:
-            yield context
-        finally:
-            stack.pop()
-
-    def annotate_serving(self, **fields: str | None) -> None:
-        """Update the innermost serving scope (e.g. the shed tier, which
-        is decided after admission). No-op outside a serving scope."""
-        context = self.current_serving()
-        if context is None:
-            return
-        for key, value in fields.items():
-            setattr(context, key, value)
-
-    def current_serving(self) -> _ServingContext | None:
-        stack = self._local.stack
-        return stack[-1] if stack else None
+        self._open = _Open()
 
     # -- recording ---------------------------------------------------------
+
+    def collect(self, runs: Runs | None) -> None:
+        """Open a request on this thread: from now on :meth:`emit` adds
+        each run into ``runs``, not the ring, until ``collect(None)``."""
+        self._open.runs = runs
 
     def emit(
         self,
@@ -270,7 +278,9 @@ class QueryLog:
         complete: bool = True,
         solutions: int | None = None,
     ) -> QueryRecord | None:
-        """Record one executed query; returns ``None`` when disabled.
+        """Record one executed query: into the request open on this thread
+        (returns ``None``), else as a record of its own. ``None`` too when
+        disabled.
 
         ``counters`` is duck-read for the :class:`EvalStats` fields so the
         obs layer stays import-independent of the SPARQL stack; ``scans``
@@ -279,10 +289,6 @@ class QueryLog:
         """
         if not self.enabled:
             return None
-        if trace_id is None and self.trace_provider is not None:
-            context = self.trace_provider()
-            trace_id = getattr(context, "trace_id", None)
-        serving = self.current_serving()
         values = {
             name: int(getattr(counters, name, 0) or 0)
             for name in _COUNTER_FIELDS
@@ -294,26 +300,21 @@ class QueryLog:
             else ScanObservation.from_dict(scan)
             for scan in scans
         )
-        record = self._ring.add(lambda sequence: QueryRecord(
-            sequence=sequence,
-            ts=time.time(),
-            digest=digest,
-            form=form,
-            strategy=strategy,
-            latency_ms=latency_ms,
-            tenant=serving.tenant if serving else None,
-            interaction_class=serving.interaction_class if serving else None,
-            tier=serving.tier if serving else None,
-            service=serving.service if serving else None,
-            cache_hit=cache_hit,
-            complete=complete,
-            trace_id=trace_id,
-            scans=observations,
-            **values,
-        ))
-        with self._lock:
-            self._mirror_locked(record)
-        return record
+        runs = self._open.runs
+        if runs is not None:
+            runs.digest, runs.form, runs.strategy = digest, form, strategy
+            runs.cache_hit |= cache_hit
+            runs.complete &= complete
+            runs.scans.extend(observations)
+            for name, value in values.items():
+                runs.counters[name] += value
+            return None
+        if trace_id is None and self.trace_provider is not None:
+            trace_id = getattr(self.trace_provider(), "trace_id", None)
+        return self.append(digest=digest, form=form, strategy=strategy,
+                           latency_ms=latency_ms, cache_hit=cache_hit,
+                           complete=complete, trace_id=trace_id,
+                           scans=observations, **values)
 
     def emit_cache_hit(
         self,
@@ -330,6 +331,17 @@ class QueryLog:
                          latency_ms=latency_ms, trace_id=trace_id,
                          cache_hit=True, solutions=solutions)
 
+    def append(self, runs: Runs | None = None, **fields) -> QueryRecord:
+        """Write one record: what ``runs`` added up (none: no engine ran)
+        plus ``fields`` of :class:`QueryRecord` (all but the sequence and
+        timestamp)."""
+        fields = {**(runs or Runs()).fields(), **fields}
+        record = self._ring.add(lambda sequence: QueryRecord(
+            sequence=sequence, ts=time.time(), **fields))
+        with self._lock:
+            self._mirror_locked(record)
+        return record
+
     # -- reading -----------------------------------------------------------
 
     def records(
@@ -337,8 +349,8 @@ class QueryLog:
         tenant: str | None = None,
         digest: str | None = None,
         since: float | None = None,
-        since_seq: int | None = None,
         service: str | None = None,
+        trace_id: str | None = None,
     ) -> list[QueryRecord]:
         """The retained window, oldest first, optionally filtered."""
         return [
@@ -346,8 +358,8 @@ class QueryLog:
             if tenant in (None, record.tenant)
             and digest in (None, record.digest)
             and service in (None, record.service)
+            and trace_id in (None, record.trace_id)
             and (since is None or record.ts >= since)
-            and (since_seq is None or record.sequence >= since_seq)
         ]
 
     def __len__(self) -> int:
@@ -415,4 +427,4 @@ class QueryLog:
             self._mirror_handle = self._mirror_path = None
             self._mirror_errors = 0
         self.enabled = _env_enabled()
-        self._local = ThreadStack()
+        self._open = _Open()

@@ -17,9 +17,8 @@ Design points:
   iterator with that bookkeeping.
 * **Thread safety** — the ambient span stack is thread-local; the recorder
   of finished root spans takes a lock only when a root span closes.
-* **Sampling** — a deterministic error-accumulation sampler keeps exactly
-  ``sample_rate`` of root spans in the long run (children follow their
-  root's fate, so traces are never torn).
+* **No sampling** — an enabled tracer records every root span; the
+  recorder's bound is what limits memory.
 * **Disabled fast path** — :meth:`Tracer.span` returns one shared
   :class:`NoopSpan` singleton when tracing is off: no allocation, no
   clock read, no stack mutation.
@@ -33,13 +32,12 @@ Design points:
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .ring import Ring
 
@@ -193,12 +191,6 @@ class Span:
     def duration_ms(self) -> float:
         return self.duration_ns / 1e6
 
-    @property
-    def wall_ns(self) -> int:
-        """Start-to-end nanoseconds, suspensions included."""
-        end = self.end_ns if self.end_ns is not None else _clock()
-        return end - self.start_ns
-
     def set_attribute(self, key: str, value: object) -> None:
         self.attributes[key] = value
 
@@ -250,7 +242,6 @@ class NoopSpan:
     children: tuple = ()
     duration_ns = 0
     duration_ms = 0.0
-    wall_ns = 0
     finished = True
     error = None
     trace_id = None
@@ -288,47 +279,23 @@ class SpanRecorder(Ring[Span]):
 
 
 class ThreadStack(threading.local):
-    """A list per thread: the ambient span stack, the query log's serving
-    scopes."""
+    """A list per thread: the ambient span stack."""
 
     def __init__(self) -> None:
         self.stack: list = []
 
 
 class Tracer:
-    """Creates and nests spans; owns the recorder and the sampler.
+    """Creates and nests spans; owns the recorder.
 
     ``enabled`` is the one attribute hot call sites check. When False,
     :meth:`span` returns :data:`NOOP_SPAN` immediately.
     """
 
-    def __init__(self, enabled: bool = False, sample_rate: float = 1.0,
-                 max_spans: int = 10_000) -> None:
-        if not (0.0 <= sample_rate <= 1.0):
-            raise ValueError("sample_rate must be in [0, 1]")
+    def __init__(self, enabled: bool = False, max_spans: int = 10_000) -> None:
         self.enabled = enabled
-        self.sample_rate = sample_rate
         self.recorder = SpanRecorder(max_spans)
         self._local = ThreadStack()
-        self._sample_lock = threading.Lock()
-        self._sample_error = 0.0  # guarded-by: _sample_lock
-
-    # -- sampling ----------------------------------------------------------
-
-    def _sample(self) -> bool:
-        """Deterministic error-diffusion sampling of root spans."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        with self._sample_lock:
-            self._sample_error += self.sample_rate
-            if self._sample_error >= 1.0:
-                self._sample_error -= 1.0
-                return True
-            return False
-
-    # -- span API ----------------------------------------------------------
 
     def span(
         self,
@@ -349,10 +316,6 @@ class Tracer:
         if not self.enabled:
             return NOOP_SPAN
         stack = self._local.stack
-        if not stack and not self._sample():
-            # Sampling decisions are made per root span; spans opened under
-            # a sampled-out root re-sample as roots themselves.
-            return NOOP_SPAN
         span = _TracerSpan(self, name, **attributes)
         if stack:
             parent = stack[-1]
@@ -377,39 +340,9 @@ class Tracer:
             return None
         return current.context()
 
-    def traced(self, name: str | None = None, **attributes: object) -> Callable:
-        """Decorator form: the wrapped call runs inside a span."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or f"{fn.__module__}.{fn.__qualname__}"
-
-            @functools.wraps(fn)
-            def wrapper(*args: object, **kwargs: object) -> object:
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(span_name, **attributes):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
-    def attach(self, span: Span) -> None:
-        """Add a pre-built (e.g. manual) span under the current span, or
-        record it as a root if nothing is open."""
-        if not self.enabled:
-            return
-        current = self.current()
-        if current is not None:
-            current.add_child(span)
-        else:
-            self.recorder.record(span)
-
     def reset(self) -> None:
         self.recorder.clear()
         self._local = ThreadStack()
-        with self._sample_lock:
-            self._sample_error = 0.0
 
 
 class _TracerSpan(Span):

@@ -8,9 +8,11 @@ unknown paths and wrong methods are answered right there), **queue** (the
 route's handler, on a worker), and **write** — or **stream** for a chunked
 answer. The stamps taken before a response head goes out travel in it as a
 ``Server-Timing`` header; after the last byte :meth:`ReproServer._finish`
-writes the request's one accounting record. ``ROUTES`` is everything the
-server answers; DESIGN.md, *Serving*, has the read stage's deadline and
-bound and where the shed and SLO clocks start.
+accounts the request once, with one total, and writes its one query-log
+record from the context (the engine's runs inside the request add into
+it). ``ROUTES`` is everything the server answers; DESIGN.md, *Serving*,
+has the read stage's deadline and bound and where the shed and SLO clocks
+start.
 
 Degradation order under load: an answer kept in the one answer cache
 (:mod:`repro.sparql.cached`, every exact answer) is served whatever the
@@ -34,12 +36,14 @@ from typing import Callable, NamedTuple
 from ..obs import (
     INTERACTIVE,
     NAVIGATION,
+    NOOP_SPAN,
     OBS,
     TIME_MS_BUCKETS,
     TraceContext,
     record_error,
 )
 from ..obs.metrics import BoundedLabelSet
+from ..obs.querylog import Runs
 from ..rdf.terms import IRI
 from ..sparql.cached import (
     CSV_TYPE,
@@ -131,22 +135,27 @@ class Route(NamedTuple):
 class RequestContext:
     """One request on its way through the stages.
 
-    The read stage fixes the connection, request, route, folded tenant
-    and trace context; ``stamps`` gains ``(stage, ms)`` as each stage
-    ends, the first one timed from the accept; the worker sets ``engine``
-    and ``act`` (the interaction); ``status`` and ``headers`` are the
+    The read stage fixes the connection, request, folded tenant and trace
+    context, and the route when it offers the request to admission;
+    ``stamps`` gains ``(stage, ms)`` as each stage ends, the first one
+    timed from the accept; the worker sets ``engine``, ``span`` and
+    ``runs`` (what the engine's runs add up to), the handler ``tier`` and
+    ``shed`` (the shedder's inputs); ``status`` and ``headers`` are the
     response head as written — what :meth:`ReproServer._finish` accounts.
     """
 
     connection: socket.socket
     started: float  # monotonic: the accept, then the last stage's end
     request: HttpRequest | None = None
-    route: Route | None = None
+    route: Route | None = None  # an admitted route's, else None
     tenant: str = DEFAULT_TENANT
     trace: TraceContext | None = None
     stamps: list[tuple[str, float]] = field(default_factory=list)
-    engine: QueryEngine | None = None
-    act: object = None
+    engine: QueryEngine | None = None  # set once a worker took it
+    span: object = NOOP_SPAN
+    runs: Runs | None = None
+    tier: str | None = None
+    shed: dict[str, float] | None = None
     aggregate: bool = False  # answered by the aggregate path
     status: int | None = None
     headers: dict[str, str] = field(default_factory=dict)
@@ -287,7 +296,7 @@ class ReproServer:
         except HttpError as error:
             self._error(ctx, error.status, error.message)
             return self._finish(ctx)
-        route = ctx.route = ROUTES.get(request.path.rstrip("/") or "/")
+        route = ROUTES.get(request.path.rstrip("/") or "/")
         if route is None:
             self._error(ctx, 404, f"no such resource: {request.path}")
         elif route.methods and request.method not in route.methods:
@@ -300,6 +309,7 @@ class ReproServer:
                 record_error("server.probe", exc)
                 self._error(ctx, 500, str(exc))
         else:
+            ctx.route = route
             ctx.tenant = self._tenant_labels.fold(
                 request.header("x-repro-tenant")
                 or request.query.get("tenant") or DEFAULT_TENANT
@@ -314,6 +324,7 @@ class ReproServer:
         engine = QueryEngine(self.store)
         with self._lock:
             self._engines.append(engine)
+        log = OBS.querylog
         while not self._stop.is_set():
             ctx = self.admission.take(timeout=TICK_S)
             if ctx is None:
@@ -322,14 +333,15 @@ class ReproServer:
             ctx.engine, route, tenant = engine, ctx.route, ctx.tenant
             with self._lock:
                 self._inflight[tenant] += 1
+            ctx.runs = Runs()
+            log.collect(ctx.runs)
+            ctx.span = OBS.tracer.span(
+                route.name, remote_parent=ctx.trace,
+                interaction_class=route.interaction_class, tenant=tenant,
+                service=self.service,
+            )
             try:
-                with OBS.querylog.serving(
-                    tenant=tenant, interaction_class=route.interaction_class,
-                    service=self.service,
-                ), OBS.interaction(
-                    route.name, route.interaction_class, remote_parent=ctx.trace,
-                    tenant=tenant, service=self.service,
-                ) as ctx.act:
+                with ctx.span:
                     reply = route.handler(self, ctx)
                     if reply is not None:
                         self._reply(ctx, *reply)
@@ -341,6 +353,7 @@ class ReproServer:
                 record_error("server.handle", exc)
                 self._error(ctx, 500, str(exc))
             finally:
+                log.collect(None)
                 self._finish(ctx)
 
     def _write(self, ctx: RequestContext, status: int, body) -> None:
@@ -352,8 +365,14 @@ class ReproServer:
         )
         if not isinstance(body, bytes):
             ctx.headers["Transfer-Encoding"] = "chunked"
-            return write_chunked(_Out(ctx.connection), status, ctx.headers,
-                                 body)
+            try:
+                return write_chunked(_Out(ctx.connection), status,
+                                     ctx.headers, body)
+            finally:
+                # An abandoned stream reports its partial run now, into
+                # this request's record, not later from the garbage
+                # collector as a record of its own.
+                body.close()
         try:
             write_response(_Out(ctx.connection), status, ctx.headers, body)
         except OSError:
@@ -376,8 +395,10 @@ class ReproServer:
 
     def _finish(self, ctx: RequestContext) -> None:
         """Account one request after its last byte — exactly once, however
-        it was answered: counters, the latency policy, stage histograms."""
-        headers = ctx.headers
+        it was answered: counters, stage histograms, and for an admitted
+        route one total (every stage after the read) that a worker's
+        request is judged by and that the one query-log record carries."""
+        headers, route, worked = ctx.headers, ctx.route, ctx.engine is not None
         ctx.stamp("stream" if "Transfer-Encoding" in headers else "write")
         _close_quietly(ctx.connection)
         tier = headers.get("X-Repro-Tier")
@@ -388,15 +409,33 @@ class ReproServer:
             if ctx.aggregate:
                 self._aggregate_served += 1
                 self._aggregate_approximate += "X-Repro-Approximate" in headers
-            if ctx.act is not None:
+            if worked:
                 self._inflight[ctx.tenant] -= 1
         self._responses[ctx.status].inc()
-        if ctx.act is not None:  # a worker ran it: the clock started at read
-            total_ms = sum(ms for _, ms in ctx.stamps[1:])
-            self.policy.judge(ctx.tenant, ctx.route.interaction_class,
-                              total_ms, shed=ctx.route.name == "server.sparql")
         for stage, ms in ctx.stamps:
             self._stage_ms[stage].record(ms)
+        if route is None:  # answered in the read stage
+            return
+        total_ms = sum(ms for _, ms in ctx.stamps[1:])
+        span = ctx.span
+        if worked:
+            attributes = {"tenant": ctx.tenant, "service": self.service,
+                          "interaction_class": route.interaction_class,
+                          "status": ctx.status}
+            if ctx.tier is not None:
+                attributes["tier"] = ctx.tier
+            OBS.account(route.name, route.interaction_class, total_ms,
+                        attributes, span, tenant=ctx.tenant,
+                        policy=self.policy, shed=route.name == "server.sparql")
+        log = OBS.querylog
+        if log.enabled:
+            log.append(
+                ctx.runs, latency_ms=total_ms, tenant=ctx.tenant,
+                interaction_class=route.interaction_class, tier=ctx.tier,
+                service=self.service, route=route.name, status=ctx.status,
+                trace_id=(ctx.trace or span).trace_id,
+                stages=tuple(ctx.stamps), shed=ctx.shed,
+            )
 
     def _handle_sparql(self, ctx: RequestContext):
         request = ctx.request
@@ -417,12 +456,13 @@ class ReproServer:
         try:
             parsed = parse_query(text) if modes else None
             if not (modes and aggregate_shape(parsed)):
-                _decide(ctx, "exact")  # a hit's tier; a shed tier overwrites it
                 parsed, digest, answer = self.answers.probe(text, ctx.engine,
                                                             parsed)
         except (SparqlSyntaxError, ValueError) as error:
             return self._error(ctx, 400, f"parse error: {error}")
         ctx.stamp("parse")
+        if digest is not None:
+            _decide(ctx, "exact")  # a hit's tier; a shed tier overwrites it
         if self.config.debug_delay_ms > 0 and (
             self.config.debug_delay_tenant in (None, ctx.tenant)
         ):
@@ -465,10 +505,12 @@ class ReproServer:
             ctx.aggregate = answer.aggregate
         elif shape is not None:
             ctx.aggregate = True
-            tier = self.shedder.decide(
-                burn_rate=self.policy.burn_rate(ctx.tenant),
-                peak_burn=self.policy.peak_burn_rate(),
-            )
+            policy = self.policy
+            window = policy.shed_p95()
+            burn, peak = policy.burn_rate(ctx.tenant), policy.peak_burn_rate()
+            ctx.shed = {"p95_ms": window[0], "n": window[1], "burn": burn,
+                        "peak_burn": peak}
+            tier = self.shedder.decide(burn, peak, window)
             if shape == "distinct" and not hasattr(self.store, "members"):
                 # A sample's distinct count cannot be extrapolated, and over
                 # id batches the exact aggregate costs less than draining the
@@ -604,10 +646,10 @@ ROUTES: dict[str, Route] = {
 
 
 def _decide(ctx: RequestContext, tier: str) -> None:
-    """Write the request's tier on its span and on the query-log scope
-    the engine's records inherit (a shed tier overwrites ``exact``)."""
-    ctx.act.set_attribute("tier", tier)
-    OBS.querylog.annotate_serving(tier=tier)
+    """Set the request's tier, for its span and its record (a shed tier
+    overwrites ``exact``)."""
+    ctx.tier = tier
+    ctx.span.set_attribute("tier", tier)
 
 
 # In order of preference: a format, and what in an Accept header names it.

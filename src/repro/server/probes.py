@@ -15,9 +15,10 @@ content type, body)``:
   (``?seq=N`` / ``?seq=latest``);
 * ``/debug/trace`` — this server's finished root spans as JSONL, ready for
   :func:`repro.obs.export.stitch_jsonl`;
-* ``/debug/queries`` — the query log as JSONL, filterable with
-  ``?tenant=`` / ``?digest=`` / ``?since=<unix-ts>`` / ``?limit=``
-  (``?all=1`` lifts the this-service filter).
+* ``/debug/queries`` — the query log as JSONL, one record per request,
+  filterable with ``?tenant=`` / ``?digest=`` / ``?trace=<id>`` /
+  ``?since=<unix-ts>`` / ``?limit=`` (``?all=1`` lifts the this-service
+  filter).
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ def queries(server, ctx):
     records = OBS.querylog.records(
         tenant=query.get("tenant"),
         digest=query.get("digest"),
+        trace_id=query.get("trace"),
         since=since,
         service=None if query.get("all") else server.service,
     )

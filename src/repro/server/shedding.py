@@ -12,22 +12,22 @@ request, which tier the server answers from:
   DEFAULT_BUDGETS_MS`): eligible aggregate queries are answered from a
   bounded-work streaming estimate with a confidence interval
   (:mod:`repro.server.approximate`);
-* **AGGRESSIVE** (tier 2) — p95 beyond ``aggressive_factor``× budget: the
-  same path with a quarter of the row budget.
+* **AGGRESSIVE** (tier 2) — p95 beyond :data:`AGGRESSIVE_FACTOR` × budget:
+  the same path with a quarter of the row budget.
 
 This module is only the tier rule. The latencies it decides on are the
 shed window of a :class:`repro.obs.budget.LatencyPolicy` (count- and
 age-bounded, fed once per finished request) rather than the cumulative
 budget histogram, so the controller *recovers*: once load subsides and
 fast requests refill the window, the tier steps back down. Hysteresis
-(``recover_fraction``) keeps the boundary from flapping: escalation
+(:data:`RECOVER_FRACTION`) keeps the boundary from flapping: escalation
 happens at the budget, de-escalation only below a fraction of it.
 
 :meth:`LoadShedder.decide` optionally takes the requesting tenant's SLO
 **burn rate** (from the same policy), making shedding
 tenant-aware: a tenant burning its error budget (burn ≥
 ``burn_shed_threshold``) is escalated one tier *beyond* the global tier,
-while a well-behaved tenant (burn ≤ ``burn_protect_fraction``) riding
+while a well-behaved tenant (burn ≤ :data:`BURN_PROTECT_FRACTION`) riding
 out someone else's overload is protected — de-escalated from SAMPLED
 back to EXACT. The offender degrades to approximate answers before the
 well-behaved tenants ever notice.
@@ -47,6 +47,14 @@ SAMPLED = 1
 AGGRESSIVE = 2
 
 TIER_NAMES = {EXACT: "exact", SAMPLED: "sampled", AGGRESSIVE: "aggressive"}
+
+# AGGRESSIVE past this multiple of the budget; a tier steps down only once
+# p95 is below this fraction of its threshold; a tenant burning this fast
+# is escalated one tier, one burning at most this fraction of it spared.
+AGGRESSIVE_FACTOR = 3.0
+RECOVER_FRACTION = 0.8
+BURN_SHED_THRESHOLD = 1.0
+BURN_PROTECT_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -73,29 +81,18 @@ class LoadShedder:
     recomputes the current tier from its p95, in O(window), thread-safe.
     """
 
-    def __init__(
-        self,
-        policy: LatencyPolicy,
-        budget_ms: float | None = None,
-        min_observations: int = 8,
-        aggressive_factor: float = 3.0,
-        recover_fraction: float = 0.8,
-        burn_shed_threshold: float = 1.0,
-        burn_protect_fraction: float = 0.25,
-    ) -> None:
+    def __init__(self, policy: LatencyPolicy, budget_ms: float | None = None,
+                 min_observations: int = 8) -> None:
         if budget_ms is None:
             budget_ms = DEFAULT_BUDGETS_MS[INTERACTIVE] or 100.0
         if budget_ms <= 0:
             raise ValueError("budget_ms must be positive")
-        if not 0.0 < recover_fraction <= 1.0:
-            raise ValueError("recover_fraction must be in (0, 1]")
         self.policy = policy
         self.budget_ms = float(budget_ms)
         self.min_observations = max(1, min_observations)
-        self.aggressive_factor = aggressive_factor
-        self.recover_fraction = recover_fraction
-        self.burn_shed_threshold = burn_shed_threshold
-        self.burn_protect_fraction = burn_protect_fraction
+        # An attribute, not a constant: a benchmark launcher pins a tier by
+        # setting it out of reach.
+        self.burn_shed_threshold = BURN_SHED_THRESHOLD
         self._lock = threading.Lock()
         self._tier = EXACT  # guarded-by: _lock
         self.shed_decisions = 0
@@ -105,15 +102,16 @@ class LoadShedder:
 
     # -- decisions ---------------------------------------------------------
 
-    def tier(self) -> int:
-        """The current shedding tier, recomputed from the window.
+    def tier(self, window: tuple[float, int] | None = None) -> int:
+        """The current shedding tier, recomputed from the window (its p95
+        and size, :meth:`LatencyPolicy.shed_p95`, read here unless given).
 
-        Escalation thresholds: budget (→ SAMPLED), ``aggressive_factor`` ×
-        budget (→ AGGRESSIVE). De-escalation needs p95 below
-        ``recover_fraction`` × the *lower* tier's threshold — the
+        Escalation thresholds: budget (→ SAMPLED), :data:`AGGRESSIVE_FACTOR`
+        × budget (→ AGGRESSIVE). De-escalation needs p95 below
+        :data:`RECOVER_FRACTION` × the current tier's threshold — the
         hysteresis band that prevents tier flapping at the boundary.
         """
-        p95, n = self.policy.shed_p95()
+        p95, n = window or self.policy.shed_p95()
         with self._lock:
             if n < self.min_observations:
                 # Too little signal to justify degrading answers.
@@ -121,7 +119,7 @@ class LoadShedder:
                 return self._tier
             thresholds = {
                 SAMPLED: self.budget_ms,
-                AGGRESSIVE: self.budget_ms * self.aggressive_factor,
+                AGGRESSIVE: self.budget_ms * AGGRESSIVE_FACTOR,
             }
             if p95 > thresholds[AGGRESSIVE]:
                 target = AGGRESSIVE
@@ -133,29 +131,31 @@ class LoadShedder:
             if target >= current:
                 # Escalate (or hold) immediately: overload is now.
                 self._tier = target
-            elif p95 < thresholds[current] * self.recover_fraction:
+            elif p95 < thresholds[current] * RECOVER_FRACTION:
                 # Recover one tier at a time, and only once p95 is clearly
                 # below the current tier's threshold (hysteresis band).
                 self._tier = current - 1
             return self._tier
 
     def decide(self, burn_rate: float | None = None,
-               peak_burn: float | None = None) -> int:
-        """``tier()`` plus decision accounting (the per-request entry point).
+               peak_burn: float | None = None,
+               window: tuple[float, int] | None = None) -> int:
+        """``tier(window)`` plus decision accounting (the per-request entry
+        point).
 
         With ``burn_rate`` (the requesting tenant's SLO burn from
         :meth:`LatencyPolicy.burn_rate`), the global tier is adjusted
         per tenant: an offender burning its error budget (burn ≥
         ``burn_shed_threshold``) answers one tier higher than the global
         tier, while a clearly healthy tenant (burn ≤
-        ``burn_protect_fraction``) is never held at SAMPLED by *someone
+        :data:`BURN_PROTECT_FRACTION`) is never held at SAMPLED by *someone
         else's* overload — it de-escalates back to EXACT, but only when
         ``peak_burn`` (the highest burn across all tenants) names an
         actual offender. Diffuse overload with no offender sheds
         everyone, exactly as before burn awareness; AGGRESSIVE is global
         overload and protects nobody.
         """
-        tier = self.tier()
+        tier = self.tier(window)
         if burn_rate is not None:
             if burn_rate >= self.burn_shed_threshold:
                 adjusted = min(AGGRESSIVE, tier + 1)
@@ -163,7 +163,7 @@ class LoadShedder:
                     with self._lock:
                         self.burn_escalations += 1
                 tier = adjusted
-            elif (burn_rate <= self.burn_protect_fraction
+            elif (burn_rate <= BURN_PROTECT_FRACTION
                     and tier == SAMPLED
                     and peak_burn is not None
                     and peak_burn >= self.burn_shed_threshold):

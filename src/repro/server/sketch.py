@@ -823,10 +823,10 @@ def shed_answer(store: object, engine: QueryEngine, text: str,
                 service: str) -> ApproximateAnswer:
     """The shed tier's bounded-work answer: a bundle filled from a sample
     of this store, or merged from the members' bundles when the store is a
-    federation. One query-log record either way, under the digest of the
-    query the client sent (``digest``): the sampled stream's own (strategy
-    ``…+sample``), or the one written here for a federation, whose members
-    ran the streams."""
+    federation. Its query-log run is under the digest of the query the
+    client sent (``digest``): the sampled stream's own (strategy
+    ``…+sample``), or for a federation the one emitted here, after the
+    members' streams."""
     started = time.perf_counter_ns()
     bundle = federated_sketch_bundle(store, text, parsed, max_rows=max_rows)
     if bundle is None:

@@ -8,8 +8,9 @@ graph form's N-Triples body, so a library hit parses a fresh ``Graph``.
 An entry is found by its optimized plan's digest (from a text seen before
 without a parse) and served only at the ``store.version`` read before it
 was evaluated (a store without one is taken never to change). At most
-``capacity`` entries weighing :data:`CACHE_BYTES`, LRU. A hit writes the
-asker's query-log record; a SELECT hit's EXPLAIN tree is tagged ``cached``.
+``capacity`` entries weighing :data:`CACHE_BYTES`, LRU. A hit is the
+asker's query-log run (its request's record names it); a SELECT hit's
+EXPLAIN tree is tagged ``cached``.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class CachedQueryEngine:
 
     def find(self, key: str, text: str | None = None) -> Answer | None:
         """The entry under ``key`` current for the store, or ``None``. A
-        hit writes the asker's one query-log record and is named ``text``."""
+        hit emits the asker's one query-log run and is named ``text``."""
         started = time.perf_counter_ns()
         answer = self.cache.get(key, stamp=self.version())
         if answer is not None:

@@ -22,7 +22,7 @@ def clean_obs():
     OBS.reset()
     yield
     OBS.reset()
-    OBS.configure(enabled=prior, sample_rate=1.0)
+    OBS.configure(enabled=prior)
 
 
 def session_from_trace(n_steps: int = 40, seed: int = 7) -> ExplorationSession:

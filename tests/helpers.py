@@ -1,8 +1,9 @@
-"""Store doubles, row comparison and reference serializers shared by the
-test suite."""
+"""Store doubles, row comparison, reference serializers and polling shared
+by the test suite."""
 
 import json
 import math
+import time
 
 from repro.rdf.terms import BNode, Literal
 from repro.sparql.results import binding_to_json
@@ -26,6 +27,16 @@ class _RowsOnly:
 
     def statistics(self):
         return self._store.statistics()
+
+
+def wait_for(condition, timeout: float = 5.0):
+    """``condition()``'s first truthy value, polled (its last value on
+    timeout). A request's query-log record is written after its last byte,
+    so a client can have its answer before the record is there."""
+    deadline = time.monotonic() + timeout
+    while not (value := condition()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return value
 
 
 def rows_only(store):

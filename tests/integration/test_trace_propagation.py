@@ -24,7 +24,7 @@ import pytest
 
 from repro.obs import OBS
 from repro.obs.export import (
-    render_stitched_tree,
+    render_span_tree,
     spans_to_jsonl,
     stitch_jsonl,
 )
@@ -67,13 +67,26 @@ def wait_for_trace(base_url: str, minimum: int = 1,
         time.sleep(0.02)
 
 
+def wait_for_records(base_url: str, query: str = "",
+                     timeout_s: float = 5.0) -> list[dict]:
+    """Poll /debug/queries until it holds a record (records land after
+    the request's last byte, so a client can read its answer first)."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        body = fetch(f"{base_url}/debug/queries?{query}")[0].decode()
+        records = [json.loads(line) for line in body.splitlines() if line]
+        if records or time.monotonic() > deadline:
+            return records
+        time.sleep(0.02)
+
+
 @pytest.fixture()
 def clean_obs():
     prior = OBS.enabled
     OBS.reset()
     yield
     OBS.reset()
-    OBS.configure(enabled=prior, sample_rate=1.0)
+    OBS.configure(enabled=prior)
 
 
 class TestStitchedFederatedTrace:
@@ -127,7 +140,7 @@ class TestStitchedFederatedTrace:
             # Remote operator time is visible from the client side.
             assert root.find("sparql.query")
 
-            text = render_stitched_tree(root)
+            text = render_span_tree(root)
             assert text.count("[wire ->") == 2
             assert f"[wire -> repro-server:{a.port}]" in text
 
@@ -149,12 +162,8 @@ class TestStitchedFederatedTrace:
             trace_id = act._span.trace_id
 
             for server in (a, b):
-                wait_for_trace(server.base_url)
-                body = fetch(f"{server.base_url}/debug/queries")[0].decode()
-                records = [
-                    json.loads(line)
-                    for line in body.strip().splitlines()
-                ]
+                # a request's record is written after its last byte
+                records = wait_for_records(server.base_url)
                 assert records, f"no query-log records on {server.port}"
                 assert all(r["trace_id"] == trace_id for r in records)
                 assert all(

@@ -10,4 +10,4 @@ def clean_obs():
     OBS.reset()
     yield
     OBS.reset()
-    OBS.configure(enabled=prior, sample_rate=1.0)
+    OBS.configure(enabled=prior)

@@ -10,7 +10,6 @@ from repro.obs import (
     PROGRESSIVE,
     LatencyBudget,
     LatencyPolicy,
-    MetricsRegistry,
     track,
 )
 
@@ -37,12 +36,12 @@ class TestBudgetTracker:
     def test_unknown_class_is_unbudgeted(self):
         tracker = LatencyPolicy()
         assert tracker.budget("custom").limit_ms is None
-        assert not tracker.observe("custom", 1e6)
+        assert not tracker.judge(None, "custom", 1e6)
 
     def test_observe_accounts_and_flags(self):
         tracker = LatencyPolicy()
-        assert not tracker.observe(INTERACTIVE, 50.0)
-        assert tracker.observe(INTERACTIVE, 150.0)
+        assert not tracker.judge(None, INTERACTIVE, 50.0)
+        assert tracker.judge(None, INTERACTIVE, 150.0)
         entry = tracker.report().for_class(INTERACTIVE)
         assert entry.count == 2
         assert entry.violations == 1
@@ -53,36 +52,18 @@ class TestBudgetTracker:
     def test_set_budget_overrides_and_validates(self):
         tracker = LatencyPolicy()
         tracker.set_budget(INTERACTIVE, 10.0)
-        assert tracker.observe(INTERACTIVE, 11.0)
+        assert tracker.judge(None, INTERACTIVE, 11.0)
         tracker.set_budget(INTERACTIVE, None)
-        assert not tracker.observe(INTERACTIVE, 11.0)
+        assert not tracker.judge(None, INTERACTIVE, 11.0)
         with pytest.raises(ValueError):
             tracker.set_budget(INTERACTIVE, 0.0)
-
-    def test_violation_callback_and_metrics(self):
-        metrics = MetricsRegistry()
-        seen = []
-        tracker = LatencyPolicy(
-            metrics=metrics,
-            on_violation=lambda *args: seen.append(args),
-        )
-        tracker.observe(NAVIGATION, 301.0, operation="facets.pivot")
-        assert seen == [(NAVIGATION, "facets.pivot", 301.0, 300.0)]
-        violations = metrics.counter(
-            "obs.budget.violations", interaction_class=NAVIGATION
-        )
-        assert violations.value == 1
-        histogram = metrics.histogram(
-            "obs.interaction_ms", interaction_class=NAVIGATION
-        )
-        assert histogram.count == 1
 
     def test_report_compliance_rates(self):
         tracker = LatencyPolicy()
         for _ in range(9):
-            tracker.observe(INTERACTIVE, 10.0)
-        tracker.observe(INTERACTIVE, 500.0)
-        tracker.observe(NAVIGATION, 50.0)
+            tracker.judge(None, INTERACTIVE, 10.0)
+        tracker.judge(None, INTERACTIVE, 500.0)
+        tracker.judge(None, NAVIGATION, 50.0)
         report = tracker.report()
         assert report.total_interactions == 11
         assert report.total_violations == 1
@@ -94,7 +75,7 @@ class TestBudgetTracker:
 
     def test_report_serializes_and_renders(self):
         tracker = LatencyPolicy()
-        tracker.observe(INTERACTIVE, 120.0, operation="slow")
+        tracker.judge(None, INTERACTIVE, 120.0)
         report = tracker.report()
         payload = report.to_dict()
         assert payload["total_violations"] == 1
@@ -108,7 +89,7 @@ class TestBudgetTracker:
     def test_reset_clears_stats_not_budgets(self):
         tracker = LatencyPolicy()
         tracker.set_budget(INTERACTIVE, 5.0)
-        tracker.observe(INTERACTIVE, 50.0)
+        tracker.judge(None, INTERACTIVE, 50.0)
         tracker.reset()
         assert tracker.report().total_interactions == 0
         assert tracker.budget(INTERACTIVE).limit_ms == 5.0

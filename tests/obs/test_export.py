@@ -157,11 +157,11 @@ class TestStitching:
                 == len(list(twice[0].walk())))
 
     def test_render_marks_wire_hops_once(self):
-        from repro.obs.export import render_stitched_tree, stitch_jsonl
+        from repro.obs.export import stitch_jsonl
 
         client_jsonl, server_jsonl, _, _ = self._federated_exports()
         root = stitch_jsonl(client_jsonl, server_jsonl)[0]
-        text = render_stitched_tree(root)
+        text = render_span_tree(root)
         assert text.count("[wire -> repro-server:1]") == 1
         # op.Scan is untagged: it inherits the server's service, no hop.
         scan_line = [l for l in text.splitlines() if "op.Scan" in l][0]

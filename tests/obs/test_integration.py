@@ -189,6 +189,6 @@ class TestProgressStreams:
         aggregator = ProgressiveAggregator([1.0] * 100 + [3.0] * 100, seed=3)
         list(aggregator.run(chunk_size=50))
         assert [e.completed for e in events] == [50, 100, 150, 200]
-        assert events[-1].done
+        assert events[-1].fraction == 1.0
         assert events[-1].attributes["mean"] == pytest.approx(2.0)
         assert events[-1].attributes["ci_halfwidth"] == 0.0

@@ -51,7 +51,7 @@ class TestGauge:
         gauge = Gauge("pool.resident")
         gauge.set(10)
         gauge.inc(2.5)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value == 11.5
 
 

@@ -1,4 +1,4 @@
-"""The structured query log: ring semantics, serving context, JSONL mirror."""
+"""The structured query log: ring semantics, request records, JSONL mirror."""
 
 import json
 import threading
@@ -11,6 +11,7 @@ from repro.obs.querylog import (
     QUERYLOG_ENV,
     QueryLog,
     QueryRecord,
+    Runs,
     ScanObservation,
 )
 
@@ -20,6 +21,15 @@ def emit_simple(log: QueryLog, digest: str = "d0", **kwargs):
                     latency_ms=1.0)
     defaults.update(kwargs)
     return log.emit(**defaults)
+
+
+def request_record(log: QueryLog, runs: Runs | None = None, **fields):
+    """One request's record, as a server writes it after the last byte."""
+    defaults = dict(latency_ms=0.2, interaction_class="interactive",
+                    route="server.sparql", status=200,
+                    stages=(("read", 0.1), ("queue", 0.2)))
+    defaults.update(fields)
+    return log.append(runs, **defaults)
 
 
 class TestEnablement:
@@ -75,17 +85,16 @@ class TestRing:
 
     def test_filters(self):
         log = QueryLog(capacity=16, enabled=True)
-        with log.serving(tenant="alice", service="s1"):
-            emit_simple(log, digest="da")
-        with log.serving(tenant="bob", service="s2"):
-            emit_simple(log, digest="db")
+        request_record(log, digest="da", tenant="alice", service="s1",
+                       trace_id="ab" * 8)
+        request_record(log, digest="db", tenant="bob", service="s2")
         emit_simple(log, digest="da")
         assert len(log.records(tenant="alice")) == 1
         assert len(log.records(digest="da")) == 2
         assert len(log.records(service="s2")) == 1
+        assert [r.digest for r in log.records(trace_id="ab" * 8)] == ["da"]
         cutoff = log.records()[-1].ts
         assert [r.digest for r in log.records(since=cutoff)] == ["da"]
-        assert len(log.records(since_seq=1)) == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -95,42 +104,58 @@ class TestRing:
 class TestServingContext:
     def test_attribution_and_tier_annotation(self):
         log = QueryLog(enabled=True)
-        with log.serving(tenant="t1", interaction_class="interactive",
-                         service="svc"):
-            log.annotate_serving(tier="sampled")
-            record = emit_simple(log)
-        assert record.tenant == "t1"
+        runs = Runs()
+        log.collect(runs)
+        assert emit_simple(log, digest="d1") is None  # into the request
+        log.collect(None)
+        record = request_record(log, runs, tenant="t1", tier="sampled",
+                                service="svc")
+        assert (record.tenant, record.tier, record.service) == (
+            "t1", "sampled", "svc")
         assert record.interaction_class == "interactive"
-        assert record.tier == "sampled"
-        assert record.service == "svc"
-        # outside the scope nothing is attributed
+        assert record.digest == "d1" and record.route == "server.sparql"
+        assert record.stages == (("read", 0.1), ("queue", 0.2))
+        assert log.records() == [record]  # the run wrote no record
+        # outside a request nothing is attributed
         bare = emit_simple(log)
         assert bare.tenant is None and bare.tier is None
 
-    def test_nested_scopes_innermost_wins(self):
-        log = QueryLog(enabled=True)
-        with log.serving(tenant="outer"):
-            with log.serving(tenant="inner"):
-                assert emit_simple(log).tenant == "inner"
-            assert emit_simple(log).tenant == "outer"
+    def test_runs_in_one_request_add_up(self):
+        class Counters:
+            store_lookups, scan_batches, scan_rows, solutions = 1, 2, 30, 4
 
-    def test_annotate_outside_scope_is_noop(self):
         log = QueryLog(enabled=True)
-        log.annotate_serving(tier="exact")  # must not raise
-        assert emit_simple(log).tier is None
+        runs = Runs()
+        log.collect(runs)
+        emit_simple(log, digest="member", counters=Counters(),
+                    scans=[ScanObservation("<p>", "vbv", 9.0, 30, 1, True)])
+        emit_simple(log, digest="whole", strategy="federated",
+                    counters=Counters(), complete=False)
+        log.collect(None)
+        record = request_record(log, runs)
+        assert record.digest == "whole" and record.strategy == "federated"
+        assert record.scan_rows == 60 and record.solutions == 8
+        assert len(record.scans) == 1 and not record.complete
+
+    def test_emit_outside_a_request_appends(self):
+        log = QueryLog(enabled=True)
+        log.collect(None)
+        assert emit_simple(log).route is None
+        assert len(log) == 1
 
     def test_context_is_thread_local(self):
         log = QueryLog(enabled=True)
         seen = {}
 
         def other_thread():
-            seen["context"] = log.current_serving()
+            seen["record"] = emit_simple(log)
 
-        with log.serving(tenant="main-only"):
-            worker = threading.Thread(target=other_thread)
-            worker.start()
-            worker.join()
-        assert seen["context"] is None
+        log.collect(Runs())
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join()
+        log.collect(None)
+        assert seen["record"] is not None  # appended, not collected
 
 
 class TestRecordContent:
@@ -172,11 +197,18 @@ class TestRecordContent:
         log = QueryLog(enabled=True)
         scans = [{"predicate": "<p>", "mask": "vbb", "est": 2.0,
                   "actual": 40, "executions": 1, "leading": True}]
-        with log.serving(tenant="t", tier="exact"):
-            record = emit_simple(log, scans=scans, complete=False)
+        runs = Runs()
+        log.collect(runs)
+        emit_simple(log, scans=scans, complete=False)
+        log.collect(None)
+        shed = {"p95_ms": 142.0, "n": 64, "burn": 3.1, "peak_burn": 3.1}
+        record = request_record(log, runs, tenant="t", tier="exact",
+                                status=503, shed=shed)
         restored = QueryRecord.from_dict(
             json.loads(json.dumps(record.to_dict()))
         )
+        assert (restored.route, restored.status, restored.stages,
+                restored.shed) == ("server.sparql", 503, record.stages, shed)
         assert restored.digest == record.digest
         assert restored.tenant == "t"
         assert not restored.complete
@@ -195,9 +227,8 @@ class TestConcurrency:
         writers, per_writer = 4, 50
 
         def write(worker: int) -> None:
-            with log.serving(tenant=f"w{worker}"):
-                for index in range(per_writer):
-                    emit_simple(log, digest=f"w{worker}-{index}")
+            for index in range(per_writer):
+                emit_simple(log, digest=f"w{worker}-{index}")
 
         threads = [
             threading.Thread(target=write, args=(worker,))

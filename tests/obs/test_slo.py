@@ -106,8 +106,8 @@ class TestBudgetDerivation:
         process.set_budget(INTERACTIVE, 10.0)  # seen live by the server's
         assert server.judge("t", INTERACTIVE, 50.0) is True
         assert process.snapshot() == {}  # the windows are the server's own
-        process.observe(INTERACTIVE, 50.0)
-        assert server.report().for_class(INTERACTIVE).violations == 1
+        # ... and the report is the process's
+        assert process.report().for_class(INTERACTIVE).violations == 1
 
 
 class TestSnapshot:

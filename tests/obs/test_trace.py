@@ -1,4 +1,4 @@
-"""Span tracing: nesting, suspension, sampling, thread safety, no-op path."""
+"""Span tracing: nesting, suspension, thread safety, no-op path."""
 
 import threading
 import time
@@ -28,7 +28,8 @@ class TestSpanBasics:
         span.end()
         assert span.finished
         assert span.duration_ns >= paused_at
-        assert span.wall_ns > span.duration_ns  # wall includes the suspension
+        # the end time includes the suspension; the duration does not
+        assert span.end_ns - span.start_ns > span.duration_ns
 
     def test_end_is_idempotent(self):
         span = Span("once")
@@ -74,22 +75,6 @@ class TestTracerNesting:
         roots = tracer.recorder.spans()
         assert [s.name for s in roots] == ["outer"]
         assert [c.name for c in roots[0].children] == ["inner"]
-
-    def test_traced_decorator(self):
-        tracer = Tracer(enabled=True)
-
-        @tracer.traced("compute")
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert [s.name for s in tracer.recorder.spans()] == ["compute"]
-
-    def test_attach_manual_span_under_current(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("query") as span:
-            tracer.attach(Span.manual("op.Join", 1000))
-        assert [c.name for c in span.children] == ["op.Join"]
 
 
 class TestGeneratorSuspension:
@@ -175,26 +160,6 @@ class TestRecorder:
         assert len(roots) == 8 * per_thread
         assert all(len(r.children) == 1 for r in roots)
         assert tracer.recorder.dropped == 0
-
-
-class TestSampling:
-    def test_error_diffusion_keeps_exact_fraction(self):
-        tracer = Tracer(enabled=True, sample_rate=0.25)
-        for _ in range(100):
-            with tracer.span("root"):
-                pass
-        assert len(tracer.recorder.spans()) == 25
-
-    def test_zero_rate_records_nothing(self):
-        tracer = Tracer(enabled=True, sample_rate=0.0)
-        for _ in range(10):
-            with tracer.span("root"):
-                pass
-        assert tracer.recorder.spans() == []
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=1.5)
 
 
 class TestDisabledFastPath:

@@ -27,6 +27,7 @@ from repro.sparql.cached import CachedQueryEngine
 from repro.store.cracking import CrackingTripleStore
 from repro.store.federated import FederatedStore
 from repro.store.memory import MemoryStore
+from tests.helpers import wait_for
 
 EX = "http://example.org/"
 VALUE = IRI(EX + "value")
@@ -281,7 +282,7 @@ def test_a_store_without_a_version_is_served_as_before(store):
 
 
 def test_a_hit_is_logged_for_whoever_asked(server):
-    OBS.configure(enabled=True, sample_rate=1.0)
+    OBS.configure(enabled=True)
     try:
         sparql(server, SELECT, {"X-Repro-Tenant": "filler"})
         trace_id = "ab" * 8
@@ -292,9 +293,14 @@ def test_a_hit_is_logged_for_whoever_asked(server):
         assert response.getheader("X-Repro-Cache") == "hit"
     finally:
         OBS.configure(enabled=False)
-    fill_record, hit = OBS.querylog.records(
-        service=f"repro-server:{server.port}"
-    )[-2:]
+
+    def by_tenant():
+        found = {record.tenant: record for record in OBS.querylog.records(
+            service=f"repro-server:{server.port}")}
+        return found if {"filler", "asker"} <= found.keys() else None
+
+    found = wait_for(by_tenant)
+    fill_record, hit = found["filler"], found["asker"]
     assert (hit.cache_hit, hit.strategy, hit.form) == (True, "cached", "SELECT")
     assert (hit.tenant, hit.interaction_class, hit.trace_id) == (
         "asker", "interactive", trace_id,

@@ -11,6 +11,7 @@ from repro.obs import OBS
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.server.app import ReproServer, ServerConfig
 from repro.store.memory import MemoryStore
+from tests.helpers import wait_for
 
 EX = "http://example.org/"
 VALUE = IRI(EX + "value")
@@ -42,12 +43,22 @@ def sparql_url(base: str, query: str, **params) -> str:
     return f"{base}/sparql?" + urllib.parse.urlencode(params)
 
 
-def debug_records(base: str, **params) -> list[dict]:
+def debug_records(base: str, expect: int = 0, **params) -> list[dict]:
+    """/debug/queries, polled until it holds ``expect`` records: each is
+    written after its request's last byte."""
     url = f"{base}/debug/queries"
     if params:
         url += "?" + urllib.parse.urlencode(params)
-    body = fetch(url).read().decode("utf-8")
-    return [json.loads(line) for line in body.splitlines() if line]
+
+    def records():
+        body = fetch(url).read().decode("utf-8")
+        return [json.loads(line) for line in body.splitlines() if line]
+
+    def enough():
+        found = records()
+        return found if len(found) >= expect else None
+
+    return (wait_for(enough) or records()) if expect else records()
 
 
 @pytest.fixture()
@@ -64,7 +75,7 @@ class TestDebugQueries:
     def test_served_queries_appear_with_attribution(self, server):
         fetch(sparql_url(server.base_url, SELECT),
               headers={"X-Repro-Tenant": "alice"})
-        records = debug_records(server.base_url)
+        records = debug_records(server.base_url, expect=1)
         assert records, "no query-log records for served traffic"
         record = records[-1]
         assert record["form"] == "SELECT"
@@ -74,11 +85,15 @@ class TestDebugQueries:
         assert record["service"] == f"repro-server:{server.port}"
         assert record["digest"]
         assert record["latency_ms"] > 0
+        assert (record["route"], record["status"]) == ("server.sparql", 200)
+        assert [stage for stage, _ in record["stages"]] == [
+            "read", "queue", "parse", "stream"]
 
     def test_filters(self, server):
         fetch(sparql_url(server.base_url, SELECT, tenant="t1"))
         fetch(sparql_url(server.base_url, "ASK { ?s ?p ?o }",
                          tenant="t2"))
+        debug_records(server.base_url, expect=2)
         assert all(
             r["tenant"] == "t1"
             for r in debug_records(server.base_url, tenant="t1")
@@ -106,10 +121,10 @@ class TestDebugQueries:
         ) as single:
             url = sparql_url(single.base_url, SELECT)
             fetch(url).read()  # the entry is there once the last byte is
-            first = debug_records(single.base_url)
+            first = debug_records(single.base_url, expect=1)
             response = fetch(url)
             assert response.headers.get("X-Repro-Cache") == "hit"
-            records = debug_records(single.base_url)
+            records = debug_records(single.base_url, expect=len(first) + 1)
             assert len(records) == len(first) + 1
             hit = records[-1]
             assert hit["cache_hit"] is True
@@ -120,20 +135,30 @@ class TestDebugQueries:
         OBS.configure(enabled=prior)
 
     def test_trace_id_matches_request_trace(self, server):
-        # Records join the ambient trace, which exists when tracing is on
-        # (the CI smoke serves with REPRO_TRACE=1).
-        OBS.configure(enabled=True, sample_rate=1.0)
+        OBS.configure(enabled=True)
         trace_id = "fe" * 8
         fetch(sparql_url(server.base_url, SELECT),
               headers={"X-Repro-Trace": trace_id,
                        "X-Repro-Span": "ab" * 4})
-        records = debug_records(server.base_url)
+        records = debug_records(server.base_url, expect=1)
         assert records[-1]["trace_id"] == trace_id
+
+    def test_trace_id_is_the_clients_when_tracing_is_off(self, server):
+        OBS.configure(enabled=False)
+        trace_id = "fe" * 8
+        fetch(sparql_url(server.base_url, SELECT),
+              headers={"X-Repro-Trace": trace_id,
+                       "X-Repro-Span": "ab" * 4})
+        fetch(sparql_url(server.base_url, "ASK { ?s ?p ?o }"))
+        assert len(debug_records(server.base_url, expect=2)) == 2
+        (record,) = debug_records(server.base_url, trace=trace_id)
+        assert record["trace_id"] == trace_id and record["form"] == "SELECT"
 
 
 class TestStatsAndMetrics:
     def test_stats_exposes_engine_and_querylog_sections(self, server):
         fetch(sparql_url(server.base_url, SELECT))
+        debug_records(server.base_url, expect=1)
         stats = json.loads(fetch(f"{server.base_url}/stats").read())
         engine = stats["engine"]
         assert engine["store_lookups"] > 0 or engine["scan_rows"] > 0
@@ -158,6 +183,7 @@ class TestStatsAndMetrics:
     ):
         monkeypatch.setenv("REPRO_QUERYLOG_DIR", str(tmp_path))
         fetch(sparql_url(server.base_url, SELECT))
+        debug_records(server.base_url, expect=1)
         stats = json.loads(fetch(f"{server.base_url}/stats").read())
         mirror = stats["querylog"]["mirror_path"]
         assert mirror is not None

@@ -22,6 +22,7 @@ from repro.server.app import STAGES, ReproServer, ServerConfig
 from repro.sparql import vectorized
 from repro.store.memory import MemoryStore
 from repro.workload.rdf_graphs import typed_entities
+from tests.helpers import wait_for
 
 EX = "http://example.org/"
 VALUE = f"<{EX}value>"
@@ -62,13 +63,9 @@ def server_timing(response) -> list[tuple[str, float]]:
     return stages
 
 
-def wait_for(condition, timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
+def answered_total(server) -> int:
+    """Requests finished so far (counted at the start of ``_finish``)."""
+    return sum(server.stats()["responses_by_status"].values())
 
 
 # -- Server-Timing -------------------------------------------------------------
@@ -88,6 +85,8 @@ def shedding_server():
                           shed_min_observations=1, approx_max_rows=8)
     with ReproServer(build_store(), config) as instance:
         assert timed_get(instance.port, sparql(ASK))[0].status == 200
+        # accounted (its record comes last) before any test counts
+        assert wait_for(lambda: OBS.querylog.records(service=instance.service))
         yield instance
 
 
@@ -102,12 +101,23 @@ def shedding_server():
     ("shed", sparql(AGGREGATE), 200,
      ["read", "queue", "parse", "execute", "encode"]),
     ("parse error", sparql("SELEKT"), 400, ["read", "queue"]),
+    ("not acceptable", sparql(f"SELECT ?v WHERE {{ ?s {VALUE} ?v }} LIMIT 3"),
+     406, ["read", "queue", "parse"]),
     ("unknown path", "/nope", 404, ["read"]),
 ])
 def test_server_timing_on_every_kind_of_answer(
     shedding_server, kind, target, status, first_stages
 ):
-    response, _, client_ms = timed_get(shedding_server.port, target)
+    server = shedding_server
+    trace_id = kind.encode().hex()[:16]  # names this request's record
+    headers = {"X-Repro-Trace": trace_id, "X-Repro-Span": "ab" * 4}
+    if kind == "not acceptable":
+        headers["Accept"] = "image/png"
+    latency = OBS.metrics.histogram("obs.interaction_ms", TIME_MS_BUCKETS,
+                                    interaction_class="interactive")
+    judged, judged_ms = latency.count, latency.sum
+    answered = answered_total(server)
+    response, _, client_ms = timed_get(server.port, target, headers)
     assert response.status == status
     assert (response.getheader("X-Repro-Cache") == "hit") == (kind == "cached")
     if kind == "shed":
@@ -118,6 +128,29 @@ def test_server_timing_on_every_kind_of_answer(
     assert [name for name, _ in stages] == first_stages
     assert all(duration >= 0 for _, duration in stages)
     assert sum(duration for _, duration in stages) <= client_ms
+    # One query-log record for a request to an admitted route, written
+    # after the last byte with the stamps as the response showed them plus
+    # the last one, and judged once by their total after the read.
+    if kind in ("probe", "unknown path"):
+        assert wait_for(lambda: answered_total(server) > answered)
+        assert OBS.querylog.records(trace_id=trace_id) == []
+        return
+    wait_for(lambda: OBS.querylog.records(trace_id=trace_id))
+    (record,) = OBS.querylog.records(trace_id=trace_id)
+    assert (record.route, record.status) == ("server.sparql", status)
+    assert [name for name, _ in record.stages] == first_stages + [
+        "stream" if kind == "streamed" else "write"]
+    for (_, ms), (_, shown) in zip(record.stages, stages):
+        assert ms == pytest.approx(shown, abs=1e-3)
+    assert record.latency_ms == pytest.approx(
+        sum(ms for _, ms in record.stages[1:]))
+    assert latency.count == judged + 1
+    assert latency.sum == pytest.approx(judged_ms + record.latency_ms)
+    assert record.cache_hit == (kind == "cached")
+    if kind == "shed":
+        assert record.tier == response.getheader("X-Repro-Tier")
+        assert record.strategy.endswith("+sample")
+        assert set(record.shed) == {"p95_ms", "n", "burn", "peak_burn"}
 
 
 # -- exactly one record per request ----------------------------------------------
@@ -206,6 +239,15 @@ def test_every_request_is_accounted_exactly_once(monkeypatch):
         snapshot = json.loads(body)
         _, body, _ = timed_get(port, "/stats")
         by_status = json.loads(body)["responses_by_status"]
+        # one query-log record per request to an admitted route: the failed
+        # stream, the two ASKs and the refused one; none for the rest
+        assert wait_for(lambda: len(OBS.querylog.records(
+            service=server.service)) >= 4)
+        records = OBS.querylog.records(service=server.service)
+    assert sorted((r.route, r.status) for r in records) == [
+        ("server.sparql", 200)] * 3 + [("server.sparql", 503)]
+    (failed,) = [r for r in records if not r.complete]
+    assert failed.form == "SELECT" and failed.stages[-1][0] == "stream"
     counts = {
         stage: snapshot[
             f"server.stage_ms{{service={server.service},stage={stage}}}"

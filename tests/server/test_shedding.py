@@ -34,8 +34,7 @@ class TestEscalation:
         assert shedder.tier() == SAMPLED
 
     def test_aggressive_above_factor(self):
-        shedder = _shedder(budget_ms=100, min_observations=4,
-                           aggressive_factor=3.0)
+        shedder = _shedder(budget_ms=100, min_observations=4)
         _feed(shedder, 500, 10)
         assert shedder.tier() == AGGRESSIVE
 
@@ -60,8 +59,7 @@ class TestRecovery:
         assert shedder.tier() == EXACT
 
     def test_deescalates_one_tier_at_a_time(self):
-        shedder = _shedder(budget_ms=100, window=16, min_observations=4,
-                           aggressive_factor=3.0)
+        shedder = _shedder(budget_ms=100, window=16, min_observations=4)
         _feed(shedder, 500, 16)
         assert shedder.tier() == AGGRESSIVE
         _feed(shedder, 20, 16)
@@ -69,10 +67,9 @@ class TestRecovery:
         assert shedder.tier() == EXACT  # second decision completes recovery
 
     def test_hysteresis_holds_tier_inside_band(self):
-        # p95 drops just below the budget but above recover_fraction x budget:
-        # the tier must hold (no flapping at the boundary).
-        shedder = _shedder(budget_ms=100, window=16, min_observations=4,
-                           recover_fraction=0.8)
+        # p95 drops just below the budget but above RECOVER_FRACTION x
+        # budget: the tier must hold (no flapping at the boundary).
+        shedder = _shedder(budget_ms=100, window=16, min_observations=4)
         _feed(shedder, 150, 16)
         assert shedder.tier() == SAMPLED
         _feed(shedder, 90, 16)  # inside (80, 100): hysteresis band
@@ -121,8 +118,6 @@ class TestAccounting:
 
         with pytest.raises(ValueError):
             _shedder(budget_ms=0)
-        with pytest.raises(ValueError):
-            _shedder(budget_ms=100, recover_fraction=0.0)
 
 
 class TestBurnRateAwareDecisions:

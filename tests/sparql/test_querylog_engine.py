@@ -108,7 +108,7 @@ class TestEngineEmission:
         assert result.plan_digest is None
 
     def test_trace_id_joins_the_active_trace(self):
-        OBS.configure(enabled=True, sample_rate=1.0)
+        OBS.configure(enabled=True)
         engine = QueryEngine(build_store())
         engine.query(QUERY)
         record = OBS.querylog.records()[-1]
