@@ -103,7 +103,8 @@ def _executed_canary(engine: QueryEngine):
 
 
 def _operator_executions(engine: QueryEngine) -> int:
-    """Guard evaluations of a canary run: one per operator execute()."""
+    """Guard evaluations of a canary run: one per operator execute_batches()
+    call (a scan node counts each batch it was driven for)."""
     total = 0
     stack = [_executed_canary(engine)]
     while stack:

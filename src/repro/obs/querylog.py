@@ -77,8 +77,8 @@ class ScanObservation:
     ``mask`` is the pattern's bound-position signature — one character per
     S/P/O slot, ``b`` for a constant, ``v`` for a variable (``"vbb"`` =
     variable subject, bound predicate, bound object) — the key the planner
-    estimated under. ``leading`` marks scans that executed exactly once
-    against an empty ambient binding and ran to exhaustion over every row
+    estimated under. ``leading`` marks scans that executed exactly once,
+    unconditioned by earlier rows, and ran to exhaustion over every row
     (no ``LIMIT`` stopped them, no shed tier sampled them), so their actual
     row count is directly comparable to the planner's unconditioned
     estimate; only those feed the drift report. On a store the planner

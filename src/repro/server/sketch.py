@@ -64,7 +64,7 @@ from ..approx.sketch import (
     serialize_sketch,
 )
 from ..obs import OBS
-from ..rdf.terms import Literal, Term, Variable
+from ..rdf.terms import Literal, Variable
 from ..sparql.eval import QueryEngine
 from ..sparql.nodes import (
     AggregateExpr,
@@ -74,17 +74,16 @@ from ..sparql.nodes import (
     VariableExpr,
 )
 from ..sparql.parser import parse_query
-from ..sparql.physical import Batch, ExplainNode
+from ..sparql.physical import Batch, ExplainNode, _concat, _distinct_keys
 from ..sparql.results import (
     SelectResult,
     binding_to_json,
-    row_blocks,
     term_from_json,
     term_to_json,
 )
-from ..sparql.vectorized import VectorizedBGP, _concat, _distinct_keys
+from ..sparql.vectorized import VectorizedBGP
 from ..store.base import unique_ids
-from ..store.dictionary import VALUE_OTHER, TermDictionary
+from ..store.dictionary import VALUE_OTHER
 
 __all__ = [
     "ApproximateAnswer",
@@ -403,17 +402,11 @@ def _make_specs(
     return group_vars, specs
 
 
-def _terms(dictionary, ids: np.ndarray) -> list[Term | None]:
-    """``ids`` decoded; a negative id is an unbound cell."""
-    if (ids >= 0).all():
-        return dictionary.decode_batch(ids)
-    return [dictionary.decode(i) if i >= 0 else None for i in ids.tolist()]
-
-
-def _fold(bundle: SketchBundle, batches: list[Batch], dictionary) -> None:
-    """Merge the solutions in ``batches`` (id columns; a negative id is an
-    unbound cell) into the bundle's sketches. Terms are decoded once per
-    distinct group and, under DISTINCT, once per distinct id."""
+def _fold(bundle: SketchBundle, batches: list[Batch], table) -> None:
+    """Merge the solutions in ``batches`` (id columns of the plan's term
+    ``table``: -1 is an unbound cell, an id <= -2 a computed term) into
+    the bundle's sketches. Terms are decoded once per distinct group and,
+    under DISTINCT, once per distinct id."""
     columns, count = (
         batches[0] if len(batches) == 1
         else _concat(batches, batches[0].columns)
@@ -426,7 +419,7 @@ def _fold(bundle: SketchBundle, batches: list[Batch], dictionary) -> None:
     group_vars = bundle.group_vars
     if group_vars:
         keys, inverse = _distinct_keys([column(v) for v in group_vars])
-        parts = [_terms(dictionary, keys[:, at]) for at in range(len(group_vars))]
+        parts = [table.decode_batch(keys[:, at]) for at in range(len(group_vars))]
         names = [_group_key(terms) for terms in zip(*parts)]
     else:
         inverse = np.zeros(count, dtype=np.int64)
@@ -436,21 +429,20 @@ def _fold(bundle: SketchBundle, batches: list[Batch], dictionary) -> None:
         member = inverse  # the group of each row the aggregate takes
         if spec.arg is not None:
             ids = column(spec.arg)
-            bound = ids >= 0
+            bound = ids != -1
             if not bound.all():
                 ids, member = ids[bound], member[bound]
         if spec.distinct:
-            for term in dictionary.decode_batch(unique_ids(ids)):
+            for term in table.decode_batch(unique_ids(ids)):
                 spec.sketch.add(_term_key(term))
         elif spec.kind == "COUNT":
             counts = np.bincount(member, minlength=groups)
             spec.sketch.add_groups(names, counts.tolist(), repeat(1.0), repeat(0.0))
         else:  # SUM / AVG: numeric literals only, like the exact engine
-            values, kinds = dictionary.numeric_columns()
-            numeric = kinds[ids] != VALUE_OTHER
+            values, kinds = table.numeric(ids)
+            numeric = kinds != VALUE_OTHER
             if not numeric.all():
-                ids, member = ids[numeric], member[numeric]
-            values = values[ids]
+                values, member = values[numeric], member[numeric]
             counts = np.bincount(member, minlength=groups)
             means = np.bincount(member, weights=values, minlength=groups)
             means /= np.maximum(counts, 1)
@@ -460,21 +452,6 @@ def _fold(bundle: SketchBundle, batches: list[Batch], dictionary) -> None:
             spec.sketch.add_groups(
                 names, counts.tolist(), means.tolist(), m2s.tolist()
             )
-
-
-def _id_batches(rows, variables, size: int, dictionary) -> Iterator[Batch]:
-    """A row plan's solutions as id batches of ``size`` rows: the terms
-    get their ids from ``dictionary`` (one of their own, not a store's),
-    an unbound cell gets -1."""
-    encode = dictionary.encode
-    for block, count, _ in row_blocks(variables, rows, size):
-        yield Batch({
-            variable: np.fromiter(
-                (-1 if term is None else encode(term) for term in cells),
-                np.int64, count,
-            )
-            for variable, cells in zip(variables, block)
-        }, count)
 
 
 def iter_sketch_passes(
@@ -520,17 +497,15 @@ def iter_sketch_passes(
         ),
         digest=digest,
     )
-    dictionary, source = stream.dictionary, stream.batches
-    stage = stream.root.children[0] if dictionary is not None else None
-    if isinstance(stage, VectorizedBGP) and not any(s.distinct for s in specs):
+    table, batches = stream.dictionary, stream.batches
+    stage = stream.root.children[0]
+    if (
+        isinstance(stage, VectorizedBGP) and stage.input is None
+        and not any(s.distinct for s in specs)
+    ):
         stage.sample_first_stage(max_rows, int(digest[:16], 16), passes)
-    else:
+    else:  # OPTIONAL, UNION, ...: no first stage to draw from
         stage = None
-    batches = source
-    if dictionary is None:
-        # A row plan (OPTIONAL, UNION, ...): no first stage to draw from.
-        dictionary, source = TermDictionary(), stream.rows
-        batches = _id_batches(source, needed, max_rows, dictionary)
     stepwise = passes > 1 and stage is not None
     pending: list[Batch] = []
     seen = 0
@@ -538,7 +513,7 @@ def iter_sketch_passes(
 
     def frame(ended: bool) -> tuple[int, int, bool]:
         if pending:
-            _fold(bundle, pending, dictionary)
+            _fold(bundle, pending, table)
             pending.clear()
         if stage is not None:
             consumed, total = stage.sampled or (0, 0)
@@ -572,7 +547,7 @@ def iter_sketch_passes(
         if frame(ended=True) != last:
             yield passed()
     finally:
-        source.close()  # an abandoned evaluation is logged now, not at GC
+        batches.close()  # an abandoned evaluation is logged now, not at GC
 
 
 def build_sketch_bundle(

@@ -38,7 +38,6 @@ from .nodes import (
 from .optimizer import CardinalityEstimator
 from .parser import parse_query
 from .physical import (
-    Batch,
     EvalStats,
     ExplainNode,
     PhysicalOperator,
@@ -55,7 +54,8 @@ from .plan import (
     optimize_plan,
     query_digest,
 )
-from .results import SelectResult, block_rows, decode_block, row_blocks
+from .results import SelectResult, block_rows, decode_block
+from .termtable import UNBOUND
 
 __all__ = [
     "EvalStats",
@@ -76,21 +76,19 @@ class StreamingSelect:
 
     ``rows`` and ``batches`` are two views of one evaluation — consume one
     of them. ``batches`` is the answer as the engine produces it, a
-    :class:`~repro.sparql.physical.Batch` at a time, for consumers that
-    serialize or keep it column-wise (:func:`~repro.sparql.results
-    .batch_block`, :meth:`SelectResult.from_batches`): id columns of
-    ``dictionary`` when the plan delivers id batches, else
-    (``dictionary`` is ``None``) the row operators' output gathered into
-    columns of terms. ``None`` for ``SELECT *``, which has no header to
-    lay columns out by. ``rows`` decodes the same batches into dicts, one
-    batch at a time.
+    :class:`~repro.sparql.physical.Batch` of id columns at a time, for
+    consumers that serialize or keep it column-wise
+    (:func:`~repro.sparql.results.batch_block`,
+    :meth:`SelectResult.from_batches`); ``dictionary`` is the plan's
+    :class:`~repro.sparql.termtable.TermTable` they decode through.
+    ``rows`` decodes the same batches into dicts, one batch at a time.
     """
 
     variables: list[Variable]
     rows: "object"  # Iterator[dict[Variable, Term]]
     root: PhysicalOperator
-    batches: "object"  # Iterator[Batch] | None
-    dictionary: "object"  # TermDictionary | None
+    batches: "object"  # Iterator[Batch]
+    dictionary: "object"  # TermTable
 
 
 @dataclass
@@ -260,12 +258,12 @@ class QueryEngine:
         if logging and log.trace_provider is not None:
             trace_id = getattr(log.trace_provider(), "trace_id", None)
 
-        def generate(solutions, size):
+        def generate(batches):
             finished = False
             try:
-                for item in solutions:
-                    per_query.solutions += size(item)
-                    yield item
+                for batch in batches:
+                    per_query.solutions += batch.count
+                    yield batch
                 finished = True
                 self.stats.merge(per_query)
             finally:
@@ -283,17 +281,9 @@ class QueryEngine:
                         complete=finished,
                     )
 
-        dictionary = root.batch_dictionary()
-        if dictionary is not None:
-            batches = generate(root.execute_batches({}), lambda batch: batch.count)
-            rows = _decoded_rows(variables, batches, dictionary)
-        else:
-            rows = generate(root.execute({}), lambda row: 1)
-            batches = None if parsed.select_all else (
-                Batch(dict(zip(variables, columns)), count)
-                for columns, count, _ in row_blocks(variables, rows)
-            )
-        return StreamingSelect(variables, rows, root, batches, dictionary)
+        batches = generate(root.execute_batches())
+        rows = _decoded_rows(variables, batches, root.table)
+        return StreamingSelect(variables, rows, root, batches, root.table)
 
     def plan_digest(self, text: str | Query) -> str:
         """Stable digest of the optimized logical plan (result-cache key)."""
@@ -352,22 +342,16 @@ class QueryEngine:
         self, q: SelectQuery, per_query: EvalStats
     ) -> tuple[SelectResult, PhysicalOperator]:
         root = self._build_root(q, per_query)
-        dictionary = root.batch_dictionary()
-        if dictionary is not None:
-            # The plan delivers id batches: the answer stays id columns
-            # until a consumer asks for rows or a serializer for text.
-            result = SelectResult.from_batches(
-                [p.variable for p in q.projections],
-                list(root.execute_batches({})),
-                dictionary,
-            )
-        else:
-            rows = list(root.execute({}))
-            if q.select_all:
-                variables = sorted({v for row in rows for v in row}, key=str)
-            else:
-                variables = [p.variable for p in q.projections]
-            result = SelectResult(variables, rows)
+        # The answer stays id columns until a consumer asks for rows or a
+        # serializer for text.
+        batches = list(root.execute_batches())
+        variables = [p.variable for p in q.projections]
+        if q.select_all:  # the variables some solution binds
+            variables = sorted({
+                v for batch in batches
+                for v, column in batch.columns.items() if (column != UNBOUND).any()
+            }, key=str)
+        result = SelectResult.from_batches(variables, batches, root.table)
         per_query.solutions += len(result)
         result.stats = per_query
         result.plan = root.explain()
@@ -377,8 +361,9 @@ class QueryEngine:
         self, q: AskQuery, per_query: EvalStats
     ) -> tuple[bool, PhysicalOperator]:
         root = self._build_root(q, per_query)
-        for _ in root.execute({}):
-            return True, root
+        for batch in root.execute_batches():
+            if batch.count:
+                return True, root
         return False, root
 
     def _eval_construct(
@@ -386,7 +371,7 @@ class QueryEngine:
     ) -> tuple[Graph, PhysicalOperator]:
         root = self._build_root(q, per_query)
         graph = Graph()
-        for binding in root.execute({}):
+        for binding in _solutions(root):
             for template in q.template:
                 triple = instantiate(template, binding)
                 if triple is not None:
@@ -406,7 +391,7 @@ class QueryEngine:
                     raise ValueError("DESCRIBE with variables needs a WHERE clause")
                 if bindings is None:
                     root = self._build_root(q, per_query)
-                    bindings = list(root.execute({}))
+                    bindings = list(_solutions(root))
                 for binding in bindings:
                     if resource in binding:
                         resources.add(binding[resource])
@@ -423,21 +408,22 @@ class QueryEngine:
 
 def _drain(root: PhysicalOperator) -> None:
     """Run a plan for its accounting alone, the way a query would."""
-    if root.batch_dictionary() is not None:
-        solutions = root.execute_batches({})
-    else:
-        solutions = root.execute({})
-    for _ in solutions:
+    for _ in root.execute_batches():
         pass
 
 
-def _decoded_rows(variables: list[Variable], batches, dictionary):
-    """``batches`` as solution rows, decoded one batch at a time."""
+def _solutions(root: PhysicalOperator):
+    """Every solution of ``root`` as a dict, decoded a batch at a time."""
+    return _decoded_rows([], root.execute_batches(), root.table)
+
+
+def _decoded_rows(variables: list[Variable], batches, table):
+    """``batches`` as solution rows (of ``variables``, or of every column
+    when there are none), decoded one batch at a time."""
     try:
         for columns, count in batches:
-            yield from block_rows(
-                variables, decode_block(variables, columns, count, dictionary)
-            )
+            names = variables or list(columns)
+            yield from block_rows(names, decode_block(names, columns, count, table))
     finally:
         # Closing the rows closes the evaluation (and logs it) now, not
         # when the last reference to ``batches`` goes away.

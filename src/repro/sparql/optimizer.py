@@ -119,28 +119,33 @@ class CardinalityEstimator:
             return stats.avg_subject_degree
         return stats.avg_object_degree
 
-    def order(self, patterns: Iterable[TriplePatternNode]) -> list[TriplePatternNode]:
-        """Greedy selectivity ordering.
+    def order(
+        self, patterns: Iterable[TriplePatternNode]
+    ) -> list[tuple[TriplePatternNode, float]]:
+        """Greedy selectivity ordering, each pattern with the cardinality
+        it was ordered by — priced once, so the plan reuses the price.
 
         Pick the cheapest pattern first; thereafter prefer patterns that
         share a variable with the set already chosen (so every join is an
         index lookup, not a cartesian product), breaking ties by estimated
         cardinality, then by a stable textual key.
         """
-        remaining = list(patterns)
-        if len(remaining) <= 1:
-            return remaining
-        costs = {id(p): self.pattern_cardinality(p) for p in remaining}
-        ordered: list[TriplePatternNode] = []
+        remaining = [(p, self.pattern_cardinality(p)) for p in patterns]
+        ordered: list[tuple[TriplePatternNode, float]] = []
         bound_vars: set[Variable] = set()
 
         while remaining:
-            connected = [p for p in remaining if ordered and (p.variables() & bound_vars)]
-            candidates = connected or remaining
-            best = min(candidates, key=lambda p: (costs[id(p)], _pattern_key(p)))
+            connected = [
+                priced for priced in remaining
+                if ordered and (priced[0].variables() & bound_vars)
+            ]
+            best = min(
+                connected or remaining,
+                key=lambda priced: (priced[1], _pattern_key(priced[0])),
+            )
             ordered.append(best)
             remaining.remove(best)
-            bound_vars |= best.variables()
+            bound_vars |= best[0].variables()
         return ordered
 
 

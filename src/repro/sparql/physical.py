@@ -1,32 +1,26 @@
-"""Streaming physical operators: the execution stage of the query pipeline.
+"""Physical operators: the execution stage of the query pipeline.
 
-Every operator is pull-based — ``execute(binding)`` yields solution rows one
-at a time, so LIMIT-ed exploratory queries (the dominant shape in the
-survey's interactive setting) touch only as much of the store as they need.
-Each operator carries its planner *estimate* and counts the rows it
-*actually* produced; :meth:`PhysicalOperator.explain` exposes both as an
-:class:`ExplainNode` tree, the EXPLAIN/EXPLAIN ANALYZE surface.
+One protocol: every operator's ``execute_batches()`` yields :class:`Batch`
+objects — aligned int64 id columns, one per variable — pulled one at a
+time, so LIMIT-ed exploratory queries (the dominant shape in the survey's
+interactive setting) touch only as much of the store as they need. An id
+>= 0 is the store dictionary's, -1 an unbound cell, and an id <= -2 a term
+the plan computed that the store does not hold, kept by the plan's
+:class:`~repro.sparql.termtable.TermTable` (every operator's ``table``).
+Terms are decoded only where an expression is evaluated, once per distinct
+combination of the ids it reads. Each operator carries its planner
+*estimate* and counts the rows it *actually* produced (EXPLAIN ANALYZE:
+:meth:`PhysicalOperator.explain`).
 
 Every leaf that touches the store is a
-:class:`~repro.sparql.vectorized.VectorizedBGP`: one connected component
-of a basic graph pattern, joined and filtered on id batches inside that
-operator, whatever the store (:func:`~repro.store.base.as_id_scan_source`).
-Operators that can say so (:meth:`PhysicalOperator.batch_dictionary`) have
-a second way out, ``execute_batches(binding)``: the same solutions as
-:class:`Batch` objects of dictionary ids, never decoded here. The BGP
-produces them, :class:`ProjectOp` (plain variables) and :class:`SliceOp`
-pass them on as a column pick and an array slice, and the engine hands them
-to the serializer as they are; every other operator consumes and produces
-rows.
-
-Joins between subplans:
-
-* :class:`NestedLoopJoin` — correlated: the right side re-executes once per
-  left row with that row as the ambient binding, so every shared variable
-  becomes a bound index lookup.
-* :class:`HashJoin` — for variable-disjoint subplans (cartesian components
-  of a BGP): the right side is materialized once per distinct ambient
-  context instead of once per left row.
+:class:`~repro.sparql.vectorized.VectorizedBGP`. Above it, a join with a
+BGP on the right whose shared variables the left always binds continues
+the left's batches through that BGP's probe stages; any other join, and
+OPTIONAL, is a :class:`JoinOp` — a hash join on the shared columns, the
+right side run once, -1 compatible with anything. UNION pads missing
+columns with -1; DISTINCT is ``np.unique`` over rows; ORDER BY ranks each
+key's distinct ids by ``term_sort_key`` and sorts by ``lexsort``; an
+aggregate emits one batch.
 
 :func:`build_plan` lowers a logical plan (:mod:`repro.sparql.plan`) into an
 operator tree, ordering BGP patterns with a
@@ -38,15 +32,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from ..obs import Span
-from ..rdf.terms import Term, Variable, term_sort_key
+from ..rdf.terms import Variable, term_sort_key
 from ..store.base import TripleSource, as_id_scan_source
 from .expr import (
     Binding,
     ExprError,
-    ReversedKey,
     ebv,
     eval_group_expr,
     evaluate,
@@ -83,11 +78,8 @@ from .plan import (
     certain_variables,
     possible_variables,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-    from ..store.dictionary import TermDictionary
+from .results import block_rows, decode_block
+from .termtable import UNBOUND, TermTable
 
 __all__ = [
     "Batch",
@@ -116,7 +108,7 @@ class EvalStats:
     ``tracer`` doubles as the timing switch: when it is not ``None``,
     operators accumulate per-operator wall-clock time (suspension-aware)
     into ``wall_ns``, which EXPLAIN surfaces as ``time=``. The fast path
-    when unset is a single attribute check in :meth:`PhysicalOperator.execute`.
+    when unset is one attribute check per batch.
     """
 
     store_lookups: int = 0
@@ -194,32 +186,157 @@ class ExplainNode:
 
 class Batch(NamedTuple):
     """One unit of columnar state: aligned ``(count,)`` int64 id columns,
-    one per variable bound in these solutions. (``stream_select`` lays a
-    row plan's answer out the same way, with lists of terms for columns.)"""
+    one per variable. Every batch of one operator has the same variables."""
 
     columns: "dict[Variable, np.ndarray]"
     count: int
 
 
+# --------------------------------------------------------------------------- #
+# Batch primitives
+# --------------------------------------------------------------------------- #
+
+
+def _distinct_keys(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of aligned id columns: ``(keys (k, m), inverse (n,))``.
+
+    The grouping primitive of the probe join (one store probe per distinct
+    key), of expressions (one evaluation per distinct combination), of
+    hash joins and of GROUP BY.
+    """
+    if len(columns) == 1:
+        unique, inverse = np.unique(columns[0], return_inverse=True)
+        return unique[:, None], inverse
+    keys, inverse = np.unique(
+        np.stack(columns, axis=1), axis=0, return_inverse=True
+    )
+    return keys, inverse.reshape(-1)
+
+
+def _compress(batch: Batch, mask: np.ndarray) -> Batch:
+    """The rows of ``batch`` where ``mask`` holds, in their original order."""
+    count = int(np.count_nonzero(mask))
+    if count == batch.count:
+        return batch
+    return Batch({v: column[mask] for v, column in batch.columns.items()}, count)
+
+
+def _take(batch: Batch, rows: np.ndarray) -> Batch:
+    return Batch({v: column[rows] for v, column in batch.columns.items()}, len(rows))
+
+
+def _concat(batches: list[Batch], variables) -> Batch:
+    """One batch holding ``variables`` of every input batch, in order."""
+    empty = np.empty(0, dtype=np.int64)
+    return Batch(
+        {v: np.concatenate([empty, *(b.columns[v] for b in batches)]) for v in variables},
+        sum(batch.count for batch in batches),
+    )
+
+
+def _ragged_gather(
+    counts: np.ndarray, inverse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-key match lists onto per-row output positions.
+
+    Given ``counts[k]`` matches for key ``k`` and ``inverse[i]`` = key of
+    input row ``i``, returns ``(row_index, match_index)``: for every output
+    row, which input row it extends and which slot of the concatenated
+    match arrays it takes. Pure integer arithmetic — no Python loop.
+    """
+    counts_per_row = counts[inverse]
+    total = int(counts_per_row.sum())
+    row_index = np.repeat(np.arange(len(inverse)), counts_per_row)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    starts = np.repeat(offsets[inverse], counts_per_row)
+    bases = np.cumsum(counts_per_row) - counts_per_row
+    match_index = starts + np.arange(total) - np.repeat(bases, counts_per_row)
+    return row_index, match_index
+
+
+def _rows(batch: Batch, table: TermTable) -> list[Binding]:
+    """A batch as solution dicts, unbound cells left out."""
+    names = list(batch.columns)
+    return block_rows(names, decode_block(names, batch.columns, batch.count, table))
+
+
+def _per_combination(
+    expression: Expression, batch: Batch, table: TermTable,
+    value: Callable[[Binding], object], dtype,
+) -> np.ndarray:
+    """``value(row)`` for every row of ``batch``, called once per distinct
+    combination of the ids of ``expression``'s variables."""
+    present = [v for v in expression_variables(expression) if v in batch.columns]
+    if not present:
+        return np.full(batch.count, value({}), dtype=dtype)
+    keys, inverse = _distinct_keys([batch.columns[v] for v in present])
+    decoded = [table.decode_batch(keys[:, at]) for at in range(len(present))]
+    results = [
+        value({v: term for v, term in zip(present, terms) if term is not None})
+        for terms in zip(*decoded)
+    ]
+    return np.array(results, dtype=dtype)[inverse]
+
+
+def filter_passes(expression: Expression, row: Binding) -> bool:
+    """FILTER row semantics: effectively true, and an error excludes."""
+    try:
+        return ebv(evaluate(expression, row))
+    except ExprError:
+        # repro: swallow(a FILTER error excludes the row, per the
+        # SPARQL spec)
+        return False
+
+
+def row_mask(expression: Expression, batch: Batch, table: TermTable) -> np.ndarray:
+    """Which rows pass FILTER ``expression`` under row semantics."""
+    return _per_combination(
+        expression, batch, table, lambda row: filter_passes(expression, row), bool
+    )
+
+
+def _evaluated(expression: Expression, batch: Batch, table: TermTable) -> np.ndarray:
+    """The id of ``expression``'s value on every row, -1 where it errors."""
+    if isinstance(expression, VariableExpr):
+        column = batch.columns.get(expression.variable)
+        return np.full(batch.count, UNBOUND) if column is None else column
+
+    def value(row: Binding) -> int:
+        try:
+            return table.id(to_term(evaluate(expression, row)))
+        except ExprError:
+            # repro: swallow(an erroring BIND or SELECT expression leaves
+            # its variable unbound, per the spec)
+            return UNBOUND
+
+    return _per_combination(expression, batch, table, value, np.int64)
+
+
+# --------------------------------------------------------------------------- #
+# Operators
+# --------------------------------------------------------------------------- #
+
+
 class PhysicalOperator:
-    """Base class: wraps ``_run`` (rows) and ``_batches`` (id batches) with
-    actual-row accounting.
+    """Base class: wraps ``_batches`` with actual-row accounting.
 
     When the owning :class:`EvalStats` carries a tracer, execution also
     accumulates inclusive wall-clock time into ``wall_ns``. Timing is
     suspension-aware: a pull-based operator is only charged for the
-    segments between being resumed and yielding the next row or batch,
-    never for the time its consumer holds the generator suspended.
+    segments between being resumed and yielding its next batch, never for
+    the time its consumer holds the generator suspended.
     """
 
     name = "Operator"
 
     def __init__(
         self,
+        table: TermTable,
         stats: EvalStats,
         estimate: float | None,
         children: tuple["PhysicalOperator", ...] = (),
     ) -> None:
+        self.table = table
         self.stats = stats
         self.estimated_rows = estimate
         self.actual_rows = 0
@@ -228,47 +345,15 @@ class PhysicalOperator:
         self.wall_ns = 0
         self.timed = False
 
-    def execute(self, binding: Binding) -> Iterator[Binding]:
-        self.executions += 1
-        if self.stats.tracer is None:  # the disabled-telemetry fast path
-            for row in self._run(binding):
-                self.actual_rows += 1
-                self.stats.record_rows(self.name)
-                yield row
-            return
-        self.timed = True
-        clock = time.perf_counter_ns
-        started = clock()
-        for row in self._run(binding):
-            self.wall_ns += clock() - started
-            self.actual_rows += 1
-            self.stats.record_rows(self.name)
-            yield row
-            started = clock()
-        self.wall_ns += clock() - started
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:  # pragma: no cover
-        raise NotImplementedError
-
-    def batch_dictionary(self) -> "TermDictionary | None":
-        """The dictionary of the ids :meth:`execute_batches` yields;
-        ``None`` (the default) when this operator only produces rows."""
-        return None
-
-    def execute_batches(self, binding: Binding) -> Iterator[Batch]:
-        """The batch protocol: ``execute``'s solutions, still as id columns.
-
-        Accounts like ``execute`` does (executions, actual rows, inclusive
-        suspension-aware time), per batch instead of per row. Only for
-        operators whose :meth:`batch_dictionary` answers.
-        """
+    def execute_batches(self) -> Iterator[Batch]:
+        """The operator's solutions, one id batch at a time."""
         self.executions += 1
         timed = self.stats.tracer is not None
         if timed:
             self.timed = True
         clock = time.perf_counter_ns
         started = clock()
-        for batch in self._batches(binding):
+        for batch in self._batches():
             if timed:
                 self.wall_ns += clock() - started
             self.actual_rows += batch.count
@@ -278,7 +363,7 @@ class PhysicalOperator:
         if timed:
             self.wall_ns += clock() - started
 
-    def _batches(self, binding: Binding) -> Iterator[Batch]:  # pragma: no cover
+    def _batches(self) -> Iterator[Batch]:  # pragma: no cover
         raise NotImplementedError
 
     def detail(self) -> str:
@@ -296,285 +381,238 @@ class PhysicalOperator:
 
 
 class Singleton(PhysicalOperator):
-    """The empty BGP: one solution, the ambient binding itself."""
+    """The empty BGP: one solution that binds nothing."""
 
     name = "Singleton"
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        yield dict(binding)
+    def _batches(self) -> Iterator[Batch]:
+        yield Batch({}, 1)
 
 
-class NestedLoopJoin(PhysicalOperator):
-    """Correlated join: right side re-executes under each left row."""
-
-    name = "NestedLoopJoin"
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (left, right))
-        self.left = left
-        self.right = right
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for left_row in self.left.execute(binding):
-            yield from self.right.execute(left_row)
+def _keys_of(batch: Batch, variables: list[Variable]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_distinct_keys` of ``variables``; none is one key for all."""
+    if not variables:
+        return np.empty((1, 0), dtype=np.int64), np.zeros(batch.count, dtype=np.int64)
+    return _distinct_keys([batch.columns[v] for v in variables])
 
 
-class HashJoin(PhysicalOperator):
-    """Join of variable-disjoint subplans: materialize right once, reuse.
+def _compatible(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs of the compatible rows of two distinct-key arrays: equal
+    where both are bound. Without unbound cells, one sort of both."""
+    if left.shape[1] and (left != UNBOUND).all() and (right != UNBOUND).all():
+        _, codes = np.unique(np.concatenate((left, right)), axis=0, return_inverse=True)
+        codes = codes.reshape(-1)
+        return np.intersect1d(codes[: len(left)], codes[len(left):], return_indices=True)[1:]
+    at_left, at_right = [], []
+    step = max(1, (1 << 22) // max(1, right.size))  # bounds the broadcast
+    for start in range(0, len(left), step):
+        part = left[start : start + step, None]
+        hits = ((part == right) | (part == UNBOUND) | (right == UNBOUND)).all(axis=2)
+        found = np.nonzero(hits)
+        at_left.append(found[0] + start)
+        at_right.append(found[1])
+    return np.concatenate(at_left), np.concatenate(at_right)
 
-    The right side only depends on the ambient binding through
-    ``right_variables`` (the variables its patterns mention), so its rows
-    are cached per distinct restriction of the binding to those variables.
-    The right side executes with exactly that restriction, never the full
-    ambient row, so cached rows can be merged under any compatible context.
+
+class JoinOp(PhysicalOperator):
+    """Hash join on the shared columns: the right side runs once, when the
+    first left batch arrives, and every left batch is matched against it.
+    Output rows keep left order, then right order, as a nested loop would.
+
+    ``optional`` makes it OPTIONAL: a left row that no right row matches
+    under ``condition`` (the optional group's FILTERs, read on the merged
+    row) is kept as it is, -1 in the right's columns.
     """
 
-    name = "HashJoin"
-
     def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        right_variables: frozenset[Variable],
-        stats: EvalStats,
-        estimate: float | None,
+        self, left: PhysicalOperator, right: PhysicalOperator, optional: bool,
+        condition: tuple[Expression, ...], estimate: float | None,
     ) -> None:
-        super().__init__(stats, estimate, (left, right))
-        self.left = left
-        self.right = right
-        self.right_variables = right_variables
-        self._materialized: dict[tuple, list[Binding]] = {}
-
-    def _right_rows(self, binding: Binding) -> list[Binding]:
-        restricted = {v: binding[v] for v in self.right_variables if v in binding}
-        key = tuple(sorted((str(v), group_key(t)) for v, t in restricted.items()))
-        rows = self._materialized.get(key)
-        if rows is None:
-            rows = list(self.right.execute(restricted))
-            self._materialized[key] = rows
-        return rows
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        right_rows = self._right_rows(binding)
-        if not right_rows:
-            return
-        for left_row in self.left.execute(binding):
-            for right_row in right_rows:
-                merged = dict(left_row)
-                compatible = True
-                for variable, term in right_row.items():
-                    bound = merged.get(variable)
-                    if bound is None:
-                        merged[variable] = term
-                    elif bound != term:
-                        compatible = False
-                        break
-                if compatible:
-                    yield merged
+        super().__init__(left.table, left.stats, estimate, (left, right))
+        self.name = "LeftJoin" if optional else "Join"
+        self.optional, self.condition = optional, condition
 
     def detail(self) -> str:
-        return "disjoint" if not self.right_variables else ""
+        return " && ".join(map(_canonical_expression, self.condition))
 
-
-class LeftJoinOp(PhysicalOperator):
-    """OPTIONAL: left rows extended by the right side when it matches."""
-
-    name = "LeftJoin"
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (left, right))
-        self.left = left
-        self.right = right
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for left_row in self.left.execute(binding):
-            matched = False
-            for joined in self.right.execute(left_row):
-                matched = True
+    def _batches(self) -> Iterator[Batch]:
+        left, right = self.children
+        kept = None
+        for batch in left.execute_batches():
+            if kept is None:
+                parts = list(right.execute_batches())
+                if not parts and not self.optional:
+                    return
+                kept = _concat(parts, parts[0].columns) if parts else Batch({}, 0)
+                shared = [v for v in batch.columns if v in kept.columns]
+                keys, inverse = _keys_of(kept, shared)
+                by_key = np.argsort(inverse, kind="stable")
+                per_key = np.bincount(inverse, minlength=len(keys))
+            left_keys, left_inverse = _keys_of(batch, shared)
+            at_left, at_right = _compatible(left_keys, keys)
+            # each compatible key pair's right rows, then per left key in
+            # right order, then per left row
+            pair, slot = _ragged_gather(per_key, at_right)
+            matched, owner = by_key[slot], at_left[pair]
+            order = np.lexsort((matched, owner))
+            rows, match = _ragged_gather(
+                np.bincount(owner, minlength=len(left_keys)), left_inverse
+            )
+            joined = self._merged(batch, kept, rows, matched[order][match])
+            if joined.count:
                 yield joined
-            if not matched:
-                yield left_row
+
+    def _merged(
+        self, left: Batch, right: Batch, rows: np.ndarray, matches: np.ndarray
+    ) -> Batch:
+        """Left row ``rows[i]`` merged with right row ``matches[i]``; under
+        OPTIONAL, each left row that kept no match, in left order."""
+
+        def merge(rows: np.ndarray, matches: np.ndarray) -> Batch:
+            columns = {v: column[rows] for v, column in left.columns.items()}
+            for v, column in right.columns.items():  # a -1 match adds -1s
+                theirs = np.where(matches >= 0, column[matches], UNBOUND)
+                mine = columns.get(v)
+                columns[v] = theirs if mine is None else np.where(
+                    mine == UNBOUND, theirs, mine
+                )
+            return Batch(columns, len(rows))
+
+        joined = merge(rows, matches)
+        for expression in self.condition:
+            keep = row_mask(expression, joined, self.table)
+            joined, rows = _compress(joined, keep), rows[keep]
+        if self.optional:
+            alone = np.setdiff1d(np.arange(left.count), rows)
+            if len(alone):
+                lone = merge(alone, np.full(len(alone), -1))
+                order = np.argsort(np.concatenate((rows, alone)), kind="stable")
+                joined = _take(_concat([joined, lone], joined.columns), order)
+        return joined
 
 
 class UnionOp(PhysicalOperator):
+    """Each branch in turn, its batches padded to ``variables`` with -1."""
+
     name = "Union"
 
     def __init__(
-        self,
-        branches: tuple[PhysicalOperator, ...],
-        stats: EvalStats,
+        self, branches: tuple[PhysicalOperator, ...], variables: list[Variable],
         estimate: float | None,
     ) -> None:
-        super().__init__(stats, estimate, branches)
+        super().__init__(branches[0].table, branches[0].stats, estimate, branches)
+        self.variables = variables
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
+    def _batches(self) -> Iterator[Batch]:
         for branch in self.children:
-            yield from branch.execute(binding)
+            for columns, count in branch.execute_batches():
+                unbound = np.full(count, UNBOUND)
+                yield Batch({v: columns.get(v, unbound) for v in self.variables}, count)
 
 
 class ValuesOp(PhysicalOperator):
+    """The VALUES rows as one batch; ``UNDEF`` is -1."""
+
     name = "Values"
 
-    def __init__(
-        self, pattern: ValuesPattern, stats: EvalStats, estimate: float | None
-    ) -> None:
-        super().__init__(stats, estimate)
+    def __init__(self, table: TermTable, pattern: ValuesPattern, stats: EvalStats,
+                 estimate: float | None) -> None:
+        super().__init__(table, stats, estimate)
         self.pattern = pattern
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for row in self.pattern.rows:
-            extended = dict(binding)
-            compatible = True
-            for variable, term in zip(self.pattern.variables, row):
-                if term is None:  # UNDEF constrains nothing
-                    continue
-                bound = extended.get(variable)
-                if bound is None:
-                    extended[variable] = term
-                elif bound != term:
-                    compatible = False
-                    break
-            if compatible:
-                yield extended
+    def _batches(self) -> Iterator[Batch]:
+        rows = self.pattern.rows
+        if rows:
+            yield Batch({
+                variable: self.table.ids(row[at] for row in rows)
+                for at, variable in enumerate(self.pattern.variables)
+            }, len(rows))
 
     def detail(self) -> str:
         return f"{len(self.pattern.rows)} rows"
 
 
-def filter_passes(expression: Expression, row: Binding) -> bool:
-    """FILTER row semantics: effectively true, and an error excludes."""
-    try:
-        return ebv(evaluate(expression, row))
-    except ExprError:
-        # repro: swallow(a FILTER error excludes the row, per the
-        # SPARQL spec)
-        return False
+class _Unary(PhysicalOperator):
+    """An operator over one child, in its child's plan (table, stats)."""
+
+    def __init__(self, child: PhysicalOperator, estimate: float | None) -> None:
+        super().__init__(child.table, child.stats, estimate, (child,))
+        self.child = child
 
 
-class FilterOp(PhysicalOperator):
-    """Drops rows whose expression errors or is not effectively true.
-
-    The row path for filters above anything but a single BGP component
-    (OPTIONAL, UNION, cross-component joins); inside a
-    :class:`~repro.sparql.vectorized.VectorizedBGP` filters are masks over
-    id batches instead.
-    """
+class FilterOp(_Unary):
+    """Drops rows whose expression errors or is not effectively true: the
+    filter above anything but one BGP component (inside a
+    :class:`~repro.sparql.vectorized.VectorizedBGP` it is a mask there)."""
 
     name = "Filter"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        expression: Expression,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
+    def __init__(self, child, expression: Expression, estimate) -> None:
+        super().__init__(child, estimate)
         self.expression = expression
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for row in self.child.execute(binding):
-            if filter_passes(self.expression, row):
-                yield row
+    def _batches(self) -> Iterator[Batch]:
+        for batch in self.child.execute_batches():
+            batch = _compress(batch, row_mask(self.expression, batch, self.table))
+            if batch.count:
+                yield batch
 
     def detail(self) -> str:
         return _canonical_expression(self.expression)
 
 
-class ExtendOp(PhysicalOperator):
+class ExtendOp(_Unary):
     """BIND: evaluation errors leave the row unchanged, rebinding drops it."""
 
     name = "Extend"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: Variable,
-        expression: Expression,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-        self.variable = variable
-        self.expression = expression
+    def __init__(self, child, variable: Variable, expression: Expression) -> None:
+        super().__init__(child, child.estimated_rows)
+        self.variable, self.expression = variable, expression
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for row in self.child.execute(binding):
-            try:
-                value = to_term(evaluate(self.expression, row))
-            except ExprError:
-                yield row
+    def _batches(self) -> Iterator[Batch]:
+        for batch in self.child.execute_batches():
+            values = _evaluated(self.expression, batch, self.table)
+            columns = dict(batch.columns)
+            bound = columns.get(self.variable)
+            if bound is None:
+                columns[self.variable] = values
+                yield Batch(columns, batch.count)
                 continue
-            if self.variable in row:
-                continue  # BIND on a bound variable: no solution
-            extended = dict(row)
-            extended[self.variable] = value
-            yield extended
+            columns[self.variable] = np.where(bound == UNBOUND, values, bound)
+            keep = (bound == UNBOUND) | (values == UNBOUND)
+            batch = _compress(Batch(columns, batch.count), keep)
+            if batch.count:
+                yield batch
 
     def detail(self) -> str:
         return f"?{self.variable} := {_canonical_expression(self.expression)}"
 
 
-class ProjectOp(PhysicalOperator):
+class ProjectOp(_Unary):
+    """SELECT's columns: a pick for a plain variable, the expression's
+    value ids for an expression; ``select_all`` passes every column."""
+
     name = "Project"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        projections: tuple[Projection, ...],
-        select_all: bool,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-        self.projections = projections
-        self.select_all = select_all
+    def __init__(self, child, projections: tuple[Projection, ...], select_all: bool) -> None:
+        super().__init__(child, child.estimated_rows)
+        self.projections, self.select_all = projections, select_all
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for row in self.child.execute(binding):
+    def _batches(self) -> Iterator[Batch]:
+        for batch in self.child.execute_batches():
             if self.select_all:
-                yield dict(row)
+                yield batch
                 continue
-            projected: Binding = {}
+            columns = {}
             for projection in self.projections:
-                if projection.expression is None:
-                    value: Term | None = row.get(projection.variable)
-                else:
-                    try:
-                        value = to_term(evaluate(projection.expression, row))
-                    except ExprError:
-                        # repro: swallow(an erroring SELECT expression
-                        # leaves the variable unbound, per the spec)
-                        value = None
-                if value is not None:
-                    projected[projection.variable] = value
-            yield projected
-
-    def batch_dictionary(self) -> "TermDictionary | None":
-        if self.select_all or any(p.expression is not None for p in self.projections):
-            return None
-        return self.child.batch_dictionary()
-
-    def _batches(self, binding: Binding) -> Iterator[Batch]:
-        """Plain-variable projection of id batches: a column pick."""
-        wanted = [projection.variable for projection in self.projections]
-        for columns, count in self.child.execute_batches(binding):
-            yield Batch({v: columns[v] for v in wanted if v in columns}, count)
+                if projection.expression is not None:
+                    columns[projection.variable] = _evaluated(
+                        projection.expression, batch, self.table
+                    )
+                elif projection.variable in batch.columns:
+                    columns[projection.variable] = batch.columns[projection.variable]
+            yield Batch(columns, batch.count)
 
     def detail(self) -> str:
         if self.select_all:
@@ -582,60 +620,40 @@ class ProjectOp(PhysicalOperator):
         return ", ".join(f"?{p.variable}" for p in self.projections)
 
 
-class PruneOp(PhysicalOperator):
-    """Projection pruning: trim rows to the observable variables."""
-
-    name = "Prune"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variables: frozenset[Variable],
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-        self.variables = variables
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        for row in self.child.execute(binding):
-            yield {v: t for v, t in row.items() if v in self.variables}
-
-    def detail(self) -> str:
-        return ", ".join(sorted(f"?{v}" for v in self.variables))
+class _Blocking(_Unary):
+    def _input(self) -> Batch | None:
+        """The whole input as one batch, ``None`` when there is none."""
+        batches = list(self.child.execute_batches())
+        return _concat(batches, batches[0].columns) if batches else None
 
 
-class SortOp(PhysicalOperator):
-    """Blocking: materializes its input, sorts by the ORDER BY keys."""
+class SortOp(_Blocking):
+    """Blocking: ranks each ORDER BY key's distinct value ids by
+    ``term_sort_key`` (unbound lowest) and sorts the rows by ``lexsort``
+    of those ranks, stably."""
 
     name = "Sort"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        conditions: tuple[OrderCondition, ...],
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
+    def __init__(self, child, conditions: tuple[OrderCondition, ...]) -> None:
+        super().__init__(child, child.estimated_rows)
         self.conditions = conditions
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        def key(row: Binding):
-            parts = []
-            for condition in self.conditions:
-                try:
-                    sort_key = term_sort_key(
-                        to_term(evaluate(condition.expression, row))
-                    )
-                except ExprError:
-                    sort_key = (0,)  # unbound is lowest: first, or last under DESC
-                parts.append(ReversedKey(sort_key) if condition.descending else sort_key)
-            return tuple(parts)
-
-        yield from sorted(self.child.execute(binding), key=key)
+    def _batches(self) -> Iterator[Batch]:
+        batch = self._input()
+        if batch is None:
+            return
+        ranked = []
+        for condition in self.conditions:
+            ids = _evaluated(condition.expression, batch, self.table)
+            distinct, inverse = np.unique(ids, return_inverse=True)
+            keys = [
+                (0,) if term is None else term_sort_key(term)
+                for term in self.table.decode_batch(distinct)
+            ]
+            rank = {key: at for at, key in enumerate(sorted(set(keys)))}
+            ranks = np.array([rank[key] for key in keys], dtype=np.int64)[inverse]
+            ranked.append(-ranks if condition.descending else ranks)
+        yield _take(batch, np.lexsort(ranked[::-1]))
 
     def detail(self) -> str:
         return ", ".join(
@@ -644,68 +662,37 @@ class SortOp(PhysicalOperator):
         )
 
 
-class DistinctOp(PhysicalOperator):
-    """Streaming dedup, first occurrence wins (keeps sorted order intact)."""
+class DistinctOp(_Blocking):
+    """Blocking: the first occurrence of every distinct row, in order."""
 
     name = "Distinct"
 
-    def __init__(
-        self, child: PhysicalOperator, stats: EvalStats, estimate: float | None
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        seen: set[tuple] = set()
-        for row in self.child.execute(binding):
-            key = tuple(sorted((str(k), group_key(v)) for k, v in row.items()))
-            if key not in seen:
-                seen.add(key)
-                yield row
+    def _batches(self) -> Iterator[Batch]:
+        batch = self._input()
+        if batch is None:
+            return
+        if not batch.columns:
+            yield Batch({}, 1)
+            return
+        rows = np.stack(list(batch.columns.values()), axis=1)
+        yield _take(batch, np.sort(np.unique(rows, axis=0, return_index=True)[1]))
 
 
-class SliceOp(PhysicalOperator):
+class SliceOp(_Unary):
     """OFFSET/LIMIT window; stops pulling as soon as the window is full."""
 
     name = "Slice"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        limit: int | None,
-        offset: int,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-        self.limit = limit
-        self.offset = offset
+    def __init__(self, child, limit: int | None, offset: int, estimate) -> None:
+        super().__init__(child, estimate)
+        self.limit, self.offset = limit, offset
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        if self.limit == 0:
-            return
-        produced = 0
-        skipped = 0
-        for row in self.child.execute(binding):
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            yield row
-            produced += 1
-            if self.limit is not None and produced >= self.limit:
-                return
-
-    def batch_dictionary(self) -> "TermDictionary | None":
-        return self.child.batch_dictionary()
-
-    def _batches(self, binding: Binding) -> Iterator[Batch]:
-        """The same window over id batches: an array slice per batch."""
+    def _batches(self) -> Iterator[Batch]:
         if self.limit == 0:
             return
         skip = self.offset
         remaining = self.limit
-        for batch in self.child.execute_batches(binding):
+        for batch in self.child.execute_batches():
             if skip >= batch.count:
                 skip -= batch.count
                 continue
@@ -713,10 +700,7 @@ class SliceOp(PhysicalOperator):
             if remaining is not None:
                 stop = min(stop, skip + remaining)
             if skip or stop < batch.count:
-                batch = Batch(
-                    {v: column[skip:stop] for v, column in batch.columns.items()},
-                    stop - skip,
-                )
+                batch = _take(batch, np.arange(skip, stop))
             skip = 0
             yield batch
             if remaining is not None:
@@ -733,38 +717,32 @@ class SliceOp(PhysicalOperator):
         return " ".join(parts)
 
 
-class AggregateOp(PhysicalOperator):
-    """Blocking: GROUP BY / aggregate projection / HAVING over decoded rows.
+class AggregateOp(_Blocking):
+    """Blocking: GROUP BY / aggregate projection / HAVING over decoded rows,
+    one batch out.
 
     The general implementation: any input, any expression. An aggregate
     directly over one vectorized BGP with plain-variable keys and arguments
     runs as :class:`~repro.sparql.vectorized.BatchAggregateOp` instead,
-    which inherits :meth:`_aggregate` for data its id-space form cannot
-    hold.
+    which falls back to :meth:`_aggregated` for data its id-space form
+    cannot hold.
     """
 
     name = "Aggregate"
 
     def __init__(
-        self,
-        child: PhysicalOperator,
-        projections: tuple[Projection, ...],
-        group_by: tuple[Expression, ...],
-        having: Expression | None,
-        stats: EvalStats,
-        estimate: float | None,
+        self, child, projections: tuple[Projection, ...],
+        group_by: tuple[Expression, ...], having: Expression | None, estimate,
     ) -> None:
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-        self.projections = projections
-        self.group_by = group_by
-        self.having = having
+        super().__init__(child, estimate)
+        self.projections, self.group_by, self.having = projections, group_by, having
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        return self._aggregate(list(self.child.execute(binding)))
+    def _batches(self) -> Iterator[Batch]:
+        batch = self._input()
+        yield self._aggregated([] if batch is None else _rows(batch, self.table))
 
-    def _aggregate(self, solutions: list[Binding]) -> Iterator[Binding]:
-        """Group decoded solutions and evaluate every projection per group."""
+    def _aggregated(self, solutions: list[Binding]) -> Batch:
+        """Group decoded solutions, evaluate every projection per group."""
         groups: dict[tuple, list[Binding]] = {}
         if self.group_by:
             for solution in solutions:
@@ -775,6 +753,7 @@ class AggregateOp(PhysicalOperator):
         else:
             groups[()] = solutions  # implicit single group (may be empty)
 
+        rows = []
         for _, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
             representative = members[0] if members else {}
             row: Binding = {}
@@ -800,7 +779,11 @@ class AggregateOp(PhysicalOperator):
                     # repro: swallow(a HAVING error excludes the
                     # group, per the SPARQL spec)
                     continue
-            yield row
+            rows.append(row)
+        return Batch({
+            p.variable: self.table.ids(row.get(p.variable) for row in rows)
+            for p in self.projections
+        }, len(rows))
 
     def detail(self) -> str:
         if not self.group_by:
@@ -851,21 +834,21 @@ def build_plan(
     ``optimize=False`` keeps each BGP's patterns in textual order as one
     component — the baseline the C10 benchmark compares against. Either
     way a BGP lowers onto :class:`~repro.sparql.vectorized.VectorizedBGP`
-    over :func:`~repro.store.base.as_id_scan_source` of the store.
+    over :func:`~repro.store.base.as_id_scan_source` of the store, and
+    every operator of the tree shares one :class:`TermTable`.
     """
-    builder = _Builder(store, stats, estimator, optimize)
-    return builder.build(node)
+    return _Builder(store, stats, estimator, optimize).build(node)
+
+
+# A triple pattern and what the planner priced it at.
+_Priced = tuple[TriplePatternNode, "float | None"]
 
 
 class _Builder:
-    def __init__(
-        self,
-        store: TripleSource,
-        stats: EvalStats,
-        estimator: CardinalityEstimator | None,
-        optimize: bool,
-    ) -> None:
+    def __init__(self, store: TripleSource, stats: EvalStats,
+                 estimator: CardinalityEstimator | None, optimize: bool) -> None:
         self.source = as_id_scan_source(store)
+        self.table = TermTable(self.source.dictionary)
         self.stats = stats
         self.estimator = estimator
         self.optimize = optimize
@@ -873,9 +856,8 @@ class _Builder:
 
     # -- estimate arithmetic (None-propagating) ----------------------------
 
-    def _join_estimate(
-        self, left: float | None, right: float | None, shared: bool
-    ) -> float | None:
+    def _join_estimate(self, left: float | None, right: float | None,
+                       shared: bool) -> float | None:
         if left is None or right is None:
             return None
         product = left * right
@@ -895,68 +877,47 @@ class _Builder:
         if isinstance(node, LogicalBGP):
             return self._build_bgp(node)
         if isinstance(node, LogicalJoin):
-            left = self.build(node.left)
-            right = self.build(node.right)
-            shared = bool(
-                possible_variables(node.left) & possible_variables(node.right)
-            )
-            estimate = self._join_estimate(
-                left.estimated_rows, right.estimated_rows, shared
-            )
-            return NestedLoopJoin(left, right, self.stats, estimate)
+            return self._build_join(node)
         if isinstance(node, LogicalLeftJoin):
             left = self.build(node.left)
-            right = self.build(node.right)
+            right, condition = node.right, []
+            while isinstance(right, LogicalFilter):  # the group's FILTERs
+                condition.append(right.expression)
+                right = right.input
+            right = self.build(right)
             estimate = self._join_estimate(left.estimated_rows, right.estimated_rows, True)
             if estimate is not None and left.estimated_rows is not None:
                 estimate = max(estimate, left.estimated_rows)
-            return LeftJoinOp(left, right, self.stats, estimate)
+            return JoinOp(left, right, True, tuple(condition), estimate)
         if isinstance(node, LogicalUnion):
             branches = tuple(self.build(b) for b in node.branches)
             estimates = [b.estimated_rows for b in branches]
             estimate = None if any(e is None for e in estimates) else sum(estimates)
-            return UnionOp(branches, self.stats, estimate)
+            variables = sorted(possible_variables(node), key=str)
+            return UnionOp(branches, variables, estimate)
         if isinstance(node, LogicalFilter):
             child = self.build(node.input)
             return FilterOp(
-                child,
-                node.expression,
-                self.stats,
-                self._filter_estimate(child.estimated_rows),
+                child, node.expression, self._filter_estimate(child.estimated_rows)
             )
         if isinstance(node, LogicalExtend):
-            child = self.build(node.input)
-            return ExtendOp(
-                child, node.variable, node.expression, self.stats, child.estimated_rows
-            )
+            return ExtendOp(self.build(node.input), node.variable, node.expression)
         if isinstance(node, LogicalValues):
             estimate = float(len(node.pattern.rows)) if self.estimator else None
-            return ValuesOp(node.pattern, self.stats, estimate)
+            return ValuesOp(self.table, node.pattern, self.stats, estimate)
         if isinstance(node, LogicalProject):
-            child = self.build(node.input)
-            return ProjectOp(
-                child, node.projections, node.select_all, self.stats, child.estimated_rows
-            )
+            return ProjectOp(self.build(node.input), node.projections, node.select_all)
         if isinstance(node, LogicalPrune):
             if isinstance(node.input, LogicalBGP):
-                # Late materialization: push the projection-pruned variable
-                # set into the BGP so only observable ids get decoded. The
-                # lowering returns rows already restricted to the pruned
-                # set (plus nothing else), so no PruneOp is needed unless
-                # filters forced extra variables into the rows.
-                return self._build_bgp(
-                    node.input, needed=frozenset(node.variables)
-                )
-            child = self.build(node.input)
-            return PruneOp(child, node.variables, self.stats, child.estimated_rows)
+                return self._build_bgp(node.input, needed=frozenset(node.variables))
+            return self._pruned(self.build(node.input), node.variables)
         if isinstance(node, LogicalAggregate):
             return self._build_aggregate(node)
         if isinstance(node, LogicalDistinct):
             child = self.build(node.input)
-            return DistinctOp(child, self.stats, child.estimated_rows)
+            return DistinctOp(child, child.estimated_rows)
         if isinstance(node, LogicalSort):
-            child = self.build(node.input)
-            return SortOp(child, node.conditions, self.stats, child.estimated_rows)
+            return SortOp(self.build(node.input), node.conditions)
         if isinstance(node, LogicalSlice):
             child = self._build_topk(node) or self.build(node.input)
             estimate = child.estimated_rows
@@ -964,8 +925,38 @@ class _Builder:
                 estimate = max(0.0, estimate - node.offset)
                 if node.limit is not None:
                     estimate = min(estimate, float(node.limit))
-            return SliceOp(child, node.limit, node.offset, self.stats, estimate)
+            return SliceOp(child, node.limit, node.offset, estimate)
         raise TypeError(f"unknown logical node: {node!r}")
+
+    def _pruned(self, op: PhysicalOperator, variables) -> PhysicalOperator:
+        """Projection pruning: a plain-variable projection of ``op``."""
+        projections = tuple(Projection(v) for v in sorted(variables, key=lambda v: f"?{v}"))
+        return ProjectOp(op, projections, False)
+
+    def _build_join(self, node: LogicalJoin) -> PhysicalOperator:
+        """A BGP on the right whose variables shared with the left are
+        bound in every left solution continues the left's batches through
+        its probe stages; anything else is a hash join."""
+        left = self.build(node.left)
+        shared = possible_variables(node.left) & possible_variables(node.right)
+        right = node.right
+        if (
+            isinstance(right, LogicalBGP)
+            and right.patterns
+            and shared
+            and shared <= certain_variables(node.left)
+        ):
+            ordered = _connected_first(self._priced(right.patterns), set(shared))
+            bgp = self._lower_batches(ordered, list(right.filters), left)
+            bgp.estimated_rows = self._join_estimate(
+                left.estimated_rows, bgp.estimated_rows, True
+            )
+            return bgp
+        right = self.build(right)
+        estimate = self._join_estimate(
+            left.estimated_rows, right.estimated_rows, bool(shared)
+        )
+        return JoinOp(left, right, False, (), estimate)
 
     # -- batch consumers directly above a vectorized BGP ----------------------
 
@@ -979,9 +970,9 @@ class _Builder:
         return None
 
     def _build_aggregate(self, node: LogicalAggregate) -> PhysicalOperator:
-        """``AggregateOp`` over rows, or ``BatchAggregateOp`` over id batches
-        when the aggregate sits directly on one vectorized BGP component and
-        its shape is covered (``plan_batch_aggregate``)."""
+        """``AggregateOp`` over decoded rows, or ``BatchAggregateOp`` over id
+        batches when the aggregate sits directly on one vectorized BGP
+        component and its shape is covered (``plan_batch_aggregate``)."""
         child = self.build(node.input)
         estimate = child.estimated_rows
         if not node.group_by:
@@ -1001,12 +992,9 @@ class _Builder:
             if planned is not None and isinstance(child, VectorizedBGP):
                 group_vars, specs = planned
                 return BatchAggregateOp(
-                    child, node.projections, node.group_by, group_vars, specs,
-                    self.stats, estimate,
+                    child, node.projections, node.group_by, group_vars, specs, estimate
                 )
-        return AggregateOp(
-            child, node.projections, node.group_by, node.having, self.stats, estimate
-        )
+        return AggregateOp(child, node.projections, node.group_by, node.having, estimate)
 
     def _build_topk(self, node: LogicalSlice) -> PhysicalOperator | None:
         """``Slice(Sort(Project(BGP)))`` ordered by one projected variable:
@@ -1041,15 +1029,9 @@ class _Builder:
         source = self.build(project.input)
         if isinstance(source, VectorizedBGP):
             source = TopKOp(
-                source, variable, sort.conditions[0].descending,
-                node.limit + node.offset, self.stats,
+                source, variable, sort.conditions[0].descending, node.limit + node.offset
             )
-        projected = ProjectOp(
-            source, project.projections, False, self.stats, source.estimated_rows
-        )
-        return SortOp(
-            projected, sort.conditions, self.stats, projected.estimated_rows
-        )
+        return SortOp(ProjectOp(source, project.projections, False), sort.conditions)
 
     # -- BGP lowering --------------------------------------------------------
 
@@ -1065,13 +1047,20 @@ class _Builder:
         still = []
         for expression in pending:
             if covered is None or expression_variables(expression) <= covered:
-                op = FilterOp(
-                    op, expression, self.stats, self._filter_estimate(op.estimated_rows)
-                )
+                op = FilterOp(op, expression, self._filter_estimate(op.estimated_rows))
             else:
                 still.append(expression)
         pending[:] = still
         return op
+
+    def _priced(self, patterns) -> list[_Priced]:
+        """The patterns in join order, each with its estimate: the
+        ordering's own pricing, so each pattern is priced once per plan."""
+        if self.estimator is None:
+            return [(pattern, None) for pattern in patterns]
+        if self.optimize:
+            return self.estimator.order(patterns)
+        return [(p, self.estimator.pattern_cardinality(p)) for p in patterns]
 
     def _build_bgp(
         self, node: LogicalBGP, needed: frozenset[Variable] | None = None
@@ -1079,125 +1068,100 @@ class _Builder:
         """Order, segment, place the filters, lower each component, compose.
 
         The ordered patterns split into variable-disjoint components that
-        compose with :class:`HashJoin`. Every filter is placed once: in the
+        compose with :class:`JoinOp`. Every filter is placed once: in the
         first component that covers its variables, else as a
         :class:`FilterOp` above the first join that does, else on top. A
         component becomes one ``VectorizedBGP`` (:meth:`_lower_batches`).
-        ``needed`` is the late-materialization contract it gets from an
-        enclosing projection prune: only those variables, plus what the
-        spanning filters read, are decoded.
+        ``needed`` is the projection prune it lowers for: when spanning
+        filters read other variables, a projection to ``needed`` tops it.
         """
         if not node.patterns:
-            op: PhysicalOperator = Singleton(self.stats, 1.0 if self.estimator else None)
+            op: PhysicalOperator = Singleton(
+                self.table, self.stats, 1.0 if self.estimator else None
+            )
             return self._absorb(op, list(node.filters))
 
-        if self.optimize and self.estimator is not None:
-            ordered = self.estimator.order(node.patterns)
-        else:
-            ordered = list(node.patterns)
+        ordered = self._priced(node.patterns)
         components = self._segment(ordered) if self.optimize else [ordered]
         component_variables = [
-            set().union(*(pattern.variables() for pattern in component))
+            set().union(*(pattern.variables() for pattern, _ in component))
             for component in components
         ]
         placed: list[list[Expression]] = [[] for _ in components]
         spanning: list[Expression] = []
         for expression in node.filters:
             variables = expression_variables(expression)
-            home = next(
-                (
-                    filters
-                    for filters, covered_here in zip(placed, component_variables)
-                    if variables <= covered_here
-                ),
-                spanning,
-            )
-            home.append(expression)
-        # Spanning filters read decoded rows: their variables get decoded too.
+            next((filters for filters, here in zip(placed, component_variables)
+                  if variables <= here), spanning).append(expression)
         spanning_vars = set().union(*map(expression_variables, spanning))
 
         combined: PhysicalOperator | None = None
         covered: set[Variable] = set()
-        for component, component_vars, local in zip(
-            components, component_variables, placed
-        ):
-            keep = None
-            if needed is not None:
-                keep = frozenset((needed | spanning_vars) & component_vars)
-            op = self._lower_batches(component, local, keep)
+        for component, component_vars, local in zip(components, component_variables, placed):
+            op = self._lower_batches(component, local)
             if combined is None:
                 combined = op
             else:
-                combined = HashJoin(
-                    combined,
-                    op,
-                    frozenset(component_vars),
-                    self.stats,
-                    self._join_estimate(
-                        combined.estimated_rows, op.estimated_rows, False
-                    ),
-                )
+                combined = JoinOp(combined, op, False, (), self._join_estimate(
+                    combined.estimated_rows, op.estimated_rows, False
+                ))
             covered |= component_vars
             combined = self._absorb(combined, spanning, covered)
 
         assert combined is not None
         combined = self._absorb(combined, spanning)  # covered by no component
         if needed is not None and (spanning_vars - needed) & covered:
-            # Spanning filters forced extra variables to be decoded;
-            # restore exact Prune(BGP) output on top.
-            combined = PruneOp(combined, needed, self.stats, combined.estimated_rows)
+            combined = self._pruned(combined, needed)
         return combined
 
-    def _pattern_estimate(self, pattern: TriplePatternNode) -> float | None:
-        if self.estimator is None:
-            return None
-        return self.estimator.pattern_cardinality(pattern)
-
-    def _lower_batches(
-        self,
-        component: list[TriplePatternNode],
-        filters: list[Expression],
-        keep: frozenset[Variable] | None,
-    ) -> PhysicalOperator:
-        """One component as a :class:`~repro.sparql.vectorized.VectorizedBGP`;
-        the filters become masks over its id batches and ``keep`` (when
-        not ``None``) the only variables its row adaptor decodes."""
+    def _lower_batches(self, component: list[_Priced], filters: list[Expression],
+                       input: PhysicalOperator | None = None) -> PhysicalOperator:
+        """One component as a :class:`~repro.sparql.vectorized.VectorizedBGP`
+        (probing ``input``'s batches when given); the filters become masks
+        over its id batches."""
         from .vectorized import VectorizedBGP
 
-        pattern_estimates = [self._pattern_estimate(p) for p in component]
+        pattern_estimates = [estimate for _, estimate in component]
         estimate = pattern_estimates[0]
         for pattern_estimate in pattern_estimates[1:]:
             estimate = self._join_estimate(estimate, pattern_estimate, True)
         for _ in filters:
             estimate = self._filter_estimate(estimate)
-        return VectorizedBGP(
-            self.source,
-            tuple(component),
-            tuple(filters),
-            keep,
-            self.stats,
-            estimate,
-            pattern_estimates,
-        )
+        patterns = tuple(pattern for pattern, _ in component)
+        return VectorizedBGP(self.table, self.source, patterns, tuple(filters),
+                             self.stats, estimate, pattern_estimates, input)
 
     @staticmethod
-    def _segment(ordered: list[TriplePatternNode]) -> list[list[TriplePatternNode]]:
+    def _segment(ordered: list[_Priced]) -> list[list[_Priced]]:
         """Split greedily ordered patterns into variable-disjoint components.
 
         The greedy ordering always prefers connected patterns, so a pattern
         sharing no variable with everything chosen so far starts a component
         that stays disjoint from all earlier ones.
         """
-        components: list[list[TriplePatternNode]] = []
+        components: list[list[_Priced]] = []
         seen_vars: set[Variable] = set()
-        for pattern in ordered:
-            pattern_vars = pattern.variables()
+        for priced in ordered:
+            pattern_vars = priced[0].variables()
             if not components or (pattern_vars and not (pattern_vars & seen_vars)):
-                components.append([pattern])
+                components.append([priced])
             else:
-                components[-1].append(pattern)
+                components[-1].append(priced)
             seen_vars |= pattern_vars
         return components
+
+
+def _connected_first(ordered: list[_Priced], bound: set[Variable]) -> list[_Priced]:
+    """``ordered`` reordered so each pattern shares a variable with what is
+    bound before it whenever one can: the first is probed with the input's
+    own columns, never a cross product while a connected pattern waits."""
+    rest, chosen = list(ordered), []
+    while rest:
+        pick = next((p for p in rest if p[0].variables() & bound), rest[0])
+        rest.remove(pick)
+        chosen.append(pick)
+        bound |= pick[0].variables()
+    return chosen
 
 
 def _pattern_mask(pattern: TriplePatternNode) -> str:
@@ -1222,13 +1186,13 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
     one's planner estimate against the rows it actually produced, in the
     dict shape :class:`repro.obs.querylog.ScanObservation` parses.
 
-    ``leading`` marks scans that executed exactly once against an empty
-    ambient binding — the first child of a once-executed BGP — and handed
-    on every row they matched. Only those are directly comparable to the
-    planner's unconditioned estimate; inner scans run conditioned on outer
-    rows, a first stage a ``LIMIT`` stopped early or the shed tier sampled
-    counts the rows somebody asked for, and in both cases estimate and
-    actual measure different quantities.
+    ``leading`` marks scans that executed exactly once, unconditioned —
+    the first scan of a once-executed BGP with no input — and handed on
+    every row they matched: only those are comparable to the planner's
+    unconditioned estimate. A probe stage runs conditioned on the rows
+    before it; a first stage a ``LIMIT`` stopped or the shed tier sampled
+    counts the rows somebody asked for. In an OPTIONAL only the left side
+    leads.
     """
     observations: list[dict] = []
     if root is None:
@@ -1253,19 +1217,19 @@ def scan_observations(root: PhysicalOperator | None) -> list[dict]:
         if not children:
             return
         if name == "VectorizedBGP":
-            # Children are the component's scans in join order; only the
-            # first runs unconditioned, and only when the BGP itself did —
-            # over all of its first stage, not a sample of it.
+            # Children are the input a continued BGP probes, then the
+            # scans in join order; only the first child runs unconditioned,
+            # and only when the BGP itself did — over all of its first
+            # stage, not a sample of it.
             first = leading and node.executions <= 1 and not _sampled(node)
             for index, child in enumerate(children):
                 visit(child, first and index == 0)
-        elif name in ("NestedLoopJoin", "LeftJoin"):
+        elif name == "LeftJoin":
             visit(children[0], leading)
-            for child in children[1:]:
-                visit(child, False)
+            visit(children[1], False)
         else:
-            # Unary wrappers (Filter/Project/Slice/...), HashJoin (both
-            # sides run against the ambient context), Union branches.
+            # Unary wrappers (Filter/Project/Slice/...), Join (both sides
+            # run once, on their own), Union branches.
             for child in children:
                 visit(child, leading)
 
@@ -1288,7 +1252,7 @@ def execution_strategy(root: PhysicalOperator | None) -> str:
     """How a plan executed, as the query log has always spelled it:
     ``vectorized:binary`` for a plan with a BGP (the scan-and-probe
     pipeline), then ``+agg`` / ``+topk`` when the id batches fed a batch
-    aggregate or top-k selection instead of the row adaptor and
+    aggregate or top-k selection and
     ``+sample`` when a BGP ran over a sample of its first stage;
     ``iterator`` for a plan that has no BGP (``VALUES`` alone, an empty
     group), ``none`` for no plan at all (DESCRIBE without a pattern)."""

@@ -101,17 +101,11 @@ def batch_block(
 
 def decode_block(
     variables: list[Variable],
-    columns: "dict[Variable, np.ndarray | list[Term | None]]",
+    columns: "dict[Variable, np.ndarray]",
     count: int,
-    dictionary: "TermDictionary | None",
+    dictionary: "TermDictionary",
 ) -> Block:
-    """The block of one batch: each header variable's id column decoded.
-
-    ``dictionary=None`` means the columns already hold terms (a row plan's
-    answer kept column-wise).
-    """
-    if dictionary is None:
-        return [columns.get(v) for v in variables], count, None
+    """The block of one batch: each header variable's id column decoded."""
     decode = dictionary.decode_batch
     return [decode(columns[v]) if v in columns else None for v in variables], count, None
 
@@ -129,9 +123,9 @@ def block_rows(variables: list[Variable], block: Block) -> list[dict[Variable, T
 
 
 class _Columns:
-    """A result held column-wise: one column per bound variable (int64 ids
-    of ``dictionary``, or lists of terms when it is ``None``), plus the
-    rows once somebody asked for them. Shared between a result and its
+    """A result held column-wise: one int64 id column per variable, the
+    dictionary (a plan's term table) they decode through, plus the rows
+    once somebody asked for them. Shared between a result and its
     re-wraps, so the rows are built at most once."""
 
     __slots__ = ("columns", "count", "dictionary", "rows")
@@ -154,8 +148,7 @@ class SelectResult:
     query log never re-derive it from query text.
 
     A result is backed by its rows, or — :meth:`from_batches`, what the
-    engine builds when the plan delivers id batches — by id columns and
-    the dictionary they decode through. ``rows`` of a columnar result are
+    engine builds — by id columns and the dictionary they decode through. ``rows`` of a columnar result are
     decoded on first access and kept; ``len``, :meth:`blocks` and with it
     every serializer work from the columns and leave them as they are, so
     a cached page costs three int64 columns until somebody asks for dicts.
@@ -181,7 +174,7 @@ class SelectResult:
         cls,
         variables: list[Variable],
         batches: "list[Batch]",
-        dictionary: "TermDictionary | None",
+        dictionary: "TermDictionary",
         stats: "EvalStats | None" = None,
         plan: "ExplainNode | None" = None,
         plan_digest: str | None = None,
@@ -190,17 +183,13 @@ class SelectResult:
 
         Every batch of one plan carries the same variables, so each becomes
         one concatenated (and thereby compact: batches are views into store
-        arrays) column. ``dictionary=None``: the columns are term lists.
+        arrays) column.
         """
         result = cls(variables, None, stats, plan, plan_digest)  # type: ignore[arg-type]
-        columns = {}
-        for variable in batches[0].columns if batches else ():
-            parts = [batch.columns[variable] for batch in batches]
-            columns[variable] = (
-                list(chain.from_iterable(parts))
-                if dictionary is None
-                else np.concatenate(parts)
-            )
+        columns = {
+            variable: np.concatenate([batch.columns[variable] for batch in batches])
+            for variable in (batches[0].columns if batches else ())
+        }
         result._columns = _Columns(
             columns, sum(batch.count for batch in batches), dictionary
         )

@@ -2,81 +2,52 @@
 
 ("Efficiently Charting RDF" is the shape: a chart is a small aggregate over
 a large scan, and it only becomes interactive when it is answered over
-encoded ids end to end.) A whole basic graph pattern executes as a pipeline
-of **id batches** — ``(n,)`` int64 numpy columns per variable — against an
-:class:`~repro.store.base.IdScanSource`, and terms are decoded only for the
-rows and variables that leave the engine (*late materialization*). Every
-source is one: :func:`~repro.store.base.as_id_scan_source` hands back the
-store itself (memory, cracking, paged) or an encoding adaptor over its
-``triples()`` (federation, remote endpoints, plain graphs, test doubles),
-so there is nothing to choose between and no option that chooses.
+encoded ids end to end.) A basic graph pattern executes as a pipeline of
+**id batches** — ``(n,)`` int64 columns per variable, the one protocol of
+:mod:`repro.sparql.physical` — against an
+:class:`~repro.store.base.IdScanSource`: the store itself (memory,
+cracking, paged) or :func:`~repro.store.base.as_id_scan_source`'s
+encoding adaptor over its ``triples()`` (federation, remote endpoints,
+plain graphs, test doubles). There is nothing to choose between and no
+option that chooses.
 
 **One join: scan, then probe, in optimizer order.** The first pattern is
-scanned; each further pattern extends every batch by an index probe. The
-star shape, one shared and one free variable against a source that offers
-``probe_ids``, hands over the batch's key column as it is: one binary
-search per row, and the batch is reused whole when every row matched once
-(else rows repeat by their match counts). A pattern whose only variable
-is already bound — a pure constraint, ``?s rdf:type ex:C`` after ``?s`` is
-known — is one ``distinct_ids`` run and a membership mask over the batch.
-Other shapes are probed once per distinct shared key (``np.unique``) and
-expanded by a ragged gather. Rows keep input order on every path.
-Stars, chains and cycles all run this way; what the optimizer's order
-decides is which constraint is scanned and which become masks.
+scanned — or, for a BGP with an *input* (the right side of a join whose
+shared variables the left always binds), the input's batches take its
+place — and each further pattern extends every batch by an index probe.
+The star shape, one shared and one free variable against a source that
+offers ``probe_ids``, hands over the batch's key column as it is: one
+binary search per row. A pattern whose only variable is already bound —
+``?s rdf:type ex:C`` after ``?s`` is known — is one ``distinct_ids`` run
+and a membership mask. Other shapes are probed once per distinct shared
+key (``np.unique``) and expanded by a ragged gather. Rows keep input order
+on every path; the scan starts with a
+:data:`~repro.store.base.FIRST_BATCH_SIZE`-row chunk that doubles, so a
+``LIMIT k`` consumer that stops pulling has expanded hundreds of rows.
 
-**Filters are masks, not a row loop.** Each FILTER pushed into the BGP is
-applied inside the batch loop, right after the stage that binds its last
-variable, so later probes and the decode only see surviving rows. The
-shapes that are provably safe in id space — ``?v <op> number`` against the
-dictionary's shared numeric value column, ``?x = / != / IN`` constant
-terms by id, ``&&`` of those — never decode anything (``filter=id[...]``
-in EXPLAIN). Everything else, and any batch whose column holds a value the
-value column cannot stand in for, keeps row semantics through
-:func:`~repro.sparql.physical.filter_passes`, evaluated once per distinct
-combination of the filter's variables (``filter=row[...]``). A mask never
-reorders rows, so streamed prefixes see the same order as before.
+**Filters are masks.** Each FILTER pushed into the BGP is applied right
+after the stage that binds its last variable. The shapes that are provably
+safe in id space — ``?v <op> number`` against the dictionary's shared
+numeric value column, ``?x = / != / IN`` constant terms by id, ``&&`` of
+those — decode nothing (``filter=id[...]`` in EXPLAIN); everything else,
+and any batch whose column holds a value the value column cannot stand in
+for, keeps row semantics once per distinct combination of the filter's
+variables (``filter=row[...]``).
 
-**The batch protocol continues above the BGP, to the wire.**
-``execute_batches`` (:class:`~repro.sparql.physical.PhysicalOperator`)
-hands the filtered id batches on undecoded. A plain-variable ``ProjectOp``
-and a ``SliceOp`` pass them through (column pick, array slice), so a
-listing — ``Project[→Slice]→VectorizedBGP``, every SELECT a user pages
-through — leaves the engine as id columns and its terms are first touched
-by the serializer (:mod:`repro.sparql.results`), once per delivered cell.
-Two operators answer chart-shaped queries from the same batches without
-materializing rows:
+Two operators answer chart-shaped queries from a BGP's batches:
+:class:`BatchAggregateOp` (GROUP BY by ``np.unique``, COUNT by
+``bincount``, SUM/AVG/MIN/MAX over the value column, COUNT DISTINCT by
+unique ``(group, id)`` pairs) and :class:`TopKOp` (``ORDER BY ?v [DESC]
+LIMIT k`` candidates by ``np.partition`` on the value column, ties with
+the k-th kept). When the data does not fit the value column the aggregate
+groups decoded rows as ``AggregateOp`` does, and top-k passes every row on
+to the sort.
 
-* :class:`BatchAggregateOp` — GROUP BY on id columns (``np.unique``),
-  COUNT by ``bincount``, SUM/AVG/MIN/MAX over the value column, COUNT
-  DISTINCT by unique ``(group, id)`` pairs; only the group-key terms of
-  the output rows are decoded.
-* :class:`TopKOp` — ``ORDER BY ?v [DESC] LIMIT k`` candidates by
-  ``np.partition`` on the value column (ties with the k-th kept); only
-  the candidates are decoded and handed to the ordinary ``SortOp``.
-
-Both fall back to row semantics when the data turns out not to fit (a
-non-numeric value under SUM, an ordering column with strings): the rows
-are decoded once and go through ``AggregateOp`` / ``SortOp`` unchanged.
-
-The streaming pull interface is preserved: a :class:`VectorizedBGP` *is* a
-:class:`~repro.sparql.physical.PhysicalOperator` whose ``execute`` yields
-decoded ``Binding`` rows (the row adaptor over the same batches) for the
-row operators above it — ``Distinct``, ``Sort``, joins, ``Extend``,
-expression projections — so LIMIT pushdown, budgets and tracing compose
-unchanged. The scan starts with a
-:data:`~repro.store.base.FIRST_BATCH_SIZE`-row chunk that doubles up to
-the batch size, so a ``LIMIT k`` consumer that stops pulling has expanded
-hundreds of rows, not a full batch per pattern; what it cannot bound is
-the source's own first read (one ``match_id_batches`` batch, or a whole
-constraint run).
-
-**The first stage can be a sample.** That same starting point — the scan
-of the first pattern — is the one place every solution of a BGP descends
-from, so drawing ``m`` of its ``N`` rows uniformly
+**The first stage can be a sample.** Every solution of a BGP descends from
+one row of its first scan, so drawing ``m`` of its ``N`` rows uniformly
 (:meth:`VectorizedBGP.sample_first_stage`) keeps each solution with
-probability ``m / N``, with ``N`` read off the source. The shed tier
-(:mod:`repro.server.sketch`) answers aggregates from such a stream;
-nothing else asks, and an execution that was not asked is untouched.
+probability ``m / N``. The shed tier (:mod:`repro.server.sketch`) answers
+aggregates from such a stream; nothing else asks.
 """
 
 from __future__ import annotations
@@ -89,14 +60,7 @@ import numpy as np
 from ..rdf.terms import Literal, Term, Variable
 from ..store.base import DEFAULT_BATCH_SIZE, FIRST_BATCH_SIZE, IdScanSource, unique_ids
 from ..store.dictionary import VALUE_EXACT_INT, VALUE_FLOAT, TermDictionary
-from .expr import (
-    Binding,
-    ExprError,
-    expression_variables,
-    group_key,
-    numeric,
-    to_term,
-)
+from .expr import ExprError, expression_variables, group_key, numeric, to_term
 from .nodes import (
     AggregateExpr,
     BinaryExpr,
@@ -108,13 +72,11 @@ from .nodes import (
     VariableExpr,
 )
 from .physical import (
-    AggregateOp,
-    Batch,
-    EvalStats,
-    PhysicalOperator,
-    filter_passes,
+    AggregateOp, Batch, EvalStats, PhysicalOperator, _compress, _concat, _distinct_keys,
+    _ragged_gather, _rows, _Unary, row_mask,
 )
 from .plan import _canonical_expression
+from .termtable import TermTable
 
 __all__ = [
     "FIRST_BATCH_SIZE",
@@ -125,7 +87,6 @@ __all__ = [
     "plan_batch_aggregate",
 ]
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 #: Column numbering the rows of a first stage that was asked for a sample,
 #: so the rows descending from one of them can be counted (the name is not
 #: a SPARQL variable name, so it collides with nothing).
@@ -136,7 +97,7 @@ _ABSENT = np.empty((0, 0), dtype=np.int64)
 
 
 class _Resolved(NamedTuple):
-    """A triple pattern with the ambient binding substituted in.
+    """A triple pattern with its constants looked up.
 
     ``ids`` holds a dictionary id per position (``None`` = free);
     ``var_slots`` maps each *distinct* free variable to its first position;
@@ -153,86 +114,36 @@ class _Resolved(NamedTuple):
 
 
 def _resolve_pattern(
-    pattern: TriplePatternNode, binding: Binding, source: IdScanSource
+    pattern: TriplePatternNode, source: IdScanSource
 ) -> _Resolved | None:
-    """Substitute binding + dictionary ids; ``None`` = provably empty."""
+    """Dictionary ids for the constants; ``None`` = provably empty."""
     dictionary = source.dictionary
     ids: list[int | None] = []
     var_slots: list[tuple[int, Variable]] = []
     dup_slots: list[tuple[int, int]] = []
     first_seen: dict[Variable, int] = {}
-    for position, term in enumerate(
-        (pattern.subject, pattern.predicate, pattern.object)
-    ):
-        if isinstance(term, Variable):
-            bound = binding.get(term)
-            if bound is not None:
-                term_id = dictionary.lookup(bound)
-                if term_id is None:
-                    return None
-                ids.append(term_id)
-            elif term in first_seen:
-                ids.append(None)
-                dup_slots.append((first_seen[term], position))
-            else:
-                ids.append(None)
-                var_slots.append((position, term))
-                first_seen[term] = position
-        else:
-            term_id = dictionary.lookup(term)
-            if term_id is None:
+    for position, term in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+        if not isinstance(term, Variable):
+            ids.append(dictionary.lookup(term))
+            if ids[-1] is None:
                 return None
-            ids.append(term_id)
+        elif term in first_seen:
+            ids.append(None)
+            dup_slots.append((first_seen[term], position))
+        else:
+            ids.append(None)
+            var_slots.append((position, term))
+            first_seen[term] = position
     return _Resolved(
         (ids[0], ids[1], ids[2]), tuple(var_slots), tuple(dup_slots)
     )
 
 
-def _ragged_gather(
-    counts: np.ndarray, inverse: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-key match lists onto per-row output positions.
-
-    Given ``counts[k]`` matches for key ``k`` and ``inverse[i]`` = key of
-    input row ``i``, returns ``(row_index, match_index)``: for every output
-    row, which input row it extends and which slot of the concatenated
-    match arrays it takes. Pure integer arithmetic — no Python loop.
-    """
-    counts_per_row = counts[inverse]
-    total = int(counts_per_row.sum())
-    row_index = np.repeat(np.arange(len(inverse)), counts_per_row)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    starts = np.repeat(offsets[inverse], counts_per_row)
-    bases = np.cumsum(counts_per_row) - counts_per_row
-    match_index = starts + np.arange(total) - np.repeat(bases, counts_per_row)
-    return row_index, match_index
-
-
-def _distinct_keys(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of aligned id columns: ``(keys (k, m), inverse (n,))``.
-
-    The grouping primitive shared by the probe join (one store probe per
-    distinct key), the row-semantics filter (one evaluation per distinct
-    combination) and GROUP BY.
-    """
-    if len(columns) == 1:
-        unique, inverse = np.unique(columns[0], return_inverse=True)
-        return unique[:, None], inverse
-    keys, inverse = np.unique(
-        np.stack(columns, axis=1), axis=0, return_inverse=True
-    )
-    return keys, inverse.reshape(-1)
-
-
-def _compress(batch: Batch, mask: np.ndarray) -> Batch:
-    """The rows of ``batch`` where ``mask`` holds, in their original order."""
-    count = int(np.count_nonzero(mask))
-    if count == batch.count:
-        return batch
-    return Batch(
-        {variable: column[mask] for variable, column in batch.columns.items()},
-        count,
-    )
+def _repeats_agree(raw: np.ndarray, dup_slots: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The id triples whose positions a repeated variable holds agree."""
+    for left, right in dup_slots:
+        raw = raw[raw[:, left] == raw[:, right]]
+    return raw
 
 
 def _in_run(ids: np.ndarray, run: np.ndarray) -> np.ndarray:
@@ -252,14 +163,8 @@ def _in_run(ids: np.ndarray, run: np.ndarray) -> np.ndarray:
 # a value the id-space form cannot decide (row semantics take over).
 _Predicate = Callable[[dict[Variable, np.ndarray], TermDictionary], "np.ndarray | None"]
 
-_COMPARE = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "=": np.equal,
-    "!=": np.not_equal,
-}
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+            ">=": np.greater_equal, "=": np.equal, "!=": np.not_equal}
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
@@ -403,11 +308,10 @@ class _Filter:
 class _FilterStages:
     """Places each filter right after the stage binding its last variable."""
 
-    def __init__(self, bgp: "VectorizedBGP", binding: Binding) -> None:
+    def __init__(self, bgp: "VectorizedBGP") -> None:
         self.bgp = bgp
-        self.binding = binding
         self.pending = list(bgp._filters)
-        self.bound: set[Variable] = set(binding)
+        self.bound: set[Variable] = set()
 
     def after(
         self, batches: Iterator[Batch], variables: Iterable[Variable] | None
@@ -425,7 +329,7 @@ class _FilterStages:
             return batches
         # Id-space masks first: the row path then runs on survivors only.
         ready.sort(key=lambda f: f.predicate is None)
-        return self.bgp._apply_filters(batches, ready, self.binding)
+        return self.bgp._apply_filters(batches, ready)
 
 
 # --------------------------------------------------------------------------- #
@@ -444,13 +348,9 @@ class VectorScan(PhysicalOperator):
 
     name = "IdScan"
 
-    def __init__(
-        self,
-        pattern: TriplePatternNode,
-        stats: EvalStats,
-        estimate: float | None,
-    ) -> None:
-        super().__init__(stats, estimate)
+    def __init__(self, table: TermTable, pattern: TriplePatternNode, stats: EvalStats,
+                 estimate: float | None) -> None:
+        super().__init__(table, stats, estimate)
         self.pattern = pattern
         self.batches = 0
         # As a BGP's first stage: did the consumer pull it to its end? (A
@@ -467,46 +367,34 @@ class VectorScan(PhysicalOperator):
             rendered += f" [{self.batches} batches]"
         return rendered
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:  # pragma: no cover
-        raise AssertionError("VectorScan only executes inside a VectorizedBGP")
-
 
 class VectorizedBGP(PhysicalOperator):
     """One BGP component executed as batched columnar operators over ids.
 
-    Two ways out: ``execute_batches`` yields the filtered id batches (the
-    batch protocol ``ProjectOp`` / ``SliceOp`` continue and
-    :class:`BatchAggregateOp` / :class:`TopKOp` consume), and ``execute``
-    is the row adaptor over the same batches for every other consumer.
-    ``decode_variables`` (when not ``None``) is the
-    late-materialization contract of the row adaptor: only those variables
-    are decoded and kept in output rows — the builder passes the
-    projection-pruned set, and the output is then exactly what
-    ``Prune(BGP)`` would have produced. Filters never need decoding here:
-    they are applied to the id batches (module docstring).
+    Its children are its pattern scans in join order — after ``input``,
+    when it continues another operator's batches through its patterns
+    instead of scanning the first one. Filters are masks over its id
+    batches (module docstring).
     """
 
     name = "VectorizedBGP"
 
     def __init__(
-        self,
-        source: IdScanSource,
-        patterns: tuple[TriplePatternNode, ...],
-        filters: tuple[Expression, ...],
-        decode_variables: frozenset[Variable] | None,
-        stats: EvalStats,
-        estimate: float | None,
-        pattern_estimates: Iterable[float | None],
+        self, table: TermTable, source: IdScanSource,
+        patterns: tuple[TriplePatternNode, ...], filters: tuple[Expression, ...],
+        stats: EvalStats, estimate: float | None,
+        pattern_estimates: Iterable[float | None], input: PhysicalOperator | None = None,
     ) -> None:
-        scans = tuple(
-            VectorScan(pattern, stats, pattern_estimate)
+        self.scans = tuple(
+            VectorScan(table, pattern, stats, pattern_estimate)
             for pattern, pattern_estimate in zip(patterns, pattern_estimates)
         )
-        super().__init__(stats, estimate, scans)
+        inputs = () if input is None else (input,)
+        super().__init__(table, stats, estimate, inputs + self.scans)
+        self.input = input
         self.source = source
         self.patterns = patterns
         self._filters = [_Filter(expression) for expression in filters]
-        self.decode_variables = decode_variables
         # Time charged to the scan nodes so far (see _timed).
         self._charged = 0
         # A sample request (rows, passes, generator seed) and what came of
@@ -519,17 +407,14 @@ class VectorizedBGP(PhysicalOperator):
     def sample_first_stage(self, rows: int, seed: int, passes: int = 1) -> None:
         """Ask the next execution to start from a uniform sample.
 
-        The stage a BGP starts from — the scan of its first pattern — hands
-        on at most ``rows`` of its ``N`` rows, drawn uniformly without
-        replacement by a generator seeded with ``seed``, in random order
-        and in ``passes`` equal chunks: every prefix of the output is
-        itself a uniform sample. Every solution descends from exactly one
-        first-stage row, so it is kept with probability ``rows / N``. ``N``
-        is read off the source (the length of the scan); :attr:`sampled`
-        reports ``(rows handed on, N)`` as execution proceeds and
-        :attr:`fanout` the most solutions one first-stage row led to. With
-        ``N <= rows`` and one pass nothing is drawn: the execution is the
-        unsampled one, row for row.
+        The scan of the first pattern hands on at most ``rows`` of its
+        ``N`` rows, drawn uniformly without replacement by a generator
+        seeded with ``seed``, in random order and in ``passes`` equal
+        chunks: every prefix is itself a uniform sample, and every solution
+        is kept with probability ``rows / N``. :attr:`sampled` reports
+        ``(rows handed on, N)`` as execution proceeds and :attr:`fanout`
+        the most solutions one first-stage row led to. With ``N <= rows``
+        and one pass the execution is the unsampled one, row for row.
         """
         self._sample = (rows, passes, seed)
 
@@ -539,9 +424,6 @@ class VectorizedBGP(PhysicalOperator):
             parts.append("sample=%d/%d" % self.sampled)
         if self._filters:
             parts.append("filter=" + ",".join(f.describe() for f in self._filters))
-        if self.decode_variables is not None:
-            decoded = ",".join(sorted(f"?{v}" for v in self.decode_variables))
-            parts.append(f"decode={decoded or '∅'}")
         return " ".join(parts)
 
     # ------------------------------------------------------------------ #
@@ -643,23 +525,17 @@ class VectorizedBGP(PhysicalOperator):
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        return self.rows(self._batches(binding), binding)
-
-    def batch_dictionary(self) -> TermDictionary:
-        return self.source.dictionary
-
-    def _batches(self, binding: Binding) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         resolved: list[_Resolved] = []
         for pattern in self.patterns:
-            one = _resolve_pattern(pattern, binding, self.source)
-            if one is None:  # a bound term missing from the dictionary
+            one = _resolve_pattern(pattern, self.source)
+            if one is None:  # a constant missing from the dictionary
                 return iter(())
             resolved.append(one)
 
-        stages = _FilterStages(self, binding)
-        batches: Iterator[Batch] | None = None
-        for scan, one in zip(self.children, resolved):
+        stages = _FilterStages(self)
+        batches = None if self.input is None else self._input()
+        for scan, one in zip(self.scans, resolved):
             stage = (
                 self._scan(scan, one) if batches is None
                 else self._probe(batches, scan, one)
@@ -670,10 +546,23 @@ class VectorizedBGP(PhysicalOperator):
             batches = self._solutions_per_row(batches)
         return batches
 
+    def _input(self) -> Iterator[Batch]:
+        """The input's batches without the rows a pattern cannot match: a
+        computed term (id <= -2) in a column the patterns mention."""
+        mentioned = set().union(*(pattern.variables() for pattern in self.patterns))
+        charged = 0  # the input's own time is not the first probe's
+        for batch in self.input.execute_batches():
+            self._charged += self.input.wall_ns - charged
+            charged = self.input.wall_ns
+            for variable in mentioned & batch.columns.keys():
+                batch = _compress(batch, batch.columns[variable] >= 0)
+            if batch.count:
+                yield batch
+
     # -- filters -------------------------------------------------------------
 
     def _apply_filters(
-        self, batches: Iterator[Batch], filters: list[_Filter], binding: Binding
+        self, batches: Iterator[Batch], filters: list[_Filter]
     ) -> Iterator[Batch]:
         """Mask every batch by ``filters``; survivors keep their order."""
         dictionary = self.source.dictionary
@@ -685,27 +574,12 @@ class VectorizedBGP(PhysicalOperator):
                     if mask is None:
                         one.fell_back = True
                 if mask is None:
-                    mask = self._row_mask(one, batch, binding)
+                    mask = row_mask(one.expression, batch, self.table)
                 batch = _compress(batch, mask)
                 if not batch.count:
                     break
             if batch.count:
                 yield batch
-
-    def _row_mask(self, one: _Filter, batch: Batch, binding: Binding) -> np.ndarray:
-        """Row semantics, once per distinct combination of the variables."""
-        present = [v for v in one.variables if v in batch.columns]
-        if not present:  # every variable is ambient-bound (or unbound)
-            return np.full(batch.count, filter_passes(one.expression, binding))
-        keys, inverse = _distinct_keys([batch.columns[v] for v in present])
-        decode = self.source.dictionary.decode_batch
-        decoded = [decode(keys[:, slot]) for slot in range(len(present))]
-        verdicts = np.empty(len(keys), dtype=bool)
-        for index, terms in enumerate(zip(*decoded)):
-            row = dict(binding)
-            row.update(zip(present, terms))
-            verdicts[index] = filter_passes(one.expression, row)
-        return verdicts[inverse]
 
     # -- scan + probe pipeline ----------------------------------------------
 
@@ -715,11 +589,7 @@ class VectorizedBGP(PhysicalOperator):
         self.stats.store_lookups += 1
         s, p, o = one.ids
         for raw in self._first_stage(self.source.match_id_batches(s, p, o)):
-            if one.dup_slots:
-                mask = np.ones(len(raw), dtype=bool)
-                for left, right in one.dup_slots:
-                    mask &= raw[:, left] == raw[:, right]
-                raw = raw[mask]
+            raw = _repeats_agree(raw, one.dup_slots)
             self._account_scan(scan, len(raw))
             if not len(raw):
                 continue
@@ -751,12 +621,7 @@ class VectorizedBGP(PhysicalOperator):
         rows = list(self.source.match_id_batches(s, p, o))
         if not rows:
             return np.empty((0, len(free)), dtype=np.int64)
-        raw = np.concatenate(rows) if len(rows) > 1 else rows[0]
-        if dup_slots:
-            mask = np.ones(len(raw), dtype=bool)
-            for left, right in dup_slots:
-                mask &= raw[:, left] == raw[:, right]
-            raw = raw[mask]
+        raw = _repeats_agree(np.concatenate(rows), dup_slots)
         return raw[:, [position for position, _ in free]]
 
     def _probe(
@@ -849,66 +714,10 @@ class VectorizedBGP(PhysicalOperator):
                 for variable, column in batch.columns.items()
             }
             if free:
-                concatenated = (
-                    np.concatenate(match_lists)
-                    if len(match_lists) > 1
-                    else match_lists[0]
-                )
+                matches = np.concatenate(match_lists)
                 for slot, (_, variable) in enumerate(free):
-                    columns[variable] = concatenated[match_index, slot]
+                    columns[variable] = matches[match_index, slot]
             yield Batch(columns, total)
-
-    # -- decode boundary -----------------------------------------------------
-
-    def rows(self, batches: Iterable[Batch], binding: Binding) -> Iterator[Binding]:
-        """Decode id batches into solution rows (the row adaptor)."""
-        decode = self.source.dictionary.decode_batch
-        keep = self.decode_variables
-        ambient = (
-            dict(binding)
-            if keep is None
-            else {v: t for v, t in binding.items() if v in keep}
-        )
-        for batch in batches:
-            names: list[Variable] = []
-            decoded: list[list[Term]] = []
-            for variable, column in batch.columns.items():
-                if keep is not None and variable not in keep:
-                    continue
-                unique_ids, inverse = np.unique(column, return_inverse=True)
-                terms = decode(unique_ids)
-                names.append(variable)
-                decoded.append([terms[slot] for slot in inverse.tolist()])
-            if not names:
-                for _ in range(batch.count):
-                    yield dict(ambient)
-            elif ambient:
-                for values in zip(*decoded):
-                    row = dict(ambient)
-                    row.update(zip(names, values))
-                    yield row
-            else:
-                for values in zip(*decoded):
-                    yield dict(zip(names, values))
-
-
-# --------------------------------------------------------------------------- #
-# Batch consumers above the BGP
-# --------------------------------------------------------------------------- #
-
-
-def _concat(batches: list[Batch], variables: Iterable[Variable]) -> Batch:
-    """One batch holding ``variables`` of every input batch, in order."""
-    count = sum(batch.count for batch in batches)
-    columns = {
-        variable: (
-            np.concatenate([batch.columns[variable] for batch in batches])
-            if batches
-            else _EMPTY_IDS
-        )
-        for variable in variables
-    }
-    return Batch(columns, count)
 
 
 class _AggSpec(NamedTuple):
@@ -972,41 +781,32 @@ def plan_batch_aggregate(
             continue
         if not isinstance(argument, VariableExpr) or argument.variable not in variables:
             return None
-        specs.append(
-            _AggSpec(
-                projection.variable, expression.name, argument.variable,
-                expression.distinct,
-            )
-        )
+        specs.append(_AggSpec(projection.variable, expression.name, argument.variable,
+                              expression.distinct))
     return tuple(group_vars), tuple(specs)
 
 
 class BatchAggregateOp(AggregateOp):
     """GROUP BY / aggregates computed on id columns of a single BGP.
 
-    Consumes :meth:`VectorizedBGP.execute_batches`; group keys are
-    ``np.unique`` over id columns, aggregates run over the dictionary's
-    numeric value column, and only the group-key terms of the output rows
-    are ever decoded. When the data does not fit the value column (a
-    non-numeric value under SUM/AVG/MIN/MAX, integers whose sum could
-    leave float64's exact range) the collected columns are decoded once
-    and grouped by the inherited row implementation, so the answer is the
-    same either way and EXPLAIN names the reason.
+    Group keys are ``np.unique`` over id columns, aggregates run over the
+    dictionary's numeric value column, and only the group-key terms are
+    decoded (to order the groups as ``AggregateOp`` does). When the data
+    does not fit the value column (a non-numeric value under
+    SUM/AVG/MIN/MAX, integers whose sum could leave float64's exact range)
+    the collected columns are decoded once and grouped by the inherited
+    row implementation, so the answer is the same either way and EXPLAIN
+    names the reason.
     """
 
     name = "BatchAggregate"
 
     def __init__(
-        self,
-        child: VectorizedBGP,
-        projections: tuple[Projection, ...],
-        group_by: tuple[Expression, ...],
-        group_vars: tuple[Variable, ...],
-        specs: tuple[_AggSpec, ...],
-        stats: EvalStats,
-        estimate: float | None,
+        self, child: VectorizedBGP, projections: tuple[Projection, ...],
+        group_by: tuple[Expression, ...], group_vars: tuple[Variable, ...],
+        specs: tuple[_AggSpec, ...], estimate: float | None,
     ) -> None:
-        super().__init__(child, projections, group_by, None, stats, estimate)
+        super().__init__(child, projections, group_by, None, estimate)
         self.group_vars = group_vars
         self.specs = specs
         needed = list(group_vars)
@@ -1027,29 +827,18 @@ class BatchAggregateOp(AggregateOp):
             rendered += f" fallback=rows[{self.fallback}]"
         return rendered
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        child: VectorizedBGP = self.child  # type: ignore[assignment]
-        if any(variable in binding for variable in self._needed):
-            # An ambient-bound variable is substituted into the patterns
-            # and never becomes a column.
-            self.fallback = "ambient binding"
-            return super()._run(binding)
-        collected = _concat(list(child.execute_batches(binding)), self._needed)
-        rows = self._batch_rows(collected, child.source.dictionary)
-        if rows is None:
-            return self._aggregate(list(child.rows((collected,), binding)))
-        return iter(rows)
+    def _batches(self) -> Iterator[Batch]:
+        collected = _concat(list(self.child.execute_batches()), self._needed)
+        out = self._grouped(collected)
+        yield self._aggregated(_rows(collected, self.table)) if out is None else out
 
-    def _batch_rows(
-        self, batch: Batch, dictionary: TermDictionary
-    ) -> list[Binding] | None:
-        total = batch.count
+    def _grouped(self, batch: Batch) -> Batch | None:
+        dictionary, total = self.child.source.dictionary, batch.count
         if self.group_vars:
             if not total:
-                return []
-            keys, inverse = _distinct_keys(
-                [batch.columns[v] for v in self.group_vars]
-            )
+                empty = np.empty(0, dtype=np.int64)
+                return Batch({spec.alias: empty for spec in self.specs}, 0)
+            keys, inverse = _distinct_keys([batch.columns[v] for v in self.group_vars])
         else:  # implicit single group, present even over no rows
             keys = np.empty((1, 0), dtype=np.int64)
             inverse = np.zeros(total, dtype=np.int64)
@@ -1060,26 +849,6 @@ class BatchAggregateOp(AggregateOp):
             variable: dictionary.decode_batch(keys[:, slot])
             for slot, variable in enumerate(self.group_vars)
         }
-        outputs: list[tuple[Variable, list]] = []
-        for spec in self.specs:
-            if spec.function == "KEY":
-                values = key_terms[spec.variable]
-            elif spec.function == "COUNT" and not spec.distinct:
-                # BGP variables are bound in every row: COUNT(?x) = COUNT(*)
-                values = [to_term(n) for n in counts.tolist()]
-            elif spec.function == "COUNT":
-                values = self._count_distinct(
-                    batch.columns[spec.variable], inverse, groups
-                )
-            else:
-                values = self._numeric(
-                    spec.function, batch.columns[spec.variable], inverse, counts,
-                    dictionary,
-                )
-            if values is None:
-                return None
-            outputs.append((spec.alias, values))
-
         # Same group order as AggregateOp, so a LIMIT above sees the same
         # groups from either implementation.
         order = sorted(
@@ -1088,14 +857,24 @@ class BatchAggregateOp(AggregateOp):
                 tuple(group_key(key_terms[v][g]) for v in self.group_vars)
             ),
         )
-        return [
-            {
-                alias: values[g]
-                for alias, values in outputs
-                if values[g] is not None
-            }
-            for g in order
-        ]
+        columns: dict[Variable, np.ndarray] = {}
+        for spec in self.specs:
+            if spec.function == "KEY":
+                columns[spec.alias] = keys[order, self.group_vars.index(spec.variable)]
+                continue
+            if spec.function == "COUNT" and not spec.distinct:
+                # BGP variables are bound in every row: COUNT(?x) = COUNT(*)
+                values = [to_term(n) for n in counts.tolist()]
+            elif spec.function == "COUNT":
+                values = self._count_distinct(batch.columns[spec.variable], inverse, groups)
+            else:
+                values = self._numeric(
+                    spec.function, batch.columns[spec.variable], inverse, counts
+                )
+            if values is None:
+                return None
+            columns[spec.alias] = self.table.ids(values[g] for g in order)
+        return Batch(columns, groups)
 
     def _count_distinct(
         self, ids: np.ndarray, inverse: np.ndarray, groups: int
@@ -1109,18 +888,13 @@ class BatchAggregateOp(AggregateOp):
         return [to_term(n) for n in distinct.tolist()]
 
     def _numeric(
-        self,
-        function: str,
-        ids: np.ndarray,
-        inverse: np.ndarray,
-        counts: np.ndarray,
-        dictionary: TermDictionary,
+        self, function: str, ids: np.ndarray, inverse: np.ndarray, counts: np.ndarray
     ) -> list[Term | None] | None:
         """SUM / AVG / MIN / MAX per group, typed as Python would type them."""
         groups = len(counts)
         if not len(ids):  # the implicit group over no rows
             return [to_term(0) if function == "SUM" else None] * groups
-        values, kinds = dictionary.numeric_columns()
+        values, kinds = self.child.source.dictionary.numeric_columns()
         kinds = kinds[ids]
         if not kinds.all():
             self.fallback = f"{function} over a non-numeric value"
@@ -1136,10 +910,7 @@ class BatchAggregateOp(AggregateOp):
                 return [to_term(v) for v in (sums / counts).tolist()]
             # A group's SUM is xsd:integer exactly when all its members are.
             any_float = np.bincount(inverse, weights=is_float, minlength=groups) > 0
-            return [
-                to_term(v if f else int(v))
-                for v, f in zip(sums.tolist(), any_float.tolist())
-            ]
+            return [to_term(v if f else int(v)) for v, f in zip(sums.tolist(), any_float)]
         # MIN / MAX: min()/max() return the *first* extreme member, whose
         # type (5 vs 5.0) is the answer's datatype — find that member.
         by_group = np.argsort(inverse, kind="stable")
@@ -1151,19 +922,16 @@ class BatchAggregateOp(AggregateOp):
             ordered == np.repeat(extreme, counts), np.arange(len(ordered)), len(ordered)
         )
         first = np.minimum.reduceat(positions, starts)
-        winners = ordered[first].tolist()
-        winner_is_float = is_float[by_group][first].tolist()
-        return [
-            to_term(v if f else int(v)) for v, f in zip(winners, winner_is_float)
-        ]
+        winners = zip(ordered[first].tolist(), is_float[by_group][first].tolist())
+        return [to_term(v if f else int(v)) for v, f in winners]
 
 
-class TopKOp(PhysicalOperator):
+class TopKOp(_Unary):
     """Candidate selection for ``ORDER BY ?v [DESC] LIMIT k`` over one BGP.
 
     Keeps, batch by batch, only the rows whose sort value is among the k
-    best seen so far (every row tied with the k-th stays), decodes those
-    and yields them in scan order; the ``SortOp`` / ``SliceOp`` above then
+    best seen so far (every row tied with the k-th stays) and yields them
+    as one batch in scan order; the ``SortOp`` / ``SliceOp`` above then
     order and cut them exactly as they would the full input. Selection is
     by the value column, which orders numbers the way ``term_sort_key``
     does; a column holding anything else is passed through whole.
@@ -1172,21 +940,13 @@ class TopKOp(PhysicalOperator):
     name = "TopK"
 
     def __init__(
-        self,
-        child: VectorizedBGP,
-        variable: Variable,
-        descending: bool,
-        k: int,
-        stats: EvalStats,
+        self, child: VectorizedBGP, variable: Variable, descending: bool, k: int
     ) -> None:
         estimate = child.estimated_rows
         if estimate is not None:
             estimate = min(estimate, float(k))
-        super().__init__(stats, estimate, (child,))
-        self.child = child
-        self.variable = variable
-        self.descending = descending
-        self.k = k
+        super().__init__(child, estimate)
+        self.variable, self.descending, self.k = variable, descending, k
         self.fallback: str | None = None
 
     def detail(self) -> str:
@@ -1197,18 +957,11 @@ class TopKOp(PhysicalOperator):
             rendered += f" fallback=all rows[{self.fallback}]"
         return rendered
 
-    def _run(self, binding: Binding) -> Iterator[Binding]:
-        child = self.child
-        if self.variable in binding:  # substituted away: never a column
-            self.fallback = "ambient binding"
-            return child.execute(binding)
-        return child.rows(self._candidates(binding), binding)
-
-    def _candidates(self, binding: Binding) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         child = self.child
         dictionary = child.source.dictionary
         kept: Batch | None = None
-        for batch in child.execute_batches(binding):
+        for batch in child.execute_batches():
             if kept is not None:
                 batch = _concat([kept, batch], batch.columns)
             if self.fallback is None and batch.count > self.k:

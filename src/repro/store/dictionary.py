@@ -106,7 +106,7 @@ VALUE_EXACT_INT = 2**53
 _NO_VALUES = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8))
 
 
-def _numeric_columns_of(terms: list[Term]) -> tuple[np.ndarray, np.ndarray]:
+def numeric_columns_of(terms: list[Term]) -> tuple[np.ndarray, np.ndarray]:
     """Value and kind arrays for ``terms`` — what ``expr.numeric`` accepts.
 
     A term is numeric when it is a literal whose native value is an
@@ -220,7 +220,7 @@ class TermDictionary:
             start = len(columns[0])
             fresh = self._id_to_term[start:]  # snapshot: encode() may append
             if fresh:
-                values, kinds = _numeric_columns_of(fresh)
+                values, kinds = numeric_columns_of(fresh)
                 columns = (
                     np.concatenate((columns[0], values)),
                     np.concatenate((columns[1], kinds)),

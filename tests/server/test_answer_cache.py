@@ -164,14 +164,24 @@ def test_two_texts_of_one_plan_share_an_entry(server):
 
 
 def test_describe_route_shares_the_entry_of_the_describe_query(server):
-    prior = len(OBS.querylog.records(service=f"repro-server:{server.port}"))
+    service = f"repro-server:{server.port}"
+    prior = len(OBS.querylog.records(service=service))
+
+    def logged(n):
+        """The records since ``prior`` once ``n`` have landed: a request's
+        record is written after its last byte, so it can trail the next
+        request's."""
+        wait_for(lambda: len(OBS.querylog.records(service=service)) >= prior + n)
+        return OBS.querylog.records(service=service)[prior:]
+
     first, body = sparql(server, DESCRIBE)
     assert first.getheader("X-Repro-Cache") is None
+    logged(1)
     response, routed = describe_route(server)
     assert response.getheader("X-Repro-Cache") == "hit" and routed == body
     assert response.getheader("Content-Type") == "application/n-triples"
     assert stats(server)["cache"]["entries"] == 1
-    records = OBS.querylog.records(service=f"repro-server:{server.port}")[prior:]
+    records = logged(2)
     assert [(r.form, r.strategy, r.cache_hit) for r in records] == [
         ("DESCRIBE", records[0].strategy, False),
         ("DESCRIBE", "cached", True),

@@ -14,6 +14,7 @@ from repro.rdf.terms import IRI, Triple
 from repro.server.app import ReproServer, ServerConfig
 from repro.store.federated import FederatedStore
 from repro.store.memory import MemoryStore
+from tests.helpers import wait_for
 
 EX = "http://example.org/"
 GROUPED = "SELECT ?c (COUNT(*) AS ?n) WHERE { ?s ?p ?c } GROUP BY ?c"
@@ -79,9 +80,18 @@ def federated_server():
         yield server, truth
 
 
-def query_log(server) -> list[dict]:
-    body = fetch(f"{server.base_url}/debug/queries").read().decode("utf-8")
-    return [json.loads(line) for line in body.splitlines() if line.strip()]
+def query_log(server, until=None) -> list[dict]:
+    """The server's query log, once ``until`` holds for it when given: a
+    request's record is written after its last byte, so it can trail the
+    response the client already has."""
+
+    def read() -> list[dict]:
+        body = fetch(f"{server.base_url}/debug/queries").read().decode("utf-8")
+        return [json.loads(line) for line in body.splitlines() if line.strip()]
+
+    if until is not None:
+        wait_for(lambda: until(read()))
+    return read()
 
 
 class TestShedGroupBy:
@@ -141,8 +151,10 @@ class TestShedGroupBy:
         body = json.loads(response.read())
         assert "x-repro" not in body
         assert body["results"]["bindings"][0]["n"]["value"] == str(len(truth))
-        (record,) = [r for r in query_log(server)
-                     if r["strategy"].endswith("+agg")]
+        aggregated = lambda records: [  # noqa: E731
+            r for r in records if r["strategy"].endswith("+agg")
+        ]
+        (record,) = aggregated(query_log(server, until=aggregated))
         assert record["tier"] == "exact"
 
 
@@ -233,7 +245,8 @@ class TestObservability:
         from repro.sparql.eval import QueryEngine
 
         digest = QueryEngine(server.store).plan_digest(GROUPED)
-        (record,) = [r for r in query_log(server) if r["digest"] == digest]
+        mine = lambda records: [r for r in records if r["digest"] == digest]  # noqa: E731
+        (record,) = mine(query_log(server, until=mine))
         assert record["strategy"] == "vectorized:binary+sample"
         assert record.get("complete", True)
         assert record["tier"] in ("sampled", "aggressive")
@@ -248,6 +261,10 @@ class TestObservability:
         server, _truth = federated_server
         force_overload(server)
         fetch(sparql_url(server.base_url, GROUPED)).read()
-        strategies = [r["strategy"] for r in query_log(server)]
+        strategies = [r["strategy"] for r in query_log(
+            server, until=lambda records: any(
+                r["strategy"] == "federated+sample" for r in records
+            ),
+        )]
         assert strategies.count("federated+sample") == 1
         assert "sketched" not in strategies

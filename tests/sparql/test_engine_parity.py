@@ -169,14 +169,21 @@ def _listings(draw) -> tuple[str, int, int | None]:
 
 
 def _rows_through_the_row_forms(store, query):
+    """The plan's own id batches, decoded batch by batch in plan order."""
     root = build_plan(
         optimize_plan(build_select_plan(parse_query(query))),
         store,
         EvalStats(),
         CardinalityEstimator.for_store(store),
     )
-    assert root.batch_dictionary() is not None  # the shape under test
-    return list(root.execute({}))
+    rows = []
+    for columns, count in root.execute_batches():
+        decoded = {v: root.table.decode_batch(ids) for v, ids in columns.items()}
+        rows += [
+            {v: terms[at] for v, terms in decoded.items() if terms[at] is not None}
+            for at in range(count)
+        ]
+    return rows
 
 
 @settings(max_examples=150, deadline=None)

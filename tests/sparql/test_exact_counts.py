@@ -142,6 +142,34 @@ def test_counting_or_snapshot_follows_what_the_store_offers():
     assert bare.count_calls > 0
 
 
+class _CountIds(MemoryStore):
+    """A store that counts the ``count_ids`` calls its planner makes."""
+
+    count_ids_calls = 0
+
+    def count_ids(self, s, p, o):
+        self.count_ids_calls += 1
+        return super().count_ids(s, p, o)
+
+
+def test_each_pattern_is_priced_once_per_plan():
+    """The ordering's prices are the plan's estimates: a 3-pattern BGP
+    costs three counts, not one to order and one more to annotate each."""
+    store = _CountIds(typed_entities(60, n_classes=3, seed=12))
+    store.count_ids_calls = 0
+    query = _DIGEST_PREFIXES + (
+        "SELECT ?s WHERE { ?s rdf:type ex:Class0 . ?s ex:numeric0 ?v . "
+        "?s ex:category0 ?c }"
+    )
+    estimates = scan_estimates(QueryEngine(store), query)
+    assert store.count_ids_calls == 3
+    assert estimates == [
+        store.count((None, RDF_TYPE, IRI(DATA + "Class0"))),
+        store.count((None, IRI(DATA + "category0"), None)),
+        store.count((None, IRI(DATA + "numeric0"), None)),
+    ]
+
+
 # --------------------------------------------------------------------------- #
 # (b) staleness: a write is visible to the next plan
 # --------------------------------------------------------------------------- #

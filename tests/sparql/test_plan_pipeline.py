@@ -58,7 +58,7 @@ CORPUS_QUERIES = {
         "SELECT ?a (COUNT(?p) AS ?c) WHERE { ?p foaf:age ?a } GROUP BY ?a "
         "HAVING (COUNT(?p) >= 2)",
         "SELECT ?p ?d WHERE { ?p foaf:age ?a BIND(?a * 2 AS ?d) }",
-        # Cartesian product of two small filtered sets (HashJoin territory).
+        # Cartesian product of two small filtered sets (hash-join territory).
         "SELECT ?a ?b WHERE { ?a foaf:age ?x FILTER(?x > 80) . "
         "?b foaf:age ?y FILTER(?y < 25) }",
         # Constant-foldable filters: one vacuous, one contradictory.
@@ -295,32 +295,34 @@ _DIGEST_PREFIXES = (
 # EXPLAIN of the two-component query of
 # ``test_both_lowerings_share_the_plan_above_the_components``. Above the
 # components it is the tree the commit before the two BGP builders were
-# merged rendered for the row operators. ``_RENDER`` is the plan of a source
+# merged rendered for the row operators, under today's names: the
+# projection prune is a ``Project`` and the component join a ``Join``, and
+# a BGP no longer lists the variables it decoded. ``_RENDER`` is the plan of a source
 # that publishes a snapshot: the estimates are the ones the per-predicate
 # distinct-object count gives (60 typed entities over 3 classes: 20 a
 # class). ``_RENDER_COUNTED`` is the plan of the store itself, which counts:
 # Class1 has 22 members and Class0 24, so the smaller one leads.
 _RENDER_COUNTED = """\
 Project ?a, ?b  (est=1.6 actual=-)
-  Prune ?a, ?b  (est=1.6 actual=-)
+  Project ?a, ?b  (est=1.6 actual=-)
     Filter (?v < ?w)  (est=1.6 actual=-)
-      HashJoin  (est=4.9 actual=-)
-        VectorizedBGP decode=?b,?w  (est=3.7 actual=-)
+      Join  (est=4.9 actual=-)
+        VectorizedBGP  (est=3.7 actual=-)
           IdScan ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class1>  (est=22.0 actual=-)
           IdScan ?b <http://example.org/data/numeric0> ?w  (est=60.0 actual=-)
-        VectorizedBGP filter=id[?v > 60] decode=?a,?v  (est=1.3 actual=-)
+        VectorizedBGP filter=id[?v > 60]  (est=1.3 actual=-)
           IdScan ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class0>  (est=24.0 actual=-)
           IdScan ?a <http://example.org/data/numeric0> ?v  (est=60.0 actual=-)"""
 
 _RENDER = """\
 Project ?a, ?b  (est=1.2 actual=-)
-  Prune ?a, ?b  (est=1.2 actual=-)
+  Project ?a, ?b  (est=1.2 actual=-)
     Filter (?v < ?w)  (est=1.2 actual=-)
-      HashJoin  (est=3.7 actual=-)
-        VectorizedBGP filter=id[?v > 60] decode=?a,?v  (est=1.1 actual=-)
+      Join  (est=3.7 actual=-)
+        VectorizedBGP filter=id[?v > 60]  (est=1.1 actual=-)
           IdScan ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class0>  (est=20.0 actual=-)
           IdScan ?a <http://example.org/data/numeric0> ?v  (est=60.0 actual=-)
-        VectorizedBGP decode=?b,?w  (est=3.3 actual=-)
+        VectorizedBGP  (est=3.3 actual=-)
           IdScan ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/data/Class1>  (est=20.0 actual=-)
           IdScan ?b <http://example.org/data/numeric0> ?w  (est=60.0 actual=-)"""
 
@@ -458,7 +460,7 @@ class TestExplain:
             PREFIXES + "SELECT ?a ?b WHERE { ?a ex:numeric0 ?x . ?b ex:numeric1 ?y }",
             analyze=False,
         )
-        assert node.find("HashJoin"), "cartesian components should hash-join"
+        assert node.find("Join"), "cartesian components should hash-join"
 
     def test_both_lowerings_share_the_plan_above_the_components(self):
         """Two disjoint components, a local and a spanning filter, under a
@@ -476,7 +478,7 @@ class TestExplain:
 
         def above_components(node, depth=0):
             yield depth, node.operator, node.detail
-            if node.operator != "HashJoin":
+            if node.operator != "Join":
                 for child in node.children:
                     yield from above_components(child, depth + 1)
 
@@ -484,7 +486,7 @@ class TestExplain:
         rows = QueryEngine(rows_only(store)).explain(text, analyze=False)
         assert [operator for _, operator, _ in above_components(rows)] == [
             operator for _, operator, _ in above_components(batches)
-        ] == ["Project", "Prune", "Filter", "HashJoin"]
+        ] == ["Project", "Project", "Filter", "Join"]
         assert rows.render() == _RENDER
         assert batches.render() == _RENDER_COUNTED
 

@@ -168,6 +168,62 @@ def test_concurrent_queries_log_their_own_scans():
     }
 
 
+VALUE, LABEL = f"<{EX}value>", f"<{EX}label>"
+
+
+class TestPlansAboveTheBgp:
+    """``strategy`` and ``scans[].leading`` for plans that are more than
+    projections of one BGP."""
+
+    def _record(self, text):
+        QueryEngine(build_store()).query(text)
+        return OBS.querylog.records()[-1]
+
+    def test_values_only_plan_is_iterator(self):
+        record = self._record("SELECT ?x WHERE { VALUES ?x { 1 2 } }")
+        assert record.strategy == "iterator"
+        assert record.scans == () and record.solutions == 2
+
+    def test_describe_without_where_is_none(self):
+        record = self._record(f"DESCRIBE <{EX}item/1>")
+        assert record.strategy == "none" and record.scans == ()
+
+    def test_optional_only_the_leftmost_first_scan_leads(self):
+        record = self._record(
+            f"SELECT ?s ?v ?l WHERE {{ ?s {VALUE} ?v OPTIONAL {{ ?s {LABEL} ?l }} }}"
+        )
+        assert record.strategy == "vectorized:binary"
+        assert [(scan.predicate, scan.leading) for scan in record.scans] == [
+            (VALUE, True), (LABEL, False),
+        ]
+
+    def test_union_branches_each_lead(self):
+        record = self._record(
+            f"SELECT ?s WHERE {{ {{ ?s {VALUE} ?v }} UNION {{ ?s {LABEL} ?l }} }}"
+        )
+        assert record.strategy == "vectorized:binary"
+        assert [scan.leading for scan in record.scans] == [True, True]
+        assert record.solutions == 240
+
+    def test_scans_of_a_probe_continued_bgp_never_lead(self):
+        text = (
+            f"SELECT ?s ?l WHERE {{ ?s {VALUE} ?v OPTIONAL {{ ?s {LABEL} ?z }} "
+            f"?s {LABEL} ?l }}"
+        )
+        record = self._record(text)
+        assert record.strategy == "vectorized:binary"
+        assert [(scan.predicate, scan.leading) for scan in record.scans] == [
+            (VALUE, True), (LABEL, False), (LABEL, False),
+        ]
+        # the label pattern probes the left join's batches: no scan of its own
+        plan = QueryEngine(build_store()).explain(text, analyze=False)
+        continued = next(
+            node for node in plan.find("VectorizedBGP")
+            if node.children[0].operator == "LeftJoin"
+        )
+        assert [child.operator for child in continued.children] == ["LeftJoin", "IdScan"]
+
+
 class TestStreamingEmission:
     def test_exhausted_stream_is_complete(self):
         engine = QueryEngine(build_store())

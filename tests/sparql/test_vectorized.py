@@ -226,7 +226,8 @@ def test_filters_and_optional_parity(store):
 
 
 def test_disjoint_components_parity(store):
-    # Two variable-disjoint components → HashJoin over two VectorizedBGPs.
+    # Two variable-disjoint components → a Join (hash, cross product) over
+    # two VectorizedBGPs.
     query = PREFIXES + (
         "SELECT ?a ?b WHERE { ?a rdf:type ex:Class1 . ?b rdf:type ex:Class2 }"
     )
