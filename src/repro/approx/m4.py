@@ -22,8 +22,6 @@ import numpy as np
 
 __all__ = ["m4_aggregate", "uniform_downsample", "rasterize_minmax", "pixel_error"]
 
-Point = tuple[float, float]
-
 
 def m4_aggregate(
     times: Sequence[float] | np.ndarray,

@@ -86,10 +86,6 @@ class ProgressiveEstimate:
         return self.mean * self.population
 
     @property
-    def sum_ci_halfwidth(self) -> float:
-        return self.ci_halfwidth * self.population
-
-    @property
     def mean_interval(self) -> tuple[float, float]:
         return (self.mean - self.ci_halfwidth, self.mean + self.ci_halfwidth)
 

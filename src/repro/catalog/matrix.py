@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .data import ALL_SYSTEMS, TABLE1_SYSTEMS, TABLE2_SYSTEMS
-from .model import Category, DataType, Feature, SystemRecord
+from .model import Category, Feature, SystemRecord
 
 __all__ = [
     "render_matrix",

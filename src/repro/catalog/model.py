@@ -9,7 +9,7 @@ This module defines that taxonomy as data types so the catalog
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = ["Category", "DataType", "VisType", "Feature", "AppType", "SystemRecord"]

@@ -20,7 +20,7 @@ The result is a ranked list of human-readable explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = ["Predicate", "Explanation", "explain_outliers"]
 

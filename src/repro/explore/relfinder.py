@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ..graph.model import PropertyGraph
 from ..obs import INTERACTIVE, NAVIGATION, OBS, track
-from ..rdf.terms import IRI, BNode, Literal, Subject
+from ..rdf.terms import IRI, BNode, Subject
 from ..store.base import TripleSource
 
 __all__ = ["RelationStep", "RelationPath", "find_relationships", "relationship_graph"]

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..rdf.graph import Graph
-from ..rdf.terms import BNode, IRI, Literal, Triple
+from ..rdf.terms import BNode, IRI, Literal
 from ..rdf.vocab import RDF, VOID
 from ..store.base import TripleSource
 

@@ -15,8 +15,6 @@ quantify the clutter reduction benchmark C7 reports.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .abstraction import AbstractionPyramid

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 

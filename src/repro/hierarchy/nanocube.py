@@ -18,7 +18,7 @@ memory, and the same query asymptotics as the original's summed tables.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np

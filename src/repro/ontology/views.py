@@ -21,8 +21,6 @@ from .extract import OntologySummary
 
 __all__ = ["ontology_graph", "ontology_tree", "vowl_spec"]
 
-_SYNTHETIC_ROOT = IRI("urn:repro:ontology-root")
-
 
 def ontology_graph(summary: OntologySummary) -> PropertyGraph:
     """Node-link view: classes as nodes, subclass edges, property links."""

@@ -17,7 +17,7 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from .namespace import NamespaceManager
-from .terms import IRI, BNode, Literal, Predicate, RDFObject, Subject, Term, Triple
+from .terms import IRI, BNode, Literal, Predicate, RDFObject, Subject, Triple
 from .vocab import RDF, RDFS, default_namespace_manager
 
 __all__ = ["Graph", "TriplePattern"]

@@ -298,9 +298,6 @@ class Triple(NamedTuple):
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
 
-_TERM_ORDER = {BNode: 0, IRI: 1, Literal: 2}
-
-
 def term_sort_key(term: Term) -> tuple:
     """Total order over heterogeneous terms (blank < IRI < literal).
 

@@ -53,8 +53,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_STRING_ESCAPE_RE = re.compile(r"\\(.)|\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
-
 
 class _Token:
     __slots__ = ("kind", "value", "pos")

@@ -498,13 +498,3 @@ def apply_function(name: str, args: list):
         return int(match.group(index))
     raise ExprError(f"unknown function {name}")
 
-
-def distinct_rows(rows: list[Binding]) -> list[Binding]:
-    seen: set[tuple] = set()
-    unique: list[Binding] = []
-    for row in rows:
-        key = tuple(sorted((str(k), group_key(v)) for k, v in row.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    return unique

@@ -16,8 +16,8 @@ scanned — or, for a BGP with an *input* (the right side of a join whose
 shared variables the left always binds), the input's batches take its
 place — and each further pattern extends every batch by an index probe.
 The star shape, one shared and one free variable against a source that
-offers ``probe_ids``, hands over the batch's key column as it is: one
-binary search per row. A pattern whose only variable is already bound —
+offers ``probe_ids``, hands over the batch's key column as it is: a
+gather through the predicate's adjacency. A pattern whose only variable is already bound —
 ``?s rdf:type ex:C`` after ``?s`` is known — is one ``distinct_ids`` run
 and a membership mask. Other shapes are probed once per distinct shared
 key (``np.unique``) and expanded by a ragged gather. Rows keep input order
@@ -657,7 +657,8 @@ class VectorizedBGP(PhysicalOperator):
                 continue
 
             # Star expansion: the third position is bound, so ``probe_ids``
-            # answers the key column as it is, one search per row.
+            # answers the key column as it is, a gather through the
+            # predicate's adjacency.
             if (
                 len(shared_here) == 1
                 and len(free) == 1

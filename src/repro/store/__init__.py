@@ -6,7 +6,8 @@ Pick the store that matches the scale:
 * :class:`~repro.rdf.graph.Graph` — small graphs, maximal convenience.
 * :class:`MemoryStore` — dictionary-encoded; three sorted int64 runs
   (SPO/POS/OSP, 96 B per triple) in an immutable generation, so every
-  scan, count and join probe is a binary search plus an array slice.
+  scan and count is a binary search plus an array slice, and a join probe
+  is a gather through the predicate's adjacency.
   ``add`` buffers into a delta that the next read folds in.
 * :class:`PagedTripleStore` — disk-resident with an LRU buffer pool;
   resident memory is O(pool), the survey's Section 4 recommendation.

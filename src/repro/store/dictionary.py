@@ -37,8 +37,6 @@ _KIND_LITERAL_PLAIN = 2
 _KIND_LITERAL_TYPED = 3
 _KIND_LITERAL_LANG = 4
 
-_HEADER = struct.Struct("<BI")  # kind, payload length
-
 
 def _pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")

@@ -19,7 +19,7 @@ assigns ids to the deduplicated triples as they stream out of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..rdf.graph import TriplePattern
@@ -122,9 +122,6 @@ class FederatedStore:
             if any(True for _ in source.triples((triple[0], triple[1], triple[2]))):
                 found.append(name)
         return found
-
-    def source_names(self) -> list[str]:
-        return [name for name, _ in self._sources]
 
     def members(self) -> list[tuple[str, TripleSource]]:
         """The named members, for capability probing — the sketch

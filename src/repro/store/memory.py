@@ -4,10 +4,11 @@ A step up from :class:`repro.rdf.graph.Graph`: terms are interned once in a
 :class:`~repro.store.dictionary.TermDictionary` and the store itself is
 three sorted int64 permutations of the id triples (SPO, POS, OSP), 96 bytes
 per triple. Every pattern's bound ids are the key prefix of one of them, so
-a scan, a count, a membership test and a join probe are all a binary search
-plus a slice of an array the vectorized engine consumes as is — what the
-survey's "limited resources (e.g., laptops)" requirement (Section 2) asks of
-an exploration substrate.
+a scan, a count and a membership test are all a binary search plus a slice
+of an array the vectorized engine consumes as is, and a join probe is a
+gather through the predicate's adjacency (its span as offsets by key id) —
+what the survey's "limited resources (e.g., laptops)" requirement
+(Section 2) asks of an exploration substrate.
 
 The sorted arrays live in an immutable *generation*. ``add`` only appends to
 a small delta; the first read after a write folds the delta into a new
@@ -36,9 +37,6 @@ __all__ = ["MemoryStore"]
 
 _IdTriple = tuple[int, int, int]
 _IdPattern = tuple[int | None, int | None, int | None]
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_IDS.flags.writeable = False
 
 #: Key order (positions 0=s, 1=p, 2=o) of the SPO, POS and OSP runs; run
 #: ``i`` leads with position ``i``. The bound positions of any pattern are
@@ -141,20 +139,37 @@ class _Run:
                 keep |= self.cols[position] != bound
         return _Run(self.order, np.compress(keep, self.cols, axis=1))
 
+    def adjacency(self, ids: _IdPattern, key: int) -> tuple[np.ndarray, np.ndarray]:
+        """The leading id's span as ``(offsets, values)``, int32 offsets by
+        id at position ``key``: key ``k``'s values, ascending, are
+        ``values[offsets[k]:offsets[k + 1]]``. Keyed on the third column,
+        the span is re-sorted on it (stably, so values stay ascending)."""
+        lo, hi = self.span(1, ids)
+        keys, values = self.cols[key, lo:hi], self.cols[3 - self.order[0] - key, lo:hi]
+        if self.order[1] != key:
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+        offsets = np.zeros(int(keys.max(initial=-1)) + 2, dtype=np.int32)
+        np.cumsum(np.bincount(keys), out=offsets[1:])
+        return offsets, values
+
 
 class _Generation:
     """One version of the store's contents, shared by every reader.
 
     ``runs[0]`` (SPO) always exists; POS and OSP are sorted the first time
-    an access path needs them, and the statistics snapshot the first time
-    someone asks for it. Both fill-ins are idempotent, so nothing a reader
-    sees ever changes.
+    an access path needs them, a predicate's adjacencies the first time a
+    probe needs them, and the statistics snapshot the first time someone
+    asks for it. Every fill-in is idempotent, so nothing a reader sees ever
+    changes.
     """
 
-    __slots__ = ("runs", "size", "stats")
+    __slots__ = ("runs", "adjacency", "size", "stats")
 
     def __init__(self, runs: list[_Run | None]) -> None:
-        self.runs = runs
+        self.runs = runs  # guarded-by: _lock (MemoryStore's, for fill-ins)
+        #: ``(predicate id, key position)`` -> :meth:`_Run.adjacency`.
+        self.adjacency: dict[tuple[int, int], tuple] = {}  # guarded-by: _lock
         self.size = len(runs[0].keys)
         self.stats: StatisticsSnapshot | None = None
 
@@ -357,15 +372,15 @@ class MemoryStore:
         keys: np.ndarray,
         value_position: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched point probes: one binary search per key (any order,
-        repeats allowed) substituted at ``key_position`` of the id pattern,
-        collecting the ids at ``value_position`` of its matches. Returns
-        ``(counts, values)``: ``counts[i]`` matches for ``keys[i]`` and
-        ``values`` their concatenation in key order, each key's ascending.
-        Served when the third position is bound (so key and bound id are a
-        two-column prefix); anything else raises :class:`LookupError`.
-        When no hit's next row matches too (a single-valued predicate) the
-        hits are the answer; else a second search ends every key's span.
+        """Batched point probes: each key (any order, repeats allowed)
+        substituted at ``key_position`` of the id pattern, collecting the
+        ids at ``value_position`` of its matches. Returns ``(counts,
+        values)``: ``counts[i]`` matches for ``keys[i]`` and ``values`` their
+        concatenation in key order, each key's ascending. Served when the
+        third position is bound; anything else raises :class:`LookupError`.
+        A gather through the bound id's adjacency: two reads of its offsets
+        per key (a key below 0 or past the end reads as no match), then one
+        gather of the values, ragged only when some key matched twice.
         """
         ids = (s, p, o)
         fixed = 3 - key_position - value_position
@@ -376,23 +391,29 @@ class MemoryStore:
             or ids[value_position] is not None
         ):
             raise LookupError("unsupported probe shape for sorted runs")
-        lead = (value_position + 1) % 3
-        run = self._run(self._current(), lead)
+        generation = self._current()
+        run, slot = self._run(generation, fixed), (ids[fixed], key_position)
+        # Only a predicate's adjacencies are kept (two at most); another
+        # bound id's is built for this call.
+        kept = generation.adjacency if fixed == 1 else {}
+        if slot not in kept:
+            with self._lock:  # concurrent first probes pay for one build
+                if slot not in kept:
+                    kept[slot] = run.adjacency(ids, key_position)
+        offsets, values = kept[slot]
         keys = np.asarray(keys, dtype=np.int64)
-        first, second = (ids[fixed], keys) if lead == fixed else (keys, ids[fixed])
-        wanted = (first << 32) | second
-        lo, last = run.keys.searchsorted(wanted), len(run.keys) - 1
-        if last < 0:
-            return np.zeros(len(keys), dtype=np.int64), _EMPTY_IDS
-        found = run.keys.take(lo, mode="clip") == wanted
-        again = (lo < last) & (run.keys.take(lo + 1, mode="clip") == wanted)
-        if not again.any():
-            return found.astype(np.int64), run.cols[value_position][lo[found]]
-        counts = run.keys.searchsorted(wanted, "right") - lo
-        # Ragged gather: row lo[i] + j for every j < counts[i], in key order.
+        starts = offsets.take(keys, mode="clip")
+        counts = offsets.take(keys + 1, mode="clip") - starts
+        found, total = np.count_nonzero(counts), int(counts.sum())
+        if total == found:  # no key matched twice: its start is its row
+            if found < len(keys):
+                starts = starts[counts > 0]
+            return counts.astype(np.int64), values.take(starts)
+        # Ragged gather: row starts[i] + j for every j < counts[i], in key order.
+        counts = counts.astype(np.int64)
         skipped = np.cumsum(counts) - counts
-        rows = np.repeat(lo - skipped, counts) + np.arange(int(counts.sum()))
-        return counts, run.cols[value_position][rows]
+        rows = np.repeat(starts - skipped, counts) + np.arange(total)
+        return counts, values.take(rows)
 
     # -- TripleSource protocol -----------------------------------------------
 

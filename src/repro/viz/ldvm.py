@@ -18,7 +18,7 @@ different datasets with various kinds of visualizations in a dynamic way").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..sparql.eval import QueryEngine
 from ..store.base import TripleSource

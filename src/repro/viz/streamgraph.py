@@ -12,7 +12,6 @@ from typing import Mapping, Sequence
 
 from .charts import PALETTE, ChartConfig
 from .scales import LinearScale
-from .svg import SVGCanvas
 
 __all__ = ["stack_series", "streamgraph"]
 

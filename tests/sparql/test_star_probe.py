@@ -1,6 +1,6 @@
-"""A star join over a store that offers ``probe_ids``: one search per row,
-no per-batch key grouping, the rows and their order unchanged; and
-COUNT(DISTINCT) without ``np.unique``."""
+"""A star join over a store that offers ``probe_ids``: a gather through the
+predicate's adjacency, no per-batch key grouping, the rows and their order
+unchanged; and COUNT(DISTINCT) without ``np.unique``."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ PREFIX = f"PREFIX ex: <{EX}> "
 SINGLE = PREFIX + "SELECT ?s ?v ?w WHERE { ?s a ex:C . ?s ex:p ?v . ?s ex:q ?w }"
 MULTI = PREFIX + "SELECT ?s ?t ?v WHERE { ?s a ex:C . ?s ex:linksTo ?t . ?s ex:p ?v }"
 LACKING = PREFIX + "SELECT ?s ?r ?v WHERE { ?s a ex:C . ?s ex:r ?r . ?s ex:p ?v }"
+OBJECT = PREFIX + "SELECT ?s ?r ?p WHERE { ?s ex:r ?r . ?s ?p ex:C }"
 
 
 def ex(name: str) -> IRI:
@@ -29,7 +30,7 @@ def store():
     """Every subject is a ``C`` (added first, so the encoding adaptor
     numbers the subjects in the native store's order) with one ``p`` and
     one ``q`` value; each links to the next subject, one of them to two;
-    every third has an ``r``."""
+    every third has an ``r``, every fifth also ``likes`` ``C``."""
     built = MemoryStore()
     for index in range(SUBJECTS):
         built.add(Triple(ex(f"s{index}"), RDF_TYPE, ex("C")))
@@ -40,6 +41,8 @@ def store():
         built.add(Triple(subject, ex("linksTo"), ex(f"s{(index + 1) % SUBJECTS}")))
         if index % 3 == 0:
             built.add(Triple(subject, ex("r"), Literal(index * 2)))
+        if index % 5 == 0:
+            built.add(Triple(subject, ex("likes"), ex("C")))
     built.add(Triple(ex("s40"), ex("linksTo"), ex("s45")))
     return built
 
@@ -93,6 +96,27 @@ def test_the_multi_valued_key_expands_in_place(store):
     assert s40 == [ex("s41"), ex("s45")]
     at = next(i for i, row in enumerate(rows) if row[Variable("s")] == ex("s40"))
     assert rows[at + 1][Variable("s")] == ex("s40")
+
+
+def test_a_star_bound_on_the_object(store, spied, monkeypatch):
+    """``?s ?p ex:C`` after ``?s`` is bound: the probe's fixed id is an
+    object, whose adjacency is built for the call and not kept."""
+    expected = per_key(store, OBJECT)
+    spied.update(dict.fromkeys(spied, 0))
+    shapes = []
+    real = store.probe_ids
+
+    def probe_ids(s, p, o, key_position, keys, value_position):
+        shapes.append((s is None, p is None, o is None, key_position, value_position))
+        return real(s, p, o, key_position, keys, value_position)
+
+    monkeypatch.setattr(store, "probe_ids", probe_ids)
+    kept = set(store._generation.adjacency)
+    assert listing(store, OBJECT) == expected
+    assert len(expected) == SUBJECTS // 3 + SUBJECTS // 15
+    assert shapes and set(shapes) == {(True, True, False, 0, 1)}
+    assert set(store._generation.adjacency) == kept
+    assert spied == {"_distinct_keys": 0, "_ragged_gather": 0}
 
 
 @pytest.mark.parametrize("query", [SINGLE, MULTI, LACKING])

@@ -1,6 +1,6 @@
 """Bulk answers read off sorted id runs, against plain Python models:
-``MemoryStore.probe_ids`` through both of its branches, and
-``unique_ids``."""
+``MemoryStore.probe_ids`` — a gather through the bound id's adjacency —
+through both of its branches (plain and ragged), and ``unique_ids``."""
 
 import itertools
 from unittest import mock
@@ -57,6 +57,7 @@ def test_probe_ids_agrees_with_a_set_model(kind, data):
     id_model = {tuple(lookup(term) for term in triple) for triple in model}
     anchor_ids = (0, 0, 0) if anchor is None else tuple(map(lookup, anchor))
     absent = len(store.dictionary) + 3
+    unbound = -1  # a batch's unbound cell: it must match nothing
     with mock.patch.object(np, "repeat", wraps=np.repeat) as ragged:
         for key_position, value_position in itertools.permutations(range(3), 2):
             fixed = 3 - key_position - value_position
@@ -64,10 +65,13 @@ def test_probe_ids_agrees_with_a_set_model(kind, data):
             pattern[fixed] = anchor_ids[fixed]
             present = sorted({row[key_position] for row in id_model})
             extra = data.draw(
-                st.lists(st.sampled_from(present + [absent, absent + 1]), max_size=8)
+                st.lists(
+                    st.sampled_from(present + [absent, absent + 1, unbound]),
+                    max_size=8,
+                )
             )
             keys = np.array(
-                data.draw(st.permutations(present + [absent] + extra)),
+                data.draw(st.permutations(present + [absent, unbound] + extra)),
                 dtype=np.int64,
             )
             counts, values = store.probe_ids(
@@ -83,8 +87,8 @@ def test_probe_ids_agrees_with_a_set_model(kind, data):
             assert counts.dtype == values.dtype == np.int64
             assert counts.tolist() == [len(matches) for matches in expected]
             assert values.tolist() == [v for matches in expected for v in matches]
-    # The second search and its ragged gather run exactly when a key
-    # matched twice: the multi-valued key, probed with ``p`` or it bound.
+    # The ragged gather runs exactly when a key matched twice: the
+    # multi-valued key, probed with ``p`` or it bound.
     assert ragged.called == (kind == "one multi-valued key")
 
 
