@@ -52,7 +52,7 @@ class Finding:
     line: int
     message: str
     snippet: str = ""
-    symbol: str = ""  # enclosing qualname, e.g. "FlightRecorder.dump"
+    symbol: str = ""  # enclosing qualname, e.g. "QueryLog.dump"
 
     @property
     def key(self) -> str:

@@ -1,8 +1,7 @@
 """Observability rules: disabled-mode fast paths and exception routing.
 
 * **RPA003** — instrumentation calls (``OBS.metrics``/``OBS.tracer``/
-  ``OBS.progress``/``OBS.flight``/``OBS.querylog``/``OBS.interaction``/
-  ``OBS.account``)
+  ``OBS.progress``/``OBS.querylog``/``OBS.interaction``/``OBS.account``)
   inside per-row hot functions (operator ``__next__``/``_run``/
   ``execute``/``__iter__`` and ``*_batches`` loops) must sit behind an
   enabled check, preserving PR 2's ~0.07% disabled-overhead budget.
@@ -29,8 +28,7 @@ HOT_FUNCTION_SUFFIX = "_batches"
 # OBS.<surface> calls that allocate/lock/record and therefore need the
 # guard; record_error is exempt by design (always-on, rare by contract).
 INSTRUMENTED_SURFACES = frozenset({
-    "metrics", "tracer", "progress", "flight", "querylog", "interaction",
-    "account",
+    "metrics", "tracer", "progress", "querylog", "interaction", "account",
 })
 
 SWALLOW_RE = re.compile(r"#\s*repro:\s*swallow\(")

@@ -69,7 +69,8 @@ REGISTRY: tuple[EnvVar, ...] = (
     ),
     EnvVar(
         "REPRO_FLIGHT_DIR", "path", "",
-        "Directory where flight-recorder dumps are written as "
+        "Directory where the query log's dumps (the newest records, "
+        "taken on a budget violation or an error) are written as "
         "`flight-<seq>.jsonl` (CI uploads these as artifacts).",
     ),
     EnvVar(

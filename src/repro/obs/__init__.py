@@ -1,11 +1,12 @@
-"""repro.obs — unified telemetry: spans, metrics, progress, budgets, flight.
+"""repro.obs — unified telemetry: spans, metrics, progress, budgets, log.
 
 One process-wide :class:`Observability` handle (``OBS``) owns the tracer,
 the metrics registry, the progress emitter, the latency policy
 (``OBS.budgets``: the class budgets and the one judge of a latency against
-them — budget report, tenant burn rate and shed window), the flight
-recorder, and the query log. Every bounded recent history among them is
-one :class:`~repro.obs.ring.Ring`. Hot call sites across the
+them — budget report, tenant burn rate and shed window), and the query
+log, the one recent history of finished operations and the dumps taken
+from it. Every bounded recent history among them is one
+:class:`~repro.obs.ring.Ring`. Hot call sites across the
 query/store/cache stack guard on a single attribute check::
 
     from repro.obs import OBS
@@ -26,11 +27,11 @@ convenience context manager::
 *Interactions* — the user-facing operations of the exploration layer — are
 accounted **always**, not only under tracing: each one is timed against its
 class's latency budget (``interactive`` 100 ms, ``navigation`` 300 ms,
-``progressive`` 1 s cadence), lands in the flight recorder's ring buffer,
-and emits a span tagged ``interaction_class`` when tracing is on. A budget
-violation or an ``obs.errors`` hit dumps the recent flight history
-(JSONL + offending span tree) so slow interactions are diagnosable after
-the fact::
+``progressive`` 1 s cadence), lands in the query log as one record, and
+emits a span tagged ``interaction_class`` when tracing is on. A budget
+violation or an ``obs.errors`` hit dumps the newest records (JSONL +
+offending span tree) so slow interactions are diagnosable after the
+fact::
 
     with OBS.interaction("facets.pivot", "navigation") as act:
         browser = browser.pivot(predicate)
@@ -39,7 +40,8 @@ the fact::
 :meth:`Observability.account` is that accounting, once per finished
 operation: an :class:`Interaction` calls it on exit, and the server calls
 it for each request it answered, with the request's one total latency —
-the same value its query-log record (:mod:`repro.obs.querylog`) carries.
+judged, then written as the one query-log record
+(:mod:`repro.obs.querylog`) that carries it.
 
 Error accounting is always on (exceptions are rare, visibility is cheap):
 :func:`record_error` bumps the ``obs.errors`` counter labelled with the
@@ -69,7 +71,6 @@ from .export import (
     spans_to_jsonl,
     telemetry_payload,
 )
-from .flight import FlightRecorder
 from .metrics import (
     TIME_MS_BUCKETS,
     BoundedLabelSet,
@@ -79,7 +80,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .progress import ProgressEmitter, ProgressEvent
-from .querylog import QueryLog
+from .querylog import QueryLog, Runs
 from .trace import (
     NOOP_SPAN,
     NoopSpan,
@@ -87,11 +88,10 @@ from .trace import (
     SpanRecorder,
     TraceContext,
     Tracer,
-    traced_iter,
 )
 
 # What callers across the tree import from the package; everything else is
-# imported from its module (``repro.obs.export``, ``repro.obs.flight``, …).
+# imported from its module (``repro.obs.export``, ``repro.obs.querylog``, …).
 __all__ = [
     "OBS",
     "Observability",
@@ -105,7 +105,6 @@ __all__ = [
     "SpanRecorder",
     "TraceContext",
     "Tracer",
-    "traced_iter",
     # metrics
     "Counter",
     "Gauge",
@@ -149,7 +148,7 @@ class Interaction:
     Always: times the body and accounts it (:meth:`Observability.account`).
     When tracing is enabled: additionally opens a span tagged
     ``interaction_class`` under the ambient stack, which a violation's
-    flight dump carries.
+    dump carries.
     """
 
     __slots__ = ("_obs", "name", "interaction_class", "attributes",
@@ -165,7 +164,7 @@ class Interaction:
         self._start_ns = 0
 
     def set_attribute(self, key: str, value: object) -> None:
-        """Attach ``key=value`` to both the flight entry and the span."""
+        """Attach ``key=value`` to both the record and the span."""
         self.attributes[key] = value
         self._span.set_attribute(key, value)
 
@@ -179,29 +178,27 @@ class Interaction:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._span.__exit__(exc_type, exc, tb)
-        duration_ms = (_clock() - self._start_ns) / 1e6
-        attributes = self.attributes
-        attributes["interaction_class"] = self.interaction_class
-        if exc_type is not None:
-            attributes["error"] = exc_type.__name__
-        self._obs.account(self.name, self.interaction_class, duration_ms,
-                          attributes, self._span)
+        obs = self._obs
+        obs.account(None, self.name, self.interaction_class,
+                    (_clock() - self._start_ns) / 1e6, obs.budgets,
+                    self._span, attributes=self.attributes or None,
+                    error=exc_type and exc_type.__name__)
 
 
 class Observability:
     """The process-wide telemetry handle: tracer + metrics + progress +
-    budgets + flight recorder.
+    budgets + query log.
 
     ``enabled`` is the one flag hot paths check; it mirrors
-    ``tracer.enabled`` so both spellings stay consistent. Budget and
-    flight accounting are *always on* — they cost a couple of clock reads
-    per interaction, and interactions are user-scale events, not row-scale
-    ones.
+    ``tracer.enabled`` so both spellings stay consistent. Budget
+    accounting and its query-log record are *always on* — they cost a
+    couple of clock reads and one ring append per interaction, and
+    interactions are user-scale events, not row-scale ones.
     """
 
     __slots__ = ("enabled", "tracer", "metrics", "progress", "budgets",
-                 "flight", "querylog", "_error_sites",
-                 "_error_exceptions", "_progress_last_ns")
+                 "querylog", "_error_sites", "_error_exceptions",
+                 "_progress_last_ns")
 
     def __init__(self, enabled: bool | None = None) -> None:
         if enabled is None:
@@ -210,11 +207,6 @@ class Observability:
         self.tracer = Tracer(enabled=enabled)
         self.metrics = MetricsRegistry()
         self.progress = ProgressEmitter(error_counter=self._count_error)
-        self.flight = FlightRecorder()
-        # The recorder's own failures (a full disk) count
-        # into obs.errors through the non-dumping path: see
-        # _count_error_quiet for why it must not re-enter the recorder.
-        self.flight.error_counter = self._count_error_quiet
         self.querylog = QueryLog()
         # Records emitted without an explicit trace id inherit the ambient
         # trace of this handle's tracer.
@@ -223,27 +215,19 @@ class Observability:
 
     # -- error accounting --------------------------------------------------
 
-    def _count_error_quiet(self, site: str, exc: BaseException) -> str:
-        """Bump ``obs.errors`` without touching the flight recorder.
-
-        The recorder's own failure paths route here (wired as
-        ``flight.error_counter``), so counting must not re-enter the
-        recorder. Returns the folded site label.
-        """
-        folded_site = self._error_sites.fold(site)
-        folded_exception = self._error_exceptions.fold(type(exc).__name__)
-        self.metrics.counter(
-            "obs.errors", site=folded_site, exception=folded_exception
-        ).inc()
-        return folded_site
-
     def _count_error(self, site: str, exc: BaseException) -> None:
-        folded_site = self._count_error_quiet(site, exc)
-        entry = self.flight.record(
-            "error", folded_site,
-            attributes={"exception": type(exc).__name__, "message": str(exc)},
-        )
-        self.flight.dump(f"error:{folded_site}", offending=entry, force=False)
+        """Bump ``obs.errors``, append an error record and dump."""
+        folded_site = self._error_sites.fold(site)
+        exception = type(exc).__name__
+        self.metrics.counter(
+            "obs.errors", site=folded_site,
+            exception=self._error_exceptions.fold(exception),
+        ).inc()
+        record = self.querylog.append(route=folded_site, latency_ms=0.0,
+                                      error=exception,
+                                      attributes={"message": str(exc)})
+        self.querylog.dump(f"error:{folded_site}", offending=record,
+                           force=False)
 
     # -- interactions ------------------------------------------------------
 
@@ -252,39 +236,37 @@ class Observability:
         """Open one budget-accounted interaction (see :class:`Interaction`)."""
         return Interaction(self, name, interaction_class, dict(attributes))
 
-    def account(self, name: str, interaction_class: str, duration_ms: float,
-                attributes: dict[str, object],
-                span: Span | NoopSpan | None = None,
-                tenant: str | None = None,
-                policy: LatencyPolicy | None = None,
-                shed: bool = False) -> bool:
-        """Account one finished operation, once: ``policy`` (the process's
-        budgets unless given) judges ``duration_ms`` — histogram, violation
-        count, and with a ``tenant`` its windows (``shed``: the shed window
-        too) — then a flight entry is written, and over budget the flight
-        history is dumped with ``span``. Returns whether it was over."""
-        policy = policy or self.budgets
-        violated = policy.judge(tenant, interaction_class, duration_ms, shed)
-        entry = self.flight.record(
-            "interaction", name, duration_ms=duration_ms,
-            attributes=attributes, violated=violated,
-            span=span if span is not NOOP_SPAN else None,
-        )
+    def account(self, runs: Runs | None, name: str, interaction_class: str,
+                duration_ms: float, policy: LatencyPolicy | None,
+                span: Span | NoopSpan = NOOP_SPAN, tenant: str | None = None,
+                shed_window: bool = False, **fields: object) -> bool:
+        """Account one finished operation, once: ``policy`` judges
+        ``duration_ms`` — histogram, violation count, and with a ``tenant``
+        its windows (``shed_window``: the shed window too); ``None`` records
+        without judging (an admission refusal). Then one query-log record
+        is appended — what ``runs`` added up plus ``fields`` of
+        :class:`~repro.obs.querylog.QueryRecord`, ``route=name`` — and over
+        budget the newest records are dumped with ``span``. Returns whether
+        it was over."""
+        violated = policy is not None and policy.judge(
+            tenant, interaction_class, duration_ms, shed_window)
+        record = self.querylog.append(
+            runs, route=name, interaction_class=interaction_class,
+            latency_ms=duration_ms, tenant=tenant, violated=violated,
+            **fields)
         if violated:
-            self.flight.dump(f"budget:{interaction_class}:{name}",
-                             offending=entry, force=False)
+            self.querylog.dump(f"budget:{interaction_class}:{name}",
+                               offending=record,
+                               span=None if span is NOOP_SPAN else span,
+                               force=False)
         return violated
 
-    # -- progress → flight + cadence budget --------------------------------
+    # -- progress → cadence budget -----------------------------------------
 
-    def _flight_progress(self, event: ProgressEvent) -> None:
-        """Always-on tap: ring-record every progress event and hold
-        progressive updates to the ``progressive`` cadence budget (the gap
-        between successive events of one operation, not their duration)."""
-        attributes: dict[str, object] = {"completed": event.completed}
-        if event.total is not None:
-            attributes["total"] = event.total
-        self.flight.record("progress", event.operation, attributes=attributes)
+    def _progress_cadence(self, event: ProgressEvent) -> None:
+        """Always-on tap: hold progressive updates to the ``progressive``
+        cadence budget (the gap between successive events of one
+        operation, not their duration)."""
         previous = self._progress_last_ns.get(event.operation)
         self._progress_last_ns[event.operation] = event.monotonic_ns
         if previous is not None:
@@ -303,21 +285,20 @@ class Observability:
         return self
 
     def reset(self) -> None:
-        """Clear recorded spans, metrics, progress, budget, and flight
+        """Clear recorded spans, metrics, progress, budget and query-log
         state (tests); what ``__init__`` does not build is built here."""
         self.tracer.reset()
         self.metrics.reset()
         self.progress.reset()
         # a fresh policy also restores any budget overrides to the defaults
         self.budgets = LatencyPolicy(metrics=self.metrics)
-        self.flight.reset()
         self.querylog.reset()
         self._error_sites = BoundedLabelSet(_ERROR_SITE_CAP)
         self._error_exceptions = BoundedLabelSet(_ERROR_EXCEPTION_CAP)
         self._progress_last_ns: dict[str, int] = {}
         # ProgressEmitter.reset dropped all subscribers and taps; re-wire
-        # the always-on flight feed.
-        self.progress.tap(self._flight_progress)
+        # the always-on cadence judge.
+        self.progress.tap(self._progress_cadence)
 
 
 OBS = Observability()
@@ -332,7 +313,7 @@ def track(name: str, interaction_class: str = INTERACTIVE,
           **attributes: object) -> Callable:
     """Decorator form of :meth:`Observability.interaction`.
 
-    The wrapped call is budget-accounted and flight-recorded on the global
+    The wrapped call is budget-accounted and recorded on the global
     handle; under tracing it runs inside a span tagged
     ``interaction_class``.
     """

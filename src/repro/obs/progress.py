@@ -9,7 +9,8 @@ records, and any number of subscribers (a UI, a logger, a test) observe
 them without the operator knowing who is listening.
 
 Emission is a no-op costing one attribute check when nobody subscribes.
-Subscriber exceptions never propagate into the operator; they are routed
+The package taps every published event to hold progressive updates to
+their cadence budget; no history of events is kept. Subscriber exceptions never propagate into the operator; they are routed
 to the telemetry error counter (``obs.errors`` with the exception type as
 a label) so failures are visible instead of silently swallowed.
 """
@@ -73,7 +74,7 @@ class ProgressEmitter:
         return self._register(subscriber, tap=False)
 
     def tap(self, subscriber: Subscriber) -> Callable[[], None]:
-        """Register an *internal* observer (e.g. the flight recorder).
+        """Register an *internal* observer (the cadence budget's judge).
 
         Taps receive every published event but do not count toward
         :attr:`has_subscribers`, so guarded emitters keep their no-listener
@@ -112,8 +113,7 @@ class ProgressEmitter:
         """Build and fan out one event; returns it (None if nobody listens).
 
         The no-listener path is the disabled fast path: one truthiness
-        check, no allocation. The recent events themselves are the flight
-        recorder's ``progress`` entries (its tap).
+        check, no allocation.
         """
         # the no-listener fast path is one lock-free truthiness
         # check by design

@@ -1,12 +1,12 @@
-"""Structured query log: one durable record per served request or query.
+"""Structured query log: one record per finished request, query or
+interaction — the process's one recent history.
 
 The survey's interactivity claims are claims about a *workload* — yet a
-single trace (:mod:`repro.obs.trace`) or the recent past dumped on a
-violation (:mod:`repro.obs.flight`) cannot answer "which plans are slow,
-which estimates are wrong, what do tenants actually run". This module is
-that substrate: a bounded in-memory ring of :class:`QueryRecord` —
-plan digest, execution strategy, tenant, interaction class, shed tier,
-cache outcome, trace id, latency, the
+single trace (:mod:`repro.obs.trace`) cannot answer "which plans are
+slow, which estimates are wrong, what do tenants actually run". This
+module is that substrate: a bounded in-memory ring of :class:`QueryRecord`
+— plan digest, execution strategy, tenant, interaction class, shed tier,
+cache outcome, trace id, latency, whether it blew its budget, the
 :class:`~repro.sparql.physical.EvalStats` resource counters and per-scan
 estimated-vs-actual cardinality observations — *mirrored* to JSONL when
 the :envvar:`REPRO_QUERYLOG_DIR` environment variable names a directory.
@@ -21,19 +21,26 @@ request is open on a thread (:meth:`QueryLog.collect`), :meth:`emit` adds
 each run's digest, form, strategy, counters, scans, completeness and cache
 outcome into its :class:`Runs` instead. Outside any request — the
 library, with :envvar:`REPRO_QUERYLOG` set — every run appends its own
-record.
+record. Interactions (``OBS.interaction``, ``@track``) and errors
+(``record_error``) always append one, whatever ``enabled`` says.
+
+**Dumps.** A budget violation or a recorded error snapshots the newest
+records with the offender and its span tree (:meth:`QueryLog.dump`, at
+most one a second), written as ``flight-<seq>.jsonl`` under
+:envvar:`REPRO_FLIGHT_DIR`.
 
 The ring answers live questions (``GET /debug/queries`` on the server,
-``?trace=`` for one request); the JSONL mirror is the durable feed
-:mod:`repro.obs.workload` analyzes offline and :mod:`repro.obs.why`
-reads one request's story from. Recording is O(1): one ring append and
-(mirror only) one buffered line append.
+``?trace=`` for one request; ``GET /debug/flight`` for the dumps); the
+JSONL mirror is the durable feed :mod:`repro.obs.workload` analyzes
+offline and :mod:`repro.obs.why` reads one request's story from.
+Recording is O(1): one ring append and (mirror only) one buffered line
+append.
 
-Enablement follows the tracer's precedent — off by default so library hot
-paths pay a single attribute check, switched on by the serving layer, the
-:envvar:`REPRO_QUERYLOG` environment variable, or setting
-``OBS.querylog.enabled`` directly. Setting ``REPRO_QUERYLOG_DIR`` implies
-enablement (a mirror directory without recording would be inert).
+Engine emission follows the tracer's precedent — off by default so
+library hot paths pay a single attribute check, switched on by the
+serving layer, the :envvar:`REPRO_QUERYLOG` environment variable, or
+setting ``OBS.querylog.enabled`` directly. Setting ``REPRO_QUERYLOG_DIR``
+implies enablement (a mirror directory without recording would be inert).
 """
 
 from __future__ import annotations
@@ -46,19 +53,28 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from ..env import read_flag, read_raw, read_str
+from .export import render_span_tree, span_to_dicts
 from .ring import Ring
+from .trace import Span
 
 __all__ = [
+    "FLIGHT_DIR_ENV",
     "QUERYLOG_DIR_ENV",
     "QUERYLOG_ENV",
+    "Dump",
     "QueryLog",
     "QueryRecord",
     "Runs",
     "ScanObservation",
 ]
 
+FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 QUERYLOG_DIR_ENV = "REPRO_QUERYLOG_DIR"
 QUERYLOG_ENV = "REPRO_QUERYLOG"
+
+DUMP_RECORDS = 256  # the newest records a dump holds
+KEPT_DUMPS = 8
+AUTO_DUMP_INTERVAL_NS = 1_000_000_000  # automatic dumps: one per second
 
 _COUNTER_FIELDS = ("store_lookups", "scan_batches", "scan_rows", "solutions")
 
@@ -111,11 +127,14 @@ class ScanObservation:
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One served request (or one library query), as the workload analyzer
-    and ``why`` see it. ``route``, ``status`` and ``stages`` are set on a
-    request's record; ``shed`` — the shedder's inputs: shed-window
-    ``p95_ms`` and size ``n``, the tenant's ``burn`` and the ``peak_burn``
-    — when the shedder was asked."""
+    """One served request (or one library query, interaction or error), as
+    the workload analyzer, ``why`` and a dump see it. ``route``, ``status``
+    and ``stages`` are set on a request's record (``route`` names an
+    interaction or an error's site too); ``shed`` — the shedder's inputs:
+    shed-window ``p95_ms`` and size ``n``, the tenant's ``burn`` and the
+    ``peak_burn`` — when the shedder was asked; ``violated`` when it blew
+    its budget; ``error``, the exception type, when it raised;
+    ``attributes``, an interaction's own."""
 
     sequence: int
     ts: float  # wall-clock (time.time) — the `since` filter key
@@ -139,6 +158,9 @@ class QueryRecord:
     status: int | None = None
     stages: tuple[tuple[str, float], ...] = ()
     shed: dict[str, float] | None = None
+    violated: bool = False
+    error: str | None = None
+    attributes: dict[str, object] | None = None
 
     def to_dict(self) -> dict[str, object]:
         record: dict[str, object] = {
@@ -159,9 +181,12 @@ class QueryRecord:
                            ("tier", self.tier), ("service", self.service),
                            ("trace_id", self.trace_id),
                            ("route", self.route), ("status", self.status),
-                           ("shed", self.shed)):
+                           ("shed", self.shed), ("error", self.error),
+                           ("attributes", self.attributes or None)):
             if value is not None:
                 record[key] = value
+        if self.violated:
+            record["violated"] = True
         if not self.complete:
             record["complete"] = False
         if self.scans:
@@ -200,7 +225,53 @@ class QueryRecord:
             stages=tuple((str(stage), float(ms))
                          for stage, ms in record.get("stages", ())),
             shed=record.get("shed"),
+            violated=bool(record.get("violated", False)),
+            error=record.get("error"),
+            attributes=record.get("attributes"),
         )
+
+
+@dataclass(frozen=True)
+class Dump:
+    """One triggered dump: the newest records, and the ``offending`` one
+    with its traced ``span`` when there was one."""
+
+    reason: str
+    sequence: int
+    records: tuple[QueryRecord, ...]
+    offending: QueryRecord | None = None
+    span: Span | None = None
+
+    def span_tree(self) -> Span | None:
+        """The offender's span tree: the traced one, else a single manual
+        span rebuilt from its latency and fields, so a dump shows *which*
+        operation blew its budget even in untraced runs."""
+        offending = self.offending
+        if offending is None or self.span is not None:
+            return self.span
+        attributes = dict(offending.attributes or {})
+        attributes.update((key, value) for key, value in (
+            ("interaction_class", offending.interaction_class),
+            ("tenant", offending.tenant), ("service", offending.service),
+            ("status", offending.status), ("tier", offending.tier),
+            ("error", offending.error)) if value is not None)
+        return Span.manual(offending.route or offending.form,
+                           int(offending.latency_ms * 1e6), **attributes)
+
+    def to_jsonl(self) -> str:
+        """A header line — the reason; the offender's record, span records
+        and rendered span tree — then one ``to_dict`` line per record."""
+        header: dict[str, object] = {"flight_dump": self.sequence,
+                                     "reason": self.reason,
+                                     "entries": len(self.records)}
+        if self.offending is not None:
+            tree = self.span_tree()
+            header["offending"] = self.offending.to_dict()
+            header["offending_span_tree"] = span_to_dicts(tree)
+            header["offending_span_text"] = render_span_tree(tree)
+        lines = [header, *(record.to_dict() for record in self.records)]
+        return "".join(json.dumps(line, default=str, sort_keys=True) + "\n"
+                       for line in lines)
 
 
 @dataclass(slots=True)
@@ -231,20 +302,23 @@ class _Open(threading.local):
 
 
 class QueryLog:
-    """Bounded ring of :class:`QueryRecord` with an optional JSONL mirror.
+    """Bounded ring of :class:`QueryRecord` with an optional JSONL mirror
+    and the dumps taken from it.
 
     The :class:`~repro.obs.ring.Ring` retains the most recent ``capacity``
     records by sequence number under concurrent writers; everything ever
     recorded additionally lands in the JSONL mirror when
     :envvar:`REPRO_QUERYLOG_DIR` is set — the ring bounds memory, the
     mirror is the durable workload feed. ``dropped`` counts records the
-    ring has pushed out (still present in the mirror).
+    ring has pushed out (still present in the mirror). The newest
+    ``KEPT_DUMPS`` dumps are a second ring.
     """
 
     def __init__(
         self, capacity: int = 512, enabled: bool | None = None
     ) -> None:
         self._ring: Ring[QueryRecord] = Ring(capacity)
+        self._dumps: Ring[Dump] = Ring(KEPT_DUMPS)
         self.capacity = capacity
         self.enabled = _env_enabled() if enabled is None else enabled
         # Wired by the Observability handle: a zero-arg callable returning
@@ -255,6 +329,7 @@ class QueryLog:
         self._mirror_errors = 0  # guarded-by: _lock
         self._mirror_path: str | None = None  # guarded-by: _lock
         self._mirror_handle = None  # guarded-by: _lock
+        self._last_auto_dump_ns: int | None = None  # guarded-by: _lock
         self._open = _Open()
 
     # -- recording ---------------------------------------------------------
@@ -316,21 +391,6 @@ class QueryLog:
                            complete=complete, trace_id=trace_id,
                            scans=observations, **values)
 
-    def emit_cache_hit(
-        self,
-        *,
-        digest: str | None,
-        form: str,
-        latency_ms: float,
-        solutions: int = 0,
-        trace_id: str | None = None,
-    ) -> QueryRecord | None:
-        """A cache-served query: ``cache_hit=true``, zeroed scan counters —
-        visible to the workload analyzer instead of vanishing."""
-        return self.emit(digest=digest, form=form, strategy="cached",
-                         latency_ms=latency_ms, trace_id=trace_id,
-                         cache_hit=True, solutions=solutions)
-
     def append(self, runs: Runs | None = None, **fields) -> QueryRecord:
         """Write one record: what ``runs`` added up (none: no engine ran)
         plus ``fields`` of :class:`QueryRecord` (all but the sequence and
@@ -341,6 +401,37 @@ class QueryLog:
         with self._lock:
             self._mirror_locked(record)
         return record
+
+    def dump(self, reason: str, offending: QueryRecord | None = None,
+             span: Span | None = None, force: bool = True) -> Dump | None:
+        """Snapshot the newest ``DUMP_RECORDS`` records into a
+        :class:`Dump`, written to :envvar:`REPRO_FLIGHT_DIR` when set (a
+        failed write counts into ``mirror_errors``). With ``force=False``
+        (the automatic triggers) dumps are throttled to one per second;
+        returns ``None`` when throttled."""
+        if not force:
+            now = time.monotonic_ns()
+            with self._lock:
+                last = self._last_auto_dump_ns
+                if last is not None and now - last < AUTO_DUMP_INTERVAL_NS:
+                    return None
+                self._last_auto_dump_ns = now
+        records = tuple(self._ring.items()[-DUMP_RECORDS:])
+        dump = self._dumps.add(lambda sequence: Dump(
+            reason, sequence + 1, records, offending, span))
+        directory = read_str(FLIGHT_DIR_ENV)
+        if directory:
+            try:
+                os.makedirs(directory, exist_ok=True)
+                path = os.path.join(directory,
+                                    f"flight-{dump.sequence:04d}.jsonl")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dump.to_jsonl())
+            except OSError:
+                # A full disk loses the file, not the operation.
+                with self._lock:
+                    self._mirror_errors += 1
+        return dump
 
     # -- reading -----------------------------------------------------------
 
@@ -375,8 +466,18 @@ class QueryLog:
         """Records the ring pushed out (the JSONL mirror still has them)."""
         return self._ring.dropped
 
+    def dumps(self) -> list[Dump]:
+        """The kept dumps, oldest first."""
+        return self._dumps.items()
+
+    @property
+    def dump_count(self) -> int:
+        """Dumps ever taken (the newest ``KEPT_DUMPS`` are kept)."""
+        return self._dumps.total
+
     @property
     def mirror_errors(self) -> int:
+        """Failed mirror and dump writes."""
         with self._lock:
             return self._mirror_errors
 
@@ -407,15 +508,17 @@ class QueryLog:
                 self._mirror_handle = open(path, "a", encoding="utf-8")
                 self._mirror_path = path
             self._mirror_handle.write(
-                json.dumps(record.to_dict(), sort_keys=True) + "\n"
+                json.dumps(record.to_dict(), default=str, sort_keys=True)
+                + "\n"
             )
             self._mirror_handle.flush()
         except OSError:
             self._mirror_errors += 1
 
     def reset(self) -> None:
-        """Clear the ring and re-read env enablement (tests)."""
+        """Clear the records and dumps and re-read env enablement (tests)."""
         self._ring.clear()
+        self._dumps.clear()
         with self._lock:
             if self._mirror_handle is not None:
                 try:
@@ -426,5 +529,6 @@ class QueryLog:
                     pass
             self._mirror_handle = self._mirror_path = None
             self._mirror_errors = 0
+            self._last_auto_dump_ns = None
         self.enabled = _env_enabled()
         self._open = _Open()

@@ -1,7 +1,7 @@
 """The one bounded history: the newest ``capacity`` items, numbered.
 
-The flight recorder's entries and dumps, the query log and the span
-recorder are each a :class:`Ring`. An append is O(1) under one lock and
+The query log's records and its kept dumps and the span recorder's
+roots are each a :class:`Ring`. An append is O(1) under one lock and
 numbers the item with its sequence, so under concurrent writers the kept
 items are exactly the newest ``capacity``, with no tearing; ``total``
 counts appends and ``dropped`` the items pushed out by newer ones.
@@ -47,13 +47,6 @@ class Ring(Generic[T]):
         """The kept items, oldest first."""
         with self._lock:
             return list(self._items)
-
-    def drain(self) -> list[T]:
-        """Return and remove the kept items; the counts stand."""
-        with self._lock:
-            items = list(self._items)
-            self._items.clear()
-        return items
 
     def clear(self) -> None:
         """Forget everything, counts included: sequences restart at 0."""

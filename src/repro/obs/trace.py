@@ -13,8 +13,7 @@ Design points:
   wall-clock timestamps are never compared.
 * **Suspension-aware durations** — :meth:`Span.pause` / :meth:`Span.resume`
   accumulate *active* nanoseconds, so a generator that yields mid-span is
-  charged only for the time it actually ran. :func:`traced_iter` wraps any
-  iterator with that bookkeeping.
+  charged only for the time it actually ran.
 * **Thread safety** — the ambient span stack is thread-local; the recorder
   of finished root spans takes a lock only when a root span closes.
 * **No sampling** — an enabled tracer records every root span; the
@@ -37,7 +36,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .ring import Ring
 
@@ -48,7 +47,6 @@ __all__ = [
     "SpanRecorder",
     "TraceContext",
     "Tracer",
-    "traced_iter",
 ]
 
 _clock = time.perf_counter_ns
@@ -369,49 +367,3 @@ class _TracerSpan(Span):
                 stack.pop()
         if not stack:
             tracer.recorder.record(self)
-
-    def pause(self) -> None:
-        """Pause and step out of the ambient stack (generator yielding)."""
-        super().pause()
-        stack = self._tracer._local.stack
-        if stack and stack[-1] is self:
-            stack.pop()
-
-    def resume(self) -> None:
-        """Resume and re-enter the ambient stack (generator resumed)."""
-        super().resume()
-        stack = self._tracer._local.stack
-        if not stack or stack[-1] is not self:
-            stack.append(self)
-
-
-def traced_iter(
-    tracer: Tracer, name: str, iterable: Iterable, **attributes: object
-) -> Iterator:
-    """Iterate ``iterable`` inside a suspension-aware span.
-
-    The span is active only while the underlying iterator is computing the
-    next item; time spent by the consumer between items is not charged.
-    The item count lands in the span's ``items`` attribute.
-    """
-    if not tracer.enabled:
-        yield from iterable
-        return
-    span = tracer.span(name, **attributes)
-    count = 0
-    iterator = iter(iterable)
-    try:
-        while True:
-            span.resume()
-            try:
-                item = next(iterator)
-            except StopIteration:
-                break
-            finally:
-                span.pause()
-            count += 1
-            yield item
-    finally:
-        span.set_attribute("items", count)
-        span.resume()
-        span.end()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -95,11 +96,13 @@ def load_records(paths: Iterable[str]) -> list[QueryRecord]:
 
 
 def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
+    """Nearest-rank percentile over an already-sorted sample: the
+    ``ceil(fraction * n)``-th smallest (float noise in the product shaved,
+    so 0.95 x 20 is rank 19, not 20)."""
     if not ordered:
         return 0.0
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
+    rank = math.ceil(fraction * len(ordered) - 1e-9)
+    return ordered[min(len(ordered), max(rank, 1)) - 1]
 
 
 def drift_observations(

@@ -416,26 +416,16 @@ class ReproServer:
             self._stage_ms[stage].record(ms)
         if route is None:  # answered in the read stage
             return
-        total_ms = sum(ms for _, ms in ctx.stamps[1:])
         span = ctx.span
-        if worked:
-            attributes = {"tenant": ctx.tenant, "service": self.service,
-                          "interaction_class": route.interaction_class,
-                          "status": ctx.status}
-            if ctx.tier is not None:
-                attributes["tier"] = ctx.tier
-            OBS.account(route.name, route.interaction_class, total_ms,
-                        attributes, span, tenant=ctx.tenant,
-                        policy=self.policy, shed=route.name == "server.sparql")
-        log = OBS.querylog
-        if log.enabled:
-            log.append(
-                ctx.runs, latency_ms=total_ms, tenant=ctx.tenant,
-                interaction_class=route.interaction_class, tier=ctx.tier,
-                service=self.service, route=route.name, status=ctx.status,
-                trace_id=(ctx.trace or span).trace_id,
-                stages=tuple(ctx.stamps), shed=ctx.shed,
-            )
+        OBS.account(
+            ctx.runs, route.name, route.interaction_class,
+            sum(ms for _, ms in ctx.stamps[1:]),
+            self.policy if worked else None, span, tenant=ctx.tenant,
+            shed_window=route.name == "server.sparql", tier=ctx.tier,
+            service=self.service, status=ctx.status,
+            trace_id=(ctx.trace or span).trace_id, stages=tuple(ctx.stamps),
+            shed=ctx.shed,
+        )
 
     def _handle_sparql(self, ctx: RequestContext):
         request = ctx.request

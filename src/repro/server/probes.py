@@ -11,8 +11,8 @@ content type, body)``:
 * ``/metrics`` — every process metric, Prometheus text by default, the
   JSON registry snapshot for ``Accept: application/json``; serving state
   is refreshed into gauges on each scrape;
-* ``/debug/flight`` — the flight recorder's index, or one dump's JSONL
-  (``?seq=N`` / ``?seq=latest``);
+* ``/debug/flight`` — the index of the query log's kept dumps, or one
+  dump's JSONL (``?seq=N`` / ``?seq=latest``);
 * ``/debug/trace`` — this server's finished root spans as JSONL, ready for
   :func:`repro.obs.export.stitch_jsonl`;
 * ``/debug/queries`` — the query log as JSONL, one record per request,
@@ -104,17 +104,18 @@ def metrics(server, ctx):
 
 
 def flight(server, ctx):
-    dumps = OBS.flight.dumps()
+    log = OBS.querylog
+    dumps = log.dumps()
     seq = ctx.request.query.get("seq")
     if seq is None:
         return json_reply({
-            "recorded_total": OBS.flight.recorded_total,
-            "dump_count": OBS.flight.dump_count,
+            "recorded_total": log.recorded_total,
+            "dump_count": log.dump_count,
             "dumps": [
                 {
                     "sequence": dump.sequence,
                     "reason": dump.reason,
-                    "entries": len(dump.entries),
+                    "entries": len(dump.records),
                 }
                 for dump in dumps
             ],
@@ -160,7 +161,7 @@ def queries(server, ctx):
     if limit > 0:
         records = records[-limit:]
     body = "".join(
-        json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        json.dumps(record.to_dict(), default=str, sort_keys=True) + "\n"
         for record in records
     )
     return 200, NDJSON, body.encode("utf-8")

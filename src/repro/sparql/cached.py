@@ -147,8 +147,9 @@ class CachedQueryEngine:
         if answer is not None:
             if text is not None:
                 self.texts.put(text, key, len(text))
-            OBS.querylog.emit_cache_hit(
-                digest=key, form=answer.form, solutions=answer.solutions,
+            OBS.querylog.emit(
+                digest=key, form=answer.form, strategy="cached",
+                cache_hit=True, solutions=answer.solutions,
                 latency_ms=(time.perf_counter_ns() - started) / 1e6,
             )
         return answer

@@ -1,8 +1,8 @@
-"""Session replay -> budget report -> flight-recorder dump, end to end.
+"""Session replay -> budget report -> query-log dump, end to end.
 
 The acceptance scenario for the interactive latency budgets: replaying a
 generated pan/zoom workload yields a per-class compliance report, and a
-deliberately slowed step produces a flight dump carrying the offending
+deliberately slowed step produces a dump carrying the offending
 span tree — without tracing having been enabled beforehand.
 """
 
@@ -86,20 +86,20 @@ class TestSlowInteractionDumps:
 
         session.replay(handler)
 
-        assert OBS.flight.dump_count == 1
-        dump = OBS.flight.dumps()[0]
+        assert OBS.querylog.dump_count == 1
+        dump = OBS.querylog.dumps()[0]
         assert dump.reason.startswith("budget:interactive:session.replay.")
         # the offending entry identifies the exact step...
         assert dump.offending is not None
         assert dump.offending.violated
         assert dump.offending.attributes["sequence"] == slow_step
         # ...and yields a span tree even though tracing was off
-        tree = dump.offending.span_tree()
+        tree = dump.span_tree()
         assert tree.name.startswith("session.replay.")
         assert tree.duration_ms > 5.0
         assert tree.attributes["interaction_class"] == INTERACTIVE
         # the preceding fast steps are in the dumped window
-        names = [entry.name for entry in dump.entries]
+        names = [record.route for record in dump.records]
         assert len(names) == len(session)
 
         # the dump also landed on disk for CI artifact upload
@@ -124,7 +124,7 @@ class TestSlowInteractionDumps:
                 time.sleep(0.02)
 
         session.replay(handler)
-        dump = OBS.flight.dumps()[0]
-        tree = dump.offending.span_tree()
+        dump = OBS.querylog.dumps()[0]
+        tree = dump.span_tree()
         # real traced tree: the operator span is a child of the interaction
         assert [child.name for child in tree.children] == ["hetree.drill"]

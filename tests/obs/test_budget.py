@@ -102,11 +102,11 @@ class TestInteraction:
             pass
         report = OBS.budgets.report()
         assert report.for_class(INTERACTIVE).count == 1
-        entries = OBS.flight.entries()
-        assert entries[-1].name == "test.op"
-        assert entries[-1].attributes["foo"] == 1
-        assert entries[-1].attributes["interaction_class"] == INTERACTIVE
-        assert entries[-1].span is None  # no tracing, no span captured
+        record = OBS.querylog.records()[-1]
+        assert record.route == "test.op"
+        assert record.attributes["foo"] == 1
+        assert record.interaction_class == INTERACTIVE
+        assert record.trace_id is None  # no tracing, no trace joined
 
     def test_emits_tagged_span_when_tracing(self):
         OBS.configure(enabled=True)
@@ -117,26 +117,24 @@ class TestInteraction:
         assert spans[0].name == "test.op"
         assert spans[0].attributes["interaction_class"] == NAVIGATION
         assert spans[0].attributes["extra"] == 7
-        entry = OBS.flight.entries()[-1]
-        assert entry.span is spans[0]
+        assert OBS.querylog.records()[-1].attributes["extra"] == 7
 
     def test_violation_dumps_flight_history(self):
         OBS.budgets.set_budget(INTERACTIVE, 0.0001)
         with OBS.interaction("test.slow", INTERACTIVE):
             sum(range(10_000))
-        assert OBS.flight.dump_count == 1
-        dump = OBS.flight.dumps()[0]
+        assert OBS.querylog.dump_count == 1
+        dump = OBS.querylog.dumps()[0]
         assert dump.reason == "budget:interactive:test.slow"
         assert dump.offending is not None
-        assert dump.offending.name == "test.slow"
+        assert dump.offending.route == "test.slow"
         assert dump.offending.violated
 
     def test_exception_is_recorded_and_propagates(self):
         with pytest.raises(RuntimeError):
             with OBS.interaction("test.boom", INTERACTIVE):
                 raise RuntimeError("boom")
-        entry = OBS.flight.entries()[-1]
-        assert entry.attributes["error"] == "RuntimeError"
+        assert OBS.querylog.records()[-1].error == "RuntimeError"
 
     def test_track_decorator(self):
         @track("test.tracked", NAVIGATION)
@@ -146,4 +144,4 @@ class TestInteraction:
         assert work(21) == 42
         report = OBS.budgets.report()
         assert report.for_class(NAVIGATION).count == 1
-        assert OBS.flight.entries()[-1].name == "test.tracked"
+        assert OBS.querylog.records()[-1].route == "test.tracked"

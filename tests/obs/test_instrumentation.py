@@ -2,8 +2,8 @@
 
 The acceptance bar for the always-on interaction layer: with tracing
 enabled, each instrumented operation produces exactly the expected span
-tagged ``interaction_class``; with tracing disabled, budget and flight
-accounting still happen.
+tagged ``interaction_class``; with tracing disabled, budget accounting
+and its query-log records still happen.
 """
 
 import pytest
@@ -205,6 +205,6 @@ class TestDisabledModeStillAccounts:
         report = OBS.budgets.report()
         assert report.for_class(INTERACTIVE).count >= 1
         assert report.for_class(NAVIGATION).count >= 1
-        names = [entry.name for entry in OBS.flight.entries()]
+        names = [record.route for record in OBS.querylog.records()]
         assert "facets.select" in names
         assert "facets.pivot" in names

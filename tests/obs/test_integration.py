@@ -181,7 +181,7 @@ class TestProgressStreams:
     def test_incremental_expand_silent_without_subscribers(self):
         tree = IncrementalHETree([float(i) for i in range(64)], leaf_size=4)
         tree.drill_path(10.0)
-        assert [e for e in OBS.flight.entries() if e.kind == "progress"] == []
+        assert OBS.budgets.report().for_class("progressive").count == 0
 
     def test_progressive_aggregation_emits_estimates(self):
         events = []

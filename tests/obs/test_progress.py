@@ -1,4 +1,4 @@
-"""Progress events: fan-out, the flight tap, and subscriber failure isolation."""
+"""Progress events: fan-out, taps, the cadence judge, failure isolation."""
 
 from repro.obs import OBS, ProgressEmitter, ProgressEvent
 
@@ -140,13 +140,6 @@ class TestTaps:
         untap()  # idempotent
         emitter.emit("op", completed=2)
         assert tapped == [1]
-
-    def test_global_flight_tap_records_published_progress(self):
-        OBS.progress.subscribe(lambda e: None)
-        OBS.progress.emit("load", completed=3, total=10)
-        entries = [e for e in OBS.flight.entries() if e.kind == "progress"]
-        assert entries and entries[-1].name == "load"
-        assert entries[-1].attributes == {"completed": 3, "total": 10}
 
     def test_progressive_cadence_budget_measures_gaps(self):
         OBS.progress.subscribe(lambda e: None)

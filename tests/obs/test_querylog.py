@@ -1,12 +1,14 @@
 """The structured query log: ring semantics, request records, JSONL mirror."""
 
 import json
+import sys
 import threading
 
 import pytest
 
-from repro.obs import OBS
+from repro.obs import INTERACTIVE, OBS
 from repro.obs.querylog import (
+    DUMP_RECORDS,
     QUERYLOG_DIR_ENV,
     QUERYLOG_ENV,
     QueryLog,
@@ -14,6 +16,11 @@ from repro.obs.querylog import (
     Runs,
     ScanObservation,
 )
+from repro.rdf.terms import IRI, Literal, Triple
+from repro.sparql.cached import CachedQueryEngine
+from repro.store import MemoryStore
+
+EX = "http://example.org/"
 
 
 def emit_simple(log: QueryLog, digest: str = "d0", **kwargs):
@@ -184,10 +191,17 @@ class TestRecordContent:
         # an explicit id wins over the provider
         assert emit_simple(log, trace_id="ff" * 8).trace_id == "ff" * 8
 
-    def test_cache_hit_helper(self):
-        log = QueryLog(enabled=True)
-        record = log.emit_cache_hit(digest="d", form="SELECT",
-                                    latency_ms=0.2, solutions=9)
+    def test_cached_engine_hit_record(self):
+        OBS.querylog.enabled = True
+        store = MemoryStore()
+        for index in range(9):
+            store.add(Triple(IRI(f"{EX}s{index}"), IRI(f"{EX}p"),
+                             Literal(index)))
+        engine = CachedQueryEngine(store)
+        query = f"SELECT ?s WHERE {{ ?s <{EX}p> ?o }}"
+        engine.query(query)
+        engine.query(query)
+        record = OBS.querylog.records()[-1]
         assert record.cache_hit
         assert record.strategy == "cached"
         assert record.solutions == 9
@@ -244,14 +258,48 @@ class TestConcurrency:
         # the mirror has every record, each line valid JSON, no interleaving
         mirror = log.mirror_path
         assert mirror is not None
-        lines = [
-            json.loads(line)
-            for line in open(mirror, encoding="utf-8")
-            if line.strip()
-        ]
+        assert log.mirror_errors == 0
+        log.reset()  # closes the mirror
+        with open(mirror, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle if line.strip()]
         assert len(lines) == total
         assert sorted(line["seq"] for line in lines) == list(range(total))
-        assert log.mirror_errors == 0
+
+    def test_dumps_under_concurrent_accounting(self):
+        """Eight threads account over budget while dumps fire: every dump
+        is a clean snapshot, at most DUMP_RECORDS records in strictly
+        increasing sequence, and no record is lost from the count."""
+        OBS.budgets.set_budget(INTERACTIVE, 0.5)  # every 1 ms is over
+        writers, per_writer = 8, 200
+        dumps = []
+
+        def account(worker: int) -> None:
+            for index in range(per_writer):
+                OBS.account(None, f"w{worker}", INTERACTIVE, 1.0,
+                            OBS.budgets, attributes={"index": index})
+                if index % 20 == 0:
+                    dumps.append(OBS.querylog.dump(f"w{worker}-{index}"))
+
+        threads = [threading.Thread(target=account, args=(worker,))
+                   for worker in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert OBS.querylog.recorded_total == writers * per_writer
+        assert len(dumps) == writers * per_writer // 20
+        for dump in dumps + OBS.querylog.dumps():
+            sequences = [record.sequence for record in dump.records]
+            assert 0 < len(sequences) <= DUMP_RECORDS
+            assert all(a < b for a, b in zip(sequences, sequences[1:]))
+        assert len({dump.sequence for dump in dumps}) == len(dumps)
 
     def test_mirror_error_is_counted_not_raised(self, monkeypatch, tmp_path):
         blocker = tmp_path / "not-a-dir"

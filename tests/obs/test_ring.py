@@ -35,16 +35,6 @@ def test_matches_a_list_model(capacity, operations):
     assert (ring.total, ring.dropped) == (total, dropped)
 
 
-def test_drain_empties_but_keeps_the_counts():
-    ring = Ring(2)
-    for item in "abc":
-        ring.append(item)
-    assert ring.drain() == ["b", "c"]
-    assert (len(ring), ring.total, ring.dropped) == (0, 3, 1)
-    ring.append("d")
-    assert ring.items() == ["d"]
-
-
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         Ring(0)

@@ -12,7 +12,6 @@ from repro.obs import (
     SpanRecorder,
     Tracer,
     trace_query,
-    traced_iter,
 )
 
 
@@ -77,50 +76,6 @@ class TestTracerNesting:
         assert [c.name for c in roots[0].children] == ["inner"]
 
 
-class TestGeneratorSuspension:
-    def test_traced_iter_charges_producer_not_consumer(self):
-        tracer = Tracer(enabled=True)
-
-        def produce():
-            for i in range(3):
-                time.sleep(0.002)
-                yield i
-
-        items = []
-        for item in traced_iter(tracer, "producer", produce()):
-            time.sleep(0.01)  # consumer time must not be charged
-            items.append(item)
-        assert items == [0, 1, 2]
-        (span,) = tracer.recorder.spans()
-        assert span.attributes["items"] == 3
-        assert span.duration_ns >= 3 * 2_000_000
-        # consumer slept ~30ms; active time must exclude it
-        assert span.duration_ns < 15_000_000
-
-    def test_spans_opened_between_items_do_not_nest_under_iterator(self):
-        # The iterator span steps out of the ambient stack while suspended,
-        # so work done between items nests under the *outer* span.
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer") as outer:
-            for _ in traced_iter(tracer, "producer", range(2)):
-                with tracer.span("consume"):
-                    pass
-        names = [c.name for c in outer.children]
-        assert names == ["producer", "consume", "consume"]
-        producer = outer.children[0]
-        assert producer.children == []
-
-    def test_traced_iter_abandoned_generator_closes_span(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer") as outer:
-            iterator = traced_iter(tracer, "producer", range(100))
-            next(iterator)
-            iterator.close()  # LIMIT-style early termination
-        producer = outer.children[0]
-        assert producer.finished
-        assert producer.attributes["items"] == 1
-
-
 class TestRecorder:
     def test_bounded_with_drop_count(self):
         recorder = SpanRecorder(max_spans=2)
@@ -132,14 +87,6 @@ class TestRecorder:
         assert recorder.dropped == 3
         # the newest are kept: a long-running process keeps showing new roots
         assert [span.name for span in recorder.spans()] == ["s3", "s4"]
-
-    def test_drain_empties(self):
-        recorder = SpanRecorder()
-        span = Span("a")
-        span.end()
-        recorder.record(span)
-        assert recorder.drain() == [span]
-        assert len(recorder) == 0
 
     def test_thread_safety_of_concurrent_roots(self):
         tracer = Tracer(enabled=True, max_spans=100_000)
@@ -179,11 +126,6 @@ class TestDisabledFastPath:
         assert NOOP_SPAN.attributes == {}
         assert list(NOOP_SPAN.walk()) == []
         assert NOOP_SPAN.duration_ns == 0
-
-    def test_traced_iter_passthrough_when_disabled(self):
-        tracer = Tracer(enabled=False)
-        assert list(traced_iter(tracer, "x", range(3))) == [0, 1, 2]
-        assert tracer.recorder.spans() == []
 
     def test_global_handle_disabled_by_default(self):
         assert OBS.tracer.span("anything") is NOOP_SPAN

@@ -46,6 +46,17 @@ class TestLoadRecords:
 
 
 class TestAggregations:
+    @pytest.mark.parametrize("latencies, p50, p95", [
+        ([1, 2], 1, 2),
+        (range(1, 21), 10, 19),
+        (range(1, 101), 50, 95),
+    ])
+    def test_percentiles_are_nearest_rank(self, latencies, p50, p95):
+        (row,) = analyze([record(seq, latency=float(latency))
+                          for seq, latency in enumerate(latencies)
+                          ]).slow_digests()
+        assert (row["p50_ms"], row["p95_ms"]) == (p50, p95)
+
     def test_by_tenant_attribution(self):
         report = analyze([
             record(0, tenant="a", latency=10, lookups=5, solutions=2),

@@ -401,7 +401,7 @@ class TestObservabilitySurface:
 
         index = json.loads(fetch(f"{server.base_url}/debug/flight").read())
         assert set(index) >= {"dumps", "dump_count", "recorded_total"}
-        OBS.flight.dump("test-probe")
+        OBS.querylog.dump("test-probe")
         index = json.loads(fetch(f"{server.base_url}/debug/flight").read())
         assert index["dumps"]
         sequence = index["dumps"][-1]["sequence"]

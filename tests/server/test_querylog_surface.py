@@ -2,12 +2,15 @@
 /stats and /metrics, and query-log records for every serving path."""
 
 import json
+import time
+import urllib.error
 import urllib.parse
 import urllib.request
 
 import pytest
 
-from repro.obs import OBS
+from repro.obs import INTERACTIVE, OBS
+from repro.obs.querylog import QueryRecord
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.server.app import ReproServer, ServerConfig
 from repro.store.memory import MemoryStore
@@ -189,3 +192,47 @@ class TestStatsAndMetrics:
         assert mirror is not None
         lines = open(mirror, encoding="utf-8").read().splitlines()
         assert lines and json.loads(lines[-1])["form"] == "SELECT"
+
+
+class TestOneHistory:
+    def test_one_request_is_one_record(self, server):
+        """A request is written once, into the query log, whether or not
+        the engine's own emission is on."""
+        OBS.querylog.enabled = False
+        before = OBS.querylog.recorded_total
+        fetch(sparql_url(server.base_url, SELECT)).read()
+        assert wait_for(lambda: OBS.querylog.recorded_total > before)
+        fetch(f"{server.base_url}/health").read()  # a probe writes none
+        time.sleep(0.1)
+        assert OBS.querylog.recorded_total == before + 1
+
+    def test_over_budget_request_is_the_dumps_offender(self, server):
+        server.policy.set_budget(INTERACTIVE, 1e-6)
+        trace_id = "cd" * 8
+        fetch(sparql_url(server.base_url, SELECT),
+              headers={"X-Repro-Trace": trace_id,
+                       "X-Repro-Span": "ab" * 4}).read()
+
+        def latest():
+            try:
+                body = fetch(f"{server.base_url}/debug/flight?seq=latest")
+            except urllib.error.HTTPError:
+                return None  # not written yet: after the last byte
+            return body.read().decode("utf-8").splitlines()
+
+        lines = wait_for(latest)
+        header = json.loads(lines[0])
+        assert header["reason"] == "budget:interactive:server.sparql"
+        offending = header["offending"]
+        assert (offending["route"], offending["status"]) == (
+            "server.sparql", 200)
+        assert offending["trace_id"] == trace_id
+        assert offending["violated"] is True
+        stages = [stage for stage, _ in offending["stages"]]
+        assert stages[:3] == ["read", "queue", "parse"]
+        assert stages[-1] in ("write", "stream")
+        assert "server.sparql" in header["offending_span_text"]
+        records = [QueryRecord.from_dict(json.loads(line))
+                   for line in lines[1:]]
+        assert len(records) == header["entries"]
+        assert records[-1].to_dict() == offending
