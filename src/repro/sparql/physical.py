@@ -38,7 +38,7 @@ import numpy as np
 
 from ..obs import Span
 from ..rdf.terms import Variable, term_sort_key
-from ..store.base import TripleSource, as_id_scan_source
+from ..store.base import TripleSource, as_id_scan_source, ragged_rows
 from .expr import (
     Binding,
     ExprError,
@@ -200,9 +200,8 @@ class Batch(NamedTuple):
 def _distinct_keys(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of aligned id columns: ``(keys (k, m), inverse (n,))``.
 
-    The grouping primitive of the probe join (one store probe per distinct
-    key), of expressions (one evaluation per distinct combination), of
-    hash joins and of GROUP BY.
+    The grouping primitive of expressions (one evaluation per distinct
+    combination), of hash joins and of GROUP BY.
     """
     if len(columns) == 1:
         unique, inverse = np.unique(columns[0], return_inverse=True)
@@ -244,14 +243,9 @@ def _ragged_gather(
     row, which input row it extends and which slot of the concatenated
     match arrays it takes. Pure integer arithmetic — no Python loop.
     """
-    counts_per_row = counts[inverse]
-    total = int(counts_per_row.sum())
-    row_index = np.repeat(np.arange(len(inverse)), counts_per_row)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    starts = np.repeat(offsets[inverse], counts_per_row)
-    bases = np.cumsum(counts_per_row) - counts_per_row
-    match_index = starts + np.arange(total) - np.repeat(bases, counts_per_row)
-    return row_index, match_index
+    per_row = counts[inverse]
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(np.arange(len(inverse)), per_row), ragged_rows(offsets[inverse], per_row)
 
 
 def _rows(batch: Batch, table: TermTable) -> list[Binding]:

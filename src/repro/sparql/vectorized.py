@@ -14,16 +14,17 @@ option that chooses.
 **One join: scan, then probe, in optimizer order.** The first pattern is
 scanned — or, for a BGP with an *input* (the right side of a join whose
 shared variables the left always binds), the input's batches take its
-place — and each further pattern extends every batch by an index probe.
-The star shape, one shared and one free variable against a source that
-offers ``probe_ids``, hands over the batch's key column as it is: a
-gather through the predicate's adjacency. A pattern whose only variable is already bound —
-``?s rdf:type ex:C`` after ``?s`` is known — is one ``distinct_ids`` run
-and a membership mask. Other shapes are probed once per distinct shared
-key (``np.unique``) and expanded by a ragged gather. Rows keep input order
-on every path; the scan starts with a
-:data:`~repro.store.base.FIRST_BATCH_SIZE`-row chunk that doubles, so a
-``LIMIT k`` consumer that stops pulling has expanded hundreds of rows.
+place — and each further pattern extends every batch by one
+:meth:`~repro.store.base.IdScanSource.probe_ids` call: the batch's columns
+of the pattern's bound variables are the keys, its new variables the
+values, and a pattern that binds nothing new is a membership test. How a
+probe is answered is the store's business (a gather through a predicate's
+adjacency, a binary search per key in a sorted run, or one scan per
+distinct key behind the encoding adaptor); the executor expands each row
+by its match count, so rows keep input order on every path. The scan
+starts with a :data:`~repro.store.base.FIRST_BATCH_SIZE`-row chunk that
+doubles, so a ``LIMIT k`` consumer that stops pulling has expanded
+hundreds of rows.
 
 **Filters are masks.** Each FILTER pushed into the BGP is applied right
 after the stage that binds its last variable. The shapes that are provably
@@ -73,7 +74,7 @@ from .nodes import (
 )
 from .physical import (
     AggregateOp, Batch, EvalStats, PhysicalOperator, _compress, _concat, _distinct_keys,
-    _ragged_gather, _rows, _Unary, row_mask,
+    _rows, _Unary, row_mask,
 )
 from .plan import _canonical_expression
 from .termtable import TermTable
@@ -91,68 +92,54 @@ __all__ = [
 #: so the rows descending from one of them can be counted (the name is not
 #: a SPARQL variable name, so it collides with nothing).
 _SEED = Variable("first-stage row")
-# Existence-probe match stubs: one row / zero rows, no free-variable columns.
-_EXISTS = np.empty((1, 0), dtype=np.int64)
-_ABSENT = np.empty((0, 0), dtype=np.int64)
 
 
 class _Resolved(NamedTuple):
-    """A triple pattern with its constants looked up.
-
-    ``ids`` holds a dictionary id per position (``None`` = free);
-    ``var_slots`` maps each *distinct* free variable to its first position;
-    ``dup_slots`` lists position pairs that must be equal (a variable
-    repeated inside one pattern).
-    """
+    """A triple pattern with its constants looked up: ``ids`` holds a
+    dictionary id per position (``None`` = a variable), ``slots`` the
+    ``(position, variable)`` of every variable occurrence."""
 
     ids: tuple[int | None, int | None, int | None]
-    var_slots: tuple[tuple[int, Variable], ...]
-    dup_slots: tuple[tuple[int, int], ...]
+    slots: tuple[tuple[int, Variable], ...]
 
     def variables(self) -> list[Variable]:
-        return [variable for _, variable in self.var_slots]
+        return list(dict.fromkeys(variable for _, variable in self.slots))
 
 
 def _resolve_pattern(
     pattern: TriplePatternNode, source: IdScanSource
 ) -> _Resolved | None:
     """Dictionary ids for the constants; ``None`` = provably empty."""
-    dictionary = source.dictionary
     ids: list[int | None] = []
-    var_slots: list[tuple[int, Variable]] = []
-    dup_slots: list[tuple[int, int]] = []
-    first_seen: dict[Variable, int] = {}
+    slots: list[tuple[int, Variable]] = []
     for position, term in enumerate((pattern.subject, pattern.predicate, pattern.object)):
-        if not isinstance(term, Variable):
-            ids.append(dictionary.lookup(term))
-            if ids[-1] is None:
-                return None
-        elif term in first_seen:
+        if isinstance(term, Variable):
             ids.append(None)
-            dup_slots.append((first_seen[term], position))
+            slots.append((position, term))
+        elif (term_id := source.dictionary.lookup(term)) is None:
+            return None
         else:
-            ids.append(None)
-            var_slots.append((position, term))
-            first_seen[term] = position
-    return _Resolved(
-        (ids[0], ids[1], ids[2]), tuple(var_slots), tuple(dup_slots)
-    )
+            ids.append(term_id)
+    return _Resolved((ids[0], ids[1], ids[2]), tuple(slots))
 
 
-def _repeats_agree(raw: np.ndarray, dup_slots: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The id triples whose positions a repeated variable holds agree."""
-    for left, right in dup_slots:
-        raw = raw[raw[:, left] == raw[:, right]]
-    return raw
-
-
-def _in_run(ids: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """Which of ``ids`` occur in ``run`` (sorted, unique): a binary search
-    each, where ``np.isin`` would sort both sides first."""
-    if not len(run):
-        return np.zeros(len(ids), dtype=bool)
-    slots = np.minimum(np.searchsorted(run, ids), len(run) - 1)
-    return run[slots] == ids
+def _bind(
+    matrix: np.ndarray, slots: Iterable[tuple[int, Variable]]
+) -> tuple[dict[Variable, np.ndarray], np.ndarray | None]:
+    """The columns of ``matrix`` that ``slots`` name, one per variable, on
+    the rows where a repeated variable holds one id in every column it
+    names; and the mask of those rows (``None``: no variable repeats)."""
+    columns: dict[Variable, np.ndarray] = {}
+    kept = None
+    for at, variable in slots:
+        if variable not in columns:
+            columns[variable] = matrix[:, at]
+        else:
+            same = columns[variable] == matrix[:, at]
+            kept = same if kept is None else kept & same
+    if kept is not None:
+        columns = {variable: column[kept] for variable, column in columns.items()}
+    return columns, kept
 
 
 # --------------------------------------------------------------------------- #
@@ -587,138 +574,51 @@ class VectorizedBGP(PhysicalOperator):
         """The first stage: every match of the first pattern."""
         scan.executions += 1
         self.stats.store_lookups += 1
-        s, p, o = one.ids
-        for raw in self._first_stage(self.source.match_id_batches(s, p, o)):
-            raw = _repeats_agree(raw, one.dup_slots)
-            self._account_scan(scan, len(raw))
-            if not len(raw):
+        for raw in self._first_stage(self.source.match_id_batches(*one.ids)):
+            columns, kept = _bind(raw, one.slots)
+            count = len(raw) if kept is None else int(np.count_nonzero(kept))
+            self._account_scan(scan, count)
+            if not count:
                 continue
-            columns = {
-                variable: raw[:, position] for position, variable in one.var_slots
-            }
             if self._sample is not None:
-                columns[_SEED] = np.arange(len(raw))
-            yield Batch(columns, len(raw))
+                columns[_SEED] = np.arange(count)
+            yield Batch(columns, count)
         scan.exhausted = True
-
-    def _probe_matches(
-        self,
-        probe: list[int | None],
-        free: tuple[tuple[int, Variable], ...],
-        dup_slots: tuple[tuple[int, int], ...],
-    ) -> np.ndarray:
-        """Match array for one concrete probe: shape (matches, len(free))."""
-        self.stats.store_lookups += 1
-        s, p, o = probe
-        if not free:
-            for raw in self.source.match_id_batches(s, p, o, batch_size=1):
-                if len(raw):
-                    return _EXISTS
-            return _ABSENT
-        if len(free) == 1 and not dup_slots:
-            run = self.source.distinct_ids(s, p, o, free[0][0])
-            return run[:, None]
-        rows = list(self.source.match_id_batches(s, p, o))
-        if not rows:
-            return np.empty((0, len(free)), dtype=np.int64)
-        raw = _repeats_agree(np.concatenate(rows), dup_slots)
-        return raw[:, [position for position, _ in free]]
 
     def _probe(
         self, batches: Iterator[Batch], scan: VectorScan, one: _Resolved
     ) -> Iterator[Batch]:
-        """Index-probe join: extend each batch by one pattern's matches."""
-        run: np.ndarray | None = None  # the existence probe's run, read once
+        """Index-probe join: extend each batch by one pattern's matches,
+        one ``probe_ids`` call per batch, each row in place."""
+        keyed: list[Variable] | None = None
         for batch in batches:
             scan.executions += 1
-            shared_here = [
-                (position, variable)
-                for position, variable in one.var_slots
-                if variable in batch.columns
-            ]
-            free = tuple(
-                (position, variable)
-                for position, variable in one.var_slots
-                if variable not in batch.columns
+            if keyed is None:  # every batch of a stage binds the same variables
+                keyed = [v for _, v in one.slots if v in batch.columns]
+                key_positions = tuple(at for at, v in one.slots if v in batch.columns)
+                value_positions = tuple(at for at, v in one.slots if v not in batch.columns)
+                free = list(enumerate(v for _, v in one.slots if v not in batch.columns))
+            keys = batch.columns[keyed[0]][:, None] if len(keyed) == 1 else np.array(
+                [batch.columns[v] for v in keyed], np.int64
+            ).reshape(len(keyed), batch.count).T
+            self.stats.store_lookups += 1
+            counts, values = self.source.probe_ids(
+                *one.ids, key_positions, keys, value_positions
             )
-            # Existence probe: the pattern's only variable is already
-            # bound, so it adds no column and only keeps or drops rows —
-            # one sorted run of the ids it admits, one membership mask over
-            # the batch (row order kept), instead of a probe per key.
-            if len(shared_here) == 1 and not free and not one.dup_slots:
-                position, variable = shared_here[0]
-                if run is None:
-                    self.stats.store_lookups += 1
-                    run = self.source.distinct_ids(*one.ids, position)
-                batch = _compress(batch, _in_run(batch.columns[variable], run))
-                self._account_scan(scan, batch.count)
-                if batch.count:
-                    yield batch
-                continue
-
-            # Star expansion: the third position is bound, so ``probe_ids``
-            # answers the key column as it is, a gather through the
-            # predicate's adjacency.
-            if (
-                len(shared_here) == 1
-                and len(free) == 1
-                and not one.dup_slots
-                and hasattr(self.source, "probe_ids")
-            ):
-                (key_at, key), ((value_at, variable),) = shared_here[0], free
-                counts, values = self.source.probe_ids(
-                    *one.ids, key_at, batch.columns[key], value_at
-                )
-                self.stats.store_lookups += 1
-                self._account_scan(scan, len(values))
-                if not len(values):
-                    continue
-                columns = dict(batch.columns)
-                if not (counts == 1).all():
-                    rows = np.repeat(np.arange(batch.count), counts)
-                    columns = {v: column[rows] for v, column in columns.items()}
-                columns[variable] = values
-                yield Batch(columns, len(values))
-                continue
-
-            if shared_here:
-                key_rows, inverse = _distinct_keys(
-                    [batch.columns[v] for _, v in shared_here]
-                )
-            else:  # no shared variable: one probe serves the whole batch
-                key_rows = np.empty((1, 0), dtype=np.int64)
-                inverse = np.zeros(batch.count, dtype=np.int64)
-
-            match_lists: list[np.ndarray] = []
-            for key in key_rows:
-                probe = list(one.ids)
-                for (position, _), value in zip(shared_here, key):
-                    probe[position] = int(value)
-                # A repeated variable whose first occurrence just got bound
-                # pins its other positions to the same id.
-                for left, right in one.dup_slots:
-                    if probe[left] is not None and probe[right] is None:
-                        probe[right] = probe[left]
-                    elif probe[right] is not None and probe[left] is None:
-                        probe[left] = probe[right]
-                match_lists.append(
-                    self._probe_matches(probe, free, one.dup_slots)
-                )
-            counts = np.array([len(m) for m in match_lists], dtype=np.int64)
-            row_index, match_index = _ragged_gather(counts, inverse)
-            total = len(row_index)
+            new, kept = _bind(values, free)
+            rows = None
+            if kept is not None or not (counts == 1).all():
+                rows = np.repeat(np.arange(batch.count), counts)
+                if kept is not None:
+                    rows = rows[kept]
+            total = batch.count if rows is None else len(rows)
             self._account_scan(scan, total)
             if not total:
                 continue
-            columns = {
-                variable: column[row_index]
-                for variable, column in batch.columns.items()
+            columns = batch.columns if rows is None else {
+                variable: column[rows] for variable, column in batch.columns.items()
             }
-            if free:
-                matches = np.concatenate(match_lists)
-                for slot, (_, variable) in enumerate(free):
-                    columns[variable] = matches[match_index, slot]
-            yield Batch(columns, total)
+            yield Batch({**columns, **new}, total)
 
 
 class _AggSpec(NamedTuple):

@@ -7,7 +7,8 @@ Pick the store that matches the scale:
 * :class:`MemoryStore` — dictionary-encoded; three sorted int64 runs
   (SPO/POS/OSP, 96 B per triple) in an immutable generation, so every
   scan and count is a binary search plus an array slice, and a join probe
-  is a gather through the predicate's adjacency.
+  (``probe_ids``) is a vectorised search over one run for every key of a
+  batch at once — for a star, a gather through the predicate's adjacency.
   ``add`` buffers into a delta that the next read folds in.
 * :class:`PagedTripleStore` — disk-resident with an LRU buffer pool;
   resident memory is O(pool), the survey's Section 4 recommendation.
@@ -21,7 +22,10 @@ Stores that can serve sorted id runs implement the :class:`IdScanSource`
 capability themselves; :func:`as_id_scan_source` gives every other source
 (federation, remote endpoints, plain graphs) the same surface through an
 encoding adaptor, so the SPARQL engine (:mod:`repro.sparql.vectorized`)
-runs every BGP on id batches.
+runs every BGP on id batches, each join stage one ``probe_ids`` call per
+batch. A source with no run to search (the adaptor, the paged store)
+probes through :func:`~repro.store.base.probe_ids_of`, one scan per
+distinct key.
 """
 
 from .base import (

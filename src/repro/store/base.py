@@ -70,15 +70,14 @@ class IdScanSource(Protocol):
 
     This is what the BGP executor (:mod:`repro.sparql.vectorized`) runs
     on: instead of pulling decoded :class:`~repro.rdf.terms.Triple`
-    objects one at a time, it pulls ``(n, 3)`` int64 numpy arrays of id
-    triples and decodes only what leaves the engine. Memory, cracking and
-    paged stores implement it over their own runs and dictionary; every
-    other :class:`TripleSource` is given it by :func:`as_id_scan_source`.
-    A source may additionally offer ``probe_ids`` (see
-    :meth:`MemoryStore.probe_ids <repro.store.memory.MemoryStore.probe_ids>`),
-    which the executor uses when it finds it, and ``count_ids(s, p, o)``,
-    the exact match count of an id pattern, when it can answer without
-    scanning (:meth:`MemoryStore.count_ids
+    objects one at a time, it scans ``(n, 3)`` int64 numpy arrays of id
+    triples, extends them by one :meth:`probe_ids` call per batch and
+    decodes only what leaves the engine. Memory, cracking and paged stores
+    implement it over their own runs and dictionary; every other
+    :class:`TripleSource` is given it by :func:`as_id_scan_source`. A
+    source may additionally offer ``count_ids(s, p, o)``, the exact match
+    count of an id pattern, when it can answer without scanning
+    (:meth:`MemoryStore.count_ids
     <repro.store.memory.MemoryStore.count_ids>`): the planner then counts
     patterns instead of estimating them from a :class:`StatisticsSnapshot`.
 
@@ -110,11 +109,56 @@ class IdScanSource(Protocol):
         """Sorted unique ids at ``position`` (0=s, 1=p, 2=o) over matches.
 
         The sorted-run primitive: what a probe with one free variable
-        expands to, and the run an existence probe tests a whole batch of
-        keys against. Implementations should serve the common shapes
-        (bound predicate and/or one bound endpoint) from their indexes.
+        expands to. Implementations should serve the common shapes (bound
+        predicate and/or one bound endpoint) from their indexes.
         """
         ...
+
+    def probe_ids(
+        self,
+        s: int | None,
+        p: int | None,
+        o: int | None,
+        key_positions: tuple[int, ...],
+        keys: np.ndarray,
+        value_positions: tuple[int, ...],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched point probes: row ``i`` of ``keys`` (``(n, k)``, any
+        order, repeats allowed) substituted at ``key_positions`` of the id
+        pattern, collecting the ids at ``value_positions`` of its matches.
+
+        A position may be given twice, or be bound as well: every id given
+        for it must agree (a variable repeated in a pattern adds each of its
+        positions). A key id below 0 or never assigned matches nothing. No
+        value positions is a membership test. Returns ``(counts, values)``:
+        ``counts[i]`` matches for key row ``i`` and ``values``, ``(sum of
+        counts, len(value_positions))``, their ids in key order, each key's
+        in the order of the run (SPO, POS, OSP) whose key prefix the bound
+        positions are. A position that is both key and value raises
+        :class:`LookupError`.
+        """
+        ...
+
+
+#: Key order (positions 0=s, 1=p, 2=o) of the SPO, POS and OSP runs; run
+#: ``i`` leads with position ``i``. The bound positions of any pattern are
+#: a prefix of exactly one of these cyclic orders.
+_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _serving_run(bound: tuple[bool, bool, bool]) -> tuple[int, int]:
+    """Which run has these bound positions as its key prefix, and how
+    many key columns that prefix covers."""
+    lead = next((i for i in range(3) if bound[i] and not bound[i - 1]), 0)
+    return lead, sum(bound)
+
+
+#: ``_serving_run`` for every pattern shape, indexed by the bit mask
+#: ``s bound + 2 * p bound + 4 * o bound`` (it is on every read's path).
+_PLANS = tuple(
+    _serving_run((bool(mask & 1), bool(mask & 2), bool(mask & 4)))
+    for mask in range(8)
+)
 
 
 def run_starts(column: np.ndarray) -> np.ndarray:
@@ -135,6 +179,49 @@ def distinct_ids_of(batches: Iterable[np.ndarray], position: int) -> np.ndarray:
     it off: the sorted unique ids in column ``position`` of a scan."""
     columns = [batch[:, position] for batch in batches]
     return unique_ids(np.concatenate([np.empty(0, dtype=np.int64), *columns]))
+
+
+def ragged_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row ``starts[i] + j`` for every ``j < counts[i]``, in order of ``i``."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def probe_ids_of(
+    source: IdScanSource,
+    s: int | None,
+    p: int | None,
+    o: int | None,
+    key_positions: tuple[int, ...],
+    keys: np.ndarray,
+    value_positions: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`IdScanSource.probe_ids` for a source with no run to search:
+    one scan per distinct key row, the matches sorted into run order."""
+    if not set(key_positions).isdisjoint(value_positions):
+        raise LookupError("a position cannot be both key and value")
+    keys = np.asarray(keys, dtype=np.int64)
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    assigned = len(source.dictionary)
+    found, owners = [np.empty((0, 3), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for index, key in enumerate(distinct.tolist()):
+        pattern = [s, p, o]
+        for position, term_id in zip(key_positions, key):
+            if not 0 <= term_id < assigned or pattern[position] not in (None, term_id):
+                break
+            pattern[position] = term_id
+        else:
+            for batch in source.match_id_batches(*pattern):
+                found.append(batch)
+                owners.append(np.full(len(batch), index))
+    rows, owner = np.concatenate(found), np.concatenate(owners)
+    bound = {position for position, term_id in enumerate((s, p, o)) if term_id is not None}
+    first, second, third = _ORDERS[_PLANS[sum(1 << at for at in bound | set(key_positions))][0]]
+    rows = rows[np.lexsort((rows[:, third], rows[:, second], rows[:, first], owner))]
+    per_key = np.bincount(owner, minlength=len(distinct))
+    counts = per_key[inverse]
+    picked = ragged_rows((np.cumsum(per_key) - per_key)[inverse], counts)
+    return counts, rows[picked][:, list(value_positions)]
 
 
 class _ScratchDictionary(TermDictionary):
@@ -184,6 +271,9 @@ class _EncodedSource:
     ) -> np.ndarray:
         return distinct_ids_of(self.match_id_batches(s, p, o), position)
 
+    def probe_ids(self, *probe) -> tuple[np.ndarray, np.ndarray]:
+        return probe_ids_of(self, *probe)
+
 
 def as_id_scan_source(store: object) -> IdScanSource:
     """``store`` as an :class:`IdScanSource`: itself when it has the full
@@ -194,6 +284,7 @@ def as_id_scan_source(store: object) -> IdScanSource:
     if (
         hasattr(store, "match_id_batches")
         and hasattr(store, "distinct_ids")
+        and hasattr(store, "probe_ids")
         and getattr(store, "dictionary", None) is not None
     ):
         return store  # type: ignore[return-value]

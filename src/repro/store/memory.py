@@ -30,7 +30,10 @@ import numpy as np
 
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot, run_starts, unique_ids
+from .base import (
+    _ORDERS, _PLANS, DEFAULT_BATCH_SIZE, StatisticsSnapshot, ragged_rows, run_starts,
+    unique_ids,
+)
 from .dictionary import TermDictionary
 
 __all__ = ["MemoryStore"]
@@ -38,30 +41,10 @@ __all__ = ["MemoryStore"]
 _IdTriple = tuple[int, int, int]
 _IdPattern = tuple[int | None, int | None, int | None]
 
-#: Key order (positions 0=s, 1=p, 2=o) of the SPO, POS and OSP runs; run
-#: ``i`` leads with position ``i``. The bound positions of any pattern are
-#: a prefix of exactly one of these cyclic orders.
-_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
 #: A run's first two key columns are searched as one int64,
 #: ``first << 32 | second``, so ids must stay below 2^31.
 _ID_LIMIT = 1 << 31
 _LOW_BITS = (1 << 32) - 1
-
-
-def _serving_run(bound: tuple[bool, bool, bool]) -> tuple[int, int]:
-    """Which run has these bound positions as its key prefix, and how
-    many key columns that prefix covers."""
-    lead = next((i for i in range(3) if bound[i] and not bound[i - 1]), 0)
-    return lead, sum(bound)
-
-
-#: ``_serving_run`` for every pattern shape, indexed by the bit mask
-#: ``s bound + 2 * p bound + 4 * o bound`` (it is on every read's path).
-_PLANS = tuple(
-    _serving_run((bool(mask & 1), bool(mask & 2), bool(mask & 4)))
-    for mask in range(8)
-)
 
 
 class _Run:
@@ -89,25 +72,35 @@ class _Run:
         by = np.lexsort((cols[third], (cols[first] << 32) | cols[second]))
         return cls(order, np.take(cols, by, axis=1))
 
-    def span(self, depth: int, ids: _IdPattern) -> tuple[int, int]:
-        """The ``[lo, hi)`` rows matching ``ids`` on the first ``depth``
-        key columns."""
+    def span(self, depth: int, ids: tuple) -> tuple:
+        """The ``[lo, hi)`` rows matching ``ids`` on the first ``depth`` key
+        columns. Each id may be an array (scalars broadcast): every row of
+        the columns is then searched at once, by two ``searchsorted`` calls
+        on the composite keys and, at depth 3, one search of the third key
+        inside each span. At depth 3, ``lo`` is where the triple is or
+        would go."""
         keys = self.keys
         if depth == 0:
             return 0, len(keys)
         first, second, third = self.order
         if depth == 1:
             head = ids[first] << 32
-            return (
-                int(keys.searchsorted(head)),
-                int(keys.searchsorted(head | _LOW_BITS, "right")),
-            )
+            return keys.searchsorted(head), keys.searchsorted(head | _LOW_BITS, "right")
         key = (ids[first] << 32) | ids[second]
-        lo, hi = int(keys.searchsorted(key)), int(keys.searchsorted(key, "right"))
-        if depth == 3 and lo < hi:
-            tail = self.cols[third, lo:hi]
-            hi = lo + int(tail.searchsorted(ids[third], "right"))
-            lo += int(tail.searchsorted(ids[third]))
+        lo, hi = keys.searchsorted(key), keys.searchsorted(key, "right")
+        if depth == 3 and len(keys):
+            # Where the third key is or would go in each span; a triple is
+            # unique, so it matches at most that one row.
+            column, wanted, end, last = self.cols[third], ids[third], hi, len(keys) - 1
+            if np.ndim(key) == 0:  # one span for every id: search its slice
+                lo = lo + column[lo:hi].searchsorted(wanted)
+            else:  # a binary search inside every span at once
+                while (unresolved := lo < hi).any():
+                    middle = np.minimum((lo + hi) >> 1, last)
+                    below = unresolved & (column[middle] < wanted)
+                    lo = np.where(below, middle + 1, lo)
+                    hi = np.where(unresolved & ~below, middle, hi)
+            hi = lo + ((lo < end) & (column[np.minimum(lo, last)] == wanted))
         return lo, hi
 
     def merged(self, rows: np.ndarray) -> "_Run":
@@ -120,16 +113,8 @@ class _Run:
         rows = np.take(
             rows, np.lexsort((rows[third], rows[second], rows[first])), axis=1
         )
-        prefix = (rows[first] << 32) | rows[second]
-        lo, hi = self.keys.searchsorted(prefix), self.keys.searchsorted(prefix, "right")
-        column, wanted, last = self.cols[third], rows[third], len(self.keys) - 1
-        # Binary search on the third key inside every span at once.
-        while (unresolved := lo < hi).any():
-            middle = np.minimum((lo + hi) >> 1, last)
-            below = unresolved & (column[middle] < wanted)
-            lo = np.where(below, middle + 1, lo)
-            hi = np.where(unresolved & ~below, middle, hi)
-        return _Run(self.order, np.insert(self.cols, lo, rows, axis=1))
+        at, _ = self.span(3, rows)
+        return _Run(self.order, np.insert(self.cols, at, rows, axis=1))
 
     def without(self, ids: _IdPattern) -> "_Run":
         """This run minus the rows matching the id pattern (order kept)."""
@@ -290,7 +275,7 @@ class MemoryStore:
         ]
         run = self._run(self._current(), lead)
         lo, hi = run.span(depth, ids)
-        return run, lo, hi
+        return run, int(lo), int(hi)
 
     def _encode_pattern(self, pattern: TriplePattern) -> _IdPattern | None:
         """Translate a term pattern into an id pattern.
@@ -368,52 +353,67 @@ class MemoryStore:
         s: int | None,
         p: int | None,
         o: int | None,
-        key_position: int,
+        key_positions: tuple[int, ...],
         keys: np.ndarray,
-        value_position: int,
+        value_positions: tuple[int, ...],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched point probes: each key (any order, repeats allowed)
-        substituted at ``key_position`` of the id pattern, collecting the
-        ids at ``value_position`` of its matches. Returns ``(counts,
-        values)``: ``counts[i]`` matches for ``keys[i]`` and ``values`` their
-        concatenation in key order, each key's ascending. Served when the
-        third position is bound; anything else raises :class:`LookupError`.
-        A gather through the bound id's adjacency: two reads of its offsets
-        per key (a key below 0 or past the end reads as no match), then one
-        gather of the values, ragged only when some key matched twice.
+        """:meth:`IdScanSource.probe_ids <repro.store.base.IdScanSource.probe_ids>`
+        from the runs. A star probe (one key, one value, the third position
+        bound) gathers through the bound id's adjacency: two reads of its
+        offsets per key, a key below 0 or past the end reading as no match.
+        Otherwise the bound ids and key positions are the key prefix of one
+        run, every key row's span in it is found at once (:meth:`_Run.span`)
+        and the rows are one ragged gather.
         """
-        ids = (s, p, o)
-        fixed = 3 - key_position - value_position
-        if (
-            key_position == value_position
-            or ids[fixed] is None
-            or ids[key_position] is not None
-            or ids[value_position] is not None
+        if not set(key_positions).isdisjoint(value_positions):
+            raise LookupError("a position cannot be both key and value")
+        ids, keys, generation = (s, p, o), np.asarray(keys, dtype=np.int64), self._current()
+        fixed = 3 - sum(key_positions) - sum(value_positions)
+        if len(key_positions) == len(value_positions) == 1 and ids.count(None) == 2 and (
+            ids[fixed] is not None
         ):
-            raise LookupError("unsupported probe shape for sorted runs")
-        generation = self._current()
-        run, slot = self._run(generation, fixed), (ids[fixed], key_position)
-        # Only a predicate's adjacencies are kept (two at most); another
-        # bound id's is built for this call.
-        kept = generation.adjacency if fixed == 1 else {}
-        if slot not in kept:
-            with self._lock:  # concurrent first probes pay for one build
-                if slot not in kept:
-                    kept[slot] = run.adjacency(ids, key_position)
-        offsets, values = kept[slot]
-        keys = np.asarray(keys, dtype=np.int64)
-        starts = offsets.take(keys, mode="clip")
-        counts = offsets.take(keys + 1, mode="clip") - starts
-        found, total = np.count_nonzero(counts), int(counts.sum())
-        if total == found:  # no key matched twice: its start is its row
-            if found < len(keys):
-                starts = starts[counts > 0]
-            return counts.astype(np.int64), values.take(starts)
-        # Ragged gather: row starts[i] + j for every j < counts[i], in key order.
-        counts = counts.astype(np.int64)
-        skipped = np.cumsum(counts) - counts
-        rows = np.repeat(starts - skipped, counts) + np.arange(total)
-        return counts, values.take(rows)
+            (key_at,), column = key_positions, keys[:, 0]
+            run, slot = self._run(generation, fixed), (ids[fixed], key_at)
+            # Only a predicate's adjacencies are kept (two at most); another
+            # bound id's is built for this call.
+            kept = generation.adjacency if fixed == 1 else {}
+            if slot not in kept:
+                with self._lock:  # concurrent first probes pay for one build
+                    if slot not in kept:
+                        kept[slot] = run.adjacency(ids, key_at)
+            offsets, values = kept[slot]
+            starts = offsets.take(column, mode="clip")
+            counts = offsets.take(column + 1, mode="clip") - starts
+            found, total = np.count_nonzero(counts), int(counts.sum())
+            if total == found:  # no key matched twice: its start is its row
+                if found < len(keys):
+                    starts = starts[counts > 0]
+                return counts.astype(np.int64), values.take(starts)[:, None]
+            counts = counts.astype(np.int64)
+            return counts, values.take(ragged_rows(starts, counts))[:, None]
+        bound: list = list(ids)
+        agree = None
+        for position, column in zip(key_positions, keys.T):
+            if bound[position] is None:
+                bound[position] = column
+            else:  # a repeated or bound position: its ids must agree
+                same = bound[position] == column
+                agree = same if agree is None else agree & same
+        lead, depth = _PLANS[sum(1 << at for at in range(3) if bound[at] is not None)]
+        if depth == 3 and ids.count(None) == 1:
+            # Membership against two bound ids: the run they lead shares
+            # one span among all keys.
+            lead = (ids.index(None) + 1) % 3
+        run = self._run(generation, lead)
+        lo, hi = run.span(depth, bound)
+        if np.ndim(lo) == 0:  # no key column: one span for every key row
+            lo, hi = np.full(len(keys), lo), np.full(len(keys), hi)
+        counts = hi - lo
+        if agree is not None:
+            counts[~agree] = 0
+        if not value_positions:  # a membership test
+            return counts, np.empty((int(counts.sum()), 0), dtype=np.int64)
+        return counts, run.cols[np.ix_(value_positions, ragged_rows(lo, counts))].T
 
     # -- TripleSource protocol -----------------------------------------------
 

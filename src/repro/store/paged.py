@@ -37,6 +37,7 @@ from .base import (
     StatisticsSnapshot,
     compute_statistics,
     distinct_ids_of,
+    probe_ids_of,
 )
 from .dictionary import TermDictionary
 
@@ -400,6 +401,10 @@ class PagedTripleStore:
     ) -> np.ndarray:
         """Sorted unique ids at ``position`` over matches."""
         return distinct_ids_of(self.match_id_batches(s, p, o), position)
+
+    def probe_ids(self, *probe) -> tuple[np.ndarray, np.ndarray]:
+        """Batched point probes: one page-run scan per distinct key row."""
+        return probe_ids_of(self, *probe)
 
     # ------------------------------------------------------------------ #
     # TripleSource protocol

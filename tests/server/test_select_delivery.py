@@ -28,7 +28,7 @@ from repro.sparql.results import (
 )
 from repro.store.memory import MemoryStore
 from repro.workload.rdf_graphs import EX, powerlaw_link_graph, typed_entities
-from tests.helpers import legacy_csv, legacy_json, legacy_tsv
+from tests.helpers import legacy_csv, legacy_json, legacy_tsv, wait_for
 
 JSON_TYPE = "application/sparql-results+json"
 CSV_TYPE = "text/csv"
@@ -341,7 +341,10 @@ def test_failure_after_the_head_truncates_the_stream(failing):
     assert len(json.loads(body)["results"]["bindings"]) == 300
     digest = QueryEngine(server.store).plan_digest(PREFIXES + LISTING)
     assert server.answers.texts.get(PREFIXES + LISTING) == digest
-    records = OBS.querylog.records(
-        digest=digest, service=f"repro-server:{server.port}"
-    )
-    assert [r.complete for r in records] == [False, False, True]
+
+    def records():
+        return OBS.querylog.records(digest=digest, service=f"repro-server:{server.port}")
+
+    # Each record is written after its request's last byte: wait for all three.
+    wait_for(lambda: len(records()) >= 3)
+    assert [r.complete for r in records()] == [False, False, True]

@@ -11,10 +11,10 @@ over a store with its own id runs (memory, cracking, paged) and over the
 encoding adaptor (plain ``Graph``, ``rows_only``, a two-member federation
 whose halves overlap), with ``optimize`` on and off.
 
-The capture list of PR 18 (the ten served templates, one query per group
-construct and query form, plus the triangle) additionally runs over a
-``RemoteEndpointSource`` on loopback: the same adaptor, one HTTP request
-per probe.
+The capture list (the ten served templates, one query per group construct
+and query form, the triangle, and probes of two value and of two key
+positions) additionally runs over a ``RemoteEndpointSource`` on loopback:
+the same adaptor, one HTTP request per distinct probe key.
 
 CI runs this file with ``--hypothesis-seed=0``. A bug it finds lands here
 as a plain test of its shrunk case (none so far: eight seeds and one
@@ -260,6 +260,9 @@ CAPTURE = {
                       "FILTER(?v > 50) FILTER(?v < ?w) }",
     "triangle": "SELECT ?a ?b ?c WHERE { ?a ex:linksTo ?b . ?b ex:linksTo ?c . "
                 "?c ex:linksTo ?a }",
+    # probes of two value positions and of two key positions
+    "expand": "SELECT ?s ?p ?o WHERE { ?s rdf:type ex:Class1 . ?s ?p ?o }",
+    "two_keys": "SELECT ?a ?b ?p WHERE { ?a ex:linksTo ?b . ?a ?p ?b }",
 }
 
 
@@ -274,8 +277,8 @@ def capture_stores(tmp_path_factory):
     stores["paged"].close()
 
 
-def test_capture_list_is_21_queries():
-    assert len(CAPTURE) == 21
+def test_capture_list_is_23_queries():
+    assert len(CAPTURE) == 23
 
 
 @pytest.mark.parametrize("name", sorted(CAPTURE))

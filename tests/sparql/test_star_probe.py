@@ -1,14 +1,14 @@
-"""A star join over a store that offers ``probe_ids``: a gather through the
-predicate's adjacency, no per-batch key grouping, the rows and their order
-unchanged; and COUNT(DISTINCT) without ``np.unique``."""
+"""A star join on ``MemoryStore``: a gather through the predicate's
+adjacency, never the generic per-key ``probe_ids_of``, the rows and their
+order those of the encoding adaptor (which probes key by key); and
+COUNT(DISTINCT) without ``np.unique``."""
 
 import numpy as np
 import pytest
 
 from repro.rdf.terms import IRI, Literal, Triple, Variable
 from repro.sparql import QueryEngine
-from repro.sparql import vectorized
-from repro.store import MemoryStore
+from repro.store import MemoryStore, base
 from tests.helpers import rows_only
 
 EX = "http://example.org/"
@@ -49,16 +49,15 @@ def store():
 
 @pytest.fixture
 def spied(monkeypatch):
-    """Calls of the per-key path's grouping and ragged gather."""
-    calls = {"_distinct_keys": 0, "_ragged_gather": 0}
-    for name in calls:
-        real = getattr(vectorized, name)
+    """Calls of the generic per-key probe, ``probe_ids_of``."""
+    calls = {"probe_ids_of": 0}
+    real = base.probe_ids_of
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def spy(*args, **kwargs):
+        calls["probe_ids_of"] += 1
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(vectorized, name, spy)
+    monkeypatch.setattr(base, "probe_ids_of", spy)
     return calls
 
 
@@ -72,8 +71,8 @@ def listing(source, query, rows=None, seed=0):
 
 
 def per_key(store, query, rows=None, seed=0):
-    """The same listing through the encoding adaptor, which has no
-    ``probe_ids`` and takes the per-key path."""
+    """The same listing through the encoding adaptor, whose ``probe_ids``
+    is the generic per-key ``probe_ids_of``."""
     return listing(rows_only(store), query, rows, seed)
 
 
@@ -84,10 +83,11 @@ def per_key(store, query, rows=None, seed=0):
 )
 def test_star_rows_and_order_match_the_per_key_path(store, spied, query, solutions):
     expected = per_key(store, query)
+    assert spied["probe_ids_of"] > 0
     spied.update(dict.fromkeys(spied, 0))
     assert listing(store, query) == expected
     assert len(expected) == solutions
-    assert spied == {"_distinct_keys": 0, "_ragged_gather": 0}
+    assert spied == {"probe_ids_of": 0}
 
 
 def test_the_multi_valued_key_expands_in_place(store):
@@ -106,17 +106,17 @@ def test_a_star_bound_on_the_object(store, spied, monkeypatch):
     shapes = []
     real = store.probe_ids
 
-    def probe_ids(s, p, o, key_position, keys, value_position):
-        shapes.append((s is None, p is None, o is None, key_position, value_position))
-        return real(s, p, o, key_position, keys, value_position)
+    def probe_ids(s, p, o, key_positions, keys, value_positions):
+        shapes.append((s is None, p is None, o is None, key_positions, value_positions))
+        return real(s, p, o, key_positions, keys, value_positions)
 
     monkeypatch.setattr(store, "probe_ids", probe_ids)
     kept = set(store._generation.adjacency)
     assert listing(store, OBJECT) == expected
     assert len(expected) == SUBJECTS // 3 + SUBJECTS // 15
-    assert shapes and set(shapes) == {(True, True, False, 0, 1)}
+    assert shapes and set(shapes) == {(True, True, False, (0,), (1,))}
     assert set(store._generation.adjacency) == kept
-    assert spied == {"_distinct_keys": 0, "_ragged_gather": 0}
+    assert spied == {"probe_ids_of": 0}
 
 
 @pytest.mark.parametrize("query", [SINGLE, MULTI, LACKING])
@@ -125,7 +125,7 @@ def test_a_sampled_first_stage_rides_through(store, spied, query):
     spied.update(dict.fromkeys(spied, 0))
     assert listing(store, query, rows=100, seed=9) == expected
     assert 0 < len(expected) <= 101
-    assert spied == {"_distinct_keys": 0, "_ragged_gather": 0}
+    assert spied == {"probe_ids_of": 0}
 
 
 @pytest.mark.parametrize("query", [SINGLE, MULTI, LACKING])
@@ -134,7 +134,7 @@ def test_a_streamed_limit_listing_is_a_prefix(store, spied, query):
     expected = per_key(store, limited)
     spied.update(dict.fromkeys(spied, 0))
     assert listing(store, limited) == expected == listing(store, query)[:37]
-    assert spied == {"_distinct_keys": 0, "_ragged_gather": 0}
+    assert spied == {"probe_ids_of": 0}
 
 
 def test_count_distinct_sorts_instead_of_calling_np_unique(store, monkeypatch):

@@ -1,6 +1,7 @@
 """The BGP executor: one pipeline on every source, streaming bounds,
 row-semantics fallbacks above it."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -259,7 +260,7 @@ def test_triangle_work_is_the_paths_it_extends_not_the_product():
     """The directed triangle over a 3,000-entity dataset shaped like the
     served benchmark's (it has none: links point at earlier entities).
     The pipeline scans the edges, extends each to its two-hop paths and
-    closes each distinct ``(?c, ?a)`` pair with one existence probe — the
+    closes the paths of each batch with one membership probe — the
     counters say so exactly, and nothing grows with edges squared."""
     linked = MemoryStore(e2e_triples(3_000))
     edges = linked.count((None, IRI(EX + "linksTo"), None))
@@ -271,8 +272,13 @@ def test_triangle_work_is_the_paths_it_extends_not_the_product():
     ))
     assert len(result) == 0 and edges < paths < 3 * edges
     assert result.stats.scan_rows == edges + paths
-    # the scan, one batched probe per batch of edges, one probe per pair
-    assert paths / 2 < result.stats.store_lookups <= 1 + result.stats.scan_batches + paths
+    # the scan, then one probe_ids call per batch of each probe stage
+    batches = [
+        int(re.search(r"\[(\d+) batches\]", scan.detail).group(1))
+        for scan in result.plan.find("IdScan")
+    ]
+    assert batches[1] == batches[0]  # every batch of edges is extended
+    assert result.stats.store_lookups == 1 + batches[1] + batches[2]
 
 
 def test_cracking_store_end_to_end():

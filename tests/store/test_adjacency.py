@@ -17,7 +17,7 @@ THREADS = 8
 
 
 def _probe_answer(id_model, predicate, keys):
-    """``probe_ids(None, predicate, None, 0, keys, 2)`` of the set model."""
+    """``probe_ids(None, predicate, None, (0,), keys, (2,))`` of the set model."""
     expected = [
         sorted(o for s, p, o in id_model if s == key and p == predicate)
         for key in keys
@@ -37,7 +37,7 @@ def test_eight_first_probes_build_one_adjacency():
     predicate = lookup(P)
     subjects = [lookup(IRI(f"{EX}e{i}")) for i in range(200)]
     keys = np.array(subjects[::-1] + [-1, len(store.dictionary) + 7], dtype=np.int64)
-    store.probe_ids(None, predicate, None, 0, keys, 2)
+    store.probe_ids(None, predicate, None, (0,), keys[:, None], (2,))
     old = store._generation
     # A write: the next read publishes a fresh generation, without the
     # adjacency the old one holds.
@@ -51,8 +51,8 @@ def test_eight_first_probes_build_one_adjacency():
 
     def first_probe(_):
         barrier.wait()
-        counts, values = store.probe_ids(None, predicate, None, 0, keys, 2)
-        return counts.tolist(), values.tolist()
+        counts, values = store.probe_ids(None, predicate, None, (0,), keys[:, None], (2,))
+        return counts.tolist(), values[:, 0].tolist()
 
     real = memory._Run.adjacency
     with mock.patch.object(
@@ -73,11 +73,11 @@ def test_only_a_predicate_s_adjacencies_are_kept():
         Triple(IRI(EX + "b"), P, IRI(EX + "a")),
     ])
     a, p, b = (store.dictionary.lookup(IRI(EX + n)) for n in "apb")
-    keys = np.array([a, b, -1], dtype=np.int64)
-    assert store.probe_ids(None, p, None, 0, keys, 2)[0].tolist() == [1, 1, 0]
-    assert store.probe_ids(None, p, None, 2, keys, 0)[0].tolist() == [1, 1, 0]
-    by_predicate = np.array([p, a, -1], dtype=np.int64)
-    assert store.probe_ids(a, None, None, 1, by_predicate, 2)[0].tolist() == [1, 0, 0]
-    assert store.probe_ids(None, None, a, 0, keys, 1)[0].tolist() == [0, 1, 0]
-    assert store.probe_ids(b, None, None, 2, keys, 1)[0].tolist() == [1, 0, 0]
+    keys = np.array([[a], [b], [-1]], dtype=np.int64)
+    assert store.probe_ids(None, p, None, (0,), keys, (2,))[0].tolist() == [1, 1, 0]
+    assert store.probe_ids(None, p, None, (2,), keys, (0,))[0].tolist() == [1, 1, 0]
+    by_predicate = np.array([[p], [a], [-1]], dtype=np.int64)
+    assert store.probe_ids(a, None, None, (1,), by_predicate, (2,))[0].tolist() == [1, 0, 0]
+    assert store.probe_ids(None, None, a, (0,), keys, (1,))[0].tolist() == [0, 1, 0]
+    assert store.probe_ids(b, None, None, (2,), keys, (1,))[0].tolist() == [1, 0, 0]
     assert sorted(store._generation.adjacency) == [(p, 0), (p, 2)]

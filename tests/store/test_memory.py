@@ -184,41 +184,37 @@ def _check_pattern(store, model, pattern):
 
 def _check_probes(store, model, anchor):
     """Every (key, value) position pair, the third position bound to the
-    anchor's id or — for the shapes that must be refused — left open."""
+    anchor's id, left open, or bound beside the key position; the one
+    shape refused is key and value at the same position."""
     lookup = store.dictionary.lookup
     anchor_ids = tuple(lookup(term) for term in anchor)
     id_model = {tuple(lookup(term) for term in t) for t in model}
     absent = len(store.dictionary) + 5
     for key_position, value_position in itertools.permutations(range(3), 2):
         fixed = 3 - key_position - value_position
-        pattern = [None, None, None]
-        pattern[fixed] = anchor_ids[fixed]
+        bound_third = [None, None, None]
+        bound_third[fixed] = anchor_ids[fixed]
+        bound_key = list(bound_third)
+        bound_key[key_position] = anchor_ids[key_position]
         present = sorted({row[key_position] for row in id_model})
         keys = np.array(present[::-1] + [absent] + present[:1], dtype=np.int64)
-        counts, values = store.probe_ids(
-            *pattern, key_position, keys, value_position
-        )
-        assert counts.dtype == values.dtype == np.int64
-        assert len(counts) == len(keys) and counts.sum() == len(values)
-        offset = 0
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            wanted = sorted(
-                row[value_position] for row in id_model
-                if row[key_position] == key and row[fixed] == pattern[fixed]
+        for pattern in (bound_third, [None, None, None], bound_key):
+            counts, values = store.probe_ids(
+                *pattern, (key_position,), keys[:, None], (value_position,)
             )
-            assert sorted(values[offset : offset + count].tolist()) == wanted
-            offset += count
-        # Refused: nothing bound beside the key, the key position bound
-        # too, or key and value at the same position.
-        bound_key = list(pattern)
-        bound_key[key_position] = anchor_ids[key_position]
-        for refused, value_at in (
-            ([None, None, None], value_position),
-            (bound_key, value_position),
-            (pattern, key_position),
-        ):
-            with pytest.raises(LookupError):
-                store.probe_ids(*refused, key_position, keys, value_at)
+            assert counts.dtype == values.dtype == np.int64
+            assert len(counts) == len(keys) and values.shape == (counts.sum(), 1)
+            offset = 0
+            for key, count in zip(keys.tolist(), counts.tolist()):
+                wanted = sorted(
+                    row[value_position] for row in id_model
+                    if row[key_position] == key
+                    and all(row[at] == pattern[at] for at in range(3) if pattern[at] is not None)
+                )
+                assert sorted(values[offset : offset + count, 0].tolist()) == wanted
+                offset += count
+        with pytest.raises(LookupError):
+            store.probe_ids(*bound_third, (key_position,), keys[:, None], (key_position,))
 
 
 def _check_everything(store, model):
