@@ -212,8 +212,7 @@ class LatencyPolicy:
             self.set_budget(name, limit)
         self.metrics = MetricsRegistry() if metrics is None else metrics
         # tenant -> its recent (monotonic s, class, violated) judgements
-        self._tenants = collections.defaultdict(  # guarded-by: _lock
-            lambda: collections.deque(maxlen=TENANT_SAMPLES))
+        self._tenants = collections.defaultdict(_Window)  # guarded-by: _lock
         self._shed: collections.deque[tuple[float, float]] \
             = collections.deque(maxlen=shed_window)  # guarded-by: _lock
 
@@ -296,14 +295,13 @@ class LatencyPolicy:
     # -- the windows -------------------------------------------------------
 
     def _tenant_locked(self, tenant: str, now: float) -> TenantSlo:
-        window = self._tenants.get(tenant, ())
+        window = self._tenants.get(tenant) or _Window()
         _prune(window, now)
-        violations = sum(1 for _, _, bad in window if bad)
-        by_class = collections.Counter(name for _, name, _ in window)
+        violations = window.violations
         burn = (violations / len(window)) / (1.0 - SLO_OBJECTIVE) \
             if window else 0.0
         return TenantSlo(tenant, SLO_OBJECTIVE, len(window), violations,
-                         burn, dict(by_class))
+                         burn, dict(+window.by_class))
 
     def burn_rate(self, tenant: str) -> float:
         """The tenant's current burn rate (0.0 for unseen tenants)."""
@@ -354,3 +352,28 @@ def _prune(window, now: float) -> None:
     """Drop a window's entries older than ``WINDOW_S``."""
     while window and now - window[0][0] > WINDOW_S:
         window.popleft()
+
+
+class _Window(collections.deque):
+    """A tenant's last ``TENANT_SAMPLES`` (monotonic s, class, violated)
+    judgements, with running violation and per-class counts that every
+    entry in (``judge``) or out (``_prune``, or the oldest one a full
+    window drops on append) adjusts: a burn rate is read, not recounted."""
+
+    def __init__(self) -> None:
+        super().__init__(maxlen=TENANT_SAMPLES)
+        self.violations = 0
+        self.by_class: collections.Counter[str] = collections.Counter()
+
+    def append(self, entry: tuple[float, str, bool]) -> None:
+        if len(self) == self.maxlen:
+            self.popleft()  # what the append would drop, counted out
+        super().append(entry)
+        self.violations += entry[2]
+        self.by_class[entry[1]] += 1
+
+    def popleft(self) -> tuple[float, str, bool]:
+        entry = super().popleft()
+        self.violations -= entry[2]
+        self.by_class[entry[1]] -= 1
+        return entry

@@ -11,7 +11,7 @@ holding more than one line in memory.
 from __future__ import annotations
 
 import re
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .terms import IRI, BNode, Literal, Triple
 
@@ -86,39 +86,43 @@ def _new_iri(text: str) -> IRI:
     return IRI(_unescape(text))
 
 
-#: Bound on the per-parse IRI memo (see :func:`_interning_iri`); like the
+T = TypeVar("T")
+
+#: Bound on each per-parse memo (see :func:`_interning`); like the
 #: dictionary's decode memo it is dropped wholesale when it fills up.
 _IRI_MEMO_LIMIT = 65_536
 
 
-def _interning_iri() -> Callable[[str], IRI]:
-    """An IRI constructor that builds each distinct text once.
+def _interning(make: Callable[[str], T]) -> Callable[[str], T]:
+    """A constructor that builds each distinct text once.
 
-    A data file repeats its predicates, classes and subjects on almost
-    every line. Handing back the same object skips re-validating the text
-    and, because a ``str`` caches its hash, re-hashing it when the store's
-    term dictionary looks the term up.
+    A data file repeats its predicates, classes, subjects and literal
+    datatypes on almost every line. Handing back the same object skips
+    re-validating the text, stores one copy of it however many terms hold
+    it, and, because a ``str`` caches its hash, skips re-hashing it when
+    the store's term dictionary looks the term up.
     """
-    memo: dict[str, IRI] = {}
+    memo: dict[str, T] = {}
 
-    def intern(text: str) -> IRI:
-        term = memo.get(text)
-        if term is None:
+    def intern(text: str) -> T:
+        made = memo.get(text)
+        if made is None:
             if len(memo) >= _IRI_MEMO_LIMIT:
                 memo.clear()
-            term = memo[text] = _new_iri(text)
-        return term
+            made = memo[text] = make(text)
+        return made
 
     return intern
 
 
 def parse_ntriples_line(line: str, lineno: int | None = None) -> Triple | None:
     """Parse one N-Triples line; ``None`` for blank/comment lines."""
-    return _parse_line(line, lineno, _new_iri)
+    return _parse_line(line, lineno, _new_iri, _unescape)
 
 
 def _parse_line(
-    line: str, lineno: int | None, iri: Callable[[str], IRI]
+    line: str, lineno: int | None, iri: Callable[[str], IRI],
+    datatype: Callable[[str], str],
 ) -> Triple | None:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -138,7 +142,7 @@ def _parse_line(
         if o_lang:
             obj = Literal(lexical, lang=o_lang)
         elif o_dtype:
-            obj = Literal(lexical, datatype=_unescape(o_dtype))
+            obj = Literal(lexical, datatype=datatype(o_dtype))
         else:
             obj = Literal(lexical)
     return Triple(subject, predicate, obj)
@@ -149,10 +153,10 @@ def parse_ntriples(source: str | IO[str]) -> Iterator[Triple]:
     # Split on '\n' only: str.splitlines() also breaks on exotic Unicode line
     # separators (\x0b,  , ...), which are legal *inside* literals.
     lines = source.split("\n") if isinstance(source, str) else source
-    iri = _interning_iri()
+    iri, datatype = _interning(_new_iri), _interning(_unescape)
     for lineno, line in enumerate(lines, start=1):
         try:
-            triple = _parse_line(line, lineno, iri)
+            triple = _parse_line(line, lineno, iri, datatype)
         except NTriplesError:
             raise
         except ValueError as exc:

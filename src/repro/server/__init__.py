@@ -36,29 +36,7 @@ Pieces (all stdlib — ``socket`` + ``threading``, no web framework):
 Run one with ``python -m repro.server`` (see ``--help``).
 """
 
-from .admission import AdmissionSnapshot, FairAdmissionQueue
 from .app import ReproServer, ServerConfig
-from .approximate import ApproximateAnswer, approximate_select, eligible_aggregate
-from .http import HttpError, HttpRequest, read_request
 from .remote import EndpointError, RemoteEndpointSource
-from .shedding import AGGRESSIVE, EXACT, SAMPLED, LoadShedder, TIER_NAMES
 
-__all__ = [
-    "AGGRESSIVE",
-    "AdmissionSnapshot",
-    "ApproximateAnswer",
-    "EXACT",
-    "EndpointError",
-    "FairAdmissionQueue",
-    "HttpError",
-    "HttpRequest",
-    "LoadShedder",
-    "RemoteEndpointSource",
-    "ReproServer",
-    "SAMPLED",
-    "ServerConfig",
-    "TIER_NAMES",
-    "approximate_select",
-    "eligible_aggregate",
-    "read_request",
-]
+__all__ = ["EndpointError", "RemoteEndpointSource", "ReproServer", "ServerConfig"]

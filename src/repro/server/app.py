@@ -57,8 +57,9 @@ from ..sparql.cached import (
 )
 from ..sparql.eval import QueryEngine
 from ..sparql.lexer import SparqlSyntaxError
-from ..sparql.nodes import DescribeQuery, Query, SelectQuery
+from ..sparql.nodes import DescribeQuery, SelectQuery
 from ..sparql.parser import parse_query
+from ..sparql.plan import Planned
 from ..store.base import TripleSource
 from . import explore, probes
 from .admission import FairAdmissionQueue
@@ -442,12 +443,13 @@ class ReproServer:
         # and a hit runs no parser.
         modes = (request.header("x-repro-sketch")
                  or request.header("x-repro-progressive"))
-        parsed = digest = answer = None
+        parsed = digest = planned = answer = None
         try:
             parsed = parse_query(text) if modes else None
             if not (modes and aggregate_shape(parsed)):
-                parsed, digest, answer = self.answers.probe(text, ctx.engine,
-                                                            parsed)
+                digest, planned, answer = self.answers.probe(text, ctx.engine,
+                                                             parsed)
+                parsed = planned and planned.query
         except (SparqlSyntaxError, ValueError) as error:
             return self._error(ctx, 400, f"parse error: {error}")
         ctx.stamp("parse")
@@ -511,20 +513,21 @@ class ReproServer:
             _decide(ctx, TIER_NAMES[tier])
             return self._answer_shed(ctx, text, parsed, digest, fmt, tier)
         ctx.headers["X-Repro-Tier"] = "exact"
-        return self._answer_exact(ctx, parsed, digest, answer, fmt, text)
+        return self._answer_exact(ctx, digest, planned, answer, fmt, text)
 
-    def _answer_exact(self, ctx: RequestContext, parsed: Query | None,
-                      digest: str, answer: Answer | None,
+    def _answer_exact(self, ctx: RequestContext, digest: str,
+                      planned: Planned | None, answer: Answer | None,
                       fmt: str | None = None, text: str | None = None) -> None:
         """Write the exact answer of the plan ``digest``: ``answer``, its
-        kept entry, else what ``parsed`` evaluates to, which the cache
+        kept entry, else what ``planned`` evaluates to, which the cache
         keeps (``text`` a name for it)."""
         hit = answer is not None
         if hit:
             ctx.headers["X-Repro-Cache"] = "hit"
-        elif fmt in STREAMED and not parsed.select_all and not ctx.aggregate:
+        elif (fmt in STREAMED and not planned.query.select_all
+              and not ctx.aggregate):
             ctx.headers["Content-Type"], chunks = self.answers.stream(
-                ctx.engine, parsed, digest, fmt, text
+                ctx.engine, planned, digest, fmt, text
             )
             return self._write(ctx, 200, chunks)
         else:
@@ -532,7 +535,7 @@ class ReproServer:
             # before its header is known, the ASCII table pads columns
             # globally, and an aggregate's few rows go out in one piece:
             # materialize these.
-            answer = self.answers.evaluate(ctx.engine, parsed, digest,
+            answer = self.answers.evaluate(ctx.engine, planned, digest,
                                            ctx.aggregate)[1]
         ctx.stamp("execute")
         body = self.answers.body(digest, answer, fmt, hit, text)

@@ -26,8 +26,8 @@ from ..rdf.graph import Graph
 from ..rdf.ntriples import parse_ntriples, serialize_ntriples
 from ..store.base import TripleSource
 from .eval import QueryEngine
-from .nodes import AskQuery, DescribeQuery, Query, SelectQuery
-from .parser import parse_query
+from .nodes import Query
+from .plan import Planned
 from .results import (
     SelectResult,
     ask_to_sparql_json,
@@ -105,9 +105,9 @@ class CachedQueryEngine:
         A SELECT hit shares the kept ``rows``: do not mutate them."""
         if not isinstance(text, str):
             return self.engine.query(text)
-        parsed, digest, answer = self.probe(text, self.engine)
+        digest, planned, answer = self.probe(text, self.engine)
         if answer is None:
-            value, answer = self.evaluate(self.engine, parsed, digest)
+            value, answer = self.evaluate(self.engine, planned, digest)
             answer.form = _BY_TYPE.get(answer.form, answer.form)
             self.keep(digest, answer, text)
             return value
@@ -128,16 +128,16 @@ class CachedQueryEngine:
 
     def probe(self, text: str | None, engine: QueryEngine,
               parsed: Query | None = None):
-        """``(parsed, digest, entry or None)``: a text seen before names its
-        digest, and a hit parses nothing; any other is parsed (unless
-        ``parsed`` is given) and digested. Raises what the parser raises."""
+        """``(digest, planned, entry or None)``: a text seen before names
+        its digest, and a hit parses nothing (``planned`` is None); any
+        other is parsed (unless ``parsed`` is given) and planned once, the
+        plan a miss then runs. Raises what the parser raises."""
         digest = None if parsed is not None else self.texts.get(text)
         if digest is not None:
             answer = self.find(digest)
-            return (None if answer else parse_query(text)), digest, answer
-        parsed = parsed or parse_query(text)
-        digest = engine.plan_digest(parsed)
-        return parsed, digest, self.find(digest, text)
+            return digest, (None if answer else engine.plan(text)), answer
+        planned = engine.plan(parsed or text)
+        return planned.digest, planned, self.find(planned.digest, text)
 
     def find(self, key: str, text: str | None = None) -> Answer | None:
         """The entry under ``key`` current for the store, or ``None``. A
@@ -154,24 +154,23 @@ class CachedQueryEngine:
             )
         return answer
 
-    def evaluate(self, engine: QueryEngine, parsed: Query, digest: str,
+    def evaluate(self, engine: QueryEngine, planned: Planned, digest: str,
                  aggregate: bool = False) -> tuple[object, Answer]:
         """``(what engine.query returned, its entry for :meth:`keep`)``."""
         version = self.version()
-        value = engine.query(parsed, digest=digest)
-        if isinstance(parsed, SelectQuery):
-            return value, Answer("SELECT", len(value), value, {}, version,
+        value, form = engine.query(planned, digest=digest), planned.form
+        if form == "SELECT":
+            return value, Answer(form, len(value), value, {}, version,
                                  aggregate)
-        if isinstance(parsed, AskQuery):
+        if form == "ASK":
             body = ask_to_sparql_json(value).encode("utf-8")
-            return value, Answer("ASK", int(value), None,
+            return value, Answer(form, int(value), None,
                                  {None: (JSON_TYPE, body)}, version)
-        form = "DESCRIBE" if isinstance(parsed, DescribeQuery) else "CONSTRUCT"
         body = serialize_ntriples(value.triples(), sort=True).encode("utf-8")
         return value, Answer(form, len(value), None,
                              {None: (NTRIPLES_TYPE, body)}, version)
 
-    def stream(self, engine: QueryEngine, parsed: SelectQuery, digest: str,
+    def stream(self, engine: QueryEngine, planned: Planned, digest: str,
                fmt: str, text: str | None = None
                ) -> tuple[str, Iterator[bytes]]:
         """``(content type, chunks)``, one chunk per batch, never decoded.
@@ -179,7 +178,7 @@ class CachedQueryEngine:
         engine's stats and log record; the answer is kept (these bytes, and
         the batches for other formats) before the terminal chunk."""
         version = self.version()
-        stream = engine.stream_select(parsed, digest=digest)
+        stream = engine.stream_select(planned, digest=digest)
         content_type, document = STREAMED[fmt]
         kept, written = [], []
 

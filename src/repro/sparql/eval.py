@@ -46,14 +46,7 @@ from .physical import (
     operator_span,
     scan_observations,
 )
-from .plan import (
-    LogicalNode,
-    LogicalSlice,
-    build_pattern_plan,
-    build_select_plan,
-    optimize_plan,
-    query_digest,
-)
+from .plan import LogicalNode, Planned, plan_query
 from .results import SelectResult, block_rows, decode_block
 from .termtable import UNBOUND
 
@@ -118,7 +111,7 @@ class QueryEngine:
     # Public API
     # ------------------------------------------------------------------ #
 
-    def query(self, text: str | Query, digest: str | None = None):
+    def query(self, text: str | Query | Planned, digest: str | None = None):
         """Parse (if needed) and evaluate; the result type follows the form:
 
         SELECT → :class:`SelectResult`, ASK → bool,
@@ -130,26 +123,29 @@ class QueryEngine:
         the query log (``OBS.querylog``) is enabled, the run additionally
         emits one structured workload record.
 
-        ``digest`` is the plan digest when the caller already computed it
-        (:class:`~repro.sparql.cached.CachedQueryEngine` keys its cache on
-        it); otherwise it is derived here only when the query log needs it.
+        A :class:`~repro.sparql.plan.Planned` query (:meth:`plan`) runs the
+        plan it holds. ``digest`` is the plan digest when the caller already
+        computed it (:class:`~repro.sparql.cached.CachedQueryEngine` keys its
+        cache on it); otherwise it is derived here only when the query log
+        needs it.
         """
-        parsed = parse_query(text) if isinstance(text, str) else text
+        planned = self.plan(text)
+        parsed = planned.query
         per_query = EvalStats()
         log = OBS.querylog
         logging = log.enabled
         started = time.perf_counter_ns() if logging else 0
         if logging and digest is None:
-            digest = query_digest(parsed, optimize=self.optimize)
+            digest = planned.digest
         trace_id = None
         if not OBS.enabled:
-            result, root = self._dispatch(parsed, per_query)
+            result, root = self._dispatch(planned, per_query)
         else:
             per_query.tracer = OBS.tracer
             with OBS.tracer.span(
                 "sparql.query", form=type(parsed).__name__
             ) as span:
-                result, root = self._dispatch(parsed, per_query)
+                result, root = self._dispatch(planned, per_query)
                 span.set_attribute("store_lookups", per_query.store_lookups)
                 span.set_attribute("solutions", per_query.solutions)
                 if per_query.scan_batches:
@@ -162,7 +158,7 @@ class QueryEngine:
         if logging:
             log.emit(
                 digest=digest,
-                form=_form_name(parsed),
+                form=planned.form,
                 strategy=execution_strategy(root),
                 latency_ms=(time.perf_counter_ns() - started) / 1e6,
                 counters=per_query,
@@ -174,19 +170,14 @@ class QueryEngine:
         return result
 
     def _dispatch(
-        self, parsed: Query, per_query: EvalStats
+        self, planned: Planned, per_query: EvalStats
     ) -> tuple[object, PhysicalOperator | None]:
         """``(result, executed operator tree)``; the tree is ``None`` for a
         DESCRIBE that needed no pattern evaluation."""
-        if isinstance(parsed, SelectQuery):
-            return self._eval_select(parsed, per_query)
-        if isinstance(parsed, AskQuery):
-            return self._eval_ask(parsed, per_query)
-        if isinstance(parsed, ConstructQuery):
-            return self._eval_construct(parsed, per_query)
-        if isinstance(parsed, DescribeQuery):
-            return self._eval_describe(parsed, per_query)
-        raise TypeError(f"unsupported query type: {type(parsed).__name__}")
+        evaluate = {"SELECT": self._eval_select, "ASK": self._eval_ask,
+                    "CONSTRUCT": self._eval_construct,
+                    "DESCRIBE": self._eval_describe}[planned.form]
+        return evaluate(planned.query, planned.logical, per_query)
 
     def explain(self, text: str | Query, analyze: bool = True) -> ExplainNode:
         """The physical plan as an :class:`ExplainNode` tree.
@@ -198,15 +189,15 @@ class QueryEngine:
         filled in: nothing is scanned, and a store that counts by binary
         search is asked one count per constant-bound pattern.
         """
-        parsed = parse_query(text) if isinstance(text, str) else text
+        planned = self.plan(text)
         per_query = EvalStats()
         if analyze:
             # EXPLAIN ANALYZE always times operators — measuring is the
             # point — independent of the global tracing switch.
             per_query.tracer = OBS.tracer
-        root = self._build_root(parsed, per_query)
+        root = self._build_root(planned.logical, per_query)
         if root is None:  # DESCRIBE without a WHERE clause has no plan
-            detail = ", ".join(r.n3() for r in parsed.resources)
+            detail = ", ".join(r.n3() for r in planned.query.resources)
             return ExplainNode("Describe", detail, None, None, ())
         if analyze:
             if OBS.enabled:
@@ -221,7 +212,7 @@ class QueryEngine:
         return root.explain()
 
     def stream_select(
-        self, text: str | Query, digest: str | None = None
+        self, text: str | Query | Planned, digest: str | None = None
     ) -> StreamingSelect:
         """Evaluate a SELECT without materializing its rows.
 
@@ -236,7 +227,8 @@ class QueryEngine:
         tier) carry ``complete=false`` and whatever partial counters the
         consumed prefix accumulated.
         """
-        parsed = parse_query(text) if isinstance(text, str) else text
+        planned = self.plan(text)
+        parsed = planned.query
         if not isinstance(parsed, SelectQuery):
             raise TypeError("stream_select requires a SELECT query")
         per_query = EvalStats()
@@ -245,8 +237,8 @@ class QueryEngine:
         log = OBS.querylog
         logging = log.enabled
         if logging and digest is None:
-            digest = query_digest(parsed, optimize=self.optimize)
-        root = self._build_root(parsed, per_query)
+            digest = planned.digest
+        root = self._build_root(planned.logical, per_query)
         variables = (
             [] if parsed.select_all
             else [p.variable for p in parsed.projections]
@@ -285,10 +277,17 @@ class QueryEngine:
         rows = _decoded_rows(variables, batches, root.table)
         return StreamingSelect(variables, rows, root, batches, root.table)
 
+    def plan(self, text: str | Query | Planned) -> Planned:
+        """The query and its logical plan, built (and optimized) once:
+        :meth:`query` and :meth:`stream_select` run it as it is."""
+        if isinstance(text, Planned):
+            return text
+        parsed = parse_query(text) if isinstance(text, str) else text
+        return plan_query(parsed, self.optimize)
+
     def plan_digest(self, text: str | Query) -> str:
         """Stable digest of the optimized logical plan (result-cache key)."""
-        parsed = parse_query(text) if isinstance(text, str) else text
-        return query_digest(parsed, optimize=self.optimize)
+        return self.plan(text).digest
 
     # ------------------------------------------------------------------ #
     # Pipeline assembly
@@ -301,29 +300,9 @@ class QueryEngine:
             return None
         return CardinalityEstimator.for_store(self.store)
 
-    def _logical(self, parsed: Query) -> LogicalNode | None:
-        if isinstance(parsed, SelectQuery):
-            node: LogicalNode = build_select_plan(parsed)
-        elif isinstance(parsed, AskQuery):
-            node = build_pattern_plan(parsed.where)
-        elif isinstance(parsed, ConstructQuery):
-            node = build_pattern_plan(parsed.where)
-            if parsed.limit is not None or parsed.offset:
-                node = LogicalSlice(node, parsed.limit, parsed.offset)
-        elif isinstance(parsed, DescribeQuery):
-            if parsed.where is None:
-                return None
-            node = build_pattern_plan(parsed.where)
-        else:
-            raise TypeError(f"unsupported query type: {type(parsed).__name__}")
-        if self.optimize:
-            node = optimize_plan(node)
-        return node
-
     def _build_root(
-        self, parsed: Query, per_query: EvalStats
+        self, logical: LogicalNode | None, per_query: EvalStats
     ) -> PhysicalOperator | None:
-        logical = self._logical(parsed)
         if logical is None:
             return None
         return build_plan(
@@ -339,9 +318,9 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def _eval_select(
-        self, q: SelectQuery, per_query: EvalStats
+        self, q: SelectQuery, logical: LogicalNode | None, per_query: EvalStats
     ) -> tuple[SelectResult, PhysicalOperator]:
-        root = self._build_root(q, per_query)
+        root = self._build_root(logical, per_query)
         # The answer stays id columns until a consumer asks for rows or a
         # serializer for text.
         batches = list(root.execute_batches())
@@ -358,18 +337,18 @@ class QueryEngine:
         return result, root
 
     def _eval_ask(
-        self, q: AskQuery, per_query: EvalStats
+        self, q: AskQuery, logical: LogicalNode | None, per_query: EvalStats
     ) -> tuple[bool, PhysicalOperator]:
-        root = self._build_root(q, per_query)
+        root = self._build_root(logical, per_query)
         for batch in root.execute_batches():
             if batch.count:
                 return True, root
         return False, root
 
     def _eval_construct(
-        self, q: ConstructQuery, per_query: EvalStats
+        self, q: ConstructQuery, logical: LogicalNode | None, per_query: EvalStats
     ) -> tuple[Graph, PhysicalOperator]:
-        root = self._build_root(q, per_query)
+        root = self._build_root(logical, per_query)
         graph = Graph()
         for binding in _solutions(root):
             for template in q.template:
@@ -379,7 +358,7 @@ class QueryEngine:
         return graph, root
 
     def _eval_describe(
-        self, q: DescribeQuery, per_query: EvalStats
+        self, q: DescribeQuery, logical: LogicalNode | None, per_query: EvalStats
     ) -> tuple[Graph, PhysicalOperator | None]:
         graph = Graph()
         resources: set[Term] = set()
@@ -390,7 +369,7 @@ class QueryEngine:
                 if q.where is None:
                     raise ValueError("DESCRIBE with variables needs a WHERE clause")
                 if bindings is None:
-                    root = self._build_root(q, per_query)
+                    root = self._build_root(logical, per_query)
                     bindings = list(_solutions(root))
                 for binding in bindings:
                     if resource in binding:
@@ -428,17 +407,6 @@ def _decoded_rows(variables: list[Variable], batches, table):
         # Closing the rows closes the evaluation (and logs it) now, not
         # when the last reference to ``batches`` goes away.
         batches.close()
-
-
-def _form_name(parsed: Query) -> str:
-    """The query-log ``form`` label of a parsed query."""
-    if isinstance(parsed, SelectQuery):
-        return "SELECT"
-    if isinstance(parsed, AskQuery):
-        return "ASK"
-    if isinstance(parsed, ConstructQuery):
-        return "CONSTRUCT"
-    return "DESCRIBE"
 
 
 def query(store: TripleSource, text: str, optimize: bool = True):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..rdf.terms import Literal, Variable
 from .expr import (
@@ -90,6 +91,8 @@ __all__ = [
     "possible_variables",
     "fold_expression",
     "plan_digest",
+    "Planned",
+    "plan_query",
     "query_digest",
 ]
 
@@ -669,33 +672,46 @@ def plan_digest(node: LogicalNode, form: str = "SELECT", extra: str = "") -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def query_digest(parsed: Query, optimize: bool = True) -> str:
-    """Digest for any query form, keyed on its optimized logical plan."""
+class Planned(NamedTuple):
+    """A parsed query, its logical plan (optimized unless told not to) and
+    that plan's digest: what a cache miss plans once, is keyed by and runs.
+    ``logical`` is None for a DESCRIBE without a WHERE clause."""
+
+    query: Query
+    logical: LogicalNode | None
+    form: str  # SELECT, ASK, CONSTRUCT or DESCRIBE
+    digest: str
+
+
+def plan_query(parsed: Query, optimize: bool = True) -> Planned:
+    """The logical plan of any query form."""
     if isinstance(parsed, SelectQuery):
-        node = build_select_plan(parsed)
-        form, extra = "SELECT", ""
+        node, form, extra = build_select_plan(parsed), "SELECT", ""
     elif isinstance(parsed, AskQuery):
-        node = build_pattern_plan(parsed.where)
-        form, extra = "ASK", ""
+        node, form, extra = build_pattern_plan(parsed.where), "ASK", ""
     elif isinstance(parsed, ConstructQuery):
         node = build_pattern_plan(parsed.where)
+        if parsed.limit is not None or parsed.offset:
+            node = LogicalSlice(node, parsed.limit, parsed.offset)
         form = "CONSTRUCT"
         extra = (
             "; ".join(_canonical_pattern(t) for t in parsed.template)
             + f"|{parsed.limit}|{parsed.offset}"
         )
     elif isinstance(parsed, DescribeQuery):
-        node = (
-            build_pattern_plan(parsed.where)
-            if parsed.where is not None
-            else _EMPTY_BGP
-        )
+        node = None if parsed.where is None else build_pattern_plan(parsed.where)
         form = "DESCRIBE"
         extra = ",".join(
             r.n3() if hasattr(r, "n3") else repr(r) for r in parsed.resources
         )
     else:
         raise TypeError(f"unsupported query type: {type(parsed).__name__}")
-    if optimize:
+    if optimize and node is not None:
         node = optimize_plan(node)
-    return plan_digest(node, form, extra)
+    return Planned(parsed, node, form,
+                   plan_digest(node or _EMPTY_BGP, form, extra))
+
+
+def query_digest(parsed: Query, optimize: bool = True) -> str:
+    """Digest for any query form, keyed on its optimized logical plan."""
+    return plan_query(parsed, optimize).digest

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import numpy as np
 
 from ..rdf.terms import BNode, IRI, Literal, Term, Variable, XSD_STRING
+from .termtable import UNBOUND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.dictionary import TermDictionary
@@ -439,7 +440,9 @@ def json_document(
         sep = ""  # what precedes a row's next member: one for all rows, or a list
         for index, (key, column) in enumerate(members):
             cells = _cells(column, dictionary, _json_term)  # "" where unbound
-            if isinstance(sep, str) and "" not in cells:
+            unbound = ((column == UNBOUND).any() if dictionary is not None
+                       else None in column)  # read off the ids, not the text
+            if isinstance(sep, str) and not unbound:
                 prefixes, sep = [sep + key] * count, ", "
             else:  # unbound cells: from here on each row has its own
                 seps = [sep] * count if isinstance(sep, str) else sep

@@ -69,16 +69,16 @@ class TermTable:
 
     def cells(self, term_ids: np.ndarray, encode: Callable[[Term], str]) -> list[str]:
         """``encode(term)`` of each id, ``""`` where unbound: the store's
-        kept cells for store ids, encoded here for computed ones."""
+        kept cells for store ids, each computed term encoded once here."""
         if _store_only(term_ids):
             return self.store.cells(term_ids, encode)
-        cells = [""] * len(term_ids)
-        stored = np.flatnonzero(term_ids >= 0)
-        for at, cell in zip(stored.tolist(), self.store.cells(term_ids[stored], encode)):
-            cells[at] = cell
-        for at in np.flatnonzero(term_ids <= -2).tolist():
-            cells[at] = encode(self._terms[-2 - int(term_ids[at])])
-        return cells
+        cells = np.full(len(term_ids), "", dtype=object)
+        stored, computed = term_ids >= 0, term_ids <= -2
+        cells[stored] = self.store.cells(term_ids[stored], encode)
+        ids, inverse = np.unique(term_ids[computed], return_inverse=True)
+        made = [encode(self._terms[-2 - term_id]) for term_id in ids.tolist()]
+        cells[computed] = np.array(made, dtype=object)[inverse]
+        return cells.tolist()
 
     def numeric(self, term_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(values, kinds)`` of each id off the store's value column and

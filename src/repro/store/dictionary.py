@@ -102,6 +102,7 @@ VALUE_FLOAT = 2
 VALUE_EXACT_INT = 2**53
 
 _NO_VALUES = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8))
+_NO_CELLS = (np.empty(0, dtype=object), np.empty(0, dtype=bool))
 
 
 def numeric_columns_of(terms: list[Term]) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +147,7 @@ class TermDictionary:
         # concurrent first users do not each pay for the same build.
         self._value_columns = _NO_VALUES
         self._value_lock = threading.Lock()
-        self._cells: dict[Callable[[Term], str], list[str | None]] = {}
+        self._cells: dict[Callable[[Term], str], tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -179,25 +180,26 @@ class TermDictionary:
             term_ids = term_ids.tolist()  # plain ints index a list fastest
         return [table[term_id] for term_id in term_ids]
 
-    def cells(self, term_ids, encode: Callable[[Term], str]) -> list[str]:
-        """``encode(term)`` of each id, gathered from ``encode``'s column: a
-        cell is made the first time its id is gathered, then kept. No lock:
-        the column is extended copy-on-write as the dictionary grows, and
-        two threads making one cell store equal strings."""
-        column = self._cells.get(encode, [])
-        if (missing := len(self._id_to_term) - len(column)) > 0:
-            column = self._cells[encode] = column + [None] * missing
-        if isinstance(term_ids, np.ndarray):
-            term_ids = term_ids.tolist()
-        cells = [column[term_id] for term_id in term_ids]
-        if None in cells:  # ids served in this format for the first time
+    def cells(self, term_ids: np.ndarray, encode: Callable[[Term], str]) -> list[str]:
+        """``encode(term)`` of each id, gathered from ``encode``'s column (an
+        object array by id, with an ``encoded`` mask): a cell is made the
+        first time its id is gathered, then kept. No lock: a column the
+        dictionary outgrew is replaced by one at least twice its size, the
+        mask copied before the column, and a fill writes the column before
+        the mask, so a fill the copy misses is made again, never wrong."""
+        column, encoded = self._cells.get(encode, _NO_CELLS)
+        if len(column) < len(self._id_to_term):
+            more = max(len(self._id_to_term), 2 * len(column)) - len(column)
+            encoded = np.concatenate((encoded, np.zeros(more, dtype=bool)))
+            column = np.concatenate((column, np.empty(more, dtype=object)))
+            self._cells[encode] = column, encoded
+        fresh = term_ids[~encoded[term_ids]]
+        if len(fresh):  # ids served in this format for the first time
             table = self._id_to_term
-            for offset, term_id in enumerate(term_ids):
-                if cells[offset] is None:
-                    if column[term_id] is None:
-                        column[term_id] = encode(table[term_id])
-                    cells[offset] = column[term_id]
-        return cells  # type: ignore[return-value]
+            for term_id in np.unique(fresh).tolist():
+                column[term_id] = encode(table[term_id])
+            encoded[fresh] = True
+        return column.take(term_ids).tolist()
 
     def numeric_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The shared value column: ``(values, kinds)`` indexed by term id.

@@ -1,12 +1,17 @@
 """The latency policy's windows: per-tenant burn rate and the shed window."""
 
+import collections
+import random
+
 import pytest
 
 from repro.obs.budget import (
     INTERACTIVE,
     SLO_OBJECTIVE,
     TENANT_SAMPLES,
+    WINDOW_S,
     LatencyPolicy,
+    TenantSlo,
 )
 
 SLOW, FAST = 250.0, 1.0  # against the 100 ms interactive budget
@@ -87,6 +92,53 @@ class TestWindows:
             policy.judge("t", INTERACTIVE, duration, shed=True)
         assert policy.shed_p95() == (5.0, 4)  # the newest four
         assert policy.snapshot()["t"].count == 6
+
+
+    def test_running_counts_equal_a_recount(self, monkeypatch):
+        # Judgements outnumber a window's bound (eviction on append) and
+        # the clock jumps past WINDOW_S (pruning on read); at random points
+        # every tenant's state must equal a recount of what it was fed.
+        rng = random.Random(20261017)
+        now = [0.0]
+        monkeypatch.setattr("repro.obs.budget._clock", lambda: now[0])
+        policy = LatencyPolicy()
+        fed: dict[str, list[tuple[float, str, bool]]] = {}
+        classes = [INTERACTIVE, "navigation", "progressive"]
+
+        def recount(tenant: str) -> TenantSlo:
+            window = [entry for entry in fed[tenant][-TENANT_SAMPLES:]
+                      if now[0] - entry[0] <= WINDOW_S]
+            violations = sum(bad for _, _, bad in window)
+            burn = ((violations / len(window)) / (1.0 - SLO_OBJECTIVE)
+                    if window else 0.0)
+            return TenantSlo(tenant, SLO_OBJECTIVE, len(window), violations,
+                             burn, dict(collections.Counter(
+                                 name for _, name, _ in window)))
+
+        evicted = pruned = False
+        for step in range(6000):
+            now[0] += rng.choice([0.0, 0.002, 0.01]) if rng.random() > 0.002 \
+                else rng.uniform(5.0, 2 * WINDOW_S)
+            tenant = rng.choice("abc")
+            name = rng.choice(classes)
+            slow = rng.random() < 0.3
+            limit = policy.budget(name).limit_ms
+            violated = policy.judge(tenant, name, 2 * limit if slow else 1.0)
+            fed.setdefault(tenant, []).append((now[0], name, violated))
+            evicted |= len(fed[tenant]) > TENANT_SAMPLES and now[0] - \
+                fed[tenant][-TENANT_SAMPLES - 1][0] <= WINDOW_S
+            pruned |= any(now[0] - entry[0] > WINDOW_S
+                          for entry in fed[tenant][-TENANT_SAMPLES:][:1])
+            if rng.random() < 0.05:
+                probe = rng.choice("abcd")
+                expected = recount(probe).burn_rate if probe in fed else 0.0
+                assert policy.burn_rate(probe) == expected
+            if rng.random() < 0.02:
+                assert policy.snapshot() == {t: recount(t) for t in sorted(fed)}
+                assert policy.peak_burn_rate() == max(
+                    recount(t).burn_rate for t in fed)
+        assert evicted and pruned
+        assert policy.snapshot() == {t: recount(t) for t in sorted(fed)}
 
 
 class TestBudgetDerivation:

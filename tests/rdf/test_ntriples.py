@@ -92,6 +92,25 @@ class TestIriInterning:
             parse_ntriples_line(line) for line in lines
         ]
 
+    def test_typed_literals_share_their_datatype(self):
+        from repro.rdf.ntriples import parse_ntriples_line
+
+        integer = "http://www.w3.org/2001/XMLSchema#integer"
+        lines = [
+            f'<http://x.org/s> <http://x.org/p> "1"^^<{integer}> .',
+            '<http://x.org/s> <http://x.org/q> "x"^^<http://x.org/t\\u0041> .',
+            f'<http://x.org/o> <http://x.org/p> "2"^^<{integer}> .',
+            '<http://x.org/o> <http://x.org/q> "y"^^<http://x.org/t\\u0041> .',
+        ]
+        one, two, three, four = parse_ntriples("\n".join(lines))
+        assert one.object.datatype is three.object.datatype == integer
+        assert two.object.datatype is four.object.datatype == "http://x.org/tA"
+        assert type(one.object.datatype) is str  # a datatype, not an IRI term
+        # the one-line parser builds the same terms, each of its own
+        singles = [parse_ntriples_line(line) for line in lines]
+        assert singles == [one, two, three, four]
+        assert [type(t.object.datatype) for t in singles] == [str] * 4
+
     def test_full_memo_is_dropped_not_grown(self, monkeypatch):
         from repro.rdf import ntriples
 

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import urllib.parse
+from unittest import mock
 
 import pytest
 
@@ -22,12 +23,15 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.server import app
 from repro.server.app import ReproServer, ServerConfig
-from repro.sparql import QueryEngine, cached
+from repro.sparql import QueryEngine, cached, plan
 from repro.sparql.cached import CachedQueryEngine
 from repro.store.cracking import CrackingTripleStore
 from repro.store.federated import FederatedStore
 from repro.store.memory import MemoryStore
-from tests.helpers import wait_for
+from repro.sparql.parser import parse_query
+from repro.sparql.plan import query_digest
+from tests.helpers import e2e_triples, wait_for
+from tests.sparql.test_reference_parity import CAPTURE, _PREFIXES
 
 EX = "http://example.org/"
 VALUE = IRI(EX + "value")
@@ -129,6 +133,33 @@ def test_every_exact_form_hits_with_the_same_bytes(server, query, content_type):
     assert again.getheader("X-Repro-Tier") == "exact"
     assert again.getheader("Content-Type") == content_type
     assert repeated == body and body
+
+
+@pytest.fixture(scope="module")
+def capture_server():
+    with ReproServer(MemoryStore(e2e_triples(40)),
+                     ServerConfig(workers=2)) as instance:
+        yield instance
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURE))
+def test_a_miss_plans_once_under_its_query_digest(capture_server, name,
+                                                  monkeypatch):
+    # The plan a miss digests is the plan it runs: the parity corpus's
+    # queries each optimize once (a DESCRIBE without WHERE has nothing to
+    # optimize) and are kept under the digest query_digest gives them.
+    text = _PREFIXES + CAPTURE[name]
+    original = plan.optimize_plan
+    optimized = mock.Mock(wraps=original)
+    for module in list(sys.modules.values()):  # wherever it was imported
+        if getattr(module, "optimize_plan", None) is original:
+            monkeypatch.setattr(module, "optimize_plan", optimized)
+    response, body = sparql(capture_server, text)
+    assert response.status == 200 and body
+    assert response.getheader("X-Repro-Cache") is None
+    assert optimized.call_count == (0 if name == "describe" else 1)
+    assert capture_server.answers.texts.get(text) \
+        == query_digest(parse_query(text))
 
 
 def test_a_textual_hit_runs_no_parser_planner_or_serializer(server, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.server.app import ReproServer, ServerConfig
 from repro.store.memory import MemoryStore
+from tests.helpers import wait_for
 
 EX = "http://example.org/"
 VALUE = IRI(EX + "value")
@@ -306,7 +307,13 @@ class TestLoadShedding:
                 response.read()
             assert tiers[-1] == "exact"
             assert "X-Repro-Approximate" not in dict(response.headers)
-            stats = json.loads(fetch(f"{server.base_url}/stats").read())
+
+            def accounted():  # a request is accounted after its last byte
+                stats = json.loads(fetch(f"{server.base_url}/stats").read())
+                return stats if stats["aggregate_served"] == 4 else None
+
+            stats = wait_for(accounted)
+            assert stats, "the four aggregates were never accounted"
             assert stats["aggregate_approximate"] >= 1
             assert 0 < stats["shed_ratio"] < 1
 

@@ -320,7 +320,10 @@ import threading
 
 import numpy as np
 
+from hypothesis import seed
+
 from repro.sparql.physical import Batch
+from repro.sparql.termtable import UNBOUND, TermTable
 from repro.store.dictionary import TermDictionary
 
 
@@ -369,13 +372,55 @@ def test_ids_added_after_a_column_exists_get_cells():
     first = [dictionary.encode(term) for term in (IRI("http://example.org/a"), Literal(1))]
     assert dictionary.cells(np.array(first), _json_term) == [
         _json_term(IRI("http://example.org/a")), _json_term(Literal(1))]
-    column = dictionary._cells[_json_term]
+    column, encoded = dictionary._cells[_json_term]
     later = dictionary.encode(Literal("new", lang="en"))
     assert dictionary.cells(np.array([later, first[1], later]), _json_term) == [
         _json_term(Literal("new", lang="en")), _json_term(Literal(1)),
         _json_term(Literal("new", lang="en"))]
-    # extended copy-on-write: whoever holds the old column keeps a valid one
-    assert len(column) == 2 and len(dictionary._cells[_json_term]) == 3
+    # grown copy-on-write: whoever holds the old column keeps a valid one...
+    assert column.tolist() == [_json_term(IRI("http://example.org/a")),
+                               _json_term(Literal(1))] and encoded.all()
+    # ...and the new one covers the new id
+    wider, grown = dictionary._cells[_json_term]
+    assert len(wider) >= 3 and grown[later]
+    assert wider[later] == _json_term(Literal("new", lang="en"))
+
+
+_ENCODERS = [_json_term, results._csv_field, results._tsv_field]
+
+
+@seed(3707)
+@settings(max_examples=60, deadline=None)
+@given(
+    first=st.lists(_TERMS, max_size=8),
+    later=st.lists(_TERMS, min_size=1, max_size=6),
+    computed=st.lists(_TERMS, max_size=4),
+    draws=st.lists(st.tuples(st.sampled_from("scu"), st.integers(0, 99)),
+                   max_size=24),
+    encode=st.sampled_from(_ENCODERS),
+)
+def test_a_gather_is_each_ids_encoded_term(first, later, computed, draws,
+                                           encode):
+    dictionary = TermDictionary()
+
+    def gathered(ids):
+        ids = np.array(ids, dtype=np.int64)
+        return dictionary.cells(ids, encode) == [
+            encode(dictionary.decode(i)) for i in ids.tolist()]
+
+    ids = [dictionary.encode(term) for term in first]
+    assert gathered([]) and gathered(ids) and gathered(ids[::-1] * 2)
+    # ids assigned after the column exists, gathered with repeats
+    fresh = [dictionary.encode(term) for term in later]
+    assert gathered(fresh + ids + fresh[:1]) and gathered([])
+    # store, computed and unbound ids through a plan's term table
+    table = TermTable(dictionary)
+    local = [table.id(term) for term in computed]
+    pools = {"s": ids + fresh, "c": local, "u": [UNBOUND]}
+    mixed = np.array([pools[kind][index % len(pools[kind])]
+                      for kind, index in draws if pools[kind]], dtype=np.int64)
+    assert table.cells(mixed, encode) == [
+        "" if i == UNBOUND else encode(table.decode(i)) for i in mixed.tolist()]
 
 
 def test_eight_threads_gather_overlapping_columns_while_a_writer_adds_terms():
