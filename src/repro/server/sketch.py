@@ -499,6 +499,8 @@ def iter_sketch_passes(
     )
     table, batches = stream.dictionary, stream.batches
     stage = stream.root.children[0]
+    if isinstance(stage, VectorizedBGP):
+        stage.drained = True  # every batch is folded
     if (
         isinstance(stage, VectorizedBGP) and stage.input is None
         and not any(s.distinct for s in specs)

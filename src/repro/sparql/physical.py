@@ -197,19 +197,48 @@ class Batch(NamedTuple):
 # --------------------------------------------------------------------------- #
 
 
+#: A single column whose id range is at most this many times its row count,
+#: plus 1,024, is grouped through a presence array over the range; a wider
+#: range goes to ``np.unique``. Measured: 20k rows over 40 ids take 0.13 ms
+#: against 0.9 ms; 20k distinct ids over a range 16x the rows, 1.1 ms
+#: against 0.8 ms.
+_DENSE_RANGE = 4
+
+
 def _distinct_keys(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of aligned id columns: ``(keys (k, m), inverse (n,))``.
+    """Distinct rows of aligned id columns: ``(keys (k, m), inverse (n,))``,
+    ``keys`` sorted.
 
     The grouping primitive of expressions (one evaluation per distinct
-    combination), of hash joins and of GROUP BY.
+    combination), of hash joins and of GROUP BY. One column is grouped
+    without a sort when its ids are dense: mark each id in a bool array
+    over ``[min, max]`` (the offset keeps unbound -1 and computed <= -2
+    ids in range), read the keys off it and number them by a gather.
     """
-    if len(columns) == 1:
-        unique, inverse = np.unique(columns[0], return_inverse=True)
-        return unique[:, None], inverse
-    keys, inverse = np.unique(
-        np.stack(columns, axis=1), axis=0, return_inverse=True
-    )
-    return keys, inverse.reshape(-1)
+    if len(columns) > 1:
+        keys, inverse = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+        return keys, inverse.reshape(-1)
+    column = columns[0]
+    if len(column):
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        if width <= _DENSE_RANGE * len(column) + 1024:
+            shifted = column - low
+            present = np.zeros(width, dtype=bool)
+            present[shifted] = True
+            unique = np.flatnonzero(present)
+            number = np.empty(width, dtype=np.int64)
+            number[unique] = np.arange(len(unique))
+            return (unique + low)[:, None], number[shifted]
+    unique, inverse = np.unique(column, return_inverse=True)
+    return unique[:, None], inverse.reshape(-1)
+
+
+#: Below this many rows a boolean mask compresses a batch faster than a
+#: gather through its row indices (one ``flatnonzero``, then ``take``).
+#: Measured over 4 columns: 5 against 8 us at 8 rows, 82 against 24 us at
+#: 4,096.
+_GATHER_FROM = 256
 
 
 def _compress(batch: Batch, mask: np.ndarray) -> Batch:
@@ -217,11 +246,13 @@ def _compress(batch: Batch, mask: np.ndarray) -> Batch:
     count = int(np.count_nonzero(mask))
     if count == batch.count:
         return batch
-    return Batch({v: column[mask] for v, column in batch.columns.items()}, count)
+    if batch.count < _GATHER_FROM:
+        return Batch({v: column[mask] for v, column in batch.columns.items()}, count)
+    return _take(batch, np.flatnonzero(mask))
 
 
 def _take(batch: Batch, rows: np.ndarray) -> Batch:
-    return Batch({v: column[rows] for v, column in batch.columns.items()}, len(rows))
+    return Batch({v: column.take(rows) for v, column in batch.columns.items()}, len(rows))
 
 
 def _concat(batches: list[Batch], variables) -> Batch:

@@ -24,7 +24,10 @@ distinct key behind the encoding adaptor); the executor expands each row
 by its match count, so rows keep input order on every path. The scan
 starts with a :data:`~repro.store.base.FIRST_BATCH_SIZE`-row chunk that
 doubles, so a ``LIMIT k`` consumer that stops pulling has expanded
-hundreds of rows.
+hundreds of rows; a BGP whose consumer reads every batch (``drained``:
+an aggregate, a top-k, the shed tier's fold) reads it in chunks of
+:data:`~repro.store.base.DRAINED_BATCH_SIZE` rows instead, so every
+stage above pays its per-batch calls once per span, not once per chunk.
 
 **Filters are masks.** Each FILTER pushed into the BGP is applied right
 after the stage that binds its last variable. The shapes that are provably
@@ -36,7 +39,7 @@ for, keeps row semantics once per distinct combination of the filter's
 variables (``filter=row[...]``).
 
 Two operators answer chart-shaped queries from a BGP's batches:
-:class:`BatchAggregateOp` (GROUP BY by ``np.unique``, COUNT by
+:class:`BatchAggregateOp` (GROUP BY by ``_distinct_keys``, COUNT by
 ``bincount``, SUM/AVG/MIN/MAX over the value column, COUNT DISTINCT by
 unique ``(group, id)`` pairs) and :class:`TopKOp` (``ORDER BY ?v [DESC]
 LIMIT k`` candidates by ``np.partition`` on the value column, ties with
@@ -59,7 +62,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ..rdf.terms import Literal, Term, Variable
-from ..store.base import DEFAULT_BATCH_SIZE, FIRST_BATCH_SIZE, IdScanSource, unique_ids
+from ..store.base import (
+    DEFAULT_BATCH_SIZE, DRAINED_BATCH_SIZE, FIRST_BATCH_SIZE, IdScanSource, unique_ids,
+)
 from ..store.dictionary import VALUE_EXACT_INT, VALUE_FLOAT, TermDictionary
 from .expr import ExprError, expression_variables, group_key, numeric, to_term
 from .nodes import (
@@ -390,6 +395,8 @@ class VectorizedBGP(PhysicalOperator):
         self._sample: tuple[int, int, int] | None = None
         self.sampled: tuple[int, int] | None = None
         self.fanout = 1
+        # Set by a consumer that reads every batch (module docstring).
+        self.drained = False
 
     def sample_first_stage(self, rows: int, seed: int, passes: int = 1) -> None:
         """Ask the next execution to start from a uniform sample.
@@ -455,8 +462,12 @@ class VectorizedBGP(PhysicalOperator):
         """Re-chunk source output: a small first chunk, doubling to full size.
 
         A consumer that stops early (LIMIT, a bounded prefix) then pays
-        for the probes of hundreds of rows, not of a whole batch.
+        for the probes of hundreds of rows, not of a whole batch. A drained
+        BGP asked its source for whole chunks and takes them as they come.
         """
+        if self.drained:
+            yield from arrays
+            return
         size = FIRST_BATCH_SIZE
         for array in arrays:
             start = 0
@@ -574,7 +585,8 @@ class VectorizedBGP(PhysicalOperator):
         """The first stage: every match of the first pattern."""
         scan.executions += 1
         self.stats.store_lookups += 1
-        for raw in self._first_stage(self.source.match_id_batches(*one.ids)):
+        size = DRAINED_BATCH_SIZE if self.drained else DEFAULT_BATCH_SIZE
+        for raw in self._first_stage(self.source.match_id_batches(*one.ids, size)):
             columns, kept = _bind(raw, one.slots)
             count = len(raw) if kept is None else int(np.count_nonzero(kept))
             self._account_scan(scan, count)
@@ -690,7 +702,7 @@ def plan_batch_aggregate(
 class BatchAggregateOp(AggregateOp):
     """GROUP BY / aggregates computed on id columns of a single BGP.
 
-    Group keys are ``np.unique`` over id columns, aggregates run over the
+    Group keys are ``_distinct_keys`` of id columns, aggregates run over the
     dictionary's numeric value column, and only the group-key terms are
     decoded (to order the groups as ``AggregateOp`` does). When the data
     does not fit the value column (a non-numeric value under
@@ -708,6 +720,7 @@ class BatchAggregateOp(AggregateOp):
         specs: tuple[_AggSpec, ...], estimate: float | None,
     ) -> None:
         super().__init__(child, projections, group_by, None, estimate)
+        child.drained = True
         self.group_vars = group_vars
         self.specs = specs
         needed = list(group_vars)
@@ -847,6 +860,7 @@ class TopKOp(_Unary):
         if estimate is not None:
             estimate = min(estimate, float(k))
         super().__init__(child, estimate)
+        child.drained = True
         self.variable, self.descending, self.k = variable, descending, k
         self.fallback: str | None = None
 

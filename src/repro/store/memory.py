@@ -32,7 +32,6 @@ from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
 from .base import (
     _ORDERS, _PLANS, DEFAULT_BATCH_SIZE, StatisticsSnapshot, ragged_rows, run_starts,
-    unique_ids,
 )
 from .dictionary import TermDictionary
 
@@ -321,32 +320,6 @@ class MemoryStore:
         """
         _, lo, hi = self._span((s, p, o))
         return hi - lo
-
-    def distinct_ids(
-        self, s: int | None, p: int | None, o: int | None, position: int
-    ) -> np.ndarray:
-        """Sorted unique ids at ``position`` over matches of the id pattern.
-
-        When ``position`` is the key column right after the bound prefix —
-        subjects of ``(?, ?, o)``, objects of ``(s, p, ?)`` or ``(?, p, ?)``,
-        the shapes worst-case-optimal joins intersect — the answer is the
-        run's own slice; other shapes pay one sort over the span.
-        """
-        ids = (s, p, o)
-        if s is None and p is None and o is None:
-            run, depth = self._run(self._current(), position), 0
-            lo, hi = 0, len(run.keys)
-        else:
-            run, lo, hi = self._span(ids)
-            depth = 3 - ids.count(None)
-        column = run.cols[position, lo:hi]
-        if ids[position] is not None:
-            return column[:1]
-        if run.order[depth] != position:
-            return unique_ids(column)
-        if depth == 2:  # triples are unique: the last key never repeats
-            return column
-        return column[run_starts(column)]
 
     def probe_ids(
         self,

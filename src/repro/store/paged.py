@@ -36,7 +36,6 @@ from .base import (
     DEFAULT_BATCH_SIZE,
     StatisticsSnapshot,
     compute_statistics,
-    distinct_ids_of,
     probe_ids_of,
 )
 from .dictionary import TermDictionary
@@ -395,12 +394,6 @@ class PagedTripleStore:
                 pending, pending_rows = [], 0
         if pending:
             yield from _chunks(pending, batch_size)
-
-    def distinct_ids(
-        self, s: int | None, p: int | None, o: int | None, position: int
-    ) -> np.ndarray:
-        """Sorted unique ids at ``position`` over matches."""
-        return distinct_ids_of(self.match_id_batches(s, p, o), position)
 
     def probe_ids(self, *probe) -> tuple[np.ndarray, np.ndarray]:
         """Batched point probes: one page-run scan per distinct key row."""

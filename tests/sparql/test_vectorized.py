@@ -530,6 +530,46 @@ def test_scan_chunks_start_small_and_double(one_class):
     assert stream.root.stats.scan_batches < 10
 
 
+@pytest.fixture(scope="module")
+def span_store():
+    """A 30,000-row ``ex:numeric0`` span with a second value per subject."""
+    triples = []
+    for i in range(30_000):
+        subject = IRI(f"{EX}e{i}")
+        triples.append(Triple(subject, IRI(EX + "numeric0"), Literal(i % 997)))
+        triples.append(Triple(subject, IRI(EX + "category0"), Literal(f"c{i % 4}")))
+    return MemoryStore(triples)
+
+
+def _first_stage_batches(store_, query):
+    plan = QueryEngine(store_).explain(PREFIXES + query, analyze=True)
+    first = plan.find("IdScan")[0]
+    assert first.actual_rows == 30_000
+    return int(re.search(r"\[(\d+) batches\]", first.detail).group(1))
+
+
+@pytest.mark.parametrize("query", [
+    "SELECT (COUNT(?s) AS ?n) WHERE { ?s ex:numeric0 ?v }",
+    "SELECT ?c (COUNT(?s) AS ?n) (AVG(?v) AS ?m) WHERE { "
+    "?s ex:numeric0 ?v . ?s ex:category0 ?c . FILTER(?v > 10) } GROUP BY ?c",
+    "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v } ORDER BY DESC(?v) LIMIT 5",
+])
+def test_a_drained_first_stage_reads_its_span_in_one_batch(span_store, query):
+    """An aggregate and a top-k read every row anyway: 30,000 first-stage
+    rows are one batch, not a 256-row start doubling to 4,096."""
+    assert _first_stage_batches(span_store, query) == 1
+
+
+def test_a_limit_over_the_same_span_still_starts_small(span_store):
+    engine = QueryEngine(span_store)
+    result = engine.query(PREFIXES + "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v } LIMIT 5")
+    assert len(result) == 5
+    assert engine.stats.scan_rows <= 2 * FIRST_BATCH_SIZE
+    assert _first_stage_batches(
+        span_store, "SELECT ?s ?v WHERE { ?s ex:numeric0 ?v }"
+    ) > 1
+
+
 def test_filter_masks_preserve_the_streamed_row_order(one_class):
     engine = QueryEngine(one_class)
     everything = list(engine.stream_select(

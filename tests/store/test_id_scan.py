@@ -5,6 +5,7 @@ import pytest
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple
+from repro.sparql.physical import _distinct_keys
 from repro.store import (
     CrackingTripleStore,
     FederatedStore,
@@ -12,6 +13,7 @@ from repro.store import (
     PagedTripleStore,
     as_id_scan_source,
 )
+from repro.store.base import IdScanSource
 from repro.workload.rdf_graphs import typed_entities
 
 EX = "http://example.org/data/"
@@ -81,31 +83,35 @@ class TestMatchIdBatches:
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_distinct_ids_sorted_unique(self, store, position):
-        run = store.distinct_ids(None, None, None, position)
-        assert isinstance(run, np.ndarray)
-        assert list(run) == sorted(set(run.tolist()))
-        brute = {
-            int(batch[row_no, position])
-            for batch in store.match_id_batches(None, None, None)
-            for row_no in range(len(batch))
-        }
-        assert set(run.tolist()) == brute
+        _assert_grouped(store, None, position)
 
     def test_distinct_ids_with_bound_positions(self, store):
-        predicate = store.dictionary.lookup(RDF_TYPE)
-        run = store.distinct_ids(None, predicate, None, 0)
-        brute = {
-            int(batch[row_no, 0])
-            for batch in store.match_id_batches(None, predicate, None)
-            for row_no in range(len(batch))
-        }
-        assert set(run.tolist()) == brute
-        assert list(run) == sorted(run.tolist())
+        _assert_grouped(store, store.dictionary.lookup(RDF_TYPE), 0)
+
+
+def _assert_grouped(store, predicate, position):
+    """The engine's group inverse over a scan column: the column's distinct
+    ids, sorted, and every row numbered by its own id."""
+    batches = store.match_id_batches(None, predicate, None)
+    column = np.concatenate([batch[:, position] for batch in batches])
+    keys, inverse = _distinct_keys([column])
+    assert keys[:, 0].tolist() == sorted(set(column.tolist()))
+    assert np.array_equal(keys[inverse, 0], column)
 
 
 class TestCapabilityProbe:
     def test_id_scan_stores_probe_positive(self, store):
         assert as_id_scan_source(store) is store
+
+    def test_runs_probes_and_a_dictionary_make_a_source(self, tmp_path):
+        """The capability rule asks for nothing beyond the protocol: a
+        ``MemoryStore`` and a ``PagedTripleStore`` are their own source."""
+        triples = _triples()
+        paged = PagedTripleStore.build(triples, str(tmp_path / "db"))
+        for native in (MemoryStore(triples), paged):
+            assert as_id_scan_source(native) is native
+            assert isinstance(native, IdScanSource)
+        paged.close()
 
     def test_graph_probes_negative(self):
         """No id runs of its own: the probe answers with an adaptor."""
@@ -135,7 +141,6 @@ def _assert_adaptor_contract(source):
             pattern = [term if mask >> at & 1 else None for at, term in enumerate(terms)]
             adapted = as_id_scan_source(source)  # a fresh scratch dictionary
             ids = [None if t is None else adapted.dictionary.lookup(t) for t in pattern]
-            known = [None if t is None else native.dictionary.lookup(t) for t in pattern]
             batches = list(adapted.match_id_batches(*ids, batch_size=64))
             assert all(b.dtype == np.int64 and b.shape[1:] == (3,) for b in batches)
             assert all(0 < len(b) <= 64 for b in batches)
@@ -145,14 +150,6 @@ def _assert_adaptor_contract(source):
             ]
             expected = set(native.triples(tuple(pattern)))
             assert len(decoded) == len(expected) and set(decoded) == expected
-            for position in range(3):
-                run = adapted.distinct_ids(*ids, position)
-                assert run.tolist() == sorted(set(run.tolist()))
-                assert set(adapted.dictionary.decode_batch(run)) == {
-                    triple[position] for triple in expected
-                }
-                if terms is anchor:
-                    assert len(run) == len(native.distinct_ids(*known, position))
 
 
 class TestSnapshotConsistency:

@@ -176,10 +176,6 @@ def _check_pattern(store, model, pattern):
         assert all(len(batch) == batch_size for batch in batches[:-1])
         rows = [tuple(row) for batch in batches for row in batch.tolist()]
         assert len(rows) == len(expected_ids) and set(rows) == expected_ids
-    for position in range(3):
-        run = store.distinct_ids(*ids, position)
-        assert run.dtype == np.int64
-        assert run.tolist() == sorted({row[position] for row in expected_ids})
 
 
 def _check_probes(store, model, anchor):
@@ -294,9 +290,6 @@ class TestGenerations:
             assert not batch.flags.writeable
             with pytest.raises(ValueError):
                 batch[0, 0] = 0
-        subject, predicate, _ = held[0][0].tolist()
-        with pytest.raises(ValueError):  # a run slice, not a copy
-            store.distinct_ids(subject, predicate, None, 2)[0] = 0
 
     def test_read_after_writes_merges_without_resorting_the_base(self, monkeypatch):
         base, fresh = _numbered(2_000), _numbered(25, start=2_000)
